@@ -58,9 +58,18 @@ pub const WIRE_VERSION: u32 = 1;
 pub const WIRE_CLOSE_TAG: u32 = u32::MAX;
 /// Bytes of framing prepended to every payload on the wire.
 pub const WIRE_HEADER_BYTES: usize = 8;
+/// Largest payload a wire frame may carry. Senders refuse to encode
+/// more; a header announcing more is corruption, not a frame to wait
+/// 4 GiB for (see [`WireDecoder::corrupt`]).
+pub const MAX_WIRE_FRAME_BYTES: usize = 1 << 28;
 
 /// Encode one wire frame (header + payload) into a fresh buffer.
 pub fn encode_frame(tag: u32, payload: &[u8]) -> Vec<u8> {
+    assert!(
+        payload.len() <= MAX_WIRE_FRAME_BYTES,
+        "wire frame payload of {} bytes exceeds MAX_WIRE_FRAME_BYTES",
+        payload.len()
+    );
     let mut buf = Vec::with_capacity(WIRE_HEADER_BYTES + payload.len());
     buf.extend_from_slice(&tag.to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -84,6 +93,7 @@ pub struct WireDecoder {
     start: usize,
     bytes_consumed: u64,
     closed: bool,
+    corrupt: bool,
 }
 
 impl WireDecoder {
@@ -102,9 +112,10 @@ impl WireDecoder {
     }
 
     /// Next complete frame, if one is fully buffered. Returns `None`
-    /// once the graceful-close marker has been seen.
+    /// once the graceful-close marker has been seen, and for good once
+    /// a header announces more than [`MAX_WIRE_FRAME_BYTES`].
     pub fn next_frame(&mut self) -> Option<(u32, Bytes)> {
-        if self.closed {
+        if self.closed || self.corrupt {
             return None;
         }
         let avail = self.buf.len() - self.start;
@@ -120,6 +131,10 @@ impl WireDecoder {
             self.bytes_consumed += WIRE_HEADER_BYTES as u64;
             return None;
         }
+        if len > MAX_WIRE_FRAME_BYTES {
+            self.corrupt = true;
+            return None;
+        }
         if avail < WIRE_HEADER_BYTES + len {
             return None;
         }
@@ -132,6 +147,12 @@ impl WireDecoder {
     /// True once the graceful-close marker has been decoded.
     pub fn closed(&self) -> bool {
         self.closed
+    }
+
+    /// True once an oversize length header has been seen: the byte
+    /// stream can no longer be framed, so the peer is as good as dead.
+    pub fn corrupt(&self) -> bool {
+        self.corrupt
     }
 
     /// Total bytes consumed as complete frames (headers included).
@@ -272,8 +293,11 @@ impl CommBackend for SocketBackend {
                 });
             }
             self.bytes_received += peer.decoder.bytes_consumed() - before;
+            // An unframeable stream is read no further.
+            peer.eof |= peer.decoder.corrupt();
             if peer.eof && !peer.decoder.closed() && dead.is_none() {
-                // Raw EOF (or truncated frame): death, not a close.
+                // Raw EOF, truncated frame or corrupt header: death,
+                // not a close.
                 dead = Some(p);
             }
         }
@@ -593,6 +617,48 @@ mod tests {
         assert_eq!(dec.next_frame().unwrap().0, 3);
         assert!(dec.next_frame().is_none());
         assert!(dec.closed());
+    }
+
+    #[test]
+    fn decoder_refuses_an_oversize_length_header() {
+        let mut bytes = encode_frame(3, b"ok");
+        bytes.extend_from_slice(&5u32.to_le_bytes());
+        bytes.extend_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
+        bytes.extend_from_slice(b"garbage that is not 4 GiB long");
+        let mut dec = WireDecoder::new();
+        dec.push(&bytes);
+        assert_eq!(dec.next_frame().unwrap().0, 3, "frames before it decode");
+        assert!(dec.next_frame().is_none());
+        assert!(dec.corrupt() && !dec.closed());
+        // Nothing after the bad header is ever framed.
+        dec.push(&encode_frame(4, b"late"));
+        assert!(dec.next_frame().is_none());
+        assert_eq!(dec.bytes_consumed(), encode_frame(3, b"ok").len() as u64);
+    }
+
+    #[test]
+    fn oversize_header_on_the_wire_is_a_peer_death() {
+        let (mut raw, stream) = UnixStream::pair().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let reader = RecvPeer {
+            stream,
+            decoder: WireDecoder::new(),
+            eof: false,
+        };
+        let mut backend = assemble(0, 2, vec![None, None], vec![None, Some(reader)]);
+        let mut bytes = encode_frame(5, b"intact");
+        bytes.extend_from_slice(&6u32.to_le_bytes());
+        bytes.extend_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
+        raw.write_all(&bytes).unwrap();
+        // The intact frame is delivered, then the corrupt header is
+        // diagnosed as the peer's death — with the connection still
+        // open, so nothing waits for 4 GiB that will never come.
+        let m = backend.try_recv().unwrap().expect("buffered frame");
+        assert_eq!((m.src, m.tag, &m.payload[..]), (1, 5, &b"intact"[..]));
+        assert_eq!(
+            backend.try_recv().unwrap_err(),
+            CommError::PeerClosed { peer: 1 }
+        );
     }
 
     #[test]

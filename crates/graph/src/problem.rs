@@ -2,6 +2,7 @@
 //! compiled into per-(patch, angle) subgraphs and priorities.
 
 use crate::priority::{patch_priorities, vertex_priorities, TwoLevelPriority};
+use crate::subgraph::PatchLinks;
 use crate::{cycles, PriorityStrategy, Subgraph};
 use jsweep_mesh::{PatchSet, SweepTopology};
 use jsweep_quadrature::{AngleId, QuadratureSet};
@@ -98,6 +99,13 @@ impl SweepProblem {
         let mut patch_prio_per_angle: Vec<Vec<i64>> = Vec::with_capacity(num_angles);
         let mut broken_per_angle: Vec<Arc<HashSet<(u32, u32)>>> = Vec::with_capacity(num_angles);
 
+        // The direction-independent face adjacency, walked off the mesh
+        // once; every canonical angle below only orients it.
+        let links: Vec<PatchLinks> = patches
+            .patches()
+            .map(|p| PatchLinks::new(mesh, &patches, p))
+            .collect();
+
         // Octant sharing: remember the first angle of each octant.
         let mut octant_cache: [Option<usize>; 8] = [None; 8];
         let mut canon: Vec<usize> = Vec::with_capacity(num_angles);
@@ -122,7 +130,10 @@ impl SweepProblem {
                     } else {
                         HashSet::new()
                     };
-                    let angle_subs = Subgraph::build_all(mesh, &patches, a, ord.dir, &broken);
+                    let angle_subs: Vec<Subgraph> = links
+                        .iter()
+                        .map(|l| Subgraph::from_links(l, mesh, a, ord.dir, &broken))
+                        .collect();
                     let prios: Vec<Arc<Vec<i64>>> = angle_subs
                         .iter()
                         .map(|s| Arc::new(vertex_priorities(s, opts.vertex_strategy)))

@@ -8,8 +8,14 @@
 //! stream items. The in-degree counter of a vertex counts *all* upwind
 //! interior faces, local and remote alike, exactly matching what the
 //! Listing-1 `init`/`input`/`compute` functions decrement.
+//!
+//! The subgraph is also the task's compiled **face routing table**:
+//! every CSR edge carries the face of the source cell it leaves through
+//! and the face of the destination cell it enters through, so the sweep
+//! hot loop moves face fluxes by iterating the two CSR ranges of a
+//! solved cell and never asks the mesh for adjacency again.
 
-use jsweep_mesh::{PatchId, PatchSet, SweepTopology};
+use jsweep_mesh::{face_toward, PatchId, PatchSet, SweepTopology};
 use jsweep_quadrature::AngleId;
 use std::collections::HashSet;
 
@@ -35,12 +41,118 @@ pub struct Subgraph {
     pub in_degree: Vec<u32>,
     /// CSR offsets of internal downwind edges.
     pub int_off: Vec<u32>,
-    /// Internal downwind targets (local vertex indices).
+    /// Internal downwind targets (local vertex indices), in ascending
+    /// source-face order per vertex.
     pub int_dst: Vec<u32>,
+    /// Per internal edge: the source cell's face it leaves through.
+    pub int_sface: Vec<u8>,
+    /// Per internal edge: the destination cell's face it enters through
+    /// (`face_toward(dst, src)`).
+    pub int_dface: Vec<u8>,
     /// CSR offsets of remote downwind edges.
     pub rem_off: Vec<u32>,
-    /// Remote downwind targets.
+    /// Remote downwind targets, in ascending source-face order per
+    /// vertex.
     pub rem_dst: Vec<RemoteEdge>,
+    /// Per remote edge: the source cell's face it leaves through.
+    pub rem_sface: Vec<u8>,
+    /// Per remote edge: the destination cell's face it enters through.
+    pub rem_dface: Vec<u8>,
+}
+
+/// Boundary marker of a [`FaceLink`].
+const NO_NEIGHBOR: u32 = u32::MAX;
+
+/// Where one face of a patch cell leads — everything about the face
+/// that does not depend on the sweep direction.
+#[derive(Debug, Clone, Copy)]
+struct FaceLink {
+    /// Global id of the cell across the face ([`NO_NEIGHBOR`] on the
+    /// domain boundary).
+    cell: u32,
+    /// Patch owning that cell.
+    patch: PatchId,
+    /// Its local index there.
+    local: u32,
+    /// The face of that cell leading back here (`face_toward`).
+    back: u8,
+}
+
+/// The direction-independent half of a patch's subgraphs: per
+/// `(local cell, face)`, the neighbour and its reciprocal face. Walked
+/// off the mesh once per patch; [`Subgraph::from_links`] then orients it
+/// for each sweep direction with one flow sign per face and no further
+/// adjacency queries.
+#[derive(Debug, Clone)]
+pub struct PatchLinks {
+    patch: PatchId,
+    cells: Vec<u32>,
+    /// Row offsets into `links`, one row of faces per local cell.
+    row_off: Vec<u32>,
+    links: Vec<FaceLink>,
+}
+
+impl PatchLinks {
+    /// Walk the faces of patch `patch`.
+    pub fn new<T: SweepTopology + ?Sized>(
+        mesh: &T,
+        patches: &PatchSet,
+        patch: PatchId,
+    ) -> PatchLinks {
+        let cells: Vec<u32> = patches.cells(patch).to_vec();
+        let mut row_off = Vec::with_capacity(cells.len() + 1);
+        let mut links = Vec::new();
+        for &cell in &cells {
+            row_off.push(links.len() as u32);
+            let nf = mesh.num_faces(cell as usize);
+            assert!(nf <= 256, "cell {cell}: {nf} faces do not index with a u8");
+            for f in 0..nf {
+                links.push(match mesh.face(cell as usize, f).neighbor.cell() {
+                    Some(nb) => FaceLink {
+                        cell: nb as u32,
+                        patch: patches.patch_of(nb),
+                        local: patches.local_index(nb) as u32,
+                        back: 0, // filled below
+                    },
+                    None => FaceLink {
+                        cell: NO_NEIGHBOR,
+                        patch,
+                        local: 0,
+                        back: 0,
+                    },
+                });
+            }
+        }
+        row_off.push(links.len() as u32);
+
+        // Reciprocal faces: an in-patch neighbour's own row already
+        // holds the answer (first match, as `face_toward` scans); only
+        // faces on the patch surface ask the mesh.
+        for (li, &cell) in cells.iter().enumerate() {
+            for k in row_off[li] as usize..row_off[li + 1] as usize {
+                let link = links[k];
+                if link.cell == NO_NEIGHBOR {
+                    continue;
+                }
+                let back = if link.patch == patch {
+                    let nb = link.local as usize;
+                    links[row_off[nb] as usize..row_off[nb + 1] as usize]
+                        .iter()
+                        .position(|l| l.cell == cell)
+                } else {
+                    face_toward(mesh, link.cell as usize, cell as usize)
+                };
+                let back = back.expect("neighbour without reciprocal face");
+                links[k].back = u8::try_from(back).expect("face index exceeds u8");
+            }
+        }
+        PatchLinks {
+            patch,
+            cells,
+            row_off,
+            links,
+        }
+    }
 }
 
 impl Subgraph {
@@ -56,78 +168,78 @@ impl Subgraph {
         dir: [f64; 3],
         broken: &HashSet<(u32, u32)>,
     ) -> Subgraph {
-        let cells: Vec<u32> = patches.cells(patch).to_vec();
+        Subgraph::from_links(
+            &PatchLinks::new(mesh, patches, patch),
+            mesh,
+            angle,
+            dir,
+            broken,
+        )
+    }
+
+    /// Orient a patch's [`PatchLinks`] for direction `dir`: every face
+    /// with outflow becomes a CSR edge carrying its two face indices,
+    /// every face with inflow a unit of in-degree.
+    pub fn from_links<T: SweepTopology + ?Sized>(
+        links: &PatchLinks,
+        mesh: &T,
+        angle: AngleId,
+        dir: [f64; 3],
+        broken: &HashSet<(u32, u32)>,
+    ) -> Subgraph {
+        let patch = links.patch;
+        let cells = links.cells.clone();
         let n = cells.len();
         let mut in_degree = vec![0u32; n];
         let mut int_off = vec![0u32; n + 1];
         let mut rem_off = vec![0u32; n + 1];
-        let mut int_edges: Vec<(u32, u32)> = Vec::new();
-        let mut rem_edges: Vec<(u32, RemoteEdge)> = Vec::new();
+        // For a generic direction half the faces carry outflow, nearly
+        // all of them internal: one allocation instead of regrowth.
+        let cap = links.links.len() / 2;
+        let (mut int_dst, mut int_sface, mut int_dface) = (
+            Vec::with_capacity(cap),
+            Vec::with_capacity(cap),
+            Vec::with_capacity(cap),
+        );
+        let (mut rem_dst, mut rem_sface, mut rem_dface) = (Vec::new(), Vec::new(), Vec::new());
 
+        // Cells are walked in local order and faces in ascending order,
+        // so the edge lists come out CSR-packed as they are pushed.
         for (li, &cell) in cells.iter().enumerate() {
-            let c = cell as usize;
-            for f in 0..mesh.num_faces(c) {
-                let face = mesh.face(c, f);
-                let flow = face.flow(dir);
-                let Some(nb) = face.neighbor.cell() else {
+            let row = &links.links[links.row_off[li] as usize..links.row_off[li + 1] as usize];
+            for (f, link) in row.iter().enumerate() {
+                if link.cell == NO_NEIGHBOR {
                     continue;
-                };
+                }
+                let flow = mesh.face(cell as usize, f).flow(dir);
                 if flow < 0.0 {
                     // Upwind interior face feeds this vertex — unless the
                     // cycle breaker removed the (nb -> c) edge.
-                    if !broken.contains(&(nb as u32, cell)) {
+                    if !broken.contains(&(link.cell, cell)) {
                         in_degree[li] += 1;
                     }
                 } else if flow > 0.0 {
-                    if broken.contains(&(cell, nb as u32)) {
+                    if broken.contains(&(cell, link.cell)) {
                         continue;
                     }
-                    let nb_patch = patches.patch_of(nb);
-                    if nb_patch == patch {
-                        int_edges.push((li as u32, patches.local_index(nb) as u32));
+                    if link.patch == patch {
+                        int_dst.push(link.local);
+                        int_sface.push(f as u8);
+                        int_dface.push(link.back);
                     } else {
-                        rem_edges.push((
-                            li as u32,
-                            RemoteEdge {
-                                patch: nb_patch,
-                                cell: nb as u32,
-                            },
-                        ));
+                        rem_dst.push(RemoteEdge {
+                            patch: link.patch,
+                            cell: link.cell,
+                        });
+                        rem_sface.push(f as u8);
+                        rem_dface.push(link.back);
                     }
                 }
                 // flow == 0: the face is parallel to the direction; no
                 // dependency either way.
             }
-        }
-
-        // Pack into CSR.
-        for &(s, _) in &int_edges {
-            int_off[s as usize + 1] += 1;
-        }
-        for &(s, _) in &rem_edges {
-            rem_off[s as usize + 1] += 1;
-        }
-        for v in 0..n {
-            int_off[v + 1] += int_off[v];
-            rem_off[v + 1] += rem_off[v];
-        }
-        let mut int_dst = vec![0u32; int_edges.len()];
-        let mut cursor = int_off[..n].to_vec();
-        for &(s, d) in &int_edges {
-            int_dst[cursor[s as usize] as usize] = d;
-            cursor[s as usize] += 1;
-        }
-        let mut rem_dst = vec![
-            RemoteEdge {
-                patch: PatchId(0),
-                cell: 0
-            };
-            rem_edges.len()
-        ];
-        let mut cursor = rem_off[..n].to_vec();
-        for &(s, d) in &rem_edges {
-            rem_dst[cursor[s as usize] as usize] = d;
-            cursor[s as usize] += 1;
+            int_off[li + 1] = int_dst.len() as u32;
+            rem_off[li + 1] = rem_dst.len() as u32;
         }
 
         Subgraph {
@@ -137,8 +249,12 @@ impl Subgraph {
             in_degree,
             int_off,
             int_dst,
+            int_sface,
+            int_dface,
             rem_off,
             rem_dst,
+            rem_sface,
+            rem_dface,
         }
     }
 
@@ -147,10 +263,16 @@ impl Subgraph {
         self.cells.len()
     }
 
+    /// Index range into `int_dst` for local vertex `v`'s internal edges.
+    #[inline]
+    pub fn int_range(&self, v: u32) -> std::ops::Range<usize> {
+        self.int_off[v as usize] as usize..self.int_off[v as usize + 1] as usize
+    }
+
     /// Internal downwind targets of local vertex `v`.
     #[inline]
     pub fn internal_succ(&self, v: u32) -> &[u32] {
-        &self.int_dst[self.int_off[v as usize] as usize..self.int_off[v as usize + 1] as usize]
+        &self.int_dst[self.int_range(v)]
     }
 
     /// Index range into `rem_dst` for local vertex `v`'s remote edges.
@@ -197,6 +319,9 @@ impl Subgraph {
     }
 
     /// Build the subgraphs of *all* patches for one direction.
+    /// (Several directions over one decomposition: walk the
+    /// [`PatchLinks`] once and call [`Subgraph::from_links`] per
+    /// direction, as `SweepProblem::build` does.)
     pub fn build_all<T: SweepTopology + ?Sized>(
         mesh: &T,
         patches: &PatchSet,
@@ -368,6 +493,88 @@ mod tests {
         let csr = sub.internal_csr();
         assert_eq!(csr.num_edges(), sub.int_dst.len());
         assert!(crate::dag::is_acyclic(&csr));
+    }
+
+    /// The routing-table contract, edge by edge, against the mesh.
+    fn check_routes<T: SweepTopology>(
+        mesh: &T,
+        ps: &PatchSet,
+        dir: [f64; 3],
+        broken: &HashSet<(u32, u32)>,
+    ) {
+        let subs = Subgraph::build_all(mesh, ps, AngleId(0), dir, broken);
+        check_edge_degree_balance(&subs).unwrap();
+        for sub in &subs {
+            for v in 0..sub.num_vertices() as u32 {
+                let src = sub.cells[v as usize];
+                // (destination cell, source face, destination face)
+                let internal = sub.int_range(v).map(|k| {
+                    let dst = sub.cells[sub.int_dst[k] as usize];
+                    assert_eq!(ps.patch_of(dst as usize), sub.patch);
+                    (dst, sub.int_sface[k], sub.int_dface[k])
+                });
+                let remote = sub.rem_range(v).map(|k| {
+                    let re = sub.rem_dst[k];
+                    assert_ne!(re.patch, sub.patch);
+                    assert_eq!(ps.patch_of(re.cell as usize), re.patch);
+                    (re.cell, sub.rem_sface[k], sub.rem_dface[k])
+                });
+                let edges: Vec<(u32, u8, u8)> = internal.chain(remote).collect();
+                for &(dst, sface, dface) in &edges {
+                    let face = mesh.face(src as usize, sface as usize);
+                    assert_eq!(face.neighbor.cell(), Some(dst as usize));
+                    assert!(face.flow(dir) > 0.0, "edge through a non-outflow face");
+                    assert!(!broken.contains(&(src, dst)), "broken edge kept");
+                    assert_eq!(
+                        face_toward(mesh, dst as usize, src as usize),
+                        Some(dface as usize)
+                    );
+                }
+                assert!(sub.int_sface[sub.int_range(v)]
+                    .windows(2)
+                    .all(|w| w[0] < w[1]));
+                assert!(sub.rem_sface[sub.rem_range(v)]
+                    .windows(2)
+                    .all(|w| w[0] < w[1]));
+                // No face missed: as many edges as a brute-force walk finds.
+                let expect = (0..mesh.num_faces(src as usize))
+                    .filter(|&f| {
+                        let face = mesh.face(src as usize, f);
+                        face.flow(dir) > 0.0
+                            && face
+                                .neighbor
+                                .cell()
+                                .is_some_and(|nb| !broken.contains(&(src, nb as u32)))
+                    })
+                    .count();
+                assert_eq!(edges.len(), expect);
+            }
+        }
+    }
+
+    #[test]
+    fn routes_match_the_mesh_on_every_mesh_family_and_angle() {
+        use jsweep_mesh::deformed::DeformedMesh;
+        let hex = StructuredMesh::unit(5, 4, 3);
+        let hex_ps = partition::decompose_structured(&hex, (2, 2, 2), 2);
+        let tet = jsweep_mesh::tetgen::ball(3, 1.0);
+        let tet_ps = partition::decompose_unstructured(&tet, 40, 2);
+        let def = DeformedMesh::jittered(4, 4, 4, 0.3, 5);
+        let def_ps = partition::rcb(&def, 4);
+        for (_, o) in QuadratureSet::sn(4).iter() {
+            check_routes(&hex, &hex_ps, o.dir, &HashSet::new());
+            check_routes(&tet, &tet_ps, o.dir, &HashSet::new());
+            // Cycle-broken: whatever the breaker removes, plus one
+            // forced cut per direction so the path is always taken.
+            let mut broken = crate::cycles::broken_edges_for_direction(&def, o.dir);
+            let c = def.num_cells() / 2;
+            broken.extend(
+                def.downwind_neighbors(c, o.dir)
+                    .first()
+                    .map(|&nb| (c as u32, nb as u32)),
+            );
+            check_routes(&def, &def_ps, o.dir, &broken);
+        }
     }
 
     #[test]

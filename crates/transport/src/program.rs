@@ -16,11 +16,16 @@
 //!   recorded vertex list in order, and emits exactly one stream per
 //!   outgoing coarse edge, with no per-vertex bookkeeping.
 //!
+//! Face routing is compiled, not derived: the task's [`Subgraph`]
+//! carries, per CSR edge, the source face and the destination face, so
+//! neither the kernel loop nor the wire ever asks the mesh for
+//! adjacency (the mesh-walking derivation survives only in
+//! `solve_serial` and in this module's test oracle).
+//!
 //! Stream payload formats (see `jsweep_comm::pack`): fine streams are
-//! `u32 item_count` then per item `u32 dst_cell`, `u32 src_cell`,
-//! `groups × f64` face flux values (the receiver resolves the upwind
-//! slot through the factory's pre-built `(dst_cell, src_cell) → face`
-//! [`IngestTable`] — no per-item face scan). Coarse streams are fully
+//! `u32 item_count` then per item `u32 dst_cell`, `u32 dst_face`
+//! ([`Subgraph::rem_dface`], resolved by the sender's subgraph),
+//! `groups × f64` face flux values. Coarse streams are fully
 //! pre-resolved at plan-build time: `u32 dst_cluster`, `u32 item_count`,
 //! then `item_count × u32 dst_slot` (`local_cell * max_faces + face` on
 //! the receiver — written straight into `face_flux`, no adjacency
@@ -50,8 +55,7 @@ use jsweep_graph::{Subgraph, SweepProblem, SweepState};
 use jsweep_mesh::{PatchId, SweepTopology};
 use jsweep_quadrature::QuadratureSet;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -214,70 +218,6 @@ pub struct SweepEpoch {
     pub materials: Option<Arc<MaterialSet>>,
 }
 
-/// Multiply-mix hasher over the packed `(dst_cell, src_cell)` key of
-/// the [`IngestTable`] (one `u64` write). SipHash buys nothing for an
-/// internal adjacency map and costs real time on the per-item fine
-/// ingest path.
-#[derive(Default)]
-pub struct CellPairHasher {
-    state: u64,
-}
-
-impl Hasher for CellPairHasher {
-    fn finish(&self) -> u64 {
-        self.state
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = (self.state ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(31) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// Pre-resolved fine-path ingest table: packed `(dst_cell, src_cell)`
-/// key (`dst << 32 | src`) → the face of `dst_cell` touching
-/// `src_cell`, for every cross-patch adjacent cell pair. Built once
-/// per problem by [`SweepFactory::new`]; replaces the per-item
-/// `face_toward` scan the recording iteration (and the
-/// `coarsen = false` path) used to pay per stream item per iteration.
-pub type IngestTable = HashMap<u64, u32, BuildHasherDefault<CellPairHasher>>;
-
-/// Pack an ingest-table key.
-#[inline]
-fn pair_key(dst: u32, src: u32) -> u64 {
-    (u64::from(dst) << 32) | u64::from(src)
-}
-
-/// Build the [`IngestTable`] of a decomposed mesh: one entry per
-/// ordered cross-patch adjacent cell pair (the only pairs that ever
-/// appear in fine stream items).
-pub fn build_ingest_table<T: SweepTopology + ?Sized>(
-    mesh: &T,
-    patches: &jsweep_mesh::PatchSet,
-) -> IngestTable {
-    let mut table = IngestTable::default();
-    for c in 0..mesh.num_cells() {
-        let pc = patches.patch_of(c);
-        for f in 0..mesh.num_faces(c) {
-            let Some(nb) = mesh.face(c, f).neighbor.cell() else {
-                continue;
-            };
-            if patches.patch_of(nb) != pc {
-                // A stream item (dst = c, src = nb) lands on face f.
-                // First face wins, matching `face_toward`'s scan order
-                // (relevant only if a pair ever shared two faces).
-                table
-                    .entry(pair_key(c as u32, nb as u32))
-                    .or_insert(f as u32);
-            }
-        }
-    }
-    table
-}
-
 /// Everything the sweep programs of one source iteration share.
 pub struct SweepSetup<T: SweepTopology + Send + Sync + 'static> {
     /// The mesh.
@@ -304,26 +244,27 @@ pub struct SweepSetup<T: SweepTopology + Send + Sync + 'static> {
 /// `(patch, angle)`.
 pub struct SweepFactory<T: SweepTopology + Send + Sync + 'static> {
     setup: SweepSetup<T>,
-    /// Pre-resolved `(dst_cell, src_cell) → face` table shared by all
-    /// programs (fine-path ingest, see [`build_ingest_table`]).
-    ingest: Arc<IngestTable>,
+    /// Faces per cell — one count for the whole mesh (checked in
+    /// [`SweepFactory::new`]): the stride of every `face_flux` slot.
+    max_faces: usize,
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> SweepFactory<T> {
-    /// Wrap a setup (pre-resolving the fine-path ingest table).
+    /// Wrap a setup. Panics on a mixed-element mesh: `face_flux` and
+    /// the replay wire slots index with a single per-cell face count.
     pub fn new(setup: SweepSetup<T>) -> SweepFactory<T> {
         assert!(setup.grain > 0);
         assert_eq!(setup.materials.num_cells(), setup.mesh.num_cells());
-        let ingest = Arc::new(build_ingest_table(
-            setup.mesh.as_ref(),
-            &setup.problem.patches,
-        ));
-        SweepFactory { setup, ingest }
-    }
-
-    fn max_faces(&self) -> usize {
-        // Homogeneous element types in this reproduction: probe cell 0.
-        self.setup.mesh.num_faces(0)
+        let max_faces = setup.mesh.num_faces(0);
+        assert!(
+            max_faces <= KERNEL_MAX_FACES,
+            "cells with {max_faces} faces exceed KERNEL_MAX_FACES"
+        );
+        assert!(
+            (0..setup.mesh.num_cells()).all(|c| setup.mesh.num_faces(c) == max_faces),
+            "mixed-element mesh: every cell must have {max_faces} faces"
+        );
+        SweepFactory { setup, max_faces }
     }
 }
 
@@ -345,42 +286,23 @@ enum Sched {
     },
 }
 
-/// Pre-resolved destination of one downwind face of a cluster cell,
-/// hoisted once per [`SweepProgram::kernel_cluster`] call so the
-/// group-block passes route with a copy instead of re-walking mesh
-/// adjacency per (face, group block).
-#[derive(Clone, Copy)]
-enum FaceRoute {
-    /// Upwind, flow-0, boundary or cycle-broken face: nothing to write.
-    Skip,
-    /// Local downwind neighbour: `face_flux` slot
-    /// (`neighbour_local * max_faces + neighbour_face`).
-    Local(u32),
-    /// Remote downwind neighbour: staging index into the subgraph's
-    /// remote CSR ([`Subgraph::rem_dst`]). Indices are assigned by a
-    /// running per-vertex counter — remote downwind faces are visited
-    /// in the same face order the subgraph packed its remote CSR in,
-    /// so the k-th remote face of vertex `v` stages at
-    /// `rem_off[v] + k` without a position scan.
-    Remote(u32),
-}
-
-/// The patch-program of one `(patch, angle)` sweep task.
-pub struct SweepProgram<T: SweepTopology + Send + Sync + 'static> {
-    id: ProgramId,
-    setup_mesh: Arc<T>,
-    problem: Arc<SweepProblem>,
+/// The physics half of a program: everything the numerical kernel
+/// reads and writes. Kept apart from the scheduling half so `compute`
+/// borrows the two side by side — the subgraph, the mesh and the
+/// compiled task are borrowed, never `Arc`-cloned, per call.
+struct Physics<T> {
+    mesh: Arc<T>,
     materials: Arc<MaterialSet>,
     emission: Arc<Vec<f64>>,
-    flux_bins: Arc<FluxBins>,
+    /// The angle's subgraphs (Arc-shared per octant); this program's
+    /// own — its routing table — is `subs[patch]`.
+    subs: Arc<Vec<Subgraph>>,
+    patch: usize,
     kernel: KernelKind,
-    grain: usize,
     groups: usize,
     weight: f64,
     dir: [f64; 3],
     max_faces: usize,
-    /// Scheduling state (fine counters + ready queue, or coarse replay).
-    sched: Sched,
     /// Incoming face flux per `local_cell * max_faces * groups`
     /// (zeroed in place at epoch resets — never reallocated).
     face_flux: Vec<f64>,
@@ -395,44 +317,18 @@ pub struct SweepProgram<T: SweepTopology + Send + Sync + 'static> {
     /// items from it post-hoc and coarse mode's pre-resolved
     /// [`ReplayTask`] emissions read it directly.
     remote_vals: Vec<f64>,
-    /// Shared `(dst_cell, src_cell) → face` ingest table (fine path).
-    ingest: Arc<IngestTable>,
-    /// Fine-path per-destination stream writers, persistent across
-    /// compute calls and epochs (entries keep their map slot; buffers
-    /// are frozen into payloads per flush).
-    stream_writers: HashMap<PatchId, Writer>,
-    /// Item counts matching [`SweepProgram::stream_writers`].
-    stream_counts: HashMap<PatchId, u32>,
-    /// Coarse-path ingest scratch: the slot block of the stream being
-    /// consumed (reused across inputs).
-    slot_scratch: Vec<u32>,
     /// Per-cluster hoisted cell geometry (phase 0 of
-    /// [`SweepProgram::kernel_cluster`]; reused across calls).
+    /// [`Physics::kernel_cluster`]; reused across calls).
     geom_scratch: Vec<CellGeom>,
-    /// Per-cluster hoisted face routes, `cluster_len * max_faces`
-    /// (reused across calls).
-    route_scratch: Vec<FaceRoute>,
 }
 
-impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
-    /// Ingest one *fine* stream item (`dst_cell`, `src_cell`, `groups`
-    /// flux values): resolve the destination's upwind face through the
-    /// pre-built [`IngestTable`] (no face scan) and write the values
-    /// into that slot. Returns the destination's local vertex index.
-    /// (Coarse streams skip even the table — their items carry the
-    /// plan-resolved slot on the wire.)
-    fn ingest_item(&mut self, r: &mut Reader) -> u32 {
-        let dst_cell = r.get_u32();
-        let src_cell = r.get_u32();
-        let li = self.problem.patches.local_index(dst_cell as usize);
-        let face = *self
-            .ingest
-            .get(&pair_key(dst_cell, src_cell))
-            .expect("stream item with non-adjacent cells") as usize;
-        for g in 0..self.groups {
-            self.face_flux[(li * self.max_faces + face) * self.groups + g] = r.get_f64();
+impl<T: SweepTopology> Physics<T> {
+    /// Write one stream item's `groups` flux values into incoming
+    /// face-flux slot `slot` (`local_cell * max_faces + face`).
+    fn ingest(&mut self, slot: usize, r: &mut Reader) {
+        for x in &mut self.face_flux[slot * self.groups..(slot + 1) * self.groups] {
+            *x = r.get_f64();
         }
-        li as u32
     }
 
     /// Run the numerical kernel over `cluster` (in order): solve every
@@ -443,81 +339,35 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
     /// scheduling modes — which is what makes the coarse replay
     /// bit-identical to the fine path.
     ///
-    /// Cache-blocked: phase 0 hoists per-cell geometry ([`CellGeom`])
-    /// and face routes once; phase 1 then streams the cell list once
-    /// per [`GROUP_BLOCK`]-wide group block, so each pass touches
-    /// contiguous block sub-slices of `face_flux` / `phi_part` /
-    /// `remote_vals` and the innermost group loops autovectorize (see
-    /// [`crate::kernel`]). Every pass walks the cluster in its
-    /// (topological) order, which preserves in-cluster upwind/downwind
-    /// dependencies per block exactly as the scalar path did per
-    /// group.
-    fn kernel_cluster(&mut self, sub: &Subgraph, broken: &HashSet<(u32, u32)>, cluster: &[u32]) {
-        let mesh = self.setup_mesh.clone();
-        let materials = self.materials.clone();
-        let emission = self.emission.clone();
-        let problem = self.problem.clone();
-        let patches = &problem.patches;
-        let groups = self.groups;
-        let mf = self.max_faces;
+    /// Topology-free: phase 0 hoists only the per-cell geometry
+    /// ([`CellGeom`]); phase 1 streams the cell list once per
+    /// [`GROUP_BLOCK`]-wide group block and routes each solved cell by
+    /// walking its two CSR ranges of the subgraph — internal edge `k`
+    /// copies `out[int_sface[k]]` to `face_flux` slot
+    /// `int_dst[k] * max_faces + int_dface[k]`, remote edge `k` copies
+    /// `out[rem_sface[k]]` to `remote_vals[k]`. Upwind, flow-0,
+    /// boundary and cycle-broken faces have no edge and so write
+    /// nothing. Each pass touches contiguous block sub-slices and walks
+    /// the cluster in its (topological) order, which preserves
+    /// in-cluster upwind/downwind dependencies per block exactly as
+    /// the scalar path did per group.
+    fn kernel_cluster(&mut self, cluster: &[u32]) {
+        let sub = &self.subs[self.patch];
+        let (groups, mf) = (self.groups, self.max_faces);
 
-        // Phase 0 — hoist geometry and routes, once per cluster
-        // instead of once per (cell, group): this is where the
-        // structured mesh's per-call FaceInfo arithmetic and the
-        // neighbour/patch/broken-edge resolution drop out of the group
-        // loop entirely.
-        let mut geoms = std::mem::take(&mut self.geom_scratch);
-        let mut routes = std::mem::take(&mut self.route_scratch);
-        geoms.clear();
-        routes.clear();
-        routes.resize(cluster.len() * mf, FaceRoute::Skip);
-        for (i, &v) in cluster.iter().enumerate() {
-            let cell = sub.cells[v as usize] as usize;
-            let geom = CellGeom::new(mesh.as_ref(), cell, self.dir);
-            let mut rem_seen = 0u32;
-            for f in 0..geom.nf {
-                if geom.flow[f] <= 0.0 {
-                    continue;
-                }
-                let Some(nb) = mesh.face(cell, f).neighbor.cell() else {
-                    continue;
-                };
-                if !broken.is_empty() && broken.contains(&(cell as u32, nb as u32)) {
-                    // Cycle-broken edge: the consumer treats this
-                    // face as vacuum; do not write or stream it.
-                    continue;
-                }
-                let nb_patch = patches.patch_of(nb);
-                routes[i * mf + f] = if nb_patch == self.id.patch {
-                    let nli = patches.local_index(nb);
-                    let nface = jsweep_mesh::face_toward(mesh.as_ref(), nb, cell)
-                        .expect("downwind neighbour without reciprocal face");
-                    FaceRoute::Local((nli * mf + nface) as u32)
-                } else {
-                    // `Subgraph::build` packs a vertex's remote edges
-                    // in this very face order (broken and flow-0
-                    // faces skipped on both sides).
-                    let k = sub.rem_off[v as usize] + rem_seen;
-                    rem_seen += 1;
-                    debug_assert_eq!(
-                        sub.rem_dst[k as usize].cell, nb as u32,
-                        "remote CSR order diverged from face order"
-                    );
-                    FaceRoute::Remote(k)
-                };
-            }
-            geoms.push(geom);
-        }
+        self.geom_scratch.clear();
+        self.geom_scratch.extend(
+            cluster.iter().map(|&v| {
+                CellGeom::new(self.mesh.as_ref(), sub.cells[v as usize] as usize, self.dir)
+            }),
+        );
 
-        // Phase 1 — group-block passes over the cluster's cell list.
-        let mut vals = std::mem::take(&mut self.remote_vals);
         let mut g0 = 0;
         while g0 < groups {
             let b = GROUP_BLOCK.min(groups - g0);
-            for (i, &v) in cluster.iter().enumerate() {
+            for (geom, &v) in self.geom_scratch.iter().zip(cluster) {
                 let cell = sub.cells[v as usize] as usize;
-                let geom = &geoms[i];
-                let mat = materials.material(cell);
+                let mat = self.materials.material(cell);
                 // Outgoing block scratch lives on the stack
                 // (GROUP_BLOCK-strided even for the tail block); the
                 // incoming view reads `face_flux` directly — earlier
@@ -531,7 +381,7 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
                     geom,
                     self.kernel,
                     &mat.sigma_t[g0..g0 + b],
-                    &emission[q_base..q_base + b],
+                    &self.emission[q_base..q_base + b],
                     &self.face_flux[in_base..],
                     groups,
                     &mut out,
@@ -544,38 +394,54 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
                 for (p, &x) in phi.iter_mut().zip(psi.iter()) {
                     *p += self.weight * x;
                 }
-                // Route the outgoing face-flux blocks.
-                for f in 0..geom.nf {
-                    let blk = &out[f * GROUP_BLOCK..f * GROUP_BLOCK + b];
-                    match routes[i * mf + f] {
-                        FaceRoute::Skip => {}
-                        FaceRoute::Local(slot) => {
-                            let s = slot as usize * groups + g0;
-                            self.face_flux[s..s + b].copy_from_slice(blk);
-                        }
-                        FaceRoute::Remote(k) => {
-                            let s = k as usize * groups + g0;
-                            vals[s..s + b].copy_from_slice(blk);
-                        }
-                    }
+                // Route the outgoing face-flux blocks along the CSR.
+                for k in sub.int_range(v) {
+                    let blk = &out[sub.int_sface[k] as usize * GROUP_BLOCK..][..b];
+                    let slot = sub.int_dst[k] as usize * mf + sub.int_dface[k] as usize;
+                    self.face_flux[slot * groups + g0..][..b].copy_from_slice(blk);
+                }
+                for k in sub.rem_range(v) {
+                    let blk = &out[sub.rem_sface[k] as usize * GROUP_BLOCK..][..b];
+                    self.remote_vals[k * groups + g0..][..b].copy_from_slice(blk);
                 }
             }
             g0 += b;
         }
-        self.remote_vals = vals;
-        self.geom_scratch = geoms;
-        self.route_scratch = routes;
     }
+}
 
+/// The patch-program of one `(patch, angle)` sweep task.
+pub struct SweepProgram<T: SweepTopology + Send + Sync + 'static> {
+    id: ProgramId,
+    problem: Arc<SweepProblem>,
+    flux_bins: Arc<FluxBins>,
+    grain: usize,
+    /// Scheduling state (fine counters + ready queue, or coarse replay).
+    sched: Sched,
+    /// Kernel inputs and the numeric buffers.
+    phys: Physics<T>,
+    /// Fine-path per-destination stream writers, persistent across
+    /// compute calls and epochs (entries keep their map slot; buffers
+    /// are frozen into payloads per flush).
+    stream_writers: HashMap<PatchId, Writer>,
+    /// Item counts matching [`SweepProgram::stream_writers`].
+    stream_counts: HashMap<PatchId, u32>,
+    /// Coarse-path ingest scratch: the slot block of the stream being
+    /// consumed (reused across inputs).
+    slot_scratch: Vec<u32>,
+}
+
+impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
     /// Fine-mode `compute()`: pop a cluster of ready vertices
     /// (recording it when tracing), run the kernel, emit one stream per
     /// target patch (clustering aggregates messages, §V-C benefit 2).
-    fn compute_fine(&mut self, ctx: &mut ComputeCtx, sub: &Subgraph, broken: &HashSet<(u32, u32)>) {
+    fn compute_fine(&mut self, ctx: &mut ComputeCtx) {
         let Sched::Fine { state, trace } = &mut self.sched else {
             unreachable!("compute_fine on a coarse program");
         };
+        let phys = &mut self.phys;
         // DAG bookkeeping: pop a cluster of ready vertices.
-        let cluster = state.pop_cluster(sub, self.grain, |_, _| {});
+        let cluster = state.pop_cluster(&phys.subs[phys.patch], self.grain, |_, _| {});
         if cluster.is_empty() {
             return;
         }
@@ -587,21 +453,20 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
         // Numerical kernel + stream assembly (writers/counts are
         // program-resident: map slots persist across compute calls and
         // epochs).
-        let mut writers = std::mem::take(&mut self.stream_writers);
-        let mut counts = std::mem::take(&mut self.stream_counts);
-        let groups = self.groups;
+        let (writers, counts) = (&mut self.stream_writers, &mut self.stream_counts);
         ctx.kernel(|| {
-            self.kernel_cluster(sub, broken, &cluster);
+            phys.kernel_cluster(&cluster);
             // Phase 2 — assemble the per-patch stream items from the
             // staged remote values, in (vertex, remote-CSR) order:
-            // the CSR is packed in face order, so the items (and
-            // therefore the wire bytes) are exactly what per-cell
-            // streaming produced. Writers are persistent (reused
+            // the CSR is packed in face order, so the items are in
+            // exactly the order per-cell streaming produced. Each item
+            // names its landing slot (`dst_cell`, `dst_face`) straight
+            // from the subgraph. Writers are persistent (reused
             // across compute calls and epochs): an empty one starts a
             // fresh payload with the count placeholder patched at
             // emission.
+            let sub = &phys.subs[phys.patch];
             for &v in &cluster {
-                let src = sub.cells[v as usize];
                 for k in sub.rem_range(v) {
                     let dst = sub.rem_dst[k];
                     let w = writers.entry(dst.patch).or_default();
@@ -609,9 +474,9 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
                         w.put_u32(0); // patched below
                     }
                     w.put_u32(dst.cell);
-                    w.put_u32(src);
-                    for g in 0..groups {
-                        w.put_f64(self.remote_vals[k * groups + g]);
+                    w.put_u32(u32::from(sub.rem_dface[k]));
+                    for &x in &phys.remote_vals[k * phys.groups..(k + 1) * phys.groups] {
+                        w.put_f64(x);
                     }
                     *counts.entry(dst.patch).or_default() += 1;
                 }
@@ -635,14 +500,9 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
                 payload: Bytes::from(bytes),
             });
         }
-        self.stream_writers = writers;
-        self.stream_counts = counts;
 
         // On completion, deposit the scalar-flux contribution and, when
         // recording, the cluster trace.
-        let Sched::Fine { state, trace } = &mut self.sched else {
-            unreachable!();
-        };
         if state.is_complete() {
             if let Some((t, bins)) = trace.take() {
                 let tid = self
@@ -658,28 +518,20 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
     /// vertex, execute its recorded vertex list in order, and emit
     /// exactly one stream per outgoing coarse edge — no per-vertex
     /// in-degree bookkeeping, no priority recomputation.
-    fn compute_coarse(
-        &mut self,
-        ctx: &mut ComputeCtx,
-        sub: &Subgraph,
-        broken: &HashSet<(u32, u32)>,
-    ) {
-        let (task, cv) = {
-            let Sched::Coarse {
-                state,
-                task,
-                vertices_left,
-            } = &mut self.sched
-            else {
-                unreachable!("compute_coarse on a fine program");
-            };
-            let Some(cv) = state.pop(&task.coarse) else {
-                return;
-            };
-            *vertices_left -= task.coarse.clusters[cv as usize].len() as u64;
-            (task.clone(), cv)
+    fn compute_coarse(&mut self, ctx: &mut ComputeCtx) {
+        let Sched::Coarse {
+            state,
+            task,
+            vertices_left,
+        } = &mut self.sched
+        else {
+            unreachable!("compute_coarse on a fine program");
+        };
+        let Some(cv) = state.pop(&task.coarse) else {
+            return;
         };
         let cluster = &task.coarse.clusters[cv as usize];
+        *vertices_left -= cluster.len() as u64;
         // ClusterTrace::record drops empty clusters, so a compiled
         // coarse vertex is never empty; executing one would emit its
         // coarse edges without computing anything.
@@ -689,44 +541,39 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
         );
         ctx.work_done = cluster.len() as u64;
 
-        let groups = self.groups;
+        let (id, phys) = (self.id, &mut self.phys);
+        let groups = phys.groups;
         // Serialization happens inside the kernel closure, exactly as
         // the fine path packs its stream items there — keeping the
-        // Kernel/GraphOp split comparable between the two modes.
-        let streams = ctx.kernel(|| {
-            self.kernel_cluster(sub, broken, cluster);
+        // Kernel/GraphOp split comparable between the two modes. The
+        // closure pushes straight onto the context's output list.
+        let mut out = std::mem::take(&mut ctx.out);
+        ctx.kernel(|| {
+            phys.kernel_cluster(cluster);
             // One stream per outgoing coarse edge, items pre-resolved
             // against the same remote-CSR staging the kernel wrote.
-            task.emits[cv as usize]
-                .iter()
-                .map(|emit| {
-                    // Stream size is exactly known at plan-build time:
-                    // the pre-packed skeleton (header + slot block,
-                    // one memcpy) followed by the flux block.
-                    let mut w =
-                        Writer::with_capacity(emit.skeleton.len() + emit.items.len() * 8 * groups);
-                    w.put_bytes(&emit.skeleton);
-                    for item in &emit.items {
-                        let k = item.rem_idx as usize;
-                        for g in 0..groups {
-                            w.put_f64(self.remote_vals[k * groups + g]);
-                        }
+            for emit in &task.emits[cv as usize] {
+                // Stream size is exactly known at plan-build time:
+                // the pre-packed skeleton (header + slot block,
+                // one memcpy) followed by the flux block.
+                let mut w =
+                    Writer::with_capacity(emit.skeleton.len() + emit.items.len() * 8 * groups);
+                w.put_bytes(&emit.skeleton);
+                for item in &emit.items {
+                    let k = item.rem_idx as usize;
+                    for &x in &phys.remote_vals[k * groups..(k + 1) * groups] {
+                        w.put_f64(x);
                     }
-                    Stream {
-                        src: self.id,
-                        dst: ProgramId::new(emit.patch, self.id.task),
-                        payload: w.finish(),
-                    }
-                })
-                .collect::<Vec<_>>()
+                }
+                out.push(Stream {
+                    src: id,
+                    dst: ProgramId::new(emit.patch, id.task),
+                    payload: w.finish(),
+                });
+            }
         });
-        for stream in streams {
-            ctx.send(stream);
-        }
+        ctx.out = out;
 
-        let Sched::Coarse { state, .. } = &self.sched else {
-            unreachable!();
-        };
         if state.is_complete() {
             self.deposit_flux();
         }
@@ -736,7 +583,7 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
     /// bin. The buffer comes back through [`FluxBins::acquire`] at the
     /// next epoch's reset — the flux round-trip.
     fn deposit_flux(&mut self) {
-        let part = std::mem::take(&mut self.phi_part);
+        let part = std::mem::take(&mut self.phys.phi_part);
         self.flux_bins
             .deposit(self.id.patch.index(), self.id.task.0, part);
     }
@@ -750,50 +597,40 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
 
     fn input(&mut self, _src: ProgramId, payload: Bytes) {
         let mut r = Reader::new(payload);
-        if matches!(self.sched, Sched::Coarse { .. }) {
-            // One coarse edge per stream: the pre-packed slot block,
-            // the flux block, then a single in-degree decrement on the
-            // target coarse vertex. Slots are plan-resolved face-flux
-            // indices, so ingestion is a direct write — no adjacency
-            // scan.
-            let cv = r.get_u32();
-            let n = r.get_u32() as usize;
-            self.slot_scratch.clear();
-            self.slot_scratch.reserve(n);
-            for _ in 0..n {
-                self.slot_scratch.push(r.get_u32());
-            }
-            for i in 0..n {
-                let slot = self.slot_scratch[i] as usize;
-                for g in 0..self.groups {
-                    self.face_flux[slot * self.groups + g] = r.get_f64();
+        match &mut self.sched {
+            Sched::Coarse { state, .. } => {
+                // One coarse edge per stream: the pre-packed slot
+                // block, the flux block, then a single in-degree
+                // decrement on the target coarse vertex. Slots are
+                // plan-resolved face-flux indices, so ingestion is a
+                // direct write.
+                let cv = r.get_u32();
+                let n = r.get_u32() as usize;
+                self.slot_scratch.clear();
+                self.slot_scratch.extend((0..n).map(|_| r.get_u32()));
+                for &slot in &self.slot_scratch {
+                    self.phys.ingest(slot as usize, &mut r);
                 }
+                state.receive(cv);
             }
-            let Sched::Coarse { state, .. } = &mut self.sched else {
-                unreachable!();
-            };
-            state.receive(cv);
-        } else {
-            let n = r.get_u32();
-            for _ in 0..n {
-                let li = self.ingest_item(&mut r);
-                let Sched::Fine { state, .. } = &mut self.sched else {
-                    unreachable!();
-                };
-                state.receive(li);
+            Sched::Fine { state, .. } => {
+                // Fine items name their landing slot themselves:
+                // `dst_cell`, then the sender-resolved `dst_face`.
+                for _ in 0..r.get_u32() {
+                    let li = self.problem.patches.local_index(r.get_u32() as usize);
+                    let face = r.get_u32() as usize;
+                    assert!(face < self.phys.max_faces, "stream item face out of range");
+                    self.phys.ingest(li * self.phys.max_faces + face, &mut r);
+                    state.receive(li as u32);
+                }
             }
         }
     }
 
     fn compute(&mut self, ctx: &mut ComputeCtx) {
-        let (p, a) = (self.id.patch.index(), self.id.task.0 as usize);
-        let subs_arc = self.problem.subs[a].clone();
-        let sub = &subs_arc[p];
-        let broken = self.problem.broken[a].clone();
-        if matches!(self.sched, Sched::Coarse { .. }) {
-            self.compute_coarse(ctx, sub, &broken);
-        } else {
-            self.compute_fine(ctx, sub, &broken);
+        match self.sched {
+            Sched::Coarse { .. } => self.compute_coarse(ctx),
+            Sched::Fine { .. } => self.compute_fine(ctx),
         }
     }
 
@@ -823,28 +660,30 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
         let e = epoch
             .downcast_ref::<SweepEpoch>()
             .expect("SweepProgram reset with a non-SweepEpoch input");
+        let phys = &mut self.phys;
+        let groups = phys.groups;
         assert_eq!(
             e.emission.len(),
-            self.setup_mesh.num_cells() * self.groups,
+            phys.mesh.num_cells() * groups,
             "epoch emission density has the wrong shape"
         );
-        self.emission = e.emission.clone();
+        phys.emission = e.emission.clone();
         if let Some(m) = &e.materials {
             assert_eq!(
                 m.num_cells(),
-                self.setup_mesh.num_cells(),
+                phys.mesh.num_cells(),
                 "epoch materials must cover the resident mesh"
             );
             assert_eq!(
                 m.num_groups(),
-                self.groups,
+                groups,
                 "epoch materials cannot change the group count of a resident program"
             );
-            self.materials = m.clone();
+            phys.materials = m.clone();
         }
-        let problem = self.problem.clone();
+        let problem = &self.problem;
         let (p, a) = (self.id.patch.index(), self.id.task.0 as usize);
-        let sub = &problem.subs[a][p];
+        let sub = &phys.subs[p];
         match (&mut self.sched, &e.mode) {
             (Sched::Fine { state, trace }, SweepMode::Fine { trace_bins }) => {
                 state.reset(sub);
@@ -895,21 +734,18 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
         // epochs allocate nothing; remote staging sized to the
         // subgraph's remote CSR (values are written before read within
         // each compute, so no zeroing needed beyond sizing).
-        self.face_flux.iter_mut().for_each(|x| *x = 0.0);
+        phys.face_flux.iter_mut().for_each(|x| *x = 0.0);
         let n = sub.num_vertices();
-        if self.phi_part.capacity() < n * self.groups {
+        if phys.phi_part.capacity() < n * groups {
             // Deposited (or never shaped): round-trip via the pool.
-            self.phi_part = self
-                .flux_bins
-                .acquire(self.id.patch.index(), n * self.groups);
+            phys.phi_part = self.flux_bins.acquire(p, n * groups);
         } else {
             // Never deposited (e.g. the last epoch faulted before this
             // program completed): re-zero in place.
-            self.phi_part.clear();
-            self.phi_part.resize(n * self.groups, 0.0);
+            phys.phi_part.clear();
+            phys.phi_part.resize(n * groups, 0.0);
         }
-        self.remote_vals
-            .resize(sub.rem_dst.len() * self.groups, 0.0);
+        phys.remote_vals.resize(sub.rem_dst.len() * groups, 0.0);
         debug_assert!(
             self.stream_counts.values().all(|&c| c == 0),
             "unsent stream items at epoch boundary"
@@ -925,7 +761,7 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
         let (p, a) = (id.patch.index(), id.task.0 as usize);
         let sub = &s.problem.subs[a][p];
         let groups = s.materials.num_groups();
-        let mf = self.max_faces();
+        let mf = self.max_faces;
         let n = sub.num_vertices();
         let sched = match &s.mode {
             SweepMode::Fine { trace_bins } => Sched::Fine {
@@ -947,34 +783,32 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
                 }
             }
         };
+        let angle = jsweep_quadrature::AngleId(id.task.0);
         SweepProgram {
             id,
-            setup_mesh: s.mesh.clone(),
             problem: s.problem.clone(),
-            materials: s.materials.clone(),
-            emission: s.emission.clone(),
             flux_bins: s.flux_bins.clone(),
-            kernel: s.kernel,
             grain: s.grain,
-            groups,
-            weight: s
-                .quadrature
-                .ordinate(jsweep_quadrature::AngleId(id.task.0))
-                .weight,
-            dir: s
-                .quadrature
-                .direction(jsweep_quadrature::AngleId(id.task.0)),
-            max_faces: mf,
             sched,
-            face_flux: vec![0.0; n * mf * groups],
-            phi_part: s.flux_bins.acquire(id.patch.index(), n * groups),
-            remote_vals: vec![0.0; sub.rem_dst.len() * groups],
-            ingest: self.ingest.clone(),
+            phys: Physics {
+                mesh: s.mesh.clone(),
+                materials: s.materials.clone(),
+                emission: s.emission.clone(),
+                subs: s.problem.subs[a].clone(),
+                patch: p,
+                kernel: s.kernel,
+                groups,
+                weight: s.quadrature.ordinate(angle).weight,
+                dir: s.quadrature.direction(angle),
+                max_faces: mf,
+                face_flux: vec![0.0; n * mf * groups],
+                phi_part: s.flux_bins.acquire(p, n * groups),
+                remote_vals: vec![0.0; sub.rem_dst.len() * groups],
+                geom_scratch: Vec::new(),
+            },
             stream_writers: HashMap::new(),
             stream_counts: HashMap::new(),
             slot_scratch: Vec::new(),
-            geom_scratch: Vec::new(),
-            route_scratch: Vec::new(),
         }
     }
 
@@ -1000,5 +834,142 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
     fn initial_workload(&self, id: ProgramId) -> u64 {
         let (p, a) = (id.patch.index(), id.task.0 as usize);
         self.setup.problem.subs[a][p].num_vertices() as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::solver::{record_cluster_traces, SnConfig};
+    use crate::xs::{Material, MaterialSet};
+    use jsweep_graph::problem::ProblemOptions;
+    use jsweep_graph::{Subgraph, SweepProblem};
+    use jsweep_mesh::deformed::DeformedMesh;
+    use jsweep_mesh::{face_toward, partition, PatchSet, StructuredMesh, SweepTopology};
+    use jsweep_quadrature::QuadratureSet;
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
+    /// Where a cluster cell's face sends its outgoing flux.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Route {
+        /// Upwind, flow-0, boundary or cycle-broken face.
+        Skip,
+        /// `face_flux` slot `neighbour_local * max_faces + neighbour_face`.
+        Local(usize),
+        /// Staging index into the remote CSR.
+        Remote(usize),
+    }
+
+    /// The oracle: the per-cluster route derivation `kernel_cluster` ran
+    /// every iteration before routes were compiled into the subgraph —
+    /// walk the mesh faces, skip broken edges, resolve the reciprocal
+    /// face with `face_toward`, number remote faces in visit order.
+    fn mesh_walk_routes<T: SweepTopology>(
+        mesh: &T,
+        patches: &PatchSet,
+        sub: &Subgraph,
+        dir: [f64; 3],
+        broken: &HashSet<(u32, u32)>,
+        cluster: &[u32],
+        mf: usize,
+    ) -> Vec<Route> {
+        let mut routes = vec![Route::Skip; cluster.len() * mf];
+        for (i, &v) in cluster.iter().enumerate() {
+            let cell = sub.cells[v as usize] as usize;
+            let mut rem_seen = 0;
+            for f in 0..mesh.num_faces(cell) {
+                let face = mesh.face(cell, f);
+                let Some(nb) = face.neighbor.cell().filter(|_| face.flow(dir) > 0.0) else {
+                    continue;
+                };
+                if broken.contains(&(cell as u32, nb as u32)) {
+                    continue;
+                }
+                routes[i * mf + f] = if patches.patch_of(nb) == sub.patch {
+                    let nface = face_toward(mesh, nb, cell).unwrap();
+                    Route::Local(patches.local_index(nb) * mf + nface)
+                } else {
+                    let k = sub.rem_off[v as usize] as usize + rem_seen;
+                    rem_seen += 1;
+                    Route::Remote(k)
+                };
+            }
+        }
+        routes
+    }
+
+    /// The same table read off the subgraph's CSR, as `kernel_cluster`
+    /// routes now.
+    fn csr_routes(sub: &Subgraph, cluster: &[u32], mf: usize) -> Vec<Route> {
+        let mut routes = vec![Route::Skip; cluster.len() * mf];
+        for (i, &v) in cluster.iter().enumerate() {
+            for k in sub.int_range(v) {
+                routes[i * mf + sub.int_sface[k] as usize] =
+                    Route::Local(sub.int_dst[k] as usize * mf + sub.int_dface[k] as usize);
+            }
+            for k in sub.rem_range(v) {
+                routes[i * mf + sub.rem_sface[k] as usize] = Route::Remote(k);
+            }
+        }
+        routes
+    }
+
+    fn assert_routes_agree<T: SweepTopology + Send + Sync + 'static>(
+        mesh: T,
+        patches: PatchSet,
+        opts: ProblemOptions,
+    ) {
+        let quad = QuadratureSet::sn(2);
+        let mesh = Arc::new(mesh);
+        let problem = Arc::new(SweepProblem::build(mesh.as_ref(), patches, &quad, &opts));
+        let mats = MaterialSet::homogeneous(mesh.num_cells(), Material::uniform(1, 1.0, 0.5, 1.0));
+        let config = SnConfig {
+            grain: 8,
+            ..Default::default()
+        };
+        let traces = record_cluster_traces(
+            mesh.clone(),
+            problem.clone(),
+            &quad,
+            Arc::new(mats),
+            &config,
+        );
+        let mf = mesh.num_faces(0);
+        let mut clusters = 0;
+        for (a, o) in quad.iter() {
+            for (sub, trace) in problem.subs[a.index()].iter().zip(&traces[a.index()]) {
+                for cluster in &trace.clusters {
+                    let oracle = mesh_walk_routes(
+                        mesh.as_ref(),
+                        &problem.patches,
+                        sub,
+                        o.dir,
+                        &problem.broken[a.index()],
+                        cluster,
+                        mf,
+                    );
+                    assert_eq!(csr_routes(sub, cluster, mf), oracle);
+                    clusters += 1;
+                }
+            }
+        }
+        assert!(clusters > 0, "the recording pass produced no clusters");
+    }
+
+    #[test]
+    fn csr_routes_equal_the_mesh_walk_on_recorded_clusters() {
+        let hex = StructuredMesh::unit(6, 6, 6);
+        let ps = partition::decompose_structured(&hex, (3, 3, 3), 2);
+        assert_routes_agree(hex, ps, ProblemOptions::default());
+        let tet = jsweep_mesh::tetgen::ball(3, 1.0);
+        let ps = partition::decompose_unstructured(&tet, 40, 2);
+        assert_routes_agree(tet, ps, ProblemOptions::default());
+        let def = DeformedMesh::jittered(4, 4, 4, 0.3, 5);
+        let ps = partition::rcb(&def, 4);
+        let opts = ProblemOptions {
+            check_cycles: true,
+            ..Default::default()
+        };
+        assert_routes_agree(def, ps, opts);
     }
 }

@@ -233,8 +233,9 @@ pub fn collect_traces(problem: &SweepProblem, bins: &TraceBins) -> Vec<Vec<Clust
 /// [`build_coarse`], which panics on a cyclic coarse graph — a
 /// scheduler bug) and resolves each coarse-edge item to its two static
 /// slots: the staging slot in the source subgraph's remote-edge CSR and
-/// the incoming face-flux slot on the destination patch (which is why
-/// compilation needs the mesh).
+/// the incoming face-flux slot on the destination patch — both read
+/// off the subgraph's compiled routes; the mesh only supplies the
+/// per-cell face count the slot is strided by.
 pub fn build_plan<T: SweepTopology + ?Sized>(
     problem: &SweepProblem,
     traces: &[Vec<ClusterTrace>],
@@ -268,7 +269,7 @@ pub fn build_plan<T: SweepTopology + ?Sized>(
                                 let items: Vec<ReplayItem> = e
                                     .items
                                     .iter()
-                                    .map(|&(v, cell)| resolve_item(problem, sub, mesh, mf, v, cell))
+                                    .map(|&(v, cell)| resolve_item(problem, sub, mf, v, cell))
                                     .collect();
                                 let skeleton = ReplayEmit::skeleton(e.cluster, &items);
                                 ReplayEmit {
@@ -295,30 +296,21 @@ pub fn build_plan<T: SweepTopology + ?Sized>(
 
 /// Resolve one coarse-edge item `(source local vertex, destination
 /// global cell)` to its wire/staging form (see [`ReplayItem`]).
-fn resolve_item<T: SweepTopology + ?Sized>(
+fn resolve_item(
     problem: &SweepProblem,
     sub: &jsweep_graph::Subgraph,
-    mesh: &T,
     mf: u32,
     v: u32,
     cell: u32,
 ) -> ReplayItem {
-    let src_cell = sub.cells[v as usize] as usize;
-    let local = sub
-        .remote_succ(v)
-        .iter()
-        .position(|re| re.cell == cell)
+    let rem_idx = sub
+        .rem_range(v)
+        .find(|&k| sub.rem_dst[k].cell == cell)
         .expect("coarse-edge item without fine edge");
-    // The upwind face of the destination cell that touches the
-    // producer — the scan `ingest_item` used to run per item per
-    // iteration, now run once per item per plan build.
-    let dst = cell as usize;
-    let face = jsweep_mesh::face_toward(mesh, dst, src_cell)
-        .expect("coarse-edge item with non-adjacent cells") as u32;
-    let dst_li = problem.patches.local_index(dst) as u32;
+    let dst_li = problem.patches.local_index(cell as usize) as u32;
     ReplayItem {
-        dst_slot: dst_li * mf + face,
-        rem_idx: sub.rem_off[v as usize] + local as u32,
+        dst_slot: dst_li * mf + u32::from(sub.rem_dface[rem_idx]),
+        rem_idx: rem_idx as u32,
     }
 }
 

@@ -934,6 +934,66 @@ fn flux_bin_pool_reuses_buffers_across_epochs() {
     }
 }
 
+/// A one-layer hex mesh whose cell 1 hides its two (boundary) z faces:
+/// still a consistent topology, but with two face counts.
+struct MixedMesh(StructuredMesh);
+
+impl SweepTopology for MixedMesh {
+    fn num_cells(&self) -> usize {
+        self.0.num_cells()
+    }
+    fn generation(&self) -> u64 {
+        self.0.generation()
+    }
+    fn num_faces(&self, c: usize) -> usize {
+        if c == 1 {
+            4
+        } else {
+            6
+        }
+    }
+    fn face(&self, c: usize, f: usize) -> jsweep::mesh::FaceInfo {
+        self.0.face(c, f)
+    }
+    fn cell_volume(&self, c: usize) -> f64 {
+        self.0.cell_volume(c)
+    }
+    fn cell_centroid(&self, c: usize) -> [f64; 3] {
+        self.0.cell_centroid(c)
+    }
+}
+
+#[test]
+#[should_panic(expected = "mixed-element mesh")]
+fn sweep_factory_rejects_mixed_element_meshes() {
+    // `face_flux` and the replay wire slots stride by one per-cell
+    // face count; a mesh that breaks that must fail at set-up, not
+    // mis-index at run time.
+    use jsweep::transport::program::{FluxBins, SweepFactory, SweepMode, SweepSetup};
+    let mesh = Arc::new(MixedMesh(StructuredMesh::unit(2, 2, 1)));
+    let quad = QuadratureSet::sn(2);
+    let prob = Arc::new(SweepProblem::build(
+        mesh.as_ref(),
+        PatchSet::single(4),
+        &quad,
+        &ProblemOptions::default(),
+    ));
+    let _ = SweepFactory::new(SweepSetup {
+        mesh,
+        problem: prob,
+        quadrature: quad,
+        materials: Arc::new(MaterialSet::homogeneous(
+            4,
+            Material::uniform(1, 1.0, 0.4, 1.0),
+        )),
+        emission: Arc::new(vec![0.1; 4]),
+        kernel: KernelKind::Step,
+        grain: 16,
+        flux_bins: Arc::new(FluxBins::new(1)),
+        mode: SweepMode::Fine { trace_bins: None },
+    });
+}
+
 #[test]
 fn resident_universe_multi_epoch_stress_leaves_no_stale_state() {
     // Drive many forced epochs (negative tolerance: the solver never
