@@ -1,27 +1,17 @@
-//! Persistent-universe benchmark: one resident runtime for the whole
-//! solve vs one spawned/torn-down universe per iteration.
+//! Persistent-universe benchmark: what a resident runtime saves per
+//! epoch over launching one.
 //!
-//! Two measurements:
-//!
-//! * **Solver** — the shared replay scenario solved twice for the same
-//!   forced iteration count: `SnConfig::resident = true` (one
-//!   `jsweep_core::Universe` launch, every source iteration an epoch
-//!   against the same live programs) vs `resident = false` (the
-//!   pre-persistent behaviour: one `run_universe` — rank threads,
-//!   workers, pool, every `SweepProgram` — per iteration). The delta
-//!   divided by the iteration count is the per-iteration setup
-//!   overhead the resident runtime eliminates. Flux must be
-//!   bit-identical; the bench asserts it.
-//! * **Micro** — a no-op program fleet run for E epochs resident
-//!   (launch + E × `run_epoch` + shutdown) vs E × one-shot
-//!   `run_universe`: the pure spawn/teardown cost per epoch, with no
-//!   physics attached.
+//! A no-op program fleet run for E epochs resident (launch + E ×
+//! `run_epoch` + shutdown) vs E × one-shot `run_universe` (launch, one
+//! epoch, shutdown): the pure spawn/teardown cost per epoch, with no
+//! physics attached. The whole-solve view of the same cost is the e2e
+//! ledger's `transport.launch_shutdown_ms`, `core.universe_launch_ms`
+//! and `core.noop_epoch_us`.
 //!
 //! A machine-readable baseline is written to `BENCH_universe.json` at
 //! the workspace root (CI checks presence after the
 //! `cargo bench -- --test` smoke pass).
 
-use jsweep_bench::setups::replay_scenario;
 use jsweep_core::{
     run_universe, ComputeCtx, EpochInput, PatchProgram, ProgramFactory, ProgramId, RuntimeConfig,
     TaskTag, Universe,
@@ -29,53 +19,6 @@ use jsweep_core::{
 use jsweep_mesh::PatchId;
 use std::sync::Arc;
 use std::time::Instant;
-
-struct SolverNumbers {
-    iterations: usize,
-    resident_solve_s: f64,
-    respawned_solve_s: f64,
-}
-
-/// Solve the replay scenario both ways (host-timed around the whole
-/// solve; best-of-`runs` per variant), asserting bit-identical flux.
-fn measure_solver(n: usize, patch: usize, iterations: usize, runs: usize) -> SolverNumbers {
-    let sc = replay_scenario(n, patch, 2, iterations, 16);
-    let mut nums = SolverNumbers {
-        iterations,
-        resident_solve_s: f64::INFINITY,
-        respawned_solve_s: f64::INFINITY,
-    };
-    let mut reference: Option<Vec<f64>> = None;
-    for _ in 0..runs {
-        for resident in [true, false] {
-            let mut config = sc.config.clone();
-            config.resident = resident;
-            let t0 = Instant::now();
-            let sol = jsweep_transport::solve_parallel(
-                sc.mesh.clone(),
-                sc.problem.clone(),
-                &sc.quad,
-                sc.materials.clone(),
-                &config,
-            );
-            let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(sol.stats.len(), iterations);
-            match &reference {
-                Some(phi) => assert_eq!(
-                    phi, &sol.phi,
-                    "resident and respawned flux must be bit-identical"
-                ),
-                None => reference = Some(sol.phi),
-            }
-            if resident {
-                nums.resident_solve_s = nums.resident_solve_s.min(dt);
-            } else {
-                nums.respawned_solve_s = nums.respawned_solve_s.min(dt);
-            }
-        }
-    }
-    nums
-}
 
 /// A program that does nothing but complete its unit workload — the
 /// cheapest possible epoch, isolating runtime setup cost.
@@ -175,135 +118,49 @@ fn measure_micro(ranks: usize, programs_per_rank: u32, epochs: usize, runs: usiz
 
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
-    // Full mode: the asserted comparison runs the 8³ replay scenario
-    // (4³-cell patches, 2 ranks × 2 workers, S2, grain 16) for 10
-    // forced iterations — small enough that the per-iteration runtime
-    // setup is a visible share of iteration time; a 16³ at-scale
-    // measurement is reported alongside (ordering not asserted: there
-    // the ~0.4 ms spawn saving sits inside 12 ms iterations, below
-    // single-core CI noise); micro at 2 ranks × 32 no-op programs ×
-    // 20 epochs.
-    let (solver, at_scale, micro) = if test_mode {
-        (measure_solver(8, 4, 3, 1), None, measure_micro(2, 8, 3, 1))
+    // Full mode: 2 ranks × 32 no-op programs × 20 epochs, best of 3.
+    let micro = if test_mode {
+        measure_micro(2, 8, 3, 1)
     } else {
-        (
-            measure_solver(8, 4, 10, 5),
-            Some(measure_solver(16, 4, 6, 3)),
-            measure_micro(2, 32, 20, 3),
-        )
+        measure_micro(2, 32, 20, 3)
     };
-
-    let resident_iter = solver.resident_solve_s / solver.iterations as f64;
-    let respawned_iter = solver.respawned_solve_s / solver.iterations as f64;
-    let setup_overhead_per_iter = (respawned_iter - resident_iter).max(0.0);
-    let solve_speedup = solver.respawned_solve_s / solver.resident_solve_s;
-    let micro_resident_epoch = micro.resident_total_s / micro.epochs as f64;
-    let micro_respawned_epoch = micro.respawned_total_s / micro.epochs as f64;
-    let micro_speedup = micro_respawned_epoch / micro_resident_epoch;
-
-    println!(
-        "universe solver resident  : {:>9.3} ms total, {:>7.3} ms/iteration",
-        solver.resident_solve_s * 1e3,
-        resident_iter * 1e3
-    );
-    println!(
-        "universe solver respawned : {:>9.3} ms total, {:>7.3} ms/iteration ({:.2}x resident)",
-        solver.respawned_solve_s * 1e3,
-        respawned_iter * 1e3,
-        solve_speedup
-    );
-    println!(
-        "universe per-iteration setup overhead eliminated: {:>7.3} ms",
-        setup_overhead_per_iter * 1e3
-    );
-    if let Some(s) = &at_scale {
-        println!(
-            "universe at-scale (16^3)  : resident {:>7.3} ms/iter vs respawned {:>7.3} ms/iter",
-            s.resident_solve_s / s.iterations as f64 * 1e3,
-            s.respawned_solve_s / s.iterations as f64 * 1e3
-        );
-    }
+    let resident_epoch = micro.resident_total_s / micro.epochs as f64;
+    let respawned_epoch = micro.respawned_total_s / micro.epochs as f64;
+    let speedup = respawned_epoch / resident_epoch;
     println!(
         "universe no-op epoch      : resident {:>7.3} ms vs respawned {:>7.3} ms ({:.1}x)",
-        micro_resident_epoch * 1e3,
-        micro_respawned_epoch * 1e3,
-        micro_speedup
+        resident_epoch * 1e3,
+        respawned_epoch * 1e3,
+        speedup
     );
 
-    // The structural facts (bit-identical phi, exact per-epoch work)
-    // are asserted in the measure functions in both modes. The
-    // wall-clock ordering is only asserted in full mode (best-of-3):
-    // a single millisecond-scale test-mode sample on an oversubscribed
-    // CI core would make it flake.
+    // The exact per-epoch work is asserted in `measure_micro` in both
+    // modes. The wall-clock ordering is only asserted in full mode
+    // (best-of-3): a single millisecond-scale test-mode sample on an
+    // oversubscribed CI core would make it flake.
     if !test_mode {
         assert!(
-            solver.resident_solve_s < solver.respawned_solve_s,
-            "resident universe should beat per-iteration respawn"
-        );
-        assert!(
-            micro_resident_epoch < micro_respawned_epoch,
+            resident_epoch < respawned_epoch,
             "a resident no-op epoch should beat a full spawn/teardown"
         );
     }
 
-    let at_scale_json = at_scale
-        .as_ref()
-        .map(|s| {
-            format!(
-                concat!(
-                    "  \"at_scale\": {{\n",
-                    "    \"cells\": 4096,\n",
-                    "    \"iterations\": {iters},\n",
-                    "    \"resident_iter_wall_seconds\": {ri:.6},\n",
-                    "    \"respawned_iter_wall_seconds\": {pi:.6}\n",
-                    "  }},\n"
-                ),
-                iters = s.iterations,
-                ri = s.resident_solve_s / s.iterations as f64,
-                pi = s.respawned_solve_s / s.iterations as f64,
-            )
-        })
-        .unwrap_or_default();
     let json = format!(
         concat!(
             "{{\n",
             "  \"bench\": \"universe\",\n",
             "  \"mode\": \"{mode}\",\n",
-            "  \"problem\": {{\n",
-            "    \"cells\": 512,\n",
-            "    \"patch_cells\": 64,\n",
-            "    \"ranks\": 2,\n",
-            "    \"angles\": 8,\n",
-            "    \"grain\": 16,\n",
-            "    \"iterations\": {iters}\n",
-            "  }},\n",
-            "  \"resident_solve_wall_seconds\": {rs:.6},\n",
-            "  \"respawned_solve_wall_seconds\": {ps:.6},\n",
-            "  \"resident_iter_wall_seconds\": {ri:.6},\n",
-            "  \"respawned_iter_wall_seconds\": {pi:.6},\n",
-            "  \"setup_overhead_per_iter_seconds\": {ov:.6},\n",
-            "  \"resident_solve_speedup\": {sp:.3},\n",
-            "{at_scale}",
             "  \"noop_epochs\": {ne},\n",
             "  \"noop_resident_epoch_seconds\": {nr:.6},\n",
             "  \"noop_respawned_epoch_seconds\": {np:.6},\n",
-            "  \"noop_epoch_speedup\": {ns:.3},\n",
-            "  \"phi_bit_identical\": true\n",
+            "  \"noop_epoch_speedup\": {ns:.3}\n",
             "}}\n"
         ),
         mode = if test_mode { "test" } else { "full" },
-        iters = solver.iterations,
-        rs = solver.resident_solve_s,
-        ps = solver.respawned_solve_s,
-        ri = resident_iter,
-        pi = respawned_iter,
-        ov = setup_overhead_per_iter,
-        sp = solve_speedup,
-        at_scale = at_scale_json,
         ne = micro.epochs,
-        nr = micro_resident_epoch,
-        np = micro_respawned_epoch,
-        ns = micro_speedup,
+        nr = resident_epoch,
+        np = respawned_epoch,
+        ns = speedup,
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

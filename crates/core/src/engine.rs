@@ -2,22 +2,19 @@
 //!
 //! The master owns the rank's [`Comm`] endpoint and runs the stream
 //! router and progress tracker; workers execute patch-programs from the
-//! shared [`Pool`]. The call [`run_rank`] embodies one rank; use
-//! [`run_universe`] to run a whole simulated MPI world for a single
-//! epoch, or [`crate::Universe`] to keep that world resident across
-//! many epochs (one launch per *solve* instead of one per iteration).
-//!
-//! Internally everything is built on the resident form: a `Rank`
-//! keeps its master state (route table, frame writers) and its worker
-//! threads alive across epochs, and each epoch runs activation →
-//! data-driven execution → distributed termination → quiescence. The
-//! one-shot entry points are single-epoch specialisations.
+//! shared [`Pool`]. A [`Rank`] is one resident rank: it keeps its
+//! master state (route table, frame writers) and its worker threads
+//! alive across epochs, and each [`Rank::run_epoch`] runs activation →
+//! data-driven execution → distributed termination → quiescence.
+//! [`crate::Universe`] hosts a whole simulated MPI world of them (one
+//! launch per *solve*, one epoch per iteration); [`run_universe`] is
+//! its launch / one epoch / shutdown wrapper.
 //!
 //! The data plane is **batched end-to-end** (the paper's §II
 //! "communication aggregation", profiled in Fig. 16):
 //!
 //! * workers accumulate compute outputs into one `Report` per flush
-//!   (at most [`RuntimeConfig::report_flush_streams`] streams, flushed
+//!   (at most [`EpochTuning::report_flush_streams`] streams, flushed
 //!   eagerly before a worker would block), so the master channel does
 //!   not carry one message per compute round; reports also carry the
 //!   worker's time-breakdown and compute-call deltas, which is how a
@@ -38,12 +35,12 @@ use crate::program::{
 };
 use crate::stats::{Breakdown, Category, RunStats};
 use crate::telemetry::{EventKind, Recorder, TelemetryHandle};
-use crate::universe::EpochTuning;
+use crate::universe::{EpochTuning, Universe};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use jsweep_comm::pack::Writer;
 use jsweep_comm::termination::{Counting, Safra, Verdict};
-use jsweep_comm::{Comm, CommError, Universe as CommUniverse};
+use jsweep_comm::{Comm, CommError};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -68,29 +65,6 @@ pub struct RuntimeConfig {
     pub num_workers: usize,
     /// Termination detector.
     pub termination: TerminationKind,
-    /// Batching knob: max output streams a worker buffers across
-    /// compute calls before flushing a report to the master. Batches
-    /// are always flushed before a worker blocks, so this trades
-    /// master-channel traffic against stream latency. `1` restores
-    /// one-report-per-compute behaviour. Re-tunable per epoch on a
-    /// persistent universe ([`crate::EpochTuning`]).
-    pub report_flush_streams: usize,
-    /// Batching knob: max streams packed into one outbound frame. A
-    /// destination's frame is sent mid-round once it fills; otherwise
-    /// frames flush at the end of each master drain round. `1`
-    /// restores one-message-per-stream behaviour.
-    pub max_frame_streams: usize,
-    /// Batching knob: program claims a worker takes per pool
-    /// round-trip. Only already-ready programs are batched, so sparse
-    /// workloads still flow one at a time — which is why the default
-    /// of 8 measured fine for both fine-grained compute storms and
-    /// few-large-compute replay iterations (see the coarse-replay
-    /// tuning notes in `jsweep-transport::solver`; shrinking the batch
-    /// bought nothing there). The knob exists for workloads where
-    /// claim latency provably dominates; `1` restores
-    /// one-claim-per-round-trip behaviour. Re-tunable per epoch on a
-    /// persistent universe.
-    pub claim_batch: usize,
     /// Epoch watchdog deadline, default off. When set, a rank whose
     /// pool holds active work but whose master sees no progress (no
     /// worker reports, no network traffic) for this long declares the
@@ -114,9 +88,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             num_workers: 2,
             termination: TerminationKind::Counting,
-            report_flush_streams: 32,
-            max_frame_streams: 256,
-            claim_batch: 8,
             watchdog: None,
             fault_plan: None,
             telemetry: TelemetryHandle::default(),
@@ -133,11 +104,18 @@ const TAG_FRAME: u32 = 0;
 /// quarantine and retry accounting target the right rank.
 fn comm_fault(origin_rank: usize, e: CommError) -> EpochFault {
     let CommError::PeerClosed { peer } = e;
+    peer_fault(origin_rank, peer, &e.to_string())
+}
+
+/// The same blame for a peer whose bytes do not decode: a rank that
+/// writes a malformed message is as lost to the epoch as one that
+/// hung up.
+fn peer_fault(origin_rank: usize, peer: usize, what: &str) -> EpochFault {
     EpochFault {
         rank: peer,
         worker: 0,
         program: None,
-        payload: format!("transport failure observed on rank {origin_rank}: {e}"),
+        payload: format!("transport failure observed on rank {origin_rank}: {what}"),
         kind: FaultKind::RankDeath,
     }
 }
@@ -203,6 +181,13 @@ fn flush_report(pool: &Pool, to_master: &Sender<Report>, batch: &mut Report, wor
     }
 }
 
+/// Program claims a worker takes per pool round-trip. Only
+/// already-ready programs are batched, so sparse workloads still flow
+/// one at a time — which is why 8 measured fine for both fine-grained
+/// compute storms and few-large-compute replay iterations (2 / 8 / 16
+/// were within noise on the replay scenario).
+const CLAIM_BATCH: usize = 8;
+
 fn worker_loop<F: ProgramFactory>(
     rank: usize,
     worker: usize,
@@ -211,7 +196,7 @@ fn worker_loop<F: ProgramFactory>(
     to_master: Sender<Report>,
     inject: Option<Arc<FaultPlan>>,
     rec: Recorder,
-) -> (Breakdown, u64) {
+) {
     // With injection compiled out the plan is never consulted; the
     // hooks below vanish and `inject` only exists to keep the spawn
     // signature stable across feature sets.
@@ -221,18 +206,14 @@ fn worker_loop<F: ProgramFactory>(
     let mut claims: Vec<crate::pool::Claim> = Vec::new();
     let mut finishes: Vec<crate::pool::FinishEntry> = Vec::new();
     loop {
-        // Batching knobs are read from the pool each round-trip, so a
-        // persistent universe can re-tune them per epoch while this
-        // thread stays resident.
-        let claim_batch = pool.claim_batch();
         // Flush the batch before blocking, never while work is ready:
         // streams keep moving, and quiescence stays honest.
-        if pool.try_take_batch(worker, claim_batch, &mut claims) == 0 {
+        if pool.try_take_batch(worker, CLAIM_BATCH, &mut claims) == 0 {
             flush_report(&pool, &to_master, &mut batch, worker);
             // The claim span covers the blocking wait too, so the
             // trace shows how long this worker starved for work.
             let tc0 = rec.now();
-            if pool.take_batch(worker, claim_batch, &mut claims, &mut batch.bd) == 0 {
+            if pool.take_batch(worker, CLAIM_BATCH, &mut claims, &mut batch.bd) == 0 {
                 break;
             }
             rec.span(EventKind::Claim, tc0, claims.len() as u64, 0);
@@ -370,15 +351,19 @@ fn worker_loop<F: ProgramFactory>(
         pool.note_worker_activity(worker);
         // Faults flush eagerly: the master should learn of a poisoned
         // epoch at the first opportunity, not a batch boundary later.
+        // The threshold is read from the pool each round, so each
+        // epoch's tuning reaches this resident thread.
         if !batch.faults.is_empty() || batch.outputs.len() >= pool.flush_streams() {
             flush_report(&pool, &to_master, &mut batch, worker);
         }
     }
     flush_report(&pool, &to_master, &mut batch, worker);
-    // Residual after the final flush: at most the last send's timing
-    // slop (compute calls and outputs always flush before blocking).
-    (batch.bd, batch.compute_calls)
 }
+
+/// Most streams packed into one outbound frame: a destination's frame
+/// is sent mid-round once it fills; otherwise frames flush at the end
+/// of each master drain round.
+const MAX_FRAME_STREAMS: u64 = 256;
 
 /// One outbound frame under construction (writer reused across
 /// flushes; see [`jsweep_comm::pack::Writer::take`]).
@@ -428,7 +413,6 @@ struct Master<F: ProgramFactory> {
     /// empty frames).
     dirty: Vec<usize>,
     local: Vec<(Stream, i64)>,
-    max_frame_streams: u64,
     stats: RunStats,
     bd: Breakdown,
     safra: Safra,
@@ -472,7 +456,6 @@ impl<F: ProgramFactory> Master<F> {
                 .collect(),
             dirty: Vec::new(),
             local: Vec::new(),
-            max_frame_streams: config.max_frame_streams.max(1) as u64,
             stats: RunStats::default(),
             bd: Breakdown::default(),
             safra: Safra::new(rank, size),
@@ -514,9 +497,7 @@ impl<F: ProgramFactory> Master<F> {
     /// Route one worker report: local streams are delivered to the pool
     /// in one batch, remote streams are appended to their destination
     /// frames (sent by [`Master::flush_frames`], or mid-round when a
-    /// frame fills). Shared by the busy drain loop and the idle
-    /// `recv_timeout` fallback — both paths get identical routing and
-    /// timing.
+    /// frame fills).
     fn route_report(&mut self, pool: &Pool, comm: &Comm, report: Report) {
         self.absorb_worker_stats(&report);
         self.work_done += report.work_done;
@@ -548,7 +529,7 @@ impl<F: ProgramFactory> Master<F> {
                 if count == 1 {
                     self.dirty.push(entry.rank);
                 }
-                if count >= self.max_frame_streams {
+                if count >= MAX_FRAME_STREAMS {
                     let t_flush = Instant::now();
                     self.flush_one(comm, entry.rank);
                     non_route_seconds += t_flush.elapsed().as_secs_f64();
@@ -607,12 +588,16 @@ impl<F: ProgramFactory> Master<F> {
     }
 
     /// An incoming frame: unpack zero-copy, deliver as one pool batch.
-    fn recv_frame(&mut self, pool: &Pool, src: usize, payload: Bytes) {
+    /// `Err` blames `src` for bytes that are not a frame.
+    fn recv_frame(&mut self, pool: &Pool, src: usize, payload: Bytes) -> Result<(), EpochFault> {
         self.rec
             .instant(EventKind::Recv, src as u64, payload.len() as u64);
         self.safra.on_receive();
         self.stats.frames_received += 1;
-        let streams = self.bd.timed(Category::Unpack, || unpack_frame(payload));
+        let streams = self
+            .bd
+            .timed(Category::Unpack, || unpack_frame(payload))
+            .ok_or_else(|| peer_fault(self.rank, src, "malformed frame"))?;
         self.stats.streams_received += streams.len() as u64;
         let t0 = Instant::now();
         let routes = &mut self.routes;
@@ -622,32 +607,48 @@ impl<F: ProgramFactory> Master<F> {
             (s, prio)
         }));
         self.bd.add(Category::Route, t0.elapsed().as_secs_f64());
+        Ok(())
     }
 }
 
-/// One resident rank of a (possibly persistent) universe: the master
-/// state, the shared program pool and the live worker threads. Created
-/// once per [`crate::Universe`] lifetime; [`Rank::run_epoch`] is called
-/// once per epoch.
-pub(crate) struct Rank<F: ProgramFactory> {
+/// An epoch-ending fault, by origin. A local fault — a worker-reported
+/// panic, a watchdog stall, a transport failure this rank observed —
+/// is broadcast to every peer; a peer's abort is relayed to the caller
+/// but never re-broadcast (each origin broadcasts exactly once, so
+/// abort storms cannot loop).
+enum Abort {
+    Local(EpochFault),
+    Relayed(EpochFault),
+}
+
+/// One resident rank: the master state, the shared program pool and
+/// the live worker threads, launched once and driven through
+/// [`Rank::run_epoch`] once per epoch.
+///
+/// A [`crate::Universe`] hosts one per rank thread and harvests faults
+/// centrally. Callers that own a real process boundary instead — one
+/// OS process per rank over a connected [`Comm`], typically a socket
+/// world — launch a `Rank` directly; transport failures and contained
+/// faults then surface as [`EpochFault`]s in each process
+/// independently.
+pub struct Rank<F: ProgramFactory> {
     comm: Comm,
     pool: Arc<Pool>,
     config: RuntimeConfig,
     from_workers: Receiver<Report>,
-    workers: Vec<JoinHandle<(Breakdown, u64)>>,
+    workers: Vec<JoinHandle<()>>,
     m: Master<F>,
     epochs_run: u64,
 }
 
 impl<F: ProgramFactory> Rank<F> {
-    /// Spawn this rank's workers and build its master state; no epoch
-    /// runs yet.
-    pub(crate) fn launch(comm: Comm, factory: Arc<F>, config: &RuntimeConfig) -> Rank<F> {
+    /// Spawn this rank's workers and build its master state over
+    /// `comm`; no epoch runs yet.
+    pub fn launch(comm: Comm, factory: Arc<F>, config: &RuntimeConfig) -> Rank<F> {
         assert!(config.num_workers > 0, "need at least one worker");
         let rank = comm.rank();
         let size = comm.size();
         let pool = Arc::new(Pool::new(config.num_workers));
-        pool.set_batching(Some(config.report_flush_streams), Some(config.claim_batch));
         let m = Master::new(rank, size, factory.clone(), config);
         let (to_master, from_workers): (Sender<Report>, Receiver<Report>) = unbounded();
         let mut workers = Vec::with_capacity(config.num_workers);
@@ -677,6 +678,12 @@ impl<F: ProgramFactory> Rank<F> {
         }
     }
 
+    /// The rank's comm endpoint, for out-of-epoch collectives
+    /// (reductions between solver iterations).
+    pub fn comm_mut(&mut self) -> &mut Comm {
+        &mut self.comm
+    }
+
     /// Synchronise all ranks at an epoch boundary and discard any
     /// stale residue of the previous epoch.
     ///
@@ -700,11 +707,12 @@ impl<F: ProgramFactory> Rank<F> {
     /// first epoch runs factory-fresh programs as-is.
     ///
     /// `Err` means the epoch was poisoned — a contained program
-    /// panic, a watchdog-detected stall, or an abort broadcast from a
-    /// faulted peer. A faulted rank must not run further epochs (its
-    /// pool holds poisoned state and its peers' epochs diverged);
-    /// the owning [`crate::Universe`] relaunches instead.
-    pub(crate) fn run_epoch(
+    /// panic, a watchdog-detected stall, a lost or garbled peer, or an
+    /// abort broadcast from a faulted peer. A faulted rank must not
+    /// run further epochs (its pool holds poisoned state and its
+    /// peers' epochs diverged); the owning [`crate::Universe`]
+    /// relaunches instead.
+    pub fn run_epoch(
         &mut self,
         input: &Arc<EpochInput>,
         tuning: EpochTuning,
@@ -712,15 +720,15 @@ impl<F: ProgramFactory> Rank<F> {
         let t_start = Instant::now();
         let epoch_start_nanos = self.pool.now_nanos();
         let epoch_index = self.epochs_run;
+        self.epochs_run += 1;
         let te0 = self.m.rec.now();
         self.m.begin_epoch(self.config.num_workers);
-        self.pool
-            .set_batching(tuning.report_flush_streams, tuning.claim_batch);
+        self.pool.set_flush_streams(tuning.report_flush_streams);
 
         // Inter-epoch synchronisation (booked as master idle time).
-        // The first epoch has no predecessor to fence off, so one-shot
-        // runs pay no barrier at all.
-        if self.epochs_run > 0 {
+        // The first epoch has no predecessor to fence off, so a
+        // single-epoch run pays no barrier at all.
+        if epoch_index > 0 {
             let t_fence = Instant::now();
             let tf0 = self.m.rec.now();
             let fence = self.epoch_fence();
@@ -732,18 +740,15 @@ impl<F: ProgramFactory> Rank<F> {
                 // A peer died between epochs. No abort broadcast: the
                 // peers will observe the same death through their own
                 // fences or drain loops.
-                self.epochs_run += 1;
                 self.m
                     .rec
                     .span(EventKind::Epoch, te0, epoch_index, tuning.span);
                 return Err(comm_fault(self.m.rank, e));
             }
-        }
-
-        // Re-arm resident programs for this epoch; the pool drops
-        // stale heap entries in the same pass. Lazily created programs
-        // get the same reset right after `create` (see `worker_loop`).
-        if self.epochs_run > 0 {
+            // Re-arm resident programs for this epoch; the pool drops
+            // stale heap entries in the same pass. Lazily created
+            // programs get the same reset right after `create` (see
+            // `worker_loop`).
             self.pool.set_epoch_input(Some(input.clone()));
             let pool = &self.pool;
             let inp: &EpochInput = &**input;
@@ -751,11 +756,7 @@ impl<F: ProgramFactory> Rank<F> {
                 .bd
                 .timed(Category::Other, || pool.reset_epoch(|_, p| p.reset(inp)));
         }
-
-        let (m, pool, comm, from_workers) =
-            (&mut self.m, &self.pool, &mut self.comm, &self.from_workers);
-        let rank = m.rank;
-        let size = m.size;
+        let rank = self.m.rank;
 
         // Injected rank death (chaos testing): panic the whole rank
         // thread after the fence, with peers mid-epoch, so they learn
@@ -771,207 +772,44 @@ impl<F: ProgramFactory> Rank<F> {
         // Progress tracking: local committed workload (re-evaluated
         // per epoch — constant for sweeps, but the factory may vary
         // it).
-        let local_ids = m.factory.programs_on_rank(rank);
+        let local_ids = self.m.factory.programs_on_rank(rank);
         let total_work: u64 = local_ids
             .iter()
-            .map(|&id| m.factory.initial_workload(id))
+            .map(|&id| self.m.factory.initial_workload(id))
             .sum();
 
         // All patch-programs start active (§III-A).
         for &id in &local_ids {
-            let prio = m.priority_of(id);
-            pool.activate(id, prio);
+            let prio = self.m.priority_of(id);
+            self.pool.activate(id, prio);
         }
 
-        let mut counting = Counting::new(rank, size);
-
-        // Fault containment: the first fault seen this epoch — local
-        // (a worker-reported panic, a watchdog stall, worker-channel
-        // death) or remote (a peer's abort broadcast) — ends the
-        // epoch with `Err`. Local faults are re-broadcast to peers
-        // after the loop; remote ones are not (each origin broadcasts
-        // exactly once, so abort storms cannot loop).
-        let mut fault: Option<EpochFault> = None;
-        let mut fault_is_local = false;
-        let mut last_progress = Instant::now();
-
-        'main: loop {
-            let mut progress = false;
-
-            // Drain worker reports: route streams, track progress.
-            while let Ok(mut report) = from_workers.try_recv() {
-                progress = true;
-                if let Some(f) = report.faults.pop() {
-                    fault.get_or_insert(f);
-                    fault_is_local = true;
-                    report.faults.clear();
-                }
-                m.route_report(pool, comm, report);
-            }
-            // One frame per destination per drain round.
-            m.flush_frames(comm);
-            // A routing send may have diagnosed a dead peer.
-            if let Some(e) = m.dead.take() {
-                fault.get_or_insert(comm_fault(rank, e));
-                fault_is_local = true;
-            }
-            if fault.is_some() {
-                break 'main;
-            }
-
-            // Drain network messages: incoming frames + protocol traffic.
-            loop {
-                let msg = match m.bd.timed(Category::Comm, || comm.try_recv()) {
-                    Ok(Some(msg)) => msg,
-                    Ok(None) => break,
-                    Err(e) => {
-                        fault = Some(comm_fault(rank, e));
-                        fault_is_local = true;
-                        break 'main;
-                    }
-                };
-                progress = true;
-                match msg.tag {
-                    TAG_FRAME => m.recv_frame(pool, msg.src, msg.payload),
-                    TAG_ABORT => {
-                        fault = Some(EpochFault::unpack(&msg.payload));
-                        break 'main;
-                    }
-                    _ => {
-                        let v = match self.config.termination {
-                            TerminationKind::Counting => counting.on_message(&msg, comm),
-                            TerminationKind::Safra => m.safra.on_message(&msg, comm),
-                        };
-                        match v {
-                            Ok(Verdict::Terminated) => break 'main,
-                            Ok(_) => {}
-                            Err(e) => {
-                                fault = Some(comm_fault(rank, e));
-                                fault_is_local = true;
-                                break 'main;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Termination detection.
-            let verdict = match self.config.termination {
-                TerminationKind::Counting => {
-                    debug_assert!(
-                        m.work_done <= total_work,
-                        "programs over-reported work ({} > committed {total_work})",
-                        m.work_done
-                    );
-                    let remaining = total_work.saturating_sub(m.work_done);
-                    counting.maybe_report(remaining, comm)
-                }
-                TerminationKind::Safra => {
-                    debug_assert!(m.dirty.is_empty(), "unflushed frames at idle check");
-                    let idle = !progress && pool.is_quiet();
-                    m.safra.maybe_advance(idle, comm)
-                }
-            };
-            match verdict {
-                Ok(Verdict::Terminated) => break 'main,
-                Ok(_) => {}
-                Err(e) => {
-                    fault = Some(comm_fault(rank, e));
-                    fault_is_local = true;
-                    break 'main;
-                }
-            }
-
-            if progress {
-                last_progress = Instant::now();
-            } else {
-                // Watchdog: active local work with no progress for the
-                // deadline means a worker (or the program it runs) is
-                // stuck — convert the hang into a fault. A *quiet*
-                // pool is exempt: a rank legitimately waits arbitrarily
-                // long for remote traffic, and the genuinely stalled
-                // rank is the one whose own pool stays busy.
-                if let Some(deadline) = self.config.watchdog {
-                    if !pool.is_quiet() && last_progress.elapsed() >= deadline {
-                        let stalest = (0..self.config.num_workers)
-                            .min_by_key(|&w| pool.worker_last_activity_nanos(w))
-                            .unwrap_or(0);
-                        fault = Some(EpochFault {
-                            rank,
-                            worker: stalest,
-                            program: None,
-                            payload: format!(
-                                "watchdog: no progress for {deadline:?} with active work"
-                            ),
-                            kind: FaultKind::Stall,
-                        });
-                        fault_is_local = true;
-                        break 'main;
-                    }
-                }
-                // Nothing to do right now: park briefly on the worker
-                // channel (the latency-critical path).
-                let t0 = Instant::now();
-                let parked = from_workers.recv_timeout(Duration::from_micros(200));
-                m.bd.add(Category::Idle, t0.elapsed().as_secs_f64());
-                match parked {
-                    Ok(mut report) => {
-                        if let Some(f) = report.faults.pop() {
-                            fault.get_or_insert(f);
-                            fault_is_local = true;
-                            report.faults.clear();
-                        }
-                        m.route_report(pool, comm, report);
-                        m.flush_frames(comm);
-                        if let Some(e) = m.dead.take() {
-                            fault.get_or_insert(comm_fault(rank, e));
-                            fault_is_local = true;
-                        }
-                        if fault.is_some() {
-                            break 'main;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // Workers only exit on `Pool::stop`; death here
-                        // is an engine bug, but it is still contained
-                        // as a fault rather than a process abort.
-                        fault = Some(EpochFault {
-                            rank,
-                            worker: 0,
-                            program: None,
-                            payload: "all worker threads died mid-epoch".to_string(),
-                            kind: FaultKind::RankDeath,
-                        });
-                        fault_is_local = true;
-                        break 'main;
-                    }
-                }
-            }
-        }
+        let driven = self.drive(total_work);
+        let (m, pool, comm, from_workers) =
+            (&mut self.m, &self.pool, &mut self.comm, &self.from_workers);
 
         // A poisoned epoch ends here: tell every peer (local origin
-        // only — remote aborts were already broadcast by their origin)
-        // and skip the quiesce drain, which a stuck worker could wedge
-        // forever. Outstanding claims and held reports are abandoned
-        // with the pool itself when the universe relaunches or shuts
-        // down.
-        if let Some(f) = fault {
-            if fault_is_local {
-                // Best-effort: a peer that already died (the very thing
-                // some faults report) cannot be told about it.
-                let payload = f.pack();
-                for peer in 0..size {
-                    if peer != rank {
+        // only) and skip the quiesce drain, which a stuck worker could
+        // wedge forever. Outstanding claims and held reports are
+        // abandoned with the pool itself when the universe relaunches
+        // or shuts down.
+        if let Err(abort) = driven {
+            let fault = match abort {
+                Abort::Local(fault) => {
+                    // Best-effort: a peer that already died (the very
+                    // thing some faults report) cannot be told about it.
+                    let payload = fault.pack();
+                    for peer in (0..m.size).filter(|&p| p != rank) {
                         let _ = comm.send(peer, TAG_ABORT, payload.clone());
                     }
+                    fault
                 }
-            }
+                Abort::Relayed(fault) => fault,
+            };
             m.rec
-                .instant(EventKind::Fault, f.rank as u64, f.worker as u64);
+                .instant(EventKind::Fault, fault.rank as u64, fault.worker as u64);
             m.rec.span(EventKind::Epoch, te0, epoch_index, tuning.span);
-            self.epochs_run += 1;
-            return Err(f);
+            return Err(fault);
         }
 
         // Quiesce the local pool before closing the epoch: global
@@ -1026,7 +864,6 @@ impl<F: ProgramFactory> Rank<F> {
             })
             .collect();
 
-        self.epochs_run += 1;
         let mut stats = std::mem::take(&mut m.stats);
         stats.master = std::mem::take(&mut m.bd);
         stats.wall_seconds = t_start.elapsed().as_secs_f64();
@@ -1043,37 +880,169 @@ impl<F: ProgramFactory> Rank<F> {
         Ok(stats)
     }
 
-    /// Stop the pool, join the workers and return their residual
-    /// (post-final-flush) stat deltas in worker order. With the
-    /// hold-any-content report discipline, every compute call and
-    /// output has been flushed and drained by the epoch that ran it —
-    /// the residual is only the final flush's send-timing slop plus
-    /// post-epoch idle, which belongs to no epoch.
+    /// The epoch's main loop: route worker reports, receive frames and
+    /// protocol traffic, and consult the termination detector until it
+    /// declares global termination (`Ok`) or the first fault seen ends
+    /// the epoch.
+    fn drive(&mut self, total_work: u64) -> Result<(), Abort> {
+        let Rank {
+            m,
+            pool,
+            comm,
+            from_workers,
+            config,
+            ..
+        } = self;
+        let rank = m.rank;
+        let lost = |e: CommError| Abort::Local(comm_fault(rank, e));
+        let mut counting = Counting::new(rank, m.size);
+        // A report the idle park received. It leads the next round's
+        // drain, so a single arm handles every report — and a master
+        // that is fed only through the park still registers progress.
+        let mut parked: Option<Report> = None;
+        let mut last_progress = Instant::now();
+
+        loop {
+            let mut progress = false;
+
+            // Drain worker reports: route streams, track progress.
+            let mut worker_fault = None;
+            let queued = std::iter::from_fn(|| from_workers.try_recv().ok());
+            for mut report in parked.take().into_iter().chain(queued) {
+                progress = true;
+                if let Some(f) = report.faults.pop() {
+                    worker_fault.get_or_insert(f);
+                }
+                m.route_report(pool, comm, report);
+            }
+            // One frame per destination per drain round.
+            m.flush_frames(comm);
+            if let Some(f) = worker_fault {
+                return Err(Abort::Local(f));
+            }
+            // A routing send may have diagnosed a dead peer.
+            if let Some(e) = m.dead.take() {
+                return Err(lost(e));
+            }
+
+            // Drain network messages: incoming frames + protocol traffic.
+            while let Some(msg) =
+                m.bd.timed(Category::Comm, || comm.try_recv())
+                    .map_err(lost)?
+            {
+                progress = true;
+                match msg.tag {
+                    TAG_FRAME => m
+                        .recv_frame(pool, msg.src, msg.payload)
+                        .map_err(Abort::Local)?,
+                    TAG_ABORT => {
+                        return Err(match EpochFault::unpack(&msg.payload) {
+                            Some(fault) => Abort::Relayed(fault),
+                            None => Abort::Local(peer_fault(rank, msg.src, "malformed abort")),
+                        })
+                    }
+                    _ => {
+                        let v = match config.termination {
+                            TerminationKind::Counting => counting.on_message(&msg, comm),
+                            TerminationKind::Safra => m.safra.on_message(&msg, comm),
+                        };
+                        if v.map_err(lost)? == Verdict::Terminated {
+                            return Ok(());
+                        }
+                    }
+                }
+            }
+
+            // Termination detection.
+            let verdict = match config.termination {
+                TerminationKind::Counting => {
+                    debug_assert!(
+                        m.work_done <= total_work,
+                        "programs over-reported work ({} > committed {total_work})",
+                        m.work_done
+                    );
+                    let remaining = total_work.saturating_sub(m.work_done);
+                    counting.maybe_report(remaining, comm)
+                }
+                TerminationKind::Safra => {
+                    debug_assert!(m.dirty.is_empty(), "unflushed frames at idle check");
+                    let idle = !progress && pool.is_quiet();
+                    m.safra.maybe_advance(idle, comm)
+                }
+            };
+            if verdict.map_err(lost)? == Verdict::Terminated {
+                return Ok(());
+            }
+
+            if progress {
+                last_progress = Instant::now();
+                continue;
+            }
+            // Watchdog: active local work with no progress for the
+            // deadline means a worker (or the program it runs) is
+            // stuck — convert the hang into a fault. A *quiet* pool is
+            // exempt: a rank legitimately waits arbitrarily long for
+            // remote traffic, and the genuinely stalled rank is the
+            // one whose own pool stays busy.
+            if let Some(deadline) = config.watchdog {
+                if !pool.is_quiet() && last_progress.elapsed() >= deadline {
+                    let stalest = (0..config.num_workers)
+                        .min_by_key(|&w| pool.worker_last_activity_nanos(w))
+                        .unwrap_or(0);
+                    return Err(Abort::Local(EpochFault {
+                        rank,
+                        worker: stalest,
+                        program: None,
+                        payload: format!("watchdog: no progress for {deadline:?} with active work"),
+                        kind: FaultKind::Stall,
+                    }));
+                }
+            }
+            // Nothing to do right now: park briefly on the worker
+            // channel (the latency-critical path).
+            let t0 = Instant::now();
+            let woken = from_workers.recv_timeout(Duration::from_micros(200));
+            m.bd.add(Category::Idle, t0.elapsed().as_secs_f64());
+            match woken {
+                Ok(report) => parked = Some(report),
+                Err(RecvTimeoutError::Timeout) => {}
+                // Workers only exit on `Pool::stop`; death here is an
+                // engine bug, but it is still contained as a fault
+                // rather than a process abort.
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(Abort::Local(EpochFault {
+                        rank,
+                        worker: 0,
+                        program: None,
+                        payload: "all worker threads died mid-epoch".to_string(),
+                        kind: FaultKind::RankDeath,
+                    }))
+                }
+            }
+        }
+    }
+
+    /// Stop the pool, join the workers and close the endpoint
+    /// gracefully.
     ///
     /// Worker threads contain program panics, so a join failure here
     /// is an engine bug; it aborts with the worker's identity and
     /// panic payload rather than a bare expect.
-    pub(crate) fn shutdown(mut self) -> Vec<(Breakdown, u64)> {
+    pub fn shutdown(mut self) {
         self.pool.stop();
         let rank = self.m.rank;
-        let residuals: Vec<_> = self
-            .workers
-            .drain(..)
-            .enumerate()
-            .map(|(w, h)| {
-                h.join().unwrap_or_else(|e| {
-                    panic!(
-                        "rank {rank} worker {w} thread panicked: {}",
-                        panic_message(e.as_ref())
-                    )
-                })
-            })
-            .collect();
+        for (w, h) in self.workers.drain(..).enumerate() {
+            if let Err(e) = h.join() {
+                panic!(
+                    "rank {rank} worker {w} thread panicked: {}",
+                    panic_message(e.as_ref())
+                );
+            }
+        }
         // Tell peers the silence that follows is intentional, so a
         // process-grade transport does not read this rank's exit as a
         // death.
         self.comm.close();
-        residuals
     }
 }
 
@@ -1091,103 +1060,27 @@ impl<F: ProgramFactory> Drop for Rank<F> {
     }
 }
 
-/// One rank of an SPMD (one-process-per-rank) world: the public form
-/// of the resident rank engine, for callers that own a real process
-/// boundary instead of a [`crate::Universe`] of threads.
+/// Run a full simulated-MPI computation for a single epoch:
+/// `num_ranks` ranks, each with `config.num_workers` workers, sharing
+/// one program factory — [`crate::Universe`] launch, one epoch,
+/// shutdown. Multi-epoch workloads hold a [`crate::Universe`] instead
+/// and pay the launch cost once.
 ///
-/// Where a `Universe` spawns every rank and harvests faults centrally,
-/// an `SpmdRank` is launched once per process over a connected
-/// [`Comm`] (typically a socket world) and driven epoch by epoch;
-/// transport failures and contained faults surface as
-/// [`EpochFault`]s from [`SpmdRank::run_epoch`] in each process
-/// independently.
-pub struct SpmdRank<F: ProgramFactory> {
-    inner: Rank<F>,
-}
-
-impl<F: ProgramFactory> SpmdRank<F> {
-    /// Spawn this process's workers and master state over `comm`.
-    pub fn launch(comm: Comm, factory: Arc<F>, config: &RuntimeConfig) -> SpmdRank<F> {
-        SpmdRank {
-            inner: Rank::launch(comm, factory, config),
-        }
-    }
-
-    /// Run one epoch to global termination (see the resident-rank
-    /// epoch contract on [`crate::Universe::run_epoch`]).
-    pub fn run_epoch(
-        &mut self,
-        input: &Arc<EpochInput>,
-        tuning: crate::EpochTuning,
-    ) -> Result<RunStats, EpochFault> {
-        self.inner.run_epoch(input, tuning)
-    }
-
-    /// This process's rank id.
-    pub fn rank(&self) -> usize {
-        self.inner.comm.rank()
-    }
-
-    /// Number of ranks in the world.
-    pub fn size(&self) -> usize {
-        self.inner.comm.size()
-    }
-
-    /// The rank's comm endpoint, for out-of-epoch collectives
-    /// (reductions between solver iterations).
-    pub fn comm_mut(&mut self) -> &mut Comm {
-        &mut self.inner.comm
-    }
-
-    /// Join workers and close the endpoint gracefully.
-    pub fn shutdown(self) {
-        self.inner.shutdown();
-    }
-}
-
-/// Run one rank of a patch-centric data-driven computation to global
-/// termination. Returns the rank's [`RunStats`].
+/// # Panics
 ///
-/// This is the one-shot (single-epoch) form: workers are spawned,
-/// one epoch runs, workers are joined. [`crate::Universe`] keeps the
-/// same machinery resident across epochs.
-pub fn run_rank<F: ProgramFactory>(
-    comm: Comm,
-    factory: Arc<F>,
-    config: &RuntimeConfig,
-) -> RunStats {
-    let mut rank = Rank::launch(comm, factory, config);
-    let input: Arc<EpochInput> = Arc::new(());
-    // The one-shot form keeps fail-fast semantics: there is no
-    // universe to relaunch, so a contained fault becomes a contextful
-    // panic on this rank's thread.
-    let mut stats = rank
-        .run_epoch(&input, EpochTuning::default())
-        .unwrap_or_else(|f| panic!("one-shot epoch faulted: {f}"));
-    for (w, (bd, calls)) in rank.shutdown().into_iter().enumerate() {
-        // Fold the residual post-flush slop so one-shot totals stay
-        // exact.
-        stats.workers[w].merge(&bd);
-        stats.compute_calls += calls;
-    }
-    stats
-}
-
-/// Run a full simulated-MPI computation: `num_ranks` ranks, each with
-/// `config.num_workers` workers, sharing one program factory.
-///
-/// Since the persistent-universe refactor this is a thin one-epoch
-/// wrapper over [`crate::Universe`]: launch, run a single epoch,
-/// shut down. Multi-epoch workloads should hold a
-/// [`crate::Universe`] instead and pay the launch cost once.
+/// Fail-fast: there is no universe left to relaunch, so a contained
+/// fault becomes a contextful panic on the caller's thread.
 pub fn run_universe<F: ProgramFactory>(
     num_ranks: usize,
     factory: Arc<F>,
     config: RuntimeConfig,
 ) -> Vec<RunStats> {
-    CommUniverse::run(num_ranks, move |comm| {
-        run_rank(comm, factory.clone(), &config)
-    })
+    let mut universe = Universe::launch(num_ranks, factory, config);
+    let stats = universe
+        .run_epoch(Arc::new(()))
+        .unwrap_or_else(|f| panic!("one-shot epoch faulted: {f}"));
+    universe.shutdown();
+    stats
 }
 
 #[cfg(test)]
@@ -1469,34 +1362,6 @@ mod tests {
         assert_eq!(r1.frames_received, r0.frames_sent);
     }
 
-    #[test]
-    fn burst_unbatched_knobs_restore_stream_granularity() {
-        let fan = 6u32;
-        let received = Arc::new(Mutex::new(0));
-        let factory = Arc::new(BurstFactory {
-            fan,
-            received: received.clone(),
-        });
-        let stats = run_universe(
-            2,
-            factory,
-            RuntimeConfig {
-                max_frame_streams: 1,
-                report_flush_streams: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(*received.lock(), fan);
-        let r0 = &stats[0];
-        assert_eq!(r0.streams_sent, u64::from(fan));
-        assert_eq!(r0.frames_sent, u64::from(fan));
-        // Same bytes either way: frames add no per-frame header.
-        assert_eq!(
-            r0.bytes_sent,
-            u64::from(fan) * (STREAM_WIRE_OVERHEAD as u64 + 8)
-        );
-    }
-
     /// Two programs that ping-pong a fixed number of times exercise
     /// reentrancy (partial computation) and reactivation.
     struct PingPong {
@@ -1615,6 +1480,33 @@ mod tests {
         for s in &stats {
             assert!(s.wall_seconds > 0.0);
             assert_eq!(s.workers.len(), 2);
+        }
+    }
+
+    /// Bytes off the wire that do not decode poison the epoch with a
+    /// `RankDeath` blaming the rank that wrote them — the master never
+    /// indexes them unchecked.
+    #[test]
+    fn garbled_frame_or_abort_faults_the_epoch_blaming_the_sender() {
+        for (tag, what) in [
+            (TAG_FRAME, "malformed frame"),
+            (TAG_ABORT, "malformed abort"),
+        ] {
+            let mut world = jsweep_comm::Universe::endpoints(2);
+            let peer = world.pop().expect("rank 1");
+            let comm = world.pop().expect("rank 0");
+            // Rank 0's ping-pong partner never answers; it writes 7
+            // bytes — short of any record or abort header — instead.
+            peer.send(0, tag, Bytes::from(vec![0xff; 7])).expect("send");
+            let factory = Arc::new(PingPongFactory { rounds: 1 });
+            let mut rank = Rank::launch(comm, factory, &RuntimeConfig::default());
+            let fault = rank
+                .run_epoch(&(Arc::new(()) as Arc<EpochInput>), EpochTuning::default())
+                .expect_err("garbled bytes must poison the epoch");
+            assert_eq!(fault.kind, FaultKind::RankDeath);
+            assert_eq!(fault.rank, 1, "the sender is blamed, not the observer");
+            assert!(fault.payload.contains(what), "payload: {}", fault.payload);
+            rank.shutdown();
         }
     }
 }

@@ -116,37 +116,41 @@ impl EpochFault {
         w.freeze()
     }
 
-    /// Inverse of [`EpochFault::pack`].
-    pub(crate) fn unpack(b: &[u8]) -> EpochFault {
+    /// Inverse of [`EpochFault::pack`]; `None` for a payload too short
+    /// to hold what its own flags announce (it came off the wire).
+    pub(crate) fn unpack(mut b: &[u8]) -> Option<EpochFault> {
+        use bytes::Buf;
         use jsweep_mesh::PatchId;
-        let rank = u32::from_le_bytes(b[0..4].try_into().unwrap()) as usize;
-        let worker = u32::from_le_bytes(b[4..8].try_into().unwrap()) as usize;
-        let kind = match b[8] {
+        if b.remaining() < 10 {
+            return None;
+        }
+        let rank = b.get_u32_le() as usize;
+        let worker = b.get_u32_le() as usize;
+        let kind = match b.get_u8() {
             0 => FaultKind::Panic,
             1 => FaultKind::Stall,
             2 => FaultKind::RankDeath,
             _ => FaultKind::Injected,
         };
-        let (program, rest) = if b[9] == 1 {
-            let patch = u32::from_le_bytes(b[10..14].try_into().unwrap());
-            let task = u32::from_le_bytes(b[14..18].try_into().unwrap());
-            (
-                Some(ProgramId::new(
-                    PatchId(patch),
-                    crate::program::TaskTag(task),
-                )),
-                &b[18..],
-            )
+        let program = if b.get_u8() == 1 {
+            if b.remaining() < 8 {
+                return None;
+            }
+            let (patch, task) = (b.get_u32_le(), b.get_u32_le());
+            Some(ProgramId::new(
+                PatchId(patch),
+                crate::program::TaskTag(task),
+            ))
         } else {
-            (None, &b[10..])
+            None
         };
-        EpochFault {
+        Some(EpochFault {
             rank,
             worker,
             program,
-            payload: String::from_utf8_lossy(rest).into_owned(),
+            payload: String::from_utf8_lossy(b).into_owned(),
             kind,
-        }
+        })
     }
 }
 
@@ -442,7 +446,7 @@ mod tests {
             payload: "boom".to_string(),
             kind: FaultKind::Panic,
         };
-        assert_eq!(EpochFault::unpack(&f.pack()), f);
+        assert_eq!(EpochFault::unpack(&f.pack()), Some(f.clone()));
         let g = EpochFault {
             rank: 0,
             worker: 4,
@@ -450,7 +454,13 @@ mod tests {
             payload: "no progress for 100ms".to_string(),
             kind: FaultKind::Stall,
         };
-        assert_eq!(EpochFault::unpack(&g.pack()), g);
+        assert_eq!(EpochFault::unpack(&g.pack()), Some(g));
+        // Truncated payloads: empty, one byte short of the fixed
+        // header, and a program flag with only 2 of its 8 id bytes.
+        let wire = f.pack();
+        for cut in [0, 9, 12] {
+            assert_eq!(EpochFault::unpack(&wire[..cut]), None, "{cut} bytes");
+        }
     }
 
     #[cfg(feature = "fault-inject")]

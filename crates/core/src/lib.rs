@@ -32,7 +32,7 @@
 //! Every thread keeps a time [`stats::Breakdown`] so runs can be
 //! profiled into the kernel / graph-op / pack-unpack / comm / idle
 //! categories of Fig. 16.
-
+//!
 //! # The persistent universe
 //!
 //! Iterative workloads (source iterations, time steps, eigenvalue
@@ -42,8 +42,9 @@
 //! **epochs**: [`Universe::launch`] once, [`Universe::run_epoch`] per
 //! iteration (programs are re-armed in place via
 //! [`PatchProgram::reset`] with an opaque [`EpochInput`]), then
-//! [`Universe::shutdown`]. [`run_universe`] remains as the one-epoch
-//! convenience wrapper.
+//! [`Universe::shutdown`]. Every epoch runs this way: [`run_universe`]
+//! is launch, one epoch, shutdown, and a [`Rank`] is the same engine
+//! for one rank of a world of separate processes.
 
 pub mod engine;
 pub mod fault;
@@ -53,7 +54,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod universe;
 
-pub use engine::{run_rank, run_universe, RuntimeConfig, SpmdRank, TerminationKind};
+pub use engine::{run_universe, Rank, RuntimeConfig, TerminationKind};
 pub use fault::{panic_message, EpochFault, FaultKind, FaultPlan, FaultPlanBuilder};
 pub use jsweep_comm::TransportKind;
 pub use program::{

@@ -132,6 +132,12 @@ struct ShardCell {
     ready: AtomicUsize,
 }
 
+/// Report-flush threshold of a fresh pool and of
+/// [`crate::EpochTuning::default`]: the fine-path value (frame
+/// aggregation and report batching are pure overhead wins for
+/// fine-grained sweeps).
+pub const DEFAULT_FLUSH_STREAMS: usize = 32;
+
 /// Shared per-rank program pool (sharded; see module docs).
 pub struct Pool {
     shards: Vec<ShardCell>,
@@ -149,21 +155,15 @@ pub struct Pool {
     /// lock + notify entirely while this is zero (the common case on a
     /// busy rank).
     sleepers: AtomicUsize,
-    /// Worker batching knob: max output streams buffered per report
-    /// (see `RuntimeConfig::report_flush_streams`). Atomic so a
-    /// persistent universe can re-tune it per epoch while workers stay
-    /// resident.
+    /// Max output streams a worker buffers per report (see
+    /// `EpochTuning::report_flush_streams`). Atomic so each epoch's
+    /// tuning reaches the resident workers.
     flush_streams: AtomicUsize,
-    /// Worker batching knob: program claims per pool round-trip (see
-    /// `RuntimeConfig::claim_batch`). Per-epoch tunable like
-    /// [`Pool::flush_streams`].
-    claim_batch: AtomicUsize,
-    /// The current epoch's input (persistent universe only): a worker
-    /// that lazily creates a program in epoch ≥ 2 resets it with this
-    /// before first use, so late-materialising programs see the same
-    /// epoch state as resident ones. `None` during the first epoch
-    /// (factory-fresh state *is* the first epoch's state) and in
-    /// one-shot runs.
+    /// The current epoch's input: a worker that lazily creates a
+    /// program in epoch ≥ 2 resets it with this before first use, so
+    /// late-materialising programs see the same epoch state as
+    /// resident ones. `None` during the first epoch (factory-fresh
+    /// state *is* the first epoch's state).
     epoch_input: Mutex<Option<Arc<EpochInput>>>,
     /// Monotonic origin for [`Pool::note_worker_activity`] stamps.
     activity_base: Instant,
@@ -207,8 +207,7 @@ impl Pool {
             active: AtomicUsize::new(0),
             held_reports: AtomicUsize::new(0),
             sleepers: AtomicUsize::new(0),
-            flush_streams: AtomicUsize::new(32),
-            claim_batch: AtomicUsize::new(8),
+            flush_streams: AtomicUsize::new(DEFAULT_FLUSH_STREAMS),
             epoch_input: Mutex::new(None),
             activity_base: Instant::now(),
             last_activity: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -218,16 +217,12 @@ impl Pool {
         }
     }
 
-    /// Set the worker batching knobs (`None` keeps the current value).
-    /// Safe to call between epochs of a persistent universe; workers
-    /// pick the new values up on their next pool round-trip.
-    pub fn set_batching(&self, flush_streams: Option<usize>, claim_batch: Option<usize>) {
-        if let Some(f) = flush_streams {
-            self.flush_streams.store(f.max(1), Ordering::SeqCst);
-        }
-        if let Some(c) = claim_batch {
-            self.claim_batch.store(c.max(1), Ordering::SeqCst);
-        }
+    /// Set the report-flush threshold (clamped to at least 1). Safe to
+    /// call between epochs of a persistent universe; workers pick the
+    /// new value up on their next pool round-trip.
+    pub fn set_flush_streams(&self, flush_streams: usize) {
+        self.flush_streams
+            .store(flush_streams.max(1), Ordering::SeqCst);
     }
 
     /// Current report-flush threshold (streams buffered per worker
@@ -236,14 +231,9 @@ impl Pool {
         self.flush_streams.load(Ordering::SeqCst)
     }
 
-    /// Current claim batch (program claims per pool round-trip).
-    pub fn claim_batch(&self) -> usize {
-        self.claim_batch.load(Ordering::SeqCst)
-    }
-
     /// Publish the epoch input lazily-created programs must be reset
-    /// with (`None` = first epoch / one-shot run: factory-fresh state
-    /// is already current).
+    /// with (`None` = first epoch: factory-fresh state is already
+    /// current).
     pub fn set_epoch_input(&self, input: Option<Arc<EpochInput>>) {
         *self.epoch_input.lock() = input;
     }
@@ -1057,16 +1047,13 @@ mod tests {
     }
 
     #[test]
-    fn batching_knobs_are_per_epoch_tunable() {
+    fn flush_threshold_is_per_epoch_tunable() {
         let pool = Pool::new(1);
-        assert_eq!(pool.flush_streams(), 32);
-        assert_eq!(pool.claim_batch(), 8);
-        pool.set_batching(Some(64), None);
+        assert_eq!(pool.flush_streams(), DEFAULT_FLUSH_STREAMS);
+        pool.set_flush_streams(64);
         assert_eq!(pool.flush_streams(), 64);
-        assert_eq!(pool.claim_batch(), 8, "None keeps the old value");
-        pool.set_batching(Some(0), Some(0));
-        assert_eq!(pool.flush_streams(), 1, "knobs clamp to 1");
-        assert_eq!(pool.claim_batch(), 1);
+        pool.set_flush_streams(0);
+        assert_eq!(pool.flush_streams(), 1, "the threshold clamps to 1");
     }
 
     #[test]

@@ -195,20 +195,29 @@ pub fn pack_frame(streams: &[Stream]) -> Bytes {
     w.finish()
 }
 
-/// Decode a frame back into its streams.
+/// Decode a frame back into its streams, or `None` when the bytes are
+/// not a whole number of stream records (frames arrive off the wire:
+/// a record header cut short, or a payload length that overruns the
+/// frame, is a garbled peer, not a reason to panic).
 ///
 /// Payloads are zero-copy windows into the frame's allocation
 /// ([`Bytes::slice`]), so unpacking a frame of `k` streams performs no
 /// payload copies — only `k` header reads.
-pub fn unpack_frame(mut frame: Bytes) -> Vec<Stream> {
+pub fn unpack_frame(mut frame: Bytes) -> Option<Vec<Stream>> {
     use bytes::Buf;
     let mut out = Vec::new();
     while frame.has_remaining() {
+        if frame.remaining() < STREAM_WIRE_OVERHEAD {
+            return None;
+        }
         let src_patch = frame.get_u32_le();
         let src_task = frame.get_u32_le();
         let dst_patch = frame.get_u32_le();
         let dst_task = frame.get_u32_le();
         let len = frame.get_u32_le() as usize;
+        if frame.remaining() < len {
+            return None;
+        }
         let payload = frame.slice(0..len);
         frame.advance(len);
         out.push(Stream {
@@ -217,7 +226,7 @@ pub fn unpack_frame(mut frame: Bytes) -> Vec<Stream> {
             payload,
         });
     }
-    out
+    Some(out)
 }
 
 /// Wire format of a single stream: a frame of one (kept as the unit
@@ -226,11 +235,12 @@ pub fn pack_stream(stream: &Stream) -> Bytes {
     pack_frame(std::slice::from_ref(stream))
 }
 
-/// Inverse of [`pack_stream`].
-pub fn unpack_stream(payload: Bytes) -> Stream {
-    let mut streams = unpack_frame(payload);
-    debug_assert_eq!(streams.len(), 1, "unpack_stream fed a multi-stream frame");
-    streams.pop().expect("empty stream message")
+/// Inverse of [`pack_stream`]; `None` for bytes that are not exactly
+/// one stream record.
+pub fn unpack_stream(payload: Bytes) -> Option<Stream> {
+    let mut streams = unpack_frame(payload)?;
+    let stream = streams.pop()?;
+    streams.is_empty().then_some(stream)
 }
 
 #[cfg(test)]
@@ -245,7 +255,7 @@ mod tests {
             payload: Bytes::copy_from_slice(b"hello"),
         };
         let packed = pack_stream(&s);
-        let back = unpack_stream(packed);
+        let back = unpack_stream(packed).expect("one well-formed record");
         assert_eq!(back.src, s.src);
         assert_eq!(back.dst, s.dst);
         assert_eq!(&back.payload[..], b"hello");
@@ -268,7 +278,8 @@ mod tests {
                 .map(|s| STREAM_WIRE_OVERHEAD + s.payload.len())
                 .sum::<usize>()
         );
-        let back = unpack_frame(frame);
+        assert!(unpack_stream(frame.clone()).is_none(), "nine records");
+        let back = unpack_frame(frame).expect("well-formed frame");
         assert_eq!(back.len(), streams.len());
         for (a, b) in back.iter().zip(&streams) {
             assert_eq!(a.src, b.src);
@@ -288,11 +299,11 @@ mod tests {
         frame_push(&mut w, &s);
         frame_push(&mut w, &s);
         let first = w.take();
-        assert_eq!(unpack_frame(first).len(), 2);
+        assert_eq!(unpack_frame(first).unwrap().len(), 2);
         // Same writer keeps serving the next frame.
         frame_push(&mut w, &s);
-        assert_eq!(unpack_frame(w.take()).len(), 1);
-        assert!(unpack_frame(w.take()).is_empty());
+        assert_eq!(unpack_frame(w.take()).unwrap().len(), 1);
+        assert!(unpack_frame(w.take()).unwrap().is_empty());
     }
 
     #[test]
@@ -305,7 +316,7 @@ mod tests {
         };
         let frame = pack_frame(&[s.clone(), s]);
         let whole = frame.clone(); // same allocation, independent cursor
-        let back = unpack_frame(frame);
+        let back = unpack_frame(frame).expect("well-formed frame");
         let base = whole.as_ref().as_ptr() as usize;
         let end = base + whole.len();
         for b in &back {
@@ -314,6 +325,27 @@ mod tests {
             let p = b.payload.as_ref().as_ptr() as usize;
             assert!(p >= base && p + b.payload.len() <= end);
         }
+    }
+
+    #[test]
+    fn unpack_frame_rejects_truncated_and_overlong_records() {
+        let s = Stream {
+            src: ProgramId::new(PatchId(1), TaskTag(2)),
+            dst: ProgramId::new(PatchId(3), TaskTag(4)),
+            payload: Bytes::copy_from_slice(b"payload!"),
+        };
+        let frame = pack_frame(&[s.clone(), s]);
+        let record = STREAM_WIRE_OVERHEAD + 8;
+        assert_eq!(frame.len(), 2 * record);
+        // Cut inside the second record's header, and inside its payload.
+        assert!(unpack_frame(frame.slice(0..record + 7)).is_none());
+        assert!(unpack_frame(frame.slice(0..2 * record - 1)).is_none());
+        // A cut on a record boundary is a shorter, well-formed frame.
+        assert_eq!(unpack_frame(frame.slice(0..record)).unwrap().len(), 1);
+        // A length field larger than everything that follows it.
+        let mut bytes = frame.to_vec();
+        bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(unpack_frame(Bytes::from(bytes)).is_none());
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! The persistent sweep universe: a resident runtime that lives for a
 //! whole multi-epoch computation.
 //!
-//! [`run_universe`](crate::run_universe) pays a full spawn/teardown per
-//! call: rank threads, worker threads, pool, route table and every
-//! patch-program are built, run to quiescence and dropped. That is the
-//! right shape for a single sweep — and pure overhead for iterative
-//! workloads (source iterations, time steps, eigenvalue loops, AMR
-//! cycles) that run the *same* program topology dozens of times with
-//! only the input data changing.
-//!
-//! A [`Universe`] keeps the whole world resident instead:
+//! Iterative workloads (source iterations, time steps, eigenvalue
+//! loops, AMR cycles) run the *same* program topology dozens of times
+//! with only the input data changing, so building rank threads, worker
+//! threads, pools, route tables and every patch-program per iteration
+//! is pure overhead. A [`Universe`] is the one way an epoch runs — a
+//! single sweep is a universe of one epoch
+//! ([`run_universe`](crate::run_universe)) — and it keeps the whole
+//! world resident:
 //!
 //! * **launch** — rank threads, workers, pools and master routing
 //!   state are created once ([`Universe::launch`]);
@@ -28,6 +27,7 @@
 
 use crate::engine::{Rank, RuntimeConfig};
 use crate::fault::{panic_message, EpochFault};
+use crate::pool::DEFAULT_FLUSH_STREAMS;
 use crate::program::{EpochInput, ProgramFactory};
 use crate::stats::RunStats;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -45,7 +45,7 @@ pub type CommFabric = Arc<dyn Fn(usize) -> Vec<Comm> + Send + Sync>;
 
 /// The [`CommFabric`] for a built-in transport: crossbeam channels for
 /// [`TransportKind::Thread`], a UNIX-domain-socket world (still one
-/// process here — rank *processes* use `SpmdRank` + `SocketUniverse::
+/// process here — rank *processes* use [`Rank`] + `SocketUniverse::
 /// connect` instead) for [`TransportKind::Socket`].
 pub fn fabric_for(kind: TransportKind) -> CommFabric {
     match kind {
@@ -54,23 +54,32 @@ pub fn fabric_for(kind: TransportKind) -> CommFabric {
     }
 }
 
-/// Per-epoch overrides of the worker batching knobs (`None` keeps the
-/// previous value). Lets one resident universe run a recording epoch
-/// with fine-path batching and replay epochs with replay-tuned
-/// batching, matching the per-mode `RuntimeConfig`s the respawning
-/// solver used.
-#[derive(Debug, Clone, Copy, Default)]
+/// What one epoch sets on the resident runtime. Lets one universe run
+/// a recording epoch with fine-path report batching and replay epochs
+/// with replay-tuned batching.
+#[derive(Debug, Clone, Copy)]
 pub struct EpochTuning {
-    /// Override for [`RuntimeConfig::report_flush_streams`].
-    pub report_flush_streams: Option<usize>,
-    /// Override for [`RuntimeConfig::claim_batch`].
-    pub claim_batch: Option<usize>,
+    /// Max output streams a worker buffers across compute calls before
+    /// flushing a report to the master (default
+    /// [`DEFAULT_FLUSH_STREAMS`]). Batches are always flushed before a
+    /// worker blocks, so this trades master-channel traffic against
+    /// stream latency; `1` is one report per compute call.
+    pub report_flush_streams: usize,
     /// Span id stamped on this epoch's trace events (`0` = none). A
     /// session driver assigns each request a span id and passes it
     /// down here, so a ticket's epochs can be located in an exported
     /// Chrome trace. Inert unless the `telemetry` feature is on and
     /// recording is armed.
     pub span: u64,
+}
+
+impl Default for EpochTuning {
+    fn default() -> Self {
+        EpochTuning {
+            report_flush_streams: DEFAULT_FLUSH_STREAMS,
+            span: 0,
+        }
+    }
 }
 
 enum Cmd {
@@ -223,7 +232,7 @@ impl Universe {
         self.run_epoch_tuned(input, EpochTuning::default())
     }
 
-    /// [`Universe::run_epoch`] with per-epoch batching-knob overrides.
+    /// [`Universe::run_epoch`] with an explicit per-epoch tuning.
     pub fn run_epoch_tuned(
         &mut self,
         input: Arc<EpochInput>,
@@ -505,22 +514,6 @@ mod tests {
         for (k, &s) in sums.iter().enumerate() {
             assert_eq!(s, 2 * k as u64 + 7, "program {k}");
         }
-    }
-
-    #[test]
-    fn single_epoch_universe_matches_run_universe_semantics() {
-        let sums = Arc::new(Mutex::new(vec![0u64; 4]));
-        let factory = Arc::new(RingFactory {
-            n: 4,
-            ranks: 2,
-            sums: sums.clone(),
-        });
-        let mut u = Universe::launch(2, factory, RuntimeConfig::default());
-        let stats = u.run_epoch(Arc::new(())).expect("epoch");
-        drop(u); // shutdown via Drop
-        let work: u64 = stats.iter().map(|s| s.work_done).sum();
-        assert_eq!(work, 4);
-        assert_eq!(sums.lock().clone(), vec![0, 1, 2, 3]);
     }
 
     /// A program that only materialises in epoch 2 (it is not listed by
@@ -1097,6 +1090,97 @@ mod tests {
             "watchdog fired too late: {:?}",
             t0.elapsed()
         );
+        u.shutdown();
+    }
+
+    /// A program that re-activates itself through the master `left`
+    /// times, ~1 ms of compute per round on a single worker: the
+    /// worker flushes one report per round and then blocks, so every
+    /// report reaches a master that is parked.
+    struct Ticker {
+        id: ProgramId,
+        left: u32,
+        pending: bool,
+    }
+
+    impl PatchProgram for Ticker {
+        fn init(&mut self) {}
+        fn input(&mut self, _src: ProgramId, _payload: Bytes) {
+            self.pending = true;
+        }
+        fn compute(&mut self, ctx: &mut ComputeCtx) {
+            if !std::mem::take(&mut self.pending) {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            self.left -= 1;
+            ctx.work_done = 1;
+            if self.left > 0 {
+                ctx.send(Stream {
+                    src: self.id,
+                    dst: self.id,
+                    payload: Bytes::new(),
+                });
+            }
+        }
+        fn vote_to_halt(&self) -> bool {
+            !self.pending
+        }
+        fn remaining_work(&self) -> u64 {
+            u64::from(self.left)
+        }
+    }
+
+    struct TickerFactory {
+        rounds: u32,
+    }
+
+    impl ProgramFactory for TickerFactory {
+        type Program = Ticker;
+        fn create(&self, id: ProgramId) -> Ticker {
+            Ticker {
+                id,
+                left: self.rounds,
+                pending: true,
+            }
+        }
+        fn programs_on_rank(&self, _rank: usize) -> Vec<ProgramId> {
+            vec![ProgramId::new(PatchId(0), TaskTag(0))]
+        }
+        fn rank_of(&self, _id: ProgramId) -> usize {
+            0
+        }
+        fn priority(&self, _id: ProgramId) -> i64 {
+            0
+        }
+        fn initial_workload(&self, _id: ProgramId) -> u64 {
+            u64::from(self.rounds)
+        }
+    }
+
+    /// Regression: a report the master receives while parked is
+    /// progress. A fleet that reports steadily for three deadlines —
+    /// no compute call anywhere near one — must finish, not be
+    /// declared stalled.
+    #[test]
+    fn watchdog_counts_reports_received_while_parked_as_progress() {
+        let deadline = std::time::Duration::from_millis(50);
+        let rounds = 150;
+        let mut u = Universe::launch(
+            1,
+            Arc::new(TickerFactory { rounds }),
+            RuntimeConfig {
+                num_workers: 1,
+                watchdog: Some(deadline),
+                ..Default::default()
+            },
+        );
+        let t0 = std::time::Instant::now();
+        let stats = u
+            .run_epoch(Arc::new(()))
+            .expect("steady reports must not trip the watchdog");
+        assert!(t0.elapsed() >= 3 * deadline, "epoch too short to tell");
+        assert_eq!(stats[0].work_done, u64::from(rounds));
         u.shutdown();
     }
 }

@@ -910,28 +910,26 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
                 ),
             );
         }
-        if self.world.config.resident {
-            // Resident programs cannot change their group count; the
-            // constraint extends to the not-yet-launched backlog (its
-            // first epoch will fix the universe's shape).
-            let current = self.world.resident_groups().or_else(|| {
-                self.admitted
-                    .values()
-                    .flat_map(|q| q.iter())
-                    .next()
-                    .map(|s| s.progress.materials.num_groups())
-            });
-            if let Some(groups) = current {
-                if groups != request.materials.num_groups() {
-                    return self.reject(
-                        campaign,
-                        reply,
-                        format!(
-                            "request has {} energy groups, resident programs have {groups}",
-                            request.materials.num_groups()
-                        ),
-                    );
-                }
+        // Resident programs cannot change their group count; the
+        // constraint extends to the not-yet-launched backlog (its
+        // first epoch will fix the universe's shape).
+        let current = self.world.resident_groups().or_else(|| {
+            self.admitted
+                .values()
+                .flat_map(|q| q.iter())
+                .next()
+                .map(|s| s.progress.materials.num_groups())
+        });
+        if let Some(groups) = current {
+            if groups != request.materials.num_groups() {
+                return self.reject(
+                    campaign,
+                    reply,
+                    format!(
+                        "request has {} energy groups, resident programs have {groups}",
+                        request.materials.num_groups()
+                    ),
+                );
             }
         }
         let max_iterations = request

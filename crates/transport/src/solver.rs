@@ -13,7 +13,10 @@
 //! * [`solve_parallel`] — the JSweep solver: every sweep runs as a set
 //!   of `(patch, angle)` patch-programs on the threaded runtime
 //!   ([`jsweep_core`]), with vertex clustering, two-level priorities
-//!   and either termination detector.
+//!   and either termination detector. One resident
+//!   [`jsweep_core::Universe`] lives for the whole solve and every
+//!   source iteration is one epoch of it; the cached, session and
+//!   trace-recording entry points run that same epoch.
 
 #![allow(clippy::type_complexity)]
 
@@ -26,8 +29,8 @@ use crate::xs::MaterialSet;
 use jsweep_core::fault::{EpochFault, FaultPlan};
 use jsweep_core::telemetry::EventKind;
 use jsweep_core::{
-    fabric_for, run_universe, EpochTuning, RunStats, RuntimeConfig, SpmdRank, TelemetryHandle,
-    TerminationKind, TransportKind, Universe,
+    fabric_for, EpochTuning, Rank, RunStats, RuntimeConfig, TelemetryHandle, TerminationKind,
+    TransportKind, Universe,
 };
 use jsweep_graph::coarse::ClusterTrace;
 use jsweep_graph::SweepProblem;
@@ -35,26 +38,16 @@ use jsweep_mesh::SweepTopology;
 use jsweep_quadrature::QuadratureSet;
 use std::sync::Arc;
 
-/// Pool claim batch used for coarse-replay iterations.
-///
-/// Measured on the quickstart-scale replay scenario (16³ cells, 4³
-/// patches, 2 ranks × 2 workers, grain 16; best-of-5 per run, see the
-/// README knobs section): claim batch 2/8/16 are within noise at
-/// flush 32–64, while eager flushing loses ~15%, so the fine-path
-/// claim batch is kept. The "fewer, larger compute calls want a tiny
-/// claim batch" hypothesis did not survive measurement — already-ready
-/// claims are batched opportunistically, so a larger cap costs nothing
-/// when the coarse ready queue is sparse.
-pub const REPLAY_CLAIM_BATCH: usize = 8;
-
-/// Worker report-flush threshold for coarse-replay iterations.
+/// Worker report-flush threshold for coarse-replay iterations (fine
+/// iterations run [`EpochTuning::default`]).
 ///
 /// A coarse compute call emits one large stream per outgoing coarse
-/// edge; measurement (same scenario as [`REPLAY_CLAIM_BATCH`]: flush
-/// 1/4/8 ≈ 9.2–9.9 ms per replay iteration, 32 ≈ 8.1–8.3 ms, 64 ≈
-/// 7.9–8.1 ms) shows batching *more* aggressively than the fine-path
-/// default of 32 wins: master-channel sends, not stream latency,
-/// dominate the replay data plane.
+/// edge; measurement (quickstart-scale replay scenario: 16³ cells, 4³
+/// patches, 2 ranks × 2 workers, grain 16, best-of-5: flush 1/4/8 ≈
+/// 9.2–9.9 ms per replay iteration, 32 ≈ 8.1–8.3 ms, 64 ≈ 7.9–8.1 ms)
+/// shows batching *more* aggressively than the fine-path default of 32
+/// wins: master-channel sends, not stream latency, dominate the replay
+/// data plane.
 pub const REPLAY_REPORT_FLUSH_STREAMS: usize = 64;
 
 /// Solver configuration.
@@ -81,15 +74,6 @@ pub struct SnConfig {
     /// scheduling. Bit-identical flux either way; `false` keeps every
     /// iteration on the fine DAG path.
     pub coarsen: bool,
-    /// Persistent universe (parallel solver, default on): launch one
-    /// resident runtime ([`jsweep_core::Universe`]) for the whole
-    /// solve and run every source iteration as an epoch against the
-    /// same live programs — no per-iteration thread spawn/teardown, no
-    /// program reallocation. `false` respawns a one-shot
-    /// [`run_universe`] per iteration (the pre-persistent behaviour,
-    /// kept for goldens and the `universe` bench). Bit-identical flux
-    /// either way.
-    pub resident: bool,
     /// Epoch watchdog deadline (default off): a rank whose pool holds
     /// active work but makes no progress for this long converts the
     /// hang into an [`EpochFault`] instead of blocking the epoch
@@ -124,7 +108,6 @@ impl Default for SnConfig {
             termination: TerminationKind::Counting,
             break_cycles: false,
             coarsen: true,
-            resident: true,
             watchdog: None,
             fault_plan: None,
             transport: TransportKind::default(),
@@ -329,93 +312,14 @@ fn topological_order<T: SweepTopology + ?Sized>(
     order
 }
 
-/// Run one parallel sweep iteration in the given scheduling mode:
-/// build the factory, run the universe, fold the per-(patch, angle)
-/// flux contributions in angle order (schedule-independent
-/// floating-point result). Returns the aggregated stats and `φ_new`.
-fn sweep_iteration<T: SweepTopology + Send + Sync + 'static>(
-    mesh: &Arc<T>,
-    problem: &Arc<SweepProblem>,
-    quadrature: &QuadratureSet,
-    materials: &Arc<MaterialSet>,
-    config: &SnConfig,
-    phi: &[f64],
-    mode: SweepMode,
-) -> (RunStats, Vec<f64>) {
-    let n = mesh.num_cells();
-    let groups = materials.num_groups();
-    let num_ranks = problem.patches.num_ranks();
-    let emission = Arc::new(emission_density(materials, phi));
-    let flux_bins = Arc::new(FluxBins::new(problem.num_patches()));
-    let runtime = match &mode {
-        // Default batching knobs: frame aggregation + report batching
-        // are pure overhead wins for fine-grained sweeps.
-        SweepMode::Fine { .. } => RuntimeConfig {
-            num_workers: config.workers_per_rank,
-            termination: config.termination,
-            watchdog: config.watchdog,
-            fault_plan: config.fault_plan.clone(),
-            telemetry: config.telemetry.clone(),
-            ..Default::default()
-        },
-        // Replay iterations issue far fewer, larger compute calls and
-        // far fewer streams; measurement (see REPLAY_CLAIM_BATCH /
-        // REPLAY_REPORT_FLUSH_STREAMS) favours batching reports even
-        // harder than the fine path, not less.
-        SweepMode::Coarse { .. } => RuntimeConfig {
-            num_workers: config.workers_per_rank,
-            termination: config.termination,
-            claim_batch: REPLAY_CLAIM_BATCH,
-            report_flush_streams: REPLAY_REPORT_FLUSH_STREAMS,
-            watchdog: config.watchdog,
-            fault_plan: config.fault_plan.clone(),
-            telemetry: config.telemetry.clone(),
-            ..Default::default()
-        },
-    };
-    let factory = Arc::new(SweepFactory::new(SweepSetup {
-        mesh: mesh.clone(),
-        problem: problem.clone(),
-        quadrature: quadrature.clone(),
-        materials: materials.clone(),
-        emission,
-        kernel: config.kernel,
-        grain: config.grain,
-        flux_bins: flux_bins.clone(),
-        mode,
-    }));
-    let stats = if config.transport == TransportKind::Thread {
-        run_universe(num_ranks, factory, runtime)
-    } else {
-        // One-shot universe over the configured fabric (run_universe
-        // is hard-wired to the thread world).
-        let mut u =
-            Universe::launch_with_fabric(num_ranks, factory, runtime, fabric_for(config.transport));
-        let stats = u
-            .run_epoch(Arc::new(()))
-            .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
-        u.shutdown();
-        stats
-    };
-    let phi_new = flux_bins.fold(problem, n, groups);
-    (RunStats::aggregate(&stats), phi_new)
-}
-
-/// The per-epoch batching tuning matching `mode` (see
-/// [`REPLAY_CLAIM_BATCH`] / [`REPLAY_REPORT_FLUSH_STREAMS`] for the
-/// replay measurements; fine epochs run the `RuntimeConfig` defaults).
-fn tuning_for(mode: &SweepMode, base: &RuntimeConfig) -> EpochTuning {
-    match mode {
-        SweepMode::Fine { .. } => EpochTuning {
-            report_flush_streams: Some(base.report_flush_streams),
-            claim_batch: Some(base.claim_batch),
-            ..Default::default()
-        },
-        SweepMode::Coarse { .. } => EpochTuning {
-            report_flush_streams: Some(REPLAY_REPORT_FLUSH_STREAMS),
-            claim_batch: Some(REPLAY_CLAIM_BATCH),
-            ..Default::default()
-        },
+/// The runtime configuration a solve's ranks launch with.
+fn runtime_config(config: &SnConfig) -> RuntimeConfig {
+    RuntimeConfig {
+        num_workers: config.workers_per_rank,
+        termination: config.termination,
+        watchdog: config.watchdog,
+        fault_plan: config.fault_plan.clone(),
+        telemetry: config.telemetry.clone(),
     }
 }
 
@@ -456,11 +360,11 @@ fn select_mode(
 /// [`RunStats`] breakdown visibly reduced. To reuse the plan *across*
 /// solves, use [`solve_parallel_cached`].
 ///
-/// With [`SnConfig::resident`] (also the default), all of this runs
-/// inside **one persistent universe** ([`jsweep_core::Universe`]):
-/// rank threads, workers and every `SweepProgram` are launched once
-/// and every source iteration is an epoch against the same live
-/// programs — see `docs/replay.md` for the epoch lifecycle.
+/// All of this runs inside **one persistent universe**
+/// ([`jsweep_core::Universe`]): rank threads, workers and every
+/// `SweepProgram` are launched once and every source iteration is an
+/// epoch against the same live programs — see `docs/replay.md` for the
+/// epoch lifecycle.
 pub fn solve_parallel<T: SweepTopology + Send + Sync + 'static>(
     mesh: Arc<T>,
     problem: Arc<SweepProblem>,
@@ -509,7 +413,6 @@ pub(crate) struct EpochWorld<T: SweepTopology + Send + Sync + 'static> {
     pub(crate) quadrature: QuadratureSet,
     pub(crate) config: SnConfig,
     flux_bins: Arc<FluxBins>,
-    base: RuntimeConfig,
     universe: Option<Universe>,
     /// Group count the resident programs were built with (`None` while
     /// no universe is live). Resident programs cannot change their
@@ -535,14 +438,6 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
             "mesh topology changed since SweepProblem::build; rebuild the problem"
         );
         let flux_bins = Arc::new(FluxBins::new(problem.num_patches()));
-        let base = RuntimeConfig {
-            num_workers: config.workers_per_rank,
-            termination: config.termination,
-            watchdog: config.watchdog,
-            fault_plan: config.fault_plan.clone(),
-            telemetry: config.telemetry.clone(),
-            ..Default::default()
-        };
         let key = config.coarsen.then(|| plan_key(&problem, config.grain));
         EpochWorld {
             mesh,
@@ -550,11 +445,33 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
             quadrature,
             config,
             flux_bins,
-            base,
             universe: None,
             resident_groups: None,
             key,
         }
+    }
+
+    /// The factory of this world's sweep programs. Factory-fresh
+    /// programs start in the state of the epoch described by
+    /// `materials`, `emission` and `mode` (a launch's first epoch runs
+    /// them as created; later epochs adopt theirs through `reset`).
+    fn factory(
+        &self,
+        materials: Arc<MaterialSet>,
+        emission: Arc<Vec<f64>>,
+        mode: SweepMode,
+    ) -> Arc<SweepFactory<T>> {
+        Arc::new(SweepFactory::new(SweepSetup {
+            mesh: self.mesh.clone(),
+            problem: self.problem.clone(),
+            quadrature: self.quadrature.clone(),
+            materials,
+            emission,
+            kernel: self.config.kernel,
+            grain: self.config.grain,
+            flux_bins: self.flux_bins.clone(),
+            mode,
+        }))
     }
 
     /// Start a solve against this world: look the replay plan up in
@@ -631,19 +548,9 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
     pub(crate) fn retire(&mut self) {
         if let Some(mut u) = self.universe.take() {
             u.shutdown();
-            self.clear_flux_bins();
+            self.flux_bins.clear();
         }
         self.resident_groups = None;
-    }
-
-    /// Drop any partial flux deposits. A faulted epoch abandons
-    /// in-flight programs, so the shared bins may hold a *subset* of
-    /// the epoch's contributions — folding them into a later epoch
-    /// would corrupt that solve's flux. Best-effort on the fault
-    /// return path; [`EpochWorld::retire`] repeats it post-join to
-    /// catch stragglers that deposited after the epoch aborted.
-    pub(crate) fn clear_flux_bins(&self) {
-        self.flux_bins.clear();
     }
 
     /// Accumulator buffers the shared flux bins allocated fresh (pool
@@ -690,6 +597,62 @@ impl SolveProgress {
     }
 }
 
+/// Run one sweep in `mode` as an epoch of `world`'s resident universe
+/// (launched lazily, so a world's first epoch pays the launch): emit
+/// from `phi`, run to global termination, fold the per-(patch, angle)
+/// flux contributions in angle order (schedule-independent
+/// floating-point result). Returns the aggregated stats and `φ_new`.
+///
+/// A faulted epoch abandons in-flight programs, so the shared bins may
+/// hold a *subset* of its contributions — folding them into a later
+/// epoch would corrupt that solve's flux. On `Err` they are scrubbed,
+/// best-effort ([`EpochWorld::retire`] repeats it post-join to catch
+/// stragglers that deposited after the abort); the faulted universe
+/// stays in place.
+fn run_sweep_epoch<T: SweepTopology + Send + Sync + 'static>(
+    world: &mut EpochWorld<T>,
+    materials: &Arc<MaterialSet>,
+    phi: &[f64],
+    mode: SweepMode,
+    span: u64,
+) -> Result<(RunStats, Vec<f64>), EpochFault> {
+    let groups = materials.num_groups();
+    let emission = Arc::new(emission_density(materials, phi));
+    if world.universe.is_none() {
+        world.universe = Some(Universe::launch_with_fabric(
+            world.problem.patches.num_ranks(),
+            world.factory(materials.clone(), emission.clone(), mode.clone()),
+            runtime_config(&world.config),
+            fabric_for(world.config.transport),
+        ));
+        world.resident_groups = Some(groups);
+    }
+    let mut tuning = EpochTuning {
+        span,
+        ..Default::default()
+    };
+    if matches!(mode, SweepMode::Coarse { .. }) {
+        tuning.report_flush_streams = REPLAY_REPORT_FLUSH_STREAMS;
+    }
+    // The epoch input carries the materials so a resident program
+    // built for an earlier request adopts this solve's cross sections
+    // on reset (first-epoch programs get them through the factory
+    // instead).
+    let input = Arc::new(SweepEpoch {
+        emission,
+        mode,
+        materials: Some(materials.clone()),
+    });
+    let universe = world.universe.as_mut().expect("launched above");
+    let rank_stats = universe
+        .run_epoch_tuned(input, tuning)
+        .inspect_err(|_| world.flux_bins.clear())?;
+    let phi_new = world
+        .flux_bins
+        .fold(&world.problem, world.mesh.num_cells(), groups);
+    Ok((RunStats::aggregate(&rank_stats), phi_new))
+}
+
 /// What [`advance_one_epoch`] did.
 pub(crate) struct EpochOutcome {
     /// The solve is finished: converged below its tolerance, or out of
@@ -701,16 +664,14 @@ pub(crate) struct EpochOutcome {
 
 /// Run exactly one source iteration of `progress` against `world`:
 /// pick the scheduling mode, run the sweep as an epoch of the resident
-/// universe (launching it lazily on the first epoch; the non-resident
-/// configuration spawns a one-shot runtime instead), fold the flux,
-/// update the convergence trackers, and compile/store the replay plan
-/// when this was the recording iteration. This is the loop body of
-/// [`solve_parallel`], exposed step-wise so a
-/// [`crate::session::SolverSession`] can interleave epochs of many
-/// concurrent solves on one world — running a request's epochs through
-/// this function back-to-back is *exactly* a [`solve_parallel_cached`]
-/// call, which is what makes session results bit-identical to solo
-/// solves.
+/// universe ([`run_sweep_epoch`]), update the convergence trackers,
+/// and compile/store the replay plan when this was the recording
+/// iteration. This is the loop body of [`solve_parallel`], exposed
+/// step-wise so a [`crate::session::SolverSession`] can interleave
+/// epochs of many concurrent solves on one world — running a request's
+/// epochs through this function back-to-back is *exactly* a
+/// [`solve_parallel_cached`] call, which is what makes session results
+/// bit-identical to solo solves.
 ///
 /// `Err` means the epoch was poisoned (see
 /// [`jsweep_core::universe::Universe::run_epoch`]): `progress` is left
@@ -725,73 +686,19 @@ pub(crate) fn advance_one_epoch<T: SweepTopology + Send + Sync + 'static>(
     progress: &mut SolveProgress,
     cache: Option<&PlanCache>,
 ) -> Result<EpochOutcome, EpochFault> {
-    let n = world.mesh.num_cells();
-    let groups = progress.materials.num_groups();
     let (mode, bins) = select_mode(
         &progress.plan,
         world.config.coarsen,
         world.problem.num_tasks(),
     );
     let replayed = matches!(mode, SweepMode::Coarse { .. });
-    let (stats, phi_new) = if world.config.resident {
-        let emission = Arc::new(emission_density(&progress.materials, &progress.phi));
-        let materials = progress.materials.clone();
-        let u = world.universe.get_or_insert_with(|| {
-            let factory = Arc::new(SweepFactory::new(SweepSetup {
-                mesh: world.mesh.clone(),
-                problem: world.problem.clone(),
-                quadrature: world.quadrature.clone(),
-                materials: materials.clone(),
-                emission: emission.clone(),
-                kernel: world.config.kernel,
-                grain: world.config.grain,
-                flux_bins: world.flux_bins.clone(),
-                mode: mode.clone(),
-            }));
-            Universe::launch_with_fabric(
-                world.problem.patches.num_ranks(),
-                factory,
-                world.base.clone(),
-                fabric_for(world.config.transport),
-            )
-        });
-        world.resident_groups = Some(groups);
-        let mut tuning = tuning_for(&mode, &world.base);
-        tuning.span = progress.span;
-        // The epoch input carries the materials so a resident program
-        // built for an earlier request adopts this solve's cross
-        // sections on reset (first-epoch programs get them through the
-        // factory instead).
-        let rank_stats = match u.run_epoch_tuned(
-            Arc::new(SweepEpoch {
-                emission,
-                mode,
-                materials: Some(materials),
-            }),
-            tuning,
-        ) {
-            Ok(s) => s,
-            Err(f) => {
-                // Abandoned programs may have deposited a subset of
-                // this epoch's flux; scrub it so the bins are clean
-                // for whatever the caller runs next.
-                world.clear_flux_bins();
-                return Err(f);
-            }
-        };
-        let phi_new = world.flux_bins.fold(&world.problem, n, groups);
-        (RunStats::aggregate(&rank_stats), phi_new)
-    } else {
-        sweep_iteration(
-            &world.mesh,
-            &world.problem,
-            &world.quadrature,
-            &progress.materials,
-            &world.config,
-            &progress.phi,
-            mode,
-        )
-    };
+    let (stats, phi_new) = run_sweep_epoch(
+        world,
+        &progress.materials,
+        &progress.phi,
+        mode,
+        progress.span,
+    )?;
     progress.stats.push(stats);
 
     progress.iterations += 1;
@@ -867,7 +774,7 @@ fn solve_parallel_impl<T: SweepTopology + Send + Sync + 'static>(
 /// Every process calls this with the *same* mesh, problem, quadrature,
 /// materials and config, plus its own endpoint; the function runs the
 /// full source-iteration loop SPMD-style — each iteration sweeps this
-/// rank's patches as one epoch of a resident [`SpmdRank`], folds the
+/// rank's patches as one epoch of a resident [`Rank`], folds the
 /// local flux contributions, and completes the iterate with
 /// [`jsweep_comm::Comm::allreduce_sum_f64_slice`] (per-patch supports are disjoint
 /// and the reduction accumulates in rank order, so the summed flux is
@@ -901,33 +808,15 @@ pub fn solve_parallel_spmd<T: SweepTopology + Send + Sync + 'static>(
         problem.patches.num_ranks(),
         "comm world size must match the problem's rank decomposition"
     );
-    let flux_bins = Arc::new(FluxBins::new(problem.num_patches()));
-    let base = RuntimeConfig {
-        num_workers: config.workers_per_rank,
-        termination: config.termination,
-        watchdog: config.watchdog,
-        fault_plan: config.fault_plan.clone(),
-        telemetry: config.telemetry.clone(),
-        ..Default::default()
-    };
+    let world = EpochWorld::new(mesh, problem, quadrature.clone(), config.clone());
+    let fine = SweepMode::Fine { trace_bins: None };
     let mut phi = vec![0.0; n * groups];
-    let factory = Arc::new(SweepFactory::new(SweepSetup {
-        mesh: mesh.clone(),
-        problem: problem.clone(),
-        quadrature: quadrature.clone(),
-        materials: materials.clone(),
-        emission: Arc::new(emission_density(&materials, &phi)),
-        kernel: config.kernel,
-        grain: config.grain,
-        flux_bins: flux_bins.clone(),
-        mode: SweepMode::Fine { trace_bins: None },
-    }));
-    let tuning = EpochTuning {
-        report_flush_streams: Some(base.report_flush_streams),
-        claim_batch: Some(base.claim_batch),
-        ..Default::default()
-    };
-    let mut rank = SpmdRank::launch(comm, factory, &base);
+    let factory = world.factory(
+        materials.clone(),
+        Arc::new(emission_density(&materials, &phi)),
+        fine.clone(),
+    );
+    let mut rank = Rank::launch(comm, factory, &runtime_config(config));
     let mut iterations = 0;
     let mut residual = f64::INFINITY;
     let mut stats = Vec::new();
@@ -936,17 +825,17 @@ pub fn solve_parallel_spmd<T: SweepTopology + Send + Sync + 'static>(
         // this emission already); later epochs adopt it through reset.
         let input: Arc<jsweep_core::EpochInput> = Arc::new(SweepEpoch {
             emission: Arc::new(emission_density(&materials, &phi)),
-            mode: SweepMode::Fine { trace_bins: None },
+            mode: fine.clone(),
             materials: Some(materials.clone()),
         });
         let rank_stats = rank
-            .run_epoch(&input, tuning)
+            .run_epoch(&input, EpochTuning::default())
             .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
         stats.push(rank_stats);
         // Local patches deposited into their bins; remote patches' bins
         // are empty, so the fold yields this rank's disjoint share and
         // the rank-ordered reduction completes the global iterate.
-        let mut phi_new = flux_bins.fold(&problem, n, groups);
+        let mut phi_new = world.flux_bins.fold(&world.problem, n, groups);
         rank.comm_mut()
             .allreduce_sum_f64_slice(&mut phi_new)
             .unwrap_or_else(|e| panic!("flux reduction failed: {e}"));
@@ -986,17 +875,15 @@ pub fn record_cluster_traces<T: SweepTopology + Send + Sync + 'static>(
 ) -> Vec<Vec<ClusterTrace>> {
     let bins = Arc::new(new_trace_bins(problem.num_tasks()));
     let phi = vec![0.0; mesh.num_cells() * materials.num_groups()];
-    let _ = sweep_iteration(
-        &mesh,
-        &problem,
-        quadrature,
-        &materials,
-        config,
-        &phi,
-        SweepMode::Fine {
-            trace_bins: Some(bins.clone()),
-        },
-    );
+    let mode = SweepMode::Fine {
+        trace_bins: Some(bins.clone()),
+    };
+    let mut world = EpochWorld::new(mesh, problem.clone(), quadrature.clone(), config.clone());
+    let swept = run_sweep_epoch(&mut world, &materials, &phi, mode, 0);
+    world.retire();
+    if let Err(f) = swept {
+        panic!("sweep epoch faulted: {f}");
+    }
     let mut traces = collect_traces(&problem, &bins);
     // Only canonical angles record; fill octant members with their
     // canonical trace (valid for the shared DAG) so every angle's

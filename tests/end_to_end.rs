@@ -659,12 +659,100 @@ fn deformed_mesh_parallel_matches_serial_with_cycle_breaking() {
     assert!(par.phi.iter().all(|&x| x > 0.0));
 }
 
+/// The reference the resident runtime is pinned against: the same
+/// source iteration, but every iteration launches a fresh universe of
+/// factory-fresh programs — nothing is ever `reset` — runs one epoch
+/// and shuts down. Mirrors the solver's loop (emission density,
+/// record → compile → replay under `coarsen`, relative-L2 stop), so
+/// `reset` ≡ factory-fresh stays pinned bit for bit. Returns the flux
+/// and one aggregated `RunStats` per iteration.
+fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
+    mesh: &Arc<T>,
+    prob: &Arc<SweepProblem>,
+    quad: &QuadratureSet,
+    mats: &Arc<MaterialSet>,
+    cfg: &SnConfig,
+) -> (Vec<f64>, Vec<jsweep::core::RunStats>) {
+    use jsweep::transport::program::{FluxBins, SweepFactory, SweepMode, SweepSetup};
+    use jsweep::transport::replay::{build_plan, collect_traces, new_trace_bins};
+    let (n, groups) = (mesh.num_cells(), mats.num_groups());
+    let inv_4pi = 1.0 / (4.0 * std::f64::consts::PI);
+    let mut phi = vec![0.0; n * groups];
+    let mut stats = Vec::new();
+    let mut plan = None;
+    while stats.len() < cfg.max_iterations {
+        let emission: Vec<f64> = (0..n * groups)
+            .map(|i| {
+                let (m, g) = (mats.material(i / groups), i % groups);
+                (m.sigma_s[g] * phi[i] + m.source[g]) * inv_4pi
+            })
+            .collect();
+        let recording =
+            (cfg.coarsen && plan.is_none()).then(|| Arc::new(new_trace_bins(prob.num_tasks())));
+        let mode = match &plan {
+            Some(plan) => SweepMode::Coarse {
+                plan: Arc::clone(plan),
+            },
+            None => SweepMode::Fine {
+                trace_bins: recording.clone(),
+            },
+        };
+        let flux_bins = Arc::new(FluxBins::new(prob.num_patches()));
+        let factory = Arc::new(SweepFactory::new(SweepSetup {
+            mesh: mesh.clone(),
+            problem: prob.clone(),
+            quadrature: quad.clone(),
+            materials: mats.clone(),
+            emission: Arc::new(emission),
+            kernel: cfg.kernel,
+            grain: cfg.grain,
+            flux_bins: flux_bins.clone(),
+            mode,
+        }));
+        let mut universe = Universe::launch_with_fabric(
+            prob.patches.num_ranks(),
+            factory,
+            RuntimeConfig {
+                num_workers: cfg.workers_per_rank,
+                termination: cfg.termination,
+                ..Default::default()
+            },
+            jsweep::core::fabric_for(cfg.transport),
+        );
+        let rank_stats = universe
+            .run_epoch(Arc::new(()))
+            .unwrap_or_else(|f| panic!("reference epoch faulted: {f}"));
+        universe.shutdown();
+        stats.push(jsweep::core::RunStats::aggregate(&rank_stats));
+        let phi_new = flux_bins.fold(prob, n, groups);
+        let (mut diff, mut norm) = (0.0, 0.0);
+        for (a, b) in phi_new.iter().zip(&phi) {
+            diff += (a - b) * (a - b);
+            norm += a * a;
+        }
+        phi = phi_new;
+        let residual = if norm == 0.0 {
+            0.0
+        } else {
+            (diff / norm).sqrt()
+        };
+        if residual < cfg.tolerance {
+            break;
+        }
+        if let Some(bins) = recording {
+            let traces = collect_traces(prob, &bins);
+            plan = Some(Arc::new(build_plan(prob, &traces, mesh.as_ref())));
+        }
+    }
+    (phi, stats)
+}
+
 #[test]
 fn resident_universe_bit_identical_to_respawned_structured() {
     // Persistent-universe golden: one resident runtime running every
     // source iteration as an epoch must produce the same flux *bit for
-    // bit* as respawning a one-shot `run_universe` per iteration —
-    // under both termination detectors, with replay on.
+    // bit* as respawning a one-epoch universe per iteration — under
+    // both termination detectors, with replay on.
     let mesh = Arc::new(StructuredMesh::unit(8, 8, 8));
     let quad = QuadratureSet::sn(2);
     let mats = Arc::new(MaterialSet::homogeneous(
@@ -682,33 +770,19 @@ fn resident_universe_bit_identical_to_respawned_structured() {
         },
     ));
     for termination in [TerminationKind::Counting, TerminationKind::Safra] {
-        let mut respawned_cfg = config();
-        respawned_cfg.termination = termination;
-        respawned_cfg.resident = false;
-        let mut resident_cfg = respawned_cfg.clone();
-        resident_cfg.resident = true;
-        let respawned = solve_parallel(
-            mesh.clone(),
-            prob.clone(),
-            &quad,
-            mats.clone(),
-            &respawned_cfg,
-        );
-        let resident = solve_parallel(
-            mesh.clone(),
-            prob.clone(),
-            &quad,
-            mats.clone(),
-            &resident_cfg,
-        );
+        let mut cfg = config();
+        cfg.termination = termination;
+        let (respawned_phi, respawned_stats) =
+            respawned_reference(&mesh, &prob, &quad, &mats, &cfg);
+        let resident = solve_parallel(mesh.clone(), prob.clone(), &quad, mats.clone(), &cfg);
         assert_eq!(
-            respawned.phi, resident.phi,
+            respawned_phi, resident.phi,
             "resident universe flux must be bit-identical ({termination:?})"
         );
-        assert_eq!(respawned.iterations, resident.iterations);
+        assert_eq!(respawned_stats.len(), resident.iterations);
         assert!(resident.iterations >= 2, "need replay epochs to compare");
         // Same committed workload per iteration on both paths.
-        for (a, b) in respawned.stats.iter().zip(&resident.stats) {
+        for (a, b) in respawned_stats.iter().zip(&resident.stats) {
             assert_eq!(a.work_done, b.work_done);
         }
     }
@@ -732,31 +806,17 @@ fn resident_universe_bit_identical_to_respawned_unstructured() {
     ));
     for termination in [TerminationKind::Counting, TerminationKind::Safra] {
         for coarsen in [true, false] {
-            let mut respawned_cfg = config();
-            respawned_cfg.termination = termination;
-            respawned_cfg.coarsen = coarsen;
-            respawned_cfg.resident = false;
-            let mut resident_cfg = respawned_cfg.clone();
-            resident_cfg.resident = true;
-            let respawned = solve_parallel(
-                mesh.clone(),
-                prob.clone(),
-                &quad,
-                mats.clone(),
-                &respawned_cfg,
-            );
-            let resident = solve_parallel(
-                mesh.clone(),
-                prob.clone(),
-                &quad,
-                mats.clone(),
-                &resident_cfg,
-            );
+            let mut cfg = config();
+            cfg.termination = termination;
+            cfg.coarsen = coarsen;
+            let (respawned_phi, respawned_stats) =
+                respawned_reference(&mesh, &prob, &quad, &mats, &cfg);
+            let resident = solve_parallel(mesh.clone(), prob.clone(), &quad, mats.clone(), &cfg);
             assert_eq!(
-                respawned.phi, resident.phi,
+                respawned_phi, resident.phi,
                 "resident flux mismatch ({termination:?}, coarsen {coarsen})"
             );
-            assert_eq!(respawned.iterations, resident.iterations);
+            assert_eq!(respawned_stats.len(), resident.iterations);
         }
     }
 }
@@ -828,17 +888,9 @@ fn multigroup16_goldens_bit_identical_across_execution_modes() {
         assert_eq!(fine.phi, c1.phi, "G=16 fresh-plan flux ({kernel:?})");
         assert_eq!(fine.phi, c2.phi, "G=16 cached-replay flux ({kernel:?})");
 
-        let mut respawn_cfg = cfg.clone();
-        respawn_cfg.resident = false;
-        let respawned = solve_parallel(
-            mesh.clone(),
-            prob.clone(),
-            &quad,
-            mats.clone(),
-            &respawn_cfg,
-        );
+        let (respawned_phi, _) = respawned_reference(&mesh, &prob, &quad, &mats, &cfg);
         assert_eq!(
-            fine.phi, respawned.phi,
+            fine.phi, respawned_phi,
             "G=16 respawned flux must be bit-identical ({kernel:?})"
         );
     }
@@ -1031,8 +1083,6 @@ fn resident_universe_multi_epoch_stress_leaves_no_stale_state() {
             resident_cfg.coarsen = coarsen;
             resident_cfg.max_iterations = epochs;
             resident_cfg.tolerance = -1.0;
-            let mut respawned_cfg = resident_cfg.clone();
-            respawned_cfg.resident = false;
             let resident = solve_parallel(
                 mesh.clone(),
                 prob.clone(),
@@ -1063,15 +1113,9 @@ fn resident_universe_multi_epoch_stress_leaves_no_stale_state() {
                     );
                 }
             }
-            let respawned = solve_parallel(
-                mesh.clone(),
-                prob.clone(),
-                &quad,
-                mats.clone(),
-                &respawned_cfg,
-            );
+            let (respawned_phi, _) = respawned_reference(&mesh, &prob, &quad, &mats, &resident_cfg);
             assert_eq!(
-                respawned.phi, resident.phi,
+                respawned_phi, resident.phi,
                 "multi-epoch flux mismatch ({termination:?}, coarsen {coarsen})"
             );
         }
