@@ -11,7 +11,7 @@
 use criterion::{black_box, Criterion};
 use jsweep_core::pool::Pool;
 use jsweep_core::program::{pack_frame, pack_stream, unpack_frame, unpack_stream};
-use jsweep_core::{Breakdown, PatchProgram, ProgramId, Stream, TaskTag};
+use jsweep_core::{PatchProgram, ProgramId, Stream, TaskTag};
 use jsweep_mesh::PatchId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -200,10 +200,9 @@ fn run_sharded(sc: &ContentionScenario) -> f64 {
         let pool = pool.clone();
         let consumed = consumed.clone();
         takers.push(std::thread::spawn(move || {
-            let mut bd = Breakdown::default();
             let mut claims = Vec::new();
             let mut finishes = Vec::new();
-            while pool.take_batch(w, 8, &mut claims, &mut bd) > 0 {
+            while pool.take_batch(w, 8, &mut claims) > 0 {
                 let mut n = 0;
                 for claim in claims.drain(..) {
                     let mut pending = claim.pending;

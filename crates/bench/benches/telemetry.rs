@@ -8,16 +8,16 @@
 //!   but pointing nowhere. The baseline.
 //! - **disarmed** — a [`Telemetry`] attached but never armed: every
 //!   hook pays one relaxed atomic load and nothing else.
-//! - **armed** — recording live: every claim/compute/pack/route span
-//!   lands in a lock-free lane ring and epoch boundaries feed the
-//!   metrics registry.
+//! - **armed** — recording live: every region a master or worker
+//!   stopwatch books lands in a lock-free lane ring as a span, and
+//!   epoch boundaries feed the metrics registry.
 //!
 //! The acceptance bars (full mode only): armed overhead under 5% of
 //! the detached baseline, and bit-identical flux across all three
 //! variants — recording must never change physics. The compiled-out
-//! configuration (no `telemetry` feature at all) is covered by the
-//! `universe` bench baseline staying put; this bench cannot measure it
-//! from inside a feature-on binary.
+//! configuration (no `telemetry` feature at all) is what the e2e
+//! ledger runs; this bench cannot measure it from inside a feature-on
+//! binary.
 //!
 //! A machine-readable baseline is written to `BENCH_telemetry.json` at
 //! the workspace root (the CI `obs` job checks presence after the
@@ -39,12 +39,17 @@ mod run {
     /// a short solve and would drown the effect being measured.
     const ITERATIONS: usize = 160;
     const ARMED_BAR_PCT: f64 = 5.0;
+    /// Events per lane. A master lane records a `Route` and a `Pack`
+    /// span per remote stream — ~28k events over the 160 iterations —
+    /// which overflows the default 16 384-event ring; a lossless record
+    /// keeps `events_dropped` an honest zero.
+    const RING_CAPACITY: usize = 1 << 15;
 
     fn solve_with(sc: &ReplayScenario, telemetry: TelemetryHandle) -> SnSolution {
         let mut config = sc.config.clone();
-        // Fine path every iteration: the hot hooks (claim, compute,
-        // pack, route) all fire, so this is the worst case for
-        // recording overhead.
+        // Fine path every iteration: every per-claim and per-stream
+        // region fires, so this is the worst case for recording
+        // overhead.
         config.coarsen = false;
         config.telemetry = telemetry;
         solve_parallel(
@@ -100,7 +105,7 @@ mod run {
                         assert_eq!(sol.phi, golden.phi, "disarmed flux mismatch");
                     }
                     _ => {
-                        let live = Arc::new(Telemetry::new());
+                        let live = Arc::new(Telemetry::with_ring_capacity(RING_CAPACITY));
                         live.arm();
                         let t = Instant::now();
                         let sol = solve_with(&sc, TelemetryHandle::attach(live.clone()));

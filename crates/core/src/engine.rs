@@ -33,8 +33,8 @@ use crate::pool::Pool;
 use crate::program::{
     frame_push, unpack_frame, ComputeCtx, EpochInput, ProgramFactory, ProgramId, Stream,
 };
-use crate::stats::{Breakdown, Category, RunStats};
-use crate::telemetry::{EventKind, Recorder, TelemetryHandle};
+use crate::stats::{Breakdown, Category, RunStats, Stopwatch};
+use crate::telemetry::{EventKind, TelemetryHandle};
 use crate::universe::{EpochTuning, Universe};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -65,7 +65,7 @@ pub struct RuntimeConfig {
     pub num_workers: usize,
     /// Termination detector.
     pub termination: TerminationKind,
-    /// Epoch watchdog deadline, default off. When set, a rank whose
+    /// Epoch watchdog deadline, default 60 s. When set, a rank whose
     /// pool holds active work but whose master sees no progress (no
     /// worker reports, no network traffic) for this long declares the
     /// epoch stalled: the hang becomes an [`EpochFault`] of kind
@@ -88,7 +88,7 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             num_workers: 2,
             termination: TerminationKind::Counting,
-            watchdog: None,
+            watchdog: Some(Duration::from_secs(60)),
             fault_plan: None,
             telemetry: TelemetryHandle::default(),
         }
@@ -130,9 +130,10 @@ const TAG_ABORT: u32 = 1;
 
 /// Report a worker sends the master after one or more compute rounds.
 /// Besides the routed payload (`outputs`, `work_done`) it carries the
-/// worker's stats *delta* since its last report (`bd`, `compute_calls`)
-/// so a resident rank can attribute worker time to the current epoch
-/// without joining threads.
+/// worker's stats *delta* since its last report (`bd` — taken off the
+/// worker's stopwatch at flush — and `compute_calls`) so a resident
+/// rank can attribute worker time to the current epoch without joining
+/// threads.
 #[derive(Default)]
 struct Report {
     /// Producing worker index (for per-worker breakdown attribution).
@@ -166,16 +167,24 @@ impl Report {
 /// report carrying only idle-time deltas is held back until real
 /// output/compute rides along, so sleeping workers don't spam the
 /// master channel).
-fn flush_report(pool: &Pool, to_master: &Sender<Report>, batch: &mut Report, worker: usize) {
+fn flush_report(
+    pool: &Pool,
+    to_master: &Sender<Report>,
+    batch: &mut Report,
+    sw: &mut Stopwatch,
+    worker: usize,
+) {
     if batch.is_empty() {
         return;
     }
     let mut report = std::mem::take(batch);
     report.worker = worker;
+    report.bd = sw.take();
     let held = report.held;
-    let t0 = Instant::now();
-    let _ = to_master.send(report);
-    batch.bd.add(Category::Output, t0.elapsed().as_secs_f64());
+    // The hand-off itself rides the next report's delta.
+    sw.timed(Category::Output, || {
+        let _ = to_master.send(report);
+    });
     if held {
         pool.release_report();
     }
@@ -195,13 +204,8 @@ fn worker_loop<F: ProgramFactory>(
     factory: Arc<F>,
     to_master: Sender<Report>,
     inject: Option<Arc<FaultPlan>>,
-    rec: Recorder,
+    mut sw: Stopwatch,
 ) {
-    // With injection compiled out the plan is never consulted; the
-    // hooks below vanish and `inject` only exists to keep the spawn
-    // signature stable across feature sets.
-    #[cfg(not(feature = "fault-inject"))]
-    let _ = (&inject, rank);
     let mut batch = Report::default();
     let mut claims: Vec<crate::pool::Claim> = Vec::new();
     let mut finishes: Vec<crate::pool::FinishEntry> = Vec::new();
@@ -209,16 +213,16 @@ fn worker_loop<F: ProgramFactory>(
         // Flush the batch before blocking, never while work is ready:
         // streams keep moving, and quiescence stays honest.
         if pool.try_take_batch(worker, CLAIM_BATCH, &mut claims) == 0 {
-            flush_report(&pool, &to_master, &mut batch, worker);
-            // The claim span covers the blocking wait too, so the
-            // trace shows how long this worker starved for work.
-            let tc0 = rec.now();
-            if pool.take_batch(worker, CLAIM_BATCH, &mut claims, &mut batch.bd) == 0 {
+            flush_report(&pool, &to_master, &mut batch, &mut sw, worker);
+            // The blocking wait is this worker starving for work. The
+            // final wait, ended by `Pool::stop`, is booked nowhere: no
+            // report is left to carry it.
+            sw.start();
+            if pool.take_batch(worker, CLAIM_BATCH, &mut claims) == 0 {
                 break;
             }
-            rec.span(EventKind::Claim, tc0, claims.len() as u64, 0);
+            sw.lap(Category::Idle);
         }
-        #[cfg(feature = "fault-inject")]
         if let Some(plan) = &inject {
             if let Some(d) = plan.stall_for(rank, worker) {
                 // Injected stall: sleep while holding the claims so
@@ -236,11 +240,15 @@ fn worker_loop<F: ProgramFactory>(
             // `EpochFault` below), never this thread. Unwind safety is
             // asserted because the poisoned program is discarded
             // wholesale — its possibly-torn state is never observed
-            // again — and `batch` only accumulates timing slop.
+            // again — and `sw` only accumulates timing slop.
+            //
+            // One claim is one stopwatch chain: (create, init,) input,
+            // compute and output share their boundary readings.
+            sw.start();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut program = match claim.program {
                     Some(p) => p,
-                    None => batch.bd.timed(Category::Other, || {
+                    None => {
                         let mut p = Box::new(factory.create(claim.id))
                             as Box<dyn crate::program::PatchProgram>;
                         // A program materialising in epoch ≥ 2 of a
@@ -251,19 +259,19 @@ fn worker_loop<F: ProgramFactory>(
                         if let Some(epoch) = pool.epoch_input() {
                             p.reset(&*epoch);
                         }
+                        sw.lap(Category::Other);
                         p
-                    }),
+                    }
                 };
                 if !claim.initialized {
-                    batch.bd.timed(Category::Other, || program.init());
+                    program.init();
+                    sw.lap(Category::Other);
                 }
                 let mut pending = claim.pending;
-                batch.bd.timed(Category::Input, || {
-                    for (src, payload) in pending.drain(..) {
-                        program.input(src, payload);
-                    }
-                });
-                #[cfg(feature = "fault-inject")]
+                for (src, payload) in pending.drain(..) {
+                    program.input(src, payload);
+                }
+                sw.lap(Category::Input);
                 if let Some(plan) = &inject {
                     if plan.should_panic(id) {
                         panic!(
@@ -273,20 +281,12 @@ fn worker_loop<F: ProgramFactory>(
                     }
                 }
                 let mut ctx = ComputeCtx::default();
-                let t0 = Instant::now();
-                let tt0 = rec.now();
                 program.compute(&mut ctx);
-                rec.span(
-                    EventKind::Compute,
-                    tt0,
-                    u64::from(id.patch.0),
-                    u64::from(id.task.0),
-                );
-                let dt = t0.elapsed().as_secs_f64();
+                sw.lap_compute(ctx.kernel_seconds, id.patch.0, id.task.0);
                 let halted = program.vote_to_halt();
-                (program, pending, ctx, dt, halted)
+                (program, pending, ctx, halted)
             }));
-            let (program, pending, mut ctx, dt, halted) = match outcome {
+            let (program, pending, mut ctx, halted) = match outcome {
                 Ok(round) => round,
                 Err(payload) => {
                     // The program (and any outputs of the poisoned
@@ -298,7 +298,7 @@ fn worker_loop<F: ProgramFactory>(
                         pool.hold_report();
                         batch.held = true;
                     }
-                    rec.instant(
+                    sw.rec.instant(
                         EventKind::Fault,
                         u64::from(id.patch.0),
                         u64::from(id.task.0),
@@ -326,15 +326,10 @@ fn worker_loop<F: ProgramFactory>(
                 pool.hold_report();
                 batch.held = true;
             }
-            batch.bd.add(Category::Kernel, ctx.kernel_seconds);
-            batch
-                .bd
-                .add(Category::GraphOp, (dt - ctx.kernel_seconds).max(0.0));
             if !ctx.out.is_empty() || ctx.work_done > 0 {
-                batch.bd.timed(Category::Output, || {
-                    batch.outputs.append(&mut ctx.out);
-                    batch.work_done += ctx.work_done;
-                });
+                batch.outputs.append(&mut ctx.out);
+                batch.work_done += ctx.work_done;
+                sw.lap(Category::Output);
             }
             finishes.push(crate::pool::FinishEntry {
                 id: claim.id,
@@ -354,10 +349,10 @@ fn worker_loop<F: ProgramFactory>(
         // The threshold is read from the pool each round, so each
         // epoch's tuning reaches this resident thread.
         if !batch.faults.is_empty() || batch.outputs.len() >= pool.flush_streams() {
-            flush_report(&pool, &to_master, &mut batch, worker);
+            flush_report(&pool, &to_master, &mut batch, &mut sw, worker);
         }
     }
-    flush_report(&pool, &to_master, &mut batch, worker);
+    flush_report(&pool, &to_master, &mut batch, &mut sw, worker);
 }
 
 /// Most streams packed into one outbound frame: a destination's frame
@@ -396,8 +391,9 @@ fn route_lookup<F: ProgramFactory>(
 ///
 /// The routing half (route table, frame writers) is **persistent** —
 /// it survives epoch boundaries of a resident [`Rank`] — while the
-/// accounting half (stats, breakdown, Safra counters, progress) is
-/// re-armed per epoch by [`Master::begin_epoch`].
+/// accounting half (stats, Safra counters, progress) is re-armed per
+/// epoch by [`Master::begin_epoch`]; the stopwatch's breakdown is taken
+/// into each epoch's stats as it closes.
 ///
 /// Priorities are snapshotted into the route table (one
 /// `ProgramFactory::priority` evaluation per program); factories with
@@ -414,7 +410,8 @@ struct Master<F: ProgramFactory> {
     dirty: Vec<usize>,
     local: Vec<(Stream, i64)>,
     stats: RunStats,
-    bd: Breakdown,
+    /// This master thread's stopwatch (trace lane 0 of the rank).
+    sw: Stopwatch,
     safra: Safra,
     work_done: u64,
     /// First transport failure seen while routing this epoch (sends
@@ -422,8 +419,6 @@ struct Master<F: ProgramFactory> {
     /// through every layer would be noise; the main loop checks this
     /// once per drain round instead).
     dead: Option<CommError>,
-    /// This master thread's telemetry lane (lane 0 of the rank).
-    rec: Recorder,
     /// Handle back to the registry for the frame-size histogram.
     telemetry: TelemetryHandle,
 }
@@ -457,11 +452,10 @@ impl<F: ProgramFactory> Master<F> {
             dirty: Vec::new(),
             local: Vec::new(),
             stats: RunStats::default(),
-            bd: Breakdown::default(),
+            sw: Stopwatch::new(config.telemetry.recorder(rank as u32, 0)),
             safra: Safra::new(rank, size),
             work_done: 0,
             dead: None,
-            rec: config.telemetry.recorder(rank as u32, 0),
             telemetry: config.telemetry.clone(),
         }
     }
@@ -475,7 +469,6 @@ impl<F: ProgramFactory> Master<F> {
             workers: vec![Breakdown::default(); num_workers],
             ..Default::default()
         };
-        self.bd = Breakdown::default();
         self.safra = Safra::new(self.rank, self.size);
         self.work_done = 0;
         self.dead = None;
@@ -505,56 +498,45 @@ impl<F: ProgramFactory> Master<F> {
         if report.outputs.is_empty() {
             return;
         }
-        let streams_routed = report.outputs.len() as u64;
-        let tr0 = self.rec.now();
-        let t_route = Instant::now();
-        // Pack and send time inside this loop is booked to its own
-        // category and must not also count as Route.
-        let mut non_route_seconds = 0.0;
-        let mut pack_seconds = 0.0;
+        // One chain: routing runs up to each remote stream's
+        // `frame_push`, which is the Pack region; a mid-round flush
+        // books its own send and hands the chain back.
+        self.sw.start();
         for stream in report.outputs {
             let entry = route_lookup(&mut self.routes, self.factory.as_ref(), stream.dst);
             if entry.rank == self.rank {
                 self.stats.streams_local += 1;
                 self.local.push((stream, entry.priority));
             } else {
-                let t_pack = Instant::now();
+                self.sw.lap(Category::Route);
                 let count = {
                     let slot = &mut self.frames[entry.rank];
                     frame_push(&mut slot.w, &stream);
                     slot.count += 1;
                     slot.count
                 };
-                pack_seconds += t_pack.elapsed().as_secs_f64();
+                self.sw.lap(Category::Pack);
                 if count == 1 {
                     self.dirty.push(entry.rank);
                 }
                 if count >= MAX_FRAME_STREAMS {
-                    let t_flush = Instant::now();
                     self.flush_one(comm, entry.rank);
-                    non_route_seconds += t_flush.elapsed().as_secs_f64();
                 }
             }
         }
         if !self.local.is_empty() {
             pool.deliver_batch(self.local.drain(..));
         }
-        non_route_seconds += pack_seconds;
-        self.bd.add(Category::Pack, pack_seconds);
-        self.bd.add(
-            Category::Route,
-            (t_route.elapsed().as_secs_f64() - non_route_seconds).max(0.0),
-        );
-        self.rec.span(EventKind::Route, tr0, streams_routed, 0);
+        self.sw.lap(Category::Route);
     }
 
-    /// Send `dst`'s frame if it has content.
+    /// Send `dst`'s frame if it has content. The send is a Comm
+    /// region; the stopwatch is left open at its end.
     fn flush_one(&mut self, comm: &Comm, dst: usize) {
         let slot = &mut self.frames[dst];
         if slot.count == 0 {
             return;
         }
-        let tp0 = self.rec.now();
         let payload = slot.w.take();
         let frame_bytes = payload.len();
         self.stats.streams_sent += slot.count;
@@ -562,11 +544,10 @@ impl<F: ProgramFactory> Master<F> {
         self.stats.bytes_sent += payload.len() as u64;
         slot.count = 0;
         let sent = self
-            .bd
+            .sw
             .timed(Category::Comm, || comm.send(dst, TAG_FRAME, payload));
-        self.rec
-            .span(EventKind::Pack, tp0, dst as u64, frame_bytes as u64);
-        self.rec
+        self.sw
+            .rec
             .instant(EventKind::Send, dst as u64, frame_bytes as u64);
         self.telemetry.observe_frame_bytes(self.rank, frame_bytes);
         match sent {
@@ -590,23 +571,23 @@ impl<F: ProgramFactory> Master<F> {
     /// An incoming frame: unpack zero-copy, deliver as one pool batch.
     /// `Err` blames `src` for bytes that are not a frame.
     fn recv_frame(&mut self, pool: &Pool, src: usize, payload: Bytes) -> Result<(), EpochFault> {
-        self.rec
+        self.sw
+            .rec
             .instant(EventKind::Recv, src as u64, payload.len() as u64);
         self.safra.on_receive();
         self.stats.frames_received += 1;
         let streams = self
-            .bd
+            .sw
             .timed(Category::Unpack, || unpack_frame(payload))
             .ok_or_else(|| peer_fault(self.rank, src, "malformed frame"))?;
         self.stats.streams_received += streams.len() as u64;
-        let t0 = Instant::now();
         let routes = &mut self.routes;
         let factory = self.factory.as_ref();
         pool.deliver_batch(streams.into_iter().map(|s| {
             let prio = route_lookup(routes, factory, s.dst).priority;
             (s, prio)
         }));
-        self.bd.add(Category::Route, t0.elapsed().as_secs_f64());
+        self.sw.lap(Category::Route);
         Ok(())
     }
 }
@@ -658,11 +639,11 @@ impl<F: ProgramFactory> Rank<F> {
             let tx = to_master.clone();
             let inject = config.fault_plan.clone();
             // Lane 0 is the master; worker `w` records on lane `w + 1`.
-            let rec = config.telemetry.recorder(rank as u32, (w + 1) as u32);
+            let sw = Stopwatch::new(config.telemetry.recorder(rank as u32, (w + 1) as u32));
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("rank-{rank}-worker-{w}"))
-                    .spawn(move || worker_loop(rank, w, pool, factory, tx, inject, rec))
+                    .spawn(move || worker_loop(rank, w, pool, factory, tx, inject, sw))
                     .expect("spawn worker"),
             );
         }
@@ -717,32 +698,37 @@ impl<F: ProgramFactory> Rank<F> {
         input: &Arc<EpochInput>,
         tuning: EpochTuning,
     ) -> Result<RunStats, EpochFault> {
-        let t_start = Instant::now();
+        let t_start = self.m.sw.start();
         let epoch_start_nanos = self.pool.now_nanos();
         let epoch_index = self.epochs_run;
         self.epochs_run += 1;
-        let te0 = self.m.rec.now();
         self.m.begin_epoch(self.config.num_workers);
         self.pool.set_flush_streams(tuning.report_flush_streams);
+        // Every exit closes the epoch on one reading: the `Epoch` span
+        // and (on success) `wall_seconds`.
+        let close_epoch = |m: &mut Master<F>| {
+            let t_end = m.sw.start();
+            m.sw.rec
+                .span(EventKind::Epoch, t_start, t_end, epoch_index, tuning.span);
+            (t_end - t_start).as_secs_f64()
+        };
 
         // Inter-epoch synchronisation (booked as master idle time).
         // The first epoch has no predecessor to fence off, so a
         // single-epoch run pays no barrier at all.
         if epoch_index > 0 {
-            let t_fence = Instant::now();
-            let tf0 = self.m.rec.now();
+            let t_fence = self.m.sw.start();
             let fence = self.epoch_fence();
-            self.m.rec.span(EventKind::Fence, tf0, 0, 0);
-            self.m
-                .bd
-                .add(Category::Idle, t_fence.elapsed().as_secs_f64());
+            let t_synced = self.m.sw.lap(Category::Idle);
             if let Err(e) = fence {
                 // A peer died between epochs. No abort broadcast: the
                 // peers will observe the same death through their own
                 // fences or drain loops.
                 self.m
+                    .sw
                     .rec
-                    .span(EventKind::Epoch, te0, epoch_index, tuning.span);
+                    .span(EventKind::Fence, t_fence, t_synced, 0, 0);
+                close_epoch(&mut self.m);
                 return Err(comm_fault(self.m.rank, e));
             }
             // Re-arm resident programs for this epoch; the pool drops
@@ -750,11 +736,10 @@ impl<F: ProgramFactory> Rank<F> {
             // programs get the same reset right after `create` (see
             // `worker_loop`).
             self.pool.set_epoch_input(Some(input.clone()));
-            let pool = &self.pool;
             let inp: &EpochInput = &**input;
-            self.m
-                .bd
-                .timed(Category::Other, || pool.reset_epoch(|_, p| p.reset(inp)));
+            self.pool.reset_epoch(|_, p| p.reset(inp));
+            let t_reset = self.m.sw.lap(Category::Other);
+            self.m.sw.rec.span(EventKind::Fence, t_fence, t_reset, 0, 0);
         }
         let rank = self.m.rank;
 
@@ -762,7 +747,6 @@ impl<F: ProgramFactory> Rank<F> {
         // thread after the fence, with peers mid-epoch, so they learn
         // of the death only through the transport — a raw EOF on a
         // socket fabric, a failed send on the thread fabric.
-        #[cfg(feature = "fault-inject")]
         if let Some(plan) = &self.config.fault_plan {
             if plan.should_kill_rank(rank) {
                 panic!("injected fault: rank {rank} death");
@@ -806,9 +790,9 @@ impl<F: ProgramFactory> Rank<F> {
                 }
                 Abort::Relayed(fault) => fault,
             };
-            m.rec
+            m.sw.rec
                 .instant(EventKind::Fault, fault.rank as u64, fault.worker as u64);
-            m.rec.span(EventKind::Epoch, te0, epoch_index, tuning.span);
+            close_epoch(m);
             return Err(fault);
         }
 
@@ -823,7 +807,7 @@ impl<F: ProgramFactory> Rank<F> {
         // `is_quiet` cannot turn true with a report still forming or
         // in flight (termination already means no stream can still
         // need delivery).
-        let t_quiesce = Instant::now();
+        m.sw.start();
         let mut quiet_seen = false;
         loop {
             while let Ok(report) = from_workers.try_recv() {
@@ -849,7 +833,7 @@ impl<F: ProgramFactory> Rank<F> {
             }
             std::thread::yield_now();
         }
-        m.bd.add(Category::Idle, t_quiesce.elapsed().as_secs_f64());
+        m.sw.lap(Category::Idle);
 
         // Per-worker drain stamps: the tail between each worker's last
         // report hand-off and this quiesce close, clamped to the epoch
@@ -865,17 +849,16 @@ impl<F: ProgramFactory> Rank<F> {
             .collect();
 
         let mut stats = std::mem::take(&mut m.stats);
-        stats.master = std::mem::take(&mut m.bd);
-        stats.wall_seconds = t_start.elapsed().as_secs_f64();
-        m.rec.span(EventKind::Epoch, te0, epoch_index, tuning.span);
+        stats.master = m.sw.take();
+        stats.wall_seconds = close_epoch(m);
         m.telemetry.epoch_metrics(
             rank,
             &stats,
-            (
+            [
                 comm.bytes_sent(),
                 comm.bytes_received(),
                 comm.frames_received(),
-            ),
+            ],
         );
         Ok(stats)
     }
@@ -927,7 +910,7 @@ impl<F: ProgramFactory> Rank<F> {
 
             // Drain network messages: incoming frames + protocol traffic.
             while let Some(msg) =
-                m.bd.timed(Category::Comm, || comm.try_recv())
+                m.sw.timed(Category::Comm, || comm.try_recv())
                     .map_err(lost)?
             {
                 progress = true;
@@ -1000,9 +983,9 @@ impl<F: ProgramFactory> Rank<F> {
             }
             // Nothing to do right now: park briefly on the worker
             // channel (the latency-critical path).
-            let t0 = Instant::now();
-            let woken = from_workers.recv_timeout(Duration::from_micros(200));
-            m.bd.add(Category::Idle, t0.elapsed().as_secs_f64());
+            let woken = m.sw.timed(Category::Idle, || {
+                from_workers.recv_timeout(Duration::from_micros(200))
+            });
             match woken {
                 Ok(report) => parked = Some(report),
                 Err(RecvTimeoutError::Timeout) => {}

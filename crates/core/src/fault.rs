@@ -13,10 +13,11 @@
 //! universe (see `docs/replay.md`).
 //!
 //! [`FaultPlan`] is the deterministic injection harness driving
-//! `tests/chaos.rs`. Its hooks are compiled in only under the
-//! `fault-inject` cargo feature; in default builds every hook is an
-//! inlined constant `None`/`false`, so production claim paths carry
-//! no injection cost and a configured plan is inert.
+//! `tests/chaos.rs`. Each hook is defined once, with the
+//! `fault-inject` cargo feature gating the statement that consults
+//! the plan; in default builds every hook is therefore an inlined
+//! constant `None`/`false`, so production claim paths carry no
+//! injection cost and a configured plan is inert.
 
 use crate::program::ProgramId;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -24,7 +25,7 @@ use std::fmt;
 use std::time::Duration;
 
 #[cfg(feature = "fault-inject")]
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How an epoch came to fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -169,56 +170,34 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One injected panic: the `nth` (1-based) compute call of patch
-/// `patch` — counted across every task of that patch, process-wide —
-/// panics. The counter lives in the shared plan, so the spec fires
-/// exactly once even across universe relaunches: an injected panic is
-/// a *transient* fault, which is what lets retry-policy tests recover.
+/// One counted trigger: fires on the `nth` (1-based) event at
+/// `target`. The counter lives in the shared plan — process-wide — so
+/// a trigger fires exactly once even across universe relaunches: an
+/// injected fault is *transient*, which is what lets retry-policy
+/// tests recover.
 #[cfg(feature = "fault-inject")]
 #[derive(Debug)]
-struct PanicSpec {
-    patch: u32,
+struct Trigger<T> {
+    target: T,
     nth: u64,
     hits: AtomicU64,
 }
 
-/// One injected stall: the `nth` (1-based) claim batch taken by
-/// worker `worker` of rank `rank` sleeps for `duration` while holding
-/// its claims, keeping the pool un-quiet so the epoch watchdog can
-/// observe a stuck rank.
 #[cfg(feature = "fault-inject")]
-#[derive(Debug)]
-struct StallSpec {
-    rank: usize,
-    worker: usize,
-    nth: u64,
-    duration: Duration,
-    hits: AtomicU64,
-}
+impl<T: PartialEq> Trigger<T> {
+    fn new(target: T, nth: u64) -> Trigger<T> {
+        Trigger {
+            target,
+            nth,
+            hits: AtomicU64::new(0),
+        }
+    }
 
-/// One injected session-tier failure: the `epoch`-th (0-based) epoch
-/// *attempt* of campaign `campaign` is reported as faulted without
-/// running. One-shot.
-#[cfg(feature = "fault-inject")]
-#[derive(Debug)]
-struct EpochFailSpec {
-    campaign: u64,
-    epoch: u64,
-    fired: AtomicBool,
-}
-
-/// One injected rank death: the `nth` (1-based) epoch entered by rank
-/// `rank` — counted process-wide against the shared plan, so the spec
-/// fires exactly once even across universe relaunches — kills the
-/// whole rank thread (master and all), simulating a crashed rank
-/// process. Peers observe it through the transport (a raw EOF on a
-/// socket fabric), not through any in-process side channel.
-#[cfg(feature = "fault-inject")]
-#[derive(Debug)]
-struct KillSpec {
-    rank: usize,
-    nth: u64,
-    hits: AtomicU64,
+    /// Count one event at `at`; `true` when it is this trigger's
+    /// `nth` event there.
+    fn hit(&self, at: &T) -> bool {
+        self.target == *at && self.hits.fetch_add(1, Ordering::Relaxed) + 1 == self.nth
+    }
 }
 
 /// A deterministic, seedable fault-injection plan.
@@ -236,16 +215,28 @@ struct KillSpec {
 /// compiled-out constant and the plan is inert.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
+    /// Patch → its `nth` compute call, counted across every task of
+    /// the patch, panics.
     #[cfg(feature = "fault-inject")]
-    panics: Vec<PanicSpec>,
+    panics: Vec<Trigger<u32>>,
+    /// `(rank, worker)` → its `nth` claim batch sleeps for the
+    /// duration while holding its claims, keeping the pool un-quiet so
+    /// the epoch watchdog can observe a stuck rank.
     #[cfg(feature = "fault-inject")]
-    stalls: Vec<StallSpec>,
+    stalls: Vec<(Trigger<(usize, usize)>, Duration)>,
+    /// `(campaign, 0-based epoch attempt)` → that attempt is reported
+    /// as faulted without running.
     #[cfg(feature = "fault-inject")]
-    epoch_fails: Vec<EpochFailSpec>,
+    epoch_fails: Vec<Trigger<(u64, u64)>>,
+    /// Rank → the `nth` epoch it enters kills the whole rank thread
+    /// (master and all), simulating a crashed rank process. Peers
+    /// observe it through the transport (a raw EOF on a socket
+    /// fabric), not through any in-process side channel.
     #[cfg(feature = "fault-inject")]
-    kills: Vec<KillSpec>,
+    kills: Vec<Trigger<usize>>,
 }
 
+#[cfg_attr(not(feature = "fault-inject"), allow(unused_variables, unused_mut))]
 impl FaultPlan {
     /// Start building an empty plan.
     pub fn builder() -> FaultPlanBuilder {
@@ -272,87 +263,53 @@ impl FaultPlan {
     }
 
     /// Should this compute call panic? Counts the call against every
-    /// matching spec; `true` exactly when a spec's counter lands on
-    /// its `nth`.
-    #[cfg(feature = "fault-inject")]
+    /// trigger on its patch.
+    #[inline]
     pub fn should_panic(&self, id: ProgramId) -> bool {
         let mut fire = false;
-        for spec in &self.panics {
-            if spec.patch == id.patch.0 && spec.hits.fetch_add(1, Ordering::Relaxed) + 1 == spec.nth
-            {
-                fire = true;
-            }
+        #[cfg(feature = "fault-inject")]
+        for t in &self.panics {
+            fire |= t.hit(&id.patch.0);
         }
         fire
     }
 
-    /// Inert stand-in when injection is compiled out.
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline(always)]
-    pub fn should_panic(&self, _id: ProgramId) -> bool {
-        false
-    }
-
     /// How long (if at all) this claim batch should stall. Counts the
-    /// batch against every matching spec.
-    #[cfg(feature = "fault-inject")]
+    /// batch against every trigger on this worker.
+    #[inline]
     pub fn stall_for(&self, rank: usize, worker: usize) -> Option<Duration> {
         let mut stall = None;
-        for spec in &self.stalls {
-            if spec.rank == rank
-                && spec.worker == worker
-                && spec.hits.fetch_add(1, Ordering::Relaxed) + 1 == spec.nth
-            {
-                stall = Some(spec.duration);
+        #[cfg(feature = "fault-inject")]
+        for (t, duration) in &self.stalls {
+            if t.hit(&(rank, worker)) {
+                stall = Some(*duration);
             }
         }
         stall
     }
 
-    /// Inert stand-in when injection is compiled out.
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline(always)]
-    pub fn stall_for(&self, _rank: usize, _worker: usize) -> Option<Duration> {
-        None
-    }
-
     /// Should this session epoch attempt be failed without running?
-    /// One-shot per spec.
-    #[cfg(feature = "fault-inject")]
+    /// One-shot: attempt numbers never repeat within a campaign.
+    #[inline]
     pub fn take_epoch_fail(&self, campaign: u64, epoch_attempt: u64) -> bool {
-        self.epoch_fails.iter().any(|spec| {
-            spec.campaign == campaign
-                && spec.epoch == epoch_attempt
-                && !spec.fired.swap(true, Ordering::Relaxed)
-        })
-    }
-
-    /// Inert stand-in when injection is compiled out.
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline(always)]
-    pub fn take_epoch_fail(&self, _campaign: u64, _epoch_attempt: u64) -> bool {
-        false
+        let mut fail = false;
+        #[cfg(feature = "fault-inject")]
+        for t in &self.epoch_fails {
+            fail |= t.hit(&(campaign, epoch_attempt));
+        }
+        fail
     }
 
     /// Should this rank die on entering the current epoch? Counts the
-    /// epoch entry against every matching spec; `true` exactly when a
-    /// spec's counter lands on its `nth`.
-    #[cfg(feature = "fault-inject")]
+    /// epoch entry against every trigger on the rank.
+    #[inline]
     pub fn should_kill_rank(&self, rank: usize) -> bool {
         let mut fire = false;
-        for spec in &self.kills {
-            if spec.rank == rank && spec.hits.fetch_add(1, Ordering::Relaxed) + 1 == spec.nth {
-                fire = true;
-            }
+        #[cfg(feature = "fault-inject")]
+        for t in &self.kills {
+            fire |= t.hit(&rank);
         }
         fire
-    }
-
-    /// Inert stand-in when injection is compiled out.
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline(always)]
-    pub fn should_kill_rank(&self, _rank: usize) -> bool {
-        false
     }
 }
 
@@ -373,11 +330,7 @@ impl FaultPlanBuilder {
     /// `patch`, once.
     pub fn panic_on_compute(mut self, patch: u32, nth: u64) -> FaultPlanBuilder {
         #[cfg(feature = "fault-inject")]
-        self.plan.panics.push(PanicSpec {
-            patch,
-            nth,
-            hits: AtomicU64::new(0),
-        });
+        self.plan.panics.push(Trigger::new(patch, nth));
         self
     }
 
@@ -391,13 +344,9 @@ impl FaultPlanBuilder {
         duration: Duration,
     ) -> FaultPlanBuilder {
         #[cfg(feature = "fault-inject")]
-        self.plan.stalls.push(StallSpec {
-            rank,
-            worker,
-            nth,
-            duration,
-            hits: AtomicU64::new(0),
-        });
+        self.plan
+            .stalls
+            .push((Trigger::new((rank, worker), nth), duration));
         self
     }
 
@@ -405,11 +354,9 @@ impl FaultPlanBuilder {
     /// `campaign` at the session tier, once, without running it.
     pub fn fail_epoch(mut self, campaign: u64, epoch: u64) -> FaultPlanBuilder {
         #[cfg(feature = "fault-inject")]
-        self.plan.epoch_fails.push(EpochFailSpec {
-            campaign,
-            epoch,
-            fired: AtomicBool::new(false),
-        });
+        self.plan
+            .epoch_fails
+            .push(Trigger::new((campaign, epoch), 1));
         self
     }
 
@@ -417,11 +364,7 @@ impl FaultPlanBuilder {
     /// on the `nth` (1-based) epoch it enters, once across relaunches.
     pub fn kill_rank(mut self, rank: usize, nth: u64) -> FaultPlanBuilder {
         #[cfg(feature = "fault-inject")]
-        self.plan.kills.push(KillSpec {
-            rank,
-            nth,
-            hits: AtomicU64::new(0),
-        });
+        self.plan.kills.push(Trigger::new(rank, nth));
         self
     }
 

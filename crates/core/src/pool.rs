@@ -21,7 +21,6 @@
 //! round-trips instead of `k`.
 
 use crate::program::{EpochInput, PatchProgram, ProgramId, Stream};
-use crate::stats::{Breakdown, Category};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
@@ -102,7 +101,7 @@ pub struct FinishEntry {
     pub scratch: Vec<(ProgramId, Bytes)>,
 }
 
-/// A claimed program, handed to a worker by [`Pool::take`].
+/// A claimed program, handed to a worker by [`Pool::take_batch`].
 pub struct Claim {
     /// Program identity.
     pub id: ProgramId,
@@ -119,7 +118,7 @@ struct Shard {
     slots: IdMap<Slot>,
     /// Max-heap on (priority, lowest program id). Entries are **lazily
     /// deleted**: a priority change while a program is `Ready` pushes a
-    /// fresh entry and leaves the old one behind; [`Pool::take`] skips
+    /// fresh entry and leaves the old one behind; [`Pool::take_batch`] skips
     /// any entry whose slot is no longer `Ready` at that priority.
     heap: BinaryHeap<(i64, Reverse<ProgramId>)>,
 }
@@ -151,7 +150,7 @@ pub struct Pool {
     /// while a worker still buffers undelivered streams (that would
     /// let the Safra detector terminate early).
     held_reports: AtomicUsize,
-    /// Workers blocked in [`Pool::take`]. Publishers skip the sleep
+    /// Workers blocked in [`Pool::take_batch`]. Publishers skip the sleep
     /// lock + notify entirely while this is zero (the common case on a
     /// busy rank).
     sleepers: AtomicUsize,
@@ -180,12 +179,6 @@ pub struct Pool {
     /// so no wakeup can be lost.
     sleep: Mutex<()>,
     cv: Condvar,
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Self::new(1)
-    }
 }
 
 impl Pool {
@@ -275,11 +268,6 @@ impl Pool {
         }
     }
 
-    /// Number of ready-queue shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Nanoseconds elapsed on this pool's monotonic activity clock.
     /// All activity stamps share this origin, so differences are
     /// directly comparable across threads.
@@ -355,7 +343,7 @@ impl Pool {
     ///
     /// Re-activating a `Ready` program with a different priority
     /// re-queues it at the new priority; the superseded heap entry is
-    /// skipped lazily by [`Pool::take`].
+    /// skipped lazily by [`Pool::take_batch`].
     pub fn activate(&self, id: ProgramId, priority: i64) {
         let s = self.shard_of(id);
         let newly = {
@@ -425,24 +413,11 @@ impl Pool {
         }
     }
 
-    /// Deliver a stream; reactivates the target if it is idle.
-    ///
-    /// `priority` is used when the target was never registered (possible
-    /// when a stream races ahead of startup activation).
-    pub fn deliver(&self, stream: Stream, priority: i64) {
-        let s = self.shard_of(stream.dst);
-        let newly = {
-            let mut g = self.shards[s].shard.lock();
-            let newly = Self::deliver_into(&mut g, stream, priority);
-            self.add_ready(s, newly);
-            newly
-        };
-        self.publish_ready(newly);
-    }
-
     /// Deliver a whole frame's streams, locking each touched shard
-    /// exactly once (the pool half of §II communication aggregation;
-    /// per-stream `priority` as in [`Pool::deliver`]).
+    /// exactly once (the pool half of §II communication aggregation),
+    /// reactivating idle targets. A stream's `priority` is used when
+    /// its target was never registered (possible when a stream races
+    /// ahead of startup activation).
     ///
     /// Per-destination delivery order follows the batch's order. One
     /// `Vec` collects the batch; shards are then served by in-place
@@ -521,24 +496,13 @@ impl Pool {
         got
     }
 
-    /// Non-blocking claim: `worker`'s own shard first, then steal from
-    /// the others. Empty shards are skipped by their occupancy signal
-    /// without touching their locks. Returns `None` when nothing is
-    /// ready right now.
-    pub fn try_take(&self, worker: usize) -> Option<Claim> {
-        let mut one = Vec::with_capacity(1);
-        if self.try_take_batch(worker, 1, &mut one) > 0 {
-            one.pop()
-        } else {
-            None
-        }
-    }
-
     /// Non-blocking batched claim: pops up to `max` ready programs
     /// (priority order within their shard) under one lock acquisition
-    /// per visited shard, appending to `out` — the worker-side
-    /// counterpart of [`Pool::deliver_batch`]. Returns how many claims
-    /// were appended.
+    /// per visited shard — `worker`'s own shard first, then stealing
+    /// from the others, skipping empty shards by their occupancy signal
+    /// without touching their locks — appending to `out`: the
+    /// worker-side counterpart of [`Pool::deliver_batch`]. Returns how
+    /// many claims were appended.
     ///
     /// The batch is additionally capped at a fair share of what is
     /// ready (`ready / shards`), so when few heavy programs are
@@ -572,14 +536,8 @@ impl Pool {
 
     /// Blocking [`Pool::try_take_batch`]: waits until at least one
     /// program is claimed, or the pool stops with the queues drained
-    /// (returning 0). Wait time is charged to `bd`'s `Idle` category.
-    pub fn take_batch(
-        &self,
-        worker: usize,
-        max: usize,
-        out: &mut Vec<Claim>,
-        bd: &mut Breakdown,
-    ) -> usize {
+    /// (returning 0). The caller's stopwatch books the wait.
+    pub fn take_batch(&self, worker: usize, max: usize, out: &mut Vec<Claim>) -> usize {
         loop {
             let got = self.try_take_batch(worker, max, out);
             if got > 0 {
@@ -603,68 +561,8 @@ impl Pool {
                 drop(g);
                 continue;
             }
-            let t0 = Instant::now();
             self.cv.wait(&mut g);
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            bd.add(Category::Idle, t0.elapsed().as_secs_f64());
-        }
-    }
-
-    /// Claim the highest-priority ready program of `worker`'s shard
-    /// (stealing across shards when it is empty), blocking while none
-    /// is available anywhere. Returns `None` after [`Pool::stop`] once
-    /// the queues are drained. Wait time is charged to `bd`'s `Idle`
-    /// category.
-    pub fn take(&self, worker: usize, bd: &mut Breakdown) -> Option<Claim> {
-        let mut one = Vec::with_capacity(1);
-        if self.take_batch(worker, 1, &mut one, bd) > 0 {
-            one.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Return a program after a compute round. `halted` is the program's
-    /// `vote_to_halt()`; it re-queues when it stays active or received
-    /// streams while running.
-    pub fn finish(&self, id: ProgramId, program: Box<dyn PatchProgram>, halted: bool) {
-        self.finish_recycle(id, program, halted, Vec::new());
-    }
-
-    /// [`Pool::finish`] that also hands back the emptied `pending`
-    /// buffer of the worker's [`Claim`], so the slot's next deliveries
-    /// reuse its capacity instead of allocating a fresh `Vec` per
-    /// claim cycle (a measurable share of per-stream cost).
-    pub fn finish_recycle(
-        &self,
-        id: ProgramId,
-        program: Box<dyn PatchProgram>,
-        halted: bool,
-        scratch: Vec<(ProgramId, Bytes)>,
-    ) {
-        debug_assert!(scratch.is_empty(), "recycled buffer must be drained");
-        let s = self.shard_of(id);
-        let requeued = {
-            let mut g = self.shards[s].shard.lock();
-            let requeued = Self::finish_into(
-                &mut g,
-                FinishEntry {
-                    id,
-                    program,
-                    halted,
-                    scratch,
-                },
-            );
-            if requeued {
-                self.add_ready(s, 1);
-            }
-            requeued
-        };
-        if requeued {
-            // Running -> Ready: already counted active.
-            self.wake(1);
-        } else {
-            self.active.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -728,7 +626,7 @@ impl Pool {
 
     /// A worker buffered a report (outputs/work/stat deltas not yet
     /// sent to the master). Must be called *before* the producing
-    /// program's [`Pool::finish`], so quiescence is never visible
+    /// program's [`Pool::finish_batch`], so quiescence is never visible
     /// while streams — or per-epoch accounting — sit in a
     /// worker-local batch.
     pub fn hold_report(&self) {
@@ -747,8 +645,7 @@ impl Pool {
         self.active.load(Ordering::SeqCst) == 0 && self.held_reports.load(Ordering::SeqCst) == 0
     }
 
-    /// Wake all workers and make further `take` calls return `None`
-    /// once the queues are empty.
+    /// Wake all workers and make further `take_batch` calls return 0.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         let _g = self.sleep.lock();
@@ -779,6 +676,30 @@ mod tests {
         ProgramId::new(PatchId(p), TaskTag(t))
     }
 
+    /// Blocking claim of one program (`None` once the pool stopped).
+    fn take_one(pool: &Pool, worker: usize) -> Option<Claim> {
+        let mut one = Vec::with_capacity(1);
+        pool.take_batch(worker, 1, &mut one);
+        one.pop()
+    }
+
+    /// Non-blocking claim of one program.
+    fn try_one(pool: &Pool, worker: usize) -> Option<Claim> {
+        let mut one = Vec::with_capacity(1);
+        pool.try_take_batch(worker, 1, &mut one);
+        one.pop()
+    }
+
+    /// Hand one claimed program back as a fresh `Nop`.
+    fn finish_one(pool: &Pool, id: ProgramId, halted: bool) {
+        pool.finish_batch(&mut vec![FinishEntry {
+            id,
+            program: Box::new(Nop),
+            halted,
+            scratch: Vec::new(),
+        }]);
+    }
+
     fn stream_to(dst: ProgramId) -> Stream {
         Stream {
             src: pid(999, 0),
@@ -793,11 +714,10 @@ mod tests {
         pool.activate(pid(0, 0), 1);
         pool.activate(pid(1, 0), 10);
         pool.activate(pid(2, 0), 5);
-        let mut bd = Breakdown::default();
-        let a = pool.take(0, &mut bd).unwrap();
+        let a = take_one(&pool, 0).unwrap();
         assert_eq!(a.id, pid(1, 0));
-        pool.finish(a.id, Box::new(Nop), true);
-        let b = pool.take(0, &mut bd).unwrap();
+        finish_one(&pool, a.id, true);
+        let b = take_one(&pool, 0).unwrap();
         assert_eq!(b.id, pid(2, 0));
     }
 
@@ -806,21 +726,19 @@ mod tests {
         let pool = Pool::new(1);
         pool.activate(pid(7, 1), 3);
         pool.activate(pid(7, 0), 3);
-        let mut bd = Breakdown::default();
-        assert_eq!(pool.take(0, &mut bd).unwrap().id, pid(7, 0));
+        assert_eq!(take_one(&pool, 0).unwrap().id, pid(7, 0));
     }
 
     #[test]
     fn deliver_reactivates_idle_program() {
         let pool = Pool::new(1);
         pool.activate(pid(0, 0), 0);
-        let mut bd = Breakdown::default();
-        let claim = pool.take(0, &mut bd).unwrap();
-        pool.finish(claim.id, Box::new(Nop), true); // halts -> idle
+        let claim = take_one(&pool, 0).unwrap();
+        finish_one(&pool, claim.id, true); // halts -> idle
         assert!(pool.is_quiet());
-        pool.deliver(stream_to(pid(0, 0)), 0);
+        pool.deliver_batch([(stream_to(pid(0, 0)), 0)]);
         assert!(!pool.is_quiet());
-        let again = pool.take(0, &mut bd).unwrap();
+        let again = take_one(&pool, 0).unwrap();
         assert_eq!(again.id, pid(0, 0));
         assert_eq!(again.pending.len(), 1);
         assert!(again.initialized);
@@ -831,14 +749,13 @@ mod tests {
     fn deliver_during_running_requeues_on_finish() {
         let pool = Pool::new(1);
         pool.activate(pid(0, 0), 0);
-        let mut bd = Breakdown::default();
-        let claim = pool.take(0, &mut bd).unwrap();
+        let claim = take_one(&pool, 0).unwrap();
         // Stream arrives while the program is running.
-        pool.deliver(stream_to(pid(0, 0)), 0);
-        pool.finish(claim.id, Box::new(Nop), true);
+        pool.deliver_batch([(stream_to(pid(0, 0)), 0)]);
+        finish_one(&pool, claim.id, true);
         // Despite voting to halt, the pending stream keeps it active.
         assert!(!pool.is_quiet());
-        let again = pool.take(0, &mut bd).unwrap();
+        let again = take_one(&pool, 0).unwrap();
         assert_eq!(again.pending.len(), 1);
     }
 
@@ -846,9 +763,8 @@ mod tests {
     fn non_halting_program_requeues() {
         let pool = Pool::new(1);
         pool.activate(pid(0, 0), 0);
-        let mut bd = Breakdown::default();
-        let claim = pool.take(0, &mut bd).unwrap();
-        pool.finish(claim.id, Box::new(Nop), false);
+        let claim = take_one(&pool, 0).unwrap();
+        finish_one(&pool, claim.id, false);
         assert!(!pool.is_quiet());
     }
 
@@ -856,10 +772,7 @@ mod tests {
     fn stop_unblocks_takers() {
         let pool = std::sync::Arc::new(Pool::new(2));
         let p2 = pool.clone();
-        let h = std::thread::spawn(move || {
-            let mut bd = Breakdown::default();
-            p2.take(0, &mut bd).is_none()
-        });
+        let h = std::thread::spawn(move || take_one(&p2, 0).is_none());
         std::thread::sleep(std::time::Duration::from_millis(10));
         pool.stop();
         assert!(h.join().unwrap());
@@ -870,9 +783,8 @@ mod tests {
         let pool = Pool::new(1);
         pool.activate(pid(0, 0), 0);
         pool.activate(pid(0, 0), 0);
-        let mut bd = Breakdown::default();
-        let claim = pool.take(0, &mut bd).unwrap();
-        pool.finish(claim.id, Box::new(Nop), true);
+        let claim = take_one(&pool, 0).unwrap();
+        finish_one(&pool, claim.id, true);
         assert!(pool.is_quiet(), "double activation corrupted the queue");
     }
 
@@ -887,16 +799,15 @@ mod tests {
         pool.activate(pid(1, 0), 3);
         // Bump program 0 above program 1 while it is already Ready.
         pool.activate(pid(0, 0), 5);
-        let mut bd = Breakdown::default();
-        let first = pool.take(0, &mut bd).unwrap();
+        let first = take_one(&pool, 0).unwrap();
         assert_eq!(first.id, pid(0, 0), "new priority must win");
-        pool.finish(first.id, Box::new(Nop), true);
+        finish_one(&pool, first.id, true);
         // The stale (1, pid 0) entry is still in the heap; popping it
         // must skip, not double-claim or panic.
-        let second = pool.take(0, &mut bd).unwrap();
+        let second = take_one(&pool, 0).unwrap();
         assert_eq!(second.id, pid(1, 0));
-        pool.finish(second.id, Box::new(Nop), true);
-        assert!(pool.try_take(0).is_none());
+        finish_one(&pool, second.id, true);
+        assert!(try_one(&pool, 0).is_none());
         assert!(pool.is_quiet());
     }
 
@@ -908,9 +819,8 @@ mod tests {
         pool.activate(pid(0, 0), 10);
         pool.activate(pid(1, 0), 5);
         pool.activate(pid(0, 0), 1); // demote below program 1
-        let mut bd = Breakdown::default();
-        assert_eq!(pool.take(0, &mut bd).unwrap().id, pid(1, 0));
-        assert_eq!(pool.take(0, &mut bd).unwrap().id, pid(0, 0));
+        assert_eq!(take_one(&pool, 0).unwrap().id, pid(1, 0));
+        assert_eq!(take_one(&pool, 0).unwrap().id, pid(0, 0));
     }
 
     #[test]
@@ -919,7 +829,7 @@ mod tests {
         let batch: Vec<(Stream, i64)> = (0..32u32).map(|p| (stream_to(pid(p, 0)), 0)).collect();
         pool.deliver_batch(batch);
         let mut seen = 0;
-        while pool.try_take(0).is_some() {
+        while try_one(&pool, 0).is_some() {
             seen += 1;
         }
         // Claimed but never finished: all 32 are Running.
@@ -935,8 +845,8 @@ mod tests {
         }
         // A single worker (index 0) must drain every shard.
         let mut drained = 0;
-        while let Some(claim) = pool.try_take(0) {
-            pool.finish(claim.id, Box::new(Nop), true);
+        while let Some(claim) = try_one(&pool, 0) {
+            finish_one(&pool, claim.id, true);
             drained += 1;
         }
         assert_eq!(drained, 16);
@@ -989,16 +899,16 @@ mod tests {
     fn discard_poisons_slot_and_keeps_quiescence_consistent() {
         let pool = Pool::new(1);
         pool.activate(pid(0, 0), 0);
-        let claim = pool.try_take(0).unwrap();
+        let claim = try_one(&pool, 0).unwrap();
         assert!(!pool.is_quiet());
         pool.discard(claim.id);
         assert!(pool.is_quiet(), "discarded program must not count active");
         // Deliveries and re-activations to a poisoned slot are
         // swallowed: the program can never run again.
-        pool.deliver(stream_to(pid(0, 0)), 0);
+        pool.deliver_batch([(stream_to(pid(0, 0)), 0)]);
         pool.activate(pid(0, 0), 5);
         assert!(pool.is_quiet());
-        assert!(pool.try_take(0).is_none());
+        assert!(try_one(&pool, 0).is_none());
         // An epoch reset drops the poisoned slot entirely.
         pool.reset_epoch(|id, _| panic!("poisoned slot {id:?} visited"));
     }
@@ -1020,9 +930,8 @@ mod tests {
         // Priority bump leaves a stale heap entry behind.
         pool.activate(pid(0, 0), 5);
         pool.activate(pid(1, 0), 2);
-        let mut bd = Breakdown::default();
-        while let Some(c) = pool.try_take(0) {
-            pool.finish(c.id, Box::new(Nop), true);
+        while let Some(c) = try_one(&pool, 0) {
+            finish_one(&pool, c.id, true);
         }
         assert!(pool.is_quiet());
         let mut seen = Vec::new();
@@ -1031,7 +940,7 @@ mod tests {
         assert_eq!(seen, vec![pid(0, 0), pid(1, 0)]);
         // The pool still schedules correctly after the reset.
         pool.activate(pid(0, 0), 3);
-        let again = pool.take(0, &mut bd).unwrap();
+        let again = take_one(&pool, 0).unwrap();
         assert_eq!(again.id, pid(0, 0));
         assert!(again.initialized, "resident program lost its instance");
         assert!(again.program.is_some());
@@ -1042,7 +951,7 @@ mod tests {
     fn reset_epoch_rejects_running_programs() {
         let pool = Pool::new(1);
         pool.activate(pid(0, 0), 0);
-        let _claim = pool.try_take(0).unwrap(); // leaves the slot Running
+        let _claim = try_one(&pool, 0).unwrap(); // leaves the slot Running
         pool.reset_epoch(|_, _| {});
     }
 

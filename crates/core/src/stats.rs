@@ -3,7 +3,14 @@
 //! Every runtime thread accumulates wall time into a small set of
 //! categories. Master threads use `Comm`/`Pack`/`Unpack`/`Route`/`Idle`;
 //! worker threads use `Kernel`/`GraphOp`/`Input`/`Output`/`Idle`/`Other`.
+//!
+//! Each thread times itself with one [`Stopwatch`]: a region boundary
+//! is one clock reading, the elapsed time is booked to the region's
+//! [`Category`], and the same `(t0, t1)` pair is what the thread's
+//! trace lane records — so an armed trace's per-lane span sums *are*
+//! the [`Breakdown`], not a second measurement of it.
 
+use crate::telemetry::{EventKind, Recorder};
 use std::time::Instant;
 
 /// A time category.
@@ -80,14 +87,6 @@ impl Breakdown {
         self.seconds[cat.index()] += dt;
     }
 
-    /// Time a closure into a category.
-    pub fn timed<R>(&mut self, cat: Category, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let r = f();
-        self.add(cat, t0.elapsed().as_secs_f64());
-        r
-    }
-
     /// Seconds in one category.
     pub fn get(&self, cat: Category) -> f64 {
         self.seconds[cat.index()]
@@ -103,6 +102,71 @@ impl Breakdown {
         for (a, b) in self.seconds.iter_mut().zip(&other.seconds) {
             *a += b;
         }
+    }
+}
+
+/// One runtime thread's stopwatch: its [`Breakdown`], its trace lane
+/// and the last region boundary. Regions chain — [`Stopwatch::lap`]
+/// closes one and opens the next on a single clock reading — and time
+/// between a `lap` and the next [`Stopwatch::start`] stays unbooked.
+pub struct Stopwatch {
+    bd: Breakdown,
+    /// This thread's trace lane (the engine records its structural
+    /// spans and instants on it directly).
+    pub(crate) rec: Recorder,
+    mark: Instant,
+}
+
+impl Stopwatch {
+    /// A stopwatch recording onto `rec`'s lane.
+    pub fn new(rec: Recorder) -> Stopwatch {
+        Stopwatch {
+            bd: Breakdown::default(),
+            rec,
+            mark: Instant::now(),
+        }
+    }
+
+    /// Open a region now; returns the reading.
+    pub fn start(&mut self) -> Instant {
+        self.mark = Instant::now();
+        self.mark
+    }
+
+    /// Close the open region into `cat` (and as a span of that kind)
+    /// and open the next; returns the shared boundary.
+    pub fn lap(&mut self, cat: Category) -> Instant {
+        let t0 = std::mem::replace(&mut self.mark, Instant::now());
+        self.bd.add(cat, (self.mark - t0).as_secs_f64());
+        self.rec.region(cat, t0, self.mark);
+        self.mark
+    }
+
+    /// Close the open region as one `compute` call of program
+    /// `(patch, task)`: `kernel_seconds` of it (what the program
+    /// reported through [`crate::ComputeCtx::kernel`]) is `Kernel`,
+    /// the rest `GraphOp`, the whole one `Compute` span.
+    pub fn lap_compute(&mut self, kernel_seconds: f64, patch: u32, task: u32) {
+        let t0 = std::mem::replace(&mut self.mark, Instant::now());
+        let dt = (self.mark - t0).as_secs_f64();
+        self.bd.add(Category::Kernel, kernel_seconds);
+        self.bd
+            .add(Category::GraphOp, (dt - kernel_seconds).max(0.0));
+        self.rec
+            .span(EventKind::Compute, t0, self.mark, patch.into(), task.into());
+    }
+
+    /// Time a closure as one region of `cat`.
+    pub fn timed<R>(&mut self, cat: Category, f: impl FnOnce() -> R) -> R {
+        self.start();
+        let r = f();
+        self.lap(cat);
+        r
+    }
+
+    /// Take everything booked since the last take.
+    pub fn take(&mut self) -> Breakdown {
+        std::mem::take(&mut self.bd)
     }
 }
 
@@ -190,6 +254,7 @@ impl RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TelemetryHandle;
 
     #[test]
     fn breakdown_accumulates() {
@@ -203,13 +268,27 @@ mod tests {
 
     #[test]
     fn timed_measures_elapsed() {
-        let mut b = Breakdown::default();
-        let v = b.timed(Category::Comm, || {
+        let mut sw = Stopwatch::new(TelemetryHandle::default().recorder(0, 0));
+        let v = sw.timed(Category::Comm, || {
             std::thread::sleep(std::time::Duration::from_millis(3));
             7
         });
         assert_eq!(v, 7);
-        assert!(b.get(Category::Comm) >= 0.003);
+        assert!(sw.take().get(Category::Comm) >= 0.003);
+        // Chained laps share their boundaries: the booked regions tile
+        // the window from `start` to the last lap, and a compute lap
+        // splits into the reported kernel share and the rest.
+        let t0 = sw.start();
+        let t1 = sw.lap(Category::Input);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        sw.lap_compute(0.001, 0, 0);
+        let t2 = sw.lap(Category::Output);
+        let b = sw.take();
+        assert_eq!(b.get(Category::Input), (t1 - t0).as_secs_f64());
+        assert_eq!(b.get(Category::Kernel), 0.001);
+        assert!(b.get(Category::GraphOp) >= 0.001);
+        assert!((b.total() - (t2 - t0).as_secs_f64()).abs() < 1e-9);
+        assert_eq!(sw.take(), Breakdown::default(), "take drains");
     }
 
     #[test]

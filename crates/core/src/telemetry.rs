@@ -1,23 +1,27 @@
 //! Runtime telemetry integration: the zero-cost-when-off seam between
 //! the engine and `jsweep-obs`.
 //!
-//! Mirrors the `fault-inject` discipline exactly: with the `telemetry`
-//! cargo feature **off** (the default), every type here still exists
-//! — [`TelemetryHandle`] and [`Recorder`] become empty structs whose
-//! methods are `#[inline(always)]` no-ops, `jsweep-obs` is not even
-//! built, and the instrumented call sites compile to nothing. With the
+//! Same discipline as `fault-inject`: every hook is **defined once** —
+//! one signature, one doc comment — and the `telemetry` cargo feature
+//! gates the statement inside its body. With the feature **off** (the
+//! default) [`TelemetryHandle`] and [`Recorder`] are empty structs
+//! whose methods have empty bodies, `jsweep-obs` is not even built,
+//! and the instrumented call sites compile to nothing. With the
 //! feature **on**, hooks additionally gate on the runtime arming
 //! atomic of the attached `jsweep_obs::Telemetry`: built-but-unarmed
 //! telemetry costs one relaxed atomic load per hook.
 //!
 //! The engine threads one [`TelemetryHandle`] through
 //! `RuntimeConfig`; every rank's master and workers obtain per-thread
-//! [`Recorder`] lanes from it at launch, and epoch boundaries feed the
-//! metrics registry. See `docs/observability.md` for the event
-//! taxonomy and exporter formats.
+//! [`Recorder`] lanes from it at launch (each owned by that thread's
+//! [`crate::stats::Stopwatch`], which feeds it the clock readings it
+//! books), and epoch boundaries feed the metrics registry. See
+//! `docs/observability.md` for the event taxonomy and exporter
+//! formats.
 
-#[cfg(feature = "telemetry")]
-use crate::stats::RunStats;
+use crate::stats::{Category, RunStats};
+use std::time::Instant;
+
 #[cfg(feature = "telemetry")]
 use std::sync::Arc;
 
@@ -31,18 +35,15 @@ pub use jsweep_obs as obs;
 #[cfg(feature = "telemetry")]
 pub use jsweep_obs::EventKind;
 
-/// Typed event kinds (inert stub: the `telemetry` feature is off, so
-/// recording calls referencing these compile to nothing).
+/// Typed event kinds (inert stand-in for the kinds call sites name
+/// while `jsweep-obs` is not built; the hooks taking them are empty).
 #[cfg(not(feature = "telemetry"))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum EventKind {
     Epoch,
     Fence,
-    Claim,
     Compute,
-    Pack,
-    Route,
     PlanCompile,
     Send,
     Recv,
@@ -50,6 +51,45 @@ pub enum EventKind {
     CacheHit,
     CacheMiss,
 }
+
+/// `RunStats`' per-epoch counters as `(metric name, help, value)`
+/// rows — field `f` is exported as `jsweep_<f>_total` — which
+/// [`TelemetryHandle::epoch_metrics`] adds every epoch.
+#[cfg(feature = "telemetry")]
+fn epoch_counters(s: &RunStats) -> [(&'static str, &'static str, u64); 7] {
+    macro_rules! rows {
+        ($($field:ident: $help:literal,)*) => {
+            [$((concat!("jsweep_", stringify!($field), "_total"), $help, s.$field)),*]
+        };
+    }
+    rows! {
+        compute_calls: "Patch-program compute invocations.",
+        work_done: "Workload units completed (vertices for sweeps).",
+        streams_sent: "Streams sent to other ranks.",
+        streams_received: "Streams received from other ranks.",
+        frames_sent: "Coalesced multi-stream frames sent to other ranks.",
+        frames_received: "Frames received from other ranks.",
+        bytes_sent: "Stream payload bytes sent to other ranks.",
+    }
+}
+
+/// The transport's own per-rank gauges, in the order of
+/// [`TelemetryHandle::epoch_metrics`]' `wire` triple.
+#[cfg(feature = "telemetry")]
+const WIRE_GAUGES: [(&str, &str); 3] = [
+    (
+        "jsweep_wire_bytes_sent",
+        "Transport-level bytes pushed into the fabric (framing included).",
+    ),
+    (
+        "jsweep_wire_bytes_received",
+        "Transport-level bytes received from the fabric.",
+    ),
+    (
+        "jsweep_wire_frames_received",
+        "Transport-level frames received from the fabric.",
+    ),
+];
 
 /// A shareable reference to the process-wide telemetry (or to nothing:
 /// the default handle is detached and records nowhere). Cloning is
@@ -63,234 +103,114 @@ pub struct TelemetryHandle {
 impl std::fmt::Debug for TelemetryHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         #[cfg(feature = "telemetry")]
-        return write!(
-            f,
-            "TelemetryHandle({})",
-            if self.inner.is_some() {
-                "attached"
-            } else {
-                "detached"
-            }
-        );
-        #[cfg(not(feature = "telemetry"))]
-        write!(f, "TelemetryHandle(compiled out)")
+        if self.inner.is_some() {
+            return f.write_str("TelemetryHandle(attached)");
+        }
+        f.write_str("TelemetryHandle(detached)")
     }
 }
 
+#[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
 impl TelemetryHandle {
     /// Wrap a telemetry instance into a handle the runtime config can
-    /// carry.
+    /// carry, registering the help text of every metric the runtime
+    /// feeds (so the per-epoch path only touches values).
     #[cfg(feature = "telemetry")]
     pub fn attach(telemetry: Arc<jsweep_obs::Telemetry>) -> TelemetryHandle {
-        TelemetryHandle {
-            inner: Some(telemetry),
-        }
-    }
-
-    /// The attached telemetry, if any.
-    #[cfg(feature = "telemetry")]
-    pub fn telemetry(&self) -> Option<&Arc<jsweep_obs::Telemetry>> {
-        self.inner.as_ref()
-    }
-
-    /// Whether recording is attached *and* armed right now.
-    #[cfg(feature = "telemetry")]
-    #[inline]
-    pub fn armed(&self) -> bool {
-        self.inner.as_ref().is_some_and(|t| t.is_armed())
-    }
-
-    /// Whether recording is attached and armed (compiled out: never).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn armed(&self) -> bool {
-        false
-    }
-
-    /// Register a recording lane for one thread (`lane` 0 = master,
-    /// `w + 1` = worker `w`) and hand out its single-writer recorder.
-    #[cfg(feature = "telemetry")]
-    pub fn recorder(&self, rank: u32, lane: u32) -> Recorder {
-        Recorder {
-            inner: self.inner.as_ref().map(|t| t.recorder(rank, lane)),
-        }
-    }
-
-    /// Register a recording lane (compiled out: an inert recorder).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn recorder(&self, _rank: u32, _lane: u32) -> Recorder {
-        Recorder {}
-    }
-
-    /// A start-of-span stamp on the shared driver lane's clock (0
-    /// while detached/disarmed).
-    #[cfg(feature = "telemetry")]
-    pub fn global_now(&self) -> u64 {
-        match self.inner.as_ref() {
-            Some(t) if t.is_armed() => t.now_nanos(),
-            _ => 0,
-        }
-    }
-
-    /// A start-of-span stamp (compiled out: always 0).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn global_now(&self) -> u64 {
-        0
-    }
-
-    /// Record a durational event on the shared driver lane (for
-    /// threads that own no rank lane, e.g. a session driver compiling
-    /// a plan).
-    #[cfg(feature = "telemetry")]
-    pub fn global_span(&self, kind: EventKind, t0: u64, a: u64, b: u64) {
-        if let Some(t) = self.inner.as_ref() {
-            t.global_span(kind, t0, a, b);
-        }
-    }
-
-    /// Record a durational driver-lane event (compiled out: no-op).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn global_span(&self, _kind: EventKind, _t0: u64, _a: u64, _b: u64) {}
-
-    /// Record an instant event on the shared driver lane.
-    #[cfg(feature = "telemetry")]
-    pub fn global_instant(&self, kind: EventKind, a: u64, b: u64) {
-        if let Some(t) = self.inner.as_ref() {
-            t.global_instant(kind, a, b);
-        }
-    }
-
-    /// Record an instant driver-lane event (compiled out: no-op).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn global_instant(&self, _kind: EventKind, _a: u64, _b: u64) {}
-
-    /// Feed one epoch's per-rank stats into the metrics registry
-    /// (epoch-boundary cold path; no-op while detached or disarmed).
-    /// `wire` is the transport's own `(bytes sent, bytes received,
-    /// frames received)` accounting, which includes wire framing where
-    /// the backend has any.
-    #[cfg(feature = "telemetry")]
-    pub fn epoch_metrics(&self, rank: usize, stats: &RunStats, wire: (u64, u64, u64)) {
-        let Some(t) = self.inner.as_ref() else {
-            return;
-        };
-        if !t.is_armed() {
-            return;
-        }
-        let m = t.metrics();
+        let m = telemetry.metrics();
         m.describe("jsweep_epochs_total", "Epochs run, per rank.");
         m.describe(
             "jsweep_epoch_wall_seconds",
             "Wall time of one epoch on one rank.",
         );
         m.describe(
-            "jsweep_compute_calls_total",
-            "Patch-program compute invocations.",
+            "jsweep_frame_bytes",
+            "Payload size of one coalesced outgoing frame.",
         );
-        m.describe(
-            "jsweep_work_done_total",
-            "Workload units completed (vertices for sweeps).",
-        );
-        m.describe("jsweep_streams_sent_total", "Streams sent to other ranks.");
-        m.describe(
-            "jsweep_streams_received_total",
-            "Streams received from other ranks.",
-        );
-        m.describe(
-            "jsweep_frames_sent_total",
-            "Coalesced multi-stream frames sent to other ranks.",
-        );
-        m.describe(
-            "jsweep_frames_received_total",
-            "Frames received from other ranks.",
-        );
-        m.describe(
-            "jsweep_bytes_sent_total",
-            "Stream payload bytes sent to other ranks.",
-        );
-        m.describe(
-            "jsweep_wire_bytes_sent",
-            "Transport-level bytes pushed into the fabric (framing included).",
-        );
-        m.describe(
-            "jsweep_wire_bytes_received",
-            "Transport-level bytes received from the fabric.",
-        );
-        m.describe(
-            "jsweep_wire_frames_received",
-            "Transport-level frames received from the fabric.",
-        );
-        let lab = format!("{{rank=\"{rank}\"}}");
-        m.counter(&format!("jsweep_epochs_total{lab}")).inc();
-        m.histogram(
-            &format!("jsweep_epoch_wall_seconds{lab}"),
-            jsweep_obs::SECONDS_BUCKETS,
-        )
-        .observe(stats.wall_seconds);
-        m.counter(&format!("jsweep_compute_calls_total{lab}"))
-            .add(stats.compute_calls);
-        m.counter(&format!("jsweep_work_done_total{lab}"))
-            .add(stats.work_done);
-        m.counter(&format!("jsweep_streams_sent_total{lab}"))
-            .add(stats.streams_sent);
-        m.counter(&format!("jsweep_streams_received_total{lab}"))
-            .add(stats.streams_received);
-        m.counter(&format!("jsweep_frames_sent_total{lab}"))
-            .add(stats.frames_sent);
-        m.counter(&format!("jsweep_frames_received_total{lab}"))
-            .add(stats.frames_received);
-        m.counter(&format!("jsweep_bytes_sent_total{lab}"))
-            .add(stats.bytes_sent);
-        m.gauge(&format!("jsweep_wire_bytes_sent{lab}"))
-            .set(wire.0 as f64);
-        m.gauge(&format!("jsweep_wire_bytes_received{lab}"))
-            .set(wire.1 as f64);
-        m.gauge(&format!("jsweep_wire_frames_received{lab}"))
-            .set(wire.2 as f64);
+        for (name, help, _) in epoch_counters(&RunStats::default()) {
+            m.describe(name, help);
+        }
+        for (name, help) in WIRE_GAUGES {
+            m.describe(name, help);
+        }
+        TelemetryHandle {
+            inner: Some(telemetry),
+        }
     }
 
-    /// Feed one epoch's stats (compiled out: no-op — the arguments
-    /// are all references/scalars the caller already has).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn epoch_metrics(
-        &self,
-        _rank: usize,
-        _stats: &crate::stats::RunStats,
-        _wire: (u64, u64, u64),
-    ) {
+    /// The attached telemetry, if any (metric hooks, here and in the
+    /// session tier, feed it only while it `is_armed`).
+    #[cfg(feature = "telemetry")]
+    pub fn telemetry(&self) -> Option<&Arc<jsweep_obs::Telemetry>> {
+        self.inner.as_ref()
+    }
+
+    /// Register a recording lane for one thread (`lane` 0 = master,
+    /// `w + 1` = worker `w`) and hand out its single-writer recorder
+    /// (inert while detached or compiled out).
+    pub fn recorder(&self, rank: u32, lane: u32) -> Recorder {
+        Recorder {
+            #[cfg(feature = "telemetry")]
+            inner: self.inner.as_ref().map(|t| t.recorder(rank, lane)),
+        }
+    }
+
+    /// Record the durational event `[t0, t1]` on the shared driver
+    /// lane (for threads that own no rank lane, e.g. a session driver
+    /// compiling a plan).
+    pub fn global_span(&self, kind: EventKind, t0: Instant, t1: Instant, a: u64, b: u64) {
+        #[cfg(feature = "telemetry")]
+        if let Some(t) = self.inner.as_ref() {
+            t.global_span(kind, t0, t1, a, b);
+        }
+    }
+
+    /// Record an instant event on the shared driver lane.
+    pub fn global_instant(&self, kind: EventKind, a: u64, b: u64) {
+        #[cfg(feature = "telemetry")]
+        if let Some(t) = self.inner.as_ref() {
+            t.global_instant(kind, a, b);
+        }
+    }
+
+    /// Feed one epoch's per-rank stats into the metrics registry
+    /// (epoch-boundary cold path; no-op while detached or disarmed).
+    /// `wire` is the transport's own `(bytes sent, bytes received,
+    /// frames received)` accounting, which includes wire framing where
+    /// the backend has any.
+    pub fn epoch_metrics(&self, rank: usize, stats: &RunStats, wire: [u64; 3]) {
+        #[cfg(feature = "telemetry")]
+        if let Some(t) = self.telemetry().filter(|t| t.is_armed()) {
+            let m = t.metrics();
+            let lab = format!("{{rank=\"{rank}\"}}");
+            m.counter(&format!("jsweep_epochs_total{lab}")).inc();
+            m.histogram(
+                &format!("jsweep_epoch_wall_seconds{lab}"),
+                jsweep_obs::SECONDS_BUCKETS,
+            )
+            .observe(stats.wall_seconds);
+            for (name, _, value) in epoch_counters(stats) {
+                m.counter(&format!("{name}{lab}")).add(value);
+            }
+            for ((name, _), value) in WIRE_GAUGES.iter().zip(wire) {
+                m.gauge(&format!("{name}{lab}")).set(value as f64);
+            }
+        }
     }
 
     /// Observe one outgoing frame's payload size into the frame-bytes
     /// histogram (no-op while detached or disarmed).
-    #[cfg(feature = "telemetry")]
     pub fn observe_frame_bytes(&self, rank: usize, bytes: usize) {
-        let Some(t) = self.inner.as_ref() else {
-            return;
-        };
-        if !t.is_armed() {
-            return;
+        #[cfg(feature = "telemetry")]
+        if let Some(t) = self.telemetry().filter(|t| t.is_armed()) {
+            t.metrics()
+                .histogram(
+                    &format!("jsweep_frame_bytes{{rank=\"{rank}\"}}"),
+                    jsweep_obs::BYTES_BUCKETS,
+                )
+                .observe(bytes as f64);
         }
-        let m = t.metrics();
-        m.describe(
-            "jsweep_frame_bytes",
-            "Payload size of one coalesced outgoing frame.",
-        );
-        m.histogram(
-            &format!("jsweep_frame_bytes{{rank=\"{rank}\"}}"),
-            jsweep_obs::BYTES_BUCKETS,
-        )
-        .observe(bytes as f64);
     }
-
-    /// Observe one outgoing frame's size (compiled out: no-op).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn observe_frame_bytes(&self, _rank: usize, _bytes: usize) {}
 }
 
 /// One thread's event writer (see `jsweep_obs::Recorder`). With the
@@ -301,71 +221,47 @@ pub struct Recorder {
     inner: Option<jsweep_obs::Recorder>,
 }
 
+#[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
 impl Recorder {
-    /// An inert recorder (detached).
-    pub fn disabled() -> Recorder {
-        Recorder {
-            #[cfg(feature = "telemetry")]
-            inner: None,
-        }
-    }
-
-    /// Whether recording is live right now (one relaxed load).
-    #[cfg(feature = "telemetry")]
+    /// Record the durational event `[t0, t1]` on this lane.
     #[inline]
-    pub fn armed(&self) -> bool {
-        self.inner.as_ref().is_some_and(|r| r.armed())
-    }
-
-    /// Whether recording is live (compiled out: never).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn armed(&self) -> bool {
-        false
-    }
-
-    /// A start-of-span stamp (0 while detached/disarmed; the matching
-    /// [`Recorder::span`] then drops the event).
-    #[cfg(feature = "telemetry")]
-    #[inline]
-    pub fn now(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |r| r.now())
-    }
-
-    /// A start-of-span stamp (compiled out: always 0).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn now(&self) -> u64 {
-        0
-    }
-
-    /// Record a durational event `[t0, now]` on this lane.
-    #[cfg(feature = "telemetry")]
-    #[inline]
-    pub fn span(&self, kind: EventKind, t0: u64, a: u64, b: u64) {
+    pub fn span(&self, kind: EventKind, t0: Instant, t1: Instant, a: u64, b: u64) {
+        #[cfg(feature = "telemetry")]
         if let Some(r) = self.inner.as_ref() {
-            r.span(kind, t0, a, b);
+            r.span(kind, t0, t1, a, b);
         }
     }
 
-    /// Record a durational event (compiled out: no-op).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn span(&self, _kind: EventKind, _t0: u64, _a: u64, _b: u64) {}
+    /// Record `[t0, t1]` as a region the thread booked to `cat`: the
+    /// span kind is the category (a directly booked `Kernel` or
+    /// `GraphOp` region is a share of `Compute`). The per-claim worker
+    /// categories stay `Breakdown`-only: their spans double a worker
+    /// lane's volume (numbers in `docs/observability.md`).
+    #[inline]
+    pub fn region(&self, cat: Category, t0: Instant, t1: Instant) {
+        #[cfg(feature = "telemetry")]
+        {
+            let kind = match cat {
+                Category::Kernel | Category::GraphOp => EventKind::Compute,
+                Category::Input | Category::Output | Category::Other => return,
+                Category::Pack => EventKind::Pack,
+                Category::Unpack => EventKind::Unpack,
+                Category::Comm => EventKind::Comm,
+                Category::Route => EventKind::Route,
+                Category::Idle => EventKind::Idle,
+            };
+            self.span(kind, t0, t1, 0, 0);
+        }
+    }
 
     /// Record an instant event on this lane.
-    #[cfg(feature = "telemetry")]
     #[inline]
     pub fn instant(&self, kind: EventKind, a: u64, b: u64) {
+        #[cfg(feature = "telemetry")]
         if let Some(r) = self.inner.as_ref() {
             r.instant(kind, a, b);
         }
     }
-
-    /// Record an instant event (compiled out: no-op).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn instant(&self, _kind: EventKind, _a: u64, _b: u64) {}
 }
 
 #[cfg(test)]
@@ -375,39 +271,36 @@ mod tests {
     #[test]
     fn detached_handle_is_inert() {
         let h = TelemetryHandle::default();
-        assert!(!h.armed());
-        assert_eq!(h.global_now(), 0);
         let rec = h.recorder(0, 0);
-        assert!(!rec.armed());
-        assert_eq!(rec.now(), 0);
+        let (t0, t1) = (Instant::now(), Instant::now());
         // All no-ops, must not panic.
-        rec.span(EventKind::Compute, 0, 0, 0);
+        rec.span(EventKind::Compute, t0, t1, 0, 0);
+        rec.region(Category::Idle, t0, t1);
         rec.instant(EventKind::Send, 0, 0);
         h.global_instant(EventKind::Fault, 0, 0);
-        h.global_span(EventKind::PlanCompile, 0, 0, 0);
+        h.global_span(EventKind::PlanCompile, t0, t1, 0, 0);
         h.observe_frame_bytes(0, 100);
-        let stats = crate::stats::RunStats::default();
-        h.epoch_metrics(0, &stats, (0, 0, 0));
+        h.epoch_metrics(0, &RunStats::default(), [0, 0, 0]);
     }
 
     #[cfg(feature = "telemetry")]
     #[test]
     fn attached_handle_records_when_armed() {
-        use std::sync::Arc;
         let t = Arc::new(jsweep_obs::Telemetry::new());
         let h = TelemetryHandle::attach(t.clone());
-        assert!(!h.armed(), "not armed yet");
         t.arm();
-        assert!(h.armed());
         let rec = h.recorder(3, 1);
-        let t0 = rec.now();
-        assert!(t0 > 0);
-        rec.span(EventKind::Compute, t0, 9, 0);
+        let (t0, t1) = (Instant::now(), Instant::now());
+        rec.span(EventKind::Compute, t0, t1, 9, 0);
+        rec.region(Category::Pack, t0, t1);
         h.global_instant(EventKind::CacheHit, 1, 0);
         let lanes = t.snapshot();
-        assert!(lanes
+        let lane = lanes
             .iter()
-            .any(|l| l.rank == 3 && l.lane == 1 && l.events.len() == 1));
+            .find(|l| l.rank == 3 && l.lane == 1)
+            .expect("lane registered");
+        let kinds: Vec<_> = lane.events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [EventKind::Compute, EventKind::Pack]);
         assert!(lanes
             .iter()
             .any(|l| l.rank == jsweep_obs::GLOBAL_RANK && !l.events.is_empty()));
@@ -416,18 +309,17 @@ mod tests {
     #[cfg(feature = "telemetry")]
     #[test]
     fn epoch_metrics_feed_the_registry() {
-        use std::sync::Arc;
         let t = Arc::new(jsweep_obs::Telemetry::new());
         let h = TelemetryHandle::attach(t.clone());
         t.arm();
-        let stats = crate::stats::RunStats {
+        let stats = RunStats {
             wall_seconds: 0.25,
             compute_calls: 7,
             frames_sent: 3,
             bytes_sent: 1000,
             ..Default::default()
         };
-        h.epoch_metrics(2, &stats, (1100, 900, 4));
+        h.epoch_metrics(2, &stats, [1100, 900, 4]);
         h.observe_frame_bytes(2, 512);
         let text = t.metrics().render_prometheus();
         assert!(text.contains("jsweep_epochs_total{rank=\"2\"} 1"), "{text}");
@@ -442,6 +334,10 @@ mod tests {
         assert!(
             text.contains("jsweep_frame_bytes_count{rank=\"2\"} 1"),
             "{text}"
+        );
+        assert!(
+            text.contains("# HELP jsweep_frames_sent_total Coalesced"),
+            "help text registered at attach: {text}"
         );
     }
 }

@@ -38,16 +38,14 @@ fn arg_names(e: &Event) -> [Option<&'static str>; 2] {
     use crate::EventKind::*;
     match e.kind {
         Epoch => [Some("epoch"), Some("span")],
-        Fence => [None, None],
-        Claim => [Some("claimed"), None],
         Compute => [Some("patch"), Some("task")],
-        Pack => [Some("dst"), Some("bytes")],
-        Route => [Some("streams"), None],
         PlanCompile => [Some("generation"), None],
         Send => [Some("dst"), Some("bytes")],
         Recv => [Some("src"), Some("bytes")],
         Fault => [Some("detail"), None],
         CacheHit | CacheMiss => [Some("generation"), None],
+        // The fence and the region kinds carry no payload.
+        Fence | Pack | Unpack | Comm | Route | Idle => [None, None],
     }
 }
 
@@ -211,10 +209,10 @@ mod tests {
                         b: 1,
                     },
                     Event {
-                        kind: EventKind::Claim,
+                        kind: EventKind::Idle,
                         t0: 1000,
                         t1: 1500,
-                        a: 4,
+                        a: 0,
                         b: 0,
                     },
                 ],
@@ -222,7 +220,8 @@ mod tests {
         ];
         let evs = trace_events(&lanes);
         assert_eq!(evs.len(), 3);
-        assert_eq!(evs[0].name, "claim");
+        assert_eq!(evs[0].name, "idle");
+        assert!(evs[0].args.is_empty(), "region kinds carry no payload");
         assert_eq!(evs[1].name, "compute");
         assert_eq!(evs[1].args, vec![("patch", 7), ("task", 1)]);
         assert_eq!(evs[2].name, "send");

@@ -1,9 +1,20 @@
 //! The typed event taxonomy every lane records.
+//!
+//! Durational kinds come in two sorts. **Region** kinds are time
+//! categories of `jsweep_core::stats::Breakdown` under the same names:
+//! a thread's stopwatch books a region's `[t0, t1]` into its
+//! `Breakdown` and records that same pair as the span, so one lane's
+//! spans of a kind sum to that thread's `Breakdown` entry. (The
+//! per-claim worker categories `Input` / `Output` / `Other` are booked
+//! only: see `docs/observability.md`.) **Structural** kinds (`Epoch`,
+//! `Fence`, `Compute`, `PlanCompile`) book nothing themselves; they
+//! bracket regions.
 
 /// What a recorded event describes. Durational kinds carry a
 /// `[t0, t1]` window; instant kinds carry only `t0` (`t1 == t0`).
 ///
-/// The `a`/`b` payload words are kind-specific (see each variant).
+/// The `a`/`b` payload words are kind-specific (see each variant);
+/// region kinds carry none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u64)]
 pub enum EventKind {
@@ -11,46 +22,54 @@ pub enum EventKind {
     /// `b` = the request span id threaded through the epoch tuning
     /// (0 when the epoch belongs to no tracked request).
     Epoch = 1,
-    /// The epoch-boundary fence (barrier + pool reset).
+    /// The epoch-boundary fence: the barriers (an `Idle` region) and
+    /// the pool reset it brackets.
     Fence = 2,
-    /// One (possibly blocking) claim round-trip against the pool.
-    /// `a` = programs claimed.
-    Claim = 3,
-    /// One patch-program `compute` call. `a` = patch id, `b` = task
-    /// tag.
-    Compute = 4,
-    /// Serialising one outgoing frame. `a` = destination rank,
-    /// `b` = payload bytes.
-    Pack = 5,
-    /// Routing one worker report through the route table. `a` =
-    /// streams routed.
-    Route = 6,
+    /// One patch-program `compute` call; its window is booked as
+    /// `Kernel` (the share the program reported) plus `GraphOp` (the
+    /// rest). `a` = patch id, `b` = task tag.
+    Compute = 3,
     /// Compiling a coarse replay plan. `a` = mesh generation.
-    PlanCompile = 7,
+    PlanCompile = 4,
+    /// Region: the master serialising one stream into its
+    /// destination's outgoing frame (`frame_push`).
+    Pack = 5,
+    /// Region: the master decoding one incoming frame.
+    Unpack = 6,
+    /// Region: the master inside the transport — sending one frame
+    /// or polling for a message.
+    Comm = 7,
+    /// Region: the master's route-table lookups and pool deliveries.
+    Route = 8,
+    /// Region: blocked with nothing to do — a worker waiting for a
+    /// claim, the master parked, fencing or quiescing.
+    Idle = 9,
     /// Instant: one frame handed to the transport. `a` = destination
     /// rank, `b` = payload bytes.
-    Send = 8,
+    Send = 10,
     /// Instant: one frame received from the transport. `a` = source
     /// rank, `b` = payload bytes.
-    Recv = 9,
+    Recv = 11,
     /// Instant: a fault was observed (contained panic, stall, rank
     /// death). `a` = kind-specific word (e.g. blamed rank or patch).
-    Fault = 10,
+    Fault = 12,
     /// Instant: a plan-cache lookup hit. `a` = mesh generation.
-    CacheHit = 11,
+    CacheHit = 13,
     /// Instant: a plan-cache lookup missed. `a` = mesh generation.
-    CacheMiss = 12,
+    CacheMiss = 14,
 }
 
 /// Every kind, in taxonomy order.
-pub const EVENT_KINDS: [EventKind; 12] = [
+pub const EVENT_KINDS: [EventKind; 14] = [
     EventKind::Epoch,
     EventKind::Fence,
-    EventKind::Claim,
     EventKind::Compute,
-    EventKind::Pack,
-    EventKind::Route,
     EventKind::PlanCompile,
+    EventKind::Pack,
+    EventKind::Unpack,
+    EventKind::Comm,
+    EventKind::Route,
+    EventKind::Idle,
     EventKind::Send,
     EventKind::Recv,
     EventKind::Fault,
@@ -59,16 +78,19 @@ pub const EVENT_KINDS: [EventKind; 12] = [
 ];
 
 impl EventKind {
-    /// Display / trace-event name.
+    /// Display / trace-event name (a region kind's is its `Breakdown`
+    /// category's).
     pub fn name(self) -> &'static str {
         match self {
             EventKind::Epoch => "epoch",
             EventKind::Fence => "fence",
-            EventKind::Claim => "claim",
             EventKind::Compute => "compute",
-            EventKind::Pack => "pack",
-            EventKind::Route => "route",
             EventKind::PlanCompile => "plan-compile",
+            EventKind::Pack => "pack",
+            EventKind::Unpack => "unpack",
+            EventKind::Comm => "comm",
+            EventKind::Route => "route",
+            EventKind::Idle => "idle",
             EventKind::Send => "send",
             EventKind::Recv => "recv",
             EventKind::Fault => "fault",

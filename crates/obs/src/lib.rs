@@ -121,10 +121,15 @@ impl Telemetry {
         self.armed.load(Ordering::Relaxed)
     }
 
-    /// Nanoseconds elapsed on this telemetry's shared monotonic clock
-    /// (never 0, so 0 can mean "no stamp").
+    /// Nanoseconds elapsed on this telemetry's shared monotonic clock.
     pub fn now_nanos(&self) -> u64 {
-        (self.origin.elapsed().as_nanos() as u64).max(1)
+        self.nanos_at(Instant::now())
+    }
+
+    /// `t` on the shared clock: nanoseconds since this telemetry's
+    /// origin (0 for a reading that predates it).
+    fn nanos_at(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.origin).as_nanos() as u64
     }
 
     /// The metrics registry.
@@ -149,15 +154,14 @@ impl Telemetry {
         }
     }
 
-    /// Record a durational event on the shared driver lane (cold
-    /// paths from threads that own no lane; writes serialise on a
-    /// lock). `t0` is a stamp from [`Telemetry::now_nanos`]; no-op
-    /// while disarmed or when `t0 == 0`.
-    pub fn global_span(&self, kind: EventKind, t0: u64, a: u64, b: u64) {
-        if !self.is_armed() || t0 == 0 {
+    /// Record the durational event `[t0, t1]` on the shared driver
+    /// lane (cold paths from threads that own no lane; writes
+    /// serialise on a lock). No-op while disarmed.
+    pub fn global_span(&self, kind: EventKind, t0: Instant, t1: Instant, a: u64, b: u64) {
+        if !self.is_armed() {
             return;
         }
-        let t1 = self.now_nanos();
+        let (t0, t1) = (self.nanos_at(t0), self.nanos_at(t1));
         let g = self.global.lock().unwrap();
         g.ring.push(Event { kind, t0, t1, a, b });
     }
@@ -231,27 +235,16 @@ impl Recorder {
         self.shared.is_armed()
     }
 
-    /// A start-of-span stamp: nanoseconds on the shared clock while
-    /// armed, 0 while disarmed (so the matching [`Recorder::span`]
-    /// knows to drop the event).
+    /// Record the durational event `[t0, t1]`: two clock readings the
+    /// caller already took for its own accounting, converted against
+    /// the shared origin here so every lane stays comparable. No-op
+    /// while disarmed.
     #[inline]
-    pub fn now(&self) -> u64 {
-        if self.armed() {
-            self.shared.now_nanos()
-        } else {
-            0
-        }
-    }
-
-    /// Record a durational event started at `t0` (a stamp from
-    /// [`Recorder::now`]) and ending now. No-op while disarmed or when
-    /// `t0 == 0` (armed mid-span).
-    #[inline]
-    pub fn span(&self, kind: EventKind, t0: u64, a: u64, b: u64) {
-        if !self.armed() || t0 == 0 {
+    pub fn span(&self, kind: EventKind, t0: Instant, t1: Instant, a: u64, b: u64) {
+        if !self.armed() {
             return;
         }
-        let t1 = self.shared.now_nanos();
+        let (t0, t1) = (self.shared.nanos_at(t0), self.shared.nanos_at(t1));
         self.lane.ring.push(Event { kind, t0, t1, a, b });
     }
 
@@ -280,34 +273,34 @@ mod tests {
     fn disarmed_records_nothing_and_armed_records() {
         let t = Arc::new(Telemetry::new());
         let rec = t.recorder(0, 1);
-        let t0 = rec.now();
-        assert_eq!(t0, 0, "disarmed stamps are 0");
-        rec.span(EventKind::Compute, t0, 1, 2);
+        let (t0, t1) = (Instant::now(), Instant::now());
+        rec.span(EventKind::Compute, t0, t1, 1, 2);
         rec.instant(EventKind::Send, 3, 4);
         assert!(t.snapshot().iter().all(|l| l.events.is_empty()));
 
         t.arm();
-        let t0 = rec.now();
-        assert!(t0 > 0);
-        rec.span(EventKind::Compute, t0, 1, 2);
+        rec.span(EventKind::Compute, t0, t1, 1, 2);
         rec.instant(EventKind::Send, 3, 4);
         let lanes = t.snapshot();
         let lane = lanes.iter().find(|l| l.lane == 1).unwrap();
         assert_eq!(lane.events.len(), 2);
         assert_eq!(lane.events[0].kind, EventKind::Compute);
-        assert!(lane.events[0].t1 >= lane.events[0].t0);
         assert_eq!(lane.events[1].kind, EventKind::Send);
         assert_eq!(lane.events[1].t0, lane.events[1].t1);
     }
 
+    /// A span is exactly the two readings its caller took: the ring
+    /// holds their distance to the nanosecond, whatever the origin.
     #[test]
-    fn arming_mid_span_drops_the_half_stamped_event() {
+    fn span_between_two_instants_keeps_their_distance() {
         let t = Arc::new(Telemetry::new());
-        let rec = t.recorder(0, 0);
-        let t0 = rec.now(); // disarmed: 0
         t.arm();
-        rec.span(EventKind::Epoch, t0, 0, 0);
-        assert!(t.snapshot().iter().all(|l| l.events.is_empty()));
+        let rec = t.recorder(0, 0);
+        let t0 = Instant::now();
+        let t1 = t0 + std::time::Duration::from_nanos(12_345);
+        rec.span(EventKind::Idle, t0, t1, 0, 0);
+        let e = t.snapshot()[0].events[0];
+        assert_eq!(e.t1 - e.t0, 12_345);
     }
 
     #[test]
@@ -315,8 +308,8 @@ mod tests {
         let t = Telemetry::new();
         t.arm();
         t.global_instant(EventKind::CacheMiss, 7, 0);
-        let t0 = t.now_nanos();
-        t.global_span(EventKind::PlanCompile, t0, 7, 0);
+        let t0 = Instant::now();
+        t.global_span(EventKind::PlanCompile, t0, Instant::now(), 7, 0);
         let lanes = t.snapshot();
         let g = lanes.iter().find(|l| l.rank == GLOBAL_RANK).unwrap();
         assert_eq!(g.events.len(), 2);
@@ -329,19 +322,18 @@ mod tests {
         let t = Arc::new(Telemetry::new());
         t.arm();
         let rec = t.recorder(0, 1);
-        let t0 = rec.now();
-        rec.span(EventKind::Compute, t0, 5, 0);
+        let t0 = Instant::now();
+        rec.span(EventKind::Compute, t0, Instant::now(), 5, 0);
         let json = t.chrome_trace();
         assert!(json.contains("\"compute\""));
         assert!(json.contains("\"thread_name\""));
     }
 
     #[test]
-    fn clock_is_monotone_nonzero() {
+    fn clock_is_monotone() {
         let t = Telemetry::new();
         let a = t.now_nanos();
         let b = t.now_nanos();
-        assert!(a >= 1);
         assert!(b >= a);
     }
 }

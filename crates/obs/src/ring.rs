@@ -166,7 +166,7 @@ mod tests {
     fn wrap_keeps_newest_and_counts_dropped() {
         let ring = SpanRing::new(4);
         for i in 1..=10 {
-            ring.push(ev(EventKind::Claim, i));
+            ring.push(ev(EventKind::Idle, i));
         }
         let got = ring.snapshot();
         assert_eq!(got.len(), 4);

@@ -150,9 +150,6 @@ pub struct CoarsePlan {
     /// `tasks[angle][patch]`; octant members share `Arc`s with their
     /// canonical angle.
     pub tasks: Vec<Vec<Arc<ReplayTask>>>,
-    /// Host seconds spent coarsening (the paper reports this build cost
-    /// staying below one DAG-driven iteration).
-    pub build_seconds: f64,
     /// Generation stamp of the mesh the traces were recorded on (see
     /// [`jsweep_mesh::SweepTopology::generation`]). A plan whose stamp
     /// differs from the problem's mesh is stale and must be rebuilt,
@@ -242,7 +239,6 @@ pub fn build_plan<T: SweepTopology + ?Sized>(
     mesh: &T,
 ) -> CoarsePlan {
     assert_eq!(traces.len(), problem.num_angles);
-    let t0 = std::time::Instant::now();
     let mf = mesh.num_faces(0) as u32;
     let mut tasks: Vec<Vec<Arc<ReplayTask>>> = Vec::with_capacity(problem.num_angles);
     for (a, angle_traces) in traces.iter().enumerate() {
@@ -289,7 +285,6 @@ pub fn build_plan<T: SweepTopology + ?Sized>(
     }
     CoarsePlan {
         tasks,
-        build_seconds: t0.elapsed().as_secs_f64(),
         mesh_generation: problem.mesh_generation,
     }
 }
@@ -672,7 +667,6 @@ mod tests {
     fn dummy_plan(generation: u64) -> Arc<CoarsePlan> {
         Arc::new(CoarsePlan {
             tasks: Vec::new(),
-            build_seconds: 0.0,
             mesh_generation: generation,
         })
     }
@@ -816,7 +810,6 @@ mod tests {
         assert!(cache.get(&key).is_none());
         let plan = Arc::new(CoarsePlan {
             tasks: Vec::new(),
-            build_seconds: 0.0,
             mesh_generation: prob.mesh_generation,
         });
         cache.insert(key, plan.clone());

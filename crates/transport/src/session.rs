@@ -651,32 +651,35 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
     /// Pull-style gauges — the plan cache's hit/miss/eviction counts —
     /// are refreshed at call time; everything else is whatever the
     /// armed runtime has pushed so far. Returns an empty string while
-    /// the session runs with a detached [`TelemetryHandle`].
-    #[cfg(feature = "telemetry")]
+    /// the session runs with a detached [`TelemetryHandle`] (always,
+    /// with the `telemetry` feature compiled out).
     pub fn metrics_text(&self) -> String {
-        let Some(t) = self.telemetry.telemetry() else {
-            return String::new();
-        };
-        let m = t.metrics();
-        m.describe(
-            "jsweep_plan_cache_hits",
-            "Replay-plan cache lookups that hit.",
-        );
-        m.describe(
-            "jsweep_plan_cache_misses",
-            "Replay-plan cache lookups that missed.",
-        );
-        m.describe(
-            "jsweep_plan_cache_evictions",
-            "Replay plans evicted from the session cache.",
-        );
-        m.gauge("jsweep_plan_cache_hits")
-            .set(self.cache.hits() as f64);
-        m.gauge("jsweep_plan_cache_misses")
-            .set(self.cache.misses() as f64);
-        m.gauge("jsweep_plan_cache_evictions")
-            .set(self.cache.evictions() as f64);
-        m.render_prometheus()
+        #[cfg(feature = "telemetry")]
+        if let Some(t) = self.telemetry.telemetry() {
+            let m = t.metrics();
+            for (name, help, value) in [
+                (
+                    "jsweep_plan_cache_hits",
+                    "Replay-plan cache lookups that hit.",
+                    self.cache.hits(),
+                ),
+                (
+                    "jsweep_plan_cache_misses",
+                    "Replay-plan cache lookups that missed.",
+                    self.cache.misses(),
+                ),
+                (
+                    "jsweep_plan_cache_evictions",
+                    "Replay plans evicted from the session cache.",
+                    self.cache.evictions(),
+                ),
+            ] {
+                m.describe(name, help);
+                m.gauge(name).set(value as f64);
+            }
+            return m.render_prometheus();
+        }
+        String::new()
     }
 
     /// Drain admitted work, resolve everything still queued with
@@ -1037,7 +1040,12 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         if solve.queue_wait.is_none() {
             let wait = solve.submitted.elapsed().as_secs_f64();
             solve.queue_wait = Some(wait);
-            note_queue_wait(&self.world.config.telemetry, wait);
+            session_metric(
+                &self.world.config.telemetry,
+                "jsweep_session_queue_wait_seconds",
+                "Time a request spent queued before its first epoch.",
+                Update::Observe(wait),
+            );
         }
         let plan_generation = solve.progress.plan.as_ref().map(|p| p.mesh_generation);
         // Count the attempt before running it: "fail epoch E of
@@ -1110,11 +1118,11 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             cs.compute_calls += epoch_stats.compute_calls;
             cs.worker_drain_seconds += epoch_stats.worker_drain_seconds.iter().sum::<f64>();
         }
-        set_session_gauge(
+        session_metric(
             &self.world.config.telemetry,
             "jsweep_flux_fresh_allocations",
             "Flux accumulators allocated fresh (pool misses) by the resident world.",
-            self.world.fresh_flux_allocations() as f64,
+            Update::Set(self.world.fresh_flux_allocations() as f64),
         );
         if outcome.done {
             let solve = queue.pop_front().expect("head just served");
@@ -1128,10 +1136,11 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
                 cs.completed += 1;
                 cs.queue_wait_seconds += wait;
             }
-            bump_session_counter(
+            session_metric(
                 &self.world.config.telemetry,
                 "jsweep_session_solves_total",
                 "Requests the session resolved with a solution.",
+                Update::Inc,
             );
             let span_id = solve.progress.span;
             solve.reply.fulfill(Ok(SolveOutcome {
@@ -1186,16 +1195,18 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
                 cs.retries += 1;
             }
         }
-        bump_session_counter(
+        session_metric(
             &self.world.config.telemetry,
             "jsweep_session_faults_total",
             "Faulted epochs observed by the session driver.",
+            Update::Inc,
         );
         if retrying {
-            bump_session_counter(
+            session_metric(
                 &self.world.config.telemetry,
                 "jsweep_session_retries_total",
                 "Epoch retries spent recovering faulted requests.",
+                Update::Inc,
             );
         }
         if retrying {
@@ -1237,10 +1248,11 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         self.retire_world();
         if had_universe {
             self.stats.lock().relaunches += 1;
-            bump_session_counter(
+            session_metric(
                 &self.world.config.telemetry,
                 "jsweep_session_relaunches_total",
                 "Universe relaunches forced by faulted epochs.",
+                Update::Inc,
             );
         }
         if retrying && !backoff.is_zero() {
@@ -1304,63 +1316,33 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
     }
 }
 
-/// Bump a session-tier counter (no-op while the handle is detached or
-/// the telemetry disarmed; these sit on driver cold paths, never inside
-/// an epoch).
-#[cfg(feature = "telemetry")]
-fn bump_session_counter(h: &TelemetryHandle, name: &'static str, help: &'static str) {
-    let Some(t) = h.telemetry() else { return };
-    if !t.is_armed() {
-        return;
-    }
-    let m = t.metrics();
-    m.describe(name, help);
-    m.counter(name).inc();
+/// What a session-tier metric update does to its series.
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+enum Update {
+    /// Bump a counter.
+    Inc,
+    /// Set a gauge.
+    Set(f64),
+    /// Observe a duration (seconds) into a histogram.
+    Observe(f64),
 }
 
-/// Bump a session-tier counter (compiled out: no-op).
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-fn bump_session_counter(_h: &TelemetryHandle, _name: &'static str, _help: &'static str) {}
-
-/// Set a session-tier gauge (no-op while detached or disarmed).
-#[cfg(feature = "telemetry")]
-fn set_session_gauge(h: &TelemetryHandle, name: &'static str, help: &'static str, value: f64) {
-    let Some(t) = h.telemetry() else { return };
-    if !t.is_armed() {
-        return;
+/// Apply one session-tier metric update (no-op while the handle is
+/// detached, disarmed or compiled out; these sit on driver cold paths,
+/// never inside an epoch).
+#[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
+fn session_metric(h: &TelemetryHandle, name: &'static str, help: &'static str, update: Update) {
+    #[cfg(feature = "telemetry")]
+    if let Some(t) = h.telemetry().filter(|t| t.is_armed()) {
+        let m = t.metrics();
+        m.describe(name, help);
+        match update {
+            Update::Inc => m.counter(name).inc(),
+            Update::Set(v) => m.gauge(name).set(v),
+            Update::Observe(v) => m.histogram(name, obs::SECONDS_BUCKETS).observe(v),
+        }
     }
-    let m = t.metrics();
-    m.describe(name, help);
-    m.gauge(name).set(value);
 }
-
-/// Set a session-tier gauge (compiled out: no-op).
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-fn set_session_gauge(_h: &TelemetryHandle, _name: &'static str, _help: &'static str, _value: f64) {}
-
-/// Observe one request's queue wait into its histogram (no-op while
-/// detached or disarmed).
-#[cfg(feature = "telemetry")]
-fn note_queue_wait(h: &TelemetryHandle, seconds: f64) {
-    let Some(t) = h.telemetry() else { return };
-    if !t.is_armed() {
-        return;
-    }
-    let m = t.metrics();
-    m.describe(
-        "jsweep_session_queue_wait_seconds",
-        "Time a request spent queued before its first epoch.",
-    );
-    m.histogram("jsweep_session_queue_wait_seconds", obs::SECONDS_BUCKETS)
-        .observe(seconds);
-}
-
-/// Observe one request's queue wait (compiled out: no-op).
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-fn note_queue_wait(_h: &TelemetryHandle, _seconds: f64) {}
 
 #[cfg(test)]
 mod tests {

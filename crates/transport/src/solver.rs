@@ -37,6 +37,7 @@ use jsweep_graph::SweepProblem;
 use jsweep_mesh::SweepTopology;
 use jsweep_quadrature::QuadratureSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Worker report-flush threshold for coarse-replay iterations (fine
 /// iterations run [`EpochTuning::default`]).
@@ -74,7 +75,7 @@ pub struct SnConfig {
     /// scheduling. Bit-identical flux either way; `false` keeps every
     /// iteration on the fine DAG path.
     pub coarsen: bool,
-    /// Epoch watchdog deadline (default off): a rank whose pool holds
+    /// Epoch watchdog deadline (default 60 s): a rank whose pool holds
     /// active work but makes no progress for this long converts the
     /// hang into an [`EpochFault`] instead of blocking the epoch
     /// forever. See [`jsweep_core::RuntimeConfig::watchdog`].
@@ -108,7 +109,7 @@ impl Default for SnConfig {
             termination: TerminationKind::Counting,
             break_cycles: false,
             coarsen: true,
-            watchdog: None,
+            watchdog: Some(std::time::Duration::from_secs(60)),
             fault_plan: None,
             transport: TransportKind::default(),
             telemetry: TelemetryHandle::default(),
@@ -716,16 +717,20 @@ pub(crate) fn advance_one_epoch<T: SweepTopology + Send + Sync + 'static>(
     // are actively hitting out of an at-capacity cache.
     if let Some(b) = bins {
         if !done || cache.is_some() {
-            let tc0 = world.config.telemetry.global_now();
             let traces = collect_traces(&world.problem, &b);
+            // One pair of readings is both the reported build cost and
+            // the trace's `PlanCompile` span.
+            let t0 = Instant::now();
             let built = Arc::new(build_plan(&world.problem, &traces, world.mesh.as_ref()));
+            let t1 = Instant::now();
             world.config.telemetry.global_span(
                 EventKind::PlanCompile,
-                tc0,
+                t0,
+                t1,
                 world.problem.mesh_generation,
                 0,
             );
-            progress.coarse_build_seconds = built.build_seconds;
+            progress.coarse_build_seconds = (t1 - t0).as_secs_f64();
             if let (Some(c), Some(k)) = (cache, world.key) {
                 if done {
                     c.insert_opportunistic(k, built.clone());
@@ -1060,7 +1065,6 @@ mod tests {
         let hot_key = plan_key(&prob, 999);
         let hot_plan = Arc::new(CoarsePlan {
             tasks: Vec::new(),
-            build_seconds: 0.0,
             mesh_generation: prob.mesh_generation,
         });
         let full = PlanCache::with_policy(EvictionPolicy::LruBytes {

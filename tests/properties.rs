@@ -531,7 +531,6 @@ fn plan_cache_fixtures() -> Vec<(
                 plan_key(&p, grain),
                 Arc::new(CoarsePlan {
                     tasks: Vec::new(),
-                    build_seconds: 0.0,
                     mesh_generation: p.mesh_generation,
                 }),
             ));

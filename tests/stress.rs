@@ -164,13 +164,13 @@ fn runtime_fan_in_under_contention() {
     }
 }
 
-/// Many threads race `deliver_batch` / `take` / `finish` on a sharded
+/// Many threads race `deliver_batch` / `take_batch` / `finish_batch` on a sharded
 /// pool: every delivered stream must be consumed exactly once — none
 /// lost, none double-delivered.
 #[test]
 fn pool_deliver_batch_take_finish_race() {
-    use jsweep::core::pool::Pool;
-    use jsweep::core::{Breakdown, ComputeCtx, PatchProgram, Stream};
+    use jsweep::core::pool::{FinishEntry, Pool};
+    use jsweep::core::{ComputeCtx, PatchProgram, Stream};
     use parking_lot::Mutex;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,17 +205,25 @@ fn pool_deliver_batch_take_finish_race() {
         let seen = seen.clone();
         let consumed = consumed.clone();
         takers.push(std::thread::spawn(move || {
-            let mut bd = Breakdown::default();
-            while let Some(claim) = pool.take(w, &mut bd) {
-                let n = claim.pending.len() as u64;
-                {
+            let mut claims = Vec::new();
+            let mut finishes = Vec::new();
+            while pool.take_batch(w, 1, &mut claims) > 0 {
+                let mut n = 0;
+                for claim in claims.drain(..) {
+                    n += claim.pending.len() as u64;
                     let mut set = seen.lock();
                     for (_src, payload) in &claim.pending {
                         let tag = u64::from_le_bytes(payload[..8].try_into().unwrap());
                         assert!(set.insert(tag), "stream {tag} delivered twice");
                     }
+                    finishes.push(FinishEntry {
+                        id: claim.id,
+                        program: Box::new(Sink),
+                        halted: true,
+                        scratch: Vec::new(),
+                    });
                 }
-                pool.finish(claim.id, Box::new(Sink), true);
+                pool.finish_batch(&mut finishes);
                 consumed.fetch_add(n, Ordering::SeqCst);
             }
         }));

@@ -8,6 +8,9 @@
 //!   (a thread's call stack cannot partially overlap);
 //! * exactly one `epoch` span per `run_epoch` per rank, with `fence`
 //!   nested inside it and `compute` confined to worker lanes;
+//! * the trace *is* the Fig.-16 breakdown: on every lane the spans of
+//!   a time category sum to that thread's `RunStats` entry, on both
+//!   fabrics;
 //! * the Chrome trace-event JSON is loadable (sorted timestamps,
 //!   metadata rows, balanced braces) and renders both rank timelines;
 //! * a session ticket's `span_id` locates exactly its epochs in the
@@ -20,7 +23,9 @@
 
 #![cfg(feature = "telemetry")]
 
+use jsweep::core::stats::{Category, CATEGORIES};
 use jsweep::core::telemetry::obs::{EventKind, LaneSnapshot, Telemetry, GLOBAL_RANK};
+use jsweep::core::Breakdown;
 use jsweep::prelude::*;
 use std::sync::Arc;
 
@@ -235,6 +240,114 @@ fn armed_two_rank_solve_exports_valid_chrome_trace() {
         "\"ph\":\"M\"",
     ] {
         assert!(json.contains(label), "chrome trace missing {label}");
+    }
+}
+
+/// `(total nanoseconds, count)` of the lanes' spans named `name`.
+fn span_nanos<'a>(lanes: impl IntoIterator<Item = &'a LaneSnapshot>, name: &str) -> (u64, u64) {
+    lanes
+        .into_iter()
+        .flat_map(|l| l.events.iter())
+        .filter(|e| e.kind.name() == name)
+        .fold((0, 0), |(ns, n), e| (ns + (e.t1 - e.t0), n + 1))
+}
+
+/// One thread (or, for the masters, one group of threads) reconciled:
+/// every recorded category's spans sum to its `Breakdown` entry to
+/// within 1 ns per span, and `Compute` spans to `Kernel + GraphOp`.
+fn assert_spans_are_the_breakdown(who: &str, lanes: &[&LaneSnapshot], bd: &Breakdown) {
+    let check = |what: &str, (ns, n): (u64, u64), seconds: f64| {
+        let gap = (ns as f64 - seconds * 1e9).abs();
+        assert!(
+            gap <= n as f64 + 1.0,
+            "{who} {what}: {n} spans sum to {ns} ns, breakdown books {} ns",
+            seconds * 1e9
+        );
+    };
+    for cat in CATEGORIES {
+        let spans = span_nanos(lanes.iter().copied(), cat.name());
+        match cat {
+            // Booked through the `Compute` span, below.
+            Category::Kernel | Category::GraphOp => {}
+            // Booked only (see `core::telemetry::Recorder::region`).
+            Category::Input | Category::Output | Category::Other => {
+                assert_eq!(spans.1, 0, "{who}: unexpected {} spans", cat.name())
+            }
+            _ => check(cat.name(), spans, bd.get(cat)),
+        }
+    }
+    check(
+        "compute",
+        span_nanos(lanes.iter().copied(), "compute"),
+        bd.get(Category::Kernel) + bd.get(Category::GraphOp),
+    );
+}
+
+/// The reconciliation property: an armed trace's per-lane span sums
+/// are the `RunStats` breakdown of the same solve — one recording
+/// (fine) epoch and two replay epochs, on both fabrics. Summed over
+/// the solve, not per epoch: a worker's trailing idle delta rides its
+/// next non-empty report.
+#[test]
+fn span_sums_are_the_breakdown_on_both_fabrics() {
+    for transport in [TransportKind::Thread, TransportKind::Socket] {
+        let (mesh, problem, quad) = build_world();
+        let t = Arc::new(Telemetry::new());
+        t.arm();
+        let sol = solve_parallel(
+            mesh,
+            problem,
+            &quad,
+            materials(),
+            &SnConfig {
+                transport,
+                ..config(TelemetryHandle::attach(t.clone()))
+            },
+        );
+        assert_eq!(sol.iterations, ITERATIONS);
+        assert!(sol.coarse_build_seconds > 0.0, "iterations 2.. replayed");
+
+        let lanes = t.snapshot();
+        for lane in &lanes {
+            assert_eq!(lane.dropped, 0, "{transport:?}: ring overflow");
+            assert_lane_well_formed(lane);
+        }
+        // `SnSolution::stats` aggregates ranks per iteration: masters
+        // merged, workers concatenated in rank order.
+        let mut master = Breakdown::default();
+        let mut workers = vec![Breakdown::default(); RANKS * WORKERS];
+        for s in &sol.stats {
+            master.merge(&s.master);
+            assert_eq!(s.workers.len(), workers.len());
+            for (acc, w) in workers.iter_mut().zip(&s.workers) {
+                acc.merge(w);
+            }
+        }
+        let masters: Vec<_> = lanes
+            .iter()
+            .filter(|l| l.rank != GLOBAL_RANK && l.lane == 0)
+            .collect();
+        assert_eq!(masters.len(), RANKS);
+        assert_spans_are_the_breakdown(&format!("{transport:?} masters"), &masters, &master);
+        for (i, bd) in workers.iter().enumerate() {
+            let (rank, lane) = ((i / WORKERS) as u32, (i % WORKERS) as u32 + 1);
+            let lane = lanes
+                .iter()
+                .find(|l| l.rank == rank && l.lane == lane)
+                .expect("worker lane exists");
+            let who = format!("{transport:?} rank {rank} worker {}", i % WORKERS);
+            assert_spans_are_the_breakdown(&who, &[lane], bd);
+            assert!(bd.get(Category::Kernel) > 0.0, "{who} never computed");
+        }
+        // The master categories a trace is most easily mislabelled
+        // in (pack vs comm vs route) are all populated.
+        for cat in [Category::Pack, Category::Comm, Category::Route] {
+            assert!(
+                master.get(cat) > 0.0,
+                "{transport:?}: no {} time",
+                cat.name()
+            );
+        }
     }
 }
 
