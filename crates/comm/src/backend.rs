@@ -29,12 +29,18 @@ pub enum CommError {
         /// Rank id of the vanished peer.
         peer: usize,
     },
+    /// A blocking receive found nothing buffered and every peer has
+    /// closed gracefully: no message can ever arrive.
+    AllPeersClosed,
 }
 
 impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CommError::PeerClosed { peer } => write!(f, "peer rank {peer} hung up"),
+            CommError::AllPeersClosed => {
+                write!(f, "blocking receive after every peer closed gracefully")
+            }
         }
     }
 }
@@ -54,7 +60,9 @@ impl std::error::Error for CommError {}
 ///   `try_recv`/`recv` return [`CommError::PeerClosed`].
 /// * **Graceful close is silent** — a peer that called [`close`]
 ///   (rather than dying) simply never delivers again; it is not an
-///   error.
+///   error. Only a blocking `recv` that could therefore never return
+///   — nothing buffered, every peer closed — fails, with
+///   [`CommError::AllPeersClosed`], where the backend can observe it.
 /// * `send` takes `&self` so the master can send while logically
 ///   holding the endpoint; `try_recv` must be cheap enough to poll in
 ///   the master drain loop.

@@ -317,6 +317,16 @@ impl CommBackend for SocketBackend {
             if let Some(m) = self.try_recv()? {
                 return Ok(m);
             }
+            // Every remote reader saw the close marker and then EOF:
+            // no byte can ever arrive, so waiting would never end.
+            if self
+                .readers
+                .iter()
+                .flatten()
+                .all(|p| p.eof && p.decoder.closed())
+            {
+                return Err(CommError::AllPeersClosed);
+            }
             // Brief spin for latency, then back off to a short sleep so
             // a blocked collective does not burn a core.
             spins = spins.saturating_add(1);

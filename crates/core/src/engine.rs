@@ -14,8 +14,8 @@
 //! "communication aggregation", profiled in Fig. 16):
 //!
 //! * workers accumulate compute outputs into one `Report` per flush
-//!   (at most [`EpochTuning::report_flush_streams`] streams, flushed
-//!   eagerly before a worker would block), so the master channel does
+//!   (at most `REPORT_FLUSH_STREAMS` streams, flushed eagerly before
+//!   a worker would block), so the master channel does
 //!   not carry one message per compute round; reports also carry the
 //!   worker's time-breakdown and compute-call deltas, which is how a
 //!   resident rank attributes worker stats to epochs without joining
@@ -103,7 +103,12 @@ const TAG_FRAME: u32 = 0;
 /// rank that died), not on the rank that noticed, so session-tier
 /// quarantine and retry accounting target the right rank.
 fn comm_fault(origin_rank: usize, e: CommError) -> EpochFault {
-    let CommError::PeerClosed { peer } = e;
+    let peer = match e {
+        CommError::PeerClosed { peer } => peer,
+        // Every peer left gracefully: no single rank is to blame, so
+        // the fault names the rank left waiting.
+        CommError::AllPeersClosed => origin_rank,
+    };
     peer_fault(origin_rank, peer, &e.to_string())
 }
 
@@ -124,7 +129,7 @@ fn peer_fault(origin_rank: usize, peer: usize, what: &str) -> EpochFault {
 /// it packs the [`EpochFault`] and sends it to every peer, which
 /// breaks out of the epoch with the same fault. A user-space tag —
 /// faulted epochs never reach the epoch fence, and a faulted
-/// universe's comm world is discarded wholesale on relaunch, so abort
+/// universe's comm world is discarded wholesale with it, so abort
 /// residue can never leak into a healthy epoch.
 const TAG_ABORT: u32 = 1;
 
@@ -197,6 +202,15 @@ fn flush_report(
 /// were within noise on the replay scenario).
 const CLAIM_BATCH: usize = 8;
 
+/// Max output streams a worker buffers across compute calls before
+/// flushing a report to the master. Batches are always flushed before
+/// a worker blocks, so this trades master-channel traffic against
+/// stream latency. One value serves every epoch: against 32, 64 is
+/// worth ~6% of `iter_ms` on the replayed `session_hex12_mix` ledger
+/// workload (10/10 pairs) and the fine path cannot tell the two apart
+/// (`tet10_g8_fine_socket`, 5/10; pairs in CHANGES.md, PR 16).
+const REPORT_FLUSH_STREAMS: usize = 64;
+
 fn worker_loop<F: ProgramFactory>(
     rank: usize,
     worker: usize,
@@ -251,14 +265,11 @@ fn worker_loop<F: ProgramFactory>(
                     None => {
                         let mut p = Box::new(factory.create(claim.id))
                             as Box<dyn crate::program::PatchProgram>;
-                        // A program materialising in epoch ≥ 2 of a
-                        // persistent universe is factory-fresh (first
-                        // epoch's state); specialise it to the current
-                        // epoch exactly like the resident programs were at
-                        // the epoch boundary.
-                        if let Some(epoch) = pool.epoch_input() {
-                            p.reset(&*epoch);
-                        }
+                        // The factory describes shape only: arm the
+                        // new program with the current epoch's input,
+                        // exactly as the resident programs were at the
+                        // epoch boundary.
+                        p.reset(&*pool.epoch_input());
                         sw.lap(Category::Other);
                         p
                     }
@@ -346,9 +357,7 @@ fn worker_loop<F: ProgramFactory>(
         pool.note_worker_activity(worker);
         // Faults flush eagerly: the master should learn of a poisoned
         // epoch at the first opportunity, not a batch boundary later.
-        // The threshold is read from the pool each round, so each
-        // epoch's tuning reaches this resident thread.
-        if !batch.faults.is_empty() || batch.outputs.len() >= pool.flush_streams() {
+        if !batch.faults.is_empty() || batch.outputs.len() >= REPORT_FLUSH_STREAMS {
             flush_report(&pool, &to_master, &mut batch, &mut sw, worker);
         }
     }
@@ -683,16 +692,17 @@ impl<F: ProgramFactory> Rank<F> {
     }
 
     /// Run one epoch to global termination and return this rank's
-    /// stats. `input` is handed to every resident program's
-    /// [`crate::PatchProgram::reset`] from the second epoch on; the
-    /// first epoch runs factory-fresh programs as-is.
+    /// stats. `input` is handed to the
+    /// [`crate::PatchProgram::reset`] of every program that runs in
+    /// the epoch: resident ones at the fence, new ones right after
+    /// their `create`.
     ///
     /// `Err` means the epoch was poisoned — a contained program
     /// panic, a watchdog-detected stall, a lost or garbled peer, or an
     /// abort broadcast from a faulted peer. A faulted rank must not
     /// run further epochs (its pool holds poisoned state and its
-    /// peers' epochs diverged); the owning [`crate::Universe`]
-    /// relaunches instead.
+    /// peers' epochs diverged); its owner shuts it down and launches
+    /// a fresh one instead.
     pub fn run_epoch(
         &mut self,
         input: &Arc<EpochInput>,
@@ -703,7 +713,9 @@ impl<F: ProgramFactory> Rank<F> {
         let epoch_index = self.epochs_run;
         self.epochs_run += 1;
         self.m.begin_epoch(self.config.num_workers);
-        self.pool.set_flush_streams(tuning.report_flush_streams);
+        // Published before activation: a program created this epoch
+        // is reset with it (see `worker_loop`).
+        self.pool.set_epoch_input(input.clone());
         // Every exit closes the epoch on one reading: the `Epoch` span
         // and (on success) `wall_seconds`.
         let close_epoch = |m: &mut Master<F>| {
@@ -732,10 +744,7 @@ impl<F: ProgramFactory> Rank<F> {
                 return Err(comm_fault(self.m.rank, e));
             }
             // Re-arm resident programs for this epoch; the pool drops
-            // stale heap entries in the same pass. Lazily created
-            // programs get the same reset right after `create` (see
-            // `worker_loop`).
-            self.pool.set_epoch_input(Some(input.clone()));
+            // stale heap entries in the same pass.
             let inp: &EpochInput = &**input;
             self.pool.reset_epoch(|_, p| p.reset(inp));
             let t_reset = self.m.sw.lap(Category::Other);
@@ -775,8 +784,7 @@ impl<F: ProgramFactory> Rank<F> {
         // A poisoned epoch ends here: tell every peer (local origin
         // only) and skip the quiesce drain, which a stuck worker could
         // wedge forever. Outstanding claims and held reports are
-        // abandoned with the pool itself when the universe relaunches
-        // or shuts down.
+        // abandoned with the pool itself when the universe shuts down.
         if let Err(abort) = driven {
             let fault = match abort {
                 Abort::Local(fault) => {

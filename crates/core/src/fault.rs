@@ -8,9 +8,9 @@
 //! [`EpochFault`] through the normal report channel, and keep
 //! serving; the master broadcasts an abort to its peers and
 //! `run_epoch` returns `Err` instead of tearing the world down. A
-//! faulted [`crate::Universe`] is then relaunched in place; coarse
-//! plans survive because they key on the mesh generation, not the
-//! universe (see `docs/replay.md`).
+//! faulted [`crate::Universe`] is then shut down and a fresh one
+//! launched in its place; coarse plans survive because they key on the
+//! mesh generation, not the universe (see `docs/replay.md`).
 //!
 //! [`FaultPlan`] is the deterministic injection harness driving
 //! `tests/chaos.rs`. Each hook is defined once, with the
@@ -60,8 +60,8 @@ impl fmt::Display for FaultKind {
 /// A contained epoch failure: where it happened and why.
 ///
 /// Returned by [`crate::Universe::run_epoch`] as the `Err` arm; the
-/// universe that produced it refuses further epochs until
-/// [`crate::Universe::relaunch`].
+/// universe that produced it refuses further epochs: shut it down and
+/// launch a fresh one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EpochFault {
     /// Rank on which the fault originated.

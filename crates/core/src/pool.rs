@@ -131,12 +131,6 @@ struct ShardCell {
     ready: AtomicUsize,
 }
 
-/// Report-flush threshold of a fresh pool and of
-/// [`crate::EpochTuning::default`]: the fine-path value (frame
-/// aggregation and report batching are pure overhead wins for
-/// fine-grained sweeps).
-pub const DEFAULT_FLUSH_STREAMS: usize = 32;
-
 /// Shared per-rank program pool (sharded; see module docs).
 pub struct Pool {
     shards: Vec<ShardCell>,
@@ -154,16 +148,12 @@ pub struct Pool {
     /// lock + notify entirely while this is zero (the common case on a
     /// busy rank).
     sleepers: AtomicUsize,
-    /// Max output streams a worker buffers per report (see
-    /// `EpochTuning::report_flush_streams`). Atomic so each epoch's
-    /// tuning reaches the resident workers.
-    flush_streams: AtomicUsize,
     /// The current epoch's input: a worker that lazily creates a
-    /// program in epoch ≥ 2 resets it with this before first use, so
-    /// late-materialising programs see the same epoch state as
-    /// resident ones. `None` during the first epoch (factory-fresh
-    /// state *is* the first epoch's state).
-    epoch_input: Mutex<Option<Arc<EpochInput>>>,
+    /// program resets it with this before first use, so a program that
+    /// materialises mid-epoch sees the same epoch state as the
+    /// resident ones re-armed at the fence. `()` until the first epoch
+    /// publishes its own.
+    epoch_input: Mutex<Arc<EpochInput>>,
     /// Monotonic origin for [`Pool::note_worker_activity`] stamps.
     activity_base: Instant,
     /// Per-worker last-activity stamp, nanoseconds since
@@ -200,8 +190,7 @@ impl Pool {
             active: AtomicUsize::new(0),
             held_reports: AtomicUsize::new(0),
             sleepers: AtomicUsize::new(0),
-            flush_streams: AtomicUsize::new(DEFAULT_FLUSH_STREAMS),
-            epoch_input: Mutex::new(None),
+            epoch_input: Mutex::new(Arc::new(())),
             activity_base: Instant::now(),
             last_activity: (0..n).map(|_| AtomicU64::new(0)).collect(),
             stop: AtomicBool::new(false),
@@ -210,29 +199,14 @@ impl Pool {
         }
     }
 
-    /// Set the report-flush threshold (clamped to at least 1). Safe to
-    /// call between epochs of a persistent universe; workers pick the
-    /// new value up on their next pool round-trip.
-    pub fn set_flush_streams(&self, flush_streams: usize) {
-        self.flush_streams
-            .store(flush_streams.max(1), Ordering::SeqCst);
-    }
-
-    /// Current report-flush threshold (streams buffered per worker
-    /// report).
-    pub fn flush_streams(&self) -> usize {
-        self.flush_streams.load(Ordering::SeqCst)
-    }
-
-    /// Publish the epoch input lazily-created programs must be reset
-    /// with (`None` = first epoch: factory-fresh state is already
-    /// current).
-    pub fn set_epoch_input(&self, input: Option<Arc<EpochInput>>) {
+    /// Publish the epoch input lazily-created programs are reset
+    /// with. Called by the rank before each epoch's activation.
+    pub fn set_epoch_input(&self, input: Arc<EpochInput>) {
         *self.epoch_input.lock() = input;
     }
 
-    /// The current epoch input, if any (see [`Pool::set_epoch_input`]).
-    pub fn epoch_input(&self) -> Option<Arc<EpochInput>> {
+    /// The current epoch's input (see [`Pool::set_epoch_input`]).
+    pub fn epoch_input(&self) -> Arc<EpochInput> {
         self.epoch_input.lock().clone()
     }
 
@@ -956,24 +930,11 @@ mod tests {
     }
 
     #[test]
-    fn flush_threshold_is_per_epoch_tunable() {
-        let pool = Pool::new(1);
-        assert_eq!(pool.flush_streams(), DEFAULT_FLUSH_STREAMS);
-        pool.set_flush_streams(64);
-        assert_eq!(pool.flush_streams(), 64);
-        pool.set_flush_streams(0);
-        assert_eq!(pool.flush_streams(), 1, "the threshold clamps to 1");
-    }
-
-    #[test]
     fn epoch_input_round_trips_through_the_pool() {
         let pool = Pool::new(1);
-        assert!(pool.epoch_input().is_none());
-        pool.set_epoch_input(Some(std::sync::Arc::new(17u64)));
-        let got = pool.epoch_input().expect("input set");
+        pool.set_epoch_input(std::sync::Arc::new(17u64));
+        let got = pool.epoch_input();
         assert_eq!(*got.downcast_ref::<u64>().unwrap(), 17);
-        pool.set_epoch_input(None);
-        assert!(pool.epoch_input().is_none());
     }
 
     #[test]

@@ -73,13 +73,14 @@ impl ComputeCtx {
     }
 }
 
-/// Opaque per-epoch input handed to resident programs by
-/// [`crate::Universe::run_epoch`].
+/// Opaque per-epoch input handed to every program by
+/// [`crate::Universe::run_epoch`] — the only carrier of per-epoch
+/// state.
 ///
 /// The runtime never interprets it: a program downcasts to the concrete
 /// epoch type its factory's universe is driven with (e.g. the sweep
-/// solver's per-iteration emission density + scheduling mode). Epochs
-/// that carry no input use `Arc::new(())`.
+/// solver's per-iteration emission density, materials and scheduling
+/// mode). Epochs that carry no input use `Arc::new(())`.
 pub type EpochInput = dyn std::any::Any + Send + Sync;
 
 /// A data-driven patch-program (paper Fig. 6).
@@ -89,10 +90,12 @@ pub type EpochInput = dyn std::any::Any + Send + Sync;
 /// the [`ComputeCtx`]) → `vote_to_halt`. The runtime guarantees
 /// `compute` is never invoked concurrently for the same program.
 ///
-/// Under a persistent [`crate::Universe`] the same lifecycle repeats
-/// per **epoch**: at each epoch boundary the runtime calls
-/// [`PatchProgram::reset`] on every resident program (instead of
-/// recreating it), then re-runs the `input*`/`compute` rounds to
+/// Under a [`crate::Universe`] the rounds repeat per **epoch**, and
+/// every epoch — the first included — arms the program through
+/// [`PatchProgram::reset`] with the epoch's input: right after
+/// `create` (before `init`) for a program that materialises in the
+/// epoch, at the epoch boundary for a resident one (instead of
+/// recreating it). The `input*`/`compute` rounds then run to
 /// quiescence.
 pub trait PatchProgram: Send {
     /// Initialise local context. Called exactly once, before the first
@@ -113,16 +116,17 @@ pub trait PatchProgram: Send {
     /// Remaining committed workload (counting termination, §III-B).
     fn remaining_work(&self) -> u64;
 
-    /// Re-arm this resident program for a new epoch of a persistent
-    /// [`crate::Universe`], reusing its buffers in place.
+    /// Arm this program for an epoch of a [`crate::Universe`] with
+    /// the input passed to [`crate::Universe::run_epoch`], reusing its
+    /// buffers in place.
     ///
-    /// Called at the epoch boundary (while the rank is quiescent, so
-    /// never concurrently with `input`/`compute`) with the epoch input
-    /// passed to [`crate::Universe::run_epoch`]; also called right
-    /// after a lazy `create` when a program first materialises in a
-    /// later epoch, so factory-fresh state is specialised the same way
-    /// as resident state. The default is a no-op: single-epoch programs
-    /// need no reset.
+    /// Called once per epoch before the program's first
+    /// `input`/`compute` of that epoch: at the epoch boundary for a
+    /// resident program (while the rank is quiescent, so never
+    /// concurrently with `input`/`compute`), right after `create` for
+    /// one that materialises during the epoch — so a new program and a
+    /// resident one adopt the epoch's state the same way. The default
+    /// is a no-op, for programs whose epochs carry no input.
     fn reset(&mut self, epoch: &EpochInput) {
         let _ = epoch;
     }
@@ -138,7 +142,9 @@ pub trait ProgramFactory: Send + Sync + 'static {
     type Program: PatchProgram + 'static;
 
     /// Instantiate the program for `id` (called lazily, on the rank that
-    /// hosts it).
+    /// hosts it). Describes the program's shape only: the runtime
+    /// follows every `create` with a [`PatchProgram::reset`] carrying
+    /// the current epoch's input.
     fn create(&self, id: ProgramId) -> Self::Program;
 
     /// All program ids hosted by `rank`.

@@ -15,11 +15,16 @@
 //! * **epoch** — each [`Universe::run_epoch`] call re-activates every
 //!   program, runs the data-driven computation to distributed
 //!   termination (either detector) and returns per-rank [`RunStats`];
-//!   programs persist across epochs and are re-armed in place through
-//!   [`PatchProgram::reset`](crate::PatchProgram::reset) with the
-//!   caller's opaque epoch input — no reallocation of their buffers;
+//!   the factory describes the programs' shape only, and the caller's
+//!   opaque epoch input is the sole carrier of per-epoch state: every
+//!   program adopts it through
+//!   [`PatchProgram::reset`](crate::PatchProgram::reset) — resident
+//!   programs in place at the epoch boundary (no reallocation of their
+//!   buffers), new ones right after `create` — in the first epoch as
+//!   in every later one;
 //! * **shutdown** — [`Universe::shutdown`] (or drop) stops the pools
-//!   and joins every thread.
+//!   and joins every thread. A faulted universe is recovered the same
+//!   way: shut it down and launch a fresh one.
 //!
 //! Epochs are separated by a two-barrier fence on the simulated MPI
 //! world, so termination of epoch `k` is globally observed before any
@@ -27,7 +32,6 @@
 
 use crate::engine::{Rank, RuntimeConfig};
 use crate::fault::{panic_message, EpochFault};
-use crate::pool::DEFAULT_FLUSH_STREAMS;
 use crate::program::{EpochInput, ProgramFactory};
 use crate::stats::RunStats;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -37,10 +41,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Builds the connected [`Comm`] world a universe launches its ranks
-/// over, in rank order. Called once per launch *and once per
-/// [`Universe::relaunch`]* — a relaunched universe must get fresh
-/// endpoints (a socket world's old connections carry death residue),
-/// which is why the fabric is a factory rather than a `Vec<Comm>`.
+/// over, in rank order. Called once per launch: the universe that
+/// replaces a faulted one must get fresh endpoints (a socket world's
+/// old connections carry death residue), which is why the fabric is a
+/// factory rather than a `Vec<Comm>`.
 pub type CommFabric = Arc<dyn Fn(usize) -> Vec<Comm> + Send + Sync>;
 
 /// The [`CommFabric`] for a built-in transport: crossbeam channels for
@@ -54,32 +58,15 @@ pub fn fabric_for(kind: TransportKind) -> CommFabric {
     }
 }
 
-/// What one epoch sets on the resident runtime. Lets one universe run
-/// a recording epoch with fine-path report batching and replay epochs
-/// with replay-tuned batching.
-#[derive(Debug, Clone, Copy)]
+/// What one epoch sets on the resident runtime.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EpochTuning {
-    /// Max output streams a worker buffers across compute calls before
-    /// flushing a report to the master (default
-    /// [`DEFAULT_FLUSH_STREAMS`]). Batches are always flushed before a
-    /// worker blocks, so this trades master-channel traffic against
-    /// stream latency; `1` is one report per compute call.
-    pub report_flush_streams: usize,
     /// Span id stamped on this epoch's trace events (`0` = none). A
     /// session driver assigns each request a span id and passes it
     /// down here, so a ticket's epochs can be located in an exported
     /// Chrome trace. Inert unless the `telemetry` feature is on and
     /// recording is armed.
     pub span: u64,
-}
-
-impl Default for EpochTuning {
-    fn default() -> Self {
-        EpochTuning {
-            report_flush_streams: DEFAULT_FLUSH_STREAMS,
-            span: 0,
-        }
-    }
 }
 
 enum Cmd {
@@ -98,24 +85,13 @@ struct RankHandle {
 /// number of epochs. See the [module docs](self) for the lifecycle.
 pub struct Universe {
     ranks: Vec<RankHandle>,
-    /// Respawns a fresh set of rank threads from the original factory
-    /// and config — the machinery behind [`Universe::relaunch`].
-    spawner: Box<dyn Fn() -> Vec<RankHandle> + Send>,
     epochs_run: u64,
-    /// Set when an epoch faulted; the universe refuses further epochs
-    /// until [`Universe::relaunch`].
+    /// Set when an epoch faulted; the universe refuses further epochs.
     faulted: Option<EpochFault>,
 }
 
 impl Universe {
     /// Spawn a resident world of `num_ranks` ranks sharing `factory`.
-    ///
-    /// Programs created during the first epoch come straight from the
-    /// factory — the factory's initial state *is* the first epoch's
-    /// input. From the second epoch on, every resident (and every
-    /// late-materialising) program is re-armed via
-    /// [`PatchProgram::reset`](crate::PatchProgram::reset) with the
-    /// input passed to [`Universe::run_epoch`].
     pub fn launch<F: ProgramFactory>(
         num_ranks: usize,
         factory: Arc<F>,
@@ -129,35 +105,16 @@ impl Universe {
         )
     }
 
-    /// [`Universe::launch`] over an explicit transport fabric. The
-    /// fabric is re-invoked on every [`Universe::relaunch`], so each
-    /// incarnation of the world gets fresh endpoints.
+    /// [`Universe::launch`] over an explicit transport fabric.
     pub fn launch_with_fabric<F: ProgramFactory>(
         num_ranks: usize,
         factory: Arc<F>,
         config: RuntimeConfig,
         fabric: CommFabric,
     ) -> Universe {
-        let spawner = Box::new(move || {
-            let endpoints = fabric(num_ranks);
-            assert_eq!(endpoints.len(), num_ranks, "fabric world size mismatch");
-            Universe::spawn_ranks(endpoints, factory.clone(), config.clone())
-        });
-        let ranks = spawner();
-        Universe {
-            ranks,
-            spawner,
-            epochs_run: 0,
-            faulted: None,
-        }
-    }
-
-    fn spawn_ranks<F: ProgramFactory>(
-        endpoints: Vec<Comm>,
-        factory: Arc<F>,
-        config: RuntimeConfig,
-    ) -> Vec<RankHandle> {
-        endpoints
+        let endpoints = fabric(num_ranks);
+        assert_eq!(endpoints.len(), num_ranks, "fabric world size mismatch");
+        let ranks = endpoints
             .into_iter()
             .map(|comm| {
                 let (cmd_tx, cmd_rx) = unbounded::<Cmd>();
@@ -174,8 +131,7 @@ impl Universe {
                                 Cmd::Epoch(input, tuning) => {
                                     // A faulted epoch sends `Err` and
                                     // keeps the thread alive: the rank
-                                    // still answers `Shutdown` (or is
-                                    // retired by a relaunch); it just
+                                    // still answers `Shutdown`; it just
                                     // never runs another epoch.
                                     let result = rank.run_epoch(&input, tuning);
                                     if stats_tx.send(result).is_err() {
@@ -194,7 +150,12 @@ impl Universe {
                     join: Some(join),
                 }
             })
-            .collect()
+            .collect();
+        Universe {
+            ranks,
+            epochs_run: 0,
+            faulted: None,
+        }
     }
 
     /// Number of resident ranks.
@@ -207,9 +168,8 @@ impl Universe {
         self.epochs_run
     }
 
-    /// The fault that poisoned this universe, if any. While set,
-    /// [`Universe::run_epoch`] returns this fault without running;
-    /// [`Universe::relaunch`] clears it.
+    /// The fault that poisoned this universe, if any. Once set,
+    /// [`Universe::run_epoch`] returns this fault without running.
     pub fn fault(&self) -> Option<&EpochFault> {
         self.faulted.as_ref()
     }
@@ -217,17 +177,16 @@ impl Universe {
     /// Run one epoch to global termination on every rank; returns the
     /// per-rank [`RunStats`] in rank order.
     ///
-    /// `input` is shared with every rank and handed to each resident
-    /// program's [`PatchProgram::reset`](crate::PatchProgram::reset)
-    /// before the epoch's activation (epochs ≥ 2; the first epoch runs
-    /// factory-fresh programs as-is). Epochs with no input use
-    /// `Arc::new(())`.
+    /// `input` is shared with every rank and handed to the
+    /// [`PatchProgram::reset`](crate::PatchProgram::reset) of every
+    /// program that runs in the epoch, before its first `input` or
+    /// `compute` of the epoch. Epochs with no input use `Arc::new(())`.
     ///
     /// `Err` means the epoch was poisoned — a contained program panic,
     /// a watchdog stall, or a rank-thread death — and the universe is
     /// now faulted: further `run_epoch` calls return the same fault
-    /// without running until [`Universe::relaunch`] respawns the
-    /// world.
+    /// without running. Recover by shutting it down and launching a
+    /// fresh one.
     pub fn run_epoch(&mut self, input: Arc<EpochInput>) -> Result<Vec<RunStats>, EpochFault> {
         self.run_epoch_tuned(input, EpochTuning::default())
     }
@@ -291,20 +250,6 @@ impl Universe {
             payload,
             kind: crate::fault::FaultKind::RankDeath,
         }
-    }
-
-    /// Retire every rank thread and respawn a fresh world from the
-    /// original factory and config, clearing the fault. The relaunched
-    /// universe starts from factory-fresh program state — exactly like
-    /// a first epoch — on fresh comm endpoints, so no poisoned pool
-    /// state, in-flight frame or abort residue survives. Anything
-    /// keyed on the *mesh generation* (coarse plans in a shared
-    /// `PlanCache`, in particular) remains valid: relaunching changes
-    /// the runtime instance, not the problem (see `docs/replay.md`).
-    pub fn relaunch(&mut self) {
-        self.shutdown();
-        self.ranks = (self.spawner)();
-        self.faulted = None;
     }
 
     /// Stop every rank: pools stop, workers and rank threads join.
@@ -496,10 +441,10 @@ mod tests {
 
     #[test]
     fn resident_ring_runs_many_epochs_counting() {
-        // First epoch: factory-fresh (offset 0); later epochs add
-        // their downcast offset. Program k accumulates k per epoch
-        // plus the epoch offsets of epochs 2..: check exact sums.
-        let offsets = [0, 10, 100];
+        // Every epoch adds its downcast offset — the first included.
+        // Program k accumulates k per epoch plus the epoch offsets:
+        // check exact sums.
+        let offsets = [1, 10, 100];
         let sums = run_ring_epochs(6, 2, TerminationKind::Counting, &offsets);
         for (k, &s) in sums.iter().enumerate() {
             let expect = 3 * k as u64 + offsets.iter().sum::<u64>();
@@ -509,19 +454,20 @@ mod tests {
 
     #[test]
     fn resident_ring_runs_many_epochs_safra() {
-        let offsets = [0, 7];
+        let offsets = [3, 7];
         let sums = run_ring_epochs(5, 3, TerminationKind::Safra, &offsets);
         for (k, &s) in sums.iter().enumerate() {
-            assert_eq!(s, 2 * k as u64 + 7, "program {k}");
+            assert_eq!(s, 2 * k as u64 + 10, "program {k}");
         }
     }
 
-    /// A program that only materialises in epoch 2 (it is not listed by
+    /// A program that only materialises mid-epoch (it is not listed by
     /// the factory; a listed program streams to it lazily) must be
-    /// reset with the current epoch input right after creation.
+    /// reset with the current epoch input right after creation. It
+    /// logs `(received payload, epoch value it was armed with)`.
     struct LazyTarget {
-        armed: bool,
-        got: Arc<Mutex<Vec<u64>>>,
+        epoch: Option<u64>,
+        got: Arc<Mutex<Vec<(u64, u64)>>>,
     }
 
     struct LazySource {
@@ -540,10 +486,9 @@ mod tests {
         fn input(&mut self, _src: ProgramId, payload: Bytes) {
             match self {
                 LazyProgram::Target(t) => {
-                    assert!(t.armed, "lazy program ran un-reset in a later epoch");
-                    t.got
-                        .lock()
-                        .push(u64::from_le_bytes(payload[..8].try_into().unwrap()));
+                    let armed = t.epoch.expect("lazy program ran un-reset");
+                    let sent = u64::from_le_bytes(payload[..8].try_into().unwrap());
+                    t.got.lock().push((sent, armed));
                 }
                 LazyProgram::Source(_) => {}
             }
@@ -553,8 +498,8 @@ mod tests {
                 if s.fire {
                     s.fire = false;
                     ctx.work_done = 1;
-                    // Only epoch 2 targets the hidden program.
-                    if s.epoch == 1 {
+                    // Only odd epoch values target the hidden program.
+                    if s.epoch % 2 == 1 {
                         ctx.send(Stream {
                             src: s.id,
                             dst: ProgramId::new(PatchId(99), TaskTag(0)),
@@ -583,13 +528,13 @@ mod tests {
                     s.fire = true;
                     s.epoch = e;
                 }
-                LazyProgram::Target(t) => t.armed = true,
+                LazyProgram::Target(t) => t.epoch = Some(e),
             }
         }
     }
 
     struct LazyFactory {
-        got: Arc<Mutex<Vec<u64>>>,
+        got: Arc<Mutex<Vec<(u64, u64)>>>,
     }
 
     impl ProgramFactory for LazyFactory {
@@ -597,7 +542,7 @@ mod tests {
         fn create(&self, id: ProgramId) -> LazyProgram {
             if id.patch.0 == 99 {
                 LazyProgram::Target(LazyTarget {
-                    armed: false,
+                    epoch: None,
                     got: self.got.clone(),
                 })
             } else {
@@ -866,10 +811,11 @@ mod tests {
     }
 
     /// The same resident ring over a socket fabric: epochs run, and a
-    /// relaunch rebuilds a *fresh* socket world (stale connections from
-    /// the first incarnation must not leak into the second).
+    /// second launch after shutdown gets a *fresh* socket world (stale
+    /// connections from the first incarnation must not leak into the
+    /// second).
     #[test]
-    fn socket_fabric_runs_epochs_and_relaunches() {
+    fn socket_fabric_runs_epochs_and_a_fresh_launch_serves() {
         let n = 4u32;
         let sums = Arc::new(Mutex::new(vec![0u64; n as usize]));
         let factory = Arc::new(RingFactory {
@@ -877,23 +823,40 @@ mod tests {
             ranks: 2,
             sums: sums.clone(),
         });
-        let mut u = Universe::launch_with_fabric(
-            2,
-            factory,
-            RuntimeConfig::default(),
-            super::fabric_for(jsweep_comm::TransportKind::Socket),
-        );
-        u.run_epoch(Arc::new(0u64)).expect("epoch 1");
+        let launch = || {
+            Universe::launch_with_fabric(
+                2,
+                factory.clone(),
+                RuntimeConfig::default(),
+                super::fabric_for(jsweep_comm::TransportKind::Socket),
+            )
+        };
+        let mut u = launch();
+        u.run_epoch(Arc::new(1u64)).expect("epoch 1");
         u.run_epoch(Arc::new(10u64)).expect("epoch 2");
-        u.relaunch();
-        u.run_epoch(Arc::new(0u64)).expect("post-relaunch epoch");
         u.shutdown();
-        // Each incarnation's first epoch runs factory-fresh (offset 0);
-        // only the second epoch carried an offset. Program k sees the
-        // ring token k three times plus one offset of 10.
+        let mut u = launch();
+        u.run_epoch(Arc::new(100u64)).expect("second incarnation");
+        u.shutdown();
+        // Program k sees the ring token k three times plus every
+        // epoch's offset.
         for (k, &s) in sums.lock().iter().enumerate() {
-            assert_eq!(s, 3 * k as u64 + 10, "program {k}");
+            assert_eq!(s, 3 * k as u64 + 111, "program {k}");
         }
+    }
+
+    /// Regression: the first epoch of a universe honours its input.
+    /// Two ranks; the source on rank 0 is created at activation, the
+    /// hidden target on rank 1 by the source's incoming stream. Both
+    /// must have been armed with the epoch's value before they ran.
+    #[test]
+    fn first_epoch_input_reaches_every_program() {
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let factory = Arc::new(LazyFactory { got: got.clone() });
+        let mut u = Universe::launch(2, factory, RuntimeConfig::default());
+        u.run_epoch(Arc::new(7u64)).expect("epoch");
+        u.shutdown();
+        assert_eq!(got.lock().clone(), vec![(7, 7)]);
     }
 
     #[test]
@@ -911,7 +874,7 @@ mod tests {
         u.run_epoch(Arc::new(0u64)).expect("epoch");
         u.run_epoch(Arc::new(1u64)).expect("epoch");
         u.shutdown();
-        assert_eq!(got.lock().clone(), vec![1]);
+        assert_eq!(got.lock().clone(), vec![(1, 1)]);
     }
 
     /// A ring program that panics mid-compute when the epoch input
@@ -975,12 +938,12 @@ mod tests {
         }
     }
 
-    /// A program panic must poison the epoch (not the process), mark
-    /// the universe faulted, and relaunch must restore full service
-    /// from factory-fresh state — across both ranks, through the
-    /// abort broadcast.
+    /// A program panic must poison the epoch (not the process) and
+    /// mark the universe faulted — across both ranks, through the
+    /// abort broadcast; shutting it down and launching a fresh
+    /// universe from the same factory must restore full service.
     #[test]
-    fn program_panic_faults_epoch_and_relaunch_recovers() {
+    fn program_panic_faults_epoch_and_a_fresh_launch_recovers() {
         let n = 6u32;
         let sums = Arc::new(Mutex::new(vec![0u64; n as usize]));
         let factory = Arc::new(FaultyRingFactory {
@@ -990,7 +953,7 @@ mod tests {
                 sums: sums.clone(),
             },
         });
-        let mut u = Universe::launch(2, factory, RuntimeConfig::default());
+        let mut u = Universe::launch(2, factory.clone(), RuntimeConfig::default());
         // Healthy first epoch.
         u.run_epoch(Arc::new(0u64)).expect("healthy epoch");
         // Poisoned second epoch: program 1 (rank 1) panics.
@@ -1007,10 +970,11 @@ mod tests {
         assert!(u.fault().is_some());
         let again = u.run_epoch(Arc::new(0u64)).expect_err("still faulted");
         assert_eq!(again, fault);
-        // Relaunch restores service from factory-fresh state.
-        u.relaunch();
+        // Shutdown + launch restores service.
+        u.shutdown();
+        let mut u = Universe::launch(2, factory, RuntimeConfig::default());
         assert!(u.fault().is_none());
-        let stats = u.run_epoch(Arc::new(0u64)).expect("post-relaunch epoch");
+        let stats = u.run_epoch(Arc::new(0u64)).expect("post-fault epoch");
         let work: u64 = stats.iter().map(|s| s.work_done).sum();
         assert_eq!(work, n as u64);
         u.shutdown();

@@ -37,10 +37,14 @@
 //!
 //! Under a persistent universe (`jsweep_core::Universe`) the programs
 //! stay resident for the whole solve: each source iteration is one
-//! epoch, and [`SweepProgram`]'s `reset` re-arms the scheduling state
-//! ([`SweepState`]/[`CoarseSweepState`] reset in place), zeroes
-//! `face_flux` in place, and swaps in the epoch's emission density and
-//! [`SweepMode`] — no per-iteration reallocation of the big buffers.
+//! epoch, and its [`SweepEpoch`] input is the only carrier of what
+//! changes between iterations. The factory builds a program's *shape*
+//! (ids, geometry, routing); [`SweepProgram`]'s `reset` arms it for an
+//! epoch — the first like every later one — by installing the epoch's
+//! emission density, materials and [`SweepMode`], building or
+//! re-arming the scheduling state ([`SweepState`]/[`CoarseSweepState`]
+//! reset in place) and shaping or zeroing `face_flux` in place: no
+//! per-iteration reallocation of the big buffers.
 
 use crate::kernel::{solve_cell_block_geom, CellGeom, KernelKind, GROUP_BLOCK, KERNEL_MAX_FACES};
 use crate::replay::{CoarsePlan, ReplayTask, TraceBins};
@@ -110,8 +114,8 @@ impl FluxBins {
 
     /// Take a zeroed accumulator of `len` for `patch`, reusing a
     /// recycled buffer when one with sufficient capacity is pooled.
-    /// Undersized pool entries (the group count changed across a
-    /// relaunch) are dropped; a pool miss allocates fresh and bumps
+    /// Undersized pool entries (the group count changed between
+    /// universes) are dropped; a pool miss allocates fresh and bumps
     /// [`FluxBins::fresh_allocations`].
     pub fn acquire(&self, patch: usize, len: usize) -> Vec<f64> {
         let recycled = {
@@ -199,26 +203,25 @@ pub enum SweepMode {
     },
 }
 
-/// Per-epoch input of a resident sweep universe: what changes between
-/// source iterations. Handed to `jsweep_core::Universe::run_epoch`;
-/// every resident [`SweepProgram`] downcasts it in its
-/// [`PatchProgram::reset`].
+/// Per-epoch input of a sweep universe: everything that changes
+/// between source iterations. Handed to
+/// `jsweep_core::Universe::run_epoch`; every [`SweepProgram`]
+/// downcasts it in its [`PatchProgram::reset`].
 pub struct SweepEpoch {
     /// This iteration's emission density `(σ_s φ + Q)/4π` per
     /// `cell * groups + g`.
     pub emission: Arc<Vec<f64>>,
     /// This iteration's scheduling mode (fine/record vs replay).
     pub mode: SweepMode,
-    /// Material perturbation: `Some` swaps the resident programs'
-    /// cross sections for this epoch (same mesh, same group count —
-    /// the buffer shapes are fixed at program creation). `None` keeps
-    /// the materials the programs already hold. This is what lets one
-    /// resident session universe serve solve requests with different
-    /// material sets without a relaunch.
-    pub materials: Option<Arc<MaterialSet>>,
+    /// This iteration's cross sections (same mesh, same group count —
+    /// the buffer shapes are fixed by [`SweepSetup::groups`]). Riding
+    /// in the epoch is what lets one resident session universe serve
+    /// solve requests with different material sets.
+    pub materials: Arc<MaterialSet>,
 }
 
-/// Everything the sweep programs of one source iteration share.
+/// The shape every sweep program of a universe shares: what stays
+/// fixed across its epochs.
 pub struct SweepSetup<T: SweepTopology + Send + Sync + 'static> {
     /// The mesh.
     pub mesh: Arc<T>,
@@ -226,18 +229,14 @@ pub struct SweepSetup<T: SweepTopology + Send + Sync + 'static> {
     pub problem: Arc<SweepProblem>,
     /// Quadrature set (directions + weights).
     pub quadrature: QuadratureSet,
-    /// Materials.
-    pub materials: Arc<MaterialSet>,
-    /// Emission density `(σ_s φ + Q)/4π` per `cell * groups + g`.
-    pub emission: Arc<Vec<f64>>,
+    /// Energy groups: the stride of every per-cell buffer.
+    pub groups: usize,
     /// Cell kernel.
     pub kernel: KernelKind,
     /// Vertex clustering grain `N`.
     pub grain: usize,
     /// Scalar-flux bins, indexed by patch.
     pub flux_bins: Arc<FluxBins>,
-    /// Scheduling mode of this iteration (fine/record vs replay).
-    pub mode: SweepMode,
 }
 
 /// The factory handed to the JSweep runtime: one program per
@@ -253,8 +252,7 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepFactory<T> {
     /// Wrap a setup. Panics on a mixed-element mesh: `face_flux` and
     /// the replay wire slots index with a single per-cell face count.
     pub fn new(setup: SweepSetup<T>) -> SweepFactory<T> {
-        assert!(setup.grain > 0);
-        assert_eq!(setup.materials.num_cells(), setup.mesh.num_cells());
+        assert!(setup.grain > 0 && setup.groups > 0);
         let max_faces = setup.mesh.num_faces(0);
         assert!(
             max_faces <= KERNEL_MAX_FACES,
@@ -271,6 +269,8 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepFactory<T> {
 /// Per-program scheduling state: the fine/coarse counterpart of the
 /// shared [`SweepMode`].
 enum Sched {
+    /// Created, not yet armed: `reset` builds the epoch's state.
+    Unarmed,
     /// DAG-driven execution; `trace` is `Some` while recording.
     Fine {
         state: SweepState,
@@ -304,7 +304,8 @@ struct Physics<T> {
     dir: [f64; 3],
     max_faces: usize,
     /// Incoming face flux per `local_cell * max_faces * groups`
-    /// (zeroed in place at epoch resets — never reallocated).
+    /// (shaped by the first reset, zeroed in place by later ones —
+    /// never reallocated).
     face_flux: Vec<f64>,
     /// Scalar-flux accumulation per `local_cell * groups` (w_a · ψ̄).
     /// Handed to the flux bin on completion (the one buffer that is
@@ -591,8 +592,8 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
 
 impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> {
     fn init(&mut self) {
-        // State is built in `create`; nothing further. Boundary faces
-        // already hold the vacuum condition (zeros).
+        // Shape comes from `create`, state from `reset`; nothing
+        // further.
     }
 
     fn input(&mut self, _src: ProgramId, payload: Bytes) {
@@ -624,6 +625,7 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
                     state.receive(li as u32);
                 }
             }
+            Sched::Unarmed => unreachable!("input before reset"),
         }
     }
 
@@ -631,6 +633,7 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
         match self.sched {
             Sched::Coarse { .. } => self.compute_coarse(ctx),
             Sched::Fine { .. } => self.compute_fine(ctx),
+            Sched::Unarmed => unreachable!("compute before reset"),
         }
     }
 
@@ -638,6 +641,7 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
         match &self.sched {
             Sched::Fine { state, .. } => !state.has_ready(),
             Sched::Coarse { state, .. } => !state.has_ready(),
+            Sched::Unarmed => unreachable!("vote before reset"),
         }
     }
 
@@ -645,17 +649,18 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
         match &self.sched {
             Sched::Fine { state, .. } => state.remaining(),
             Sched::Coarse { vertices_left, .. } => *vertices_left,
+            Sched::Unarmed => unreachable!("workload query before reset"),
         }
     }
 
-    /// Re-arm this resident program for the next source iteration
-    /// (persistent-universe epoch): swap in the epoch's emission
-    /// density and scheduling mode, reset the scheduling state in
-    /// place (same-mode epochs reuse the existing
-    /// [`SweepState`]/[`CoarseSweepState`] allocations; a mode switch
-    /// builds the new state once), zero `face_flux` in place and
-    /// restore the flux accumulator. The big buffers are never
-    /// reallocated across same-mode epochs.
+    /// Arm this program for a source iteration (one epoch): install
+    /// the epoch's emission density, materials and scheduling mode,
+    /// reset the scheduling state in place (same-mode epochs reuse the
+    /// existing [`SweepState`]/[`CoarseSweepState`] allocations; the
+    /// first epoch or a mode switch builds the state once), bring
+    /// `face_flux` to the vacuum condition and restore the flux
+    /// accumulator. The big buffers are shaped by the first reset and
+    /// never reallocated across same-mode epochs.
     fn reset(&mut self, epoch: &EpochInput) {
         let e = epoch
             .downcast_ref::<SweepEpoch>()
@@ -668,30 +673,22 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
             "epoch emission density has the wrong shape"
         );
         phys.emission = e.emission.clone();
-        if let Some(m) = &e.materials {
-            assert_eq!(
-                m.num_cells(),
-                phys.mesh.num_cells(),
-                "epoch materials must cover the resident mesh"
-            );
-            assert_eq!(
-                m.num_groups(),
-                groups,
-                "epoch materials cannot change the group count of a resident program"
-            );
-            phys.materials = m.clone();
-        }
+        assert_eq!(
+            e.materials.num_cells(),
+            phys.mesh.num_cells(),
+            "epoch materials must cover the mesh"
+        );
+        assert_eq!(
+            e.materials.num_groups(),
+            groups,
+            "epoch materials cannot change the group count of a program"
+        );
+        phys.materials = e.materials.clone();
         let problem = &self.problem;
         let (p, a) = (self.id.patch.index(), self.id.task.0 as usize);
         let sub = &phys.subs[p];
         match (&mut self.sched, &e.mode) {
-            (Sched::Fine { state, trace }, SweepMode::Fine { trace_bins }) => {
-                state.reset(sub);
-                *trace = trace_bins
-                    .as_ref()
-                    .filter(|_| problem.canonical_angle(a) == a)
-                    .map(|bins| (ClusterTrace::default(), bins.clone()));
-            }
+            (Sched::Fine { state, .. }, SweepMode::Fine { .. }) => state.reset(sub),
             (
                 Sched::Coarse {
                     state,
@@ -705,8 +702,9 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
                 *vertices_left = task.coarse.num_vertices() as u64;
             }
             (sched, SweepMode::Coarse { plan }) => {
-                // Fine → coarse transition (or a recompiled plan):
-                // adopt the new task; later epochs reset it in place.
+                // First arming, fine → coarse transition or a
+                // recompiled plan: adopt the task; later epochs reset
+                // it in place.
                 let task = plan.tasks[a][p].clone();
                 *sched = Sched::Coarse {
                     state: CoarseSweepState::new(&task.coarse),
@@ -714,28 +712,41 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
                     task,
                 };
             }
-            (sched, SweepMode::Fine { trace_bins }) => {
-                // Coarse → fine transition (coarsening disabled
-                // mid-solve): rebuild the fine state.
+            (sched, SweepMode::Fine { .. }) => {
+                // First arming, or a coarse → fine transition
+                // (coarsening disabled mid-solve): build the fine state.
                 let prio = problem.vprio[a][p].clone();
                 *sched = Sched::Fine {
                     state: SweepState::new(sub, prio),
-                    trace: trace_bins
-                        .as_ref()
-                        .filter(|_| problem.canonical_angle(a) == a)
-                        .map(|bins| (ClusterTrace::default(), bins.clone())),
+                    trace: None,
                 };
             }
         }
-        // Buffer hygiene: incoming face flux back to the vacuum
-        // boundary condition in place; the flux accumulator (handed to
-        // the bin last epoch) re-acquired from the pool — the buffer
-        // some program of this patch deposited last epoch, so resident
+        if let (Sched::Fine { trace, .. }, SweepMode::Fine { trace_bins }) =
+            (&mut self.sched, &e.mode)
+        {
+            // Only canonical angles record: octant members share the
+            // canonical DAG, so one trace per octant serves every
+            // member at replay time.
+            *trace = trace_bins
+                .as_ref()
+                .filter(|_| problem.canonical_angle(a) == a)
+                .map(|bins| (ClusterTrace::default(), bins.clone()));
+        }
+        // Buffer hygiene: incoming face flux at the vacuum boundary
+        // condition — allocated zeroed by the first reset, zeroed in
+        // place by later ones; the flux accumulator (handed to the bin
+        // last epoch) re-acquired from the pool — the buffer some
+        // program of this patch deposited last epoch, so resident
         // epochs allocate nothing; remote staging sized to the
         // subgraph's remote CSR (values are written before read within
         // each compute, so no zeroing needed beyond sizing).
-        phys.face_flux.iter_mut().for_each(|x| *x = 0.0);
         let n = sub.num_vertices();
+        if phys.face_flux.len() == n * phys.max_faces * groups {
+            phys.face_flux.fill(0.0);
+        } else {
+            phys.face_flux = vec![0.0; n * phys.max_faces * groups];
+        }
         if phys.phi_part.capacity() < n * groups {
             // Deposited (or never shaped): round-trip via the pool.
             phys.phi_part = self.flux_bins.acquire(p, n * groups);
@@ -757,53 +768,32 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
     type Program = SweepProgram<T>;
 
     fn create(&self, id: ProgramId) -> SweepProgram<T> {
+        // Shape only: the epoch's data, the scheduling state and the
+        // epoch-sized buffers are installed by the `reset` the runtime
+        // follows every `create` with.
         let s = &self.setup;
         let (p, a) = (id.patch.index(), id.task.0 as usize);
-        let sub = &s.problem.subs[a][p];
-        let groups = s.materials.num_groups();
-        let mf = self.max_faces;
-        let n = sub.num_vertices();
-        let sched = match &s.mode {
-            SweepMode::Fine { trace_bins } => Sched::Fine {
-                state: SweepState::new(sub, s.problem.vprio[a][p].clone()),
-                // Only canonical angles record: octant members
-                // share the canonical DAG, so one trace per
-                // octant serves every member at replay time.
-                trace: trace_bins
-                    .as_ref()
-                    .filter(|_| s.problem.canonical_angle(a) == a)
-                    .map(|bins| (ClusterTrace::default(), bins.clone())),
-            },
-            SweepMode::Coarse { plan } => {
-                let task = plan.tasks[a][p].clone();
-                Sched::Coarse {
-                    state: CoarseSweepState::new(&task.coarse),
-                    vertices_left: task.coarse.num_vertices() as u64,
-                    task,
-                }
-            }
-        };
         let angle = jsweep_quadrature::AngleId(id.task.0);
         SweepProgram {
             id,
             problem: s.problem.clone(),
             flux_bins: s.flux_bins.clone(),
             grain: s.grain,
-            sched,
+            sched: Sched::Unarmed,
             phys: Physics {
                 mesh: s.mesh.clone(),
-                materials: s.materials.clone(),
-                emission: s.emission.clone(),
+                materials: Arc::default(),
+                emission: Arc::default(),
                 subs: s.problem.subs[a].clone(),
                 patch: p,
                 kernel: s.kernel,
-                groups,
+                groups: s.groups,
                 weight: s.quadrature.ordinate(angle).weight,
                 dir: s.quadrature.direction(angle),
-                max_faces: mf,
-                face_flux: vec![0.0; n * mf * groups],
-                phi_part: s.flux_bins.acquire(p, n * groups),
-                remote_vals: vec![0.0; sub.rem_dst.len() * groups],
+                max_faces: self.max_faces,
+                face_flux: Vec::new(),
+                phi_part: Vec::new(),
+                remote_vals: Vec::new(),
                 geom_scratch: Vec::new(),
             },
             stream_writers: HashMap::new(),

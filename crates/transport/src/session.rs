@@ -740,12 +740,7 @@ impl<T: SweepTopology + Send + Sync + 'static> CampaignHandle<T> {
     pub fn submit(&self, request: SolveRequest) -> SolveTicket {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(TicketCell::default());
-        self.stats
-            .lock()
-            .campaigns
-            .entry(self.campaign)
-            .or_default()
-            .submitted += 1;
+        book(&self.stats, self.campaign, |_, cs| cs.submitted += 1);
         let sent = self.shared.push(Cmd::Submit {
             campaign: self.campaign,
             seq,
@@ -946,27 +941,20 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             tolerance,
             Some(&self.cache),
         );
-        {
-            let mut s = self.stats.lock();
-            let cs = s.campaigns.entry(campaign).or_default();
-            if self.world.config.coarsen {
+        if self.world.config.coarsen {
+            book(&self.stats, campaign, |_, cs| {
                 if progress.plan_from_cache {
                     cs.plan_cache_hits += 1;
                 } else {
                     cs.plan_cache_misses += 1;
                 }
-            }
+            });
         }
         if max_iterations == 0 {
             // Degenerate request: nothing to run — mirror the solo
             // solver, which returns the zero-flux starting state.
             let wait = submitted.elapsed().as_secs_f64();
-            self.stats
-                .lock()
-                .campaigns
-                .entry(campaign)
-                .or_default()
-                .completed += 1;
+            book(&self.stats, campaign, |_, cs| cs.completed += 1);
             reply.fulfill(Ok(SolveOutcome {
                 campaign,
                 seq,
@@ -999,12 +987,7 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
     }
 
     fn reject(&mut self, campaign: u64, reply: Arc<TicketCell>, why: String) {
-        self.stats
-            .lock()
-            .campaigns
-            .entry(campaign)
-            .or_default()
-            .rejected += 1;
+        book(&self.stats, campaign, |_, cs| cs.rejected += 1);
         reply.fulfill(Err(SessionError::Rejected(why)));
     }
 
@@ -1029,7 +1012,7 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             candidates.len()
         );
         let campaign = candidates[pick].campaign;
-        let had_universe = self.world.has_universe();
+        let launches_before = self.world.launches;
         let queue = self
             .admitted
             .get_mut(&campaign)
@@ -1075,66 +1058,52 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         } else {
             advance_one_epoch(&mut self.world, &mut solve.progress, Some(&self.cache))
         };
+        // The world launches lazily inside the epoch, and a faulted
+        // epoch may still have launched the universe it faulted in:
+        // count the launch here, `Ok` and `Err` alike, or the no-leak
+        // invariant (launched == retired) would drift on every fault.
+        self.stats.lock().universes_launched += self.world.launches - launches_before;
         let outcome = match outcome {
             Ok(o) => o,
-            Err(fault) => {
-                // The faulted epoch may still have launched the
-                // universe it faulted in; count the launch before
-                // `handle_fault` retires it, or the no-leak invariant
-                // (launched == retired) would drift on every fault.
-                if !had_universe && self.world.has_universe() {
-                    self.stats.lock().universes_launched += 1;
-                }
-                return self.handle_fault(campaign, fault);
-            }
+            Err(fault) => return self.handle_fault(campaign, fault),
         };
         // A completed epoch clears the campaign's consecutive-fault
         // streak: quarantine is for campaigns that *keep* failing.
         self.consecutive_faults.remove(&campaign);
         let epoch_stats = solve.progress.stats.last().expect("epoch recorded stats");
-        {
-            let mut s = self.stats.lock();
+        let record = EpochRecord {
+            campaign,
+            seq: solve.seq,
+            iteration: solve.progress.iterations,
+            replayed: outcome.replayed,
+            plan_generation: plan_generation.filter(|_| outcome.replayed),
+            mesh_generation: self.world.problem.mesh_generation,
+            faulted: false,
+        };
+        let done_wait = outcome.done.then(|| solve.queue_wait.unwrap_or(0.0));
+        book(&self.stats, campaign, |s, cs| {
             s.epochs_run += 1;
-            if !had_universe && self.world.has_universe() {
-                s.universes_launched += 1;
-            }
-            s.epoch_log.push(EpochRecord {
-                campaign,
-                seq: solve.seq,
-                iteration: solve.progress.iterations,
-                replayed: outcome.replayed,
-                plan_generation: if outcome.replayed {
-                    plan_generation
-                } else {
-                    None
-                },
-                mesh_generation: self.world.problem.mesh_generation,
-                faulted: false,
-            });
-            let cs = s.campaigns.entry(campaign).or_default();
+            s.epoch_log.push(record);
             cs.epochs_run += 1;
             cs.epoch_wall_seconds += epoch_stats.wall_seconds;
             cs.work_done += epoch_stats.work_done;
             cs.compute_calls += epoch_stats.compute_calls;
             cs.worker_drain_seconds += epoch_stats.worker_drain_seconds.iter().sum::<f64>();
-        }
+            if let Some(wait) = done_wait {
+                cs.completed += 1;
+                cs.queue_wait_seconds += wait;
+            }
+        });
         session_metric(
             &self.world.config.telemetry,
             "jsweep_flux_fresh_allocations",
             "Flux accumulators allocated fresh (pool misses) by the resident world.",
             Update::Set(self.world.fresh_flux_allocations() as f64),
         );
-        if outcome.done {
+        if let Some(wait) = done_wait {
             let solve = queue.pop_front().expect("head just served");
             if queue.is_empty() {
                 self.admitted.remove(&campaign);
-            }
-            let wait = solve.queue_wait.unwrap_or(0.0);
-            {
-                let mut s = self.stats.lock();
-                let cs = s.campaigns.entry(campaign).or_default();
-                cs.completed += 1;
-                cs.queue_wait_seconds += wait;
             }
             session_metric(
                 &self.world.config.telemetry,
@@ -1174,27 +1143,23 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         let iteration = solve.progress.iterations + 1;
         let retrying = solve.retries < solve.retry.max_retries;
         let backoff = solve.retry.backoff;
-        {
-            let mut s = self.stats.lock();
+        let record = EpochRecord {
+            campaign,
+            seq: solve.seq,
+            iteration,
+            replayed: false,
+            plan_generation: None,
+            mesh_generation: self.world.problem.mesh_generation,
+            faulted: true,
+        };
+        book(&self.stats, campaign, |s, cs| {
             s.faults += 1;
-            s.epoch_log.push(EpochRecord {
-                campaign,
-                seq: solve.seq,
-                iteration,
-                replayed: false,
-                plan_generation: None,
-                mesh_generation: self.world.problem.mesh_generation,
-                faulted: true,
-            });
-            if retrying {
-                s.retries += 1;
-            }
-            let cs = s.campaigns.entry(campaign).or_default();
+            s.epoch_log.push(record);
             cs.faults += 1;
-            if retrying {
-                cs.retries += 1;
-            }
-        }
+            s.retries += u64::from(retrying);
+            cs.retries += u64::from(retrying);
+            cs.failed += u64::from(!retrying);
+        });
         session_metric(
             &self.world.config.telemetry,
             "jsweep_session_faults_total",
@@ -1228,10 +1193,6 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
                 retries,
                 fault,
             })));
-            {
-                let mut s = self.stats.lock();
-                s.campaigns.entry(campaign).or_default().failed += 1;
-            }
             let streak = self.consecutive_faults.entry(campaign).or_insert(0);
             *streak += 1;
             if self.quarantine_after > 0 && *streak >= self.quarantine_after {
@@ -1244,9 +1205,7 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         // fresh universe lazily on the same mesh generation — every
         // plan in the shared cache keys on the generation, not the
         // universe, so replay-mode requests keep hitting.
-        let had_universe = self.world.has_universe();
-        self.retire_world();
-        if had_universe {
+        if self.retire_world() {
             self.stats.lock().relaunches += 1;
             session_metric(
                 &self.world.config.telemetry,
@@ -1269,12 +1228,10 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             self.quarantine_after
         );
         let flushed = self.admitted.remove(&campaign).unwrap_or_default();
-        {
-            let mut s = self.stats.lock();
-            let cs = s.campaigns.entry(campaign).or_default();
+        book(&self.stats, campaign, |_, cs| {
             cs.quarantined = true;
             cs.rejected += flushed.len() as u64;
-        }
+        });
         for solve in flushed {
             solve
                 .reply
@@ -1290,12 +1247,11 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         self.stats.lock().mesh_generation = self.world.problem.mesh_generation;
     }
 
-    fn retire_world(&mut self) {
-        let had = self.world.has_universe();
-        self.world.retire();
-        if had {
-            self.stats.lock().universes_retired += 1;
-        }
+    /// Retire the world's universe, if it has one (returned).
+    fn retire_world(&mut self) -> bool {
+        let retired = self.world.retire();
+        self.stats.lock().universes_retired += u64::from(retired);
+        retired
     }
 
     /// Close the ingress and resolve everything unserved. Closing and
@@ -1314,6 +1270,20 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             }
         }
     }
+}
+
+/// Book one event in the session ledger: one lock, one campaign entry.
+/// `event` gets the session totals and `campaign`'s line (the map
+/// itself is set aside while it runs).
+fn book(
+    stats: &Mutex<SessionStats>,
+    campaign: u64,
+    event: impl FnOnce(&mut SessionStats, &mut CampaignStats),
+) {
+    let mut s = stats.lock();
+    let mut campaigns = std::mem::take(&mut s.campaigns);
+    event(&mut s, campaigns.entry(campaign).or_default());
+    s.campaigns = campaigns;
 }
 
 /// What a session-tier metric update does to its series.

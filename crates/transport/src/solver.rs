@@ -39,18 +39,6 @@ use jsweep_quadrature::QuadratureSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Worker report-flush threshold for coarse-replay iterations (fine
-/// iterations run [`EpochTuning::default`]).
-///
-/// A coarse compute call emits one large stream per outgoing coarse
-/// edge; measurement (quickstart-scale replay scenario: 16³ cells, 4³
-/// patches, 2 ranks × 2 workers, grain 16, best-of-5: flush 1/4/8 ≈
-/// 9.2–9.9 ms per replay iteration, 32 ≈ 8.1–8.3 ms, 64 ≈ 7.9–8.1 ms)
-/// shows batching *more* aggressively than the fine-path default of 32
-/// wins: master-channel sends, not stream latency, dominate the replay
-/// data plane.
-pub const REPLAY_REPORT_FLUSH_STREAMS: usize = 64;
-
 /// Solver configuration.
 #[derive(Debug, Clone)]
 pub struct SnConfig {
@@ -415,6 +403,9 @@ pub(crate) struct EpochWorld<T: SweepTopology + Send + Sync + 'static> {
     pub(crate) config: SnConfig,
     flux_bins: Arc<FluxBins>,
     universe: Option<Universe>,
+    /// Universes this world has launched so far (it launches lazily,
+    /// and again after every [`EpochWorld::retire`]).
+    pub(crate) launches: u64,
     /// Group count the resident programs were built with (`None` while
     /// no universe is live). Resident programs cannot change their
     /// group count ([`crate::program::SweepEpoch::materials`]), so a
@@ -447,31 +438,24 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
             config,
             flux_bins,
             universe: None,
+            launches: 0,
             resident_groups: None,
             key,
         }
     }
 
-    /// The factory of this world's sweep programs. Factory-fresh
-    /// programs start in the state of the epoch described by
-    /// `materials`, `emission` and `mode` (a launch's first epoch runs
-    /// them as created; later epochs adopt theirs through `reset`).
-    fn factory(
-        &self,
-        materials: Arc<MaterialSet>,
-        emission: Arc<Vec<f64>>,
-        mode: SweepMode,
-    ) -> Arc<SweepFactory<T>> {
+    /// The factory of this world's sweep programs: their shape for
+    /// `groups` energy groups. Everything an epoch changes reaches
+    /// them through its [`SweepEpoch`].
+    fn factory(&self, groups: usize) -> Arc<SweepFactory<T>> {
         Arc::new(SweepFactory::new(SweepSetup {
             mesh: self.mesh.clone(),
             problem: self.problem.clone(),
             quadrature: self.quadrature.clone(),
-            materials,
-            emission,
+            groups,
             kernel: self.config.kernel,
             grain: self.config.grain,
             flux_bins: self.flux_bins.clone(),
-            mode,
         }))
     }
 
@@ -531,27 +515,25 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
         }
     }
 
-    /// Whether a resident universe is currently live.
-    pub(crate) fn has_universe(&self) -> bool {
-        self.universe.is_some()
-    }
-
     /// Group count of the live resident programs, if any.
     pub(crate) fn resident_groups(&self) -> Option<usize> {
         self.resident_groups
     }
 
-    /// Shut the resident universe down (idempotent). Scrubs the flux
-    /// bins afterwards: a retire forced by a fault abandons in-flight
-    /// programs, and those keep depositing until the join — so the
-    /// authoritative scrub can only happen here, after every thread
-    /// is gone. (After a healthy epoch the bins are already empty.)
-    pub(crate) fn retire(&mut self) {
-        if let Some(mut u) = self.universe.take() {
-            u.shutdown();
-            self.flux_bins.clear();
-        }
+    /// Shut the resident universe down (idempotent); returns whether
+    /// there was one. Scrubs the flux bins afterwards: a retire forced
+    /// by a fault abandons in-flight programs, and those keep
+    /// depositing until the join — so the authoritative scrub can only
+    /// happen here, after every thread is gone. (After a healthy epoch
+    /// the bins are already empty.)
+    pub(crate) fn retire(&mut self) -> bool {
         self.resident_groups = None;
+        let Some(mut u) = self.universe.take() else {
+            return false;
+        };
+        u.shutdown();
+        self.flux_bins.clear();
+        true
     }
 
     /// Accumulator buffers the shared flux bins allocated fresh (pool
@@ -585,6 +567,27 @@ pub(crate) struct SolveProgress {
 }
 
 impl SolveProgress {
+    /// The input of this solve's next epoch: the emission density of
+    /// the current iterate, the solve's materials and `mode`.
+    fn epoch(&self, mode: SweepMode) -> Arc<SweepEpoch> {
+        Arc::new(SweepEpoch {
+            emission: Arc::new(emission_density(&self.materials, &self.phi)),
+            mode,
+            materials: self.materials.clone(),
+        })
+    }
+
+    /// The convergence step: take a finished epoch's stats and
+    /// `φ_new` as the next iterate. Returns whether the solve is
+    /// finished — converged below its tolerance, or out of iterations.
+    fn advance(&mut self, stats: RunStats, phi_new: Vec<f64>) -> bool {
+        self.stats.push(stats);
+        self.iterations += 1;
+        self.residual = relative_change(&phi_new, &self.phi);
+        self.phi = phi_new;
+        self.residual < self.tolerance || self.iterations >= self.max_iterations
+    }
+
     /// Seal the solve into its public result.
     pub(crate) fn into_solution(self) -> SnSolution {
         SnSolution {
@@ -598,11 +601,11 @@ impl SolveProgress {
     }
 }
 
-/// Run one sweep in `mode` as an epoch of `world`'s resident universe
-/// (launched lazily, so a world's first epoch pays the launch): emit
-/// from `phi`, run to global termination, fold the per-(patch, angle)
-/// flux contributions in angle order (schedule-independent
-/// floating-point result). Returns the aggregated stats and `φ_new`.
+/// Run one sweep as an epoch of `world`'s resident universe (launched
+/// lazily, so a world's first epoch pays the launch): run `input` to
+/// global termination, fold the per-(patch, angle) flux contributions
+/// in angle order (schedule-independent floating-point result).
+/// Returns the aggregated stats and `φ_new`.
 ///
 /// A faulted epoch abandons in-flight programs, so the shared bins may
 /// hold a *subset* of its contributions — folding them into a later
@@ -612,41 +615,23 @@ impl SolveProgress {
 /// stays in place.
 fn run_sweep_epoch<T: SweepTopology + Send + Sync + 'static>(
     world: &mut EpochWorld<T>,
-    materials: &Arc<MaterialSet>,
-    phi: &[f64],
-    mode: SweepMode,
+    input: Arc<SweepEpoch>,
     span: u64,
 ) -> Result<(RunStats, Vec<f64>), EpochFault> {
-    let groups = materials.num_groups();
-    let emission = Arc::new(emission_density(materials, phi));
+    let groups = input.materials.num_groups();
     if world.universe.is_none() {
         world.universe = Some(Universe::launch_with_fabric(
             world.problem.patches.num_ranks(),
-            world.factory(materials.clone(), emission.clone(), mode.clone()),
+            world.factory(groups),
             runtime_config(&world.config),
             fabric_for(world.config.transport),
         ));
+        world.launches += 1;
         world.resident_groups = Some(groups);
     }
-    let mut tuning = EpochTuning {
-        span,
-        ..Default::default()
-    };
-    if matches!(mode, SweepMode::Coarse { .. }) {
-        tuning.report_flush_streams = REPLAY_REPORT_FLUSH_STREAMS;
-    }
-    // The epoch input carries the materials so a resident program
-    // built for an earlier request adopts this solve's cross sections
-    // on reset (first-epoch programs get them through the factory
-    // instead).
-    let input = Arc::new(SweepEpoch {
-        emission,
-        mode,
-        materials: Some(materials.clone()),
-    });
     let universe = world.universe.as_mut().expect("launched above");
     let rank_stats = universe
-        .run_epoch_tuned(input, tuning)
+        .run_epoch_tuned(input, EpochTuning { span })
         .inspect_err(|_| world.flux_bins.clear())?;
     let phi_new = world
         .flux_bins
@@ -693,20 +678,8 @@ pub(crate) fn advance_one_epoch<T: SweepTopology + Send + Sync + 'static>(
         world.problem.num_tasks(),
     );
     let replayed = matches!(mode, SweepMode::Coarse { .. });
-    let (stats, phi_new) = run_sweep_epoch(
-        world,
-        &progress.materials,
-        &progress.phi,
-        mode,
-        progress.span,
-    )?;
-    progress.stats.push(stats);
-
-    progress.iterations += 1;
-    progress.residual = relative_change(&phi_new, &progress.phi);
-    progress.phi = phi_new;
-    let done =
-        progress.residual < progress.tolerance || progress.iterations >= progress.max_iterations;
+    let (stats, phi_new) = run_sweep_epoch(world, progress.epoch(mode), progress.span)?;
+    let done = progress.advance(stats, phi_new);
 
     // Compile the replay plan once the recording iteration is in.
     // Without a cache this is skipped when no iteration remains to
@@ -805,38 +778,21 @@ pub fn solve_parallel_spmd<T: SweepTopology + Send + Sync + 'static>(
     config: &SnConfig,
     comm: jsweep_comm::Comm,
 ) -> SnSolution {
-    let n = mesh.num_cells();
-    let groups = materials.num_groups();
-    assert_eq!(materials.num_cells(), n, "materials must cover the mesh");
     assert_eq!(
         comm.size(),
         problem.patches.num_ranks(),
         "comm world size must match the problem's rank decomposition"
     );
     let world = EpochWorld::new(mesh, problem, quadrature.clone(), config.clone());
-    let fine = SweepMode::Fine { trace_bins: None };
-    let mut phi = vec![0.0; n * groups];
-    let factory = world.factory(
-        materials.clone(),
-        Arc::new(emission_density(&materials, &phi)),
-        fine.clone(),
-    );
-    let mut rank = Rank::launch(comm, factory, &runtime_config(config));
-    let mut iterations = 0;
-    let mut residual = f64::INFINITY;
-    let mut stats = Vec::new();
-    for _ in 0..config.max_iterations {
-        // The first epoch runs the factory-fresh programs (which carry
-        // this emission already); later epochs adopt it through reset.
-        let input: Arc<jsweep_core::EpochInput> = Arc::new(SweepEpoch {
-            emission: Arc::new(emission_density(&materials, &phi)),
-            mode: fine.clone(),
-            materials: Some(materials.clone()),
-        });
+    let mut progress = world.begin_solve(materials, config.max_iterations, config.tolerance, None);
+    let (n, groups) = (world.mesh.num_cells(), progress.materials.num_groups());
+    let mut rank = Rank::launch(comm, world.factory(groups), &runtime_config(config));
+    while progress.iterations < progress.max_iterations {
+        let input: Arc<jsweep_core::EpochInput> =
+            progress.epoch(SweepMode::Fine { trace_bins: None });
         let rank_stats = rank
             .run_epoch(&input, EpochTuning::default())
             .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
-        stats.push(rank_stats);
         // Local patches deposited into their bins; remote patches' bins
         // are empty, so the fold yields this rank's disjoint share and
         // the rank-ordered reduction completes the global iterate.
@@ -844,22 +800,12 @@ pub fn solve_parallel_spmd<T: SweepTopology + Send + Sync + 'static>(
         rank.comm_mut()
             .allreduce_sum_f64_slice(&mut phi_new)
             .unwrap_or_else(|e| panic!("flux reduction failed: {e}"));
-        iterations += 1;
-        residual = relative_change(&phi_new, &phi);
-        phi = phi_new;
-        if residual < config.tolerance {
+        if progress.advance(rank_stats, phi_new) {
             break;
         }
     }
     rank.shutdown();
-    SnSolution {
-        phi,
-        iterations,
-        residual,
-        stats,
-        coarse_build_seconds: 0.0,
-        plan_from_cache: false,
-    }
+    progress.into_solution()
 }
 
 /// Run a single fine-mode parallel sweep iteration (zero incoming
@@ -879,12 +825,12 @@ pub fn record_cluster_traces<T: SweepTopology + Send + Sync + 'static>(
     config: &SnConfig,
 ) -> Vec<Vec<ClusterTrace>> {
     let bins = Arc::new(new_trace_bins(problem.num_tasks()));
-    let phi = vec![0.0; mesh.num_cells() * materials.num_groups()];
     let mode = SweepMode::Fine {
         trace_bins: Some(bins.clone()),
     };
     let mut world = EpochWorld::new(mesh, problem.clone(), quadrature.clone(), config.clone());
-    let swept = run_sweep_epoch(&mut world, &materials, &phi, mode, 0);
+    let input = world.begin_solve(materials, 1, 0.0, None).epoch(mode);
+    let swept = run_sweep_epoch(&mut world, input, 0);
     world.retire();
     if let Err(f) = swept {
         panic!("sweep epoch faulted: {f}");

@@ -40,8 +40,9 @@ impl Material {
     }
 }
 
-/// A set of materials plus the per-cell material map.
-#[derive(Debug, Clone)]
+/// A set of materials plus the per-cell material map. The default is
+/// the empty set: no materials, covering no cells.
+#[derive(Debug, Clone, Default)]
 pub struct MaterialSet {
     materials: Vec<Material>,
     cell_material: Vec<u16>,

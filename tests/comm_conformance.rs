@@ -315,3 +315,47 @@ fn socket_bytes_accounting_includes_framing() {
     // 32 payload bytes + 8-byte header, plus whatever the barrier cost.
     assert!(out[0] >= 40, "framing bytes unaccounted: {}", out[0]);
 }
+
+/// Socket-only: a blocking `recv` with nothing buffered after every
+/// peer closed gracefully can never return a message, so it fails with
+/// `AllPeersClosed` instead of waiting forever; a peer that *died*
+/// (raw EOF, no close marker) is still `PeerClosed`. The thread backend
+/// cannot observe either on the receive side — each endpoint holds a
+/// sender to itself, so its channel never disconnects — which is why
+/// this case sits outside the macro. Run under a deadline: before the
+/// variant existed this `recv` spun forever.
+#[test]
+fn socket_blocking_recv_after_every_peer_closed_is_an_error() {
+    use jsweep::comm::CommError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let out = SocketUniverse::run(3, |mut comm| {
+            if comm.rank() != 0 {
+                comm.send(0, 5, Bytes::copy_from_slice(&[comm.rank() as u8]))
+                    .unwrap();
+                comm.close();
+                return None;
+            }
+            // Buffered messages are delivered first, then the verdict.
+            let mut from: Vec<usize> = (0..2).map(|_| comm.recv().unwrap().src).collect();
+            from.sort_unstable();
+            assert_eq!(from, vec![1, 2]);
+            Some(comm.recv().unwrap_err())
+        });
+        let _ = tx.send(out[0]);
+    });
+    let verdict = rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("blocking recv after graceful closes must return, not spin");
+    assert_eq!(verdict, Some(CommError::AllPeersClosed));
+
+    let mut world = SocketUniverse::endpoints(2);
+    let c1 = world.pop().unwrap();
+    let mut c0 = world.pop().unwrap();
+    let died = std::thread::spawn(move || {
+        let _hold = c1;
+        panic!("simulated rank death");
+    });
+    assert!(died.join().is_err());
+    assert_eq!(c0.recv().unwrap_err(), CommError::PeerClosed { peer: 1 });
+}

@@ -660,12 +660,13 @@ fn deformed_mesh_parallel_matches_serial_with_cycle_breaking() {
 }
 
 /// The reference the resident runtime is pinned against: the same
-/// source iteration, but every iteration launches a fresh universe of
-/// factory-fresh programs — nothing is ever `reset` — runs one epoch
-/// and shuts down. Mirrors the solver's loop (emission density,
+/// source iteration, but every iteration launches a fresh universe —
+/// every program is new and armed by exactly one `reset` — runs one
+/// epoch and shuts down, where the resident universe arms the same
+/// programs N times. Mirrors the solver's loop (emission density,
 /// record → compile → replay under `coarsen`, relative-L2 stop), so
-/// `reset` ≡ factory-fresh stays pinned bit for bit. Returns the flux
-/// and one aggregated `RunStats` per iteration.
+/// "`reset` leaves no residue of earlier epochs" stays pinned bit for
+/// bit. Returns the flux and one aggregated `RunStats` per iteration.
 fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
     mesh: &Arc<T>,
     prob: &Arc<SweepProblem>,
@@ -673,7 +674,7 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
     mats: &Arc<MaterialSet>,
     cfg: &SnConfig,
 ) -> (Vec<f64>, Vec<jsweep::core::RunStats>) {
-    use jsweep::transport::program::{FluxBins, SweepFactory, SweepMode, SweepSetup};
+    use jsweep::transport::program::{FluxBins, SweepEpoch, SweepFactory, SweepMode, SweepSetup};
     use jsweep::transport::replay::{build_plan, collect_traces, new_trace_bins};
     let (n, groups) = (mesh.num_cells(), mats.num_groups());
     let inv_4pi = 1.0 / (4.0 * std::f64::consts::PI);
@@ -702,12 +703,10 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
             mesh: mesh.clone(),
             problem: prob.clone(),
             quadrature: quad.clone(),
-            materials: mats.clone(),
-            emission: Arc::new(emission),
+            groups,
             kernel: cfg.kernel,
             grain: cfg.grain,
             flux_bins: flux_bins.clone(),
-            mode,
         }));
         let mut universe = Universe::launch_with_fabric(
             prob.patches.num_ranks(),
@@ -720,7 +719,11 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
             jsweep::core::fabric_for(cfg.transport),
         );
         let rank_stats = universe
-            .run_epoch(Arc::new(()))
+            .run_epoch(Arc::new(SweepEpoch {
+                emission: Arc::new(emission),
+                mode,
+                materials: mats.clone(),
+            }))
             .unwrap_or_else(|f| panic!("reference epoch faulted: {f}"));
         universe.shutdown();
         stats.push(jsweep::core::RunStats::aggregate(&rank_stats));
@@ -950,12 +953,10 @@ fn flux_bin_pool_reuses_buffers_across_epochs() {
         mesh: mesh.clone(),
         problem: prob.clone(),
         quadrature: quad.clone(),
-        materials: mats.clone(),
-        emission: emission.clone(),
+        groups,
         kernel: KernelKind::Step,
         grain: 16,
         flux_bins: flux_bins.clone(),
-        mode: SweepMode::Fine { trace_bins: None },
     }));
     let mut u = Universe::launch(
         2,
@@ -970,7 +971,7 @@ fn flux_bin_pool_reuses_buffers_across_epochs() {
         u.run_epoch(Arc::new(SweepEpoch {
             emission: emission.clone(),
             mode: SweepMode::Fine { trace_bins: None },
-            materials: None,
+            materials: mats.clone(),
         }))
         .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
         folds.push(flux_bins.fold(&prob, n, groups));
@@ -1021,7 +1022,7 @@ fn sweep_factory_rejects_mixed_element_meshes() {
     // `face_flux` and the replay wire slots stride by one per-cell
     // face count; a mesh that breaks that must fail at set-up, not
     // mis-index at run time.
-    use jsweep::transport::program::{FluxBins, SweepFactory, SweepMode, SweepSetup};
+    use jsweep::transport::program::{FluxBins, SweepFactory, SweepSetup};
     let mesh = Arc::new(MixedMesh(StructuredMesh::unit(2, 2, 1)));
     let quad = QuadratureSet::sn(2);
     let prob = Arc::new(SweepProblem::build(
@@ -1034,15 +1035,10 @@ fn sweep_factory_rejects_mixed_element_meshes() {
         mesh,
         problem: prob,
         quadrature: quad,
-        materials: Arc::new(MaterialSet::homogeneous(
-            4,
-            Material::uniform(1, 1.0, 0.4, 1.0),
-        )),
-        emission: Arc::new(vec![0.1; 4]),
+        groups: 1,
         kernel: KernelKind::Step,
         grain: 16,
         flux_bins: Arc::new(FluxBins::new(1)),
-        mode: SweepMode::Fine { trace_bins: None },
     });
 }
 
