@@ -136,7 +136,7 @@ fn measure_memory(n: usize, patch: usize, sn: u32) -> MemoryNumbers {
             &config,
         );
         let t0 = std::time::Instant::now();
-        let plan = replay::build_plan(&prob, &traces, mesh.as_ref());
+        let plan = replay::build_plan(&prob, &traces);
         (plan.memory_bytes(), t0.elapsed().as_secs_f64())
     };
     let (plan_bytes_shared, build_s_shared) = measure(true);

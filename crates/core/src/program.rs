@@ -59,10 +59,12 @@ pub struct ComputeCtx {
 
 impl ComputeCtx {
     /// Run the numerical kernel portion of a compute call, attributing
-    /// its wall time to the `kernel` category.
-    pub fn kernel<R>(&mut self, f: impl FnOnce() -> R) -> R {
+    /// its wall time to the `kernel` category. The closure is handed
+    /// the output list, so streams packed as part of the kernel's work
+    /// are pushed where they are produced.
+    pub fn kernel<R>(&mut self, f: impl FnOnce(&mut Vec<Stream>) -> R) -> R {
         let t0 = std::time::Instant::now();
-        let r = f();
+        let r = f(&mut self.out);
         self.kernel_seconds += t0.elapsed().as_secs_f64();
         r
     }
@@ -235,37 +237,9 @@ pub fn unpack_frame(mut frame: Bytes) -> Option<Vec<Stream>> {
     Some(out)
 }
 
-/// Wire format of a single stream: a frame of one (kept as the unit
-/// the aggregated codec is benchmarked against).
-pub fn pack_stream(stream: &Stream) -> Bytes {
-    pack_frame(std::slice::from_ref(stream))
-}
-
-/// Inverse of [`pack_stream`]; `None` for bytes that are not exactly
-/// one stream record.
-pub fn unpack_stream(payload: Bytes) -> Option<Stream> {
-    let mut streams = unpack_frame(payload)?;
-    let stream = streams.pop()?;
-    streams.is_empty().then_some(stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stream_pack_roundtrip() {
-        let s = Stream {
-            src: ProgramId::new(PatchId(3), TaskTag(7)),
-            dst: ProgramId::new(PatchId(11), TaskTag(0)),
-            payload: Bytes::copy_from_slice(b"hello"),
-        };
-        let packed = pack_stream(&s);
-        let back = unpack_stream(packed).expect("one well-formed record");
-        assert_eq!(back.src, s.src);
-        assert_eq!(back.dst, s.dst);
-        assert_eq!(&back.payload[..], b"hello");
-    }
 
     #[test]
     fn frame_roundtrip_many_streams() {
@@ -284,7 +258,6 @@ mod tests {
                 .map(|s| STREAM_WIRE_OVERHEAD + s.payload.len())
                 .sum::<usize>()
         );
-        assert!(unpack_stream(frame.clone()).is_none(), "nine records");
         let back = unpack_frame(frame).expect("well-formed frame");
         assert_eq!(back.len(), streams.len());
         for (a, b) in back.iter().zip(&streams) {
@@ -357,9 +330,9 @@ mod tests {
     #[test]
     fn compute_ctx_accumulates_kernel_time() {
         let mut ctx = ComputeCtx::default();
-        let v = ctx.kernel(|| 41 + 1);
+        let v = ctx.kernel(|_| 41 + 1);
         assert_eq!(v, 42);
-        ctx.kernel(|| std::thread::sleep(std::time::Duration::from_millis(2)));
+        ctx.kernel(|_| std::thread::sleep(std::time::Duration::from_millis(2)));
         assert!(ctx.kernel_seconds >= 0.002);
     }
 

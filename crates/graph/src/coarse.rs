@@ -60,9 +60,10 @@ pub struct CoarseRemoteEdge {
     pub patch: PatchId,
     /// Target cluster index within that patch's coarsened task.
     pub cluster: u32,
-    /// Combined items: `(source local vertex, target global cell)` —
-    /// the property `P(ce)` of the paper.
-    pub items: Vec<(u32, u32)>,
+    /// Combined items — the property `P(ce)` of the paper — as indices
+    /// into the source subgraph's remote CSR, ascending: edge `k` knows
+    /// its source face, destination slot and staging position.
+    pub items: Vec<u32>,
 }
 
 /// The coarsened task of one `(patch, angle)`: what the patch-program
@@ -112,7 +113,7 @@ impl CoarsenedTask {
                 .remote
                 .iter()
                 .flat_map(|edges| edges.iter())
-                .map(|e| size_of::<CoarseRemoteEdge>() + e.items.len() * size_of::<(u32, u32)>())
+                .map(|e| size_of::<CoarseRemoteEdge>() + e.items.len() * size_of::<u32>())
                 .sum::<usize>()
     }
 }
@@ -127,9 +128,7 @@ pub fn build_coarse(subs: &[Subgraph], traces: &[ClusterTrace]) -> Vec<Coarsened
     assert_eq!(subs.len(), traces.len());
     // cluster_of[p][local vertex] = cluster index.
     let mut cluster_of: Vec<Vec<u32>> = Vec::with_capacity(subs.len());
-    // local_of[cell] = (patch index, local vertex).
-    let mut local_of: HashMap<u32, (u32, u32)> = HashMap::new();
-    for (pi, (sub, trace)) in subs.iter().zip(traces).enumerate() {
+    for (sub, trace) in subs.iter().zip(traces) {
         assert_eq!(
             trace.num_vertices(),
             sub.num_vertices(),
@@ -144,9 +143,6 @@ pub fn build_coarse(subs: &[Subgraph], traces: &[ClusterTrace]) -> Vec<Coarsened
                 assert!(map[v as usize] == u32::MAX, "vertex {v} in two clusters");
                 map[v as usize] = k as u32;
             }
-        }
-        for (li, &cell) in sub.cells.iter().enumerate() {
-            local_of.insert(cell, (pi as u32, li as u32));
         }
         cluster_of.push(map);
     }
@@ -174,7 +170,7 @@ pub fn build_coarse(subs: &[Subgraph], traces: &[ClusterTrace]) -> Vec<Coarsened
         let nclust = tasks[pi].num_clusters();
         let mut int_edges: std::collections::HashSet<(u32, u32)> = Default::default();
         // (src cluster, dst patch slot, dst cluster) -> items.
-        let mut rem_edges: HashMap<(u32, u32, u32), Vec<(u32, u32)>> = HashMap::new();
+        let mut rem_edges: HashMap<(u32, u32, u32), Vec<u32>> = HashMap::new();
         for v in 0..sub.num_vertices() as u32 {
             let cu = cluster_of[pi][v as usize];
             for &w in sub.internal_succ(v) {
@@ -183,15 +179,15 @@ pub fn build_coarse(subs: &[Subgraph], traces: &[ClusterTrace]) -> Vec<Coarsened
                     int_edges.insert((cu, cv));
                 }
             }
-            for re in sub.remote_succ(v) {
-                let &(qslot, lw) = local_of
-                    .get(&re.cell)
+            for k in sub.rem_range(v) {
+                let &qslot = patch_slot
+                    .get(&sub.rem_dst[k].patch.0)
                     .expect("remote edge target outside the provided patch set");
+                let lw = subs[qslot as usize].slot_vertex(sub.rem_dslot[k]);
                 let cv = cluster_of[qslot as usize][lw as usize];
-                rem_edges
-                    .entry((cu, qslot, cv))
-                    .or_default()
-                    .push((v, re.cell));
+                // Vertices and their CSR ranges are walked in order:
+                // every item list comes out ascending.
+                rem_edges.entry((cu, qslot, cv)).or_default().push(k as u32);
             }
         }
         // Internal CSR + in-degrees.
@@ -204,11 +200,9 @@ pub fn build_coarse(subs: &[Subgraph], traces: &[ClusterTrace]) -> Vec<Coarsened
         tasks[pi].int_off = csr.off;
         tasks[pi].int_dst = csr.dst;
         // Remote edges: attach to source task, bump target in-degree.
-        type RemoteAcc = Vec<((u32, u32, u32), Vec<(u32, u32)>)>;
-        let mut rem: RemoteAcc = rem_edges.into_iter().collect();
+        let mut rem: Vec<((u32, u32, u32), Vec<u32>)> = rem_edges.into_iter().collect();
         rem.sort_by_key(|&(k, _)| k);
-        for ((cu, qslot, cv), mut items) in rem {
-            items.sort_unstable();
+        for ((cu, qslot, cv), items) in rem {
             tasks[qslot as usize].in_degree[cv as usize] += 1;
             let dst_patch = subs[qslot as usize].patch;
             tasks[pi].remote[cu as usize].push(CoarseRemoteEdge {
@@ -305,9 +299,16 @@ impl CoarseSweepState {
     }
 
     /// A remote coarse edge into cluster `cv` was satisfied.
+    ///
+    /// Panics when `cv` has no unsatisfied edge left: the count comes
+    /// off the wire, and a wrapped counter would park the cluster for
+    /// good or release it before its real upwind flux arrived.
     pub fn receive(&mut self, cv: u32) {
         let c = &mut self.counts[cv as usize];
-        debug_assert!(*c > 0, "cluster {cv} over-received");
+        assert!(
+            *c > 0,
+            "cluster {cv} received more streams than its in-degree"
+        );
         *c -= 1;
         if *c == 0 {
             self.ready.push(std::cmp::Reverse(cv));
@@ -337,7 +338,7 @@ impl CoarseSweepState {
         self.executed += 1;
         for &d in task.internal_succ(cv) {
             let c = &mut self.counts[d as usize];
-            debug_assert!(*c > 0);
+            assert!(*c > 0, "internal coarse edge into satisfied cluster {d}");
             *c -= 1;
             if *c == 0 {
                 self.ready.push(std::cmp::Reverse(d));
@@ -469,6 +470,23 @@ mod tests {
         for st in &states {
             assert!(st.is_complete());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "received more streams than its in-degree")]
+    fn receive_beyond_the_coarse_in_degree_panics_in_every_build() {
+        let m = StructuredMesh::unit(4, 2, 2);
+        let ps = partition::decompose_structured(&m, (2, 2, 2), 2);
+        let (subs, traces) = trace_sweep(&m, &ps, [1.0, 0.0, 0.0], 100);
+        let tasks = build_coarse(&subs, &traces);
+        // The downwind patch's one cluster waits for one stream.
+        let (task, cv) = tasks
+            .iter()
+            .find_map(|t| Some((t, t.in_degree.iter().position(|&d| d == 1)?)))
+            .expect("a cluster fed by exactly one coarse edge");
+        let mut st = CoarseSweepState::new(task);
+        st.receive(cv as u32);
+        st.receive(cv as u32);
     }
 
     #[test]

@@ -98,19 +98,6 @@ pub fn is_acyclic(g: &Csr) -> bool {
     topo_sort(g).is_ok()
 }
 
-/// Longest path length (in edges) from any source to each vertex.
-/// The graph must be acyclic.
-pub fn longest_from_sources(g: &Csr) -> Vec<u32> {
-    let order = topo_sort(g).expect("longest_from_sources requires a DAG");
-    let mut dist = vec![0u32; g.num_vertices()];
-    for &v in &order {
-        for &d in g.succ(v) {
-            dist[d as usize] = dist[d as usize].max(dist[v as usize] + 1);
-        }
-    }
-    dist
-}
-
 /// Longest path length (in edges) from each vertex to any sink — the
 /// "height" used by LDCP. The graph must be acyclic.
 pub fn height_to_sinks(g: &Csr) -> Vec<u32> {
@@ -225,9 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn longest_and_height_on_diamond() {
+    fn height_on_diamond() {
         let g = diamond();
-        assert_eq!(longest_from_sources(&g), vec![0, 1, 1, 2]);
         assert_eq!(height_to_sinks(&g), vec![2, 1, 1, 0]);
     }
 
@@ -254,9 +240,8 @@ mod tests {
     }
 
     #[test]
-    fn chain_longest_path() {
+    fn chain_height() {
         let g = Csr::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert_eq!(longest_from_sources(&g), vec![0, 1, 2, 3, 4]);
         assert_eq!(height_to_sinks(&g), vec![4, 3, 2, 1, 0]);
     }
 }

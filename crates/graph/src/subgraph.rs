@@ -9,11 +9,22 @@
 //! interior faces, local and remote alike, exactly matching what the
 //! Listing-1 `init`/`input`/`compute` functions decrement.
 //!
-//! The subgraph is also the task's compiled **face routing table**:
-//! every CSR edge carries the face of the source cell it leaves through
-//! and the face of the destination cell it enters through, so the sweep
-//! hot loop moves face fluxes by iterating the two CSR ranges of a
-//! solved cell and never asks the mesh for adjacency again.
+//! The subgraph is also the task's compiled **data plane**, and the
+//! only module that knows how a face flux is addressed. Every upwind
+//! face of every local cell owns one *slot* of the task's incoming
+//! face-flux storage ([`Subgraph::num_slots`] of them; a cell's slots
+//! are contiguous from [`Subgraph::first_slot`], one per face). Every
+//! CSR edge carries the face of the source cell it leaves through and
+//! the slot it lands in: [`Subgraph::int_dslot`] in this task's own
+//! storage, [`Subgraph::rem_dslot`] in the storage of the same-angle
+//! task on the destination patch — the number a stream ships, which the
+//! receiver maps back to the vertex it feeds with
+//! [`Subgraph::slot_vertex`]. The patches the task sends to are
+//! numbered once ([`Subgraph::nbrs`], ascending) and every remote edge
+//! names its destination by that ordinal ([`Subgraph::rem_nbr`]), so
+//! the sweep hot loop moves face fluxes by iterating the two CSR ranges
+//! of a solved cell: no adjacency query, no map, no address arithmetic
+//! outside this file.
 
 use jsweep_mesh::{face_toward, PatchId, PatchSet, SweepTopology};
 use jsweep_quadrature::AngleId;
@@ -46,9 +57,9 @@ pub struct Subgraph {
     pub int_dst: Vec<u32>,
     /// Per internal edge: the source cell's face it leaves through.
     pub int_sface: Vec<u8>,
-    /// Per internal edge: the destination cell's face it enters through
-    /// (`face_toward(dst, src)`).
-    pub int_dface: Vec<u8>,
+    /// Per internal edge: the face-flux slot of this task it lands in
+    /// (the slot of `int_dst[k]`'s face `face_toward(dst, src)`).
+    pub int_dslot: Vec<u32>,
     /// CSR offsets of remote downwind edges.
     pub rem_off: Vec<u32>,
     /// Remote downwind targets, in ascending source-face order per
@@ -56,8 +67,16 @@ pub struct Subgraph {
     pub rem_dst: Vec<RemoteEdge>,
     /// Per remote edge: the source cell's face it leaves through.
     pub rem_sface: Vec<u8>,
-    /// Per remote edge: the destination cell's face it enters through.
-    pub rem_dface: Vec<u8>,
+    /// Per remote edge: the face-flux slot it lands in, in the storage
+    /// of the same-angle task on `rem_dst[k].patch`.
+    pub rem_dslot: Vec<u32>,
+    /// Per remote edge: the position of `rem_dst[k].patch` in
+    /// [`Subgraph::nbrs`].
+    pub rem_nbr: Vec<u32>,
+    /// The patches this task has remote edges to, strictly ascending.
+    pub nbrs: Vec<PatchId>,
+    /// Faces — and so slots — per cell.
+    faces: u32,
 }
 
 /// Boundary marker of a [`FaceLink`].
@@ -74,82 +93,91 @@ struct FaceLink {
     patch: PatchId,
     /// Its local index there.
     local: u32,
-    /// The face of that cell leading back here (`face_toward`).
-    back: u8,
+    /// The slot a flux through this face lands in on that patch: the
+    /// one `local` owns for its face leading back here (`face_toward`).
+    slot: u32,
 }
 
 /// The direction-independent half of a patch's subgraphs: per
-/// `(local cell, face)`, the neighbour and its reciprocal face. Walked
-/// off the mesh once per patch; [`Subgraph::from_links`] then orients it
-/// for each sweep direction with one flow sign per face and no further
-/// adjacency queries.
+/// `(local cell, face)`, the neighbour and the slot a flux sent across
+/// lands in. Walked off the mesh once per patch;
+/// [`Subgraph::from_links`] then orients it for each sweep direction
+/// with one flow sign per face and no further adjacency queries.
 #[derive(Debug, Clone)]
 pub struct PatchLinks {
     patch: PatchId,
     cells: Vec<u32>,
-    /// Row offsets into `links`, one row of faces per local cell.
-    row_off: Vec<u32>,
+    /// Faces per cell: `links` holds one row of `faces` per local cell.
+    faces: u32,
     links: Vec<FaceLink>,
 }
 
 impl PatchLinks {
     /// Walk the faces of patch `patch`.
+    ///
+    /// Panics on a mixed-element mesh: slots stride by one per-cell
+    /// face count, shared by the patch and every patch it touches.
     pub fn new<T: SweepTopology + ?Sized>(
         mesh: &T,
         patches: &PatchSet,
         patch: PatchId,
     ) -> PatchLinks {
         let cells: Vec<u32> = patches.cells(patch).to_vec();
-        let mut row_off = Vec::with_capacity(cells.len() + 1);
-        let mut links = Vec::new();
+        let nf = cells.first().map_or(0, |&c| mesh.num_faces(c as usize));
+        assert!(nf <= 256, "{nf} faces per cell do not index with a u8");
+        let uniform = |c: usize| {
+            assert!(
+                mesh.num_faces(c) == nf,
+                "mixed-element mesh: cell {c} has {} faces, its neighbourhood {nf}",
+                mesh.num_faces(c)
+            );
+        };
+        let mut links = Vec::with_capacity(cells.len() * nf);
         for &cell in &cells {
-            row_off.push(links.len() as u32);
-            let nf = mesh.num_faces(cell as usize);
-            assert!(nf <= 256, "cell {cell}: {nf} faces do not index with a u8");
+            uniform(cell as usize);
             for f in 0..nf {
                 links.push(match mesh.face(cell as usize, f).neighbor.cell() {
                     Some(nb) => FaceLink {
                         cell: nb as u32,
                         patch: patches.patch_of(nb),
                         local: patches.local_index(nb) as u32,
-                        back: 0, // filled below
+                        slot: 0, // filled below
                     },
                     None => FaceLink {
                         cell: NO_NEIGHBOR,
                         patch,
                         local: 0,
-                        back: 0,
+                        slot: 0,
                     },
                 });
             }
         }
-        row_off.push(links.len() as u32);
 
         // Reciprocal faces: an in-patch neighbour's own row already
         // holds the answer (first match, as `face_toward` scans); only
         // faces on the patch surface ask the mesh.
         for (li, &cell) in cells.iter().enumerate() {
-            for k in row_off[li] as usize..row_off[li + 1] as usize {
+            for k in li * nf..(li + 1) * nf {
                 let link = links[k];
                 if link.cell == NO_NEIGHBOR {
                     continue;
                 }
                 let back = if link.patch == patch {
-                    let nb = link.local as usize;
-                    links[row_off[nb] as usize..row_off[nb + 1] as usize]
-                        .iter()
-                        .position(|l| l.cell == cell)
+                    let row = link.local as usize * nf;
+                    links[row..row + nf].iter().position(|l| l.cell == cell)
                 } else {
+                    uniform(link.cell as usize);
                     face_toward(mesh, link.cell as usize, cell as usize)
                 };
                 let back = back.expect("neighbour without reciprocal face");
-                links[k].back = u8::try_from(back).expect("face index exceeds u8");
+                links[k].slot = u32::try_from(link.local as usize * nf + back)
+                    .expect("face-flux slot exceeds u32");
             }
         }
         PatchLinks {
             patch,
             cells,
-            row_off,
+            faces: nf as u32,
             links,
         }
     }
@@ -178,8 +206,8 @@ impl Subgraph {
     }
 
     /// Orient a patch's [`PatchLinks`] for direction `dir`: every face
-    /// with outflow becomes a CSR edge carrying its two face indices,
-    /// every face with inflow a unit of in-degree.
+    /// with outflow becomes a CSR edge carrying its source face and its
+    /// destination slot, every face with inflow a unit of in-degree.
     pub fn from_links<T: SweepTopology + ?Sized>(
         links: &PatchLinks,
         mesh: &T,
@@ -190,24 +218,24 @@ impl Subgraph {
         let patch = links.patch;
         let cells = links.cells.clone();
         let n = cells.len();
+        let nf = links.faces as usize;
         let mut in_degree = vec![0u32; n];
         let mut int_off = vec![0u32; n + 1];
         let mut rem_off = vec![0u32; n + 1];
         // For a generic direction half the faces carry outflow, nearly
         // all of them internal: one allocation instead of regrowth.
         let cap = links.links.len() / 2;
-        let (mut int_dst, mut int_sface, mut int_dface) = (
+        let (mut int_dst, mut int_sface, mut int_dslot) = (
             Vec::with_capacity(cap),
             Vec::with_capacity(cap),
             Vec::with_capacity(cap),
         );
-        let (mut rem_dst, mut rem_sface, mut rem_dface) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut rem_dst, mut rem_sface, mut rem_dslot) = (Vec::new(), Vec::new(), Vec::new());
 
         // Cells are walked in local order and faces in ascending order,
         // so the edge lists come out CSR-packed as they are pushed.
         for (li, &cell) in cells.iter().enumerate() {
-            let row = &links.links[links.row_off[li] as usize..links.row_off[li + 1] as usize];
-            for (f, link) in row.iter().enumerate() {
+            for (f, link) in links.links[li * nf..(li + 1) * nf].iter().enumerate() {
                 if link.cell == NO_NEIGHBOR {
                     continue;
                 }
@@ -225,14 +253,14 @@ impl Subgraph {
                     if link.patch == patch {
                         int_dst.push(link.local);
                         int_sface.push(f as u8);
-                        int_dface.push(link.back);
+                        int_dslot.push(link.slot);
                     } else {
                         rem_dst.push(RemoteEdge {
                             patch: link.patch,
                             cell: link.cell,
                         });
                         rem_sface.push(f as u8);
-                        rem_dface.push(link.back);
+                        rem_dslot.push(link.slot);
                     }
                 }
                 // flow == 0: the face is parallel to the direction; no
@@ -242,6 +270,14 @@ impl Subgraph {
             rem_off[li + 1] = rem_dst.len() as u32;
         }
 
+        let mut nbrs: Vec<PatchId> = rem_dst.iter().map(|re| re.patch).collect();
+        nbrs.sort_unstable();
+        nbrs.dedup();
+        let rem_nbr = rem_dst
+            .iter()
+            .map(|re| nbrs.binary_search(&re.patch).expect("collected above") as u32)
+            .collect();
+
         Subgraph {
             patch,
             angle,
@@ -250,17 +286,44 @@ impl Subgraph {
             int_off,
             int_dst,
             int_sface,
-            int_dface,
+            int_dslot,
             rem_off,
             rem_dst,
             rem_sface,
-            rem_dface,
+            rem_dslot,
+            rem_nbr,
+            nbrs,
+            faces: links.faces,
         }
     }
 
     /// Number of local vertices.
     pub fn num_vertices(&self) -> usize {
         self.cells.len()
+    }
+
+    /// Faces per cell: the number of face-flux slots each vertex owns.
+    pub fn faces_per_cell(&self) -> usize {
+        self.faces as usize
+    }
+
+    /// Slots of this task's incoming face-flux storage: one per face of
+    /// every local cell.
+    pub fn num_slots(&self) -> usize {
+        self.cells.len() * self.faces as usize
+    }
+
+    /// The first slot of local vertex `v`; its face `f` owns slot
+    /// `first_slot(v) + f`.
+    #[inline]
+    pub fn first_slot(&self, v: u32) -> usize {
+        v as usize * self.faces as usize
+    }
+
+    /// The local vertex that reads `slot`.
+    #[inline]
+    pub fn slot_vertex(&self, slot: u32) -> u32 {
+        slot / self.faces
     }
 
     /// Index range into `int_dst` for local vertex `v`'s internal edges.
@@ -505,29 +568,43 @@ mod tests {
         let subs = Subgraph::build_all(mesh, ps, AngleId(0), dir, broken);
         check_edge_degree_balance(&subs).unwrap();
         for sub in &subs {
+            let nf = mesh.num_faces(0);
+            assert_eq!(sub.faces_per_cell(), nf);
+            assert_eq!(sub.num_slots(), sub.num_vertices() * nf);
+            assert!(sub.nbrs.windows(2).all(|w| w[0] < w[1]), "nbrs ascending");
+            let mut nbrs_used = vec![false; sub.nbrs.len()];
             for v in 0..sub.num_vertices() as u32 {
                 let src = sub.cells[v as usize];
-                // (destination cell, source face, destination face)
+                assert_eq!(sub.first_slot(v), v as usize * nf);
+                // (destination cell, source face, destination slot)
                 let internal = sub.int_range(v).map(|k| {
                     let dst = sub.cells[sub.int_dst[k] as usize];
                     assert_eq!(ps.patch_of(dst as usize), sub.patch);
-                    (dst, sub.int_sface[k], sub.int_dface[k])
+                    assert_eq!(sub.slot_vertex(sub.int_dslot[k]), sub.int_dst[k]);
+                    (dst, sub.int_sface[k], sub.int_dslot[k])
                 });
                 let remote = sub.rem_range(v).map(|k| {
                     let re = sub.rem_dst[k];
                     assert_ne!(re.patch, sub.patch);
                     assert_eq!(ps.patch_of(re.cell as usize), re.patch);
-                    (re.cell, sub.rem_sface[k], sub.rem_dface[k])
+                    assert_eq!(sub.nbrs[sub.rem_nbr[k] as usize], re.patch);
+                    nbrs_used[sub.rem_nbr[k] as usize] = true;
+                    let there = &subs[re.patch.index()];
+                    let lv = there.slot_vertex(sub.rem_dslot[k]);
+                    assert_eq!(there.cells[lv as usize], re.cell);
+                    (re.cell, sub.rem_sface[k], sub.rem_dslot[k])
                 });
-                let edges: Vec<(u32, u8, u8)> = internal.chain(remote).collect();
-                for &(dst, sface, dface) in &edges {
+                let edges: Vec<(u32, u8, u32)> = internal.chain(remote).collect();
+                for &(dst, sface, dslot) in &edges {
                     let face = mesh.face(src as usize, sface as usize);
                     assert_eq!(face.neighbor.cell(), Some(dst as usize));
                     assert!(face.flow(dir) > 0.0, "edge through a non-outflow face");
                     assert!(!broken.contains(&(src, dst)), "broken edge kept");
+                    let dface = face_toward(mesh, dst as usize, src as usize).unwrap();
                     assert_eq!(
-                        face_toward(mesh, dst as usize, src as usize),
-                        Some(dface as usize)
+                        dslot as usize,
+                        ps.local_index(dst as usize) * nf + dface,
+                        "slot = local_index(dst) * F + face_toward(dst, src)"
                     );
                 }
                 assert!(sub.int_sface[sub.int_range(v)]
@@ -549,6 +626,7 @@ mod tests {
                     .count();
                 assert_eq!(edges.len(), expect);
             }
+            assert!(nbrs_used.iter().all(|&u| u), "a neighbour no edge names");
         }
     }
 

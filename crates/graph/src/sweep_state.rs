@@ -87,9 +87,13 @@ impl SweepState {
 
     /// `input()`: one upwind datum for local vertex `v` arrived from a
     /// remote patch.
+    ///
+    /// Panics when `v` has no unsatisfied upwind face left: the datum
+    /// comes off the wire, and a wrapped counter would park the vertex
+    /// for good or release it before its real upwind flux arrived.
     pub fn receive(&mut self, v: u32) {
         let c = &mut self.counts[v as usize];
-        debug_assert!(*c > 0, "vertex {v} received more data than its in-degree");
+        assert!(*c > 0, "vertex {v} received more data than its in-degree");
         *c -= 1;
         if *c == 0 {
             self.ready.push((self.prio[v as usize], Reverse(v)));
@@ -137,7 +141,7 @@ impl SweepState {
             self.computed += 1;
             for &w in sub.internal_succ(v) {
                 let c = &mut self.counts[w as usize];
-                debug_assert!(*c > 0, "internal edge to satisfied vertex {w}");
+                assert!(*c > 0, "internal edge to satisfied vertex {w}");
                 *c -= 1;
                 if *c == 0 {
                     self.ready.push((self.prio[w as usize], Reverse(w)));
@@ -227,6 +231,26 @@ mod tests {
         let c = st.pop_cluster(&sub1, 10, |_, _| {});
         assert_eq!(c, vec![0]);
         assert!(st.is_complete());
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 0 received more data than its in-degree")]
+    fn receive_beyond_the_in_degree_panics_in_every_build() {
+        // Off the wire: a duplicated stream item must not wrap the
+        // counter (release builds compile `debug_assert!` out).
+        let m = StructuredMesh::unit(2, 1, 1);
+        let ps = PatchSet::from_assignment(vec![0, 1], 2);
+        let sub1 = Subgraph::build(
+            &m,
+            &ps,
+            jsweep_mesh::PatchId(1),
+            AngleId(0),
+            [1.0, 0.0, 0.0],
+            &HashSet::new(),
+        );
+        let mut st = SweepState::with_priorities(&sub1, &[0]);
+        st.receive(0);
+        st.receive(0);
     }
 
     #[test]

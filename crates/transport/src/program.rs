@@ -16,24 +16,31 @@
 //!   recorded vertex list in order, and emits exactly one stream per
 //!   outgoing coarse edge, with no per-vertex bookkeeping.
 //!
-//! Face routing is compiled, not derived: the task's [`Subgraph`]
-//! carries, per CSR edge, the source face and the destination face, so
-//! neither the kernel loop nor the wire ever asks the mesh for
-//! adjacency (the mesh-walking derivation survives only in
+//! The data plane is compiled, not derived: the task's [`Subgraph`]
+//! carries, per CSR edge, the source face and the destination
+//! face-flux *slot*, and numbers the patches the task sends to. How a
+//! slot maps to storage is the subgraph's business alone; this module
+//! sizes `face_flux` by [`Subgraph::num_slots`], reads a cell's upwind
+//! block from [`Subgraph::first_slot`] and writes wherever an edge's
+//! `*_dslot` says (the mesh-walking derivation survives only in
 //! `solve_serial` and in this module's test oracle).
 //!
-//! Stream payload formats (see `jsweep_comm::pack`): fine streams are
-//! `u32 item_count` then per item `u32 dst_cell`, `u32 dst_face`
-//! ([`Subgraph::rem_dface`], resolved by the sender's subgraph),
-//! `groups × f64` face flux values. Coarse streams are fully
-//! pre-resolved at plan-build time: `u32 dst_cluster`, `u32 item_count`,
-//! then `item_count × u32 dst_slot` (`local_cell * max_faces + face` on
-//! the receiver — written straight into `face_flux`, no adjacency
-//! scan), then `item_count × groups × f64` flux values. The constant
-//! prefix (header + slot block) is pre-packed per coarse edge at
-//! plan-compile time ([`crate::replay::ReplayEmit::skeleton`]), so
-//! replay packing is one memcpy plus the flux writes, and the receiver
-//! issues one `receive()` per stream instead of one per item.
+//! **One stream payload** serves both modes (`jsweep_comm::pack`
+//! little-endian words): `u32 head`, `u32 n`, `n × u32 slot`
+//! ([`Subgraph::rem_dslot`] of the sender's edges, i.e. slots of the
+//! *receiving* task), `n × groups × f64` flux. `head` is the
+//! destination cluster in replay — one `receive(head)` covers the
+//! whole stream — and the `PER_SLOT` sentinel in fine mode, where
+//! every slot feeds the vertex that owns it
+//! ([`Subgraph::slot_vertex`]). `put_prefix` writes the constant part
+//! (`head`, `n`, slots), `Physics::emit` appends the flux, and
+//! [`SweepProgram`]'s `input` is the one decoder: it checks the whole
+//! payload — length, every slot, the counters — before it writes
+//! anything. Replay pre-packs each coarse edge's prefix at plan-compile
+//! time ([`crate::replay::ReplayTask::skeletons`]), so packing a replay
+//! stream is one memcpy plus the flux writes; fine mode sorts a
+//! cluster's remote edges into one index list per destination
+//! ([`Subgraph::rem_nbr`]) and packs each list the same way.
 //!
 //! Under a persistent universe (`jsweep_core::Universe`) the programs
 //! stay resident for the whole solve: each source iteration is one
@@ -50,7 +57,7 @@ use crate::kernel::{solve_cell_block_geom, CellGeom, KernelKind, GROUP_BLOCK, KE
 use crate::replay::{CoarsePlan, ReplayTask, TraceBins};
 use crate::xs::MaterialSet;
 use bytes::Bytes;
-use jsweep_comm::pack::{Reader, Writer};
+use jsweep_comm::pack::Writer;
 use jsweep_core::{
     ComputeCtx, EpochInput, PatchProgram, ProgramFactory, ProgramId, Stream, TaskTag,
 };
@@ -59,7 +66,6 @@ use jsweep_graph::{Subgraph, SweepProblem, SweepState};
 use jsweep_mesh::{PatchId, SweepTopology};
 use jsweep_quadrature::QuadratureSet;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -243,27 +249,43 @@ pub struct SweepSetup<T: SweepTopology + Send + Sync + 'static> {
 /// `(patch, angle)`.
 pub struct SweepFactory<T: SweepTopology + Send + Sync + 'static> {
     setup: SweepSetup<T>,
-    /// Faces per cell — one count for the whole mesh (checked in
-    /// [`SweepFactory::new`]): the stride of every `face_flux` slot.
-    max_faces: usize,
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> SweepFactory<T> {
-    /// Wrap a setup. Panics on a mixed-element mesh: `face_flux` and
-    /// the replay wire slots index with a single per-cell face count.
+    /// Wrap a setup. (A mixed-element mesh never gets this far:
+    /// `SweepProblem::build` rejects it.)
     pub fn new(setup: SweepSetup<T>) -> SweepFactory<T> {
         assert!(setup.grain > 0 && setup.groups > 0);
-        let max_faces = setup.mesh.num_faces(0);
         assert!(
-            max_faces <= KERNEL_MAX_FACES,
-            "cells with {max_faces} faces exceed KERNEL_MAX_FACES"
+            setup.problem.subs[0]
+                .iter()
+                .all(|sub| sub.faces_per_cell() <= KERNEL_MAX_FACES),
+            "cells have more faces than KERNEL_MAX_FACES"
         );
-        assert!(
-            (0..setup.mesh.num_cells()).all(|c| setup.mesh.num_faces(c) == max_faces),
-            "mixed-element mesh: every cell must have {max_faces} faces"
-        );
-        SweepFactory { setup, max_faces }
+        SweepFactory { setup }
     }
+}
+
+/// `head` of a fine-mode stream: every slot feeds the vertex that owns
+/// it. (Replay streams carry their destination cluster there.)
+pub(crate) const PER_SLOT: u32 = u32::MAX;
+
+/// Append the constant part of a stream payload to `buf`: `head`, the
+/// item count and, for every remote-CSR edge of `sub` listed in `rem`,
+/// the slot it lands in on the receiving task.
+pub(crate) fn put_prefix(buf: &mut Vec<u8>, head: u32, sub: &Subgraph, rem: &[u32]) {
+    buf.extend_from_slice(&head.to_le_bytes());
+    buf.extend_from_slice(&(rem.len() as u32).to_le_bytes());
+    for &k in rem {
+        buf.extend_from_slice(&sub.rem_dslot[k as usize].to_le_bytes());
+    }
+}
+
+/// The little-endian `u32` words of `bytes`.
+fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
 }
 
 /// Per-program scheduling state: the fine/coarse counterpart of the
@@ -302,8 +324,7 @@ struct Physics<T> {
     groups: usize,
     weight: f64,
     dir: [f64; 3],
-    max_faces: usize,
-    /// Incoming face flux per `local_cell * max_faces * groups`
+    /// Incoming face flux, `groups` values per slot of the subgraph
     /// (shaped by the first reset, zeroed in place by later ones —
     /// never reallocated).
     face_flux: Vec<f64>,
@@ -314,9 +335,8 @@ struct Physics<T> {
     /// Outgoing remote face-flux staging per
     /// `fine_remote_edge * groups`, addressed by the subgraph's remote
     /// CSR in both scheduling modes: the group-block kernel passes
-    /// write block sub-slices here, then fine mode assembles stream
-    /// items from it post-hoc and coarse mode's pre-resolved
-    /// [`ReplayTask`] emissions read it directly.
+    /// write block sub-slices here and [`Physics::emit`] packs streams
+    /// from it.
     remote_vals: Vec<f64>,
     /// Per-cluster hoisted cell geometry (phase 0 of
     /// [`Physics::kernel_cluster`]; reused across calls).
@@ -324,11 +344,24 @@ struct Physics<T> {
 }
 
 impl<T: SweepTopology> Physics<T> {
-    /// Write one stream item's `groups` flux values into incoming
-    /// face-flux slot `slot` (`local_cell * max_faces + face`).
-    fn ingest(&mut self, slot: usize, r: &mut Reader) {
-        for x in &mut self.face_flux[slot * self.groups..(slot + 1) * self.groups] {
-            *x = r.get_f64();
+    /// Pack one outgoing stream for the same-angle task on `dst`:
+    /// `prefix` (a [`put_prefix`] over `rem`) followed by the staged
+    /// flux of every remote-CSR edge in `rem`. The only encoder, for
+    /// both scheduling modes.
+    fn emit(&self, src: ProgramId, dst: PatchId, prefix: &[u8], rem: &[u32]) -> Stream {
+        let groups = self.groups;
+        debug_assert_eq!(prefix.len(), 8 + 4 * rem.len());
+        let mut w = Writer::with_capacity(prefix.len() + rem.len() * 8 * groups);
+        w.put_bytes(prefix);
+        for &k in rem {
+            for &x in &self.remote_vals[k as usize * groups..][..groups] {
+                w.put_f64(x);
+            }
+        }
+        Stream {
+            src,
+            dst: ProgramId::new(dst, src.task),
+            payload: w.finish(),
         }
     }
 
@@ -344,9 +377,9 @@ impl<T: SweepTopology> Physics<T> {
     /// ([`CellGeom`]); phase 1 streams the cell list once per
     /// [`GROUP_BLOCK`]-wide group block and routes each solved cell by
     /// walking its two CSR ranges of the subgraph — internal edge `k`
-    /// copies `out[int_sface[k]]` to `face_flux` slot
-    /// `int_dst[k] * max_faces + int_dface[k]`, remote edge `k` copies
-    /// `out[rem_sface[k]]` to `remote_vals[k]`. Upwind, flow-0,
+    /// copies `out[int_sface[k]]` to `face_flux` slot `int_dslot[k]`,
+    /// remote edge `k` copies `out[rem_sface[k]]` to `remote_vals[k]`.
+    /// Upwind, flow-0,
     /// boundary and cycle-broken faces have no edge and so write
     /// nothing. Each pass touches contiguous block sub-slices and walks
     /// the cluster in its (topological) order, which preserves
@@ -354,7 +387,7 @@ impl<T: SweepTopology> Physics<T> {
     /// the scalar path did per group.
     fn kernel_cluster(&mut self, cluster: &[u32]) {
         let sub = &self.subs[self.patch];
-        let (groups, mf) = (self.groups, self.max_faces);
+        let groups = self.groups;
 
         self.geom_scratch.clear();
         self.geom_scratch.extend(
@@ -376,7 +409,7 @@ impl<T: SweepTopology> Physics<T> {
                 // upwind slots for the block's groups.
                 let mut out = [0.0f64; KERNEL_MAX_FACES * GROUP_BLOCK];
                 let mut psi = [0.0f64; GROUP_BLOCK];
-                let in_base = (v as usize * mf) * groups + g0;
+                let in_base = sub.first_slot(v) * groups + g0;
                 let q_base = cell * groups + g0;
                 solve_cell_block_geom(
                     geom,
@@ -398,7 +431,7 @@ impl<T: SweepTopology> Physics<T> {
                 // Route the outgoing face-flux blocks along the CSR.
                 for k in sub.int_range(v) {
                     let blk = &out[sub.int_sface[k] as usize * GROUP_BLOCK..][..b];
-                    let slot = sub.int_dst[k] as usize * mf + sub.int_dface[k] as usize;
+                    let slot = sub.int_dslot[k] as usize;
                     self.face_flux[slot * groups + g0..][..b].copy_from_slice(blk);
                 }
                 for k in sub.rem_range(v) {
@@ -421,15 +454,13 @@ pub struct SweepProgram<T: SweepTopology + Send + Sync + 'static> {
     sched: Sched,
     /// Kernel inputs and the numeric buffers.
     phys: Physics<T>,
-    /// Fine-path per-destination stream writers, persistent across
-    /// compute calls and epochs (entries keep their map slot; buffers
-    /// are frozen into payloads per flush).
-    stream_writers: HashMap<PatchId, Writer>,
-    /// Item counts matching [`SweepProgram::stream_writers`].
-    stream_counts: HashMap<PatchId, u32>,
-    /// Coarse-path ingest scratch: the slot block of the stream being
-    /// consumed (reused across inputs).
-    slot_scratch: Vec<u32>,
+    /// Fine-path stream assembly: per destination (indexed like
+    /// [`Subgraph::nbrs`]) the remote-CSR edges of the cluster in
+    /// flight; every list is emitted and emptied within the compute
+    /// call that filled it.
+    fine_out: Vec<Vec<u32>>,
+    /// Fine-path scratch for the prefix of the stream being packed.
+    prefix: Vec<u8>,
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
@@ -440,7 +471,7 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
         let Sched::Fine { state, trace } = &mut self.sched else {
             unreachable!("compute_fine on a coarse program");
         };
-        let phys = &mut self.phys;
+        let (id, phys) = (self.id, &mut self.phys);
         // DAG bookkeeping: pop a cluster of ready vertices.
         let cluster = state.pop_cluster(&phys.subs[phys.patch], self.grain, |_, _| {});
         if cluster.is_empty() {
@@ -451,56 +482,28 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
         }
         ctx.work_done = cluster.len() as u64;
 
-        // Numerical kernel + stream assembly (writers/counts are
-        // program-resident: map slots persist across compute calls and
-        // epochs).
-        let (writers, counts) = (&mut self.stream_writers, &mut self.stream_counts);
-        ctx.kernel(|| {
+        let (per_nbr, prefix) = (&mut self.fine_out, &mut self.prefix);
+        ctx.kernel(|out| {
             phys.kernel_cluster(&cluster);
-            // Phase 2 — assemble the per-patch stream items from the
-            // staged remote values, in (vertex, remote-CSR) order:
-            // the CSR is packed in face order, so the items are in
-            // exactly the order per-cell streaming produced. Each item
-            // names its landing slot (`dst_cell`, `dst_face`) straight
-            // from the subgraph. Writers are persistent (reused
-            // across compute calls and epochs): an empty one starts a
-            // fresh payload with the count placeholder patched at
-            // emission.
+            // Sort the cluster's remote edges by destination, in
+            // (vertex, remote-CSR) order within each, then pack one
+            // stream per destination that got any, in `nbrs` order
+            // (ascending patch id).
             let sub = &phys.subs[phys.patch];
             for &v in &cluster {
                 for k in sub.rem_range(v) {
-                    let dst = sub.rem_dst[k];
-                    let w = writers.entry(dst.patch).or_default();
-                    if w.is_empty() {
-                        w.put_u32(0); // patched below
-                    }
-                    w.put_u32(dst.cell);
-                    w.put_u32(u32::from(sub.rem_dface[k]));
-                    for &x in &phys.remote_vals[k * phys.groups..(k + 1) * phys.groups] {
-                        w.put_f64(x);
-                    }
-                    *counts.entry(dst.patch).or_default() += 1;
+                    per_nbr[sub.rem_nbr[k] as usize].push(k as u32);
+                }
+            }
+            for (rem, &dst) in per_nbr.iter_mut().zip(&sub.nbrs) {
+                if !rem.is_empty() {
+                    prefix.clear();
+                    put_prefix(prefix, PER_SLOT, sub, rem);
+                    out.push(phys.emit(id, dst, prefix, rem));
+                    rem.clear();
                 }
             }
         });
-
-        let mut targets: Vec<PatchId> = counts
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(p, _)| *p)
-            .collect();
-        targets.sort_unstable();
-        for patch in targets {
-            let w = writers.get_mut(&patch).expect("counted patch has a writer");
-            let mut bytes = w.take().to_vec();
-            bytes[..4].copy_from_slice(&counts[&patch].to_le_bytes());
-            counts.insert(patch, 0);
-            ctx.send(Stream {
-                src: self.id,
-                dst: ProgramId::new(patch, self.id.task),
-                payload: Bytes::from(bytes),
-            });
-        }
 
         // On completion, deposit the scalar-flux contribution and, when
         // recording, the cluster trace.
@@ -543,37 +546,19 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
         ctx.work_done = cluster.len() as u64;
 
         let (id, phys) = (self.id, &mut self.phys);
-        let groups = phys.groups;
-        // Serialization happens inside the kernel closure, exactly as
-        // the fine path packs its stream items there — keeping the
-        // Kernel/GraphOp split comparable between the two modes. The
-        // closure pushes straight onto the context's output list.
-        let mut out = std::mem::take(&mut ctx.out);
-        ctx.kernel(|| {
+        // Packing happens inside the kernel closure in both modes,
+        // which keeps their Kernel/GraphOp split comparable.
+        ctx.kernel(|out| {
             phys.kernel_cluster(cluster);
-            // One stream per outgoing coarse edge, items pre-resolved
-            // against the same remote-CSR staging the kernel wrote.
-            for emit in &task.emits[cv as usize] {
-                // Stream size is exactly known at plan-build time:
-                // the pre-packed skeleton (header + slot block,
-                // one memcpy) followed by the flux block.
-                let mut w =
-                    Writer::with_capacity(emit.skeleton.len() + emit.items.len() * 8 * groups);
-                w.put_bytes(&emit.skeleton);
-                for item in &emit.items {
-                    let k = item.rem_idx as usize;
-                    for &x in &phys.remote_vals[k * groups..(k + 1) * groups] {
-                        w.put_f64(x);
-                    }
-                }
-                out.push(Stream {
-                    src: id,
-                    dst: ProgramId::new(emit.patch, id.task),
-                    payload: w.finish(),
-                });
+            // One stream per outgoing coarse edge: its pre-packed
+            // prefix, then the flux its items staged.
+            for (edge, skeleton) in task.coarse.remote[cv as usize]
+                .iter()
+                .zip(&task.skeletons[cv as usize])
+            {
+                out.push(phys.emit(id, edge.patch, skeleton, &edge.items));
             }
         });
-        ctx.out = out;
 
         if state.is_complete() {
             self.deposit_flux();
@@ -596,36 +581,43 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
         // further.
     }
 
+    /// The one decoder of the stream payload (module docs). Total:
+    /// the payload comes off the wire, so its length, every slot and
+    /// the counters it decrements are checked — a violation panics,
+    /// which the worker turns into an epoch fault — before the first
+    /// flux value is written.
     fn input(&mut self, _src: ProgramId, payload: Bytes) {
-        let mut r = Reader::new(payload);
+        let phys = &mut self.phys;
+        let (sub, groups) = (&phys.subs[phys.patch], phys.groups);
+        assert!(payload.len() >= 8, "stream payload shorter than its header");
+        let (header, body) = payload.split_at(8);
+        let mut header = words(header);
+        let (head, n) = (header.next().expect("head"), header.next().expect("n"));
+        assert_eq!(
+            body.len() as u64,
+            u64::from(n) * (4 + 8 * groups as u64),
+            "stream payload length does not match its {n} items"
+        );
+        let (slots, flux) = body.split_at(4 * n as usize);
+        let num_slots = sub.num_slots();
+        if let Some(s) = words(slots).find(|&s| s as usize >= num_slots) {
+            panic!("stream slot {s} out of range of {num_slots}");
+        }
         match &mut self.sched {
-            Sched::Coarse { state, .. } => {
-                // One coarse edge per stream: the pre-packed slot
-                // block, the flux block, then a single in-degree
-                // decrement on the target coarse vertex. Slots are
-                // plan-resolved face-flux indices, so ingestion is a
-                // direct write.
-                let cv = r.get_u32();
-                let n = r.get_u32() as usize;
-                self.slot_scratch.clear();
-                self.slot_scratch.extend((0..n).map(|_| r.get_u32()));
-                for &slot in &self.slot_scratch {
-                    self.phys.ingest(slot as usize, &mut r);
-                }
-                state.receive(cv);
-            }
+            // One coarse edge per stream: a single in-degree decrement
+            // on the target coarse vertex.
+            Sched::Coarse { state, .. } => state.receive(head),
             Sched::Fine { state, .. } => {
-                // Fine items name their landing slot themselves:
-                // `dst_cell`, then the sender-resolved `dst_face`.
-                for _ in 0..r.get_u32() {
-                    let li = self.problem.patches.local_index(r.get_u32() as usize);
-                    let face = r.get_u32() as usize;
-                    assert!(face < self.phys.max_faces, "stream item face out of range");
-                    self.phys.ingest(li * self.phys.max_faces + face, &mut r);
-                    state.receive(li as u32);
-                }
+                assert_eq!(head, PER_SLOT, "replay stream for a fine-mode program");
+                words(slots).for_each(|s| state.receive(sub.slot_vertex(s)));
             }
             Sched::Unarmed => unreachable!("input before reset"),
+        }
+        for (slot, vals) in words(slots).zip(flux.chunks_exact(8 * groups)) {
+            let dst = &mut phys.face_flux[slot as usize * groups..][..groups];
+            for (x, v) in dst.iter_mut().zip(vals.chunks_exact(8)) {
+                *x = f64::from_le_bytes(v.try_into().expect("8-byte chunk"));
+            }
         }
     }
 
@@ -742,10 +734,10 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
         // subgraph's remote CSR (values are written before read within
         // each compute, so no zeroing needed beyond sizing).
         let n = sub.num_vertices();
-        if phys.face_flux.len() == n * phys.max_faces * groups {
+        if phys.face_flux.len() == sub.num_slots() * groups {
             phys.face_flux.fill(0.0);
         } else {
-            phys.face_flux = vec![0.0; n * phys.max_faces * groups];
+            phys.face_flux = vec![0.0; sub.num_slots() * groups];
         }
         if phys.phi_part.capacity() < n * groups {
             // Deposited (or never shaped): round-trip via the pool.
@@ -757,10 +749,6 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
             phys.phi_part.resize(n * groups, 0.0);
         }
         phys.remote_vals.resize(sub.rem_dst.len() * groups, 0.0);
-        debug_assert!(
-            self.stream_counts.values().all(|&c| c == 0),
-            "unsent stream items at epoch boundary"
-        );
     }
 }
 
@@ -774,6 +762,8 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
         let s = &self.setup;
         let (p, a) = (id.patch.index(), id.task.0 as usize);
         let angle = jsweep_quadrature::AngleId(id.task.0);
+        let subs = s.problem.subs[a].clone();
+        let nbrs = subs[p].nbrs.len();
         SweepProgram {
             id,
             problem: s.problem.clone(),
@@ -784,21 +774,19 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
                 mesh: s.mesh.clone(),
                 materials: Arc::default(),
                 emission: Arc::default(),
-                subs: s.problem.subs[a].clone(),
+                subs,
                 patch: p,
                 kernel: s.kernel,
                 groups: s.groups,
                 weight: s.quadrature.ordinate(angle).weight,
                 dir: s.quadrature.direction(angle),
-                max_faces: self.max_faces,
                 face_flux: Vec::new(),
                 phi_part: Vec::new(),
                 remote_vals: Vec::new(),
                 geom_scratch: Vec::new(),
             },
-            stream_writers: HashMap::new(),
-            stream_counts: HashMap::new(),
-            slot_scratch: Vec::new(),
+            fine_out: vec![Vec::new(); nbrs],
+            prefix: Vec::new(),
         }
     }
 
@@ -829,31 +817,33 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::replay::build_plan;
     use crate::solver::{record_cluster_traces, SnConfig};
     use crate::xs::{Material, MaterialSet};
     use jsweep_graph::problem::ProblemOptions;
-    use jsweep_graph::{Subgraph, SweepProblem};
     use jsweep_mesh::deformed::DeformedMesh;
-    use jsweep_mesh::{face_toward, partition, PatchSet, StructuredMesh, SweepTopology};
-    use jsweep_quadrature::QuadratureSet;
+    use jsweep_mesh::{face_toward, partition, PatchSet, StructuredMesh};
     use std::collections::HashSet;
-    use std::sync::Arc;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Where a cluster cell's face sends its outgoing flux.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Route {
         /// Upwind, flow-0, boundary or cycle-broken face.
         Skip,
-        /// `face_flux` slot `neighbour_local * max_faces + neighbour_face`.
+        /// `face_flux` slot of this task.
         Local(usize),
-        /// Staging index into the remote CSR.
-        Remote(usize),
+        /// Staging index into the remote CSR, the patch it is bound
+        /// for and the `face_flux` slot it lands in there.
+        Remote(usize, PatchId, usize),
     }
 
     /// The oracle: the per-cluster route derivation `kernel_cluster` ran
     /// every iteration before routes were compiled into the subgraph —
     /// walk the mesh faces, skip broken edges, resolve the reciprocal
-    /// face with `face_toward`, number remote faces in visit order.
+    /// face with `face_toward`, number remote faces in visit order —
+    /// with the slot formula `local_index(dst) * F + face` spelled out.
     fn mesh_walk_routes<T: SweepTopology>(
         mesh: &T,
         patches: &PatchSet,
@@ -875,13 +865,13 @@ mod tests {
                 if broken.contains(&(cell as u32, nb as u32)) {
                     continue;
                 }
+                let slot = patches.local_index(nb) * mf + face_toward(mesh, nb, cell).unwrap();
                 routes[i * mf + f] = if patches.patch_of(nb) == sub.patch {
-                    let nface = face_toward(mesh, nb, cell).unwrap();
-                    Route::Local(patches.local_index(nb) * mf + nface)
+                    Route::Local(slot)
                 } else {
                     let k = sub.rem_off[v as usize] as usize + rem_seen;
                     rem_seen += 1;
-                    Route::Remote(k)
+                    Route::Remote(k, patches.patch_of(nb), slot)
                 };
             }
         }
@@ -889,16 +879,20 @@ mod tests {
     }
 
     /// The same table read off the subgraph's CSR, as `kernel_cluster`
-    /// routes now.
+    /// and the stream prefix route now.
     fn csr_routes(sub: &Subgraph, cluster: &[u32], mf: usize) -> Vec<Route> {
         let mut routes = vec![Route::Skip; cluster.len() * mf];
         for (i, &v) in cluster.iter().enumerate() {
             for k in sub.int_range(v) {
                 routes[i * mf + sub.int_sface[k] as usize] =
-                    Route::Local(sub.int_dst[k] as usize * mf + sub.int_dface[k] as usize);
+                    Route::Local(sub.int_dslot[k] as usize);
             }
             for k in sub.rem_range(v) {
-                routes[i * mf + sub.rem_sface[k] as usize] = Route::Remote(k);
+                routes[i * mf + sub.rem_sface[k] as usize] = Route::Remote(
+                    k,
+                    sub.nbrs[sub.rem_nbr[k] as usize],
+                    sub.rem_dslot[k] as usize,
+                );
             }
         }
         routes
@@ -928,6 +922,7 @@ mod tests {
         let mut clusters = 0;
         for (a, o) in quad.iter() {
             for (sub, trace) in problem.subs[a.index()].iter().zip(&traces[a.index()]) {
+                assert!(sub.nbrs.windows(2).all(|w| w[0] < w[1]));
                 for cluster in &trace.clusters {
                     let oracle = mesh_walk_routes(
                         mesh.as_ref(),
@@ -961,5 +956,236 @@ mod tests {
             ..Default::default()
         };
         assert_routes_agree(def, ps, opts);
+    }
+
+    const G: usize = 2;
+
+    /// Two patches along x under one all-positive direction: every
+    /// stream of the `up` program goes to `down`, whose remote inputs
+    /// all come from `up`.
+    struct Pair {
+        factory: SweepFactory<StructuredMesh>,
+        up: ProgramId,
+        down: ProgramId,
+        /// A fine-mode and a replay epoch of the same problem.
+        epochs: [(&'static str, SweepEpoch); 2],
+    }
+
+    type Program = SweepProgram<StructuredMesh>;
+
+    impl Pair {
+        fn new() -> Pair {
+            let mesh = Arc::new(StructuredMesh::unit(4, 3, 2));
+            let n = mesh.num_cells();
+            let ps = partition::decompose_structured(&mesh, (2, 3, 2), 2);
+            assert_eq!(ps.num_patches(), 2);
+            let quad = QuadratureSet::sn(2);
+            let problem = Arc::new(SweepProblem::build(
+                mesh.as_ref(),
+                ps,
+                &quad,
+                &ProblemOptions::default(),
+            ));
+            let materials = Arc::new(MaterialSet::homogeneous(
+                n,
+                Material::uniform(G, 1.0, 0.5, 1.0),
+            ));
+            let config = SnConfig {
+                grain: 4,
+                ..Default::default()
+            };
+            let traces = record_cluster_traces(
+                mesh.clone(),
+                problem.clone(),
+                &quad,
+                materials.clone(),
+                &config,
+            );
+            let plan = Arc::new(build_plan(&problem, &traces));
+            let epoch = |mode| SweepEpoch {
+                emission: Arc::new((0..n * G).map(|i| 1.0 + 0.01 * i as f64).collect()),
+                mode,
+                materials: materials.clone(),
+            };
+            let (angle, _) = quad
+                .iter()
+                .find(|(_, o)| o.dir.iter().all(|&x| x > 0.0))
+                .expect("an all-positive ordinate");
+            let task = TaskTag(angle.index() as u32);
+            let up = problem.patches.patch_of(mesh.cell_id(0, 0, 0));
+            let down = problem.patches.patch_of(mesh.cell_id(3, 0, 0));
+            Pair {
+                up: ProgramId::new(up, task),
+                down: ProgramId::new(down, task),
+                epochs: [
+                    ("fine", epoch(SweepMode::Fine { trace_bins: None })),
+                    ("replay", epoch(SweepMode::Coarse { plan })),
+                ],
+                factory: SweepFactory::new(SweepSetup {
+                    mesh,
+                    flux_bins: Arc::new(FluxBins::new(problem.num_patches())),
+                    problem,
+                    quadrature: quad,
+                    groups: G,
+                    kernel: KernelKind::Step,
+                    grain: config.grain,
+                }),
+            }
+        }
+
+        /// A program as the runtime hands it its first stream: created,
+        /// then armed by `reset`.
+        fn armed(&self, id: ProgramId, epoch: &SweepEpoch) -> Program {
+            let mut p = self.factory.create(id);
+            p.reset(epoch);
+            p
+        }
+    }
+
+    /// Compute until nothing is ready; the streams that produced.
+    fn drain(p: &mut Program) -> Vec<Stream> {
+        let mut out = Vec::new();
+        while !p.vote_to_halt() {
+            let mut ctx = ComputeCtx::default();
+            p.compute(&mut ctx);
+            out.append(&mut ctx.out);
+        }
+        out
+    }
+
+    fn word(payload: &[u8], i: usize) -> u32 {
+        words(&payload[4 * i..4 * i + 4]).next().unwrap()
+    }
+
+    #[test]
+    fn emit_ingest_round_trip_in_both_modes() {
+        let pair = Pair::new();
+        for (mode, epoch) in &pair.epochs {
+            let (mut up, mut down) = (pair.armed(pair.up, epoch), pair.armed(pair.down, epoch));
+            let streams = drain(&mut up);
+            assert_eq!(up.remaining_work(), 0, "{mode}: `up` waits for nobody");
+            assert!(streams.len() > 1, "{mode}: grain 4 splits the patch face");
+            let mut items = 0;
+            for s in &streams {
+                assert_eq!((s.src, s.dst), (pair.up, pair.down));
+                let (head, n) = (word(&s.payload, 0), word(&s.payload, 1) as usize);
+                assert_eq!(head == PER_SLOT, *mode == "fine", "{mode}: head {head}");
+                assert_eq!(s.payload.len(), 8 + n * (4 + 8 * G));
+                down.input(s.src, s.payload.clone());
+                items += n;
+            }
+            // Every remote edge travelled once and landed in its slot.
+            let sub = &up.phys.subs[up.phys.patch];
+            assert_eq!(items, sub.rem_dst.len());
+            for (k, &slot) in sub.rem_dslot.iter().enumerate() {
+                let sent = &up.phys.remote_vals[k * G..][..G];
+                assert!(sent.iter().all(|&x| x > 0.0));
+                assert_eq!(&down.phys.face_flux[slot as usize * G..][..G], sent);
+            }
+            // ... and released what it feeds: `down` finishes alone.
+            assert!(drain(&mut down).is_empty());
+            assert_eq!(down.remaining_work(), 0, "{mode}");
+        }
+    }
+
+    /// xorshift64: the mutation test's only randomness.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// A stream payload is bytes off a wire. Whatever arrives in place
+    /// of a well-formed one, `input` must panic (the worker turns that
+    /// into an epoch fault) before it writes a single flux value — and
+    /// a duplicate it cannot tell from the original on arrival must
+    /// still not let the sweep finish. Release builds included: run
+    /// with `--release` this fails wherever a check is a
+    /// `debug_assert!`.
+    #[test]
+    fn mutated_payloads_panic_before_any_flux_is_written() {
+        let pair = Pair::new();
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        for (mode, epoch) in &pair.epochs {
+            let streams = drain(&mut pair.armed(pair.up, epoch));
+            let num_slots = pair.armed(pair.down, epoch).phys.face_flux.len() / G;
+            for round in 0..250 {
+                let s = &streams[rng.below(streams.len())];
+                let good = s.payload.to_vec();
+                let n = word(&good, 1) as usize;
+                let mut down = pair.armed(pair.down, epoch);
+                let kind = round % 5;
+                let bad = match kind {
+                    // Truncated anywhere, the header included.
+                    0 => good[..rng.below(good.len())].to_vec(),
+                    // Extended by stray bytes.
+                    1 => {
+                        let extra = 1 + rng.below(16);
+                        let mut b = good.clone();
+                        b.extend((0..extra).map(|_| rng.below(256) as u8));
+                        b
+                    }
+                    // One slot past the receiver's storage.
+                    2 => {
+                        let (i, past) = (rng.below(n), num_slots + rng.below(1000));
+                        let mut b = good.clone();
+                        b[8 + 4 * i..][..4].copy_from_slice(&(past as u32).to_le_bytes());
+                        b
+                    }
+                    // An item count the length does not bear out.
+                    3 => {
+                        let wrong = (n + 1 + rng.below(2 * n + 1)) % (2 * n + 2);
+                        assert_ne!(wrong, n);
+                        let mut b = good.clone();
+                        b[4..8].copy_from_slice(&(wrong as u32).to_le_bytes());
+                        b
+                    }
+                    // The same stream again, after everything it fed
+                    // has run: no counter has room for it.
+                    _ => {
+                        for s in &streams {
+                            down.input(s.src, s.payload.clone());
+                        }
+                        drain(&mut down);
+                        good.clone()
+                    }
+                };
+                let before = down.phys.face_flux.clone();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    down.input(s.src, Bytes::from(bad));
+                }));
+                assert!(
+                    outcome.is_err(),
+                    "{mode}: mutation {kind} (round {round}) was accepted"
+                );
+                assert!(
+                    down.phys.face_flux == before,
+                    "{mode}: mutation {kind} (round {round}) wrote flux before failing"
+                );
+            }
+            // The same stream again while counters still have room may
+            // pass `input` — then the flux it displaced is missed when
+            // the real one arrives, or when the internal edge it
+            // pre-empted fires.
+            for dup in &streams {
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let mut down = pair.armed(pair.down, epoch);
+                    down.input(dup.src, dup.payload.clone());
+                    for s in &streams {
+                        down.input(s.src, s.payload.clone());
+                    }
+                    drain(&mut down);
+                }));
+                assert!(
+                    outcome.is_err(),
+                    "{mode}: a duplicated stream went unnoticed"
+                );
+            }
+        }
     }
 }

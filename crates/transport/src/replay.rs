@@ -19,11 +19,10 @@
 //!   member, cutting plan memory and build time `num_angles/8`-fold);
 //! * **Compile** — [`build_plan`] runs
 //!   [`jsweep_graph::coarse::build_coarse`] per canonical angle (the
-//!   Theorem-1 acyclicity check on the *real* solver traces) and
-//!   resolves every coarse-edge item `P(ce)` down to two static
-//!   indices: the destination's incoming face-flux slot (shipped on
-//!   the wire, so the receiver does no adjacency scan) and the
-//!   source-side staging slot in the remote-edge CSR;
+//!   Theorem-1 acyclicity check on the *real* solver traces), whose
+//!   coarse-edge items `P(ce)` are indices into the source subgraph's
+//!   remote CSR — staging position and destination slot in one number
+//!   — and pre-packs every coarse edge's stream prefix from them;
 //! * **Cache** — a [`PlanCache`] keyed by [`PlanKey`] (mesh generation
 //!   stamp + a structural fingerprint of the compiled problem + grain)
 //!   carries plans across `solve_parallel_cached` calls, so multi-solve
@@ -34,10 +33,10 @@
 //!   fresh stamp). The stamp is part of the cache key *and* stored in
 //!   the plan, so a stale plan is rebuilt, never replayed.
 
+use crate::program::put_prefix;
 use bytes::Bytes;
-use jsweep_graph::coarse::{build_coarse, ClusterTrace, CoarsenedTask};
+use jsweep_graph::coarse::{build_coarse, ClusterTrace, CoarseRemoteEdge, CoarsenedTask};
 use jsweep_graph::SweepProblem;
-use jsweep_mesh::{PatchId, SweepTopology};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,90 +53,41 @@ pub fn new_trace_bins(num_tasks: usize) -> TraceBins {
     (0..num_tasks).map(|_| Mutex::new(None)).collect()
 }
 
-/// One item of a replayed coarse edge: which face-flux value travels,
-/// and where it lands. Both indices are resolved once at plan-build
-/// time — the replay hot path derives nothing per iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayItem {
-    /// Incoming face-flux slot on the destination patch:
-    /// `local_cell * max_faces + face`, where `face` is the upwind face
-    /// of the destination cell that touches the producer. Shipped on
-    /// the wire, so the receiver writes `face_flux[dst_slot * groups ..]`
-    /// directly instead of scanning the destination cell's faces.
-    pub dst_slot: u32,
-    /// Index of the fine remote edge in the source subgraph's remote
-    /// CSR — the slot of the staged outgoing face-flux values.
-    pub rem_idx: u32,
-}
-
-/// One outgoing coarse edge of a coarse vertex: a single stream to
-/// `(patch, same angle)` carrying the combined items `P(ce)`.
-#[derive(Debug, Clone)]
-pub struct ReplayEmit {
-    /// Patch owning the target coarse vertex.
-    pub patch: PatchId,
-    /// Target cluster index within that patch's coarsened task.
-    pub cluster: u32,
-    /// The coarse edge's items, in deterministic (source vertex,
-    /// destination cell) order.
-    pub items: Vec<ReplayItem>,
-    /// Pre-packed stream skeleton: the coarse stream's constant prefix
-    /// `u32 dst_cluster, u32 item_count, item_count × u32 dst_slot`,
-    /// built once at plan-compile time (see [`ReplayEmit::skeleton`]).
-    /// Replay-side packing is one `memcpy` of this template followed
-    /// by the per-item `f64` flux writes — no per-item header packing
-    /// in the hot path.
-    pub skeleton: Bytes,
-}
-
-impl ReplayEmit {
-    /// Build a coarse edge's pre-packed stream skeleton from its
-    /// resolved items. The flux block that follows on the wire is
-    /// groups-dependent (physics), so the skeleton deliberately stops
-    /// at the slot words — one plan stays valid for any group count.
-    pub fn skeleton(cluster: u32, items: &[ReplayItem]) -> Bytes {
-        let mut w = jsweep_comm::pack::Writer::with_capacity(8 + items.len() * 4);
-        w.put_u32(cluster);
-        w.put_u32(items.len() as u32);
-        for item in items {
-            w.put_u32(item.dst_slot);
-        }
-        w.finish()
-    }
-}
-
 /// The replayable form of one `(patch, angle)` task: the coarsened
-/// task graph plus its pre-resolved stream emissions. Under octant
-/// sharing all member angles of an octant hold the same `Arc`.
+/// task graph plus the pre-packed prefix of every stream it emits.
+/// Under octant sharing all member angles of an octant hold the same
+/// `Arc`.
 #[derive(Debug, Clone)]
 pub struct ReplayTask {
-    /// The coarsened task (clusters, coarse in-degrees, internal coarse
-    /// edges) driving [`jsweep_graph::coarse::CoarseSweepState`].
+    /// The coarsened task (clusters, coarse in-degrees, internal and
+    /// remote coarse edges) driving
+    /// [`jsweep_graph::coarse::CoarseSweepState`]. Finishing coarse
+    /// vertex `cv` emits one stream per edge of `coarse.remote[cv]`.
     pub coarse: CoarsenedTask,
-    /// `emits[cv]`: the streams emitted when coarse vertex `cv`
-    /// finishes — one per outgoing remote coarse edge.
-    pub emits: Vec<Vec<ReplayEmit>>,
+    /// `skeletons[cv][j]`: the constant prefix of the stream along
+    /// `coarse.remote[cv][j]` — destination cluster, item count and
+    /// destination slots (`crate::program`'s payload format) — packed
+    /// once here, so replay-side packing is one `memcpy` of it followed
+    /// by the flux writes. The flux block is groups-dependent
+    /// (physics), so the prefix stops before it: one plan stays valid
+    /// for any group count.
+    pub skeletons: Vec<Vec<Bytes>>,
 }
 
 impl ReplayTask {
     /// Estimated heap footprint of this task's plan data.
     fn memory_bytes(&self) -> usize {
-        let emits: usize = self
-            .emits
+        let skeletons: usize = self
+            .skeletons
             .iter()
             .map(|per_cv| {
-                per_cv.len() * std::mem::size_of::<ReplayEmit>()
-                    + per_cv
-                        .iter()
-                        .map(|e| {
-                            e.items.len() * std::mem::size_of::<ReplayItem>() + e.skeleton.len()
-                        })
-                        .sum::<usize>()
+                per_cv.len() * std::mem::size_of::<Bytes>()
+                    + per_cv.iter().map(Bytes::len).sum::<usize>()
             })
             .sum();
         self.coarse.memory_bytes()
-            + self.emits.len() * std::mem::size_of::<Vec<ReplayEmit>>()
-            + emits
+            + self.skeletons.len() * std::mem::size_of::<Vec<Bytes>>()
+            + skeletons
     }
 }
 
@@ -228,18 +178,10 @@ pub fn collect_traces(problem: &SweepProblem, bins: &TraceBins) -> Vec<Vec<Clust
 ///
 /// Runs the Theorem-1 topological check once per canonical angle (via
 /// [`build_coarse`], which panics on a cyclic coarse graph — a
-/// scheduler bug) and resolves each coarse-edge item to its two static
-/// slots: the staging slot in the source subgraph's remote-edge CSR and
-/// the incoming face-flux slot on the destination patch — both read
-/// off the subgraph's compiled routes; the mesh only supplies the
-/// per-cell face count the slot is strided by.
-pub fn build_plan<T: SweepTopology + ?Sized>(
-    problem: &SweepProblem,
-    traces: &[Vec<ClusterTrace>],
-    mesh: &T,
-) -> CoarsePlan {
+/// scheduler bug) and pre-packs each coarse edge's stream prefix from
+/// the subgraph's compiled routes.
+pub fn build_plan(problem: &SweepProblem, traces: &[Vec<ClusterTrace>]) -> CoarsePlan {
     assert_eq!(traces.len(), problem.num_angles);
-    let mf = mesh.num_faces(0) as u32;
     let mut tasks: Vec<Vec<Arc<ReplayTask>>> = Vec::with_capacity(problem.num_angles);
     for (a, angle_traces) in traces.iter().enumerate() {
         let c = problem.canonical_angle(a);
@@ -252,33 +194,19 @@ pub fn build_plan<T: SweepTopology + ?Sized>(
         let subs = &problem.subs[a];
         let per_patch: Vec<Arc<ReplayTask>> = build_coarse(subs, angle_traces)
             .into_iter()
-            .enumerate()
-            .map(|(p, coarse)| {
-                let sub = &subs[p];
-                let emits: Vec<Vec<ReplayEmit>> = coarse
+            .zip(subs.iter())
+            .map(|(coarse, sub)| {
+                let skeleton = |e: &CoarseRemoteEdge| {
+                    let mut buf = Vec::with_capacity(8 + 4 * e.items.len());
+                    put_prefix(&mut buf, e.cluster, sub, &e.items);
+                    Bytes::from(buf)
+                };
+                let skeletons = coarse
                     .remote
                     .iter()
-                    .map(|edges| {
-                        edges
-                            .iter()
-                            .map(|e| {
-                                let items: Vec<ReplayItem> = e
-                                    .items
-                                    .iter()
-                                    .map(|&(v, cell)| resolve_item(problem, sub, mf, v, cell))
-                                    .collect();
-                                let skeleton = ReplayEmit::skeleton(e.cluster, &items);
-                                ReplayEmit {
-                                    patch: e.patch,
-                                    cluster: e.cluster,
-                                    items,
-                                    skeleton,
-                                }
-                            })
-                            .collect()
-                    })
+                    .map(|edges| edges.iter().map(skeleton).collect())
                     .collect();
-                Arc::new(ReplayTask { coarse, emits })
+                Arc::new(ReplayTask { coarse, skeletons })
             })
             .collect();
         tasks.push(per_patch);
@@ -286,26 +214,6 @@ pub fn build_plan<T: SweepTopology + ?Sized>(
     CoarsePlan {
         tasks,
         mesh_generation: problem.mesh_generation,
-    }
-}
-
-/// Resolve one coarse-edge item `(source local vertex, destination
-/// global cell)` to its wire/staging form (see [`ReplayItem`]).
-fn resolve_item(
-    problem: &SweepProblem,
-    sub: &jsweep_graph::Subgraph,
-    mf: u32,
-    v: u32,
-    cell: u32,
-) -> ReplayItem {
-    let rem_idx = sub
-        .rem_range(v)
-        .find(|&k| sub.rem_dst[k].cell == cell)
-        .expect("coarse-edge item without fine edge");
-    let dst_li = problem.patches.local_index(cell as usize) as u32;
-    ReplayItem {
-        dst_slot: dst_li * mf + u32::from(sub.rem_dface[rem_idx]),
-        rem_idx: rem_idx as u32,
     }
 }
 
@@ -669,28 +577,6 @@ mod tests {
             tasks: Vec::new(),
             mesh_generation: generation,
         })
-    }
-
-    #[test]
-    fn emit_skeleton_prefix_matches_wire_layout() {
-        let items = vec![
-            ReplayItem {
-                dst_slot: 7,
-                rem_idx: 0,
-            },
-            ReplayItem {
-                dst_slot: 9,
-                rem_idx: 3,
-            },
-        ];
-        let sk = ReplayEmit::skeleton(5, &items);
-        assert_eq!(sk.len(), 8 + 4 * items.len());
-        let mut r = jsweep_comm::pack::Reader::new(sk);
-        assert_eq!(r.get_u32(), 5, "dst_cluster");
-        assert_eq!(r.get_u32(), 2, "item_count");
-        assert_eq!(r.get_u32(), 7);
-        assert_eq!(r.get_u32(), 9);
-        assert!(r.is_exhausted(), "skeleton stops before the flux block");
     }
 
     #[test]

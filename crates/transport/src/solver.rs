@@ -694,7 +694,7 @@ pub(crate) fn advance_one_epoch<T: SweepTopology + Send + Sync + 'static>(
             // One pair of readings is both the reported build cost and
             // the trace's `PlanCompile` span.
             let t0 = Instant::now();
-            let built = Arc::new(build_plan(&world.problem, &traces, world.mesh.as_ref()));
+            let built = Arc::new(build_plan(&world.problem, &traces));
             let t1 = Instant::now();
             world.config.telemetry.global_span(
                 EventKind::PlanCompile,

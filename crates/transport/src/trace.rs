@@ -188,7 +188,7 @@ impl PatchProgram for TraceProgram {
         let mut local_tally: Vec<(usize, f64)> = Vec::new();
         let held = std::mem::take(&mut self.held);
         ctx.work_done = held.len() as u64;
-        ctx.kernel(|| {
+        ctx.kernel(|_| {
             for (mut cell, mut p) in held {
                 // Advance until the particle dies or leaves the patch.
                 loop {

@@ -421,8 +421,8 @@ fn plan_lifecycle_golden_fresh_cached_octant_shared() {
         mats.clone(),
         &config(),
     );
-    let plan_shared = jsweep::transport::replay::build_plan(&shared, &traces_shared, mesh.as_ref());
-    let plan_owned = jsweep::transport::replay::build_plan(&owned, &traces_owned, mesh.as_ref());
+    let plan_shared = jsweep::transport::replay::build_plan(&shared, &traces_shared);
+    let plan_owned = jsweep::transport::replay::build_plan(&owned, &traces_owned);
     assert_eq!(plan_shared.num_distinct_tasks(), 8 * shared.num_patches());
     assert_eq!(plan_owned.num_distinct_tasks(), 24 * owned.num_patches());
     let ratio = plan_owned.memory_bytes() as f64 / plan_shared.memory_bytes() as f64;
@@ -576,7 +576,7 @@ fn des_and_threaded_replay_consume_identical_coarse_graphs() {
     // The threaded plan compiled from the same traces replays exactly
     // the same coarse vertices, one per productive compute call (the
     // replay program asserts clusters are non-empty).
-    let plan = jsweep::transport::replay::build_plan(&prob, &traces, mesh.as_ref());
+    let plan = jsweep::transport::replay::build_plan(&prob, &traces);
     assert_eq!(plan.num_coarse_vertices(), total_clusters);
 }
 
@@ -744,7 +744,7 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
         }
         if let Some(bins) = recording {
             let traces = collect_traces(prob, &bins);
-            plan = Some(Arc::new(build_plan(prob, &traces, mesh.as_ref())));
+            plan = Some(Arc::new(build_plan(prob, &traces)));
         }
     }
     (phi, stats)
