@@ -19,10 +19,11 @@
 //! ledger runs; this bench cannot measure it from inside a feature-on
 //! binary.
 //!
-//! A machine-readable baseline is written to `BENCH_telemetry.json` at
-//! the workspace root (the CI `obs` job checks presence after the
-//! `--test` smoke pass). Without the `telemetry` feature the bench is
-//! a no-op so `cargo bench` of the whole workspace stays green.
+//! Full mode writes a machine-readable baseline to
+//! `BENCH_telemetry.json` at the workspace root; the `--test` smoke
+//! pass (the CI `obs` job) only proves the bench still runs. Without
+//! the `telemetry` feature the bench is a no-op so `cargo bench` of the
+//! whole workspace stays green.
 
 #[cfg(feature = "telemetry")]
 mod run {
@@ -149,21 +150,23 @@ mod run {
             n.events_dropped,
         );
 
-        // Only enforced in full mode (best-of-5); a single smoke
-        // sample on a loaded CI core would flake.
-        if !test_mode {
-            assert!(
-                n.armed_pct() < ARMED_BAR_PCT,
-                "armed telemetry overhead {:.2}% exceeds the {ARMED_BAR_PCT}% bar",
-                n.armed_pct()
-            );
+        // The bar and the baseline are full-mode only (best-of-10); a
+        // single smoke sample on a loaded CI core would flake, and is
+        // no baseline.
+        if test_mode {
+            return;
         }
+        assert!(
+            n.armed_pct() < ARMED_BAR_PCT,
+            "armed telemetry overhead {:.2}% exceeds the {ARMED_BAR_PCT}% bar",
+            n.armed_pct()
+        );
 
         let json = format!(
             concat!(
                 "{{\n",
                 "  \"bench\": \"telemetry\",\n",
-                "  \"mode\": \"{mode}\",\n",
+                "  \"mode\": \"full\",\n",
                 "  \"config\": {{\n",
                 "    \"cells\": {cells},\n",
                 "    \"ranks\": {ranks},\n",
@@ -182,7 +185,6 @@ mod run {
                 "  \"phi_bit_identical\": true\n",
                 "}}\n"
             ),
-            mode = if test_mode { "test" } else { "full" },
             cells = N * N * N,
             ranks = RANKS,
             iters = ITERATIONS,
@@ -198,14 +200,8 @@ mod run {
         let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .join("BENCH_telemetry.json");
-        if test_mode && out.exists() {
-            // Smoke numbers are not a baseline: keep the committed
-            // full-mode file, only prove the bench still runs.
-            println!("test mode: committed baseline left in place");
-        } else {
-            std::fs::write(&out, json).expect("write BENCH_telemetry.json");
-            println!("baseline written to {}", out.display());
-        }
+        std::fs::write(&out, json).expect("write BENCH_telemetry.json");
+        println!("baseline written to {}", out.display());
     }
 }
 

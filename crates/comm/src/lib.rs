@@ -76,6 +76,26 @@ pub struct Message {
     pub payload: Bytes,
 }
 
+impl Message {
+    /// The payload, if it is exactly `len` bytes. Protocol payloads —
+    /// collectives, the termination token — are bytes off a wire: a
+    /// peer that sends one of the wrong length is treated as gone (the
+    /// mapping `socket.rs` uses for a corrupt header), so the failure
+    /// names the sender instead of panicking the rank that looked.
+    pub(crate) fn exactly(&self, len: usize) -> Result<&[u8], CommError> {
+        if self.payload.len() == len {
+            Ok(&self.payload)
+        } else {
+            Err(CommError::PeerClosed { peer: self.src })
+        }
+    }
+
+    /// The payload as one little-endian 8-byte word.
+    fn word(&self) -> Result<[u8; 8], CommError> {
+        Ok(self.exactly(8)?.try_into().expect("length checked"))
+    }
+}
+
 /// One rank's endpoint of the communicator.
 ///
 /// Owns a boxed [`CommBackend`] for raw tagged delivery plus the
@@ -243,7 +263,7 @@ impl Comm {
             let mut acc = x;
             for _ in 1..self.size() {
                 let m = self.recv_match(TAG_COLLECTIVE)?;
-                acc = op(acc, f64::from_le_bytes(m.payload[..8].try_into().unwrap()));
+                acc = op(acc, f64::from_le_bytes(m.word()?));
             }
             let out = Bytes::copy_from_slice(&acc.to_le_bytes());
             for r in 1..self.size() {
@@ -253,7 +273,7 @@ impl Comm {
         } else {
             self.send(0, TAG_COLLECTIVE, Bytes::copy_from_slice(&x.to_le_bytes()))?;
             let m = self.recv_match(TAG_COLLECTIVE)?;
-            Ok(f64::from_le_bytes(m.payload[..8].try_into().unwrap()))
+            Ok(f64::from_le_bytes(m.word()?))
         }
     }
 
@@ -273,10 +293,10 @@ impl Comm {
             let mut parts: Vec<Option<Bytes>> = vec![None; self.size()];
             for _ in 1..self.size() {
                 let m = self.recv_match(TAG_COLLECTIVE)?;
+                m.exactly(xs.len() * 8)?;
                 parts[m.src] = Some(m.payload);
             }
             for part in parts.into_iter().flatten() {
-                assert_eq!(part.len(), xs.len() * 8, "allreduce slice length mismatch");
                 for (x, c) in xs.iter_mut().zip(part.chunks_exact(8)) {
                     *x += f64::from_le_bytes(c.try_into().unwrap());
                 }
@@ -296,12 +316,8 @@ impl Comm {
             }
             self.send(0, TAG_COLLECTIVE, Bytes::from(buf))?;
             let m = self.recv_match(TAG_COLLECTIVE)?;
-            assert_eq!(
-                m.payload.len(),
-                xs.len() * 8,
-                "allreduce slice length mismatch"
-            );
-            for (x, c) in xs.iter_mut().zip(m.payload.chunks_exact(8)) {
+            let sum = m.exactly(xs.len() * 8)?;
+            for (x, c) in xs.iter_mut().zip(sum.chunks_exact(8)) {
                 *x = f64::from_le_bytes(c.try_into().unwrap());
             }
         }
@@ -315,7 +331,7 @@ impl Comm {
             all[0] = x;
             for _ in 1..self.size() {
                 let m = self.recv_match(TAG_COLLECTIVE)?;
-                all[m.src] = u64::from_le_bytes(m.payload[..8].try_into().unwrap());
+                all[m.src] = u64::from_le_bytes(m.word()?);
             }
             let mut buf = Vec::with_capacity(8 * self.size());
             for v in &all {
@@ -329,7 +345,7 @@ impl Comm {
         } else {
             self.send(0, TAG_COLLECTIVE, Bytes::copy_from_slice(&x.to_le_bytes()))?;
             let m = self.recv_match(TAG_COLLECTIVE)?;
-            Ok(m.payload
+            Ok(m.exactly(8 * self.size())?
                 .chunks_exact(8)
                 .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
                 .collect())

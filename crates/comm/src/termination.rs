@@ -81,9 +81,9 @@ impl Safra {
     pub fn on_message(&mut self, m: &Message, comm: &Comm) -> Result<Verdict, CommError> {
         match m.tag {
             TAG_TOKEN => {
-                let count = i64::from_le_bytes(m.payload[..8].try_into().unwrap());
-                let black = m.payload[8] != 0;
-                self.token = Some((count, black));
+                let token = m.exactly(9)?;
+                let count = i64::from_le_bytes(token[..8].try_into().expect("8 of 9 bytes"));
+                self.token = Some((count, token[8] != 0));
                 let _ = comm;
                 Ok(Verdict::Continue)
             }

@@ -39,7 +39,7 @@ pub mod xs;
 pub use jsweep_core::TransportKind;
 pub use kernel::KernelKind;
 pub use program::{SweepEpoch, SweepMode};
-pub use replay::{plan_key, CoarsePlan, EvictionPolicy, PlanCache, PlanKey};
+pub use replay::{plan_key, CoarsePlan, PlanCache, PlanKey};
 pub use session::{
     AdmissionPolicy, CampaignHandle, CampaignStats, EpochCandidate, EpochRecord, FaultReport, Fifo,
     RetryPolicy, RoundRobin, SessionError, SessionOptions, SessionStats, SolveOutcome,

@@ -51,10 +51,15 @@
 //! emission density, materials and [`SweepMode`], building or
 //! re-arming the scheduling state ([`SweepState`]/[`CoarseSweepState`]
 //! reset in place) and shaping or zeroing `face_flux` in place: no
-//! per-iteration reallocation of the big buffers.
+//! per-iteration reallocation of the big buffers. What an epoch leaves
+//! behind has a fixed home too: the world's [`EpochSink`] holds one
+//! [`TaskSlot`] per task, a completing program lends it the flux
+//! accumulator (and hands over the trace of a recording epoch) in its
+//! one `finish_task`, the driver folds the slots, and the next `reset`
+//! takes the accumulator back.
 
 use crate::kernel::{solve_cell_block_geom, CellGeom, KernelKind, GROUP_BLOCK, KERNEL_MAX_FACES};
-use crate::replay::{CoarsePlan, ReplayTask, TraceBins};
+use crate::replay::{CoarsePlan, ReplayTask};
 use crate::xs::MaterialSet;
 use bytes::Bytes;
 use jsweep_comm::pack::Writer;
@@ -65,100 +70,65 @@ use jsweep_graph::coarse::{ClusterTrace, CoarseSweepState};
 use jsweep_graph::{Subgraph, SweepProblem, SweepState};
 use jsweep_mesh::{PatchId, SweepTopology};
 use jsweep_quadrature::QuadratureSet;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::Arc;
 
-/// One patch's bin: the epoch-in-flight deposits plus the free list of
-/// recycled accumulator buffers.
+/// What one `(patch, angle)` task leaves behind for the driver when its
+/// sweep state completes. (ROADMAP item 6's lagged-flux side vector
+/// becomes one more field here.)
 #[derive(Default)]
-struct PatchBin {
-    /// `(angle, w_a · ψ̄ per local cell × group)` contributions of the
-    /// epoch in flight.
-    deposits: Vec<(u32, Vec<f64>)>,
-    /// Recycled buffers awaiting [`FluxBins::acquire`].
-    free: Vec<Vec<f64>>,
+pub struct TaskSlot {
+    /// `w_a · ψ̄` per local cell × group. Empty until the task hands it
+    /// over in its one `finish_task`, and again once the task's program
+    /// has taken the buffer back in its next `reset` — one accumulator
+    /// per task for the life of a universe, so replay epochs allocate
+    /// none.
+    pub phi_part: Vec<f64>,
+    /// The clusters a recording epoch formed (canonical angles only:
+    /// octant members replay their canonical angle's trace).
+    pub trace: Option<ClusterTrace>,
 }
 
-/// Per-patch collection bins for scalar-flux contributions, with a
-/// buffer pool that makes resident epochs allocation-free.
-///
-/// Each `(patch, angle)` program deposits `w_a · ψ̄` for its local
-/// cells; the solver folds the bins in angle order after the sweep so
-/// the floating-point result is independent of scheduling order.
-/// Folding (and scrubbing) *recycles* every deposited buffer into the
-/// patch's free list, and programs re-arm their `phi_part` accumulator
-/// through [`FluxBins::acquire`] — so from the second epoch of a
-/// resident universe on, the flux round-trip allocates nothing.
-/// [`FluxBins::fresh_allocations`] counts pool misses, pinned by a
-/// regression test so the round-trip cannot silently re-allocate.
-pub struct FluxBins {
-    bins: Vec<Mutex<PatchBin>>,
-    fresh: AtomicU64,
+/// The world-owned output of an epoch: one [`TaskSlot`] per task,
+/// indexed by [`SweepProblem::tid`]. The shape is fixed by the problem,
+/// so nothing is pooled or searched: a program writes its own slot once
+/// per epoch and the driver reads every slot after the epoch. A sink
+/// never outlives the universe that wrote it
+/// (`EpochWorld::retire` installs a fresh one), so what a
+/// faulted epoch left in some slots cannot reach a later fold.
+pub struct EpochSink {
+    slots: Vec<Mutex<TaskSlot>>,
 }
 
-impl FluxBins {
-    /// Empty bins (and empty pools) for `num_patches` patches.
-    pub fn new(num_patches: usize) -> FluxBins {
-        FluxBins {
-            bins: (0..num_patches)
-                .map(|_| Mutex::new(PatchBin::default()))
-                .collect(),
-            fresh: AtomicU64::new(0),
+impl EpochSink {
+    /// Empty slots for `num_tasks` tasks.
+    pub fn new(num_tasks: usize) -> EpochSink {
+        EpochSink {
+            slots: (0..num_tasks).map(|_| Mutex::default()).collect(),
         }
     }
 
-    /// Number of patches covered.
-    pub fn num_patches(&self) -> usize {
-        self.bins.len()
+    /// Task `tid`'s slot.
+    pub fn slot(&self, tid: usize) -> MutexGuard<'_, TaskSlot> {
+        self.slots[tid].lock()
     }
 
-    /// Deposit one finished `(patch, angle)` contribution.
-    pub fn deposit(&self, patch: usize, angle: u32, part: Vec<f64>) {
-        self.bins[patch].lock().deposits.push((angle, part));
-    }
-
-    /// Take a zeroed accumulator of `len` for `patch`, reusing a
-    /// recycled buffer when one with sufficient capacity is pooled.
-    /// Undersized pool entries (the group count changed between
-    /// universes) are dropped; a pool miss allocates fresh and bumps
-    /// [`FluxBins::fresh_allocations`].
-    pub fn acquire(&self, patch: usize, len: usize) -> Vec<f64> {
-        let recycled = {
-            let mut bin = self.bins[patch].lock();
-            loop {
-                match bin.free.pop() {
-                    Some(b) if b.capacity() >= len => break Some(b),
-                    Some(_) => continue,
-                    None => break None,
-                }
-            }
-        };
-        match recycled {
-            Some(mut b) => {
-                b.clear();
-                b.resize(len, 0.0);
-                b
-            }
-            None => {
-                self.fresh.fetch_add(1, Ordering::Relaxed);
-                vec![0.0; len]
-            }
-        }
-    }
-
-    /// Fold (and drain) the deposits into `φ_new`, in angle order per
-    /// patch so the floating-point result is independent of scheduling
-    /// order. Every drained buffer is recycled into its patch's pool,
-    /// ready for the next epoch's [`FluxBins::acquire`].
-    pub fn fold(&self, problem: &SweepProblem, n: usize, groups: usize) -> Vec<f64> {
-        let mut phi_new = vec![0.0; n * groups];
+    /// Sum the finished epoch's contributions into `φ_new`, patch by
+    /// patch and in angle order within a patch, so the floating-point
+    /// result is independent of scheduling order. The buffers stay in
+    /// their slots for their programs to take back. Tasks that handed
+    /// nothing over (another process's patches under SPMD, empty
+    /// patches) contribute nothing.
+    pub fn fold(&self, problem: &SweepProblem, groups: usize) -> Vec<f64> {
+        let mut phi_new = vec![0.0; problem.patches.num_cells() * groups];
         for p in problem.patches.patches() {
-            let mut bin = self.bins[p.index()].lock();
-            let bin = &mut *bin;
-            bin.deposits.sort_by_key(|(angle, _)| *angle);
             let cells = problem.patches.cells(p);
-            for (_, part) in bin.deposits.iter() {
+            for a in 0..problem.num_angles {
+                let slot = self.slot(problem.tid(p.index(), a));
+                let part = &slot.phi_part;
+                if part.is_empty() {
+                    continue;
+                }
                 assert_eq!(part.len(), cells.len() * groups);
                 for (li, &cell) in cells.iter().enumerate() {
                     for g in 0..groups {
@@ -166,41 +136,39 @@ impl FluxBins {
                     }
                 }
             }
-            bin.free
-                .extend(bin.deposits.drain(..).map(|(_, part)| part));
         }
         phi_new
     }
 
-    /// Drop all pending deposits, recycling their buffers. Used to
-    /// scrub partial contributions after a faulted epoch — the buffers
-    /// themselves stay reusable.
-    pub fn clear(&self) {
-        for bin in &self.bins {
-            let mut bin = bin.lock();
-            let bin = &mut *bin;
-            bin.free
-                .extend(bin.deposits.drain(..).map(|(_, part)| part));
-        }
-    }
-
-    /// Accumulator buffers allocated fresh (pool misses) since
-    /// construction. Steady state for a resident universe is one per
-    /// `(patch, angle)` program, all paid on the first epoch.
-    pub fn fresh_allocations(&self) -> u64 {
-        self.fresh.load(Ordering::Relaxed)
+    /// Take the recording epoch's traces as `traces[angle][patch]` (the
+    /// layout [`crate::replay::build_plan`] consumes). Only canonical
+    /// angles record, so the other entries — and those of tasks with
+    /// nothing to sweep — come back empty.
+    pub fn take_traces(&self, problem: &SweepProblem) -> Vec<Vec<ClusterTrace>> {
+        (0..problem.num_angles)
+            .map(|a| {
+                (0..problem.num_patches())
+                    .map(|p| {
+                        self.slot(problem.tid(p, a))
+                            .trace
+                            .take()
+                            .unwrap_or_default()
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
 /// Which scheduling mode the sweep programs of one iteration run in.
 #[derive(Clone)]
 pub enum SweepMode {
-    /// Per-vertex DAG-driven sweep. With `trace_bins` set, every task
-    /// records its [`ClusterTrace`] and deposits it on completion —
-    /// the recording pass of §V-E.
+    /// Per-vertex DAG-driven sweep. With `record` set, every
+    /// canonical-angle task records its [`ClusterTrace`] and hands it
+    /// over on completion — the recording pass of §V-E.
     Fine {
-        /// Trace sink, indexed by [`SweepProblem::tid`].
-        trace_bins: Option<Arc<TraceBins>>,
+        /// Record the clusters formed.
+        record: bool,
     },
     /// Coarse-graph replay of a previously compiled [`CoarsePlan`].
     Coarse {
@@ -241,8 +209,8 @@ pub struct SweepSetup<T: SweepTopology + Send + Sync + 'static> {
     pub kernel: KernelKind,
     /// Vertex clustering grain `N`.
     pub grain: usize,
-    /// Scalar-flux bins, indexed by patch.
-    pub flux_bins: Arc<FluxBins>,
+    /// Where every task leaves its epoch output.
+    pub sink: Arc<EpochSink>,
 }
 
 /// The factory handed to the JSweep runtime: one program per
@@ -296,7 +264,7 @@ enum Sched {
     /// DAG-driven execution; `trace` is `Some` while recording.
     Fine {
         state: SweepState,
-        trace: Option<(ClusterTrace, Arc<TraceBins>)>,
+        trace: Option<ClusterTrace>,
     },
     /// Coarse replay over the compiled task. `vertices_left` tracks the
     /// remaining workload in vertex units (the unit counting
@@ -329,8 +297,8 @@ struct Physics<T> {
     /// never reallocated).
     face_flux: Vec<f64>,
     /// Scalar-flux accumulation per `local_cell * groups` (w_a · ψ̄).
-    /// Handed to the flux bin on completion (the one buffer that is
-    /// given away per epoch by design).
+    /// Lent to the task's [`TaskSlot`] from completion to the next
+    /// reset.
     phi_part: Vec<f64>,
     /// Outgoing remote face-flux staging per
     /// `fine_remote_edge * groups`, addressed by the subgraph's remote
@@ -448,7 +416,9 @@ impl<T: SweepTopology> Physics<T> {
 pub struct SweepProgram<T: SweepTopology + Send + Sync + 'static> {
     id: ProgramId,
     problem: Arc<SweepProblem>,
-    flux_bins: Arc<FluxBins>,
+    sink: Arc<EpochSink>,
+    /// This task's slot in `sink`.
+    tid: usize,
     grain: usize,
     /// Scheduling state (fine counters + ready queue, or coarse replay).
     sched: Sched,
@@ -477,7 +447,7 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
         if cluster.is_empty() {
             return;
         }
-        if let Some((t, _)) = trace {
+        if let Some(t) = trace {
             t.record(cluster.clone());
         }
         ctx.work_done = cluster.len() as u64;
@@ -505,16 +475,8 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
             }
         });
 
-        // On completion, deposit the scalar-flux contribution and, when
-        // recording, the cluster trace.
         if state.is_complete() {
-            if let Some((t, bins)) = trace.take() {
-                let tid = self
-                    .problem
-                    .tid(self.id.patch.index(), self.id.task.0 as usize);
-                *bins[tid].lock() = Some(t);
-            }
-            self.deposit_flux();
+            self.finish_task();
         }
     }
 
@@ -561,17 +523,20 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
         });
 
         if state.is_complete() {
-            self.deposit_flux();
+            self.finish_task();
         }
     }
 
-    /// Deposit the finished scalar-flux contribution into the patch
-    /// bin. The buffer comes back through [`FluxBins::acquire`] at the
-    /// next epoch's reset — the flux round-trip.
-    fn deposit_flux(&mut self) {
-        let part = std::mem::take(&mut self.phys.phi_part);
-        self.flux_bins
-            .deposit(self.id.patch.index(), self.id.task.0, part);
+    /// The sweep state completed: hand the task's scalar-flux
+    /// contribution and, when recording, its cluster trace to its slot —
+    /// the one place either leaves the program. The accumulator comes
+    /// back at the next epoch's reset.
+    fn finish_task(&mut self) {
+        let mut slot = self.sink.slot(self.tid);
+        slot.phi_part = std::mem::take(&mut self.phys.phi_part);
+        if let Sched::Fine { trace, .. } = &mut self.sched {
+            slot.trace = trace.take();
+        }
     }
 }
 
@@ -714,40 +679,30 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
                 };
             }
         }
-        if let (Sched::Fine { trace, .. }, SweepMode::Fine { trace_bins }) =
-            (&mut self.sched, &e.mode)
+        if let (Sched::Fine { trace, .. }, SweepMode::Fine { record }) = (&mut self.sched, &e.mode)
         {
             // Only canonical angles record: octant members share the
             // canonical DAG, so one trace per octant serves every
             // member at replay time.
-            *trace = trace_bins
-                .as_ref()
-                .filter(|_| problem.canonical_angle(a) == a)
-                .map(|bins| (ClusterTrace::default(), bins.clone()));
+            *trace = (*record && problem.canonical_angle(a) == a).then(ClusterTrace::default);
         }
         // Buffer hygiene: incoming face flux at the vacuum boundary
         // condition — allocated zeroed by the first reset, zeroed in
-        // place by later ones; the flux accumulator (handed to the bin
-        // last epoch) re-acquired from the pool — the buffer some
-        // program of this patch deposited last epoch, so resident
-        // epochs allocate nothing; remote staging sized to the
-        // subgraph's remote CSR (values are written before read within
-        // each compute, so no zeroing needed beyond sizing).
+        // place by later ones; the flux accumulator taken back from the
+        // task's slot (where the last epoch's completion left it) and
+        // re-zeroed, so only a program's first reset allocates one;
+        // remote staging sized to the subgraph's remote CSR (values are
+        // written before read within each compute, so no zeroing needed
+        // beyond sizing).
         let n = sub.num_vertices();
         if phys.face_flux.len() == sub.num_slots() * groups {
             phys.face_flux.fill(0.0);
         } else {
             phys.face_flux = vec![0.0; sub.num_slots() * groups];
         }
-        if phys.phi_part.capacity() < n * groups {
-            // Deposited (or never shaped): round-trip via the pool.
-            phys.phi_part = self.flux_bins.acquire(p, n * groups);
-        } else {
-            // Never deposited (e.g. the last epoch faulted before this
-            // program completed): re-zero in place.
-            phys.phi_part.clear();
-            phys.phi_part.resize(n * groups, 0.0);
-        }
+        phys.phi_part = std::mem::take(&mut self.sink.slot(self.tid).phi_part);
+        phys.phi_part.clear();
+        phys.phi_part.resize(n * groups, 0.0);
         phys.remote_vals.resize(sub.rem_dst.len() * groups, 0.0);
     }
 }
@@ -767,7 +722,8 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
         SweepProgram {
             id,
             problem: s.problem.clone(),
-            flux_bins: s.flux_bins.clone(),
+            sink: s.sink.clone(),
+            tid: s.problem.tid(p, a),
             grain: s.grain,
             sched: Sched::Unarmed,
             phys: Physics {
@@ -1018,12 +974,12 @@ mod tests {
                 up: ProgramId::new(up, task),
                 down: ProgramId::new(down, task),
                 epochs: [
-                    ("fine", epoch(SweepMode::Fine { trace_bins: None })),
+                    ("fine", epoch(SweepMode::Fine { record: false })),
                     ("replay", epoch(SweepMode::Coarse { plan })),
                 ],
                 factory: SweepFactory::new(SweepSetup {
                     mesh,
-                    flux_bins: Arc::new(FluxBins::new(problem.num_patches())),
+                    sink: Arc::new(EpochSink::new(problem.num_tasks())),
                     problem,
                     quadrature: quad,
                     groups: G,

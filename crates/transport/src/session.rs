@@ -33,9 +33,10 @@
 //!   │ SolverSession│──────────▶│ queued  │──────▶│ running │─────▶│ resolved │
 //!   └────────────┘             └─────────┘       └─────────┘      └──────────┘
 //!        │  refine(mesh', problem'): drain admitted work, retire the
-//!        │  universe, swap the world — later admissions record fresh
-//!        │  plans under the new generation stamp (stale plans are
-//!        │  structurally unreachable: the generation is in the PlanKey).
+//!        │  universe, swap the world, drop the old generation's plans
+//!        │  — later admissions record fresh ones under the new stamp
+//!        │  (stale plans are structurally unreachable: the generation
+//!        │  is in the PlanKey; the barrier is where they are freed).
 //!        ▼
 //!     shutdown(): drain admitted work, resolve everything still queued
 //!     with SessionError::Closed, retire the universe, join the driver.
@@ -45,10 +46,16 @@
 //! admits submissions (the deterministic-interleaving tests rely on
 //! this to stage a known backlog before any epoch runs).
 //!
+//! The driver keeps one record per campaign — its queue of admitted
+//! solves, its consecutive-fault streak, its quarantine flag and its
+//! epoch-attempt count — and a faulted epoch needs no clean-up beyond
+//! retiring the universe: the world's output sink is replaced with it
+//! (see `EpochWorld::retire`).
+//!
 //! See `docs/session.md` for the full state diagram, the admission
 //! policies, and the stats glossary.
 
-use crate::replay::{EvictionPolicy, PlanCache};
+use crate::replay::PlanCache;
 use crate::solver::{advance_one_epoch, EpochWorld, SnConfig, SnSolution, SolveProgress};
 use crate::xs::MaterialSet;
 use jsweep_core::fault::{EpochFault, FaultKind};
@@ -59,7 +66,7 @@ use jsweep_graph::SweepProblem;
 use jsweep_mesh::SweepTopology;
 use jsweep_quadrature::QuadratureSet;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -381,8 +388,6 @@ pub struct SessionOptions {
     pub solver: SnConfig,
     /// Epoch scheduling policy across campaigns.
     pub admission: Box<dyn AdmissionPolicy>,
-    /// Eviction policy of the session's shared [`PlanCache`].
-    pub eviction: EvictionPolicy,
     /// Session-wide default [`RetryPolicy`]; a [`SolveRequest::retry`]
     /// overrides it per request. Default: no retries.
     pub retry: RetryPolicy,
@@ -399,7 +404,6 @@ impl Default for SessionOptions {
         SessionOptions {
             solver: SnConfig::default(),
             admission: Box::new(Fifo),
-            eviction: EvictionPolicy::Manual,
             retry: RetryPolicy::default(),
             quarantine_after: 0,
         }
@@ -475,8 +479,6 @@ enum Cmd<T: SweepTopology + Send + Sync + 'static> {
         mesh: Arc<T>,
         problem: Arc<SweepProblem>,
     },
-    Pause,
-    Resume,
     Shutdown,
 }
 
@@ -488,6 +490,11 @@ enum Cmd<T: SweepTopology + Send + Sync + 'static> {
 struct Ingress<T: SweepTopology + Send + Sync + 'static> {
     queue: VecDeque<Cmd<T>>,
     closed: bool,
+    /// Epoch execution is gated. A flag beside the queue, not a
+    /// command in it: it applies the moment the driver next looks —
+    /// even while a refinement or shutdown is stalled waiting for the
+    /// backlog.
+    paused: bool,
 }
 
 struct Shared<T: SweepTopology + Send + Sync + 'static> {
@@ -504,6 +511,11 @@ impl<T: SweepTopology + Send + Sync + 'static> Shared<T> {
         g.queue.push_back(cmd);
         self.cv.notify_one();
         true
+    }
+
+    fn set_paused(&self, paused: bool) {
+        self.ingress.lock().paused = paused;
+        self.cv.notify_one();
     }
 }
 
@@ -551,11 +563,12 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
             mesh_generation: problem.mesh_generation,
             ..Default::default()
         }));
-        let cache = Arc::new(PlanCache::with_policy(options.eviction));
+        let cache = Arc::new(PlanCache::new());
         let shared = Arc::new(Shared {
             ingress: Mutex::new(Ingress {
                 queue: VecDeque::new(),
                 closed: false,
+                paused: false,
             }),
             cv: Condvar::new(),
         });
@@ -568,15 +581,11 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
             cache: cache.clone(),
             policy: options.admission,
             stats: stats.clone(),
-            admitted: BTreeMap::new(),
+            campaigns: BTreeMap::new(),
             pending: VecDeque::new(),
-            paused: false,
             admission_counter: 0,
             default_retry: options.retry,
             quarantine_after: options.quarantine_after,
-            consecutive_faults: BTreeMap::new(),
-            quarantined: BTreeSet::new(),
-            epoch_attempts: BTreeMap::new(),
         };
         let handle = thread::Builder::new()
             .name("jsweep-session".into())
@@ -622,12 +631,12 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
     /// Stop running epochs (submission stays open). Queued work keeps
     /// accumulating until [`SolverSession::resume`].
     pub fn pause(&self) {
-        self.shared.push(Cmd::Pause);
+        self.shared.set_paused(true);
     }
 
     /// Resume epoch execution after a [`SolverSession::pause`].
     pub fn resume(&self) {
-        self.shared.push(Cmd::Resume);
+        self.shared.set_paused(false);
     }
 
     /// Snapshot the session's accounting.
@@ -640,16 +649,17 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
         self.stats.lock().campaigns.get(&campaign).cloned()
     }
 
-    /// The session's shared plan cache (for capacity and eviction
-    /// introspection; plans are inserted and served by the driver).
+    /// The session's shared plan cache (for hit/miss and footprint
+    /// introspection; plans are inserted and served by the driver,
+    /// which drops a superseded generation's at the refine barrier).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.cache
     }
 
     /// Render the session's metrics registry in Prometheus text
     /// exposition format (a pull endpoint would serve this verbatim).
-    /// Pull-style gauges — the plan cache's hit/miss/eviction counts —
-    /// are refreshed at call time; everything else is whatever the
+    /// Pull-style gauges — the plan cache's hit/miss counts — are
+    /// refreshed at call time; everything else is whatever the
     /// armed runtime has pushed so far. Returns an empty string while
     /// the session runs with a detached [`TelemetryHandle`] (always,
     /// with the `telemetry` feature compiled out).
@@ -668,11 +678,6 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
                     "Replay-plan cache lookups that missed.",
                     self.cache.misses(),
                 ),
-                (
-                    "jsweep_plan_cache_evictions",
-                    "Replay plans evicted from the session cache.",
-                    self.cache.evictions(),
-                ),
             ] {
                 m.describe(name, help);
                 m.gauge(name).set(value as f64);
@@ -687,23 +692,26 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
     /// the driver. Idempotent; also runs on drop. A paused session is
     /// resumed first — shutdown waits for admitted work.
     pub fn shutdown(&mut self) {
-        if let Some(handle) = self.driver.take() {
-            self.shared.push(Cmd::Resume);
-            self.shared.push(Cmd::Shutdown);
-            handle.join().expect("session driver panicked");
+        if let Some(joined) = self.stop_driver() {
+            joined.expect("session driver panicked");
         }
+    }
+
+    /// Resume, queue the shutdown and join the driver; `None` when it
+    /// was stopped before.
+    fn stop_driver(&mut self) -> Option<thread::Result<()>> {
+        let handle = self.driver.take()?;
+        self.resume();
+        self.shared.push(Cmd::Shutdown);
+        Some(handle.join())
     }
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> Drop for SolverSession<T> {
     fn drop(&mut self) {
-        if let Some(handle) = self.driver.take() {
-            self.shared.push(Cmd::Resume);
-            self.shared.push(Cmd::Shutdown);
-            // Propagating a panic out of drop would abort; the explicit
-            // `shutdown` path surfaces driver panics instead.
-            let _ = handle.join();
-        }
+        // Propagating a panic out of drop would abort; the explicit
+        // `shutdown` path surfaces driver panics instead.
+        let _ = self.stop_driver();
     }
 }
 
@@ -765,115 +773,88 @@ impl<T: SweepTopology + Send + Sync + 'static> CampaignHandle<T> {
     }
 }
 
+/// Everything the driver keeps about one campaign.
+#[derive(Default)]
+struct Campaign {
+    /// Admitted solves; the head is the campaign's running request.
+    queue: VecDeque<ActiveSolve>,
+    /// Terminal faults since the campaign's last completed epoch.
+    fault_streak: u32,
+    /// Locked out by quarantine.
+    quarantined: bool,
+    /// Epoch *attempts* — faulted ones included, which is what makes
+    /// "fail epoch E of campaign C" fault injection deterministic
+    /// under retries.
+    attempts: u64,
+}
+
 struct Driver<T: SweepTopology + Send + Sync + 'static> {
     shared: Arc<Shared<T>>,
     world: EpochWorld<T>,
     cache: Arc<PlanCache>,
     policy: Box<dyn AdmissionPolicy>,
     stats: Arc<Mutex<SessionStats>>,
-    /// Admitted solves per campaign; the head of each queue is the
-    /// campaign's running request.
-    admitted: BTreeMap<u64, VecDeque<ActiveSolve>>,
+    /// One record per campaign that ever had a request admitted.
+    campaigns: BTreeMap<u64, Campaign>,
     /// Ingested commands not yet processed — `Refine`/`Shutdown` stall
     /// here until the admitted work drains.
     pending: VecDeque<Cmd<T>>,
-    paused: bool,
     admission_counter: u64,
     /// Session-wide default retry policy (see [`SessionOptions`]).
     default_retry: RetryPolicy,
     /// Consecutive-fault quarantine threshold; 0 disables.
     quarantine_after: u32,
-    /// Terminal faults since the campaign's last completed request.
-    consecutive_faults: BTreeMap<u64, u32>,
-    /// Campaigns locked out by quarantine.
-    quarantined: BTreeSet<u64>,
-    /// Epoch *attempts* per campaign — faulted ones included, which is
-    /// what makes "fail epoch E of campaign C" fault injection
-    /// deterministic under retries.
-    epoch_attempts: BTreeMap<u64, u64>,
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
     fn run(mut self) {
         loop {
             // Ingest everything available without blocking.
-            let drained: Vec<Cmd<T>> = self.shared.ingress.lock().queue.drain(..).collect();
-            for cmd in drained {
-                self.ingest(cmd);
-            }
+            let paused = {
+                let mut g = self.shared.ingress.lock();
+                self.pending.extend(g.queue.drain(..));
+                g.paused
+            };
             if self.process_pending() {
                 self.finish();
                 return;
             }
-            if !self.paused && self.has_work() {
+            if !paused && self.has_work() {
                 self.run_one_epoch();
                 continue;
             }
-            // Idle (or paused): sleep until the next command.
+            // Idle (or paused): sleep until a handle has news.
             let mut g = self.shared.ingress.lock();
-            while g.queue.is_empty() {
+            while g.queue.is_empty() && g.paused == paused {
                 self.shared.cv.wait(&mut g);
             }
         }
     }
 
     fn has_work(&self) -> bool {
-        !self.admitted.is_empty()
-    }
-
-    /// Pause/resume apply the moment they are seen — even while a
-    /// refinement or shutdown is stalled waiting for the backlog —
-    /// everything else queues in order.
-    fn ingest(&mut self, cmd: Cmd<T>) {
-        match cmd {
-            Cmd::Pause => self.paused = true,
-            Cmd::Resume => self.paused = false,
-            other => self.pending.push_back(other),
-        }
+        self.campaigns.values().any(|c| !c.queue.is_empty())
     }
 
     /// Work through pending commands in arrival order. Returns `true`
     /// when a shutdown is due now.
     fn process_pending(&mut self) -> bool {
-        while let Some(front) = self.pending.front() {
-            match front {
-                Cmd::Submit { .. } => {
-                    let Some(Cmd::Submit {
-                        campaign,
-                        seq,
-                        request,
-                        reply,
-                        submitted,
-                    }) = self.pending.pop_front()
-                    else {
-                        unreachable!("front checked")
-                    };
-                    self.admit(campaign, seq, request, reply, submitted);
-                }
-                Cmd::Refine { .. } => {
-                    // Refinement is a barrier: the admitted backlog
-                    // finishes on the old world first.
-                    if self.has_work() {
-                        return false;
-                    }
-                    let Some(Cmd::Refine { mesh, problem }) = self.pending.pop_front() else {
-                        unreachable!("front checked")
-                    };
-                    self.apply_refine(mesh, problem);
-                }
-                Cmd::Shutdown => {
-                    if self.has_work() {
-                        return false;
-                    }
-                    self.pending.pop_front();
-                    return true;
-                }
-                Cmd::Pause | Cmd::Resume => {
-                    let Some(cmd) = self.pending.pop_front() else {
-                        unreachable!("front checked")
-                    };
-                    self.ingest(cmd);
-                }
+        while let Some(cmd) = self.pending.pop_front() {
+            // Refinement and shutdown are barriers: the admitted
+            // backlog finishes on the old world first.
+            if !matches!(cmd, Cmd::Submit { .. }) && self.has_work() {
+                self.pending.push_front(cmd);
+                return false;
+            }
+            match cmd {
+                Cmd::Submit {
+                    campaign,
+                    seq,
+                    request,
+                    reply,
+                    submitted,
+                } => self.admit(campaign, seq, request, reply, submitted),
+                Cmd::Refine { mesh, problem } => self.apply_refine(mesh, problem),
+                Cmd::Shutdown => return true,
             }
         }
         false
@@ -887,7 +868,7 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         reply: Arc<TicketCell>,
         submitted: Instant,
     ) {
-        if self.quarantined.contains(&campaign) {
+        if self.campaigns.get(&campaign).is_some_and(|c| c.quarantined) {
             return self.reject(
                 campaign,
                 reply,
@@ -912,9 +893,9 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         // constraint extends to the not-yet-launched backlog (its
         // first epoch will fix the universe's shape).
         let current = self.world.resident_groups().or_else(|| {
-            self.admitted
+            self.campaigns
                 .values()
-                .flat_map(|q| q.iter())
+                .flat_map(|c| c.queue.iter())
                 .next()
                 .map(|s| s.progress.materials.num_groups())
         });
@@ -971,9 +952,10 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         // and deterministic under any admission policy, so a ticket's
         // epochs can be located in an exported trace by id alone.
         progress.span = admission_index + 1;
-        self.admitted
+        self.campaigns
             .entry(campaign)
             .or_default()
+            .queue
             .push_back(ActiveSolve {
                 seq,
                 admission_index,
@@ -993,16 +975,16 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
 
     fn run_one_epoch(&mut self) {
         let candidates: Vec<EpochCandidate> = self
-            .admitted
+            .campaigns
             .iter()
-            .map(|(&campaign, q)| {
-                let s = q.front().expect("campaign queues are never left empty");
-                EpochCandidate {
+            .filter_map(|(&campaign, c)| {
+                let s = c.queue.front()?;
+                Some(EpochCandidate {
                     campaign,
                     seq: s.seq,
                     admission_index: s.admission_index,
                     epochs_run: s.progress.iterations,
-                }
+                })
             })
             .collect();
         let pick = self.policy.next_epoch(&candidates);
@@ -1013,13 +995,11 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         );
         let campaign = candidates[pick].campaign;
         let launches_before = self.world.launches;
-        let queue = self
-            .admitted
+        let record = self
+            .campaigns
             .get_mut(&campaign)
             .expect("picked campaign exists");
-        let solve = queue
-            .front_mut()
-            .expect("campaign queues are never left empty");
+        let solve = record.queue.front_mut().expect("candidates have a head");
         if solve.queue_wait.is_none() {
             let wait = solve.submitted.elapsed().as_secs_f64();
             solve.queue_wait = Some(wait);
@@ -1035,12 +1015,8 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         // campaign C" injection keys on attempt numbers, faulted
         // attempts included, which keeps the injection deterministic
         // under retries.
-        let attempt = {
-            let a = self.epoch_attempts.entry(campaign).or_insert(0);
-            let cur = *a;
-            *a += 1;
-            cur
-        };
+        let attempt = record.attempts;
+        record.attempts += 1;
         let injected = self
             .world
             .config
@@ -1069,9 +1045,9 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         };
         // A completed epoch clears the campaign's consecutive-fault
         // streak: quarantine is for campaigns that *keep* failing.
-        self.consecutive_faults.remove(&campaign);
+        record.fault_streak = 0;
         let epoch_stats = solve.progress.stats.last().expect("epoch recorded stats");
-        let record = EpochRecord {
+        let logged = EpochRecord {
             campaign,
             seq: solve.seq,
             iteration: solve.progress.iterations,
@@ -1083,7 +1059,7 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         let done_wait = outcome.done.then(|| solve.queue_wait.unwrap_or(0.0));
         book(&self.stats, campaign, |s, cs| {
             s.epochs_run += 1;
-            s.epoch_log.push(record);
+            s.epoch_log.push(logged);
             cs.epochs_run += 1;
             cs.epoch_wall_seconds += epoch_stats.wall_seconds;
             cs.work_done += epoch_stats.work_done;
@@ -1094,17 +1070,8 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
                 cs.queue_wait_seconds += wait;
             }
         });
-        session_metric(
-            &self.world.config.telemetry,
-            "jsweep_flux_fresh_allocations",
-            "Flux accumulators allocated fresh (pool misses) by the resident world.",
-            Update::Set(self.world.fresh_flux_allocations() as f64),
-        );
         if let Some(wait) = done_wait {
-            let solve = queue.pop_front().expect("head just served");
-            if queue.is_empty() {
-                self.admitted.remove(&campaign);
-            }
+            let solve = record.queue.pop_front().expect("head just served");
             session_metric(
                 &self.world.config.telemetry,
                 "jsweep_session_solves_total",
@@ -1133,17 +1100,20 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
     /// universe's threads — after a watchdog stall that join waits out
     /// the stuck compute, and the requester should not.
     fn handle_fault(&mut self, campaign: u64, fault: EpochFault) {
-        let queue = self
-            .admitted
+        let record = self
+            .campaigns
             .get_mut(&campaign)
             .expect("faulted campaign exists");
-        let solve = queue.front_mut().expect("faulted campaign has a head");
+        let solve = record
+            .queue
+            .front_mut()
+            .expect("faulted campaign has a head");
         // The attempted iteration: the faulted epoch would have been
         // iteration `iterations + 1`, and `progress` was untouched.
         let iteration = solve.progress.iterations + 1;
         let retrying = solve.retries < solve.retry.max_retries;
         let backoff = solve.retry.backoff;
-        let record = EpochRecord {
+        let logged = EpochRecord {
             campaign,
             seq: solve.seq,
             iteration,
@@ -1154,7 +1124,7 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         };
         book(&self.stats, campaign, |s, cs| {
             s.faults += 1;
-            s.epoch_log.push(record);
+            s.epoch_log.push(logged);
             cs.faults += 1;
             s.retries += u64::from(retrying);
             cs.retries += u64::from(retrying);
@@ -1181,10 +1151,7 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             // is bit-identical to an unfaulted one.
             solve.retries += 1;
         } else {
-            let solve = queue.pop_front().expect("head just faulted");
-            if queue.is_empty() {
-                self.admitted.remove(&campaign);
-            }
+            let solve = record.queue.pop_front().expect("head just faulted");
             let retries = solve.retries;
             solve.reply.fulfill(Err(SessionError::Failed(FaultReport {
                 campaign,
@@ -1193,9 +1160,8 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
                 retries,
                 fault,
             })));
-            let streak = self.consecutive_faults.entry(campaign).or_insert(0);
-            *streak += 1;
-            if self.quarantine_after > 0 && *streak >= self.quarantine_after {
+            record.fault_streak += 1;
+            if self.quarantine_after > 0 && record.fault_streak >= self.quarantine_after {
                 self.quarantine(campaign);
             }
         }
@@ -1222,12 +1188,16 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
     /// Lock a campaign out: flush its queued requests as rejected and
     /// refuse everything it submits from now on.
     fn quarantine(&mut self, campaign: u64) {
-        self.quarantined.insert(campaign);
+        let record = self
+            .campaigns
+            .get_mut(&campaign)
+            .expect("quarantined campaign exists");
+        record.quarantined = true;
+        let flushed = std::mem::take(&mut record.queue);
         let why = format!(
             "campaign quarantined after {} consecutive faults",
             self.quarantine_after
         );
-        let flushed = self.admitted.remove(&campaign).unwrap_or_default();
         book(&self.stats, campaign, |_, cs| {
             cs.quarantined = true;
             cs.rejected += flushed.len() as u64;
@@ -1244,7 +1214,11 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         let config = self.world.config.clone();
         let quadrature = self.world.quadrature.clone();
         self.world = EpochWorld::new(mesh, problem, quadrature, config);
-        self.stats.lock().mesh_generation = self.world.problem.mesh_generation;
+        let generation = self.world.problem.mesh_generation;
+        // The barrier has drained every solve of the old generation, so
+        // its plans are unreachable from here on.
+        self.cache.retain_generations(&[generation]);
+        self.stats.lock().mesh_generation = generation;
     }
 
     /// Retire the world's universe, if it has one (returned).
@@ -1291,8 +1265,6 @@ fn book(
 enum Update {
     /// Bump a counter.
     Inc,
-    /// Set a gauge.
-    Set(f64),
     /// Observe a duration (seconds) into a histogram.
     Observe(f64),
 }
@@ -1308,7 +1280,6 @@ fn session_metric(h: &TelemetryHandle, name: &'static str, help: &'static str, u
         m.describe(name, help);
         match update {
             Update::Inc => m.counter(name).inc(),
-            Update::Set(v) => m.gauge(name).set(v),
             Update::Observe(v) => m.histogram(name, obs::SECONDS_BUCKETS).observe(v),
         }
     }

@@ -16,15 +16,18 @@
 //!   and either termination detector. One resident
 //!   [`jsweep_core::Universe`] lives for the whole solve and every
 //!   source iteration is one epoch of it; the cached, session and
-//!   trace-recording entry points run that same epoch.
+//!   trace-recording entry points run that same epoch. What an epoch
+//!   leaves behind lands in the world's [`EpochSink`] — one slot per
+//!   task — which this module folds (flux) and drains (traces) after
+//!   the epoch and replaces whenever the universe is retired, so a
+//!   faulted epoch's partial output is dropped with the universe that
+//!   wrote it.
 
 #![allow(clippy::type_complexity)]
 
 use crate::kernel::{solve_cell, KernelKind};
-use crate::program::{FluxBins, SweepEpoch, SweepFactory, SweepMode, SweepSetup};
-use crate::replay::{
-    build_plan, collect_traces, new_trace_bins, plan_key, CoarsePlan, PlanCache, PlanKey, TraceBins,
-};
+use crate::program::{EpochSink, SweepEpoch, SweepFactory, SweepMode, SweepSetup};
+use crate::replay::{build_plan, plan_key, CoarsePlan, PlanCache, PlanKey};
 use crate::xs::MaterialSet;
 use jsweep_core::fault::{EpochFault, FaultPlan};
 use jsweep_core::telemetry::EventKind;
@@ -312,28 +315,6 @@ fn runtime_config(config: &SnConfig) -> RuntimeConfig {
     }
 }
 
-/// Pick the next iteration's scheduling mode: replay when a plan
-/// exists, record when coarsening wants one, plain fine otherwise.
-fn select_mode(
-    plan: &Option<Arc<CoarsePlan>>,
-    coarsen: bool,
-    num_tasks: usize,
-) -> (SweepMode, Option<Arc<TraceBins>>) {
-    match (plan, coarsen) {
-        (Some(p), _) => (SweepMode::Coarse { plan: p.clone() }, None),
-        (None, true) => {
-            let b = Arc::new(new_trace_bins(num_tasks));
-            (
-                SweepMode::Fine {
-                    trace_bins: Some(b.clone()),
-                },
-                Some(b),
-            )
-        }
-        (None, false) => (SweepMode::Fine { trace_bins: None }, None),
-    }
-}
-
 /// The JSweep parallel solver.
 ///
 /// `problem` carries the decomposition and priorities (see
@@ -392,16 +373,19 @@ pub fn solve_parallel_cached<T: SweepTopology + Send + Sync + 'static>(
 
 /// The resident scheduling world parallel solves run epochs against:
 /// one problem shape (mesh + decomposition + quadrature + solver
-/// knobs), one set of shared flux bins, and at most one resident
-/// [`Universe`]. [`solve_parallel_impl`] builds one per solve; a
-/// [`crate::session::SolverSession`] keeps one alive across many
-/// queued solves and retires it only on shutdown or refinement.
+/// knobs), one [`EpochSink`] its tasks leave their output in, and at
+/// most one resident [`Universe`]. [`solve_parallel_impl`] builds one
+/// per solve; a [`crate::session::SolverSession`] keeps one alive
+/// across many queued solves and retires it only on shutdown or
+/// refinement.
 pub(crate) struct EpochWorld<T: SweepTopology + Send + Sync + 'static> {
     pub(crate) mesh: Arc<T>,
     pub(crate) problem: Arc<SweepProblem>,
     pub(crate) quadrature: QuadratureSet,
     pub(crate) config: SnConfig,
-    flux_bins: Arc<FluxBins>,
+    /// Output slots of the resident universe's tasks; replaced whenever
+    /// that universe is retired.
+    sink: Arc<EpochSink>,
     universe: Option<Universe>,
     /// Universes this world has launched so far (it launches lazily,
     /// and again after every [`EpochWorld::retire`]).
@@ -429,14 +413,14 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
             problem.mesh_generation,
             "mesh topology changed since SweepProblem::build; rebuild the problem"
         );
-        let flux_bins = Arc::new(FluxBins::new(problem.num_patches()));
+        let sink = Arc::new(EpochSink::new(problem.num_tasks()));
         let key = config.coarsen.then(|| plan_key(&problem, config.grain));
         EpochWorld {
             mesh,
             problem,
             quadrature,
             config,
-            flux_bins,
+            sink,
             universe: None,
             launches: 0,
             resident_groups: None,
@@ -455,7 +439,7 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
             groups,
             kernel: self.config.kernel,
             grain: self.config.grain,
-            flux_bins: self.flux_bins.clone(),
+            sink: self.sink.clone(),
         }))
     }
 
@@ -521,27 +505,17 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
     }
 
     /// Shut the resident universe down (idempotent); returns whether
-    /// there was one. Scrubs the flux bins afterwards: a retire forced
-    /// by a fault abandons in-flight programs, and those keep
-    /// depositing until the join — so the authoritative scrub can only
-    /// happen here, after every thread is gone. (After a healthy epoch
-    /// the bins are already empty.)
+    /// there was one. Its sink goes with it: a retire forced by a fault
+    /// abandons in-flight programs, whose partial output must never
+    /// reach a later fold — the next universe writes a fresh sink.
     pub(crate) fn retire(&mut self) -> bool {
         self.resident_groups = None;
         let Some(mut u) = self.universe.take() else {
             return false;
         };
         u.shutdown();
-        self.flux_bins.clear();
+        self.sink = Arc::new(EpochSink::new(self.problem.num_tasks()));
         true
-    }
-
-    /// Accumulator buffers the shared flux bins allocated fresh (pool
-    /// misses) over the world's lifetime — see
-    /// [`FluxBins::fresh_allocations`]. Steady state for a resident
-    /// universe is one per `(patch, angle)` program.
-    pub fn fresh_flux_allocations(&self) -> u64 {
-        self.flux_bins.fresh_allocations()
     }
 }
 
@@ -607,12 +581,10 @@ impl SolveProgress {
 /// in angle order (schedule-independent floating-point result).
 /// Returns the aggregated stats and `φ_new`.
 ///
-/// A faulted epoch abandons in-flight programs, so the shared bins may
-/// hold a *subset* of its contributions — folding them into a later
-/// epoch would corrupt that solve's flux. On `Err` they are scrubbed,
-/// best-effort ([`EpochWorld::retire`] repeats it post-join to catch
-/// stragglers that deposited after the abort); the faulted universe
-/// stays in place.
+/// A faulted epoch abandons in-flight programs, so the sink may hold a
+/// *subset* of its contributions. Nothing reads them: the faulted
+/// universe stays in place but runs no further epoch, and
+/// [`EpochWorld::retire`] replaces the sink along with it.
 fn run_sweep_epoch<T: SweepTopology + Send + Sync + 'static>(
     world: &mut EpochWorld<T>,
     input: Arc<SweepEpoch>,
@@ -630,12 +602,8 @@ fn run_sweep_epoch<T: SweepTopology + Send + Sync + 'static>(
         world.resident_groups = Some(groups);
     }
     let universe = world.universe.as_mut().expect("launched above");
-    let rank_stats = universe
-        .run_epoch_tuned(input, EpochTuning { span })
-        .inspect_err(|_| world.flux_bins.clear())?;
-    let phi_new = world
-        .flux_bins
-        .fold(&world.problem, world.mesh.num_cells(), groups);
+    let rank_stats = universe.run_epoch_tuned(input, EpochTuning { span })?;
+    let phi_new = world.sink.fold(&world.problem, groups);
     Ok((RunStats::aggregate(&rank_stats), phi_new))
 }
 
@@ -662,57 +630,50 @@ pub(crate) struct EpochOutcome {
 /// `Err` means the epoch was poisoned (see
 /// [`jsweep_core::universe::Universe::run_epoch`]): `progress` is left
 /// exactly as it was before the epoch — no stats entry, no iteration
-/// count, no flux update — and the shared bins are scrubbed of partial
-/// deposits, so the caller may retry the same iteration on a
-/// relaunched universe and still get the bit-identical flux sequence.
-/// The faulted universe itself is *not* retired here; the caller
-/// decides between retry, relaunch and teardown.
+/// count, no flux update — so the caller may retry the same iteration
+/// on a relaunched universe and still get the bit-identical flux
+/// sequence. The faulted universe itself is *not* retired here; the
+/// caller decides between retry, relaunch and teardown.
 pub(crate) fn advance_one_epoch<T: SweepTopology + Send + Sync + 'static>(
     world: &mut EpochWorld<T>,
     progress: &mut SolveProgress,
     cache: Option<&PlanCache>,
 ) -> Result<EpochOutcome, EpochFault> {
-    let (mode, bins) = select_mode(
-        &progress.plan,
-        world.config.coarsen,
-        world.problem.num_tasks(),
-    );
-    let replayed = matches!(mode, SweepMode::Coarse { .. });
+    // Replay when a plan exists, record when coarsening wants one,
+    // plain fine otherwise.
+    let replayed = progress.plan.is_some();
+    let recording = !replayed && world.config.coarsen;
+    let mode = match &progress.plan {
+        Some(plan) => SweepMode::Coarse { plan: plan.clone() },
+        None => SweepMode::Fine { record: recording },
+    };
     let (stats, phi_new) = run_sweep_epoch(world, progress.epoch(mode), progress.span)?;
     let done = progress.advance(stats, phi_new);
 
     // Compile the replay plan once the recording iteration is in.
     // Without a cache this is skipped when no iteration remains to
     // replay it (converged, or max_iterations exhausted); with a cache
-    // the plan is still compiled and offered — future solves replay it
-    // even if this one is done — but only *opportunistically*: a plan
-    // this solve will never replay must not evict plans other requests
-    // are actively hitting out of an at-capacity cache.
-    if let Some(b) = bins {
-        if !done || cache.is_some() {
-            let traces = collect_traces(&world.problem, &b);
-            // One pair of readings is both the reported build cost and
-            // the trace's `PlanCompile` span.
-            let t0 = Instant::now();
-            let built = Arc::new(build_plan(&world.problem, &traces));
-            let t1 = Instant::now();
-            world.config.telemetry.global_span(
-                EventKind::PlanCompile,
-                t0,
-                t1,
-                world.problem.mesh_generation,
-                0,
-            );
-            progress.coarse_build_seconds = (t1 - t0).as_secs_f64();
-            if let (Some(c), Some(k)) = (cache, world.key) {
-                if done {
-                    c.insert_opportunistic(k, built.clone());
-                } else {
-                    c.insert(k, built.clone());
-                }
-            }
-            progress.plan = Some(built);
+    // the plan is still compiled and stored — future solves replay it
+    // even if this one is done.
+    if recording && (!done || cache.is_some()) {
+        let traces = world.sink.take_traces(&world.problem);
+        // One pair of readings is both the reported build cost and
+        // the trace's `PlanCompile` span.
+        let t0 = Instant::now();
+        let built = Arc::new(build_plan(&world.problem, &traces));
+        let t1 = Instant::now();
+        world.config.telemetry.global_span(
+            EventKind::PlanCompile,
+            t0,
+            t1,
+            world.problem.mesh_generation,
+            0,
+        );
+        progress.coarse_build_seconds = (t1 - t0).as_secs_f64();
+        if let (Some(c), Some(k)) = (cache, world.key) {
+            c.insert(k, built.clone());
         }
+        progress.plan = Some(built);
     }
     Ok(EpochOutcome { done, replayed })
 }
@@ -785,18 +746,17 @@ pub fn solve_parallel_spmd<T: SweepTopology + Send + Sync + 'static>(
     );
     let world = EpochWorld::new(mesh, problem, quadrature.clone(), config.clone());
     let mut progress = world.begin_solve(materials, config.max_iterations, config.tolerance, None);
-    let (n, groups) = (world.mesh.num_cells(), progress.materials.num_groups());
+    let groups = progress.materials.num_groups();
     let mut rank = Rank::launch(comm, world.factory(groups), &runtime_config(config));
     while progress.iterations < progress.max_iterations {
-        let input: Arc<jsweep_core::EpochInput> =
-            progress.epoch(SweepMode::Fine { trace_bins: None });
+        let input: Arc<jsweep_core::EpochInput> = progress.epoch(SweepMode::Fine { record: false });
         let rank_stats = rank
             .run_epoch(&input, EpochTuning::default())
             .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
-        // Local patches deposited into their bins; remote patches' bins
-        // are empty, so the fold yields this rank's disjoint share and
-        // the rank-ordered reduction completes the global iterate.
-        let mut phi_new = world.flux_bins.fold(&world.problem, n, groups);
+        // Local tasks filled their slots; other ranks' slots are
+        // empty, so the fold yields this rank's disjoint share and the
+        // rank-ordered reduction completes the global iterate.
+        let mut phi_new = world.sink.fold(&world.problem, groups);
         rank.comm_mut()
             .allreduce_sum_f64_slice(&mut phi_new)
             .unwrap_or_else(|e| panic!("flux reduction failed: {e}"));
@@ -824,18 +784,15 @@ pub fn record_cluster_traces<T: SweepTopology + Send + Sync + 'static>(
     materials: Arc<MaterialSet>,
     config: &SnConfig,
 ) -> Vec<Vec<ClusterTrace>> {
-    let bins = Arc::new(new_trace_bins(problem.num_tasks()));
-    let mode = SweepMode::Fine {
-        trace_bins: Some(bins.clone()),
-    };
+    let mode = SweepMode::Fine { record: true };
     let mut world = EpochWorld::new(mesh, problem.clone(), quadrature.clone(), config.clone());
     let input = world.begin_solve(materials, 1, 0.0, None).epoch(mode);
     let swept = run_sweep_epoch(&mut world, input, 0);
+    let mut traces = world.sink.take_traces(&problem);
     world.retire();
     if let Err(f) = swept {
         panic!("sweep epoch faulted: {f}");
     }
-    let mut traces = collect_traces(&problem, &bins);
     // Only canonical angles record; fill octant members with their
     // canonical trace (valid for the shared DAG) so every angle's
     // entry covers its subgraph — the layout contract of this API.
@@ -978,18 +935,17 @@ mod tests {
         );
     }
 
+    /// A fault abandons programs mid-sweep, so some slots of the sink
+    /// hold that epoch's contributions. Retiring the universe replaces
+    /// the sink: the next epoch folds exactly what a never-faulted
+    /// world folds.
+    #[cfg(feature = "fault-inject")]
     #[test]
-    fn final_iteration_plan_compile_respects_cache_capacity() {
-        // A solve that ends on its recording iteration still compiles
-        // its plan for future solves — but only opportunistically: at
-        // LruBytes capacity the compile must not thrash a plan other
-        // requests are hitting. Pinned here because the original
-        // insert-then-evict path evicted the resident plan first.
-        use crate::replay::{EvictionPolicy, PlanCache};
+    fn retire_after_a_fault_installs_a_fresh_sink() {
         let m = Arc::new(StructuredMesh::unit(4, 4, 4));
         let mats = Arc::new(MaterialSet::homogeneous(
             64,
-            Material::uniform(1, 1.0, 0.3, 1.0),
+            Material::uniform(2, 1.0, 0.3, 1.0),
         ));
         let quad = QuadratureSet::sn(2);
         let ps = partition::decompose_structured(&m, (2, 2, 2), 2);
@@ -999,44 +955,41 @@ mod tests {
             &quad,
             &ProblemOptions::default(),
         ));
-        // `max_iterations: 1` makes the recording iteration the last
-        // one, forcing the opportunistic-compile path.
         let cfg = SnConfig {
-            max_iterations: 1,
             grain: 16,
             ..Default::default()
         };
-        // The resident "hot" plan of some other shape, filling the
-        // budget exactly.
-        let hot_key = plan_key(&prob, 999);
-        let hot_plan = Arc::new(CoarsePlan {
-            tasks: Vec::new(),
-            mesh_generation: prob.mesh_generation,
-        });
-        let full = PlanCache::with_policy(EvictionPolicy::LruBytes {
-            max_bytes: hot_plan.memory_bytes(),
-        });
-        full.insert(hot_key, hot_plan);
-        let sol = solve_parallel_cached(m.clone(), prob.clone(), &quad, mats.clone(), &cfg, &full);
-        assert_eq!(sol.iterations, 1);
+        let mut clean = EpochWorld::new(m.clone(), prob.clone(), quad.clone(), cfg.clone());
+        let input = clean
+            .begin_solve(mats, 1, 0.0, None)
+            .epoch(SweepMode::Fine { record: false });
+        let (_, want) = run_sweep_epoch(&mut clean, input.clone(), 0).expect("clean epoch");
+        clean.retire();
+
+        // The third compute call on patch 0 panics: by then at least
+        // one task (there, or upstream of it) has completed.
+        let plan = FaultPlan::builder().panic_on_compute(0, 3).build();
+        let armed = SnConfig {
+            fault_plan: Some(Arc::new(plan)),
+            ..cfg
+        };
+        let mut world = EpochWorld::new(m, prob.clone(), quad, armed);
+        let faulted_sink = world.sink.clone();
+        let fault = run_sweep_epoch(&mut world, input.clone(), 0).expect_err("injected panic");
+        assert_eq!(fault.kind, jsweep_core::fault::FaultKind::Panic);
+        assert!(world.retire(), "the faulted universe was still resident");
         assert!(
-            sol.coarse_build_seconds > 0.0,
-            "plan was still compiled for the caller"
+            (0..prob.num_tasks()).any(|tid| !faulted_sink.slot(tid).phi_part.is_empty()),
+            "the faulted epoch left no partial output to guard against"
         );
-        assert_eq!(full.len(), 1, "declined insert leaves the cache as found");
-        assert!(full.get(&hot_key).is_some(), "hot plan survives");
-        assert_eq!(full.evictions(), 0);
-        // With headroom the same solve's plan is cached and the next
-        // solve replays it from iteration 1.
-        let roomy = PlanCache::with_policy(EvictionPolicy::LruBytes {
-            max_bytes: usize::MAX,
-        });
-        let a = solve_parallel_cached(m.clone(), prob.clone(), &quad, mats.clone(), &cfg, &roomy);
-        assert!(!a.plan_from_cache);
-        assert_eq!(roomy.len(), 1);
-        let b = solve_parallel_cached(m.clone(), prob.clone(), &quad, mats.clone(), &cfg, &roomy);
-        assert!(b.plan_from_cache, "second solve replays the cached plan");
-        assert_eq!(a.phi, b.phi, "fine and replay iterations are bit-identical");
+        assert!(!Arc::ptr_eq(&faulted_sink, &world.sink));
+        // The trigger is one-shot: the relaunched universe runs clean.
+        let (_, got) = run_sweep_epoch(&mut world, input, 0).expect("clean retry");
+        world.retire();
+        assert_eq!(
+            got, want,
+            "fold after a fault differs from a never-faulted world"
+        );
     }
 
     #[test]

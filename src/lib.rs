@@ -70,8 +70,8 @@ pub mod prelude {
     pub use jsweep_mesh::{PatchId, PatchSet, StructuredMesh, SweepTopology, TetMesh};
     pub use jsweep_quadrature::{AngleId, QuadratureSet};
     pub use jsweep_transport::{
-        solve_parallel, solve_parallel_cached, solve_parallel_spmd, solve_serial, EvictionPolicy,
-        FaultReport, Fifo, KernelKind, Material, MaterialSet, PlanCache, RetryPolicy, RoundRobin,
-        SessionError, SessionOptions, SnConfig, SolveRequest, SolverSession, TransportKind,
+        solve_parallel, solve_parallel_cached, solve_parallel_spmd, solve_serial, FaultReport,
+        Fifo, KernelKind, Material, MaterialSet, PlanCache, RetryPolicy, RoundRobin, SessionError,
+        SessionOptions, SnConfig, SolveRequest, SolverSession, TransportKind,
     };
 }

@@ -5,14 +5,15 @@
 //! [`jsweep::comm::CommBackend`] contract is honoured identically:
 //! per-pair FIFO delivery, `recv_match` stash ordering, `drain_user`
 //! preserving reserved-tag protocol traffic, collectives under
-//! concurrent user traffic, self-sends, and both termination
-//! detectors. Socket-only behaviours (multi-process rendezvous) get
-//! their own tests outside the macro.
+//! concurrent user traffic, self-sends, both termination detectors,
+//! and malformed protocol payloads blamed on their sender. Socket-only
+//! behaviours (multi-process rendezvous) get their own tests outside
+//! the macro.
 
 use bytes::Bytes;
 use jsweep::comm::socket::SocketUniverse;
 use jsweep::comm::termination::{Counting, Safra, Verdict};
-use jsweep::comm::{Comm, Universe, RESERVED_TAG_BASE};
+use jsweep::comm::{Comm, CommError, Universe, RESERVED_TAG_BASE, TAG_COLLECTIVE, TAG_TOKEN};
 
 /// A reserved tag no protocol component uses (collective/token/
 /// terminate/done occupy base..base+3), so tests can emit reserved
@@ -262,6 +263,39 @@ macro_rules! conformance_suite {
                     }
                     assert!(counting.is_terminated());
                 });
+            }
+
+            /// Protocol payloads are bytes off a wire. A collective
+            /// contribution of the wrong length must come back as the
+            /// *sender's* loss, not panic the rank that decodes it
+            /// (which the universe would report as that rank's death).
+            #[test]
+            fn short_collective_payload_blames_its_sender() {
+                let out = world(2, |mut comm| {
+                    if comm.rank() == 1 {
+                        comm.send(0, TAG_COLLECTIVE, Bytes::copy_from_slice(&[1, 2, 3]))
+                            .unwrap();
+                        return None;
+                    }
+                    Some(comm.allreduce_sum_f64(1.0))
+                });
+                assert_eq!(out[0], Some(Err(CommError::PeerClosed { peer: 1 })));
+            }
+
+            /// The same for Safra's ring token.
+            #[test]
+            fn short_token_payload_blames_its_sender() {
+                let out = world(2, |mut comm| {
+                    if comm.rank() == 1 {
+                        comm.send(0, TAG_TOKEN, Bytes::copy_from_slice(&[0; 4]))
+                            .unwrap();
+                        return None;
+                    }
+                    let mut safra = Safra::new(comm.rank(), comm.size());
+                    let m = comm.recv().unwrap();
+                    Some(safra.on_message(&m, &comm))
+                });
+                assert_eq!(out[0], Some(Err(CommError::PeerClosed { peer: 1 })));
             }
         }
     };

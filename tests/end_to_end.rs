@@ -674,8 +674,8 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
     mats: &Arc<MaterialSet>,
     cfg: &SnConfig,
 ) -> (Vec<f64>, Vec<jsweep::core::RunStats>) {
-    use jsweep::transport::program::{FluxBins, SweepEpoch, SweepFactory, SweepMode, SweepSetup};
-    use jsweep::transport::replay::{build_plan, collect_traces, new_trace_bins};
+    use jsweep::transport::program::{EpochSink, SweepEpoch, SweepFactory, SweepMode, SweepSetup};
+    use jsweep::transport::replay::build_plan;
     let (n, groups) = (mesh.num_cells(), mats.num_groups());
     let inv_4pi = 1.0 / (4.0 * std::f64::consts::PI);
     let mut phi = vec![0.0; n * groups];
@@ -688,17 +688,14 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
                 (m.sigma_s[g] * phi[i] + m.source[g]) * inv_4pi
             })
             .collect();
-        let recording =
-            (cfg.coarsen && plan.is_none()).then(|| Arc::new(new_trace_bins(prob.num_tasks())));
+        let recording = cfg.coarsen && plan.is_none();
         let mode = match &plan {
             Some(plan) => SweepMode::Coarse {
                 plan: Arc::clone(plan),
             },
-            None => SweepMode::Fine {
-                trace_bins: recording.clone(),
-            },
+            None => SweepMode::Fine { record: recording },
         };
-        let flux_bins = Arc::new(FluxBins::new(prob.num_patches()));
+        let sink = Arc::new(EpochSink::new(prob.num_tasks()));
         let factory = Arc::new(SweepFactory::new(SweepSetup {
             mesh: mesh.clone(),
             problem: prob.clone(),
@@ -706,7 +703,7 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
             groups,
             kernel: cfg.kernel,
             grain: cfg.grain,
-            flux_bins: flux_bins.clone(),
+            sink: sink.clone(),
         }));
         let mut universe = Universe::launch_with_fabric(
             prob.patches.num_ranks(),
@@ -727,7 +724,7 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
             .unwrap_or_else(|f| panic!("reference epoch faulted: {f}"));
         universe.shutdown();
         stats.push(jsweep::core::RunStats::aggregate(&rank_stats));
-        let phi_new = flux_bins.fold(prob, n, groups);
+        let phi_new = sink.fold(prob, groups);
         let (mut diff, mut norm) = (0.0, 0.0);
         for (a, b) in phi_new.iter().zip(&phi) {
             diff += (a - b) * (a - b);
@@ -742,9 +739,8 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
         if residual < cfg.tolerance {
             break;
         }
-        if let Some(bins) = recording {
-            let traces = collect_traces(prob, &bins);
-            plan = Some(Arc::new(build_plan(prob, &traces)));
+        if recording {
+            plan = Some(Arc::new(build_plan(prob, &sink.take_traces(prob))));
         }
     }
     (phi, stats)
@@ -927,12 +923,13 @@ fn multigroup16_tet_fine_vs_replay_bit_identical() {
 }
 
 #[test]
-fn flux_bin_pool_reuses_buffers_across_epochs() {
-    // Regression guard for the phi_part round-trip: after the first
-    // epoch has populated the pool (one fresh buffer per program),
-    // every later epoch must re-acquire recycled buffers — zero new
-    // allocations — and keep producing the identical fold.
-    use jsweep::transport::program::{FluxBins, SweepEpoch, SweepFactory, SweepMode, SweepSetup};
+fn sink_slots_keep_their_accumulators_across_epochs() {
+    // Regression guard for the phi_part round-trip: the first epoch
+    // allocates one accumulator per task; every later epoch's reset
+    // must take that same buffer back from the task's slot — replay
+    // epochs allocate no accumulators — and keep producing the
+    // identical fold.
+    use jsweep::transport::program::{EpochSink, SweepEpoch, SweepFactory, SweepMode, SweepSetup};
     let mesh = Arc::new(StructuredMesh::unit(4, 4, 4));
     let n = mesh.num_cells();
     let groups = 3;
@@ -947,7 +944,7 @@ fn flux_bin_pool_reuses_buffers_across_epochs() {
         &quad,
         &ProblemOptions::default(),
     ));
-    let flux_bins = Arc::new(FluxBins::new(prob.num_patches()));
+    let sink = Arc::new(EpochSink::new(prob.num_tasks()));
     let emission = Arc::new(vec![0.1; n * groups]);
     let factory = Arc::new(SweepFactory::new(SweepSetup {
         mesh: mesh.clone(),
@@ -956,7 +953,7 @@ fn flux_bin_pool_reuses_buffers_across_epochs() {
         groups,
         kernel: KernelKind::Step,
         grain: 16,
-        flux_bins: flux_bins.clone(),
+        sink: sink.clone(),
     }));
     let mut u = Universe::launch(
         2,
@@ -967,23 +964,30 @@ fn flux_bin_pool_reuses_buffers_across_epochs() {
         },
     );
     let mut folds: Vec<Vec<f64>> = Vec::new();
+    let mut buffers: Vec<Vec<*const f64>> = Vec::new();
     for _ in 0..4 {
         u.run_epoch(Arc::new(SweepEpoch {
             emission: emission.clone(),
-            mode: SweepMode::Fine { trace_bins: None },
+            mode: SweepMode::Fine { record: false },
             materials: mats.clone(),
         }))
         .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
-        folds.push(flux_bins.fold(&prob, n, groups));
+        folds.push(sink.fold(&prob, groups));
+        buffers.push(
+            (0..prob.num_tasks())
+                .map(|tid| sink.slot(tid).phi_part.as_ptr())
+                .collect(),
+        );
     }
     u.shutdown();
-    assert_eq!(
-        flux_bins.fresh_allocations(),
-        prob.num_tasks() as u64,
-        "later epochs must reuse pooled phi_part buffers, not allocate"
-    );
-    for (k, w) in folds.windows(2).enumerate() {
-        assert_eq!(w[0], w[1], "fold changed between epochs {k} and {}", k + 1);
+    for (k, (f, b)) in folds.windows(2).zip(buffers.windows(2)).enumerate() {
+        assert_eq!(f[0], f[1], "fold changed between epochs {k} and {}", k + 1);
+        assert_eq!(
+            b[0],
+            b[1],
+            "a task's accumulator was reallocated between epochs {k} and {}",
+            k + 1
+        );
     }
 }
 
@@ -1022,7 +1026,7 @@ fn sweep_factory_rejects_mixed_element_meshes() {
     // `face_flux` and the replay wire slots stride by one per-cell
     // face count; a mesh that breaks that must fail at set-up, not
     // mis-index at run time.
-    use jsweep::transport::program::{FluxBins, SweepFactory, SweepSetup};
+    use jsweep::transport::program::{EpochSink, SweepFactory, SweepSetup};
     let mesh = Arc::new(MixedMesh(StructuredMesh::unit(2, 2, 1)));
     let quad = QuadratureSet::sn(2);
     let prob = Arc::new(SweepProblem::build(
@@ -1038,7 +1042,7 @@ fn sweep_factory_rejects_mixed_element_meshes() {
         groups: 1,
         kernel: KernelKind::Step,
         grain: 16,
-        flux_bins: Arc::new(FluxBins::new(1)),
+        sink: Arc::new(EpochSink::new(0)),
     });
 }
 
