@@ -244,36 +244,44 @@ impl Comm {
 
     /// Sum an `f64` across all ranks (collective).
     pub fn allreduce_sum_f64(&mut self, x: f64) -> Result<f64, CommError> {
-        self.allreduce_f64(x, |a, b| a + b)
+        self.allreduce_word(x, f64::to_le_bytes, f64::from_le_bytes, |a, b| a + b)
     }
 
     /// Maximum of an `f64` across all ranks (collective).
     pub fn allreduce_max_f64(&mut self, x: f64) -> Result<f64, CommError> {
-        self.allreduce_f64(x, f64::max)
+        self.allreduce_word(x, f64::to_le_bytes, f64::from_le_bytes, f64::max)
     }
 
-    /// Sum a `u64` across all ranks (collective).
+    /// Sum a `u64` across all ranks (collective), exactly: the words
+    /// are reduced as integers (wrapping past `u64::MAX`).
     pub fn allreduce_sum_u64(&mut self, x: u64) -> Result<u64, CommError> {
-        let v = self.allreduce_f64(x as f64, |a, b| a + b)?;
-        Ok(v.round() as u64)
+        self.allreduce_word(x, u64::to_le_bytes, u64::from_le_bytes, u64::wrapping_add)
     }
 
-    fn allreduce_f64(&mut self, x: f64, op: impl Fn(f64, f64) -> f64) -> Result<f64, CommError> {
+    /// Reduce one 8-byte word per rank: rank 0 gathers, folds with
+    /// `op` and broadcasts the result.
+    fn allreduce_word<T: Copy>(
+        &mut self,
+        x: T,
+        enc: fn(T) -> [u8; 8],
+        dec: fn([u8; 8]) -> T,
+        op: impl Fn(T, T) -> T,
+    ) -> Result<T, CommError> {
         if self.rank() == 0 {
             let mut acc = x;
             for _ in 1..self.size() {
                 let m = self.recv_match(TAG_COLLECTIVE)?;
-                acc = op(acc, f64::from_le_bytes(m.word()?));
+                acc = op(acc, dec(m.word()?));
             }
-            let out = Bytes::copy_from_slice(&acc.to_le_bytes());
+            let out = Bytes::copy_from_slice(&enc(acc));
             for r in 1..self.size() {
                 self.send(r, TAG_COLLECTIVE, out.clone())?;
             }
             Ok(acc)
         } else {
-            self.send(0, TAG_COLLECTIVE, Bytes::copy_from_slice(&x.to_le_bytes()))?;
+            self.send(0, TAG_COLLECTIVE, Bytes::copy_from_slice(&enc(x)))?;
             let m = self.recv_match(TAG_COLLECTIVE)?;
-            Ok(f64::from_le_bytes(m.word()?))
+            Ok(dec(m.word()?))
         }
     }
 

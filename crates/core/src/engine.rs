@@ -16,10 +16,9 @@
 //! * workers accumulate compute outputs into one `Report` per flush
 //!   (at most `REPORT_FLUSH_STREAMS` streams, flushed eagerly before
 //!   a worker would block), so the master channel does
-//!   not carry one message per compute round; reports also carry the
-//!   worker's time-breakdown and compute-call deltas, which is how a
-//!   resident rank attributes worker stats to epochs without joining
-//!   threads;
+//!   not carry one message per compute round. A report is what the
+//!   master must *act on* — streams to route, work to count, a fault —
+//!   and a batch that produced none of those sends nothing;
 //! * the master routes through a precomputed **route table** (one
 //!   `rank_of`/`priority` evaluation per program, ever) and coalesces
 //!   all outbound streams per destination rank per drain round into a
@@ -27,13 +26,21 @@
 //!   writer ([`crate::program::frame_push`]);
 //! * incoming frames are unpacked zero-copy and handed to the pool as
 //!   one [`Pool::deliver_batch`] call.
+//!
+//! Worker time takes the other path, and the only one: each worker
+//! posts its stopwatch's breakdown, its compute-call count and an
+//! activity stamp to its slot of the pool's books once per claim batch,
+//! *before* [`Pool::finish_batch`]. A program is active until finished,
+//! so a quiet pool has complete books, and [`Rank::run_epoch`] closes
+//! with one read: wait for quiet, sweep the report channel once for
+//! residue, take every worker's books into [`RunStats`].
 
 use crate::fault::{panic_message, EpochFault, FaultKind, FaultPlan};
 use crate::pool::Pool;
 use crate::program::{
-    frame_push, unpack_frame, ComputeCtx, EpochInput, ProgramFactory, ProgramId, Stream,
+    frame_push, unpack_frame, ComputeCtx, EpochInput, IdMap, ProgramFactory, ProgramId, Stream,
 };
-use crate::stats::{Breakdown, Category, RunStats, Stopwatch};
+use crate::stats::{Category, RunStats, Stopwatch};
 use crate::telemetry::{EventKind, TelemetryHandle};
 use crate::universe::{EpochTuning, Universe};
 use bytes::Bytes;
@@ -41,7 +48,6 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use jsweep_comm::pack::Writer;
 use jsweep_comm::termination::{Counting, Safra, Verdict};
 use jsweep_comm::{Comm, CommError};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -133,66 +139,44 @@ fn peer_fault(origin_rank: usize, peer: usize, what: &str) -> EpochFault {
 /// residue can never leak into a healthy epoch.
 const TAG_ABORT: u32 = 1;
 
-/// Report a worker sends the master after one or more compute rounds.
-/// Besides the routed payload (`outputs`, `work_done`) it carries the
-/// worker's stats *delta* since its last report (`bd` — taken off the
-/// worker's stopwatch at flush — and `compute_calls`) so a resident
-/// rank can attribute worker time to the current epoch without joining
-/// threads.
+/// What a worker sends the master after one or more compute rounds:
+/// the streams to route, the work to count and any fault. Worker
+/// *time* does not travel here (module docs).
 #[derive(Default)]
 struct Report {
-    /// Producing worker index (for per-worker breakdown attribution).
-    worker: usize,
     outputs: Vec<Stream>,
     work_done: u64,
-    compute_calls: u64,
-    bd: Breakdown,
-    /// Contained program panics caught at the claim site. Faults are
-    /// report content like any other: they register in
-    /// [`Pool::hold_report`] until flushed, so the pool can never
-    /// look quiet while a fault is still in flight to the master.
+    /// Contained program panics caught at the claim site.
     faults: Vec<EpochFault>,
-    /// Whether this report is registered in [`Pool::hold_report`]
-    /// (true once the batch has any content — outputs, work, stat
-    /// deltas or faults — so quiescence is never observable with an
-    /// unflushed batch anywhere).
+    /// Whether the report has content. Content registers in
+    /// [`Pool::hold_report`] as it arrives and until flushed, so the
+    /// pool can never look quiet with streams, work or a fault still
+    /// in flight to the master.
     held: bool,
 }
 
 impl Report {
-    fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
-            && self.work_done == 0
-            && self.compute_calls == 0
-            && self.faults.is_empty()
+    /// Register as held on the first content — before the program
+    /// that produced it is finished or discarded.
+    fn hold(&mut self, pool: &Pool) {
+        if !self.held {
+            pool.hold_report();
+            self.held = true;
+        }
     }
 }
 
-/// Send the accumulated report to the master (no-op when empty: a
-/// report carrying only idle-time deltas is held back until real
-/// output/compute rides along, so sleeping workers don't spam the
-/// master channel).
-fn flush_report(
-    pool: &Pool,
-    to_master: &Sender<Report>,
-    batch: &mut Report,
-    sw: &mut Stopwatch,
-    worker: usize,
-) {
-    if batch.is_empty() {
+/// Send the accumulated report to the master (no-op without content).
+fn flush_report(pool: &Pool, to_master: &Sender<Report>, batch: &mut Report, sw: &mut Stopwatch) {
+    if !batch.held {
         return;
     }
-    let mut report = std::mem::take(batch);
-    report.worker = worker;
-    report.bd = sw.take();
-    let held = report.held;
-    // The hand-off itself rides the next report's delta.
+    let report = std::mem::take(batch);
+    // The hand-off itself is posted with the worker's next batch.
     sw.timed(Category::Output, || {
         let _ = to_master.send(report);
     });
-    if held {
-        pool.release_report();
-    }
+    pool.release_report();
 }
 
 /// Program claims a worker takes per pool round-trip. Only
@@ -227,10 +211,10 @@ fn worker_loop<F: ProgramFactory>(
         // Flush the batch before blocking, never while work is ready:
         // streams keep moving, and quiescence stays honest.
         if pool.try_take_batch(worker, CLAIM_BATCH, &mut claims) == 0 {
-            flush_report(&pool, &to_master, &mut batch, &mut sw, worker);
+            flush_report(&pool, &to_master, &mut batch, &mut sw);
             // The blocking wait is this worker starving for work. The
             // final wait, ended by `Pool::stop`, is booked nowhere: no
-            // report is left to carry it.
+            // batch follows to post it.
             sw.start();
             if pool.take_batch(worker, CLAIM_BATCH, &mut claims) == 0 {
                 break;
@@ -245,6 +229,7 @@ fn worker_loop<F: ProgramFactory>(
                 std::thread::sleep(d);
             }
         }
+        let mut compute_calls = 0;
         for claim in claims.drain(..) {
             let id = claim.id;
             // Contain program panics at the claim site: everything a
@@ -305,10 +290,7 @@ fn worker_loop<F: ProgramFactory>(
                     // held like any other content until flushed — and
                     // poison the slot so the pool stays consistent and
                     // can still quiesce around the loss.
-                    if !batch.held {
-                        pool.hold_report();
-                        batch.held = true;
-                    }
+                    batch.hold(&pool);
                     sw.rec.instant(
                         EventKind::Fault,
                         u64::from(id.patch.0),
@@ -325,19 +307,12 @@ fn worker_loop<F: ProgramFactory>(
                     continue;
                 }
             };
-            batch.compute_calls += 1;
-            if !batch.held {
-                // Any non-empty batch — even a stat-only one — holds
-                // quiescence until flushed. Must precede the batch's
-                // `finish_batch`: while this program still counts as
-                // Running, quiet cannot be observed with our
-                // outputs/stats in hand, which is what lets the
-                // master's end-of-epoch quiesce drain collect every
-                // report before closing the epoch.
-                pool.hold_report();
-                batch.held = true;
-            }
+            compute_calls += 1;
             if !ctx.out.is_empty() || ctx.work_done > 0 {
+                // Precedes the batch's `finish_batch`: while this
+                // program still counts as Running, quiet cannot be
+                // observed with its outputs in hand.
+                batch.hold(&pool);
                 batch.outputs.append(&mut ctx.out);
                 batch.work_done += ctx.work_done;
                 sw.lap(Category::Output);
@@ -349,19 +324,20 @@ fn worker_loop<F: ProgramFactory>(
                 scratch: pending,
             });
         }
+        // Books before finish: once these programs stop counting as
+        // active, whoever sees the pool quiet must find this batch
+        // posted. The gap between the stamp and the epoch's close is
+        // the worker's drain tail (`RunStats::worker_drain_seconds`).
+        pool.books(worker).post(&sw.take(), compute_calls);
         // One lock per same-shard run instead of one per program.
         pool.finish_batch(&mut finishes);
-        // Stamp after the hand-off: the gap between a worker's newest
-        // stamp and the epoch's quiesce close is its per-epoch drain
-        // tail (`RunStats::worker_drain_seconds`).
-        pool.note_worker_activity(worker);
         // Faults flush eagerly: the master should learn of a poisoned
         // epoch at the first opportunity, not a batch boundary later.
         if !batch.faults.is_empty() || batch.outputs.len() >= REPORT_FLUSH_STREAMS {
-            flush_report(&pool, &to_master, &mut batch, &mut sw, worker);
+            flush_report(&pool, &to_master, &mut batch, &mut sw);
         }
     }
-    flush_report(&pool, &to_master, &mut batch, &mut sw, worker);
+    flush_report(&pool, &to_master, &mut batch, &mut sw);
 }
 
 /// Most streams packed into one outbound frame: a destination's frame
@@ -385,7 +361,7 @@ struct RouteEntry {
 }
 
 fn route_lookup<F: ProgramFactory>(
-    routes: &mut HashMap<ProgramId, RouteEntry>,
+    routes: &mut IdMap<RouteEntry>,
     factory: &F,
     id: ProgramId,
 ) -> RouteEntry {
@@ -411,7 +387,7 @@ struct Master<F: ProgramFactory> {
     rank: usize,
     size: usize,
     factory: Arc<F>,
-    routes: HashMap<ProgramId, RouteEntry>,
+    routes: IdMap<RouteEntry>,
     frames: Vec<FrameSlot>,
     /// Destination ranks with a non-empty frame (pushed on the 0→1
     /// stream transition; duplicates are benign, `flush_one` skips
@@ -437,7 +413,7 @@ impl<F: ProgramFactory> Master<F> {
         // Precompute the route table from the placement the factory
         // already describes; any id it misses (dynamically created
         // targets) falls back to one factory evaluation, cached.
-        let mut routes = HashMap::new();
+        let mut routes = IdMap::default();
         for r in 0..size {
             for id in factory.programs_on_rank(r) {
                 // Only local destinations are ever delivered with a
@@ -470,12 +446,11 @@ impl<F: ProgramFactory> Master<F> {
     }
 
     /// Re-arm the per-epoch accounting state; routing state persists.
-    fn begin_epoch(&mut self, num_workers: usize) {
+    fn begin_epoch(&mut self) {
         debug_assert!(self.dirty.is_empty(), "frames leaked across epochs");
         debug_assert!(self.local.is_empty(), "local streams leaked across epochs");
         self.stats = RunStats {
             rank: self.rank,
-            workers: vec![Breakdown::default(); num_workers],
             ..Default::default()
         };
         self.safra = Safra::new(self.rank, self.size);
@@ -488,20 +463,11 @@ impl<F: ProgramFactory> Master<F> {
         route_lookup(&mut self.routes, self.factory.as_ref(), id).priority
     }
 
-    /// Fold a report's worker-side stat deltas into this epoch's stats.
-    fn absorb_worker_stats(&mut self, report: &Report) {
-        self.stats.compute_calls += report.compute_calls;
-        if let Some(w) = self.stats.workers.get_mut(report.worker) {
-            w.merge(&report.bd);
-        }
-    }
-
     /// Route one worker report: local streams are delivered to the pool
     /// in one batch, remote streams are appended to their destination
     /// frames (sent by [`Master::flush_frames`], or mid-round when a
     /// frame fills).
     fn route_report(&mut self, pool: &Pool, comm: &Comm, report: Report) {
-        self.absorb_worker_stats(&report);
         self.work_done += report.work_done;
         self.stats.work_done += report.work_done;
         if report.outputs.is_empty() {
@@ -709,10 +675,9 @@ impl<F: ProgramFactory> Rank<F> {
         tuning: EpochTuning,
     ) -> Result<RunStats, EpochFault> {
         let t_start = self.m.sw.start();
-        let epoch_start_nanos = self.pool.now_nanos();
         let epoch_index = self.epochs_run;
         self.epochs_run += 1;
-        self.m.begin_epoch(self.config.num_workers);
+        self.m.begin_epoch();
         // Published before activation: a program created this epoch
         // is reset with it (see `worker_loop`).
         self.pool.set_epoch_input(input.clone());
@@ -808,53 +773,32 @@ impl<F: ProgramFactory> Rank<F> {
         // termination (counting in particular) can be declared while a
         // worker still holds a claim whose compute is a no-op — all
         // committed work is done, but the program is still `Running`.
-        // Wait for workers to hand everything back, scooping up
-        // straggler stat-only reports so per-epoch worker breakdowns
-        // stay complete. This is airtight because *any* non-empty
-        // worker batch registers in `held_reports` until flushed, so
-        // `is_quiet` cannot turn true with a report still forming or
-        // in flight (termination already means no stream can still
-        // need delivery).
+        // A held report is released only after its channel send and
+        // books are posted before their batch is finished, so once the
+        // pool is quiet every report is in the channel and every
+        // worker's books are complete: one sweep, one read.
         m.sw.start();
-        let mut quiet_seen = false;
-        loop {
-            while let Ok(report) = from_workers.try_recv() {
-                debug_assert!(
-                    report.outputs.is_empty(),
-                    "stream-bearing worker report after termination"
-                );
-                m.absorb_worker_stats(&report);
-                m.stats.work_done += report.work_done;
-            }
-            if quiet_seen {
-                break;
-            }
-            if pool.is_quiet() {
-                // A worker releases its held report *after* the
-                // channel send, so a final report can land between the
-                // sweep above and this quiet observation. Once the
-                // pool is quiet nothing can be claimed and no new
-                // report can form — one more sweep closes the window,
-                // keeping every stat delta in the epoch that ran it.
-                quiet_seen = true;
-                continue;
-            }
+        while !pool.is_quiet() {
             std::thread::yield_now();
         }
-        m.sw.lap(Category::Idle);
-
-        // Per-worker drain stamps: the tail between each worker's last
-        // report hand-off and this quiesce close, clamped to the epoch
-        // (a stamp predating the epoch means the worker never ran in
-        // it). Taken at the fence because idle-only worker reports are
-        // held back and cannot carry this tail themselves.
-        let close = pool.now_nanos();
-        m.stats.worker_drain_seconds = (0..self.config.num_workers)
-            .map(|w| {
-                let last = pool.worker_last_activity_nanos(w).max(epoch_start_nanos);
-                close.saturating_sub(last) as f64 * 1e-9
-            })
-            .collect();
+        while let Ok(report) = from_workers.try_recv() {
+            debug_assert!(
+                report.outputs.is_empty(),
+                "stream-bearing worker report after termination"
+            );
+            m.stats.work_done += report.work_done;
+        }
+        let close = m.sw.lap(Category::Idle);
+        for w in 0..self.config.num_workers {
+            let mut books = pool.books(w);
+            m.stats.workers.push(std::mem::take(&mut books.bd));
+            m.stats.compute_calls += std::mem::take(&mut books.compute_calls);
+            // The drain tail, clamped to the epoch: a worker that never
+            // posted in it drained for all of it.
+            let last = books.last_activity.map_or(t_start, |t| t.max(t_start));
+            let tail = close.saturating_duration_since(last);
+            m.stats.worker_drain_seconds.push(tail.as_secs_f64());
+        }
 
         let mut stats = std::mem::take(&mut m.stats);
         stats.master = m.sw.take();
@@ -978,7 +922,7 @@ impl<F: ProgramFactory> Rank<F> {
             if let Some(deadline) = config.watchdog {
                 if !pool.is_quiet() && last_progress.elapsed() >= deadline {
                     let stalest = (0..config.num_workers)
-                        .min_by_key(|&w| pool.worker_last_activity_nanos(w))
+                        .min_by_key(|&w| pool.books(w).last_activity)
                         .unwrap_or(0);
                     return Err(Abort::Local(EpochFault {
                         rank,

@@ -19,41 +19,23 @@
 //! frame's streams by shard and enqueues each bucket under one lock
 //! acquisition, so an incoming `k`-stream frame costs at most `S` lock
 //! round-trips instead of `k`.
+//!
+//! The pool also keeps each worker's **books** (`WorkerBooks`: time
+//! breakdown, compute calls, last-activity stamp), one slot per
+//! worker. A worker posts a claim batch's books *before* it finishes
+//! the batch, and a program counts as active until it is finished, so
+//! [`Pool::is_quiet`] implies every worker's books are complete: the
+//! rank closes an epoch by waiting for quiet and reading the slots.
 
-use crate::program::{EpochInput, PatchProgram, ProgramId, Stream};
+use crate::program::{EpochInput, IdMap, PatchProgram, ProgramId, Stream};
+use crate::stats::Breakdown;
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Multiply-mix hasher for [`ProgramId`] keys (two `u32` writes).
-/// SipHash's DoS resistance buys nothing for internal slot maps and
-/// costs real time on the take/deliver/finish hot path.
-#[derive(Default)]
-struct IdHasher {
-    state: u64,
-}
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.state
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = (self.state ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.state =
-            (self.state.rotate_left(29) ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type IdMap<V> = HashMap<ProgramId, V, BuildHasherDefault<IdHasher>>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotState {
@@ -101,6 +83,30 @@ pub struct FinishEntry {
     pub scratch: Vec<(ProgramId, Bytes)>,
 }
 
+/// What one worker has booked since the rank last took its books: the
+/// single path from a worker thread to [`crate::RunStats`].
+#[derive(Default)]
+pub(crate) struct WorkerBooks {
+    /// Stopwatch time of every claim batch posted so far.
+    pub(crate) bd: Breakdown,
+    /// Compute calls of those batches.
+    pub(crate) compute_calls: u64,
+    /// When the worker last posted (`None`: never). Survives the
+    /// rank's take: the epoch's drain tail and the watchdog's
+    /// stalest-worker pick are both measured from it.
+    pub(crate) last_activity: Option<Instant>,
+}
+
+impl WorkerBooks {
+    /// Post one claim batch — its stopwatch time and its compute
+    /// calls — stamped now.
+    pub(crate) fn post(&mut self, bd: &Breakdown, compute_calls: u64) {
+        self.bd.merge(bd);
+        self.compute_calls += compute_calls;
+        self.last_activity = Some(Instant::now());
+    }
+}
+
 /// A claimed program, handed to a worker by [`Pool::take_batch`].
 pub struct Claim {
     /// Program identity.
@@ -139,10 +145,10 @@ pub struct Pool {
     ready: AtomicUsize,
     /// `Ready` + `Running` slots.
     active: AtomicUsize,
-    /// Worker report batches holding outputs not yet handed to the
-    /// master. Counted so [`Pool::is_quiet`] cannot report quiescence
-    /// while a worker still buffers undelivered streams (that would
-    /// let the Safra detector terminate early).
+    /// Worker report batches holding outputs, work or faults not yet
+    /// handed to the master. Counted so [`Pool::is_quiet`] cannot
+    /// report quiescence while a worker still buffers undelivered
+    /// streams (that would let the Safra detector terminate early).
     held_reports: AtomicUsize,
     /// Workers blocked in [`Pool::take_batch`]. Publishers skip the sleep
     /// lock + notify entirely while this is zero (the common case on a
@@ -154,14 +160,8 @@ pub struct Pool {
     /// resident ones re-armed at the fence. `()` until the first epoch
     /// publishes its own.
     epoch_input: Mutex<Arc<EpochInput>>,
-    /// Monotonic origin for [`Pool::note_worker_activity`] stamps.
-    activity_base: Instant,
-    /// Per-worker last-activity stamp, nanoseconds since
-    /// `activity_base` (`0` = never active). Written by each worker
-    /// after it hands a finished batch back; read by the rank at the
-    /// epoch fence to compute the per-epoch drain tail (idle-only
-    /// reports are held back, so the report channel cannot carry it).
-    last_activity: Vec<AtomicU64>,
+    /// One slot of books per worker.
+    books: Vec<Mutex<WorkerBooks>>,
     stop: AtomicBool,
     /// Sleep coordination: a sleeper registers in `sleepers` and
     /// re-checks `ready`/`stop` under this lock before waiting;
@@ -191,8 +191,7 @@ impl Pool {
             held_reports: AtomicUsize::new(0),
             sleepers: AtomicUsize::new(0),
             epoch_input: Mutex::new(Arc::new(())),
-            activity_base: Instant::now(),
-            last_activity: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            books: (0..n).map(|_| Mutex::default()).collect(),
             stop: AtomicBool::new(false),
             sleep: Mutex::new(()),
             cv: Condvar::new(),
@@ -242,29 +241,10 @@ impl Pool {
         }
     }
 
-    /// Nanoseconds elapsed on this pool's monotonic activity clock.
-    /// All activity stamps share this origin, so differences are
-    /// directly comparable across threads.
-    pub fn now_nanos(&self) -> u64 {
-        // `max(1)` keeps 0 reserved for "never active".
-        (self.activity_base.elapsed().as_nanos() as u64).max(1)
-    }
-
-    /// Stamp `worker` as active *now*. Workers call this after each
-    /// report hand-off; the gap between the newest stamp and the epoch
-    /// close is that worker's end-of-epoch drain.
-    pub fn note_worker_activity(&self, worker: usize) {
-        if let Some(a) = self.last_activity.get(worker) {
-            a.store(self.now_nanos(), Ordering::Relaxed);
-        }
-    }
-
-    /// `worker`'s newest activity stamp (nanoseconds on the
-    /// [`Pool::now_nanos`] clock; `0` = never active).
-    pub fn worker_last_activity_nanos(&self, worker: usize) -> u64 {
-        self.last_activity
-            .get(worker)
-            .map_or(0, |a| a.load(Ordering::Relaxed))
+    /// `worker`'s books (module docs): posted before the batch's
+    /// [`Pool::finish_batch`], taken after [`Pool::is_quiet`].
+    pub(crate) fn books(&self, worker: usize) -> MutexGuard<'_, WorkerBooks> {
+        self.books[worker].lock()
     }
 
     fn shard_of(&self, id: ProgramId) -> usize {
@@ -598,11 +578,10 @@ impl Pool {
         }
     }
 
-    /// A worker buffered a report (outputs/work/stat deltas not yet
+    /// A worker buffered a report (outputs, work or a fault not yet
     /// sent to the master). Must be called *before* the producing
     /// program's [`Pool::finish_batch`], so quiescence is never visible
-    /// while streams — or per-epoch accounting — sit in a
-    /// worker-local batch.
+    /// while streams sit in a worker-local batch.
     pub fn hold_report(&self) {
         self.held_reports.fetch_add(1, Ordering::SeqCst);
     }
@@ -937,22 +916,44 @@ mod tests {
         assert_eq!(*got.downcast_ref::<u64>().unwrap(), 17);
     }
 
+    /// The books-before-finish invariant, driven by hand the way
+    /// `worker_loop` drives it: a batch that carries no outputs, work
+    /// or fault holds nothing, so the pool is quiet the moment the
+    /// batch is finished — and everything booked before that finish is
+    /// what the take after `is_quiet()` returns.
     #[test]
-    fn activity_stamps_are_monotone_and_per_worker() {
+    fn books_posted_before_finish_are_complete_at_quiet() {
         let pool = Pool::new(2);
-        assert_eq!(pool.worker_last_activity_nanos(0), 0, "never active");
-        assert_eq!(pool.worker_last_activity_nanos(1), 0);
-        pool.note_worker_activity(0);
-        let first = pool.worker_last_activity_nanos(0);
-        assert!(first > 0);
-        assert_eq!(pool.worker_last_activity_nanos(1), 0, "other untouched");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        pool.note_worker_activity(0);
-        assert!(pool.worker_last_activity_nanos(0) > first);
-        assert!(pool.now_nanos() >= pool.worker_last_activity_nanos(0));
-        // Out-of-range worker ids are ignored, not a panic.
-        pool.note_worker_activity(99);
-        assert_eq!(pool.worker_last_activity_nanos(99), 0);
+        for p in 0..6u32 {
+            pool.activate(pid(p, 0), 0);
+        }
+        let mut one_second = Breakdown::default();
+        one_second.add(crate::stats::Category::Kernel, 1.0);
+        let mut posted = [0u64; 2];
+        for round in 0..3 {
+            for (w, posted) in posted.iter_mut().enumerate() {
+                let Some(claim) = try_one(&pool, w) else {
+                    continue;
+                };
+                pool.books(w).post(&one_second, 1);
+                *posted += 1;
+                assert!(!pool.is_quiet(), "round {round}: claim still running");
+                finish_one(&pool, claim.id, true);
+            }
+        }
+        assert!(pool.is_quiet(), "no report was held, so finishing is quiet");
+        assert_eq!(posted.iter().sum::<u64>(), 6);
+        for (w, &posted) in posted.iter().enumerate() {
+            let mut b = pool.books(w);
+            let (bd, calls) = (
+                std::mem::take(&mut b.bd),
+                std::mem::take(&mut b.compute_calls),
+            );
+            assert_eq!(calls, posted, "worker {w}");
+            assert_eq!(bd.get(crate::stats::Category::Kernel), posted as f64);
+            assert!(b.last_activity.is_some(), "the stamp survives the take");
+            assert_eq!(b.bd, Breakdown::default(), "the take drains");
+        }
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use bytes::Bytes;
 use jsweep_mesh::PatchId;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Task tag distinguishing multiple tasks on the same patch.
 ///
@@ -26,6 +28,33 @@ impl ProgramId {
         ProgramId { patch, task }
     }
 }
+
+/// Multiply-mix hasher for [`ProgramId`] keys (two `u32` writes).
+/// SipHash's DoS resistance buys nothing for the runtime's internal id
+/// maps — the pool's slots, the master's route table — and costs real
+/// time on the take/deliver/finish/route hot path.
+#[derive(Default)]
+pub(crate) struct IdHasher {
+    state: u64,
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.state
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.state = (self.state ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.state =
+            (self.state.rotate_left(29) ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by [`ProgramId`] under [`IdHasher`].
+pub(crate) type IdMap<V> = HashMap<ProgramId, V, BuildHasherDefault<IdHasher>>;
 
 /// A unit of inter-program communication (paper Fig. 6 `Stream`).
 #[derive(Debug, Clone)]

@@ -201,13 +201,13 @@ pub struct RunStats {
     /// framing itself adds no bytes).
     pub bytes_sent: u64,
     /// Per-worker end-of-epoch drain: seconds between a worker's last
-    /// productive act (its last report hand-off to the pool) and the
-    /// epoch's quiesce close, clamped to the epoch. Workers hold back
-    /// idle-only reports, so this tail cannot be attributed through
-    /// the report channel without bleeding into the next epoch; the
-    /// rank stamps it at the fence instead, keeping the Fig.-16-style
-    /// idle breakdown exact per epoch. A worker that never ran in an
-    /// epoch drains for the whole epoch.
+    /// productive act (the stamp it posts with its books, once per
+    /// claim batch) and the epoch's quiesce close, clamped to the
+    /// epoch. The wait that follows a worker's last batch is booked as
+    /// `Idle` only with its *next* batch — in the next epoch — so the
+    /// rank measures this tail from the stamp, keeping the
+    /// Fig.-16-style idle breakdown exact per epoch. A worker that
+    /// never ran in an epoch drains for the whole epoch.
     pub worker_drain_seconds: Vec<f64>,
 }
 

@@ -50,8 +50,16 @@
 //! epoch — the first like every later one — by installing the epoch's
 //! emission density, materials and [`SweepMode`], building or
 //! re-arming the scheduling state ([`SweepState`]/[`CoarseSweepState`]
-//! reset in place) and shaping or zeroing `face_flux` in place: no
-//! per-iteration reallocation of the big buffers. What an epoch leaves
+//! reset in place) and taking the accumulator back: no per-iteration
+//! reallocation of the big buffers. `face_flux` is allocated zeroed by
+//! the first reset and never written by a later one, because no slot
+//! needs zeroing: a slot some edge targets (an [`Subgraph::int_dslot`]
+//! of this task, a [`Subgraph::rem_dslot`] of a neighbour's) has
+//! exactly one writer per epoch, which the sweep DAG orders before the
+//! slot's one reader, so last epoch's value is overwritten before it
+//! can be read; every other slot (boundary inflow, a cycle-broken or
+//! downwind face) has no writer at all and stays at the vacuum value
+//! it was allocated with. What an epoch leaves
 //! behind has a fixed home too: the world's [`EpochSink`] holds one
 //! [`TaskSlot`] per task, a completing program lends it the flux
 //! accumulator (and hands over the trace of a recording epoch) in its
@@ -293,8 +301,8 @@ struct Physics<T> {
     weight: f64,
     dir: [f64; 3],
     /// Incoming face flux, `groups` values per slot of the subgraph
-    /// (shaped by the first reset, zeroed in place by later ones —
-    /// never reallocated).
+    /// (allocated zeroed by the first reset; later resets leave it
+    /// alone — module docs).
     face_flux: Vec<f64>,
     /// Scalar-flux accumulation per `local_cell * groups` (w_a · ψ̄).
     /// Lent to the task's [`TaskSlot`] from completion to the next
@@ -614,10 +622,9 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
     /// the epoch's emission density, materials and scheduling mode,
     /// reset the scheduling state in place (same-mode epochs reuse the
     /// existing [`SweepState`]/[`CoarseSweepState`] allocations; the
-    /// first epoch or a mode switch builds the state once), bring
-    /// `face_flux` to the vacuum condition and restore the flux
-    /// accumulator. The big buffers are shaped by the first reset and
-    /// never reallocated across same-mode epochs.
+    /// first epoch or a mode switch builds the state once) and
+    /// restore the flux accumulator. The big buffers are shaped by the
+    /// first reset and never reallocated across same-mode epochs.
     fn reset(&mut self, epoch: &EpochInput) {
         let e = epoch
             .downcast_ref::<SweepEpoch>()
@@ -686,18 +693,16 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
             // member at replay time.
             *trace = (*record && problem.canonical_angle(a) == a).then(ClusterTrace::default);
         }
-        // Buffer hygiene: incoming face flux at the vacuum boundary
-        // condition — allocated zeroed by the first reset, zeroed in
-        // place by later ones; the flux accumulator taken back from the
-        // task's slot (where the last epoch's completion left it) and
-        // re-zeroed, so only a program's first reset allocates one;
-        // remote staging sized to the subgraph's remote CSR (values are
-        // written before read within each compute, so no zeroing needed
-        // beyond sizing).
+        // Buffer hygiene: incoming face flux allocated at the vacuum
+        // boundary condition by the first reset and left as the last
+        // epoch wrote it by later ones (module docs); the flux
+        // accumulator taken back from the task's slot (where the last
+        // epoch's completion left it) and re-zeroed, so only a
+        // program's first reset allocates one; remote staging sized to
+        // the subgraph's remote CSR (values are written before read
+        // within each compute, so no zeroing needed beyond sizing).
         let n = sub.num_vertices();
-        if phys.face_flux.len() == sub.num_slots() * groups {
-            phys.face_flux.fill(0.0);
-        } else {
+        if phys.face_flux.is_empty() {
             phys.face_flux = vec![0.0; sub.num_slots() * groups];
         }
         phys.phi_part = std::mem::take(&mut self.sink.slot(self.tid).phi_part);
@@ -1041,6 +1046,66 @@ mod tests {
             // ... and released what it feeds: `down` finishes alone.
             assert!(drain(&mut down).is_empty());
             assert_eq!(down.remaining_work(), 0, "{mode}");
+        }
+    }
+
+    /// `reset` leaves `face_flux` as the last epoch wrote it. Poison
+    /// (NaN) in every slot that has a writer must therefore be
+    /// overwritten before anything reads it — the next epoch's flux is
+    /// bit-identical, in either mode — and the slots without a writer
+    /// must still hold the vacuum value they were allocated with.
+    #[test]
+    fn nan_poisoned_face_flux_never_reaches_the_next_epoch() {
+        let pair = Pair::new();
+        let fine = &pair.epochs[0].1;
+        let (mut up, mut down) = (pair.armed(pair.up, fine), pair.armed(pair.down, fine));
+        let sink = pair.factory.setup.sink.clone();
+        let run = |up: &mut Program, down: &mut Program| {
+            for s in drain(up) {
+                down.input(s.src, s.payload);
+            }
+            assert!(drain(down).is_empty());
+            [up.tid, down.tid].map(|tid| {
+                let phi = sink.slot(tid).phi_part.clone();
+                assert!(!phi.is_empty(), "the task completed");
+                phi.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+            })
+        };
+        let first = run(&mut up, &mut down);
+        // `up` is written by its own internal edges only; `down` also
+        // by every remote edge of `up`.
+        let subs = up.phys.subs.clone();
+        let (up_sub, down_sub) = (&subs[up.phys.patch], &subs[down.phys.patch]);
+        let up_writers: HashSet<u32> = up_sub.int_dslot.iter().copied().collect();
+        let mut down_writers: HashSet<u32> = up_sub.rem_dslot.iter().copied().collect();
+        down_writers.extend(&down_sub.int_dslot);
+        assert!(!up_writers.is_empty() && down_writers.len() > up_sub.rem_dslot.len());
+        for (mode, epoch) in &pair.epochs {
+            for (p, writers) in [(&mut up, &up_writers), (&mut down, &down_writers)] {
+                for &slot in writers {
+                    p.phys.face_flux[slot as usize * G..][..G].fill(f64::NAN);
+                }
+                p.reset(epoch);
+                assert!(
+                    p.phys.face_flux.iter().filter(|x| x.is_nan()).count() == writers.len() * G,
+                    "{mode}: reset wrote face_flux"
+                );
+            }
+            assert_eq!(
+                run(&mut up, &mut down),
+                first,
+                "{mode}: stale flux was read"
+            );
+            for (p, writers) in [(&up, &up_writers), (&down, &down_writers)] {
+                for (slot, vals) in p.phys.face_flux.chunks_exact(G).enumerate() {
+                    if !writers.contains(&(slot as u32)) {
+                        assert!(
+                            vals.iter().all(|x| x.to_bits() == 0),
+                            "{mode}: writer-less slot {slot} holds {vals:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -658,16 +658,39 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
 
     /// Render the session's metrics registry in Prometheus text
     /// exposition format (a pull endpoint would serve this verbatim).
-    /// Pull-style gauges — the plan cache's hit/miss counts — are
-    /// refreshed at call time; everything else is whatever the
-    /// armed runtime has pushed so far. Returns an empty string while
-    /// the session runs with a detached [`TelemetryHandle`] (always,
-    /// with the `telemetry` feature compiled out).
+    /// Pull-style gauges — the plan cache's hit/miss counts and the
+    /// session's solve / fault / retry / relaunch totals, read off
+    /// [`SessionStats`] — are refreshed at call time; everything else
+    /// is whatever the armed runtime has pushed so far. Returns an
+    /// empty string while the session runs with a detached
+    /// [`TelemetryHandle`] (always, with the `telemetry` feature
+    /// compiled out).
     pub fn metrics_text(&self) -> String {
         #[cfg(feature = "telemetry")]
         if let Some(t) = self.telemetry.telemetry() {
             let m = t.metrics();
+            let stats = self.stats.lock();
             for (name, help, value) in [
+                (
+                    "jsweep_session_solves_total",
+                    "Requests the session resolved with a solution.",
+                    stats.campaigns.values().map(|c| c.completed).sum(),
+                ),
+                (
+                    "jsweep_session_faults_total",
+                    "Faulted epochs observed by the session driver.",
+                    stats.faults,
+                ),
+                (
+                    "jsweep_session_retries_total",
+                    "Epoch retries spent recovering faulted requests.",
+                    stats.retries,
+                ),
+                (
+                    "jsweep_session_relaunches_total",
+                    "Universe relaunches forced by faulted epochs.",
+                    stats.relaunches,
+                ),
                 (
                     "jsweep_plan_cache_hits",
                     "Replay-plan cache lookups that hit.",
@@ -1003,12 +1026,7 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         if solve.queue_wait.is_none() {
             let wait = solve.submitted.elapsed().as_secs_f64();
             solve.queue_wait = Some(wait);
-            session_metric(
-                &self.world.config.telemetry,
-                "jsweep_session_queue_wait_seconds",
-                "Time a request spent queued before its first epoch.",
-                Update::Observe(wait),
-            );
+            observe_queue_wait(&self.world.config.telemetry, wait);
         }
         let plan_generation = solve.progress.plan.as_ref().map(|p| p.mesh_generation);
         // Count the attempt before running it: "fail epoch E of
@@ -1072,12 +1090,6 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         });
         if let Some(wait) = done_wait {
             let solve = record.queue.pop_front().expect("head just served");
-            session_metric(
-                &self.world.config.telemetry,
-                "jsweep_session_solves_total",
-                "Requests the session resolved with a solution.",
-                Update::Inc,
-            );
             let span_id = solve.progress.span;
             solve.reply.fulfill(Ok(SolveOutcome {
                 campaign,
@@ -1130,20 +1142,6 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             cs.retries += u64::from(retrying);
             cs.failed += u64::from(!retrying);
         });
-        session_metric(
-            &self.world.config.telemetry,
-            "jsweep_session_faults_total",
-            "Faulted epochs observed by the session driver.",
-            Update::Inc,
-        );
-        if retrying {
-            session_metric(
-                &self.world.config.telemetry,
-                "jsweep_session_retries_total",
-                "Epoch retries spent recovering faulted requests.",
-                Update::Inc,
-            );
-        }
         if retrying {
             // The solve stays at the head of its queue with its
             // progress untouched: the retried epoch reruns the same
@@ -1173,12 +1171,6 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         // universe, so replay-mode requests keep hitting.
         if self.retire_world() {
             self.stats.lock().relaunches += 1;
-            session_metric(
-                &self.world.config.telemetry,
-                "jsweep_session_relaunches_total",
-                "Universe relaunches forced by faulted epochs.",
-                Update::Inc,
-            );
         }
         if retrying && !backoff.is_zero() {
             thread::sleep(backoff);
@@ -1260,28 +1252,19 @@ fn book(
     s.campaigns = campaigns;
 }
 
-/// What a session-tier metric update does to its series.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-enum Update {
-    /// Bump a counter.
-    Inc,
-    /// Observe a duration (seconds) into a histogram.
-    Observe(f64),
-}
-
-/// Apply one session-tier metric update (no-op while the handle is
-/// detached, disarmed or compiled out; these sit on driver cold paths,
-/// never inside an epoch).
+/// Observe one request's queue wait — the session tier's one pushed
+/// series; its counters are rendered from [`SessionStats`] by
+/// [`SolverSession::metrics_text`]. No-op while the handle is
+/// detached, disarmed or compiled out; on a driver cold path, never
+/// inside an epoch.
 #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
-fn session_metric(h: &TelemetryHandle, name: &'static str, help: &'static str, update: Update) {
+fn observe_queue_wait(h: &TelemetryHandle, wait: f64) {
     #[cfg(feature = "telemetry")]
     if let Some(t) = h.telemetry().filter(|t| t.is_armed()) {
         let m = t.metrics();
-        m.describe(name, help);
-        match update {
-            Update::Inc => m.counter(name).inc(),
-            Update::Observe(v) => m.histogram(name, obs::SECONDS_BUCKETS).observe(v),
-        }
+        let name = "jsweep_session_queue_wait_seconds";
+        m.describe(name, "Time a request spent queued before its first epoch.");
+        m.histogram(name, obs::SECONDS_BUCKETS).observe(wait);
     }
 }
 

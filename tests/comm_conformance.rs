@@ -5,10 +5,10 @@
 //! [`jsweep::comm::CommBackend`] contract is honoured identically:
 //! per-pair FIFO delivery, `recv_match` stash ordering, `drain_user`
 //! preserving reserved-tag protocol traffic, collectives under
-//! concurrent user traffic, self-sends, both termination detectors,
-//! and malformed protocol payloads blamed on their sender. Socket-only
-//! behaviours (multi-process rendezvous) get their own tests outside
-//! the macro.
+//! concurrent user traffic, exact integer sums, self-sends, both
+//! termination detectors, and malformed protocol payloads blamed on
+//! their sender. Socket-only behaviours (multi-process rendezvous) get
+//! their own tests outside the macro.
 
 use bytes::Bytes;
 use jsweep::comm::socket::SocketUniverse;
@@ -175,6 +175,15 @@ macro_rules! conformance_suite {
                     assert_eq!(m.src, (rank + size - 1) % size);
                     assert_eq!(m.payload[0], m.src as u8);
                 });
+            }
+
+            /// A `u64` sum is exact beyond 2^53, where a reduction
+            /// through `f64` would round every contribution.
+            #[test]
+            fn u64_sum_is_exact_above_2_pow_53() {
+                let big = (1u64 << 60) | 1;
+                let out = world(3, move |mut comm| comm.allreduce_sum_u64(big).unwrap());
+                assert_eq!(out, vec![3 * big; 3]);
             }
 
             /// A rank may send to itself; the message loops back
