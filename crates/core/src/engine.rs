@@ -3,43 +3,45 @@
 //! The master owns the rank's [`Comm`] endpoint and runs the stream
 //! router and progress tracker; workers execute patch-programs from the
 //! shared [`Pool`]. A [`Rank`] is one resident rank: it keeps its
-//! master state (route table, frame writers) and its worker threads
-//! alive across epochs, and each [`Rank::run_epoch`] runs activation →
-//! data-driven execution → distributed termination → quiescence.
+//! master state (frame writers) and its worker threads alive across
+//! epochs, and each [`Rank::run_epoch`] runs activation → data-driven
+//! execution → distributed termination → quiescence.
 //! [`crate::Universe`] hosts a whole simulated MPI world of them (one
 //! launch per *solve*, one epoch per iteration); [`run_universe`] is
 //! its launch / one epoch / shutdown wrapper.
 //!
 //! The data plane is **batched end-to-end** (the paper's §II
-//! "communication aggregation", profiled in Fig. 16):
+//! "communication aggregation", profiled in Fig. 16) and the
+//! [`ProgramFactory`] is its only route table. Unlike the paper's §IV
+//! master, which routes every stream, this one sees cross-rank streams
+//! only:
 //!
-//! * workers accumulate compute outputs into one `Report` per flush
-//!   (at most `REPORT_FLUSH_STREAMS` streams, flushed eagerly before
-//!   a worker would block), so the master channel does
-//!   not carry one message per compute round. A report is what the
-//!   master must *act on* — streams to route, work to count, a fault —
-//!   and a batch that produced none of those sends nothing;
-//! * the master routes through a precomputed **route table** (one
-//!   `rank_of`/`priority` evaluation per program, ever) and coalesces
-//!   all outbound streams per destination rank per drain round into a
-//!   single multi-stream frame built in a reusable per-destination
-//!   writer ([`crate::program::frame_push`]);
+//! * a worker hands each claim batch's same-rank streams to the pool
+//!   as one [`Pool::deliver_batch`] call *before* it finishes the
+//!   batch: the producers still count as running, so the pool cannot
+//!   look quiet with a local stream in a worker's hands;
+//! * what the master must *act on* — cross-rank streams to route, work
+//!   to count, a fault — accumulates into one `Report` per flush
+//!   (every `REPORT_FLUSH_STREAMS` streams produced, and eagerly
+//!   before a worker would block); a batch that produced none of those
+//!   sends nothing;
+//! * the master coalesces all outbound streams per destination rank
+//!   per drain round into a single multi-stream frame built in a
+//!   reusable per-destination writer ([`crate::program::frame_push`]);
 //! * incoming frames are unpacked zero-copy and handed to the pool as
 //!   one [`Pool::deliver_batch`] call.
 //!
 //! Worker time takes the other path, and the only one: each worker
-//! posts its stopwatch's breakdown, its compute-call count and an
-//! activity stamp to its slot of the pool's books once per claim batch,
-//! *before* [`Pool::finish_batch`]. A program is active until finished,
+//! posts its stopwatch's breakdown, its compute-call and same-rank
+//! stream counts and an activity stamp to its slot of the pool's books
+//! once per claim batch, *before* [`Pool::finish_batch`]. A program is active until finished,
 //! so a quiet pool has complete books, and [`Rank::run_epoch`] closes
 //! with one read: wait for quiet, sweep the report channel once for
 //! residue, take every worker's books into [`RunStats`].
 
 use crate::fault::{panic_message, EpochFault, FaultKind, FaultPlan};
 use crate::pool::Pool;
-use crate::program::{
-    frame_push, unpack_frame, ComputeCtx, EpochInput, IdMap, ProgramFactory, ProgramId, Stream,
-};
+use crate::program::{frame_push, unpack_frame, ComputeCtx, EpochInput, ProgramFactory, Stream};
 use crate::stats::{Category, RunStats, Stopwatch};
 use crate::telemetry::{EventKind, TelemetryHandle};
 use crate::universe::{EpochTuning, Universe};
@@ -72,12 +74,12 @@ pub struct RuntimeConfig {
     /// Termination detector.
     pub termination: TerminationKind,
     /// Epoch watchdog deadline, default 60 s. When set, a rank whose
-    /// pool holds active work but whose master sees no progress (no
-    /// worker reports, no network traffic) for this long declares the
-    /// epoch stalled: the hang becomes an [`EpochFault`] of kind
-    /// [`FaultKind::Stall`] instead of blocking forever. The deadline
-    /// must exceed the longest legitimate single compute call — a
-    /// worker deep in one kernel reports nothing until it finishes.
+    /// pool holds active work but shows no progress (no worker report
+    /// or finished claim batch, no network traffic) for this long
+    /// declares the epoch stalled: the hang becomes an [`EpochFault`]
+    /// of kind [`FaultKind::Stall`] instead of blocking forever. The
+    /// deadline must exceed the longest legitimate single compute call
+    /// — a worker deep in one kernel shows nothing until it finishes.
     pub watchdog: Option<Duration>,
     /// Deterministic fault-injection plan (chaos testing only),
     /// default none. Inert unless the `fault-inject` cargo feature is
@@ -140,11 +142,15 @@ fn peer_fault(origin_rank: usize, peer: usize, what: &str) -> EpochFault {
 const TAG_ABORT: u32 = 1;
 
 /// What a worker sends the master after one or more compute rounds:
-/// the streams to route, the work to count and any fault. Worker
-/// *time* does not travel here (module docs).
+/// the cross-rank streams to route, the work to count and any fault.
+/// Same-rank streams and worker *time* do not travel here (module
+/// docs).
 #[derive(Default)]
 struct Report {
     outputs: Vec<Stream>,
+    /// Streams produced since the last flush, the same-rank ones (not
+    /// in `outputs`) included: what `REPORT_FLUSH_STREAMS` bounds.
+    produced: usize,
     work_done: u64,
     /// Contained program panics caught at the claim site.
     faults: Vec<EpochFault>,
@@ -186,9 +192,10 @@ fn flush_report(pool: &Pool, to_master: &Sender<Report>, batch: &mut Report, sw:
 /// were within noise on the replay scenario).
 const CLAIM_BATCH: usize = 8;
 
-/// Max output streams a worker buffers across compute calls before
-/// flushing a report to the master. Batches are always flushed before
-/// a worker blocks, so this trades master-channel traffic against
+/// Max output streams a worker produces across compute calls —
+/// same-rank ones, already delivered, included — before flushing a
+/// report to the master. Batches are always flushed before a worker
+/// blocks, so this trades master-channel traffic against cross-rank
 /// stream latency. One value serves every epoch: against 32, 64 is
 /// worth ~6% of `iter_ms` on the replayed `session_hex12_mix` ledger
 /// workload (10/10 pairs) and the fine path cannot tell the two apart
@@ -205,6 +212,8 @@ fn worker_loop<F: ProgramFactory>(
     mut sw: Stopwatch,
 ) {
     let mut batch = Report::default();
+    // The claim batch's same-rank streams and their targets' priorities.
+    let mut local: Vec<(Stream, i64)> = Vec::new();
     let mut claims: Vec<crate::pool::Claim> = Vec::new();
     let mut finishes: Vec<crate::pool::FinishEntry> = Vec::new();
     loop {
@@ -309,11 +318,15 @@ fn worker_loop<F: ProgramFactory>(
             };
             compute_calls += 1;
             if !ctx.out.is_empty() || ctx.work_done > 0 {
-                // Precedes the batch's `finish_batch`: while this
-                // program still counts as Running, quiet cannot be
-                // observed with its outputs in hand.
-                batch.hold(&pool);
-                batch.outputs.append(&mut ctx.out);
+                batch.produced += ctx.out.len();
+                for stream in ctx.out.drain(..) {
+                    if factory.rank_of(stream.dst) == rank {
+                        let prio = factory.priority(stream.dst);
+                        local.push((stream, prio));
+                    } else {
+                        batch.outputs.push(stream);
+                    }
+                }
                 batch.work_done += ctx.work_done;
                 sw.lap(Category::Output);
             }
@@ -324,16 +337,32 @@ fn worker_loop<F: ProgramFactory>(
                 scratch: pending,
             });
         }
-        // Books before finish: once these programs stop counting as
-        // active, whoever sees the pool quiet must find this batch
-        // posted. The gap between the stamp and the epoch's close is
-        // the worker's drain tail (`RunStats::worker_drain_seconds`).
-        pool.books(worker).post(&sw.take(), compute_calls);
+        // Held, delivered and posted before finished: once these
+        // programs stop counting as active, whoever sees the pool
+        // quiet must find nothing of this batch in the worker's hands.
+        if !batch.outputs.is_empty() || batch.work_done > 0 {
+            batch.hold(&pool);
+        }
+        let streams_local = local.len() as u64;
+        if streams_local > 0 {
+            // Another worker may report what a delivery sets off
+            // before this report leaves. Counting termination waits for
+            // the work a report carries, and so for its streams; with
+            // no work, the streams go first or may miss the epoch.
+            if batch.work_done == 0 {
+                flush_report(&pool, &to_master, &mut batch, &mut sw);
+            }
+            sw.timed(Category::Output, || pool.deliver_batch(local.drain(..)));
+        }
+        // The gap between the stamp and the epoch's close is the
+        // worker's drain tail (`RunStats::worker_drain_seconds`).
+        pool.books(worker)
+            .post(&sw.take(), compute_calls, streams_local);
         // One lock per same-shard run instead of one per program.
         pool.finish_batch(&mut finishes);
         // Faults flush eagerly: the master should learn of a poisoned
         // epoch at the first opportunity, not a batch boundary later.
-        if !batch.faults.is_empty() || batch.outputs.len() >= REPORT_FLUSH_STREAMS {
+        if !batch.faults.is_empty() || batch.produced >= REPORT_FLUSH_STREAMS {
             flush_report(&pool, &to_master, &mut batch, &mut sw);
         }
     }
@@ -352,48 +381,23 @@ struct FrameSlot {
     count: u64,
 }
 
-/// Route-table entry: hosting rank and scheduling priority, evaluated
-/// once per program instead of per stream.
-#[derive(Clone, Copy)]
-struct RouteEntry {
-    rank: usize,
-    priority: i64,
-}
-
-fn route_lookup<F: ProgramFactory>(
-    routes: &mut IdMap<RouteEntry>,
-    factory: &F,
-    id: ProgramId,
-) -> RouteEntry {
-    *routes.entry(id).or_insert_with(|| RouteEntry {
-        rank: factory.rank_of(id),
-        priority: factory.priority(id),
-    })
-}
-
-/// Master-side routing state of one rank: route table, per-destination
-/// outbound frames, and the stats/timing they feed.
+/// Master-side routing state of one rank: per-destination outbound
+/// frames, and the stats/timing they feed.
 ///
-/// The routing half (route table, frame writers) is **persistent** —
-/// it survives epoch boundaries of a resident [`Rank`] — while the
-/// accounting half (stats, Safra counters, progress) is re-armed per
-/// epoch by [`Master::begin_epoch`]; the stopwatch's breakdown is taken
-/// into each epoch's stats as it closes.
-///
-/// Priorities are snapshotted into the route table (one
-/// `ProgramFactory::priority` evaluation per program); factories with
-/// genuinely dynamic priorities should re-`activate` explicitly.
+/// The frame writers are **persistent** — they survive epoch
+/// boundaries of a resident [`Rank`] — while the accounting half
+/// (stats, Safra counters, progress) is re-armed per epoch by
+/// [`Master::begin_epoch`]; the stopwatch's breakdown is taken into
+/// each epoch's stats as it closes.
 struct Master<F: ProgramFactory> {
     rank: usize,
     size: usize,
     factory: Arc<F>,
-    routes: IdMap<RouteEntry>,
     frames: Vec<FrameSlot>,
     /// Destination ranks with a non-empty frame (pushed on the 0→1
     /// stream transition; duplicates are benign, `flush_one` skips
     /// empty frames).
     dirty: Vec<usize>,
-    local: Vec<(Stream, i64)>,
     stats: RunStats,
     /// This master thread's stopwatch (trace lane 0 of the rank).
     sw: Stopwatch,
@@ -410,24 +414,10 @@ struct Master<F: ProgramFactory> {
 
 impl<F: ProgramFactory> Master<F> {
     fn new(rank: usize, size: usize, factory: Arc<F>, config: &RuntimeConfig) -> Master<F> {
-        // Precompute the route table from the placement the factory
-        // already describes; any id it misses (dynamically created
-        // targets) falls back to one factory evaluation, cached.
-        let mut routes = IdMap::default();
-        for r in 0..size {
-            for id in factory.programs_on_rank(r) {
-                // Only local destinations are ever delivered with a
-                // priority; remote entries are routing-only, so skip
-                // their (potentially expensive) priority evaluation.
-                let priority = if r == rank { factory.priority(id) } else { 0 };
-                routes.insert(id, RouteEntry { rank: r, priority });
-            }
-        }
         Master {
             rank,
             size,
             factory,
-            routes,
             frames: (0..size)
                 .map(|_| FrameSlot {
                     w: Writer::new(),
@@ -435,7 +425,6 @@ impl<F: ProgramFactory> Master<F> {
                 })
                 .collect(),
             dirty: Vec::new(),
-            local: Vec::new(),
             stats: RunStats::default(),
             sw: Stopwatch::new(config.telemetry.recorder(rank as u32, 0)),
             safra: Safra::new(rank, size),
@@ -445,10 +434,9 @@ impl<F: ProgramFactory> Master<F> {
         }
     }
 
-    /// Re-arm the per-epoch accounting state; routing state persists.
+    /// Re-arm the per-epoch accounting state; frame writers persist.
     fn begin_epoch(&mut self) {
         debug_assert!(self.dirty.is_empty(), "frames leaked across epochs");
-        debug_assert!(self.local.is_empty(), "local streams leaked across epochs");
         self.stats = RunStats {
             rank: self.rank,
             ..Default::default()
@@ -458,49 +446,34 @@ impl<F: ProgramFactory> Master<F> {
         self.dead = None;
     }
 
-    /// Priority of a local program (route-table hit or cached fallback).
-    fn priority_of(&mut self, id: ProgramId) -> i64 {
-        route_lookup(&mut self.routes, self.factory.as_ref(), id).priority
-    }
-
-    /// Route one worker report: local streams are delivered to the pool
-    /// in one batch, remote streams are appended to their destination
-    /// frames (sent by [`Master::flush_frames`], or mid-round when a
-    /// frame fills).
-    fn route_report(&mut self, pool: &Pool, comm: &Comm, report: Report) {
+    /// Route one worker report: its streams — cross-rank, every one —
+    /// are appended to their destination frames (sent by
+    /// [`Master::flush_frames`], or mid-round when a frame fills).
+    fn route_report(&mut self, comm: &Comm, report: Report) {
         self.work_done += report.work_done;
         self.stats.work_done += report.work_done;
         if report.outputs.is_empty() {
             return;
         }
-        // One chain: routing runs up to each remote stream's
-        // `frame_push`, which is the Pack region; a mid-round flush
-        // books its own send and hands the chain back.
+        // One chain: routing runs up to each stream's `frame_push`,
+        // which is the Pack region; a mid-round flush books its own
+        // send and hands the chain back.
         self.sw.start();
         for stream in report.outputs {
-            let entry = route_lookup(&mut self.routes, self.factory.as_ref(), stream.dst);
-            if entry.rank == self.rank {
-                self.stats.streams_local += 1;
-                self.local.push((stream, entry.priority));
-            } else {
-                self.sw.lap(Category::Route);
-                let count = {
-                    let slot = &mut self.frames[entry.rank];
-                    frame_push(&mut slot.w, &stream);
-                    slot.count += 1;
-                    slot.count
-                };
-                self.sw.lap(Category::Pack);
-                if count == 1 {
-                    self.dirty.push(entry.rank);
-                }
-                if count >= MAX_FRAME_STREAMS {
-                    self.flush_one(comm, entry.rank);
-                }
+            let dst = self.factory.rank_of(stream.dst);
+            debug_assert_ne!(dst, self.rank, "same-rank stream reached the master");
+            self.sw.lap(Category::Route);
+            let slot = &mut self.frames[dst];
+            frame_push(&mut slot.w, &stream);
+            slot.count += 1;
+            let count = slot.count;
+            self.sw.lap(Category::Pack);
+            if count == 1 {
+                self.dirty.push(dst);
             }
-        }
-        if !self.local.is_empty() {
-            pool.deliver_batch(self.local.drain(..));
+            if count >= MAX_FRAME_STREAMS {
+                self.flush_one(comm, dst);
+            }
         }
         self.sw.lap(Category::Route);
     }
@@ -556,15 +529,22 @@ impl<F: ProgramFactory> Master<F> {
             .timed(Category::Unpack, || unpack_frame(payload))
             .ok_or_else(|| peer_fault(self.rank, src, "malformed frame"))?;
         self.stats.streams_received += streams.len() as u64;
-        let routes = &mut self.routes;
-        let factory = self.factory.as_ref();
         pool.deliver_batch(streams.into_iter().map(|s| {
-            let prio = route_lookup(routes, factory, s.dst).priority;
+            let prio = self.factory.priority(s.dst);
             (s, prio)
         }));
         self.sw.lap(Category::Route);
         Ok(())
     }
+}
+
+/// The local half of Safra's idle test, in this order: a worker
+/// releases its held report only after the channel send, so a pool
+/// seen quiet has every report in the channel — but a channel seen
+/// empty *before* that may have gained one since, and the white
+/// zero-count token would overtake the frame those streams become.
+fn nothing_in_flight(pool: &Pool, from_workers: &Receiver<Report>) -> bool {
+    pool.is_quiet() && from_workers.is_empty()
 }
 
 /// An epoch-ending fault, by origin. A local fault — a worker-reported
@@ -738,8 +718,7 @@ impl<F: ProgramFactory> Rank<F> {
 
         // All patch-programs start active (§III-A).
         for &id in &local_ids {
-            let prio = self.m.priority_of(id);
-            self.pool.activate(id, prio);
+            self.pool.activate(id, self.m.factory.priority(id));
         }
 
         let driven = self.drive(total_work);
@@ -793,6 +772,7 @@ impl<F: ProgramFactory> Rank<F> {
             let mut books = pool.books(w);
             m.stats.workers.push(std::mem::take(&mut books.bd));
             m.stats.compute_calls += std::mem::take(&mut books.compute_calls);
+            m.stats.streams_local += std::mem::take(&mut books.streams_local);
             // The drain tail, clamped to the epoch: a worker that never
             // posted in it drained for all of it.
             let last = books.last_activity.map_or(t_start, |t| t.max(t_start));
@@ -848,7 +828,7 @@ impl<F: ProgramFactory> Rank<F> {
                 if let Some(f) = report.faults.pop() {
                     worker_fault.get_or_insert(f);
                 }
-                m.route_report(pool, comm, report);
+                m.route_report(comm, report);
             }
             // One frame per destination per drain round.
             m.flush_frames(comm);
@@ -901,7 +881,7 @@ impl<F: ProgramFactory> Rank<F> {
                 }
                 TerminationKind::Safra => {
                     debug_assert!(m.dirty.is_empty(), "unflushed frames at idle check");
-                    let idle = !progress && pool.is_quiet();
+                    let idle = !progress && nothing_in_flight(pool, from_workers);
                     m.safra.maybe_advance(idle, comm)
                 }
             };
@@ -921,16 +901,27 @@ impl<F: ProgramFactory> Rank<F> {
             // one whose own pool stays busy.
             if let Some(deadline) = config.watchdog {
                 if !pool.is_quiet() && last_progress.elapsed() >= deadline {
-                    let stalest = (0..config.num_workers)
-                        .min_by_key(|&w| pool.books(w).last_activity)
-                        .unwrap_or(0);
-                    return Err(Abort::Local(EpochFault {
-                        rank,
-                        worker: stalest,
-                        program: None,
-                        payload: format!("watchdog: no progress for {deadline:?} with active work"),
-                        kind: FaultKind::Stall,
-                    }));
+                    // A worker fed by its own deliveries may report
+                    // nothing for that long: its per-batch stamp (older
+                    // than `last_progress` if from an earlier epoch) is
+                    // progress too.
+                    let stamp = |w: usize| pool.books(w).last_activity;
+                    let workers = 0..config.num_workers;
+                    last_progress = workers
+                        .clone()
+                        .filter_map(stamp)
+                        .fold(last_progress, Instant::max);
+                    if last_progress.elapsed() >= deadline {
+                        return Err(Abort::Local(EpochFault {
+                            rank,
+                            worker: workers.min_by_key(|&w| stamp(w)).unwrap_or(0),
+                            program: None,
+                            payload: format!(
+                                "watchdog: no progress for {deadline:?} with active work"
+                            ),
+                            kind: FaultKind::Stall,
+                        }));
+                    }
                 }
             }
             // Nothing to do right now: park briefly on the worker
@@ -1416,6 +1407,31 @@ mod tests {
             assert!(s.wall_seconds > 0.0);
             assert_eq!(s.workers.len(), 2);
         }
+    }
+
+    /// Regression: a worker can send a stream-bearing report, release
+    /// it and finish its batch between the master's drain of the
+    /// channel and its idle check — a quiet pool with streams still in
+    /// the channel. Calling that idle let Safra's white zero-count
+    /// token overtake the frame those streams were about to become.
+    #[test]
+    fn a_quiet_pool_with_a_report_in_the_channel_is_not_idle() {
+        let pool = Pool::new(1);
+        let (to_master, from_workers) = unbounded::<Report>();
+        assert!(nothing_in_flight(&pool, &from_workers));
+        let staged = Report {
+            outputs: vec![Stream {
+                src: ProgramId::new(PatchId(0), TaskTag(0)),
+                dst: ProgramId::new(PatchId(1), TaskTag(0)),
+                payload: Bytes::new(),
+            }],
+            ..Default::default()
+        };
+        assert!(to_master.send(staged).is_ok());
+        assert!(pool.is_quiet(), "the report was released: nothing is held");
+        assert!(!nothing_in_flight(&pool, &from_workers));
+        assert!(from_workers.try_recv().is_ok());
+        assert!(nothing_in_flight(&pool, &from_workers));
     }
 
     /// Bytes off the wire that do not decode poison the epoch with a

@@ -16,16 +16,18 @@
 //! lightest-worker ideal.
 //!
 //! Delivery is **batched**: [`Pool::deliver_batch`] buckets a whole
-//! frame's streams by shard and enqueues each bucket under one lock
-//! acquisition, so an incoming `k`-stream frame costs at most `S` lock
+//! batch — a worker's same-rank streams of one claim batch, or the
+//! master's incoming frame — by shard and enqueues each bucket under
+//! one lock acquisition, so `k` streams cost at most `S` lock
 //! round-trips instead of `k`.
 //!
 //! The pool also keeps each worker's **books** (`WorkerBooks`: time
-//! breakdown, compute calls, last-activity stamp), one slot per
-//! worker. A worker posts a claim batch's books *before* it finishes
-//! the batch, and a program counts as active until it is finished, so
-//! [`Pool::is_quiet`] implies every worker's books are complete: the
-//! rank closes an epoch by waiting for quiet and reading the slots.
+//! breakdown, compute calls, same-rank streams, last-activity stamp),
+//! one slot per worker. A worker posts a claim batch's books *before*
+//! it finishes the batch, and a program counts as active until it is
+//! finished, so [`Pool::is_quiet`] implies every worker's books are
+//! complete: the rank closes an epoch by waiting for quiet and reading
+//! the slots.
 
 use crate::program::{EpochInput, IdMap, PatchProgram, ProgramId, Stream};
 use crate::stats::Breakdown;
@@ -91,18 +93,21 @@ pub(crate) struct WorkerBooks {
     pub(crate) bd: Breakdown,
     /// Compute calls of those batches.
     pub(crate) compute_calls: u64,
+    /// Same-rank streams those batches delivered.
+    pub(crate) streams_local: u64,
     /// When the worker last posted (`None`: never). Survives the
-    /// rank's take: the epoch's drain tail and the watchdog's
-    /// stalest-worker pick are both measured from it.
+    /// rank's take: the epoch's drain tail and the watchdog's progress
+    /// check and stalest-worker pick are all measured from it.
     pub(crate) last_activity: Option<Instant>,
 }
 
 impl WorkerBooks {
-    /// Post one claim batch — its stopwatch time and its compute
-    /// calls — stamped now.
-    pub(crate) fn post(&mut self, bd: &Breakdown, compute_calls: u64) {
+    /// Post one claim batch — its stopwatch time, its compute calls
+    /// and the same-rank streams it delivered — stamped now.
+    pub(crate) fn post(&mut self, bd: &Breakdown, compute_calls: u64, streams_local: u64) {
         self.bd.merge(bd);
         self.compute_calls += compute_calls;
+        self.streams_local += streams_local;
         self.last_activity = Some(Instant::now());
     }
 }
@@ -367,11 +372,11 @@ impl Pool {
         }
     }
 
-    /// Deliver a whole frame's streams, locking each touched shard
-    /// exactly once (the pool half of §II communication aggregation),
+    /// Deliver a batch of streams, locking each touched shard exactly
+    /// once (the pool half of §II communication aggregation),
     /// reactivating idle targets. A stream's `priority` is used when
-    /// its target was never registered (possible when a stream races
-    /// ahead of startup activation).
+    /// its target was never registered (a worker's delivery races
+    /// ahead of the master's startup activation loop).
     ///
     /// Per-destination delivery order follows the batch's order. One
     /// `Vec` collects the batch; shards are then served by in-place
@@ -935,7 +940,7 @@ mod tests {
                 let Some(claim) = try_one(&pool, w) else {
                     continue;
                 };
-                pool.books(w).post(&one_second, 1);
+                pool.books(w).post(&one_second, 1, 0);
                 *posted += 1;
                 assert!(!pool.is_quiet(), "round {round}: claim still running");
                 finish_one(&pool, claim.id, true);

@@ -31,8 +31,8 @@ impl ProgramId {
 
 /// Multiply-mix hasher for [`ProgramId`] keys (two `u32` writes).
 /// SipHash's DoS resistance buys nothing for the runtime's internal id
-/// maps — the pool's slots, the master's route table — and costs real
-/// time on the take/deliver/finish/route hot path.
+/// map — the pool's slots — and costs real time on the
+/// take/deliver/finish hot path.
 #[derive(Default)]
 pub(crate) struct IdHasher {
     state: u64,
@@ -167,7 +167,7 @@ pub trait PatchProgram: Send {
 ///
 /// The factory is shared by every rank thread; it is the runtime's view
 /// of the problem setup (decomposition, priorities, per-program
-/// workload).
+/// workload) and its only route table.
 pub trait ProgramFactory: Send + Sync + 'static {
     /// Concrete program type.
     type Program: PatchProgram + 'static;
@@ -181,10 +181,13 @@ pub trait ProgramFactory: Send + Sync + 'static {
     /// All program ids hosted by `rank`.
     fn programs_on_rank(&self, rank: usize) -> Vec<ProgramId>;
 
-    /// The rank hosting `id` (the route table).
+    /// The rank hosting `id` (the route table). O(1) and constant:
+    /// called per stream, by workers and masters alike.
     fn rank_of(&self, id: ProgramId) -> usize;
 
-    /// Scheduling priority `prior(p, a)`; larger runs earlier.
+    /// Scheduling priority `prior(p, a)`; larger runs earlier. O(1):
+    /// called per stream delivered and per activation (the pool reads
+    /// it only when it first registers `id` or activates it).
     fn priority(&self, id: ProgramId) -> i64;
 
     /// Committed workload of `id` (e.g. number of local vertices), used

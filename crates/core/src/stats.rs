@@ -23,7 +23,7 @@ pub enum Category {
     GraphOp,
     /// Stream ingestion (`input`) time (worker).
     Input,
-    /// Output collection/forwarding time (worker).
+    /// Same-rank delivery and report hand-off of compute outputs (worker).
     Output,
     /// Serialisation of outgoing streams (master).
     Pack,
@@ -31,7 +31,7 @@ pub enum Category {
     Unpack,
     /// Channel/network send+receive time (master).
     Comm,
-    /// Route-table lookup, activation, progress tracking (master).
+    /// Rank lookup of outgoing streams, delivery of incoming ones (master).
     Route,
     /// Blocked with nothing to do.
     Idle,
@@ -185,7 +185,7 @@ pub struct RunStats {
     pub compute_calls: u64,
     /// Workload units completed (vertices for sweeps).
     pub work_done: u64,
-    /// Streams routed locally (worker → same-rank program).
+    /// Same-rank streams, delivered by the worker that produced them.
     pub streams_local: u64,
     /// Streams sent to other ranks.
     pub streams_sent: u64,

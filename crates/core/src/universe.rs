@@ -4,8 +4,8 @@
 //! Iterative workloads (source iterations, time steps, eigenvalue
 //! loops, AMR cycles) run the *same* program topology dozens of times
 //! with only the input data changing, so building rank threads, worker
-//! threads, pools, route tables and every patch-program per iteration
-//! is pure overhead. A [`Universe`] is the one way an epoch runs — a
+//! threads, pools and every patch-program per iteration is pure
+//! overhead. A [`Universe`] is the one way an epoch runs — a
 //! single sweep is a universe of one epoch
 //! ([`run_universe`](crate::run_universe)) — and it keeps the whole
 //! world resident:
@@ -458,6 +458,84 @@ mod tests {
         let sums = run_ring_epochs(5, 3, TerminationKind::Safra, &offsets);
         for (k, &s) in sums.iter().enumerate() {
             assert_eq!(s, 2 * k as u64 + 10, "program {k}");
+        }
+    }
+
+    /// The ring laid out in segments of `seg` consecutive programs,
+    /// alternating between two ranks: long same-rank chains joined by
+    /// single cross-rank hops.
+    struct SegmentFactory {
+        inner: RingFactory,
+        seg: u32,
+    }
+
+    impl ProgramFactory for SegmentFactory {
+        type Program = RingProgram;
+        fn create(&self, id: ProgramId) -> RingProgram {
+            self.inner.create(id)
+        }
+        fn programs_on_rank(&self, rank: usize) -> Vec<ProgramId> {
+            (0..self.inner.n)
+                .map(|p| ProgramId::new(PatchId(p), TaskTag(0)))
+                .filter(|&id| self.rank_of(id) == rank)
+                .collect()
+        }
+        fn rank_of(&self, id: ProgramId) -> usize {
+            (id.patch.0 / self.seg) as usize % 2
+        }
+        fn priority(&self, id: ProgramId) -> i64 {
+            self.inner.priority(id)
+        }
+        fn initial_workload(&self, id: ProgramId) -> u64 {
+            self.inner.initial_workload(id)
+        }
+    }
+
+    /// Safra soak of worker-side delivery: the token runs three
+    /// same-rank segments (rank 0, rank 1, rank 0) per epoch, so each
+    /// rank in turn sits quiet while the other works through streams
+    /// the master never sees, and each hand-over is one cross-rank
+    /// stream behind a long local chain. Every epoch must count all
+    /// the work and every hop — a termination declared early loses
+    /// some — with the master asserting (debug builds) that no
+    /// same-rank stream reaches it.
+    #[test]
+    fn safra_soak_of_same_rank_chains_with_cross_rank_handovers() {
+        let (seg, epochs) = (40u32, 200u64);
+        let n = 3 * seg;
+        let sums = Arc::new(Mutex::new(vec![0u64; n as usize]));
+        let factory = Arc::new(SegmentFactory {
+            inner: RingFactory {
+                n,
+                ranks: 2,
+                sums: sums.clone(),
+            },
+            seg,
+        });
+        let mut u = Universe::launch(
+            2,
+            factory,
+            RuntimeConfig {
+                num_workers: 2,
+                termination: TerminationKind::Safra,
+                ..Default::default()
+            },
+        );
+        for epoch in 0..epochs {
+            let stats = u.run_epoch(Arc::new(epoch)).expect("epoch");
+            let work: u64 = stats.iter().map(|s| s.work_done).sum();
+            assert_eq!(work, u64::from(n), "epoch {epoch} work accounting");
+            let local: Vec<u64> = stats.iter().map(|s| s.streams_local).collect();
+            let sent: Vec<u64> = stats.iter().map(|s| s.streams_sent).collect();
+            let seg = u64::from(seg);
+            assert_eq!(local, [2 * (seg - 1), seg - 1], "epoch {epoch} local hops");
+            assert_eq!(sent, [1, 1], "epoch {epoch} cross-rank hops");
+        }
+        u.shutdown();
+        // Program k saw token k and the epoch's offset, every epoch.
+        let offsets: u64 = (0..epochs).sum();
+        for (k, &s) in sums.lock().iter().enumerate() {
+            assert_eq!(s, epochs * k as u64 + offsets, "program {k}");
         }
     }
 
@@ -1057,10 +1135,11 @@ mod tests {
         u.shutdown();
     }
 
-    /// A program that re-activates itself through the master `left`
+    /// A program that re-activates itself with a self-stream `left`
     /// times, ~1 ms of compute per round on a single worker: the
-    /// worker flushes one report per round and then blocks, so every
-    /// report reaches a master that is parked.
+    /// worker delivers the stream itself and never runs dry, so a
+    /// report — work only — reaches the master, parked, once per
+    /// report-flush window of rounds.
     struct Ticker {
         id: ProgramId,
         left: u32,
@@ -1120,6 +1199,81 @@ mod tests {
         fn initial_workload(&self, _id: ProgramId) -> u64 {
             u64::from(self.rounds)
         }
+    }
+
+    /// A program that takes `left` rounds of ~1 ms to halt and never
+    /// tells the master anything: no stream, no work, no report.
+    struct Mute {
+        left: u32,
+    }
+
+    impl PatchProgram for Mute {
+        fn init(&mut self) {}
+        fn input(&mut self, _src: ProgramId, _payload: Bytes) {}
+        fn compute(&mut self, _ctx: &mut ComputeCtx) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            self.left -= 1;
+        }
+        fn vote_to_halt(&self) -> bool {
+            self.left == 0
+        }
+        fn remaining_work(&self) -> u64 {
+            0
+        }
+    }
+
+    struct MuteFactory {
+        rounds: u32,
+    }
+
+    impl ProgramFactory for MuteFactory {
+        type Program = Mute;
+        fn create(&self, _id: ProgramId) -> Mute {
+            Mute { left: self.rounds }
+        }
+        fn programs_on_rank(&self, _rank: usize) -> Vec<ProgramId> {
+            vec![ProgramId::new(PatchId(0), TaskTag(0))]
+        }
+        fn rank_of(&self, _id: ProgramId) -> usize {
+            0
+        }
+        fn priority(&self, _id: ProgramId) -> i64 {
+            0
+        }
+        fn initial_workload(&self, _id: ProgramId) -> u64 {
+            0
+        }
+    }
+
+    /// Regression: a worker that finishes claim batches is making
+    /// progress whether or not anything reaches the master. Three
+    /// deadlines of computes that report nothing — what a worker fed
+    /// by its own same-rank deliveries looks like from the master —
+    /// must finish, not be declared stalled.
+    #[test]
+    fn watchdog_counts_finished_claim_batches_as_progress() {
+        let deadline = std::time::Duration::from_millis(50);
+        let rounds = 150;
+        let mut u = Universe::launch(
+            1,
+            Arc::new(MuteFactory { rounds }),
+            RuntimeConfig {
+                num_workers: 1,
+                // Safra: with no work to count, counting would declare
+                // termination at once and leave the drive loop — and
+                // its watchdog — for the quiesce wait.
+                termination: TerminationKind::Safra,
+                watchdog: Some(deadline),
+                ..Default::default()
+            },
+        );
+        let t0 = std::time::Instant::now();
+        let stats = u
+            .run_epoch(Arc::new(()))
+            .expect("a worker that keeps finishing batches is not stalled");
+        assert!(t0.elapsed() >= 3 * deadline, "epoch too short to tell");
+        assert_eq!(stats[0].compute_calls, u64::from(rounds));
+        u.shutdown();
     }
 
     /// Regression: a report the master receives while parked is

@@ -8,7 +8,9 @@
 //! the same Listing-1 core ([`jsweep_graph::SweepState`]), the same
 //! priorities and clustering — and charges virtual time according to a
 //! calibrated [`MachineModel`] (per-vertex kernel cost, per-message
-//! latency, bandwidth, master routing overhead).
+//! latency, bandwidth, master routing overhead). Its `route()` keeps
+//! modelling the paper's master-routed local hop; the real engine
+//! delivers same-rank streams worker-side (`jsweep_core::engine`).
 //!
 //! Because idle time, communication volume and pipeline fill/drain are
 //! *emergent* from the DAG and the scheduler rather than assumed, the
