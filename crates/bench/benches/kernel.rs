@@ -51,8 +51,10 @@ fn group_data(groups: usize) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Deterministic pseudo-random incoming face fluxes, layout
-/// `(cell * max_faces + face) * groups + g` — the program's
-/// `face_flux` layout.
+/// `(cell * max_faces + face) * groups + g` — the dense face-major view
+/// the kernel reads, not program storage (which holds one slot per
+/// in-edge; `kernel_cluster` gathers a cell's slots into this shape on
+/// the stack before each call).
 fn face_flux(n: usize, mf: usize, groups: usize) -> Vec<f64> {
     (0..n * mf * groups)
         .map(|i| (i.wrapping_mul(2654435761) % 1000) as f64 * 1e-3)

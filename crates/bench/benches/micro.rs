@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use jsweep_graph::priority::vertex_priorities;
 use jsweep_graph::{PriorityStrategy, Subgraph};
-use jsweep_mesh::{partition, PatchId, PatchSet, StructuredMesh, SweepTopology};
+use jsweep_mesh::{partition, PatchSet, StructuredMesh, SweepTopology};
 use jsweep_quadrature::AngleId;
 use std::collections::HashSet;
 use std::hint::black_box;
@@ -13,14 +13,8 @@ use std::hint::black_box;
 fn bench_priorities(c: &mut Criterion) {
     let mesh = StructuredMesh::unit(24, 24, 24);
     let ps = PatchSet::single(mesh.num_cells());
-    let sub = Subgraph::build(
-        &mesh,
-        &ps,
-        PatchId(0),
-        AngleId(0),
-        [1.0, 1.0, 1.0],
-        &HashSet::new(),
-    );
+    let sub = Subgraph::build_all(&mesh, &ps, AngleId(0), [1.0, 1.0, 1.0], &HashSet::new())
+        .swap_remove(0);
     for s in [
         PriorityStrategy::Bfs,
         PriorityStrategy::Ldcp,

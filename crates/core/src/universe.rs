@@ -1252,8 +1252,8 @@ mod tests {
     /// must finish, not be declared stalled.
     #[test]
     fn watchdog_counts_finished_claim_batches_as_progress() {
-        let deadline = std::time::Duration::from_millis(50);
-        let rounds = 150;
+        let deadline = std::time::Duration::from_millis(250);
+        let rounds = 800;
         let mut u = Universe::launch(
             1,
             Arc::new(MuteFactory { rounds }),
@@ -1282,8 +1282,8 @@ mod tests {
     /// declared stalled.
     #[test]
     fn watchdog_counts_reports_received_while_parked_as_progress() {
-        let deadline = std::time::Duration::from_millis(50);
-        let rounds = 150;
+        let deadline = std::time::Duration::from_millis(250);
+        let rounds = 800;
         let mut u = Universe::launch(
             1,
             Arc::new(TickerFactory { rounds }),

@@ -31,5 +31,5 @@ pub mod sweep_state;
 
 pub use priority::{PriorityStrategy, TwoLevelPriority};
 pub use problem::{ProblemOptions, SweepProblem};
-pub use subgraph::{PatchLinks, RemoteEdge, Subgraph};
+pub use subgraph::{RemoteEdge, Subgraph};
 pub use sweep_state::SweepState;

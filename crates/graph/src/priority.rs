@@ -302,14 +302,8 @@ mod tests {
     fn slbd_without_exits_falls_back_to_ldcp() {
         let m = StructuredMesh::unit(3, 3, 3);
         let ps = PatchSet::single(m.num_cells());
-        let sub = Subgraph::build(
-            &m,
-            &ps,
-            PatchId(0),
-            AngleId(0),
-            [1.0, 1.0, 1.0],
-            &HashSet::new(),
-        );
+        let sub = Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 1.0, 1.0], &HashSet::new())
+            .swap_remove(0);
         assert_eq!(
             vertex_priorities(&sub, PriorityStrategy::Slbd),
             vertex_priorities(&sub, PriorityStrategy::Ldcp)

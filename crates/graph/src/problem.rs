@@ -130,10 +130,7 @@ impl SweepProblem {
                     } else {
                         HashSet::new()
                     };
-                    let angle_subs: Vec<Subgraph> = links
-                        .iter()
-                        .map(|l| Subgraph::from_links(l, mesh, a, ord.dir, &broken))
-                        .collect();
+                    let angle_subs = Subgraph::orient_all(&links, mesh, a, ord.dir, &broken);
                     let prios: Vec<Arc<Vec<i64>>> = angle_subs
                         .iter()
                         .map(|s| Arc::new(vertex_priorities(s, opts.vertex_strategy)))

@@ -10,20 +10,28 @@
 //! Listing-1 `init`/`input`/`compute` functions decrement.
 //!
 //! The subgraph is also the task's compiled **data plane**, and the
-//! only module that knows how a face flux is addressed. Every upwind
-//! face of every local cell owns one *slot* of the task's incoming
-//! face-flux storage ([`Subgraph::num_slots`] of them; a cell's slots
-//! are contiguous from [`Subgraph::first_slot`], one per face). Every
-//! CSR edge carries the face of the source cell it leaves through and
-//! the slot it lands in: [`Subgraph::int_dslot`] in this task's own
-//! storage, [`Subgraph::rem_dslot`] in the storage of the same-angle
-//! task on the destination patch — the number a stream ships, which the
-//! receiver maps back to the vertex it feeds with
-//! [`Subgraph::slot_vertex`]. The patches the task sends to are
-//! numbered once ([`Subgraph::nbrs`], ascending) and every remote edge
-//! names its destination by that ordinal ([`Subgraph::rem_nbr`]), so
-//! the sweep hot loop moves face fluxes by iterating the two CSR ranges
-//! of a solved cell: no adjacency query, no map, no address arithmetic
+//! only module that knows how a face flux is addressed. Every edge
+//! *into* a local cell owns one *slot* of the task's incoming face-flux
+//! storage, so [`Subgraph::num_slots`] is `Σ in_degree`: a cell's slots
+//! are contiguous ([`Subgraph::in_slots`], offsets the prefix sum of
+//! `in_degree`) and hold its inflow faces in ascending face order
+//! ([`Subgraph::slot_face`]). Boundary-inflow, cycle-broken, flow-0
+//! and downwind faces have no edge into the cell and so no storage —
+//! the kernel reads them as vacuum. Every CSR edge carries the face of
+//! the source cell it leaves through and the slot it lands in:
+//! [`Subgraph::int_dslot`] in this task's own storage,
+//! [`Subgraph::rem_dslot`] in the storage of the same-angle task on the
+//! destination patch — the number a stream ships, which the receiver
+//! maps back to the vertex it feeds with [`Subgraph::slot_vertex`].
+//! A remote slot is numbered by the destination patch, so the
+//! subgraphs of one direction are built together
+//! ([`Subgraph::build_all`], `SweepProblem::build`): every patch is
+//! oriented first, then every remote edge is resolved against its
+//! destination's slots. The patches the task sends to are numbered once
+//! ([`Subgraph::nbrs`], ascending) and every remote edge names its
+//! destination by that ordinal ([`Subgraph::rem_nbr`]), so the sweep
+//! hot loop moves face fluxes by iterating the two CSR ranges of a
+//! solved cell: no adjacency query, no map, no address arithmetic
 //! outside this file.
 
 use jsweep_mesh::{face_toward, PatchId, PatchSet, SweepTopology};
@@ -75,8 +83,15 @@ pub struct Subgraph {
     pub rem_nbr: Vec<u32>,
     /// The patches this task has remote edges to, strictly ascending.
     pub nbrs: Vec<PatchId>,
-    /// Faces — and so slots — per cell.
+    /// Faces per cell.
     faces: u32,
+    /// Slot offsets: vertex `v` owns slots `slot_off[v]..slot_off[v + 1]`
+    /// (the prefix sum of `in_degree`).
+    slot_off: Vec<u32>,
+    /// Per slot: the face of its vertex the flux enters through.
+    slot_face: Vec<u8>,
+    /// Per slot: the vertex that reads it.
+    slot_owner: Vec<u32>,
 }
 
 /// Boundary marker of a [`FaceLink`].
@@ -93,18 +108,19 @@ struct FaceLink {
     patch: PatchId,
     /// Its local index there.
     local: u32,
-    /// The slot a flux through this face lands in on that patch: the
-    /// one `local` owns for its face leading back here (`face_toward`).
-    slot: u32,
+    /// Its face leading back here (`face_toward`): the face a flux
+    /// sent across enters through.
+    back: u8,
 }
 
 /// The direction-independent half of a patch's subgraphs: per
-/// `(local cell, face)`, the neighbour and the slot a flux sent across
-/// lands in. Walked off the mesh once per patch;
-/// [`Subgraph::from_links`] then orients it for each sweep direction
-/// with one flow sign per face and no further adjacency queries.
+/// `(local cell, face)`, the neighbour and the face a flux sent across
+/// enters it through. Walked off the mesh once per patch;
+/// [`Subgraph::orient_all`] then orients the patches of a
+/// decomposition for each sweep direction with one flow sign per face
+/// and no further adjacency queries.
 #[derive(Debug, Clone)]
-pub struct PatchLinks {
+pub(crate) struct PatchLinks {
     patch: PatchId,
     cells: Vec<u32>,
     /// Faces per cell: `links` holds one row of `faces` per local cell.
@@ -115,16 +131,16 @@ pub struct PatchLinks {
 impl PatchLinks {
     /// Walk the faces of patch `patch`.
     ///
-    /// Panics on a mixed-element mesh: slots stride by one per-cell
-    /// face count, shared by the patch and every patch it touches.
-    pub fn new<T: SweepTopology + ?Sized>(
+    /// Panics on a mixed-element mesh: the kernel's per-cell face
+    /// count is shared by the patch and every patch it touches.
+    pub(crate) fn new<T: SweepTopology + ?Sized>(
         mesh: &T,
         patches: &PatchSet,
         patch: PatchId,
     ) -> PatchLinks {
         let cells: Vec<u32> = patches.cells(patch).to_vec();
         let nf = cells.first().map_or(0, |&c| mesh.num_faces(c as usize));
-        assert!(nf <= 256, "{nf} faces per cell do not index with a u8");
+        assert!(nf <= 64, "{nf} faces per cell do not fit a u64 face mask");
         let uniform = |c: usize| {
             assert!(
                 mesh.num_faces(c) == nf,
@@ -141,13 +157,13 @@ impl PatchLinks {
                         cell: nb as u32,
                         patch: patches.patch_of(nb),
                         local: patches.local_index(nb) as u32,
-                        slot: 0, // filled below
+                        back: 0, // filled below
                     },
                     None => FaceLink {
                         cell: NO_NEIGHBOR,
                         patch,
                         local: 0,
-                        slot: 0,
+                        back: 0,
                     },
                 });
             }
@@ -169,9 +185,7 @@ impl PatchLinks {
                     uniform(link.cell as usize);
                     face_toward(mesh, link.cell as usize, cell as usize)
                 };
-                let back = back.expect("neighbour without reciprocal face");
-                links[k].slot = u32::try_from(link.local as usize * nf + back)
-                    .expect("face-flux slot exceeds u32");
+                links[k].back = back.expect("neighbour without reciprocal face") as u8;
             }
         }
         PatchLinks {
@@ -183,88 +197,174 @@ impl PatchLinks {
     }
 }
 
+/// One patch oriented for one direction, its remote slots not yet
+/// resolved — private to [`Subgraph::orient_all`], so no caller sees a
+/// subgraph in that state.
+struct Oriented {
+    /// The subgraph, `rem_dslot` still empty.
+    sub: Subgraph,
+    /// Per local cell, the faces an edge enters it by (bit `f` = face
+    /// `f`).
+    in_mask: Vec<u64>,
+    /// Per remote edge, the `(local vertex, entry face)` it lands on in
+    /// the destination patch.
+    rem_entry: Vec<(u32, u8)>,
+}
+
+/// The slot of local vertex `v`'s in-edge through face `face`: `v`'s
+/// first slot plus its in-edges through lower faces. Panics when no
+/// edge enters `v` by that face — the edge and its destination disagree
+/// on the face's flow sign.
+fn slot_in(slot_off: &[u32], in_mask: &[u64], v: u32, face: u8) -> u32 {
+    let m = in_mask[v as usize];
+    assert!(
+        m >> face & 1 == 1,
+        "edge into a face its cell does not count as inflow"
+    );
+    slot_off[v as usize] + (m & ((1u64 << face) - 1)).count_ones()
+}
+
+/// The faces set in a face mask, ascending.
+fn mask_faces(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let f = m.trailing_zeros() as usize;
+            m &= m - 1;
+            f
+        })
+    })
+}
+
 impl Subgraph {
-    /// Build `G_{p,t}` for patch `p` and direction `dir`.
+    /// Orient every patch of a decomposition for direction `dir`
+    /// (`links[i]` walks patch `i`), then resolve each remote edge's
+    /// slot against its destination patch's numbering — so no subgraph
+    /// leaves here with a remote slot unresolved.
     ///
     /// `broken` lists `(src_cell, dst_cell)` global pairs removed by the
     /// cycle breaker; pass an empty set for ordinary meshes.
-    pub fn build<T: SweepTopology + ?Sized>(
+    pub(crate) fn orient_all<T: SweepTopology + ?Sized>(
+        links: &[PatchLinks],
         mesh: &T,
-        patches: &PatchSet,
-        patch: PatchId,
         angle: AngleId,
         dir: [f64; 3],
         broken: &HashSet<(u32, u32)>,
-    ) -> Subgraph {
-        Subgraph::from_links(
-            &PatchLinks::new(mesh, patches, patch),
-            mesh,
-            angle,
-            dir,
-            broken,
-        )
+    ) -> Vec<Subgraph> {
+        let oriented: Vec<Oriented> = links
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                assert_eq!(l.patch.index(), i, "links out of patch order");
+                Subgraph::orient(l, mesh, angle, dir, broken)
+            })
+            .collect();
+        let rem_dslot: Vec<Vec<u32>> = oriented
+            .iter()
+            .map(|o| {
+                o.sub
+                    .rem_dst
+                    .iter()
+                    .zip(&o.rem_entry)
+                    .map(|(re, &(local, back))| {
+                        let there = &oriented[re.patch.index()];
+                        slot_in(&there.sub.slot_off, &there.in_mask, local, back)
+                    })
+                    .collect()
+            })
+            .collect();
+        oriented
+            .into_iter()
+            .zip(rem_dslot)
+            .map(|(o, rem_dslot)| Subgraph { rem_dslot, ..o.sub })
+            .collect()
     }
 
-    /// Orient a patch's [`PatchLinks`] for direction `dir`: every face
-    /// with outflow becomes a CSR edge carrying its source face and its
-    /// destination slot, every face with inflow a unit of in-degree.
-    pub fn from_links<T: SweepTopology + ?Sized>(
+    /// Orient one patch's [`PatchLinks`] for direction `dir`: every
+    /// face with outflow becomes a CSR edge carrying its source face,
+    /// every face with inflow a unit of in-degree and a slot. Internal
+    /// edges get their slot here; remote ones come back as the
+    /// `(local vertex, entry face)` they land on, for
+    /// [`Subgraph::orient_all`] to resolve.
+    fn orient<T: SweepTopology + ?Sized>(
         links: &PatchLinks,
         mesh: &T,
         angle: AngleId,
         dir: [f64; 3],
         broken: &HashSet<(u32, u32)>,
-    ) -> Subgraph {
+    ) -> Oriented {
         let patch = links.patch;
         let cells = links.cells.clone();
         let n = cells.len();
         let nf = links.faces as usize;
-        let mut in_degree = vec![0u32; n];
-        let mut int_off = vec![0u32; n + 1];
-        let mut rem_off = vec![0u32; n + 1];
-        // For a generic direction half the faces carry outflow, nearly
-        // all of them internal: one allocation instead of regrowth.
-        let cap = links.links.len() / 2;
-        let (mut int_dst, mut int_sface, mut int_dslot) = (
-            Vec::with_capacity(cap),
-            Vec::with_capacity(cap),
-            Vec::with_capacity(cap),
-        );
-        let (mut rem_dst, mut rem_sface, mut rem_dslot) = (Vec::new(), Vec::new(), Vec::new());
 
-        // Cells are walked in local order and faces in ascending order,
-        // so the edge lists come out CSR-packed as they are pushed.
+        // One flow sign per face, once: per cell, the faces an edge
+        // enters by and the faces one leaves by. A face parallel to the
+        // direction (flow 0) or whose edge the cycle breaker removed is
+        // neither.
+        let mut in_mask = vec![0u64; n];
+        let mut out_mask = vec![0u64; n];
         for (li, &cell) in cells.iter().enumerate() {
             for (f, link) in links.links[li * nf..(li + 1) * nf].iter().enumerate() {
                 if link.cell == NO_NEIGHBOR {
                     continue;
                 }
                 let flow = mesh.face(cell as usize, f).flow(dir);
-                if flow < 0.0 {
-                    // Upwind interior face feeds this vertex — unless the
-                    // cycle breaker removed the (nb -> c) edge.
-                    if !broken.contains(&(link.cell, cell)) {
-                        in_degree[li] += 1;
-                    }
-                } else if flow > 0.0 {
-                    if broken.contains(&(cell, link.cell)) {
-                        continue;
-                    }
-                    if link.patch == patch {
-                        int_dst.push(link.local);
-                        int_sface.push(f as u8);
-                        int_dslot.push(link.slot);
-                    } else {
-                        rem_dst.push(RemoteEdge {
-                            patch: link.patch,
-                            cell: link.cell,
-                        });
-                        rem_sface.push(f as u8);
-                        rem_dslot.push(link.slot);
-                    }
+                if flow < 0.0 && !broken.contains(&(link.cell, cell)) {
+                    in_mask[li] |= 1 << f;
+                } else if flow > 0.0 && !broken.contains(&(cell, link.cell)) {
+                    out_mask[li] |= 1 << f;
                 }
-                // flow == 0: the face is parallel to the direction; no
-                // dependency either way.
+            }
+        }
+
+        // Slots: one per in-edge, a cell's contiguous in ascending face
+        // order.
+        let in_degree: Vec<u32> = in_mask.iter().map(|m| m.count_ones()).collect();
+        let mut slot_off = Vec::with_capacity(n + 1);
+        let mut num_slots = 0u32;
+        slot_off.push(num_slots);
+        for &d in &in_degree {
+            num_slots = num_slots
+                .checked_add(d)
+                .expect("face-flux slot exceeds u32");
+            slot_off.push(num_slots);
+        }
+        let num_slots = num_slots as usize;
+        let (mut slot_face, mut slot_owner) =
+            (Vec::with_capacity(num_slots), Vec::with_capacity(num_slots));
+        for (li, &m) in in_mask.iter().enumerate() {
+            for f in mask_faces(m) {
+                slot_face.push(f as u8);
+                slot_owner.push(li as u32);
+            }
+        }
+
+        // Edges: cells in local order and faces ascending, so the lists
+        // come out CSR-packed as they are pushed. Internal edges land in
+        // this patch's slots: at most as many of them as slots.
+        let mut int_off = vec![0u32; n + 1];
+        let mut rem_off = vec![0u32; n + 1];
+        let (mut int_dst, mut int_sface, mut int_dslot) = (
+            Vec::with_capacity(num_slots),
+            Vec::with_capacity(num_slots),
+            Vec::with_capacity(num_slots),
+        );
+        let (mut rem_dst, mut rem_sface, mut rem_entry) = (Vec::new(), Vec::new(), Vec::new());
+        for (li, &m) in out_mask.iter().enumerate() {
+            for f in mask_faces(m) {
+                let link = links.links[li * nf + f];
+                if link.patch == patch {
+                    int_dst.push(link.local);
+                    int_sface.push(f as u8);
+                    int_dslot.push(slot_in(&slot_off, &in_mask, link.local, link.back));
+                } else {
+                    rem_dst.push(RemoteEdge {
+                        patch: link.patch,
+                        cell: link.cell,
+                    });
+                    rem_sface.push(f as u8);
+                    rem_entry.push((link.local, link.back));
+                }
             }
             int_off[li + 1] = int_dst.len() as u32;
             rem_off[li + 1] = rem_dst.len() as u32;
@@ -278,22 +378,29 @@ impl Subgraph {
             .map(|re| nbrs.binary_search(&re.patch).expect("collected above") as u32)
             .collect();
 
-        Subgraph {
-            patch,
-            angle,
-            cells,
-            in_degree,
-            int_off,
-            int_dst,
-            int_sface,
-            int_dslot,
-            rem_off,
-            rem_dst,
-            rem_sface,
-            rem_dslot,
-            rem_nbr,
-            nbrs,
-            faces: links.faces,
+        Oriented {
+            sub: Subgraph {
+                patch,
+                angle,
+                cells,
+                in_degree,
+                int_off,
+                int_dst,
+                int_sface,
+                int_dslot,
+                rem_off,
+                rem_dst,
+                rem_sface,
+                rem_dslot: Vec::new(),
+                rem_nbr,
+                nbrs,
+                faces: links.faces,
+                slot_off,
+                slot_face,
+                slot_owner,
+            },
+            in_mask,
+            rem_entry,
         }
     }
 
@@ -302,28 +409,34 @@ impl Subgraph {
         self.cells.len()
     }
 
-    /// Faces per cell: the number of face-flux slots each vertex owns.
+    /// Faces per cell.
     pub fn faces_per_cell(&self) -> usize {
         self.faces as usize
     }
 
-    /// Slots of this task's incoming face-flux storage: one per face of
-    /// every local cell.
+    /// Slots of this task's incoming face-flux storage: one per edge
+    /// into a local cell (`Σ in_degree`).
     pub fn num_slots(&self) -> usize {
-        self.cells.len() * self.faces as usize
+        self.slot_face.len()
     }
 
-    /// The first slot of local vertex `v`; its face `f` owns slot
-    /// `first_slot(v) + f`.
+    /// The slots local vertex `v` reads, one per inflow face in
+    /// ascending face order.
     #[inline]
-    pub fn first_slot(&self, v: u32) -> usize {
-        v as usize * self.faces as usize
+    pub fn in_slots(&self, v: u32) -> std::ops::Range<usize> {
+        self.slot_off[v as usize] as usize..self.slot_off[v as usize + 1] as usize
+    }
+
+    /// The face of its vertex the flux in `slot` enters through.
+    #[inline]
+    pub fn slot_face(&self, slot: usize) -> usize {
+        self.slot_face[slot] as usize
     }
 
     /// The local vertex that reads `slot`.
     #[inline]
     pub fn slot_vertex(&self, slot: u32) -> u32 {
-        slot / self.faces
+        self.slot_owner[slot as usize]
     }
 
     /// Index range into `int_dst` for local vertex `v`'s internal edges.
@@ -381,10 +494,13 @@ impl Subgraph {
         deg
     }
 
-    /// Build the subgraphs of *all* patches for one direction.
-    /// (Several directions over one decomposition: walk the
-    /// [`PatchLinks`] once and call [`Subgraph::from_links`] per
-    /// direction, as `SweepProblem::build` does.)
+    /// Build `G_{p,t}` for every patch `p` of `patches` and direction
+    /// `dir`, indexed by patch. (Several directions over one
+    /// decomposition: `SweepProblem::build` walks the face adjacency
+    /// once and orients it per direction.)
+    ///
+    /// `broken` lists `(src_cell, dst_cell)` global pairs removed by the
+    /// cycle breaker; pass an empty set for ordinary meshes.
     pub fn build_all<T: SweepTopology + ?Sized>(
         mesh: &T,
         patches: &PatchSet,
@@ -392,10 +508,11 @@ impl Subgraph {
         dir: [f64; 3],
         broken: &HashSet<(u32, u32)>,
     ) -> Vec<Subgraph> {
-        patches
+        let links: Vec<PatchLinks> = patches
             .patches()
-            .map(|p| Subgraph::build(mesh, patches, p, angle, dir, broken))
-            .collect()
+            .map(|p| PatchLinks::new(mesh, patches, p))
+            .collect();
+        Subgraph::orient_all(&links, mesh, angle, dir, broken)
     }
 }
 
@@ -461,14 +578,8 @@ mod tests {
     fn corner_sources_have_zero_in_degree() {
         let m = StructuredMesh::unit(3, 3, 3);
         let ps = PatchSet::single(m.num_cells());
-        let sub = Subgraph::build(
-            &m,
-            &ps,
-            PatchId(0),
-            AngleId(0),
-            [1.0, 1.0, 1.0],
-            &HashSet::new(),
-        );
+        let sub = Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 1.0, 1.0], &HashSet::new())
+            .swap_remove(0);
         // Only the (0,0,0) cell has no upwind interior faces.
         let sources: Vec<u32> = (0..sub.num_vertices() as u32)
             .filter(|&v| sub.in_degree[v as usize] == 0)
@@ -481,14 +592,8 @@ mod tests {
     fn single_patch_has_no_remote_edges() {
         let m = StructuredMesh::unit(3, 3, 3);
         let ps = PatchSet::single(m.num_cells());
-        let sub = Subgraph::build(
-            &m,
-            &ps,
-            PatchId(0),
-            AngleId(0),
-            [1.0, 0.5, 0.25],
-            &HashSet::new(),
-        );
+        let sub = Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 0.5, 0.25], &HashSet::new())
+            .swap_remove(0);
         assert!(sub.rem_dst.is_empty());
         assert_eq!(
             sub.int_dst.len(),
@@ -537,7 +642,7 @@ mod tests {
         let ps = PatchSet::single(2);
         let mut broken = HashSet::new();
         broken.insert((0u32, 1u32));
-        let sub = Subgraph::build(&m, &ps, PatchId(0), AngleId(0), [1.0, 0.0, 0.0], &broken);
+        let sub = Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 0.0, 0.0], &broken).swap_remove(0);
         assert_eq!(sub.in_degree, vec![0, 0]);
         assert!(sub.int_dst.is_empty());
     }
@@ -545,20 +650,15 @@ mod tests {
     #[test]
     fn internal_csr_matches_edges() {
         let (m, ps) = setup();
-        let sub = Subgraph::build(
-            &m,
-            &ps,
-            PatchId(0),
-            AngleId(0),
-            [1.0, 1.0, 1.0],
-            &HashSet::new(),
-        );
+        let sub = Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 1.0, 1.0], &HashSet::new())
+            .swap_remove(0);
         let csr = sub.internal_csr();
         assert_eq!(csr.num_edges(), sub.int_dst.len());
         assert!(crate::dag::is_acyclic(&csr));
     }
 
-    /// The routing-table contract, edge by edge, against the mesh.
+    /// The routing-table and slot contract, edge by edge and slot by
+    /// slot, against the mesh.
     fn check_routes<T: SweepTopology>(
         mesh: &T,
         ps: &PatchSet,
@@ -567,21 +667,45 @@ mod tests {
     ) {
         let subs = Subgraph::build_all(mesh, ps, AngleId(0), dir, broken);
         check_edge_degree_balance(&subs).unwrap();
+        // Writers per slot of every patch: its own internal edges and
+        // its neighbours' remote edges.
+        let mut writers: Vec<Vec<u32>> = subs.iter().map(|s| vec![0; s.num_slots()]).collect();
+        for sub in &subs {
+            for &s in &sub.int_dslot {
+                writers[sub.patch.index()][s as usize] += 1;
+            }
+            for (re, &s) in sub.rem_dst.iter().zip(&sub.rem_dslot) {
+                writers[re.patch.index()][s as usize] += 1;
+            }
+        }
         for sub in &subs {
             let nf = mesh.num_faces(0);
             assert_eq!(sub.faces_per_cell(), nf);
-            assert_eq!(sub.num_slots(), sub.num_vertices() * nf);
+            let in_edges: u32 = sub.in_degree.iter().sum();
+            assert_eq!(sub.num_slots(), in_edges as usize, "one slot per in-edge");
+            assert!(
+                writers[sub.patch.index()].iter().all(|&w| w == 1),
+                "a slot without exactly one writer"
+            );
             assert!(sub.nbrs.windows(2).all(|w| w[0] < w[1]), "nbrs ascending");
             let mut nbrs_used = vec![false; sub.nbrs.len()];
+            let mut next_slot = 0;
             for v in 0..sub.num_vertices() as u32 {
                 let src = sub.cells[v as usize];
-                assert_eq!(sub.first_slot(v), v as usize * nf);
-                // (destination cell, source face, destination slot)
+                // Contiguous, in vertex order, one per in-edge, faces
+                // ascending.
+                let slots = sub.in_slots(v);
+                assert_eq!(slots.start, next_slot, "slots of consecutive vertices abut");
+                assert_eq!(slots.len(), sub.in_degree[v as usize] as usize);
+                assert!(slots.clone().all(|s| sub.slot_vertex(s as u32) == v));
+                assert!(sub.slot_face[slots.clone()].windows(2).all(|w| w[0] < w[1]));
+                next_slot = slots.end;
+                // (destination cell, source face, destination slot, the
+                // subgraph owning that slot)
                 let internal = sub.int_range(v).map(|k| {
                     let dst = sub.cells[sub.int_dst[k] as usize];
                     assert_eq!(ps.patch_of(dst as usize), sub.patch);
-                    assert_eq!(sub.slot_vertex(sub.int_dslot[k]), sub.int_dst[k]);
-                    (dst, sub.int_sface[k], sub.int_dslot[k])
+                    (dst, sub.int_sface[k], sub.int_dslot[k], sub)
                 });
                 let remote = sub.rem_range(v).map(|k| {
                     let re = sub.rem_dst[k];
@@ -589,22 +713,26 @@ mod tests {
                     assert_eq!(ps.patch_of(re.cell as usize), re.patch);
                     assert_eq!(sub.nbrs[sub.rem_nbr[k] as usize], re.patch);
                     nbrs_used[sub.rem_nbr[k] as usize] = true;
-                    let there = &subs[re.patch.index()];
-                    let lv = there.slot_vertex(sub.rem_dslot[k]);
-                    assert_eq!(there.cells[lv as usize], re.cell);
-                    (re.cell, sub.rem_sface[k], sub.rem_dslot[k])
+                    (
+                        re.cell,
+                        sub.rem_sface[k],
+                        sub.rem_dslot[k],
+                        &subs[re.patch.index()],
+                    )
                 });
-                let edges: Vec<(u32, u8, u32)> = internal.chain(remote).collect();
-                for &(dst, sface, dslot) in &edges {
+                let edges: Vec<(u32, u8, u32, &Subgraph)> = internal.chain(remote).collect();
+                for &(dst, sface, dslot, there) in &edges {
                     let face = mesh.face(src as usize, sface as usize);
                     assert_eq!(face.neighbor.cell(), Some(dst as usize));
                     assert!(face.flow(dir) > 0.0, "edge through a non-outflow face");
                     assert!(!broken.contains(&(src, dst)), "broken edge kept");
-                    let dface = face_toward(mesh, dst as usize, src as usize).unwrap();
+                    // The slot maps back to (dst, face_toward(dst, src)).
+                    let lv = there.slot_vertex(dslot);
+                    assert_eq!(there.cells[lv as usize], dst, "slot read by another cell");
                     assert_eq!(
-                        dslot as usize,
-                        ps.local_index(dst as usize) * nf + dface,
-                        "slot = local_index(dst) * F + face_toward(dst, src)"
+                        Some(there.slot_face(dslot as usize)),
+                        face_toward(mesh, dst as usize, src as usize),
+                        "slot entered through another face"
                     );
                 }
                 assert!(sub.int_sface[sub.int_range(v)]
@@ -626,6 +754,7 @@ mod tests {
                     .count();
                 assert_eq!(edges.len(), expect);
             }
+            assert_eq!(next_slot, sub.num_slots(), "slots past the last vertex");
             assert!(nbrs_used.iter().all(|&u| u), "a neighbour no edge names");
         }
     }

@@ -165,14 +165,7 @@ mod tests {
     fn line_subgraph(n: usize) -> Subgraph {
         let m = StructuredMesh::unit(n, 1, 1);
         let ps = PatchSet::single(m.num_cells());
-        Subgraph::build(
-            &m,
-            &ps,
-            jsweep_mesh::PatchId(0),
-            AngleId(0),
-            [1.0, 0.0, 0.0],
-            &HashSet::new(),
-        )
+        Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 0.0, 0.0], &HashSet::new()).swap_remove(0)
     }
 
     #[test]
@@ -216,14 +209,8 @@ mod tests {
         // data.
         let m = StructuredMesh::unit(2, 1, 1);
         let ps = PatchSet::from_assignment(vec![0, 1], 2);
-        let sub1 = Subgraph::build(
-            &m,
-            &ps,
-            jsweep_mesh::PatchId(1),
-            AngleId(0),
-            [1.0, 0.0, 0.0],
-            &HashSet::new(),
-        );
+        let sub1 = Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 0.0, 0.0], &HashSet::new())
+            .swap_remove(1);
         let mut st = SweepState::with_priorities(&sub1, &[0]);
         assert!(!st.has_ready());
         st.receive(0);
@@ -240,14 +227,8 @@ mod tests {
         // counter (release builds compile `debug_assert!` out).
         let m = StructuredMesh::unit(2, 1, 1);
         let ps = PatchSet::from_assignment(vec![0, 1], 2);
-        let sub1 = Subgraph::build(
-            &m,
-            &ps,
-            jsweep_mesh::PatchId(1),
-            AngleId(0),
-            [1.0, 0.0, 0.0],
-            &HashSet::new(),
-        );
+        let sub1 = Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 0.0, 0.0], &HashSet::new())
+            .swap_remove(1);
         let mut st = SweepState::with_priorities(&sub1, &[0]);
         st.receive(0);
         st.receive(0);
@@ -259,14 +240,8 @@ mod tests {
         // no x-dependency).
         let m = StructuredMesh::unit(2, 1, 1);
         let ps = PatchSet::single(2);
-        let sub = Subgraph::build(
-            &m,
-            &ps,
-            jsweep_mesh::PatchId(0),
-            AngleId(0),
-            [0.0, 1.0, 0.0],
-            &HashSet::new(),
-        );
+        let sub = Subgraph::build_all(&m, &ps, AngleId(0), [0.0, 1.0, 0.0], &HashSet::new())
+            .swap_remove(0);
         // Both cells are sources; give cell 1 higher priority.
         let mut st = SweepState::with_priorities(&sub, &[5, 10]);
         let c = st.pop_cluster(&sub, 1, |_, _| {});
@@ -277,14 +252,8 @@ mod tests {
     fn tie_break_is_lowest_vertex_id() {
         let m = StructuredMesh::unit(3, 1, 1);
         let ps = PatchSet::single(3);
-        let sub = Subgraph::build(
-            &m,
-            &ps,
-            jsweep_mesh::PatchId(0),
-            AngleId(0),
-            [0.0, 0.0, 1.0],
-            &HashSet::new(),
-        );
+        let sub = Subgraph::build_all(&m, &ps, AngleId(0), [0.0, 0.0, 1.0], &HashSet::new())
+            .swap_remove(0);
         let mut st = SweepState::with_priorities(&sub, &[7, 7, 7]);
         let c = st.pop_cluster(&sub, 3, |_, _| {});
         assert_eq!(c, vec![0, 1, 2]);
@@ -294,14 +263,8 @@ mod tests {
     fn remote_edges_reported_with_source() {
         let m = StructuredMesh::unit(2, 1, 1);
         let ps = PatchSet::from_assignment(vec![0, 1], 2);
-        let sub0 = Subgraph::build(
-            &m,
-            &ps,
-            jsweep_mesh::PatchId(0),
-            AngleId(0),
-            [1.0, 0.0, 0.0],
-            &HashSet::new(),
-        );
+        let sub0 = Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 0.0, 0.0], &HashSet::new())
+            .swap_remove(0);
         let mut st = SweepState::with_priorities(&sub0, &[0]);
         let mut remotes = Vec::new();
         st.pop_cluster(&sub0, 10, |v, re| remotes.push((v, re)));
@@ -319,7 +282,7 @@ mod tests {
         let ps = PatchSet::single(m.num_cells());
         let q = jsweep_quadrature::QuadratureSet::sn(2);
         for (a, o) in q.iter() {
-            let sub = Subgraph::build(&m, &ps, jsweep_mesh::PatchId(0), a, o.dir, &HashSet::new());
+            let sub = Subgraph::build_all(&m, &ps, a, o.dir, &HashSet::new()).swap_remove(0);
             let prio = crate::priority::vertex_priorities(&sub, crate::PriorityStrategy::Slbd);
             let mut st = SweepState::with_priorities(&sub, &prio);
             let mut seen = vec![false; m.num_cells()];

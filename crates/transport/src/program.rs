@@ -2,9 +2,9 @@
 //!
 //! A program is one `(patch, angle)` sweep task. Its local context is
 //! the scheduling state plus the physics state: incoming face-flux
-//! storage for every local cell and the per-angle scalar-flux
-//! contribution. The scheduling state comes in two flavours, selected
-//! per source iteration by [`SweepMode`]:
+//! storage for every edge into a local cell and the per-angle
+//! scalar-flux contribution. The scheduling state comes in two
+//! flavours, selected per source iteration by [`SweepMode`]:
 //!
 //! * **Fine** ([`jsweep_graph::SweepState`]: per-vertex counters +
 //!   ready priority queue) — the DAG-driven first iteration, which can
@@ -19,11 +19,14 @@
 //! The data plane is compiled, not derived: the task's [`Subgraph`]
 //! carries, per CSR edge, the source face and the destination
 //! face-flux *slot*, and numbers the patches the task sends to. How a
-//! slot maps to storage is the subgraph's business alone; this module
-//! sizes `face_flux` by [`Subgraph::num_slots`], reads a cell's upwind
-//! block from [`Subgraph::first_slot`] and writes wherever an edge's
-//! `*_dslot` says (the mesh-walking derivation survives only in
-//! `solve_serial` and in this module's test oracle).
+//! slot maps to storage is the subgraph's business alone: one slot per
+//! edge into a cell, a cell's slots contiguous in ascending face order.
+//! This module sizes `face_flux` by [`Subgraph::num_slots`]
+//! (`Σ in_degree × groups` values), gathers a cell's upwind block from
+//! [`Subgraph::in_slots`] / [`Subgraph::slot_face`] into the kernel's
+//! dense face-major view and writes wherever an edge's `*_dslot` says
+//! (the mesh-walking derivation survives only in `solve_serial` and in
+//! this module's test oracle).
 //!
 //! **One stream payload** serves both modes (`jsweep_comm::pack`
 //! little-endian words): `u32 head`, `u32 n`, `n × u32 slot`
@@ -51,16 +54,17 @@
 //! emission density, materials and [`SweepMode`], building or
 //! re-arming the scheduling state ([`SweepState`]/[`CoarseSweepState`]
 //! reset in place) and taking the accumulator back: no per-iteration
-//! reallocation of the big buffers. `face_flux` is allocated zeroed by
-//! the first reset and never written by a later one, because no slot
-//! needs zeroing: a slot some edge targets (an [`Subgraph::int_dslot`]
-//! of this task, a [`Subgraph::rem_dslot`] of a neighbour's) has
-//! exactly one writer per epoch, which the sweep DAG orders before the
-//! slot's one reader, so last epoch's value is overwritten before it
-//! can be read; every other slot (boundary inflow, a cycle-broken or
-//! downwind face) has no writer at all and stays at the vacuum value
-//! it was allocated with. What an epoch leaves
-//! behind has a fixed home too: the world's [`EpochSink`] holds one
+//! reallocation of the big buffers. `face_flux` is allocated by the
+//! first reset and never written by a later one, because no slot needs
+//! zeroing: every slot is the target of exactly one edge (an
+//! [`Subgraph::int_dslot`] of this task or a [`Subgraph::rem_dslot`]
+//! of a neighbour's), so it has exactly one writer per epoch, which the
+//! sweep DAG orders before the slot's one reader — last epoch's value
+//! is overwritten before it can be read. A face with no edge into its
+//! cell (boundary inflow, a cycle-broken or downwind face) has no slot
+//! at all; `kernel_cluster` reads it as the vacuum `0.0` of its zeroed
+//! stack gather. What an epoch leaves behind has a fixed home too: the
+//! world's [`EpochSink`] holds one
 //! [`TaskSlot`] per task, a completing program lends it the flux
 //! accumulator (and hands over the trace of a recording epoch) in its
 //! one `finish_task`, the driver folds the slots, and the next `reset`
@@ -300,9 +304,9 @@ struct Physics<T> {
     groups: usize,
     weight: f64,
     dir: [f64; 3],
-    /// Incoming face flux, `groups` values per slot of the subgraph
-    /// (allocated zeroed by the first reset; later resets leave it
-    /// alone — module docs).
+    /// Incoming face flux, `groups` values per slot of the subgraph —
+    /// one slot per edge into a local cell (allocated by the first
+    /// reset; later resets leave it alone — module docs).
     face_flux: Vec<f64>,
     /// Scalar-flux accumulation per `local_cell * groups` (w_a · ψ̄).
     /// Lent to the task's [`TaskSlot`] from completion to the next
@@ -351,16 +355,16 @@ impl<T: SweepTopology> Physics<T> {
     ///
     /// Topology-free: phase 0 hoists only the per-cell geometry
     /// ([`CellGeom`]); phase 1 streams the cell list once per
-    /// [`GROUP_BLOCK`]-wide group block and routes each solved cell by
-    /// walking its two CSR ranges of the subgraph — internal edge `k`
-    /// copies `out[int_sface[k]]` to `face_flux` slot `int_dslot[k]`,
-    /// remote edge `k` copies `out[rem_sface[k]]` to `remote_vals[k]`.
-    /// Upwind, flow-0,
+    /// [`GROUP_BLOCK`]-wide group block, gathers each cell's slots
+    /// ([`Subgraph::in_slots`]) into the kernel's face-major incoming
+    /// block and routes each solved cell by walking its two CSR ranges
+    /// of the subgraph — internal edge `k` copies `out[int_sface[k]]`
+    /// to `face_flux` slot `int_dslot[k]`, remote edge `k` copies
+    /// `out[rem_sface[k]]` to `remote_vals[k]`. Upwind, flow-0,
     /// boundary and cycle-broken faces have no edge and so write
-    /// nothing. Each pass touches contiguous block sub-slices and walks
-    /// the cluster in its (topological) order, which preserves
-    /// in-cluster upwind/downwind dependencies per block exactly as
-    /// the scalar path did per group.
+    /// nothing. Each pass walks the cluster in its (topological) order,
+    /// which preserves in-cluster upwind/downwind dependencies per
+    /// block exactly as the scalar path did per group.
     fn kernel_cluster(&mut self, cluster: &[u32]) {
         let sub = &self.subs[self.patch];
         let groups = self.groups;
@@ -372,28 +376,49 @@ impl<T: SweepTopology> Physics<T> {
             }),
         );
 
+        // Both block scratches live on the stack, face-major and
+        // GROUP_BLOCK-strided even for the tail block. The incoming one
+        // holds the vacuum 0.0 on every face but those in `filled` (bit
+        // `f` = face `f`), which hold the last gathered cell's flux.
+        let mut inc = [0.0f64; KERNEL_MAX_FACES * GROUP_BLOCK];
+        let mut filled = 0u64;
         let mut g0 = 0;
         while g0 < groups {
             let b = GROUP_BLOCK.min(groups - g0);
             for (geom, &v) in self.geom_scratch.iter().zip(cluster) {
                 let cell = sub.cells[v as usize] as usize;
                 let mat = self.materials.material(cell);
-                // Outgoing block scratch lives on the stack
-                // (GROUP_BLOCK-strided even for the tail block); the
-                // incoming view reads `face_flux` directly — earlier
-                // cells of this pass have already written this cell's
-                // upwind slots for the block's groups.
+                // Gather the cell's slots — earlier cells of this pass
+                // have already written them for the block's groups —
+                // and return the faces only the previous cell filled to
+                // 0.0: a face without a slot (boundary inflow,
+                // cycle-broken, flow-0, downwind) reads the vacuum.
+                let previous = std::mem::take(&mut filled);
+                for s in sub.in_slots(v) {
+                    let f = sub.slot_face(s);
+                    copy_block(
+                        &mut inc[f * GROUP_BLOCK..],
+                        &self.face_flux[s * groups + g0..],
+                        b,
+                    );
+                    filled |= 1 << f;
+                }
+                let mut stale = previous & !filled;
+                while stale != 0 {
+                    let f = stale.trailing_zeros() as usize;
+                    inc[f * GROUP_BLOCK..][..GROUP_BLOCK].fill(0.0);
+                    stale &= stale - 1;
+                }
                 let mut out = [0.0f64; KERNEL_MAX_FACES * GROUP_BLOCK];
                 let mut psi = [0.0f64; GROUP_BLOCK];
-                let in_base = sub.first_slot(v) * groups + g0;
                 let q_base = cell * groups + g0;
                 solve_cell_block_geom(
                     geom,
                     self.kernel,
                     &mat.sigma_t[g0..g0 + b],
                     &self.emission[q_base..q_base + b],
-                    &self.face_flux[in_base..],
-                    groups,
+                    &inc,
+                    GROUP_BLOCK,
                     &mut out,
                     GROUP_BLOCK,
                     &mut psi,
@@ -406,16 +431,32 @@ impl<T: SweepTopology> Physics<T> {
                 }
                 // Route the outgoing face-flux blocks along the CSR.
                 for k in sub.int_range(v) {
-                    let blk = &out[sub.int_sface[k] as usize * GROUP_BLOCK..][..b];
+                    let blk = &out[sub.int_sface[k] as usize * GROUP_BLOCK..];
                     let slot = sub.int_dslot[k] as usize;
-                    self.face_flux[slot * groups + g0..][..b].copy_from_slice(blk);
+                    copy_block(&mut self.face_flux[slot * groups + g0..], blk, b);
                 }
                 for k in sub.rem_range(v) {
-                    let blk = &out[sub.rem_sface[k] as usize * GROUP_BLOCK..][..b];
-                    self.remote_vals[k * groups + g0..][..b].copy_from_slice(blk);
+                    let blk = &out[sub.rem_sface[k] as usize * GROUP_BLOCK..];
+                    copy_block(&mut self.remote_vals[k * groups + g0..], blk, b);
                 }
             }
             g0 += b;
+        }
+    }
+}
+
+/// `dst[..b] = src[..b]` for one group block of `b ≤ GROUP_BLOCK`
+/// lanes: a fixed-width move for a full block and lane by lane for the
+/// tail, like the kernel's own blocks — a slice copy of runtime length
+/// is a `memcpy` call, which costs more than the few lanes it moves.
+#[inline(always)]
+#[allow(clippy::manual_memcpy)]
+fn copy_block(dst: &mut [f64], src: &[f64], b: usize) {
+    if b == GROUP_BLOCK {
+        dst[..GROUP_BLOCK].copy_from_slice(&src[..GROUP_BLOCK]);
+    } else {
+        for j in 0..b {
+            dst[j] = src[j];
         }
     }
 }
@@ -693,9 +734,9 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
             // member at replay time.
             *trace = (*record && problem.canonical_angle(a) == a).then(ClusterTrace::default);
         }
-        // Buffer hygiene: incoming face flux allocated at the vacuum
-        // boundary condition by the first reset and left as the last
-        // epoch wrote it by later ones (module docs); the flux
+        // Buffer hygiene: incoming face flux allocated by the first
+        // reset and left as the last epoch wrote it by later ones —
+        // every slot is written before it is read (module docs); the flux
         // accumulator taken back from the task's slot (where the last
         // epoch's completion left it) and re-zeroed, so only a
         // program's first reset allocates one; remote staging sized to
@@ -784,7 +825,7 @@ mod tests {
     use crate::xs::{Material, MaterialSet};
     use jsweep_graph::problem::ProblemOptions;
     use jsweep_mesh::deformed::DeformedMesh;
-    use jsweep_mesh::{face_toward, partition, PatchSet, StructuredMesh};
+    use jsweep_mesh::{face_toward, partition, PatchSet, StructuredMesh, TetMesh};
     use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -800,17 +841,61 @@ mod tests {
         Remote(usize, PatchId, usize),
     }
 
+    /// Whether face `f` of `cell` carries an edge into `cell`: interior,
+    /// inflow for `dir`, and not cut by the cycle breaker.
+    fn is_in_edge<T: SweepTopology>(
+        mesh: &T,
+        dir: [f64; 3],
+        broken: &HashSet<(u32, u32)>,
+        cell: usize,
+        f: usize,
+    ) -> bool {
+        let face = mesh.face(cell, f);
+        face.flow(dir) < 0.0
+            && face
+                .neighbor
+                .cell()
+                .is_some_and(|nb| !broken.contains(&(nb as u32, cell as u32)))
+    }
+
+    /// The slot numbering spelled out against the mesh: per global
+    /// cell, the first slot it owns in its patch's storage — one slot
+    /// per in-edge of every cell before it in the patch's local order.
+    fn mesh_walk_first_slots<T: SweepTopology>(
+        mesh: &T,
+        patches: &PatchSet,
+        dir: [f64; 3],
+        broken: &HashSet<(u32, u32)>,
+    ) -> Vec<usize> {
+        let mut first = vec![0; mesh.num_cells()];
+        for p in patches.patches() {
+            let mut next = 0;
+            for &c in patches.cells(p) {
+                first[c as usize] = next;
+                let c = c as usize;
+                next += (0..mesh.num_faces(c))
+                    .filter(|&f| is_in_edge(mesh, dir, broken, c, f))
+                    .count();
+            }
+        }
+        first
+    }
+
     /// The oracle: the per-cluster route derivation `kernel_cluster` ran
     /// every iteration before routes were compiled into the subgraph —
     /// walk the mesh faces, skip broken edges, resolve the reciprocal
     /// face with `face_toward`, number remote faces in visit order —
-    /// with the slot formula `local_index(dst) * F + face` spelled out.
+    /// with the destination slot counted off the mesh: the
+    /// destination's first slot (`first_slots`) plus its in-edges
+    /// through lower faces than the one the flux enters by.
+    #[allow(clippy::too_many_arguments)]
     fn mesh_walk_routes<T: SweepTopology>(
         mesh: &T,
         patches: &PatchSet,
         sub: &Subgraph,
         dir: [f64; 3],
         broken: &HashSet<(u32, u32)>,
+        first_slots: &[usize],
         cluster: &[u32],
         mf: usize,
     ) -> Vec<Route> {
@@ -826,7 +911,12 @@ mod tests {
                 if broken.contains(&(cell as u32, nb as u32)) {
                     continue;
                 }
-                let slot = patches.local_index(nb) * mf + face_toward(mesh, nb, cell).unwrap();
+                let back = face_toward(mesh, nb, cell).unwrap();
+                assert!(is_in_edge(mesh, dir, broken, nb, back));
+                let slot = first_slots[nb]
+                    + (0..back)
+                        .filter(|&g| is_in_edge(mesh, dir, broken, nb, g))
+                        .count();
                 routes[i * mf + f] = if patches.patch_of(nb) == sub.patch {
                     Route::Local(slot)
                 } else {
@@ -859,38 +949,98 @@ mod tests {
         routes
     }
 
-    fn assert_routes_agree<T: SweepTopology + Send + Sync + 'static>(
-        mesh: T,
-        patches: PatchSet,
-        opts: ProblemOptions,
+    /// An S2 problem and the clusters a recording pass (grain 8) formed
+    /// on it, `traces[angle][patch]`.
+    struct Recorded<T: SweepTopology + Send + Sync + 'static> {
+        mesh: Arc<T>,
+        quad: QuadratureSet,
+        problem: Arc<SweepProblem>,
+        traces: Vec<Vec<ClusterTrace>>,
+    }
+
+    impl<T: SweepTopology + Send + Sync + 'static> Recorded<T> {
+        fn new(mesh: T, patches: PatchSet, opts: ProblemOptions) -> Recorded<T> {
+            let quad = QuadratureSet::sn(2);
+            let problem = SweepProblem::build(&mesh, patches, &quad, &opts);
+            Recorded::of(mesh, quad, problem)
+        }
+
+        fn of(mesh: T, quad: QuadratureSet, problem: SweepProblem) -> Recorded<T> {
+            let (mesh, problem) = (Arc::new(mesh), Arc::new(problem));
+            let mats =
+                MaterialSet::homogeneous(mesh.num_cells(), Material::uniform(1, 1.0, 0.5, 1.0));
+            let config = SnConfig {
+                grain: 8,
+                ..Default::default()
+            };
+            let traces = record_cluster_traces(
+                mesh.clone(),
+                problem.clone(),
+                &quad,
+                Arc::new(mats),
+                &config,
+            );
+            Recorded {
+                mesh,
+                quad,
+                problem,
+                traces,
+            }
+        }
+    }
+
+    /// The three mesh families: structured hexes, tets, and deformed
+    /// hexes with cut edges — whatever the cycle breaker removes plus
+    /// one forced cut per direction, so the broken path is always
+    /// taken.
+    fn families() -> (
+        Recorded<StructuredMesh>,
+        Recorded<TetMesh>,
+        Recorded<DeformedMesh>,
     ) {
+        let hex = StructuredMesh::unit(6, 6, 6);
+        let hex_ps = partition::decompose_structured(&hex, (3, 3, 3), 2);
+        let tet = jsweep_mesh::tetgen::ball(3, 1.0);
+        let tet_ps = partition::decompose_unstructured(&tet, 40, 2);
+        let def = DeformedMesh::jittered(4, 4, 4, 0.3, 5);
         let quad = QuadratureSet::sn(2);
-        let mesh = Arc::new(mesh);
-        let problem = Arc::new(SweepProblem::build(mesh.as_ref(), patches, &quad, &opts));
-        let mats = MaterialSet::homogeneous(mesh.num_cells(), Material::uniform(1, 1.0, 0.5, 1.0));
-        let config = SnConfig {
-            grain: 8,
+        let cycles = ProblemOptions {
+            check_cycles: true,
             ..Default::default()
         };
-        let traces = record_cluster_traces(
-            mesh.clone(),
-            problem.clone(),
-            &quad,
-            Arc::new(mats),
-            &config,
-        );
+        let mut problem = SweepProblem::build(&def, partition::rcb(&def, 4), &quad, &cycles);
+        for (a, o) in quad.iter() {
+            let mut broken = (*problem.broken[a.index()]).clone();
+            let c = def.num_cells() / 2;
+            broken.insert((c as u32, def.downwind_neighbors(c, o.dir)[0] as u32));
+            let subs = Subgraph::build_all(&def, &problem.patches, a, o.dir, &broken);
+            problem.subs[a.index()] = Arc::new(subs);
+            problem.broken[a.index()] = Arc::new(broken);
+        }
+        (
+            Recorded::new(hex, hex_ps, ProblemOptions::default()),
+            Recorded::new(tet, tet_ps, ProblemOptions::default()),
+            Recorded::of(def, quad, problem),
+        )
+    }
+
+    fn assert_routes_agree<T: SweepTopology + Send + Sync + 'static>(rec: &Recorded<T>) {
+        let (mesh, problem) = (rec.mesh.as_ref(), &rec.problem);
         let mf = mesh.num_faces(0);
         let mut clusters = 0;
-        for (a, o) in quad.iter() {
-            for (sub, trace) in problem.subs[a.index()].iter().zip(&traces[a.index()]) {
+        for (a, o) in rec.quad.iter() {
+            let broken = &problem.broken[a.index()];
+            let first_slots = mesh_walk_first_slots(mesh, &problem.patches, o.dir, broken);
+            for (sub, trace) in problem.subs[a.index()].iter().zip(&rec.traces[a.index()]) {
                 assert!(sub.nbrs.windows(2).all(|w| w[0] < w[1]));
                 for cluster in &trace.clusters {
                     let oracle = mesh_walk_routes(
-                        mesh.as_ref(),
+                        mesh,
                         &problem.patches,
                         sub,
                         o.dir,
-                        &problem.broken[a.index()],
+                        broken,
+                        &first_slots,
                         cluster,
                         mf,
                     );
@@ -904,19 +1054,170 @@ mod tests {
 
     #[test]
     fn csr_routes_equal_the_mesh_walk_on_recorded_clusters() {
-        let hex = StructuredMesh::unit(6, 6, 6);
-        let ps = partition::decompose_structured(&hex, (3, 3, 3), 2);
-        assert_routes_agree(hex, ps, ProblemOptions::default());
-        let tet = jsweep_mesh::tetgen::ball(3, 1.0);
-        let ps = partition::decompose_unstructured(&tet, 40, 2);
-        assert_routes_agree(tet, ps, ProblemOptions::default());
-        let def = DeformedMesh::jittered(4, 4, 4, 0.3, 5);
-        let ps = partition::rcb(&def, 4);
-        let opts = ProblemOptions {
-            check_cycles: true,
-            ..Default::default()
+        let (hex, tet, def) = families();
+        assert_routes_agree(&hex);
+        assert_routes_agree(&tet);
+        assert_routes_agree(&def);
+    }
+
+    /// The reference for [`Physics::kernel_cluster`]: the same cluster
+    /// pass over a dense `cell × face` incoming buffer (`dense[(v * F +
+    /// f) * groups + g]`), read in place by the kernel with stride
+    /// `groups` and written at `(dst, face_toward(dst, src))` — the
+    /// program storage before slots were numbered per in-edge, where a
+    /// face no edge enters held the 0.0 it was allocated with.
+    fn dense_kernel_cluster<T: SweepTopology>(
+        phys: &Physics<T>,
+        dense: &mut [f64],
+        phi: &mut [f64],
+        remote: &mut [f64],
+        cluster: &[u32],
+    ) {
+        let (sub, groups, mesh) = (&phys.subs[phys.patch], phys.groups, phys.mesh.as_ref());
+        let mf = sub.faces_per_cell();
+        let mut g0 = 0;
+        while g0 < groups {
+            let b = GROUP_BLOCK.min(groups - g0);
+            for &v in cluster {
+                let cell = sub.cells[v as usize] as usize;
+                let geom = CellGeom::new(mesh, cell, phys.dir);
+                let mat = phys.materials.material(cell);
+                let mut out = [0.0f64; KERNEL_MAX_FACES * GROUP_BLOCK];
+                let mut psi = [0.0f64; GROUP_BLOCK];
+                solve_cell_block_geom(
+                    &geom,
+                    phys.kernel,
+                    &mat.sigma_t[g0..g0 + b],
+                    &phys.emission[cell * groups + g0..][..b],
+                    &dense[v as usize * mf * groups + g0..],
+                    groups,
+                    &mut out,
+                    GROUP_BLOCK,
+                    &mut psi,
+                );
+                for (p, &x) in phi[v as usize * groups + g0..][..b].iter_mut().zip(&psi) {
+                    *p += phys.weight * x;
+                }
+                for k in sub.int_range(v) {
+                    let dst = sub.int_dst[k] as usize;
+                    let face = face_toward(mesh, sub.cells[dst] as usize, cell).unwrap();
+                    dense[(dst * mf + face) * groups + g0..][..b]
+                        .copy_from_slice(&out[sub.int_sface[k] as usize * GROUP_BLOCK..][..b]);
+                }
+                for k in sub.rem_range(v) {
+                    remote[k * groups + g0..][..b]
+                        .copy_from_slice(&out[sub.rem_sface[k] as usize * GROUP_BLOCK..][..b]);
+                }
+            }
+            g0 += b;
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Run `kernel_cluster` over every recorded cluster of every task of
+    /// `rec` in slot storage and [`dense_kernel_cluster`] beside it on
+    /// the same seeded inputs (remote-written slots hold their seed in
+    /// both), and demand `phi_part`, every slot and `remote_vals`
+    /// bit-identical — and no dense write landing on a face without a
+    /// slot.
+    fn assert_layouts_agree<T: SweepTopology + Send + Sync + 'static>(
+        rec: &Recorded<T>,
+        kernel: KernelKind,
+        groups: usize,
+    ) {
+        let n = rec.mesh.num_cells();
+        // Thin to thick groups, so diamond difference's fixup fires for
+        // some lanes of a block and not others.
+        let material = Material {
+            sigma_t: (0..groups).map(|g| 0.2 + 2.5 * g as f64).collect(),
+            sigma_s: vec![0.0; groups],
+            source: vec![1.0; groups],
         };
-        assert_routes_agree(def, ps, opts);
+        let epoch = SweepEpoch {
+            emission: Arc::new(
+                (0..n * groups)
+                    .map(|i| 0.05 + 0.1 * (i % 17) as f64)
+                    .collect(),
+            ),
+            mode: SweepMode::Fine { record: false },
+            materials: Arc::new(MaterialSet::homogeneous(n, material)),
+        };
+        let factory = SweepFactory::new(SweepSetup {
+            mesh: rec.mesh.clone(),
+            problem: rec.problem.clone(),
+            quadrature: rec.quad.clone(),
+            groups,
+            kernel,
+            grain: 8,
+            sink: Arc::new(EpochSink::new(rec.problem.num_tasks())),
+        });
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        for a in 0..rec.problem.num_angles {
+            for p in rec.problem.patches.patches() {
+                let mut prog = factory.create(ProgramId::new(p, TaskTag(a as u32)));
+                prog.reset(&epoch);
+                let phys = &mut prog.phys;
+                let sub = phys.subs[phys.patch].clone();
+                let in_edges: u32 = sub.in_degree.iter().sum();
+                assert_eq!(phys.face_flux.len(), in_edges as usize * groups);
+                let mf = sub.faces_per_cell();
+                let at = |s: usize| {
+                    (sub.slot_vertex(s as u32) as usize * mf + sub.slot_face(s)) * groups
+                };
+                let mut dense = vec![0.0; sub.num_vertices() * mf * groups];
+                let mut slotted = vec![false; dense.len()];
+                for s in 0..sub.num_slots() {
+                    for g in 0..groups {
+                        let x = rng.below(1000) as f64 * 1e-3;
+                        phys.face_flux[s * groups + g] = x;
+                        dense[at(s) + g] = x;
+                        slotted[at(s) + g] = true;
+                    }
+                }
+                let mut phi = vec![0.0; sub.num_vertices() * groups];
+                let mut remote = vec![0.0; sub.rem_dst.len() * groups];
+                for cluster in &rec.traces[a][p.index()].clusters {
+                    phys.kernel_cluster(cluster);
+                    dense_kernel_cluster(phys, &mut dense, &mut phi, &mut remote, cluster);
+                }
+                let what = format!("{kernel:?} G={groups} angle {a} patch {}", p.index());
+                assert_eq!(bits(&phys.phi_part), bits(&phi), "{what}: phi_part");
+                assert_eq!(
+                    bits(&phys.remote_vals),
+                    bits(&remote),
+                    "{what}: remote_vals"
+                );
+                for s in 0..sub.num_slots() {
+                    assert_eq!(
+                        bits(&phys.face_flux[s * groups..][..groups]),
+                        bits(&dense[at(s)..][..groups]),
+                        "{what}: slot {s}"
+                    );
+                }
+                assert!(
+                    dense
+                        .iter()
+                        .zip(&slotted)
+                        .all(|(x, &s)| s || x.to_bits() == 0),
+                    "{what}: a dense write to a face without a slot"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_cluster_over_slots_matches_the_dense_face_layout() {
+        let (hex, tet, def) = families();
+        for groups in [1, 3, 8, 11] {
+            for kernel in [KernelKind::Step, KernelKind::DiamondDifference] {
+                assert_layouts_agree(&hex, kernel, groups);
+                assert_layouts_agree(&def, kernel, groups);
+            }
+            assert_layouts_agree(&tet, KernelKind::Step, groups);
+        }
     }
 
     const G: usize = 2;
@@ -1049,11 +1350,10 @@ mod tests {
         }
     }
 
-    /// `reset` leaves `face_flux` as the last epoch wrote it. Poison
-    /// (NaN) in every slot that has a writer must therefore be
-    /// overwritten before anything reads it — the next epoch's flux is
-    /// bit-identical, in either mode — and the slots without a writer
-    /// must still hold the vacuum value they were allocated with.
+    /// `reset` leaves `face_flux` as the last epoch wrote it. Every slot
+    /// has a writer, so poison (NaN) in every slot must be overwritten
+    /// before anything reads it — the next epoch's flux is
+    /// bit-identical, in either mode.
     #[test]
     fn nan_poisoned_face_flux_never_reaches_the_next_epoch() {
         let pair = Pair::new();
@@ -1080,6 +1380,13 @@ mod tests {
         let mut down_writers: HashSet<u32> = up_sub.rem_dslot.iter().copied().collect();
         down_writers.extend(&down_sub.int_dslot);
         assert!(!up_writers.is_empty() && down_writers.len() > up_sub.rem_dslot.len());
+        for (p, writers) in [(&up, &up_writers), (&down, &down_writers)] {
+            assert_eq!(
+                writers.len() * G,
+                p.phys.face_flux.len(),
+                "a slot without a writer"
+            );
+        }
         for (mode, epoch) in &pair.epochs {
             for (p, writers) in [(&mut up, &up_writers), (&mut down, &down_writers)] {
                 for &slot in writers {
@@ -1096,16 +1403,6 @@ mod tests {
                 first,
                 "{mode}: stale flux was read"
             );
-            for (p, writers) in [(&up, &up_writers), (&down, &down_writers)] {
-                for (slot, vals) in p.phys.face_flux.chunks_exact(G).enumerate() {
-                    if !writers.contains(&(slot as u32)) {
-                        assert!(
-                            vals.iter().all(|x| x.to_bits() == 0),
-                            "{mode}: writer-less slot {slot} holds {vals:?}"
-                        );
-                    }
-                }
-            }
         }
     }
 

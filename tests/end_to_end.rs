@@ -589,7 +589,7 @@ fn deformed_mesh_sweeps_complete_with_cycle_breaking() {
     let patches = PatchSet::single(mesh.num_cells());
     for (a, o) in quad.iter() {
         let broken = cycles::broken_edges_for_direction(&mesh, o.dir);
-        let sub = Subgraph::build(&mesh, &patches, PatchId(0), a, o.dir, &broken);
+        let sub = Subgraph::build_all(&mesh, &patches, a, o.dir, &broken).swap_remove(0);
         let mut st = SweepState::with_priorities(&sub, &vec![0; sub.num_vertices()]);
         while !st.is_complete() {
             let cluster = st.pop_cluster(&sub, 64, |_, _| {});
