@@ -93,7 +93,6 @@ pub fn simulate_kba(
         &machine,
         &SimOptions {
             grain: block.max(1),
-            record_traces: false,
         },
     )
 }

@@ -47,14 +47,7 @@ pub fn simulate_psd<T: SweepTopology + ?Sized>(
     // No separate master: routing costs nothing extra on top of the
     // worker's own compute (folded into t_sched).
     machine.t_route = 0.0;
-    let r = simulate(
-        &prob,
-        &machine,
-        &SimOptions {
-            grain,
-            record_traces: false,
-        },
-    );
+    let r = simulate(&prob, &machine, &SimOptions { grain });
     (r, ranks)
 }
 

@@ -4,12 +4,11 @@
 //!
 //! * **Timing** — an N-solve workload (the time-step / eigenvalue /
 //!   material-sweep shape) with and without a
-//!   [`jsweep_transport::PlanCache`]. Without, every solve pays one
-//!   fine recording iteration plus a plan compile; with, only the
-//!   first does — every later solve replays from iteration 1, so its
-//!   per-iteration wall time is pure replay overhead (no re-record, no
-//!   re-compile; the bench asserts `plan_from_cache` and a zero build
-//!   time on the second solve).
+//!   [`jsweep_transport::PlanCache`]. Every iteration of every solve
+//!   replays; without the cache every solve pays a plan compile (the
+//!   simulated execution plus `build_plan`), with it only the first
+//!   does (the bench asserts `plan_from_cache` and a zero build time
+//!   on every later solve).
 //! * **Memory** — octant-canonical trace sharing: at S8 (80 angles, 8
 //!   octants) one compiled `ReplayTask` set per octant replaces one
 //!   per angle, cutting plan bytes and build time ~`num_angles/8`-fold
@@ -22,13 +21,13 @@
 //! `cargo bench -- --test` smoke pass only proves the bench still runs.
 
 use jsweep_bench::setups::{replay_scenario, replay_tail_mean};
-use jsweep_mesh::{partition, StructuredMesh, SweepTopology};
+use jsweep_core::engine::CLAIM_BATCH;
+use jsweep_graph::coarse::simulate_clusters;
+use jsweep_mesh::{partition, StructuredMesh};
 use jsweep_quadrature::QuadratureSet;
-use jsweep_transport::{replay, PlanCache, SnConfig};
-use std::sync::Arc;
+use jsweep_transport::{replay, PlanCache};
 
 struct TimingNumbers {
-    fine_iter_wall_s: f64,
     replay_iter_wall_s: f64,
     second_solve_iter_wall_s: f64,
     plan_build_s: f64,
@@ -46,7 +45,6 @@ fn measure_timing(
 ) -> TimingNumbers {
     let sc = replay_scenario(n, patch, 2, iterations, 16);
     let mut nums = TimingNumbers {
-        fine_iter_wall_s: f64::INFINITY,
         replay_iter_wall_s: f64::INFINITY,
         second_solve_iter_wall_s: f64::INFINITY,
         plan_build_s: f64::INFINITY,
@@ -54,9 +52,9 @@ fn measure_timing(
         cached_build_total_s: f64::INFINITY,
     };
     for _ in 0..runs {
-        // Uncached: every solve records + compiles.
+        // Uncached: every solve compiles.
         let uncached: Vec<_> = (0..solves).map(|_| sc.solve(true)).collect();
-        // Cached: solve 1 records + compiles, solves 2..N replay only.
+        // Cached: solve 1 compiles, solves 2..N take the cached plan.
         let cache = PlanCache::new();
         let cached: Vec<_> = (0..solves).map(|_| sc.solve_cached(&cache)).collect();
 
@@ -76,11 +74,10 @@ fn measure_timing(
         assert_eq!(cache.len(), 1);
 
         let first = &cached[0];
-        nums.fine_iter_wall_s = nums.fine_iter_wall_s.min(first.stats[0].wall_seconds);
         nums.replay_iter_wall_s = nums
             .replay_iter_wall_s
             .min(replay_tail_mean(&first.stats, |s| s.wall_seconds));
-        // Second solve: *every* iteration is a replay iteration.
+        // Second solve: every iteration of a solve with a cached plan.
         let second_mean = cached[1].stats.iter().map(|s| s.wall_seconds).sum::<f64>()
             / cached[1].stats.len() as f64;
         nums.second_solve_iter_wall_s = nums.second_solve_iter_wall_s.min(second_mean);
@@ -105,36 +102,19 @@ struct MemoryNumbers {
 
 /// Octant-sharing memory/build measurement at `sn` order.
 fn measure_memory(n: usize, patch: usize, sn: u32) -> MemoryNumbers {
-    let mesh = Arc::new(StructuredMesh::unit(n, n, n));
+    let mesh = StructuredMesh::unit(n, n, n);
     let quad = QuadratureSet::sn(sn);
-    let materials = Arc::new(jsweep_transport::MaterialSet::homogeneous(
-        mesh.num_cells(),
-        jsweep_transport::Material::uniform(1, 1.0, 0.5, 1.0),
-    ));
-    let config = SnConfig {
-        grain: 16,
-        ..Default::default()
-    };
-    let build = |share: bool| {
-        Arc::new(jsweep_graph::SweepProblem::build(
-            mesh.as_ref(),
+    let measure = |share: bool| {
+        let prob = jsweep_graph::SweepProblem::build(
+            &mesh,
             partition::decompose_structured(&mesh, (patch, patch, patch), 2),
             &quad,
             &jsweep_graph::ProblemOptions {
                 share_octant_dags: share,
                 ..Default::default()
             },
-        ))
-    };
-    let measure = |share: bool| {
-        let prob = build(share);
-        let traces = jsweep_transport::record_cluster_traces(
-            mesh.clone(),
-            prob.clone(),
-            &quad,
-            materials.clone(),
-            &config,
         );
+        let traces = simulate_clusters(&prob, 16, CLAIM_BATCH);
         let t0 = std::time::Instant::now();
         let plan = replay::build_plan(&prob, &traces);
         (plan.memory_bytes(), t0.elapsed().as_secs_f64())
@@ -167,10 +147,6 @@ fn main() {
     let build_reduction = memory.build_s_unshared / memory.build_s_shared.max(1e-12);
 
     println!(
-        "plan_cache fine (recording) iteration time: {:>9.3} ms",
-        timing.fine_iter_wall_s * 1e3
-    );
-    println!(
         "plan_cache replay iteration           time: {:>9.3} ms",
         timing.replay_iter_wall_s * 1e3
     );
@@ -194,21 +170,12 @@ fn main() {
         build_reduction
     );
 
-    // The cached second solve must carry no recording / compile
-    // overhead: its mean iteration must not exceed the *recording*
-    // iteration, and should sit at replay-iteration level. The
-    // structural facts (plan_from_cache, zero build time, bit-identical
-    // phi) are asserted in measure_timing in both modes; the wall-clock
-    // comparison is only meaningful in full mode (best-of-3 at 16³) —
-    // a single millisecond-scale test-mode sample on an oversubscribed
-    // CI core would make it flake, and is no baseline either.
+    // The structural facts (plan_from_cache, zero build time,
+    // bit-identical phi) are asserted in measure_timing in both modes;
+    // a single millisecond-scale test-mode sample is no baseline.
     if test_mode {
         return;
     }
-    assert!(
-        timing.second_solve_iter_wall_s < timing.fine_iter_wall_s,
-        "cached second solve should beat the recording path"
-    );
 
     let json = format!(
         concat!(
@@ -224,7 +191,6 @@ fn main() {
             "    \"solves\": 4,\n",
             "    \"iterations_per_solve\": 6\n",
             "  }},\n",
-            "  \"fine_iter_wall_seconds\": {fw:.6},\n",
             "  \"replay_iter_wall_seconds\": {rw:.6},\n",
             "  \"second_solve_iter_wall_seconds\": {sw:.6},\n",
             "  \"second_solve_vs_replay_iter\": {svr:.3},\n",
@@ -243,7 +209,6 @@ fn main() {
             "  \"phi_bit_identical\": true\n",
             "}}\n"
         ),
-        fw = timing.fine_iter_wall_s,
         rw = timing.replay_iter_wall_s,
         sw = timing.second_solve_iter_wall_s,
         svr = second_vs_replay,

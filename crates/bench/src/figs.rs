@@ -20,14 +20,24 @@ fn sim_default(
     machine: &jsweep_des::MachineModel,
     grain: usize,
 ) -> jsweep_des::DesResult {
-    simulate(
-        problem,
-        machine,
-        &SimOptions {
-            grain,
-            record_traces: false,
-        },
-    )
+    simulate(problem, machine, &SimOptions { grain })
+}
+
+/// The coarsened tasks `tasks[angle][patch]` the solver would compile
+/// for `problem` at `grain`: clusters of its simulated execution
+/// ([`coarse::simulate_clusters`]), octant members sharing their
+/// canonical angle's.
+fn coarse_tasks(
+    problem: &jsweep_des::SweepProblem,
+    grain: usize,
+) -> Vec<Vec<coarse::CoarsenedTask>> {
+    let traces = coarse::simulate_clusters(problem, grain, jsweep_core::engine::CLAIM_BATCH);
+    (0..problem.num_angles)
+        .map(|a| {
+            let c = problem.canonical_angle(a);
+            coarse::build_coarse(&problem.subs[c], &traces[c])
+        })
+        .collect()
 }
 
 /// Fig. 9a — runtime vs vertex clustering grain (structured).
@@ -421,17 +431,7 @@ pub fn fig16(scale: Scale) -> Table {
     for &ranks in &rank_list {
         let prob = structured_problem(n, 8, ranks, &quad, Strategies::SLBD2);
         let machine = tianhe(ranks);
-        let fine = simulate(
-            &prob,
-            &machine,
-            &SimOptions {
-                grain: 1000,
-                record_traces: true,
-            },
-        );
-        let tasks: Vec<Vec<coarse::CoarsenedTask>> = (0..prob.num_angles)
-            .map(|a| coarse::build_coarse(&prob.subs[a], &fine.traces[a]))
-            .collect();
+        let tasks = coarse_tasks(&prob, 1000);
         let r = simulate_coarse(&prob, &tasks, &machine, 1000);
         let c = machine.cores() as f64;
         let b = &r.breakdown;
@@ -635,18 +635,9 @@ pub fn cg_ablation(scale: Scale) -> Table {
     };
     let prob = structured_problem(n, 8, ranks, &quad, Strategies::SLBD2);
     let machine = tianhe(ranks);
-    let fine = simulate(
-        &prob,
-        &machine,
-        &SimOptions {
-            grain,
-            record_traces: true,
-        },
-    );
+    let fine = sim_default(&prob, &machine, grain);
     let build_start = std::time::Instant::now();
-    let tasks: Vec<Vec<coarse::CoarsenedTask>> = (0..prob.num_angles)
-        .map(|a| coarse::build_coarse(&prob.subs[a], &fine.traces[a]))
-        .collect();
+    let tasks = coarse_tasks(&prob, grain);
     let build_host_seconds = build_start.elapsed().as_secs_f64();
     let cg = simulate_coarse(&prob, &tasks, &machine, grain);
 
@@ -690,14 +681,7 @@ pub fn cg_ablation(scale: Scale) -> Table {
     let mut heavy = machine.clone();
     heavy.t_graph = machine.t_graph * 20.0;
     heavy.t_vertex = machine.t_vertex / 10.0;
-    let fine_h = simulate(
-        &prob,
-        &heavy,
-        &SimOptions {
-            grain,
-            record_traces: false,
-        },
-    );
+    let fine_h = sim_default(&prob, &heavy, grain);
     let cg_h = simulate_coarse(&prob, &tasks, &heavy, grain);
     t.push(vec![
         "DAG (overhead-heavy)".into(),
@@ -723,9 +707,10 @@ pub fn cg_ablation(scale: Scale) -> Table {
 /// Paper: replaying the coarsened graph cuts scheduling overhead
 /// 7–10× once kernels are cheap relative to bookkeeping; in Fig. 16
 /// this is why the graph-op share stays small. Here both variants
-/// solve the quickstart-scale problem; rows report the mean *replay*
-/// iteration (iterations ≥ 2) wall and graph-op seconds, and the
-/// one-off plan build cost. The flux is asserted bit-identical.
+/// solve the quickstart-scale problem; rows report the mean steady
+/// iteration ([`crate::setups::replay_tail_mean`]) wall and graph-op
+/// seconds, and the one-off plan build cost. The flux is asserted
+/// bit-identical.
 pub fn cg_replay(scale: Scale) -> Table {
     use crate::setups::{replay_scenario, replay_tail_mean};
     use jsweep_core::stats::Category;

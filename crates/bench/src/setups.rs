@@ -104,7 +104,7 @@ pub struct ReplayScenario {
 }
 
 /// Build the replay scenario. `iterations` is the exact sweep count
-/// each variant performs (the first records, the rest replay).
+/// each variant performs (all fine, or all replayed).
 pub fn replay_scenario(
     n: usize,
     patch: usize,
@@ -145,8 +145,9 @@ pub fn replay_scenario(
     }
 }
 
-/// Mean of `f` over the replay-eligible iterations (every iteration
-/// after the first) — the single definition of the per-iteration
+/// Mean of `f` over the steady iterations (every iteration after the
+/// first, which also pays its programs' first arming and buffer
+/// allocation) — the single definition of the per-iteration
 /// metric the `coarse_replay` bench baseline and the `cg_replay`
 /// figures table both report.
 pub fn replay_tail_mean(
@@ -172,9 +173,8 @@ impl ReplayScenario {
     }
 
     /// Solve with coarsening through a cross-solve [`jsweep_transport::PlanCache`]:
-    /// the first call records and compiles, every later call replays
-    /// the cached plan from iteration 1. Used by the `plan_cache`
-    /// multi-solve bench.
+    /// the first call compiles the plan, every later call replays the
+    /// cached one. Used by the `plan_cache` multi-solve bench.
     pub fn solve_cached(
         &self,
         cache: &jsweep_transport::PlanCache,

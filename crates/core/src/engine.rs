@@ -189,8 +189,10 @@ fn flush_report(pool: &Pool, to_master: &Sender<Report>, batch: &mut Report, sw:
 /// already-ready programs are batched, so sparse workloads still flow
 /// one at a time — which is why 8 measured fine for both fine-grained
 /// compute storms and few-large-compute replay iterations (2 / 8 / 16
-/// were within noise on the replay scenario).
-const CLAIM_BATCH: usize = 8;
+/// were within noise on the replay scenario). The sweep solver's
+/// simulated execution (`jsweep_graph::coarse::simulate_clusters`)
+/// claims in batches of this size too.
+pub const CLAIM_BATCH: usize = 8;
 
 /// Max output streams a worker produces across compute calls —
 /// same-rank ones, already delivered, included — before flushing a

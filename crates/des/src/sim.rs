@@ -10,7 +10,7 @@
 //! rather than being assumed.
 
 use crate::machine::MachineModel;
-use jsweep_graph::coarse::{ClusterTrace, CoarseSweepState, CoarsenedTask};
+use jsweep_graph::coarse::{CoarseSweepState, CoarsenedTask};
 use jsweep_graph::problem::SweepProblem;
 use jsweep_graph::SweepState;
 use std::cmp::Reverse;
@@ -21,16 +21,11 @@ use std::collections::BinaryHeap;
 pub struct SimOptions {
     /// Vertex clustering grain `N` (paper §V-C).
     pub grain: usize,
-    /// Record clustering traces (needed to build the coarsened graph).
-    pub record_traces: bool,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
-        SimOptions {
-            grain: 64,
-            record_traces: false,
-        }
+        SimOptions { grain: 64 }
     }
 }
 
@@ -71,8 +66,6 @@ pub struct DesResult {
     pub bytes: f64,
     /// Core-seconds breakdown.
     pub breakdown: DesBreakdown,
-    /// Clustering traces (`traces[angle][patch]`), when recorded.
-    pub traces: Vec<Vec<ClusterTrace>>,
 }
 
 impl DesResult {
@@ -111,23 +104,18 @@ trait TaskModel {
     fn graph_units(&self, work: u64) -> f64 {
         work as f64
     }
-    /// Hand back recorded clustering traces (fine model only).
-    fn take_traces(&mut self) -> Vec<Vec<ClusterTrace>> {
-        Vec::new()
-    }
 }
 
 /// Fine (DAG) model: one `SweepState` per (patch, angle).
 struct FineModel<'a> {
     prob: &'a SweepProblem,
     states: Vec<SweepState>,
-    traces: Option<Vec<Vec<ClusterTrace>>>,
     /// Scratch: group buffer reused across pops.
     groups: std::collections::HashMap<usize, Vec<u32>>,
 }
 
 impl<'a> FineModel<'a> {
-    fn new(prob: &'a SweepProblem, record_traces: bool) -> FineModel<'a> {
+    fn new(prob: &'a SweepProblem) -> FineModel<'a> {
         let mut states = Vec::with_capacity(prob.num_tasks());
         for a in 0..prob.num_angles {
             let subs = &prob.subs[a];
@@ -136,12 +124,9 @@ impl<'a> FineModel<'a> {
                 states.push(SweepState::new(&subs[p], prios[p].clone()));
             }
         }
-        let traces = record_traces
-            .then(|| vec![vec![ClusterTrace::default(); prob.num_patches()]; prob.num_angles]);
         FineModel {
             prob,
             states,
-            traces,
             groups: Default::default(),
         }
     }
@@ -172,9 +157,6 @@ impl TaskModel for FineModel<'_> {
             let dst_local = patches.local_index(re.cell as usize) as u32;
             groups.entry(re.patch.index()).or_default().push(dst_local);
         });
-        if let Some(traces) = &mut self.traces {
-            traces[a][p].record(cluster.clone());
-        }
         let mut out: Vec<OutGroup> = groups
             .drain()
             .map(|(dst_patch, keys)| OutGroup {
@@ -208,10 +190,6 @@ impl TaskModel for FineModel<'_> {
             }
         }
         Ok(())
-    }
-
-    fn take_traces(&mut self) -> Vec<Vec<ClusterTrace>> {
-        self.traces.take().unwrap_or_default()
     }
 }
 
@@ -529,7 +507,6 @@ impl<'m, M: TaskModel> Sim<'m, M> {
         let master_busy = self.result.breakdown.comm + self.result.breakdown.pack_unpack;
         self.result.breakdown.idle = (worker_cores * end_time - self.busy_worker_seconds)
             + (master_cores * end_time - master_busy).max(0.0);
-        self.result.traces = self.model.take_traces();
         Ok(self.result)
     }
 }
@@ -541,13 +518,14 @@ pub fn simulate(problem: &SweepProblem, machine: &MachineModel, opts: &SimOption
         problem.patches.num_ranks(),
         "machine rank count must match the patch distribution"
     );
-    let model = FineModel::new(problem, opts.record_traces);
+    let model = FineModel::new(problem);
     let sim = Sim::new(model, machine, opts.grain);
     sim.run().expect("sweep simulation deadlocked")
 }
 
 /// Simulate one coarsened-graph sweep iteration (§V-E): the clusters of
-/// `tasks` (built from a fine run's traces) execute as units.
+/// `tasks` (built from [`jsweep_graph::coarse::simulate_clusters`]
+/// traces) execute as units.
 pub fn simulate_coarse(
     problem: &SweepProblem,
     tasks: &[Vec<CoarsenedTask>],
@@ -628,22 +606,8 @@ mod tests {
     fn larger_grain_fewer_compute_calls() {
         let prob = small_problem(1);
         let machine = MachineModel::cluster(1, 2);
-        let small = simulate(
-            &prob,
-            &machine,
-            &SimOptions {
-                grain: 1,
-                record_traces: false,
-            },
-        );
-        let large = simulate(
-            &prob,
-            &machine,
-            &SimOptions {
-                grain: 512,
-                record_traces: false,
-            },
-        );
+        let small = simulate(&prob, &machine, &SimOptions { grain: 1 });
+        let large = simulate(&prob, &machine, &SimOptions { grain: 512 });
         assert!(large.compute_calls < small.compute_calls / 4);
     }
 
@@ -696,34 +660,50 @@ mod tests {
     fn coarse_replay_matches_vertex_count_and_is_cheaper() {
         let prob = small_problem(2);
         let machine = MachineModel::cluster(2, 3);
-        let fine = simulate(
-            &prob,
-            &machine,
-            &SimOptions {
-                grain: 32,
-                record_traces: true,
-            },
-        );
-        assert_eq!(fine.traces.len(), prob.num_angles);
+        let fine = simulate(&prob, &machine, &SimOptions { grain: 32 });
+        let traces = jsweep_graph::coarse::simulate_clusters(&prob, 32, 8);
         let tasks: Vec<Vec<CoarsenedTask>> = (0..prob.num_angles)
-            .map(|a| jsweep_graph::coarse::build_coarse(&prob.subs[a], &fine.traces[a]))
+            .map(|a| {
+                let c = prob.canonical_angle(a);
+                jsweep_graph::coarse::build_coarse(&prob.subs[c], &traces[c])
+            })
             .collect();
         let coarse = simulate_coarse(&prob, &tasks, &machine, 32);
         assert_eq!(coarse.vertices, fine.vertices);
         // The §V-E claim: cluster-level scheduling removes the
-        // per-vertex DAG bookkeeping and aggregates messages.
+        // per-vertex DAG bookkeeping.
         assert!(
             coarse.breakdown.graph_op < fine.breakdown.graph_op,
             "coarse graph-op {} should undercut fine {}",
             coarse.breakdown.graph_op,
             fine.breakdown.graph_op
         );
-        assert!(coarse.messages <= fine.messages);
-        assert!(
-            (coarse.compute_calls as f64) < 1.1 * fine.compute_calls as f64,
-            "coarse calls {} vs fine {}",
-            coarse.compute_calls,
-            fine.compute_calls
-        );
+        // The plan fixes the replay's work units and messages whatever
+        // order the DES runs them in: one compute call per coarse
+        // vertex, plus one empty call per task that starts active with
+        // no source cluster; and one message per coarse vertex per
+        // destination patch on another rank (its coarse edges to that
+        // patch travel together).
+        let rank = |p: usize| prob.patches.rank_of(jsweep_mesh::PatchId(p as u32));
+        let (mut calls, mut cross) = (0, 0);
+        for at in &tasks {
+            for (p, t) in at.iter().enumerate() {
+                calls += t.num_clusters() as u64;
+                calls += u64::from(t.in_degree.iter().all(|&d| d > 0));
+                for edges in &t.remote {
+                    let mut dst: Vec<usize> = edges
+                        .iter()
+                        .map(|re| re.patch.index())
+                        .filter(|&d| rank(d) != rank(p))
+                        .collect();
+                    dst.sort_unstable();
+                    dst.dedup();
+                    cross += dst.len() as u64;
+                }
+            }
+        }
+        assert_eq!(coarse.compute_calls, calls);
+        assert!(cross > 0, "the problem has cross-rank coarse edges");
+        assert_eq!(coarse.messages, cross);
     }
 }

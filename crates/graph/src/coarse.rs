@@ -1,26 +1,36 @@
 //! The coarsened graph (paper §V-E).
 //!
 //! Mesh structure — and hence the sweep DAG — is constant across most
-//! or all sweep iterations, so the vertex clusters formed during the
-//! first DAG-driven sweep can be cached and reused: each cluster becomes
-//! a coarse vertex `cv` with property `P(cv)` = its vertex list in
-//! execution order, and cluster-to-cluster data flow becomes a coarse
-//! edge carrying the combined face data. Subsequent iterations sweep the
-//! much smaller coarsened graph `CG`, skipping per-vertex scheduling.
+//! or all sweep iterations, so the vertex clusters a DAG-driven sweep
+//! forms can be cached and reused: each cluster becomes a coarse vertex
+//! `cv` with property `P(cv)` = its vertex list in execution order, and
+//! cluster-to-cluster data flow becomes a coarse edge carrying the
+//! combined face data. Iterations sweep the much smaller coarsened graph
+//! `CG`, skipping per-vertex scheduling.
+//!
+//! The paper takes the clusters from the first iteration's live run.
+//! [`simulate_clusters`] takes them from a deterministic, single-threaded
+//! execution of the same scheduler ([`SweepState::pop_cluster`] at the
+//! solver's grain, the runtime's claim batch and priorities) before any
+//! iteration runs, so the plan is a pure function of the problem and the
+//! grain.
 //!
 //! **Theorem 1** (paper): if `G` is acyclic, the derived `CG` is
-//! acyclic. The proof carries over to traces: order clusters by their
-//! completion instant in the originating execution; every coarse edge
-//! points from an earlier-completing cluster to a later one (internal
-//! edges because clusters of one patch-program form sequentially, remote
-//! edges because a stream is emitted only when its source cluster
-//! finishes). [`build_coarse`] checks this by topological sort and
-//! panics on violation — which would indicate a scheduler bug.
+//! acyclic. The proof carries over to the clusters of any valid
+//! execution, simulated or live: order clusters by their completion
+//! step; every coarse edge points from an earlier-completing cluster to
+//! a later one (internal edges because clusters of one patch-program
+//! form sequentially, remote edges because a stream is emitted only when
+//! its source cluster finishes). [`build_coarse`] checks this by
+//! topological sort and panics on violation — which would indicate a
+//! scheduler bug.
 
 use crate::dag::{is_acyclic, Csr};
 use crate::subgraph::Subgraph;
+use crate::{SweepProblem, SweepState};
 use jsweep_mesh::PatchId;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Clustering trace of one `(patch, angle)` task: the clusters formed
 /// by successive `compute()` calls, in formation order.
@@ -118,8 +128,164 @@ impl CoarsenedTask {
     }
 }
 
+/// The clusters of one deterministic execution of the runtime's
+/// scheduler over `problem` at clustering grain `grain`, as
+/// `traces[angle][patch]` — the layout plan compilation reads. Only
+/// canonical angles ([`SweepProblem::canonical_angles`]) are executed;
+/// an octant member's entries stay empty, because it replays its
+/// canonical angle's clusters over the shared DAG.
+///
+/// The execution is the pool's, with ranks taking turns instead of
+/// running concurrently:
+///
+/// * every task starts active, in its rank's ready heap, ordered by its
+///   two-level priority (ties to the lowest task id);
+/// * in its turn a rank claims up to `claim_batch` tasks at a time (the
+///   runtime's claim batch) and pops one cluster from each, until
+///   nothing on the rank is ready;
+/// * receives between tasks of one rank land after each claim batch,
+///   as a worker delivers its batch's same-rank streams; receives bound
+///   for another rank land at the start of that rank's next turn — a
+///   cross-rank hop (master route, frame, the peer master's poll)
+///   outlasts many compute calls, so its streams arrive together;
+/// * a task returns to its heap while it has ready vertices, and
+///   rejoins it when a receive makes a vertex ready.
+///
+/// No clock and no cost model: the result depends on nothing but its
+/// arguments. Panics if a task does not complete (a scheduler bug).
+pub fn simulate_clusters(
+    problem: &SweepProblem,
+    grain: usize,
+    claim_batch: usize,
+) -> Vec<Vec<ClusterTrace>> {
+    assert!(claim_batch > 0, "claim batch must be positive");
+    let ranks = problem.patches.num_ranks();
+    let mut pool = SimPool::new(problem);
+    // Receives in flight, as (task, local vertex): `inbox[rank]` holds
+    // those bound for `rank` from other ranks, `local` the claim batch's
+    // same-rank ones.
+    let mut inbox: Vec<Vec<(usize, u32)>> = vec![Vec::new(); ranks];
+    let mut local: Vec<(usize, u32)> = Vec::new();
+    let mut claimed: Vec<usize> = Vec::with_capacity(claim_batch);
+    let mut traces = vec![vec![ClusterTrace::default(); problem.num_patches()]; problem.num_angles];
+    loop {
+        let mut progressed = false;
+        for rank in 0..ranks {
+            for (tid, v) in inbox[rank].drain(..) {
+                pool.receive(tid, v);
+            }
+            while !pool.ready[rank].is_empty() {
+                progressed = true;
+                while claimed.len() < claim_batch {
+                    let Some((_, Reverse(tid))) = pool.ready[rank].pop() else {
+                        break;
+                    };
+                    pool.queued[tid] = false;
+                    claimed.push(tid);
+                }
+                for &tid in &claimed {
+                    let (p, a) = problem.patch_angle(tid);
+                    let st = pool.states[tid].as_mut().expect("claimed a simulated task");
+                    let cluster = st.pop_cluster(&problem.subs[a][p], grain, |_, re| {
+                        let to = (
+                            problem.tid(re.patch.index(), a),
+                            problem.patches.local_index(re.cell as usize) as u32,
+                        );
+                        match problem.patches.rank_of(re.patch) {
+                            r if r == rank => local.push(to),
+                            r => inbox[r].push(to),
+                        }
+                    });
+                    traces[a][p].record(cluster);
+                }
+                for tid in claimed.drain(..) {
+                    pool.activate(tid);
+                }
+                for (tid, v) in local.drain(..) {
+                    pool.receive(tid, v);
+                }
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+    for (tid, st) in pool.states.iter().enumerate() {
+        if let Some(st) = st {
+            let (p, a) = problem.patch_angle(tid);
+            assert!(
+                st.is_complete(),
+                "simulated sweep deadlocked: task (patch {p}, angle {a}) has {} vertices left",
+                st.remaining()
+            );
+        }
+    }
+    traces
+}
+
+/// The task pool [`simulate_clusters`] executes: one [`SweepState`] per
+/// canonical task (`None` for octant members) and one ready heap per
+/// rank, which holds each task at most once.
+struct SimPool<'a> {
+    problem: &'a SweepProblem,
+    states: Vec<Option<SweepState>>,
+    ready: Vec<BinaryHeap<(i64, Reverse<usize>)>>,
+    queued: Vec<bool>,
+}
+
+impl<'a> SimPool<'a> {
+    /// Every canonical task active, as the runtime's pool starts an
+    /// epoch.
+    fn new(problem: &'a SweepProblem) -> SimPool<'a> {
+        let states: Vec<Option<SweepState>> = (0..problem.num_tasks())
+            .map(|tid| {
+                let (p, a) = problem.patch_angle(tid);
+                (problem.canonical_angle(a) == a)
+                    .then(|| SweepState::new(&problem.subs[a][p], problem.vprio[a][p].clone()))
+            })
+            .collect();
+        let mut pool = SimPool {
+            problem,
+            ready: vec![BinaryHeap::new(); problem.patches.num_ranks()],
+            queued: vec![false; states.len()],
+            states,
+        };
+        for tid in 0..pool.states.len() {
+            if pool.states[tid].is_some() {
+                pool.push(tid);
+            }
+        }
+        pool
+    }
+
+    fn push(&mut self, tid: usize) {
+        let (p, a) = self.problem.patch_angle(tid);
+        let rank = self.problem.patches.rank_of(PatchId(p as u32));
+        self.ready[rank].push((self.problem.pprio[a][p], Reverse(tid)));
+        self.queued[tid] = true;
+    }
+
+    /// Put `tid` back in its rank's heap if it has a ready vertex and is
+    /// not there already.
+    fn activate(&mut self, tid: usize) {
+        let st = self.states[tid].as_ref().expect("a simulated task");
+        if !self.queued[tid] && st.has_ready() {
+            self.push(tid);
+        }
+    }
+
+    /// One upwind datum for local vertex `v` of task `tid`.
+    fn receive(&mut self, tid: usize, v: u32) {
+        self.states[tid]
+            .as_mut()
+            .expect("receive for a simulated task")
+            .receive(v);
+        self.activate(tid);
+    }
+}
+
 /// Build the coarsened tasks of every patch for one angle from the
-/// first iteration's traces.
+/// clusters of one execution ([`simulate_clusters`]).
 ///
 /// `subs[p]` and `traces[p]` are indexed by patch. Panics if a trace
 /// does not cover its subgraph exactly or if the resulting coarse graph
@@ -518,6 +684,44 @@ mod tests {
             .map(|e| e.items.len())
             .sum();
         assert_eq!(fine_remote, coarse_items);
+    }
+
+    fn clusters(traces: &[Vec<ClusterTrace>]) -> Vec<Vec<Vec<Vec<u32>>>> {
+        traces
+            .iter()
+            .map(|per_patch| per_patch.iter().map(|t| t.clusters.clone()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn simulate_clusters_is_deterministic_and_covers_canonical_tasks_only() {
+        let m = StructuredMesh::unit(6, 6, 6);
+        let ps = partition::decompose_structured(&m, (3, 3, 2), 2);
+        let opts = crate::ProblemOptions {
+            share_octant_dags: true,
+            ..Default::default()
+        };
+        let prob = SweepProblem::build(&m, ps, &QuadratureSet::sn(4), &opts);
+        let traces = simulate_clusters(&prob, 16, 8);
+        assert_eq!(
+            clusters(&traces),
+            clusters(&simulate_clusters(&prob, 16, 8)),
+            "same problem, same grain: same clusters"
+        );
+        for (a, per_patch) in traces.iter().enumerate() {
+            for (sub, t) in prob.subs[a].iter().zip(per_patch) {
+                let want = if prob.canonical_angle(a) == a {
+                    sub.num_vertices()
+                } else {
+                    0
+                };
+                assert_eq!(t.num_vertices(), want, "angle {a} patch {}", sub.patch.0);
+                assert!(t.clusters.iter().all(|c| !c.is_empty() && c.len() <= 16));
+            }
+        }
+        for a in prob.canonical_angles() {
+            build_coarse(&prob.subs[a], &traces[a]);
+        }
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!   patch-program gluing [`jsweep_graph::SweepState`] to the kernels
 //!   and stream codec, plus its [`jsweep_core::ProgramFactory`];
 //! * [`replay`] — the compiled coarse-graph replay plan and its
-//!   lifecycle (§V-E): cluster traces recorded in iteration 1 become
-//!   the coarsened task graph iterations ≥ 2 execute, cached across
-//!   solves by a [`PlanCache`] and invalidated by the mesh generation
-//!   stamp (see `docs/replay.md`);
+//!   lifecycle (§V-E): the cluster traces of a simulated execution,
+//!   compiled before the first iteration, become the coarsened task
+//!   graph every iteration executes, cached across solves by a
+//!   [`PlanCache`] and invalidated by the mesh generation stamp (see
+//!   `docs/replay.md`);
 //! * [`solver`] — source iteration drivers: the JSweep-parallel solver
 //!   on the threaded runtime and a serial reference solver used as the
 //!   golden result in tests;

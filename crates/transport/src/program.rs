@@ -7,13 +7,12 @@
 //! flavours, selected per source iteration by [`SweepMode`]:
 //!
 //! * **Fine** ([`jsweep_graph::SweepState`]: per-vertex counters +
-//!   ready priority queue) — the DAG-driven first iteration, which can
-//!   record a [`ClusterTrace`] of the clusters its `compute()` calls
-//!   form;
+//!   ready priority queue) — the DAG-driven sweep, every iteration of a
+//!   solve with coarsening off;
 //! * **Coarse** ([`jsweep_graph::coarse::CoarseSweepState`] over a
-//!   [`ReplayTask`]) — the §V-E replay used from the second iteration
-//!   on: `compute()` pops one whole coarse vertex, executes its
-//!   recorded vertex list in order, and emits exactly one stream per
+//!   [`ReplayTask`]) — the §V-E replay, every iteration of a solve with
+//!   coarsening on: `compute()` pops one whole coarse vertex, executes
+//!   its compiled vertex list in order, and emits exactly one stream per
 //!   outgoing coarse edge, with no per-vertex bookkeeping.
 //!
 //! The data plane is compiled, not derived: the task's [`Subgraph`]
@@ -66,9 +65,8 @@
 //! stack gather. What an epoch leaves behind has a fixed home too: the
 //! world's [`EpochSink`] holds one
 //! [`TaskSlot`] per task, a completing program lends it the flux
-//! accumulator (and hands over the trace of a recording epoch) in its
-//! one `finish_task`, the driver folds the slots, and the next `reset`
-//! takes the accumulator back.
+//! accumulator in its one `finish_task`, the driver folds the slots,
+//! and the next `reset` takes the accumulator back.
 
 use crate::kernel::{solve_cell_block_geom, CellGeom, KernelKind, GROUP_BLOCK, KERNEL_MAX_FACES};
 use crate::replay::{CoarsePlan, ReplayTask};
@@ -78,7 +76,7 @@ use jsweep_comm::pack::Writer;
 use jsweep_core::{
     ComputeCtx, EpochInput, PatchProgram, ProgramFactory, ProgramId, Stream, TaskTag,
 };
-use jsweep_graph::coarse::{ClusterTrace, CoarseSweepState};
+use jsweep_graph::coarse::CoarseSweepState;
 use jsweep_graph::{Subgraph, SweepProblem, SweepState};
 use jsweep_mesh::{PatchId, SweepTopology};
 use jsweep_quadrature::QuadratureSet;
@@ -96,9 +94,6 @@ pub struct TaskSlot {
     /// per task for the life of a universe, so replay epochs allocate
     /// none.
     pub phi_part: Vec<f64>,
-    /// The clusters a recording epoch formed (canonical angles only:
-    /// octant members replay their canonical angle's trace).
-    pub trace: Option<ClusterTrace>,
 }
 
 /// The world-owned output of an epoch: one [`TaskSlot`] per task,
@@ -151,40 +146,16 @@ impl EpochSink {
         }
         phi_new
     }
-
-    /// Take the recording epoch's traces as `traces[angle][patch]` (the
-    /// layout [`crate::replay::build_plan`] consumes). Only canonical
-    /// angles record, so the other entries — and those of tasks with
-    /// nothing to sweep — come back empty.
-    pub fn take_traces(&self, problem: &SweepProblem) -> Vec<Vec<ClusterTrace>> {
-        (0..problem.num_angles)
-            .map(|a| {
-                (0..problem.num_patches())
-                    .map(|p| {
-                        self.slot(problem.tid(p, a))
-                            .trace
-                            .take()
-                            .unwrap_or_default()
-                    })
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 /// Which scheduling mode the sweep programs of one iteration run in.
 #[derive(Clone)]
 pub enum SweepMode {
-    /// Per-vertex DAG-driven sweep. With `record` set, every
-    /// canonical-angle task records its [`ClusterTrace`] and hands it
-    /// over on completion — the recording pass of §V-E.
-    Fine {
-        /// Record the clusters formed.
-        record: bool,
-    },
-    /// Coarse-graph replay of a previously compiled [`CoarsePlan`].
+    /// Per-vertex DAG-driven sweep.
+    Fine,
+    /// Coarse-graph replay of a compiled [`CoarsePlan`].
     Coarse {
-        /// The plan built from the recording iteration's traces.
+        /// The plan compiled before the solve's first epoch.
         plan: Arc<CoarsePlan>,
     },
 }
@@ -197,7 +168,7 @@ pub struct SweepEpoch {
     /// This iteration's emission density `(σ_s φ + Q)/4π` per
     /// `cell * groups + g`.
     pub emission: Arc<Vec<f64>>,
-    /// This iteration's scheduling mode (fine/record vs replay).
+    /// This iteration's scheduling mode (fine vs replay).
     pub mode: SweepMode,
     /// This iteration's cross sections (same mesh, same group count —
     /// the buffer shapes are fixed by [`SweepSetup::groups`]). Riding
@@ -273,11 +244,8 @@ fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
 enum Sched {
     /// Created, not yet armed: `reset` builds the epoch's state.
     Unarmed,
-    /// DAG-driven execution; `trace` is `Some` while recording.
-    Fine {
-        state: SweepState,
-        trace: Option<ClusterTrace>,
-    },
+    /// DAG-driven execution.
+    Fine(SweepState),
     /// Coarse replay over the compiled task. `vertices_left` tracks the
     /// remaining workload in vertex units (the unit counting
     /// termination accounts in), not clusters.
@@ -483,11 +451,11 @@ pub struct SweepProgram<T: SweepTopology + Send + Sync + 'static> {
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
-    /// Fine-mode `compute()`: pop a cluster of ready vertices
-    /// (recording it when tracing), run the kernel, emit one stream per
-    /// target patch (clustering aggregates messages, §V-C benefit 2).
+    /// Fine-mode `compute()`: pop a cluster of ready vertices, run the
+    /// kernel, emit one stream per target patch (clustering aggregates
+    /// messages, §V-C benefit 2).
     fn compute_fine(&mut self, ctx: &mut ComputeCtx) {
-        let Sched::Fine { state, trace } = &mut self.sched else {
+        let Sched::Fine(state) = &mut self.sched else {
             unreachable!("compute_fine on a coarse program");
         };
         let (id, phys) = (self.id, &mut self.phys);
@@ -495,9 +463,6 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
         let cluster = state.pop_cluster(&phys.subs[phys.patch], self.grain, |_, _| {});
         if cluster.is_empty() {
             return;
-        }
-        if let Some(t) = trace {
-            t.record(cluster.clone());
         }
         ctx.work_done = cluster.len() as u64;
 
@@ -530,7 +495,7 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
     }
 
     /// Coarse-mode `compute()` (§V-E replay): pop one whole coarse
-    /// vertex, execute its recorded vertex list in order, and emit
+    /// vertex, execute its compiled vertex list in order, and emit
     /// exactly one stream per outgoing coarse edge — no per-vertex
     /// in-degree bookkeeping, no priority recomputation.
     fn compute_coarse(&mut self, ctx: &mut ComputeCtx) {
@@ -577,15 +542,10 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
     }
 
     /// The sweep state completed: hand the task's scalar-flux
-    /// contribution and, when recording, its cluster trace to its slot —
-    /// the one place either leaves the program. The accumulator comes
-    /// back at the next epoch's reset.
+    /// contribution to its slot — the one place it leaves the program.
+    /// The accumulator comes back at the next epoch's reset.
     fn finish_task(&mut self) {
-        let mut slot = self.sink.slot(self.tid);
-        slot.phi_part = std::mem::take(&mut self.phys.phi_part);
-        if let Sched::Fine { trace, .. } = &mut self.sched {
-            slot.trace = trace.take();
-        }
+        self.sink.slot(self.tid).phi_part = std::mem::take(&mut self.phys.phi_part);
     }
 }
 
@@ -621,7 +581,7 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
             // One coarse edge per stream: a single in-degree decrement
             // on the target coarse vertex.
             Sched::Coarse { state, .. } => state.receive(head),
-            Sched::Fine { state, .. } => {
+            Sched::Fine(state) => {
                 assert_eq!(head, PER_SLOT, "replay stream for a fine-mode program");
                 words(slots).for_each(|s| state.receive(sub.slot_vertex(s)));
             }
@@ -638,14 +598,14 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
     fn compute(&mut self, ctx: &mut ComputeCtx) {
         match self.sched {
             Sched::Coarse { .. } => self.compute_coarse(ctx),
-            Sched::Fine { .. } => self.compute_fine(ctx),
+            Sched::Fine(_) => self.compute_fine(ctx),
             Sched::Unarmed => unreachable!("compute before reset"),
         }
     }
 
     fn vote_to_halt(&self) -> bool {
         match &self.sched {
-            Sched::Fine { state, .. } => !state.has_ready(),
+            Sched::Fine(state) => !state.has_ready(),
             Sched::Coarse { state, .. } => !state.has_ready(),
             Sched::Unarmed => unreachable!("vote before reset"),
         }
@@ -653,7 +613,7 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
 
     fn remaining_work(&self) -> u64 {
         match &self.sched {
-            Sched::Fine { state, .. } => state.remaining(),
+            Sched::Fine(state) => state.remaining(),
             Sched::Coarse { vertices_left, .. } => *vertices_left,
             Sched::Unarmed => unreachable!("workload query before reset"),
         }
@@ -693,7 +653,7 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
         let (p, a) = (self.id.patch.index(), self.id.task.0 as usize);
         let sub = &phys.subs[p];
         match (&mut self.sched, &e.mode) {
-            (Sched::Fine { state, .. }, SweepMode::Fine { .. }) => state.reset(sub),
+            (Sched::Fine(state), SweepMode::Fine) => state.reset(sub),
             (
                 Sched::Coarse {
                     state,
@@ -717,22 +677,11 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
                     task,
                 };
             }
-            (sched, SweepMode::Fine { .. }) => {
-                // First arming, or a coarse → fine transition
-                // (coarsening disabled mid-solve): build the fine state.
-                let prio = problem.vprio[a][p].clone();
-                *sched = Sched::Fine {
-                    state: SweepState::new(sub, prio),
-                    trace: None,
-                };
+            (sched, SweepMode::Fine) => {
+                // First arming, or a coarse → fine transition: build the
+                // fine state.
+                *sched = Sched::Fine(SweepState::new(sub, problem.vprio[a][p].clone()));
             }
-        }
-        if let (Sched::Fine { trace, .. }, SweepMode::Fine { record }) = (&mut self.sched, &e.mode)
-        {
-            // Only canonical angles record: octant members share the
-            // canonical DAG, so one trace per octant serves every
-            // member at replay time.
-            *trace = (*record && problem.canonical_angle(a) == a).then(ClusterTrace::default);
         }
         // Buffer hygiene: incoming face flux allocated by the first
         // reset and left as the last epoch wrote it by later ones —
@@ -821,8 +770,9 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
 mod tests {
     use super::*;
     use crate::replay::build_plan;
-    use crate::solver::{record_cluster_traces, SnConfig};
     use crate::xs::{Material, MaterialSet};
+    use jsweep_core::engine::CLAIM_BATCH;
+    use jsweep_graph::coarse::{simulate_clusters, ClusterTrace};
     use jsweep_graph::problem::ProblemOptions;
     use jsweep_mesh::deformed::DeformedMesh;
     use jsweep_mesh::{face_toward, partition, PatchSet, StructuredMesh, TetMesh};
@@ -949,41 +899,28 @@ mod tests {
         routes
     }
 
-    /// An S2 problem and the clusters a recording pass (grain 8) formed
-    /// on it, `traces[angle][patch]`.
-    struct Recorded<T: SweepTopology + Send + Sync + 'static> {
+    /// An S2 problem and the clusters the solver compiles its plan from
+    /// at grain 8, `traces[angle][patch]`.
+    struct Traced<T: SweepTopology + Send + Sync + 'static> {
         mesh: Arc<T>,
         quad: QuadratureSet,
         problem: Arc<SweepProblem>,
         traces: Vec<Vec<ClusterTrace>>,
     }
 
-    impl<T: SweepTopology + Send + Sync + 'static> Recorded<T> {
-        fn new(mesh: T, patches: PatchSet, opts: ProblemOptions) -> Recorded<T> {
+    impl<T: SweepTopology + Send + Sync + 'static> Traced<T> {
+        fn new(mesh: T, patches: PatchSet, opts: ProblemOptions) -> Traced<T> {
             let quad = QuadratureSet::sn(2);
             let problem = SweepProblem::build(&mesh, patches, &quad, &opts);
-            Recorded::of(mesh, quad, problem)
+            Traced::of(mesh, quad, problem)
         }
 
-        fn of(mesh: T, quad: QuadratureSet, problem: SweepProblem) -> Recorded<T> {
-            let (mesh, problem) = (Arc::new(mesh), Arc::new(problem));
-            let mats =
-                MaterialSet::homogeneous(mesh.num_cells(), Material::uniform(1, 1.0, 0.5, 1.0));
-            let config = SnConfig {
-                grain: 8,
-                ..Default::default()
-            };
-            let traces = record_cluster_traces(
-                mesh.clone(),
-                problem.clone(),
-                &quad,
-                Arc::new(mats),
-                &config,
-            );
-            Recorded {
-                mesh,
+        fn of(mesh: T, quad: QuadratureSet, problem: SweepProblem) -> Traced<T> {
+            let traces = simulate_clusters(&problem, 8, CLAIM_BATCH);
+            Traced {
+                mesh: Arc::new(mesh),
                 quad,
-                problem,
+                problem: Arc::new(problem),
                 traces,
             }
         }
@@ -994,9 +931,9 @@ mod tests {
     /// one forced cut per direction, so the broken path is always
     /// taken.
     fn families() -> (
-        Recorded<StructuredMesh>,
-        Recorded<TetMesh>,
-        Recorded<DeformedMesh>,
+        Traced<StructuredMesh>,
+        Traced<TetMesh>,
+        Traced<DeformedMesh>,
     ) {
         let hex = StructuredMesh::unit(6, 6, 6);
         let hex_ps = partition::decompose_structured(&hex, (3, 3, 3), 2);
@@ -1018,13 +955,13 @@ mod tests {
             problem.broken[a.index()] = Arc::new(broken);
         }
         (
-            Recorded::new(hex, hex_ps, ProblemOptions::default()),
-            Recorded::new(tet, tet_ps, ProblemOptions::default()),
-            Recorded::of(def, quad, problem),
+            Traced::new(hex, hex_ps, ProblemOptions::default()),
+            Traced::new(tet, tet_ps, ProblemOptions::default()),
+            Traced::of(def, quad, problem),
         )
     }
 
-    fn assert_routes_agree<T: SweepTopology + Send + Sync + 'static>(rec: &Recorded<T>) {
+    fn assert_routes_agree<T: SweepTopology + Send + Sync + 'static>(rec: &Traced<T>) {
         let (mesh, problem) = (rec.mesh.as_ref(), &rec.problem);
         let mf = mesh.num_faces(0);
         let mut clusters = 0;
@@ -1049,11 +986,11 @@ mod tests {
                 }
             }
         }
-        assert!(clusters > 0, "the recording pass produced no clusters");
+        assert!(clusters > 0, "the simulated execution formed no clusters");
     }
 
     #[test]
-    fn csr_routes_equal_the_mesh_walk_on_recorded_clusters() {
+    fn csr_routes_equal_the_mesh_walk_on_simulated_clusters() {
         let (hex, tet, def) = families();
         assert_routes_agree(&hex);
         assert_routes_agree(&tet);
@@ -1117,14 +1054,14 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Run `kernel_cluster` over every recorded cluster of every task of
+    /// Run `kernel_cluster` over every simulated cluster of every task of
     /// `rec` in slot storage and [`dense_kernel_cluster`] beside it on
     /// the same seeded inputs (remote-written slots hold their seed in
     /// both), and demand `phi_part`, every slot and `remote_vals`
     /// bit-identical — and no dense write landing on a face without a
     /// slot.
     fn assert_layouts_agree<T: SweepTopology + Send + Sync + 'static>(
-        rec: &Recorded<T>,
+        rec: &Traced<T>,
         kernel: KernelKind,
         groups: usize,
     ) {
@@ -1142,7 +1079,7 @@ mod tests {
                     .map(|i| 0.05 + 0.1 * (i % 17) as f64)
                     .collect(),
             ),
-            mode: SweepMode::Fine { record: false },
+            mode: SweepMode::Fine,
             materials: Arc::new(MaterialSet::homogeneous(n, material)),
         };
         let factory = SweepFactory::new(SweepSetup {
@@ -1252,18 +1189,11 @@ mod tests {
                 n,
                 Material::uniform(G, 1.0, 0.5, 1.0),
             ));
-            let config = SnConfig {
-                grain: 4,
-                ..Default::default()
-            };
-            let traces = record_cluster_traces(
-                mesh.clone(),
-                problem.clone(),
-                &quad,
-                materials.clone(),
-                &config,
-            );
-            let plan = Arc::new(build_plan(&problem, &traces));
+            let grain = 4;
+            let plan = Arc::new(build_plan(
+                &problem,
+                &simulate_clusters(&problem, grain, CLAIM_BATCH),
+            ));
             let epoch = |mode| SweepEpoch {
                 emission: Arc::new((0..n * G).map(|i| 1.0 + 0.01 * i as f64).collect()),
                 mode,
@@ -1280,7 +1210,7 @@ mod tests {
                 up: ProgramId::new(up, task),
                 down: ProgramId::new(down, task),
                 epochs: [
-                    ("fine", epoch(SweepMode::Fine { record: false })),
+                    ("fine", epoch(SweepMode::Fine)),
                     ("replay", epoch(SweepMode::Coarse { plan })),
                 ],
                 factory: SweepFactory::new(SweepSetup {
@@ -1290,7 +1220,7 @@ mod tests {
                     quadrature: quad,
                     groups: G,
                     kernel: KernelKind::Step,
-                    grain: config.grain,
+                    grain,
                 }),
             }
         }

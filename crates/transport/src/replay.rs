@@ -1,32 +1,35 @@
 //! The compiled coarse-graph replay plan and its lifecycle (paper
 //! §V-E). See `docs/replay.md` for the end-to-end story.
 //!
-//! The first fine-grained (DAG-driven) sweep iteration records, per
-//! `(patch, angle)` task, the vertex clusters its `compute()` calls
-//! formed ([`ClusterTrace`]). Because the mesh — and hence every sweep
-//! DAG — is constant across source iterations, those clusters can be
-//! cached as a **coarsened task graph** and replayed verbatim from the
-//! second iteration on: each coarse vertex executes its recorded vertex
-//! list in order, and each outgoing coarse edge becomes exactly one
-//! stream, so iterations ≥ 2 pay no per-vertex in-degree bookkeeping
-//! and no priority recomputation.
+//! Before a solve's first epoch,
+//! [`jsweep_graph::coarse::simulate_clusters`] runs the sweep scheduler
+//! single-threaded and deterministically and returns, per
+//! `(patch, angle)` task, the vertex clusters its `compute()` calls form
+//! ([`ClusterTrace`]). Because the mesh — and hence every sweep DAG — is
+//! constant across source iterations, those clusters can be compiled
+//! into a **coarsened task graph** and replayed verbatim by every
+//! iteration: each coarse vertex executes its vertex list in order, and
+//! each outgoing coarse edge becomes exactly one stream, so no iteration
+//! pays per-vertex in-degree bookkeeping or priority recomputation.
 //!
 //! The plan has a real lifecycle, not just a per-solve existence:
 //!
-//! * **Record** — one [`ClusterTrace`] per *canonical* angle (under
+//! * **Simulate** — one [`ClusterTrace`] per *canonical* angle (under
 //!   `share_octant_dags` all member angles of an octant share one DAG,
-//!   so one trace per octant is recorded and replayed for every
-//!   member, cutting plan memory and build time `num_angles/8`-fold);
+//!   so one trace per octant is simulated and replayed for every
+//!   member, cutting plan memory and build time `num_angles/8`-fold).
+//!   The traces depend only on the problem and the grain, so every
+//!   process of an SPMD solve compiles the same plan;
 //! * **Compile** — [`build_plan`] runs
 //!   [`jsweep_graph::coarse::build_coarse`] per canonical angle (the
-//!   Theorem-1 acyclicity check on the *real* solver traces), whose
-//!   coarse-edge items `P(ce)` are indices into the source subgraph's
-//!   remote CSR — staging position and destination slot in one number
-//!   — and pre-packs every coarse edge's stream prefix from them;
+//!   Theorem-1 acyclicity check), whose coarse-edge items `P(ce)` are
+//!   indices into the source subgraph's remote CSR — staging position
+//!   and destination slot in one number — and pre-packs every coarse
+//!   edge's stream prefix from them;
 //! * **Cache** — a [`PlanCache`] keyed by [`PlanKey`] (mesh generation
 //!   stamp + a structural fingerprint of the compiled problem + grain)
 //!   carries plans across `solve_parallel_cached` calls, so multi-solve
-//!   workloads record once and replay from iteration 1 afterwards;
+//!   workloads compile once;
 //! * **Invalidate** — every mesh carries a process-unique
 //!   [`generation stamp`](jsweep_mesh::SweepTopology::generation)
 //!   bumped by refinement (any topology-producing operation draws a
@@ -82,7 +85,7 @@ impl ReplayTask {
 }
 
 /// The full coarse-graph replay plan of a sweep problem, built once
-/// after the recording iteration and shared by all later iterations —
+/// before a solve's first iteration and shared by all its iterations —
 /// and, through a [`PlanCache`], by all later solves of the same
 /// problem shape.
 #[derive(Debug)]
@@ -90,7 +93,7 @@ pub struct CoarsePlan {
     /// `tasks[angle][patch]`; octant members share `Arc`s with their
     /// canonical angle.
     pub tasks: Vec<Vec<Arc<ReplayTask>>>,
-    /// Generation stamp of the mesh the traces were recorded on (see
+    /// Generation stamp of the mesh the plan was compiled for (see
     /// [`jsweep_mesh::SweepTopology::generation`]). A plan whose stamp
     /// differs from the problem's mesh is stale and must be rebuilt,
     /// never replayed.
@@ -140,10 +143,12 @@ impl CoarsePlan {
     }
 }
 
-/// Compile the coarse-graph replay plan from the recording iteration's
-/// traces (`traces[angle][patch]`; only canonical-angle entries are
-/// read — octant members replay their canonical angle's trace, which is
-/// valid because they share the same DAG).
+/// Compile the coarse-graph replay plan from the traces of one
+/// execution (`traces[angle][patch]`, as
+/// [`jsweep_graph::coarse::simulate_clusters`] returns them; only
+/// canonical-angle entries are read — octant members replay their
+/// canonical angle's trace, which is valid because they share the same
+/// DAG).
 ///
 /// Runs the Theorem-1 topological check once per canonical angle (via
 /// [`build_coarse`], which panics on a cyclic coarse graph — a
@@ -197,7 +202,7 @@ pub fn build_plan(problem: &SweepProblem, traces: &[Vec<ClusterTrace>]) -> Coars
 ///   cycle-breaker sets), computed once at `SweepProblem::build` time,
 ///   which distinguishes different problems built over the *same*
 ///   mesh;
-/// * `grain` — the clustering grain the trace was recorded at.
+/// * `grain` — the clustering grain the clusters were formed at.
 ///
 /// Materials, sources and kernels deliberately do not appear: the plan
 /// is pure scheduling state, valid for any physics on the same DAG.
@@ -232,8 +237,8 @@ struct CacheInner {
     plans: HashMap<PlanKey, Arc<CoarsePlan>>,
     /// `get` calls that found their plan.
     hits: u64,
-    /// `get` calls that found nothing (each typically buys a recording
-    /// iteration plus a plan compile downstream).
+    /// `get` calls that found nothing (each typically buys a plan
+    /// compile downstream).
     misses: u64,
 }
 
@@ -241,12 +246,11 @@ struct CacheInner {
 /// [`PlanKey`].
 ///
 /// Hand one to `solve_parallel_cached` and multi-solve workloads (time
-/// steps, eigenvalue iterations, many material sets) pay the recording
-/// iteration and plan compile once: every later solve of the same
-/// problem shape starts replaying from iteration 1. A refined or
-/// rebuilt mesh carries a fresh generation stamp, so its solves miss
-/// the cache and record fresh — stale plans are structurally
-/// unreachable.
+/// steps, eigenvalue iterations, many material sets) pay the plan
+/// compile once: every later solve of the same problem shape replays
+/// the cached plan. A refined or rebuilt mesh carries a fresh
+/// generation stamp, so its solves miss the cache and compile afresh —
+/// stale plans are structurally unreachable.
 ///
 /// **Growth contract:** unreachable is not freed. The cache holds one
 /// plan per shape ever solved until told which mesh generations are
@@ -314,7 +318,7 @@ impl PlanCache {
         self.inner.lock().plans.clear();
     }
 
-    /// Keep only plans recorded on the given mesh generations; returns
+    /// Keep only plans compiled for the given mesh generations; returns
     /// the number of plans dropped. After building a refined mesh, pass
     /// the generations of every mesh still in use and the superseded
     /// plans go (their stamps can never be looked up again — see the

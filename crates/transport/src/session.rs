@@ -21,9 +21,11 @@
 //! [`SolveOutcome`] whose flux is **bit-identical** to a solo
 //! `solve_parallel_cached` call of the same request: an epoch of a
 //! session *is* the loop body of the solo solver (see
-//! `advance_one_epoch`), and fine-path and replay iterations produce
-//! the same flux bit-for-bit (§V-E), so interleaving changes wall
-//! clock, never physics.
+//! `advance_one_epoch`), and the replay plan a request runs is compiled
+//! once per problem shape, at the first admission of that shape, and
+//! served from the session's [`PlanCache`] to every later one — fine
+//! and replay iterations produce the same flux bit-for-bit (§V-E), so
+//! interleaving changes wall clock, never physics.
 //!
 //! # Lifecycle
 //!
@@ -34,7 +36,7 @@
 //!   └────────────┘             └─────────┘       └─────────┘      └──────────┘
 //!        │  refine(mesh', problem'): drain admitted work, retire the
 //!        │  universe, swap the world, drop the old generation's plans
-//!        │  — later admissions record fresh ones under the new stamp
+//!        │  — the next admission compiles a fresh one under the new stamp
 //!        │  (stale plans are structurally unreachable: the generation
 //!        │  is in the PlanKey; the barrier is where they are freed).
 //!        ▼
@@ -308,8 +310,8 @@ pub struct CampaignStats {
     pub epochs_run: u64,
     /// Admissions that found their replay plan in the session cache.
     pub plan_cache_hits: u64,
-    /// Admissions that missed the cache (their first iteration
-    /// records).
+    /// Admissions that missed the cache (each compiled the plan and
+    /// stored it for every later admission of its shape).
     pub plan_cache_misses: u64,
     /// Total seconds the campaign's requests spent queued before their
     /// first epoch.
@@ -340,12 +342,11 @@ pub struct EpochRecord {
     /// faulted epoch records the iteration it was *attempting* — the
     /// solve's own count did not advance.
     pub iteration: usize,
-    /// Whether the epoch replayed a coarse plan (vs the fine path).
-    pub replayed: bool,
     /// The epoch faulted: it contributed no flux and no stats, and
     /// the universe was relaunched afterwards.
     pub faulted: bool,
-    /// Generation stamp of the replayed plan (`None` on fine epochs).
+    /// Generation stamp of the replayed plan (`None` on fine and
+    /// faulted epochs).
     pub plan_generation: Option<u64>,
     /// Mesh generation of the world the epoch ran against.
     pub mesh_generation: u64,
@@ -616,8 +617,8 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
 
     /// Swap the session's world for a refined (or otherwise rebuilt)
     /// mesh. In-flight admitted work drains on the old world first;
-    /// requests admitted after the swap record fresh plans under the
-    /// new generation stamp. A stale plan is structurally unreachable
+    /// the first request admitted after the swap compiles a fresh plan
+    /// under the new generation stamp. A stale plan is structurally unreachable
     /// (the generation is part of the [`crate::replay::PlanKey`]).
     pub fn refine(&self, mesh: Arc<T>, problem: Arc<SweepProblem>) {
         assert_eq!(
@@ -939,12 +940,9 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             .unwrap_or(self.world.config.max_iterations);
         let tolerance = request.tolerance.unwrap_or(self.world.config.tolerance);
         let retry = request.retry.unwrap_or(self.default_retry);
-        let mut progress = self.world.begin_solve(
-            request.materials,
-            max_iterations,
-            tolerance,
-            Some(&self.cache),
-        );
+        let mut progress =
+            self.world
+                .begin_solve(request.materials, max_iterations, tolerance, &self.cache);
         if self.world.config.coarsen {
             book(&self.stats, campaign, |_, cs| {
                 if progress.plan_from_cache {
@@ -1041,7 +1039,7 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             .fault_plan
             .as_ref()
             .is_some_and(|p| p.take_epoch_fail(campaign, attempt));
-        let outcome = if injected {
+        let done = if injected {
             Err(EpochFault {
                 rank: 0,
                 worker: 0,
@@ -1050,15 +1048,15 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
                 kind: FaultKind::Injected,
             })
         } else {
-            advance_one_epoch(&mut self.world, &mut solve.progress, Some(&self.cache))
+            advance_one_epoch(&mut self.world, &mut solve.progress)
         };
         // The world launches lazily inside the epoch, and a faulted
         // epoch may still have launched the universe it faulted in:
         // count the launch here, `Ok` and `Err` alike, or the no-leak
         // invariant (launched == retired) would drift on every fault.
         self.stats.lock().universes_launched += self.world.launches - launches_before;
-        let outcome = match outcome {
-            Ok(o) => o,
+        let done = match done {
+            Ok(done) => done,
             Err(fault) => return self.handle_fault(campaign, fault),
         };
         // A completed epoch clears the campaign's consecutive-fault
@@ -1069,12 +1067,11 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             campaign,
             seq: solve.seq,
             iteration: solve.progress.iterations,
-            replayed: outcome.replayed,
-            plan_generation: plan_generation.filter(|_| outcome.replayed),
+            plan_generation,
             mesh_generation: self.world.problem.mesh_generation,
             faulted: false,
         };
-        let done_wait = outcome.done.then(|| solve.queue_wait.unwrap_or(0.0));
+        let done_wait = done.then(|| solve.queue_wait.unwrap_or(0.0));
         book(&self.stats, campaign, |s, cs| {
             s.epochs_run += 1;
             s.epoch_log.push(logged);
@@ -1129,7 +1126,6 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             campaign,
             seq: solve.seq,
             iteration,
-            replayed: false,
             plan_generation: None,
             mesh_generation: self.world.problem.mesh_generation,
             faulted: true,
@@ -1399,7 +1395,7 @@ mod tests {
         assert!(epoch_spans.contains(&second.span_id), "{epoch_spans:?}");
         let text = session.metrics_text();
         assert!(text.contains("jsweep_session_solves_total 2"), "{text}");
-        // The first solve records the plan (miss), the second replays
+        // The first solve compiles the plan (miss), the second replays
         // it (hit) — the pull gauges reflect the shared cache's truth.
         assert!(text.contains("jsweep_plan_cache_hits 1"), "{text}");
         assert!(text.contains("jsweep_plan_cache_misses 1"), "{text}");

@@ -15,13 +15,14 @@
 //!   ([`jsweep_core`]), with vertex clustering, two-level priorities
 //!   and either termination detector. One resident
 //!   [`jsweep_core::Universe`] lives for the whole solve and every
-//!   source iteration is one epoch of it; the cached, session and
-//!   trace-recording entry points run that same epoch. What an epoch
-//!   leaves behind lands in the world's [`EpochSink`] — one slot per
-//!   task — which this module folds (flux) and drains (traces) after
-//!   the epoch and replaces whenever the universe is retired, so a
-//!   faulted epoch's partial output is dropped with the universe that
-//!   wrote it.
+//!   source iteration is one epoch of it; the cached, session and SPMD
+//!   entry points run that same epoch. With coarsening on, the §V-E
+//!   replay plan is compiled before the first epoch
+//!   (`EpochWorld::begin_solve`), so every epoch replays. What an
+//!   epoch leaves behind lands in the world's [`EpochSink`] — one slot
+//!   per task — which this module folds after the epoch and replaces
+//!   whenever the universe is retired, so a faulted epoch's partial
+//!   output is dropped with the universe that wrote it.
 
 #![allow(clippy::type_complexity)]
 
@@ -29,13 +30,14 @@ use crate::kernel::{solve_cell, KernelKind};
 use crate::program::{EpochSink, SweepEpoch, SweepFactory, SweepMode, SweepSetup};
 use crate::replay::{build_plan, plan_key, CoarsePlan, PlanCache, PlanKey};
 use crate::xs::MaterialSet;
+use jsweep_core::engine::CLAIM_BATCH;
 use jsweep_core::fault::{EpochFault, FaultPlan};
 use jsweep_core::telemetry::EventKind;
 use jsweep_core::{
     fabric_for, EpochTuning, Rank, RunStats, RuntimeConfig, TelemetryHandle, TerminationKind,
     TransportKind, Universe,
 };
-use jsweep_graph::coarse::ClusterTrace;
+use jsweep_graph::coarse::{simulate_clusters, ClusterTrace};
 use jsweep_graph::SweepProblem;
 use jsweep_mesh::SweepTopology;
 use jsweep_quadrature::QuadratureSet;
@@ -60,11 +62,11 @@ pub struct SnConfig {
     /// Detect and break cyclic sweep dependencies (needed for deformed
     /// meshes; adds a per-direction analysis pass).
     pub break_cycles: bool,
-    /// Coarse-graph replay (§V-E, parallel solver): record the first
-    /// iteration's vertex clusters, cache them as a coarsened task
-    /// graph, and run iterations ≥ 2 on it — skipping per-vertex
-    /// scheduling. Bit-identical flux either way; `false` keeps every
-    /// iteration on the fine DAG path.
+    /// Coarse-graph replay (§V-E, parallel solver): compile the vertex
+    /// clusters of a simulated execution into a coarsened task graph
+    /// before the first iteration and run every iteration on it —
+    /// skipping per-vertex scheduling. Bit-identical flux either way;
+    /// `false` keeps every iteration on the fine DAG path.
     pub coarsen: bool,
     /// Epoch watchdog deadline (default 60 s): a rank whose pool holds
     /// active work but makes no progress for this long converts the
@@ -120,14 +122,13 @@ pub struct SnSolution {
     /// Runtime statistics per iteration (parallel solver only; one
     /// entry per iteration, aggregated over ranks).
     pub stats: Vec<RunStats>,
-    /// Host seconds spent building the coarse replay plan (parallel
-    /// solver with [`SnConfig::coarsen`]; `0.0` otherwise — in
-    /// particular when the plan came out of a [`PlanCache`], which is
-    /// the point of caching).
+    /// Host seconds spent building the coarse replay plan — the
+    /// simulated execution plus the compile (parallel solver with
+    /// [`SnConfig::coarsen`]; `0.0` otherwise — in particular when the
+    /// plan came out of a [`PlanCache`], which is the point of caching).
     pub coarse_build_seconds: f64,
     /// True when the replay plan was served by the [`PlanCache`] handed
-    /// to [`solve_parallel_cached`]: no recording iteration ran and no
-    /// plan was compiled — every iteration replayed from the start.
+    /// to [`solve_parallel_cached`]: no plan was compiled.
     pub plan_from_cache: bool,
 }
 
@@ -321,12 +322,13 @@ fn runtime_config(config: &SnConfig) -> RuntimeConfig {
 /// [`jsweep_graph::problem::SweepProblem::build`]); the patch set's rank
 /// distribution determines the number of simulated MPI ranks.
 ///
-/// With [`SnConfig::coarsen`] (the default), the first iteration runs
-/// the fine DAG-driven sweep while recording each canonical angle's
-/// cluster formation (one trace per octant under shared DAGs); the
-/// recorded clusters are compiled into a coarse replay plan (§V-E,
-/// with the Theorem-1 acyclicity check), and every later iteration
-/// replays it — same flux bit-for-bit, with the graph-op share of the
+/// With [`SnConfig::coarsen`] (the default), the clusters of a
+/// deterministic simulated execution of each canonical angle (one per
+/// octant under shared DAGs, see
+/// [`jsweep_graph::coarse::simulate_clusters`]) are compiled into a
+/// coarse replay plan (§V-E, with the Theorem-1 acyclicity check)
+/// before the first iteration, and every iteration replays it — the
+/// fine path's flux bit-for-bit, with the graph-op share of the
 /// [`RunStats`] breakdown visibly reduced. To reuse the plan *across*
 /// solves, use [`solve_parallel_cached`].
 ///
@@ -342,23 +344,28 @@ pub fn solve_parallel<T: SweepTopology + Send + Sync + 'static>(
     materials: Arc<MaterialSet>,
     config: &SnConfig,
 ) -> SnSolution {
-    solve_parallel_impl(mesh, problem, quadrature, materials, config, None)
+    solve_parallel_cached(
+        mesh,
+        problem,
+        quadrature,
+        materials,
+        config,
+        &PlanCache::new(),
+    )
 }
 
 /// [`solve_parallel`] with a cross-solve [`PlanCache`].
 ///
 /// The first solve of a given problem shape (mesh generation +
 /// decomposition + quadrature + grain — see
-/// [`crate::replay::plan_key`]) records iteration 1 on the fine path,
-/// compiles the replay plan and stores it in `cache`; every later
-/// solve of the same shape starts in coarse-replay mode **from
-/// iteration 1**, paying neither the recording iteration nor the plan
-/// compile. This is the multi-solve workhorse: time steps, eigenvalue
-/// iterations and material sweeps reuse one plan.
+/// [`crate::replay::plan_key`]) compiles the replay plan and stores it
+/// in `cache`; every later solve of the same shape takes it from there
+/// and pays no compile. This is the multi-solve workhorse: time steps,
+/// eigenvalue iterations and material sweeps reuse one plan.
 ///
 /// Invalidation is structural: refining (or rebuilding) the mesh
 /// yields a fresh generation stamp, so the rebuilt problem's key
-/// misses the cache and that solve records fresh. A stale plan is
+/// misses the cache and that solve compiles afresh. A stale plan is
 /// rebuilt, never replayed.
 pub fn solve_parallel_cached<T: SweepTopology + Send + Sync + 'static>(
     mesh: Arc<T>,
@@ -368,13 +375,30 @@ pub fn solve_parallel_cached<T: SweepTopology + Send + Sync + 'static>(
     config: &SnConfig,
     cache: &PlanCache,
 ) -> SnSolution {
-    solve_parallel_impl(mesh, problem, quadrature, materials, config, Some(cache))
+    let mut world = EpochWorld::new(mesh, problem, quadrature.clone(), config.clone());
+    let mut progress = world.begin_solve(materials, config.max_iterations, config.tolerance, cache);
+    while progress.iterations < progress.max_iterations {
+        // The solo API keeps fail-fast semantics: there is exactly one
+        // request, so nothing is saved by containing its fault. The
+        // session driver is the caller that maps `Err` to a per-ticket
+        // failure instead.
+        match advance_one_epoch(&mut world, &mut progress) {
+            Ok(true) => break,
+            Ok(false) => {}
+            Err(f) => {
+                world.retire();
+                panic!("sweep epoch faulted: {f}");
+            }
+        }
+    }
+    world.retire();
+    progress.into_solution()
 }
 
 /// The resident scheduling world parallel solves run epochs against:
 /// one problem shape (mesh + decomposition + quadrature + solver
 /// knobs), one [`EpochSink`] its tasks leave their output in, and at
-/// most one resident [`Universe`]. [`solve_parallel_impl`] builds one
+/// most one resident [`Universe`]. [`solve_parallel_cached`] builds one
 /// per solve; a [`crate::session::SolverSession`] keeps one alive
 /// across many queued solves and retires it only on shutdown or
 /// refinement.
@@ -443,60 +467,67 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
         }))
     }
 
-    /// Start a solve against this world: look the replay plan up in
-    /// `cache` (when coarsening is on) and build the zero-flux starting
-    /// state.
+    /// Start a solve against this world: with coarsening on, take the
+    /// replay plan from `cache` or compile it there — simulate the
+    /// clusters, build the plan, insert it — and build the zero-flux
+    /// starting state. Every epoch of the solve then replays.
     pub(crate) fn begin_solve(
         &self,
         materials: Arc<MaterialSet>,
         max_iterations: usize,
         tolerance: f64,
-        cache: Option<&PlanCache>,
+        cache: &PlanCache,
     ) -> SolveProgress {
         assert_eq!(
             materials.num_cells(),
             self.mesh.num_cells(),
             "materials must cover the mesh"
         );
-        let plan: Option<Arc<CoarsePlan>> = match (cache, &self.key) {
-            (Some(c), Some(k)) => {
-                let p = c.get(k);
-                let kind = if p.is_some() {
-                    EventKind::CacheHit
-                } else {
-                    EventKind::CacheMiss
-                };
-                self.config
-                    .telemetry
-                    .global_instant(kind, k.mesh_generation(), 0);
-                p
-            }
-            _ => None,
-        };
-        if let Some(p) = &plan {
-            // Defense in depth: the generation is part of the key, so a
-            // stale plan cannot be looked up — but never replay one even
-            // if a caller assembled the cache by hand.
-            assert_eq!(
-                p.mesh_generation, self.problem.mesh_generation,
-                "stale replay plan (mesh was refined); plans must be rebuilt, not replayed"
-            );
-        }
         let n = self.mesh.num_cells();
         let groups = materials.num_groups();
-        SolveProgress {
+        let mut progress = SolveProgress {
             phi: vec![0.0; n * groups],
             iterations: 0,
             residual: f64::INFINITY,
             stats: Vec::new(),
             coarse_build_seconds: 0.0,
-            plan_from_cache: plan.is_some(),
-            plan,
+            plan_from_cache: false,
+            plan: None,
             materials,
             max_iterations,
             tolerance,
             span: 0,
+        };
+        let Some(key) = self.key else {
+            return progress;
+        };
+        let telemetry = &self.config.telemetry;
+        let generation = key.mesh_generation();
+        if let Some(plan) = cache.get(&key) {
+            telemetry.global_instant(EventKind::CacheHit, generation, 0);
+            // Defense in depth: the generation is part of the key, so a
+            // stale plan cannot be looked up — but never replay one even
+            // if a caller assembled the cache by hand.
+            assert_eq!(
+                plan.mesh_generation, self.problem.mesh_generation,
+                "stale replay plan (mesh was refined); plans must be rebuilt, not replayed"
+            );
+            progress.plan_from_cache = true;
+            progress.plan = Some(plan);
+            return progress;
         }
+        telemetry.global_instant(EventKind::CacheMiss, generation, 0);
+        // One pair of readings is both the reported build cost and the
+        // trace's `PlanCompile` span.
+        let t0 = Instant::now();
+        let traces = simulate_clusters(&self.problem, self.config.grain, CLAIM_BATCH);
+        let plan = Arc::new(build_plan(&self.problem, &traces));
+        let t1 = Instant::now();
+        telemetry.global_span(EventKind::PlanCompile, t0, t1, generation, 0);
+        cache.insert(key, plan.clone());
+        progress.coarse_build_seconds = (t1 - t0).as_secs_f64();
+        progress.plan = Some(plan);
+        progress
     }
 
     /// Group count of the live resident programs, if any.
@@ -520,9 +551,9 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
 }
 
 /// Mutable state of one in-flight solve: the flux iterate, its
-/// convergence trackers, and the replay plan it records or replays.
-/// One per queued request in a session; [`solve_parallel_impl`] owns
-/// exactly one.
+/// convergence trackers, and the replay plan it replays (`None` with
+/// coarsening off). One per queued request in a session; a solo solve
+/// owns exactly one.
 pub(crate) struct SolveProgress {
     pub(crate) materials: Arc<MaterialSet>,
     pub(crate) max_iterations: usize,
@@ -542,8 +573,13 @@ pub(crate) struct SolveProgress {
 
 impl SolveProgress {
     /// The input of this solve's next epoch: the emission density of
-    /// the current iterate, the solve's materials and `mode`.
-    fn epoch(&self, mode: SweepMode) -> Arc<SweepEpoch> {
+    /// the current iterate, the solve's materials, and replay of its
+    /// plan (the fine path without one).
+    fn epoch(&self) -> Arc<SweepEpoch> {
+        let mode = match &self.plan {
+            Some(plan) => SweepMode::Coarse { plan: plan.clone() },
+            None => SweepMode::Fine,
+        };
         Arc::new(SweepEpoch {
             emission: Arc::new(emission_density(&self.materials, &self.phi)),
             mode,
@@ -607,25 +643,17 @@ fn run_sweep_epoch<T: SweepTopology + Send + Sync + 'static>(
     Ok((RunStats::aggregate(&rank_stats), phi_new))
 }
 
-/// What [`advance_one_epoch`] did.
-pub(crate) struct EpochOutcome {
-    /// The solve is finished: converged below its tolerance, or out of
-    /// iterations.
-    pub(crate) done: bool,
-    /// The epoch replayed a coarse plan (vs running the fine path).
-    pub(crate) replayed: bool,
-}
-
 /// Run exactly one source iteration of `progress` against `world`:
-/// pick the scheduling mode, run the sweep as an epoch of the resident
-/// universe ([`run_sweep_epoch`]), update the convergence trackers,
-/// and compile/store the replay plan when this was the recording
-/// iteration. This is the loop body of [`solve_parallel`], exposed
-/// step-wise so a [`crate::session::SolverSession`] can interleave
-/// epochs of many concurrent solves on one world — running a request's
-/// epochs through this function back-to-back is *exactly* a
-/// [`solve_parallel_cached`] call, which is what makes session results
-/// bit-identical to solo solves.
+/// run the sweep as an epoch of the resident universe
+/// ([`run_sweep_epoch`]) and update the convergence trackers. Returns
+/// whether the solve is finished — converged below its tolerance, or
+/// out of iterations. This is the loop body of
+/// [`solve_parallel_cached`], exposed step-wise so a
+/// [`crate::session::SolverSession`] can interleave epochs of many
+/// concurrent solves on one world — running a request's epochs through
+/// this function back-to-back is *exactly* a [`solve_parallel_cached`]
+/// call, which is what makes session results bit-identical to solo
+/// solves.
 ///
 /// `Err` means the epoch was poisoned (see
 /// [`jsweep_core::universe::Universe::run_epoch`]): `progress` is left
@@ -637,73 +665,9 @@ pub(crate) struct EpochOutcome {
 pub(crate) fn advance_one_epoch<T: SweepTopology + Send + Sync + 'static>(
     world: &mut EpochWorld<T>,
     progress: &mut SolveProgress,
-    cache: Option<&PlanCache>,
-) -> Result<EpochOutcome, EpochFault> {
-    // Replay when a plan exists, record when coarsening wants one,
-    // plain fine otherwise.
-    let replayed = progress.plan.is_some();
-    let recording = !replayed && world.config.coarsen;
-    let mode = match &progress.plan {
-        Some(plan) => SweepMode::Coarse { plan: plan.clone() },
-        None => SweepMode::Fine { record: recording },
-    };
-    let (stats, phi_new) = run_sweep_epoch(world, progress.epoch(mode), progress.span)?;
-    let done = progress.advance(stats, phi_new);
-
-    // Compile the replay plan once the recording iteration is in.
-    // Without a cache this is skipped when no iteration remains to
-    // replay it (converged, or max_iterations exhausted); with a cache
-    // the plan is still compiled and stored — future solves replay it
-    // even if this one is done.
-    if recording && (!done || cache.is_some()) {
-        let traces = world.sink.take_traces(&world.problem);
-        // One pair of readings is both the reported build cost and
-        // the trace's `PlanCompile` span.
-        let t0 = Instant::now();
-        let built = Arc::new(build_plan(&world.problem, &traces));
-        let t1 = Instant::now();
-        world.config.telemetry.global_span(
-            EventKind::PlanCompile,
-            t0,
-            t1,
-            world.problem.mesh_generation,
-            0,
-        );
-        progress.coarse_build_seconds = (t1 - t0).as_secs_f64();
-        if let (Some(c), Some(k)) = (cache, world.key) {
-            c.insert(k, built.clone());
-        }
-        progress.plan = Some(built);
-    }
-    Ok(EpochOutcome { done, replayed })
-}
-
-fn solve_parallel_impl<T: SweepTopology + Send + Sync + 'static>(
-    mesh: Arc<T>,
-    problem: Arc<SweepProblem>,
-    quadrature: &QuadratureSet,
-    materials: Arc<MaterialSet>,
-    config: &SnConfig,
-    cache: Option<&PlanCache>,
-) -> SnSolution {
-    let mut world = EpochWorld::new(mesh, problem, quadrature.clone(), config.clone());
-    let mut progress = world.begin_solve(materials, config.max_iterations, config.tolerance, cache);
-    while progress.iterations < progress.max_iterations {
-        // The solo API keeps fail-fast semantics: there is exactly one
-        // request, so nothing is saved by containing its fault. The
-        // session driver is the caller that maps `Err` to a per-ticket
-        // failure instead.
-        match advance_one_epoch(&mut world, &mut progress, cache) {
-            Ok(o) if o.done => break,
-            Ok(_) => {}
-            Err(f) => {
-                world.retire();
-                panic!("sweep epoch faulted: {f}");
-            }
-        }
-    }
-    world.retire();
-    progress.into_solution()
+) -> Result<bool, EpochFault> {
+    let (stats, phi_new) = run_sweep_epoch(world, progress.epoch(), progress.span)?;
+    Ok(progress.advance(stats, phi_new))
 }
 
 /// One rank's share of a parallel solve, for worlds where ranks are
@@ -721,8 +685,9 @@ fn solve_parallel_impl<T: SweepTopology + Send + Sync + 'static>(
 /// Convergence decisions are therefore identical in every process, and
 /// the returned [`SnSolution::phi`] is the **global** flux.
 ///
-/// Always runs the fine scheduling path ([`SnConfig::coarsen`] is
-/// ignored): replay recording assumes the single-process fold.
+/// With [`SnConfig::coarsen`] every process compiles the same replay
+/// plan — a pure function of the problem and the grain — before its
+/// first epoch, and every epoch replays it.
 /// [`SnSolution::stats`] carries *this rank's* per-iteration stats.
 ///
 /// # Panics
@@ -745,11 +710,13 @@ pub fn solve_parallel_spmd<T: SweepTopology + Send + Sync + 'static>(
         "comm world size must match the problem's rank decomposition"
     );
     let world = EpochWorld::new(mesh, problem, quadrature.clone(), config.clone());
-    let mut progress = world.begin_solve(materials, config.max_iterations, config.tolerance, None);
+    let cache = PlanCache::new();
+    let mut progress =
+        world.begin_solve(materials, config.max_iterations, config.tolerance, &cache);
     let groups = progress.materials.num_groups();
     let mut rank = Rank::launch(comm, world.factory(groups), &runtime_config(config));
     while progress.iterations < progress.max_iterations {
-        let input: Arc<jsweep_core::EpochInput> = progress.epoch(SweepMode::Fine { record: false });
+        let input: Arc<jsweep_core::EpochInput> = progress.epoch();
         let rank_stats = rank
             .run_epoch(&input, EpochTuning::default())
             .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
@@ -768,33 +735,24 @@ pub fn solve_parallel_spmd<T: SweepTopology + Send + Sync + 'static>(
     progress.into_solution()
 }
 
-/// Run a single fine-mode parallel sweep iteration (zero incoming
-/// flux) recording every task's cluster formation; returns the traces
-/// as `traces[angle][patch]` — the layout
+/// The traces the solver compiles its plan from:
+/// [`jsweep_graph::coarse::simulate_clusters`] at `config.grain` and
+/// the runtime's claim batch, as `traces[angle][patch]` — the layout
 /// [`crate::replay::build_plan`] and
-/// [`jsweep_graph::coarse::build_coarse`] consume.
-///
-/// This is the recording half of §V-E exposed on its own, for tests
-/// and benchmarks that want to inspect real solver traces (e.g. the
-/// Theorem-1 property test).
+/// [`jsweep_graph::coarse::build_coarse`] consume — with every octant
+/// member's entries filled from its canonical angle. The mesh,
+/// quadrature and materials play no part: the clusters depend only on
+/// the problem and the grain.
 pub fn record_cluster_traces<T: SweepTopology + Send + Sync + 'static>(
-    mesh: Arc<T>,
+    _mesh: Arc<T>,
     problem: Arc<SweepProblem>,
-    quadrature: &QuadratureSet,
-    materials: Arc<MaterialSet>,
+    _quadrature: &QuadratureSet,
+    _materials: Arc<MaterialSet>,
     config: &SnConfig,
 ) -> Vec<Vec<ClusterTrace>> {
-    let mode = SweepMode::Fine { record: true };
-    let mut world = EpochWorld::new(mesh, problem.clone(), quadrature.clone(), config.clone());
-    let input = world.begin_solve(materials, 1, 0.0, None).epoch(mode);
-    let swept = run_sweep_epoch(&mut world, input, 0);
-    let mut traces = world.sink.take_traces(&problem);
-    world.retire();
-    if let Err(f) = swept {
-        panic!("sweep epoch faulted: {f}");
-    }
-    // Only canonical angles record; fill octant members with their
-    // canonical trace (valid for the shared DAG) so every angle's
+    let mut traces = simulate_clusters(&problem, config.grain, CLAIM_BATCH);
+    // Only canonical angles are simulated; fill octant members with
+    // their canonical trace (valid for the shared DAG) so every angle's
     // entry covers its subgraph — the layout contract of this API.
     for a in 0..problem.num_angles {
         let c = problem.canonical_angle(a);
@@ -938,10 +896,17 @@ mod tests {
     /// A fault abandons programs mid-sweep, so some slots of the sink
     /// hold that epoch's contributions. Retiring the universe replaces
     /// the sink: the next epoch folds exactly what a never-faulted
-    /// world folds.
+    /// world folds — on the fine path and on replay.
     #[cfg(feature = "fault-inject")]
     #[test]
     fn retire_after_a_fault_installs_a_fresh_sink() {
+        for coarsen in [false, true] {
+            retire_after_a_fault(coarsen);
+        }
+    }
+
+    #[cfg(feature = "fault-inject")]
+    fn retire_after_a_fault(coarsen: bool) {
         let m = Arc::new(StructuredMesh::unit(4, 4, 4));
         let mats = Arc::new(MaterialSet::homogeneous(
             64,
@@ -957,12 +922,16 @@ mod tests {
         ));
         let cfg = SnConfig {
             grain: 16,
+            coarsen,
             ..Default::default()
         };
         let mut clean = EpochWorld::new(m.clone(), prob.clone(), quad.clone(), cfg.clone());
-        let input = clean
-            .begin_solve(mats, 1, 0.0, None)
-            .epoch(SweepMode::Fine { record: false });
+        let input = clean.begin_solve(mats, 1, 0.0, &PlanCache::new()).epoch();
+        assert_eq!(
+            matches!(input.mode, SweepMode::Coarse { .. }),
+            coarsen,
+            "the epoch runs the path under test"
+        );
         let (_, want) = run_sweep_epoch(&mut clean, input.clone(), 0).expect("clean epoch");
         clean.retire();
 

@@ -43,14 +43,7 @@ fn main() {
             },
         );
         let machine = MachineModel::cluster(ranks, 11);
-        let result = simulate(
-            &problem,
-            &machine,
-            &SimOptions {
-                grain: 256,
-                record_traces: false,
-            },
-        );
+        let result = simulate(&problem, &machine, &SimOptions { grain: 256 });
         let t0 = *base.get_or_insert(result.time);
         let speedup = t0 / result.time;
         let eff = speedup / ranks as f64;

@@ -10,7 +10,7 @@
 //! * `retry_policy_recovers_transient_panic` — a one-shot injected
 //!   panic is absorbed by `RetryPolicy`, the rerun iteration is
 //!   bit-identical, and the books record the fault, the retry and the
-//!   relaunch.
+//!   relaunch — on the fine path and on replay.
 //! * `watchdog_converts_injected_stall_into_failed_ticket` — an
 //!   injected worker stall resolves the requester's ticket well inside
 //!   the stall duration (the watchdog fired, the requester never
@@ -146,8 +146,9 @@ fn injected_panic_fails_one_ticket_others_bit_identical() {
     assert_eq!(out_a.solution.phi, golden_a.phi);
     assert_eq!(out_b.solution.phi, golden_b.phi);
 
-    // Plans recorded on the relaunched universe key on the mesh
-    // generation, so follow-up admissions are cache hits.
+    // The plan compiled at the first admission keys on the mesh
+    // generation, not the universe, so follow-up admissions are cache
+    // hits.
     let out_a2 = a
         .submit(SolveRequest::new(materials(0.2)))
         .wait()
@@ -182,10 +183,17 @@ fn injected_panic_fails_one_ticket_others_bit_identical() {
     assert_eq!(cf.completed, 0);
 }
 
+/// On the fine path and on replay: the panic lands in whichever kind
+/// of epoch `coarsen` selects, and the fold is bit-identical either way.
 #[test]
 fn retry_policy_recovers_transient_panic() {
     let golden = solo(0.3);
+    for coarsen in [false, true] {
+        retry_recovers(coarsen, &golden);
+    }
+}
 
+fn retry_recovers(coarsen: bool, golden: &jsweep::transport::SnSolution) {
     let (mesh, problem, quad) = build_world();
     let plan = FaultPlan::builder().panic_on_compute(0, 1).build();
     let mut session = SolverSession::launch(
@@ -193,7 +201,10 @@ fn retry_policy_recovers_transient_panic() {
         problem,
         quad,
         SessionOptions {
-            solver: chaos_config(plan),
+            solver: SnConfig {
+                coarsen,
+                ..chaos_config(plan)
+            },
             ..Default::default()
         },
     );
@@ -226,13 +237,21 @@ fn retry_policy_recovers_transient_panic() {
     assert_eq!(cs.faults, 1);
     assert_eq!(cs.retries, 1);
     // The log shows the faulted attempt at iteration 1 followed by a
-    // clean 3-epoch solve.
+    // clean 3-epoch solve on the path `coarsen` selects.
     let marks: Vec<_> = stats
         .epoch_log
         .iter()
-        .map(|e| (e.iteration, e.faulted))
+        .map(|e| (e.iteration, e.faulted, e.plan_generation.is_some()))
         .collect();
-    assert_eq!(marks, vec![(1, true), (1, false), (2, false), (3, false)]);
+    assert_eq!(
+        marks,
+        vec![
+            (1, true, false),
+            (1, false, coarsen),
+            (2, false, coarsen),
+            (3, false, coarsen)
+        ]
+    );
 }
 
 #[test]

@@ -3,6 +3,8 @@
 //! solver, across mesh families, kernels, decompositions and
 //! termination detectors.
 
+use jsweep::core::engine::CLAIM_BATCH;
+use jsweep::graph::coarse::simulate_clusters;
 use jsweep::prelude::*;
 use jsweep::transport::kobayashi;
 use std::sync::Arc;
@@ -216,7 +218,7 @@ fn worker_count_does_not_change_physics() {
 
 #[test]
 fn coarse_replay_bit_identical_structured_both_terminations() {
-    // §V-E golden: with coarsen on, iterations ≥ 2 run on the
+    // §V-E golden: with coarsen on, every iteration runs on the
     // coarsened graph, yet the flux must equal the fine path *bit for
     // bit* — the replay executes the same cells with the same inputs.
     let mesh = Arc::new(StructuredMesh::unit(8, 8, 8));
@@ -332,10 +334,10 @@ fn coarse_replay_bit_identical_deformed_with_cycle_breaking() {
 #[test]
 fn plan_lifecycle_golden_fresh_cached_octant_shared() {
     // The plan-lifecycle golden: phi must be bit-identical across
-    // (a) a fresh plan recorded in this solve, (b) a cached plan served
-    // by the PlanCache on a second solve (replay from iteration 1), and
-    // (c) octant-shared canonical-trace replay (S4: 3 member angles per
-    // octant replay one canonical trace) — all against the fine path.
+    // (a) a fresh plan compiled for this solve, (b) a cached plan served
+    // by the PlanCache on a second solve, and (c) octant-shared
+    // canonical-trace replay (S4: 3 member angles per octant replay one
+    // canonical trace) — all against the fine path.
     use jsweep::transport::PlanCache;
     let mesh = Arc::new(StructuredMesh::unit(6, 6, 6));
     let quad = QuadratureSet::sn(4); // 24 angles, 3 per octant
@@ -379,7 +381,7 @@ fn plan_lifecycle_golden_fresh_cached_octant_shared() {
         &config(),
         &cache,
     );
-    assert!(!first.plan_from_cache, "first solve records");
+    assert!(!first.plan_from_cache, "first solve compiles");
     assert!(first.coarse_build_seconds > 0.0);
     assert_eq!(cache.len(), 1);
     let second = jsweep::transport::solve_parallel_cached(
@@ -393,7 +395,7 @@ fn plan_lifecycle_golden_fresh_cached_octant_shared() {
     assert!(second.plan_from_cache, "second solve must hit the cache");
     assert_eq!(
         second.coarse_build_seconds, 0.0,
-        "a cached plan is neither re-recorded nor re-compiled"
+        "a cached plan is not re-compiled"
     );
     assert_eq!(fine.phi, first.phi);
     assert_eq!(
@@ -407,20 +409,9 @@ fn plan_lifecycle_golden_fresh_cached_octant_shared() {
     // angle).
     let unshared = solve_parallel(mesh.clone(), owned.clone(), &quad, mats.clone(), &config());
     assert_eq!(fine.phi, unshared.phi);
-    let traces_shared = jsweep::transport::record_cluster_traces(
-        mesh.clone(),
-        shared.clone(),
-        &quad,
-        mats.clone(),
-        &config(),
-    );
-    let traces_owned = jsweep::transport::record_cluster_traces(
-        mesh.clone(),
-        owned.clone(),
-        &quad,
-        mats.clone(),
-        &config(),
-    );
+    let grain = config().grain;
+    let traces_shared = simulate_clusters(&shared, grain, CLAIM_BATCH);
+    let traces_owned = simulate_clusters(&owned, grain, CLAIM_BATCH);
     let plan_shared = jsweep::transport::replay::build_plan(&shared, &traces_shared);
     let plan_owned = jsweep::transport::replay::build_plan(&owned, &traces_owned);
     assert_eq!(plan_shared.num_distinct_tasks(), 8 * shared.num_patches());
@@ -433,10 +424,77 @@ fn plan_lifecycle_golden_fresh_cached_octant_shared() {
 }
 
 #[test]
+fn plan_is_deterministic_and_fixes_every_iteration_stream_count() {
+    // The plan is a pure function of (problem, grain): the simulated
+    // execution repeats itself exactly, and since every coarse remote
+    // edge is one stream, every replayed iteration of every solve moves
+    // exactly as many streams as the plan has remote coarse edges —
+    // counted once per member angle, each of which replays its
+    // canonical angle's tasks.
+    use jsweep::transport::replay::build_plan;
+    let mesh = Arc::new(StructuredMesh::unit(8, 8, 8));
+    let quad = QuadratureSet::sn(4);
+    let prob = Arc::new(SweepProblem::build(
+        mesh.as_ref(),
+        decompose_structured(&mesh, (4, 4, 2), 2),
+        &quad,
+        &ProblemOptions {
+            share_octant_dags: true,
+            ..Default::default()
+        },
+    ));
+    let mats = Arc::new(MaterialSet::homogeneous(
+        512,
+        Material::uniform(1, 1.0, 0.5, 1.0),
+    ));
+    let cfg = SnConfig {
+        max_iterations: 3,
+        tolerance: -1.0,
+        ..config()
+    };
+    let clusters = |traces: &[Vec<jsweep::graph::coarse::ClusterTrace>]| -> Vec<Vec<u32>> {
+        traces
+            .iter()
+            .flat_map(|per_patch| per_patch.iter().flat_map(|t| t.clusters.iter().cloned()))
+            .collect()
+    };
+    let traces = simulate_clusters(&prob, cfg.grain, CLAIM_BATCH);
+    assert_eq!(
+        clusters(&traces),
+        clusters(&simulate_clusters(&prob, cfg.grain, CLAIM_BATCH))
+    );
+    let plan = build_plan(&prob, &traces);
+    let coarse_edges: usize = plan
+        .tasks
+        .iter()
+        .flatten()
+        .map(|t| t.coarse.remote.iter().map(Vec::len).sum::<usize>())
+        .sum();
+    assert!(
+        coarse_edges > 0,
+        "a 2-rank, 16-patch problem has remote edges"
+    );
+    let mut reference: Option<Vec<f64>> = None;
+    for solve in 0..2 {
+        let sol = solve_parallel(mesh.clone(), prob.clone(), &quad, mats.clone(), &cfg);
+        assert_eq!(sol.iterations, 3);
+        for (i, s) in sol.stats.iter().enumerate() {
+            assert_eq!(
+                (s.streams_local + s.streams_sent) as usize,
+                coarse_edges,
+                "solve {solve}, iteration {i}: one stream per coarse remote edge"
+            );
+        }
+        let first = reference.get_or_insert_with(|| sol.phi.clone());
+        assert_eq!(&sol.phi, first);
+    }
+}
+
+#[test]
 fn refinement_between_solves_rebuilds_the_plan() {
     // Generation-stamp invalidation: a refined mesh carries a fresh
     // stamp, so the rebuilt problem misses the cache and its solve
-    // records a new plan instead of replaying the stale one.
+    // compiles a new plan instead of replaying the stale one.
     use jsweep::mesh::refine::refine_structured;
     use jsweep::transport::{solve_parallel_cached, PlanCache};
     let cache = PlanCache::new();
@@ -487,7 +545,7 @@ fn refinement_between_solves_rebuilds_the_plan() {
     );
     assert!(
         !b.plan_from_cache,
-        "refinement must invalidate: the refined solve records fresh"
+        "refinement must invalidate: the refined solve compiles afresh"
     );
     assert!(b.coarse_build_seconds > 0.0, "a new plan was compiled");
     assert_eq!(
@@ -518,11 +576,12 @@ fn refinement_between_solves_rebuilds_the_plan() {
 #[test]
 fn des_and_threaded_replay_consume_identical_coarse_graphs() {
     // ROADMAP cross-check: des::simulate_coarse and the threaded replay
-    // both consume build_coarse output. On the *same* solver-recorded
-    // traces their compute-call accounting must agree: the DES executes
-    // exactly one compute call per coarse vertex (plus one spurious
-    // initial activation per task that starts with no ready cluster),
-    // and the threaded plan schedules exactly the same coarse vertices.
+    // both consume build_coarse output. On the *same* traces the solver
+    // compiles its plan from, their compute-call accounting must agree:
+    // the DES executes exactly one compute call per coarse vertex (plus
+    // one spurious initial activation per task that starts with no
+    // ready cluster), and the threaded plan schedules exactly the same
+    // coarse vertices.
     use jsweep::graph::coarse::{build_coarse, CoarsenedTask};
     use jsweep_des::simulate_coarse;
     let mesh = Arc::new(StructuredMesh::unit(8, 8, 8));
@@ -533,17 +592,7 @@ fn des_and_threaded_replay_consume_identical_coarse_graphs() {
         &quad,
         &ProblemOptions::default(),
     ));
-    let mats = Arc::new(MaterialSet::homogeneous(
-        512,
-        Material::uniform(1, 1.0, 0.5, 1.0),
-    ));
-    let traces = jsweep::transport::record_cluster_traces(
-        mesh.clone(),
-        prob.clone(),
-        &quad,
-        mats,
-        &config(),
-    );
+    let traces = simulate_clusters(&prob, config().grain, CLAIM_BATCH);
 
     let tasks: Vec<Vec<CoarsenedTask>> = (0..prob.num_angles)
         .map(|a| build_coarse(&prob.subs[a], &traces[a]))
@@ -663,10 +712,11 @@ fn deformed_mesh_parallel_matches_serial_with_cycle_breaking() {
 /// source iteration, but every iteration launches a fresh universe —
 /// every program is new and armed by exactly one `reset` — runs one
 /// epoch and shuts down, where the resident universe arms the same
-/// programs N times. Mirrors the solver's loop (emission density,
-/// record → compile → replay under `coarsen`, relative-L2 stop), so
-/// "`reset` leaves no residue of earlier epochs" stays pinned bit for
-/// bit. Returns the flux and one aggregated `RunStats` per iteration.
+/// programs N times. Mirrors the solver's loop (emission density, a
+/// plan compiled up front and replayed under `coarsen`, relative-L2
+/// stop), so "`reset` leaves no residue of earlier epochs" stays pinned
+/// bit for bit. Returns the flux and one aggregated `RunStats` per
+/// iteration.
 fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
     mesh: &Arc<T>,
     prob: &Arc<SweepProblem>,
@@ -680,7 +730,12 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
     let inv_4pi = 1.0 / (4.0 * std::f64::consts::PI);
     let mut phi = vec![0.0; n * groups];
     let mut stats = Vec::new();
-    let mut plan = None;
+    let plan = cfg.coarsen.then(|| {
+        Arc::new(build_plan(
+            prob,
+            &simulate_clusters(prob, cfg.grain, CLAIM_BATCH),
+        ))
+    });
     while stats.len() < cfg.max_iterations {
         let emission: Vec<f64> = (0..n * groups)
             .map(|i| {
@@ -688,12 +743,11 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
                 (m.sigma_s[g] * phi[i] + m.source[g]) * inv_4pi
             })
             .collect();
-        let recording = cfg.coarsen && plan.is_none();
         let mode = match &plan {
             Some(plan) => SweepMode::Coarse {
                 plan: Arc::clone(plan),
             },
-            None => SweepMode::Fine { record: recording },
+            None => SweepMode::Fine,
         };
         let sink = Arc::new(EpochSink::new(prob.num_tasks()));
         let factory = Arc::new(SweepFactory::new(SweepSetup {
@@ -738,9 +792,6 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
         };
         if residual < cfg.tolerance {
             break;
-        }
-        if recording {
-            plan = Some(Arc::new(build_plan(prob, &sink.take_traces(prob))));
         }
     }
     (phi, stats)
@@ -968,7 +1019,7 @@ fn sink_slots_keep_their_accumulators_across_epochs() {
     for _ in 0..4 {
         u.run_epoch(Arc::new(SweepEpoch {
             emission: emission.clone(),
-            mode: SweepMode::Fine { record: false },
+            mode: SweepMode::Fine,
             materials: mats.clone(),
         }))
         .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));

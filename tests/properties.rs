@@ -4,7 +4,7 @@
 //! graph acyclicity (Theorem 1), SFC bijectivity, codec roundtrips,
 //! and the blocked-vs-scalar kernel differential harness.
 
-use jsweep::graph::coarse::{build_coarse, ClusterTrace};
+use jsweep::graph::coarse::{build_coarse, simulate_clusters, ClusterTrace};
 use jsweep::graph::priority::vertex_priorities;
 use jsweep::graph::{dag, PriorityStrategy, Subgraph, SweepState};
 use jsweep::mesh::{partition, tetgen, StructuredMesh, SweepTopology};
@@ -91,44 +91,45 @@ proptest! {
     }
 
     #[test]
-    fn solver_recorded_traces_coarsen_acyclically(
+    fn simulated_clusters_coarsen_acyclically(
+        family in 0usize..3,
         n in 3usize..6,
-        px in 2usize..4,
-        grain in 1usize..48,
+        patches in 1usize..10,
+        ranks in 1usize..4,
+        grain in 1usize..65,
+        claim_batch in 1usize..9,
+        seed in 0u64..1000,
     ) {
-        // Theorem 1 on *real* solver traces: record a fine parallel
-        // iteration (threaded runtime, 2 ranks × 2 workers — genuine
-        // scheduling nondeterminism) and feed every angle's traces
-        // through build_coarse, whose topological check panics on a
-        // cyclic coarse graph.
-        use jsweep::transport::{record_cluster_traces, Material, MaterialSet, SnConfig};
-        use std::sync::Arc;
-        let mesh = Arc::new(StructuredMesh::unit(n, n, n));
-        let num_patches = n.div_ceil(px).pow(3);
-        let ranks = num_patches.min(2);
-        let ps = partition::decompose_structured(&mesh, (px, px, px), ranks);
-        let quad = QuadratureSet::sn(2);
-        let prob = Arc::new(jsweep::graph::SweepProblem::build(
-            mesh.as_ref(),
-            ps,
-            &quad,
-            &jsweep::graph::ProblemOptions::default(),
-        ));
-        let mats = Arc::new(MaterialSet::homogeneous(
-            mesh.num_cells(),
-            Material::uniform(1, 1.0, 0.5, 1.0),
-        ));
-        let cfg = SnConfig { grain, workers_per_rank: 2, ..Default::default() };
-        let traces = record_cluster_traces(mesh.clone(), prob.clone(), &quad, mats, &cfg);
-        prop_assert_eq!(traces.len(), prob.num_angles);
+        // Theorem 1 over many valid executions: whatever the grain,
+        // claim batch, decomposition and mesh family (hexes, tets,
+        // deformed hexes whose cyclic directions were cut), the clusters
+        // of the simulated execution partition every task's vertices
+        // and build_coarse, whose topological check panics on a cyclic
+        // coarse graph, accepts them.
+        let problem = match family {
+            0 => simulated_problem(&StructuredMesh::unit(n, n, n), patches, ranks, false),
+            1 => simulated_problem(&tetgen::cube(n - 1, 1.0), patches, ranks, false),
+            _ => simulated_problem(
+                &jsweep::mesh::deformed::DeformedMesh::jittered(n, n, n, 0.35, seed),
+                patches,
+                ranks,
+                true,
+            ),
+        };
+        let traces = simulate_clusters(&problem, grain, claim_batch);
+        prop_assert_eq!(traces.len(), problem.num_angles);
         for (a, angle_traces) in traces.iter().enumerate() {
-            // Panics on a Theorem-1 violation or an incomplete trace.
-            let tasks = build_coarse(&prob.subs[a], angle_traces);
-            let covered: usize = tasks.iter().map(|t| t.num_vertices()).sum();
-            prop_assert_eq!(covered, mesh.num_cells());
-            // Clustering never grows the graph.
-            let coarse: usize = tasks.iter().map(|t| t.num_clusters()).sum();
-            prop_assert!(coarse <= mesh.num_cells());
+            for (sub, trace) in problem.subs[a].iter().zip(angle_traces) {
+                let mut seen = vec![false; sub.num_vertices()];
+                for cluster in &trace.clusters {
+                    prop_assert!(!cluster.is_empty() && cluster.len() <= grain);
+                    for &v in cluster {
+                        prop_assert!(!std::mem::replace(&mut seen[v as usize], true));
+                    }
+                }
+                prop_assert!(seen.iter().all(|&s| s), "a vertex in no cluster");
+            }
+            build_coarse(&problem.subs[a], angle_traces);
         }
     }
 
@@ -509,6 +510,28 @@ fn trace_sweep(subs: &[Subgraph], grain: usize) -> Vec<ClusterTrace> {
         }
     }
     traces
+}
+
+/// An S2 problem over `mesh` in (at most) `patches` RCB patches dealt
+/// round-robin to (at most) `ranks` ranks, every angle owning its DAG;
+/// `check_cycles` cuts the cyclic dependencies of deformed meshes.
+fn simulated_problem<T: SweepTopology>(
+    mesh: &T,
+    patches: usize,
+    ranks: usize,
+    check_cycles: bool,
+) -> jsweep::graph::SweepProblem {
+    let mut ps = partition::rcb(mesh, patches.min(mesh.num_cells()));
+    let ranks = ranks.min(ps.num_patches());
+    ps.distribute(
+        (0..ps.num_patches()).map(|p| (p % ranks) as u32).collect(),
+        ranks,
+    );
+    let opts = jsweep::graph::ProblemOptions {
+        check_cycles,
+        ..Default::default()
+    };
+    jsweep::graph::SweepProblem::build(mesh, ps, &QuadratureSet::sn(2), &opts)
 }
 
 /// Six (key, unit-size plan) pairs over three distinct mesh

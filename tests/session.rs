@@ -7,6 +7,8 @@
 //! * `fifo_schedule_is_deterministic` / `round_robin_schedule_is_deterministic`
 //!   — dslab-style: a seeded request order against a known admission
 //!   policy yields an exact epoch schedule.
+//! * `session_compiles_the_plan_once_per_shape` — a paused backlog of
+//!   one shape compiles one plan, at the first admission.
 //! * `soak_refinement_under_load` (`--ignored`) — refinement bumps
 //!   interleaved with in-flight campaigns: no stale-plan replay, no
 //!   universe leak across 50+ campaign lifecycles.
@@ -180,9 +182,11 @@ fn stress_concurrent_campaigns_bit_identical() {
 /// Zero scattering makes every solve finish in exactly two epochs
 /// (iteration 2 reproduces iteration 1's flux bit-for-bit, the
 /// residual is 0), so the schedule is a pure function of the policy.
+/// Returns the session's stats and the outcomes in submission order.
 fn run_seeded_schedule(
     policy: Box<dyn jsweep::transport::AdmissionPolicy>,
-) -> Vec<(u64, u64, usize, bool)> {
+    telemetry: TelemetryHandle,
+) -> (SessionStats, Vec<SolveOutcome>) {
     let (mesh, problem, quad) = build_world();
     let mats = materials(0.0);
     let mut session = SolverSession::launch(
@@ -193,6 +197,7 @@ fn run_seeded_schedule(
             solver: SnConfig {
                 grain: 16,
                 max_iterations: 8,
+                telemetry,
                 ..Default::default()
             },
             admission: policy,
@@ -212,59 +217,114 @@ fn run_seeded_schedule(
         c.submit(request(&mats)),
     ];
     session.resume();
-    for t in tickets {
-        let out = t.wait().expect("seeded solve served");
+    let outcomes: Vec<SolveOutcome> = tickets
+        .into_iter()
+        .map(|t| t.wait().expect("seeded solve served"))
+        .collect();
+    for out in &outcomes {
         assert_eq!(out.solution.iterations, 2, "zero scattering: two epochs");
     }
+    let cache = session.plan_cache();
+    assert_eq!(
+        (cache.misses(), cache.hits()),
+        (1, 4),
+        "one shape, one compile: the first admission misses, the backlog hits"
+    );
     session.shutdown();
-    let stats = session.stats();
+    (session.stats(), outcomes)
+}
+
+/// The epoch log as `(campaign, seq, iteration, replayed)`, where an
+/// epoch replayed when it names the plan it replayed.
+fn schedule(stats: &SessionStats) -> Vec<(u64, u64, usize, bool)> {
     stats
         .epoch_log
         .iter()
-        .map(|e| (e.campaign, e.seq, e.iteration, e.replayed))
+        .map(|e| (e.campaign, e.seq, e.iteration, e.plan_generation.is_some()))
         .collect()
 }
 
 #[test]
 fn fifo_schedule_is_deterministic() {
-    let schedule = run_seeded_schedule(Box::new(Fifo));
-    // FIFO: each request runs to completion in admission order. All
-    // five were admitted before any epoch ran (paused), so none found
-    // a cached plan at admission: every first epoch records, every
-    // second replays.
+    let (stats, _) = run_seeded_schedule(Box::new(Fifo), TelemetryHandle::default());
+    // FIFO: each request runs to completion in admission order. The
+    // first admission compiled the plan, so every epoch replays.
     let expected = vec![
-        (0, 0, 1, false),
+        (0, 0, 1, true),
         (0, 0, 2, true),
-        (1, 0, 1, false),
+        (1, 0, 1, true),
         (1, 0, 2, true),
-        (0, 1, 1, false),
+        (0, 1, 1, true),
         (0, 1, 2, true),
-        (2, 0, 1, false),
+        (2, 0, 1, true),
         (2, 0, 2, true),
-        (2, 1, 1, false),
+        (2, 1, 1, true),
         (2, 1, 2, true),
     ];
-    assert_eq!(schedule, expected);
+    assert_eq!(schedule(&stats), expected);
 }
 
 #[test]
 fn round_robin_schedule_is_deterministic() {
-    let schedule = run_seeded_schedule(Box::new(RoundRobin::default()));
+    let (stats, _) =
+        run_seeded_schedule(Box::new(RoundRobin::default()), TelemetryHandle::default());
     // Round-robin: one epoch to the next campaign id each turn,
     // wrapping; a completed campaign drops out of the rotation.
     let expected = vec![
-        (0, 0, 1, false),
-        (1, 0, 1, false),
-        (2, 0, 1, false),
+        (0, 0, 1, true),
+        (1, 0, 1, true),
+        (2, 0, 1, true),
         (0, 0, 2, true),
         (1, 0, 2, true),
         (2, 0, 2, true),
-        (0, 1, 1, false),
-        (2, 1, 1, false),
+        (0, 1, 1, true),
+        (2, 1, 1, true),
         (0, 1, 2, true),
         (2, 1, 2, true),
     ];
-    assert_eq!(schedule, expected);
+    assert_eq!(schedule(&stats), expected);
+}
+
+/// All five requests of the seeded backlog are admitted while the
+/// session is paused, before any epoch runs. The plan is compiled at
+/// the first admission, so that one misses the cache, compiles once and
+/// books the build; the other four hit.
+#[test]
+fn session_compiles_the_plan_once_per_shape() {
+    #[cfg(feature = "telemetry")]
+    let recorder = {
+        let t = Arc::new(jsweep::core::telemetry::obs::Telemetry::new());
+        t.arm();
+        t
+    };
+    #[cfg(feature = "telemetry")]
+    let telemetry = TelemetryHandle::attach(recorder.clone());
+    #[cfg(not(feature = "telemetry"))]
+    let telemetry = TelemetryHandle::default();
+    let (stats, outcomes) = run_seeded_schedule(Box::new(Fifo), telemetry);
+    let misses: u64 = stats.campaigns.values().map(|c| c.plan_cache_misses).sum();
+    let hits: u64 = stats.campaigns.values().map(|c| c.plan_cache_hits).sum();
+    assert_eq!((misses, hits), (1, 4));
+    let built: Vec<bool> = outcomes
+        .iter()
+        .map(|o| o.solution.coarse_build_seconds > 0.0)
+        .collect();
+    assert_eq!(built, [true, false, false, false, false], "one compile");
+    assert!(outcomes
+        .iter()
+        .zip(&built)
+        .all(|(o, &b)| o.solution.plan_from_cache != b));
+    #[cfg(feature = "telemetry")]
+    {
+        use jsweep::core::telemetry::obs::EventKind;
+        let compiles = recorder
+            .snapshot()
+            .iter()
+            .flat_map(|l| l.events.iter())
+            .filter(|e| e.kind == EventKind::PlanCompile)
+            .count();
+        assert_eq!(compiles, 1, "exactly one PlanCompile span");
+    }
 }
 
 /// A ticket dropped without ever being waited on must not block
@@ -509,11 +569,10 @@ fn soak_refinement_under_load() {
     // world generation it ran against.
     let mut replays = 0;
     for e in &stats.epoch_log {
-        if e.replayed {
+        if let Some(plan_generation) = e.plan_generation {
             replays += 1;
             assert_eq!(
-                e.plan_generation,
-                Some(e.mesh_generation),
+                plan_generation, e.mesh_generation,
                 "replayed epoch used a plan from another generation"
             );
         }

@@ -7,7 +7,8 @@
 //! flux to disk. The parent then compares every child's flux
 //! byte-for-byte against an in-process thread-backend
 //! [`solve_parallel`] run — the cross-transport, cross-process
-//! determinism pin of `docs/transport.md`.
+//! determinism pin of `docs/transport.md`. It does so on the fine path
+//! and with coarse replay, where every process compiles the same plan.
 
 use jsweep::comm::socket::SocketUniverse;
 use jsweep::prelude::*;
@@ -18,6 +19,7 @@ use std::time::Duration;
 const ENV_RANK: &str = "JSWEEP_SPMD_RANK";
 const ENV_DIR: &str = "JSWEEP_SPMD_DIR";
 const ENV_N: &str = "JSWEEP_SPMD_N";
+const ENV_COARSEN: &str = "JSWEEP_SPMD_COARSEN";
 const RANKS: usize = 4;
 
 /// The shared problem: 16³ cells, 4×4×4 patches over 4 ranks, S2.
@@ -43,15 +45,14 @@ fn spmd_materials() -> Arc<MaterialSet> {
 }
 
 /// Fixed-iteration config so parent and children make identical
-/// convergence decisions. Fine-DAG path only: `solve_parallel_spmd`
-/// has no coarse replay, so the golden disables it too.
-fn spmd_config() -> SnConfig {
+/// convergence decisions.
+fn spmd_config(coarsen: bool) -> SnConfig {
     SnConfig {
         grain: 16,
         max_iterations: 3,
         tolerance: 1e-14,
         workers_per_rank: 2,
-        coarsen: false,
+        coarsen,
         ..Default::default()
     }
 }
@@ -74,12 +75,13 @@ fn spmd_worker_entry() {
         .expect("world size env")
         .parse()
         .unwrap();
+    let coarsen = std::env::var(ENV_COARSEN).expect("coarsen env") == "1";
 
     let comm = SocketUniverse::connect(&dir, rank, n, Duration::from_secs(60))
         .unwrap_or_else(|e| panic!("rank {rank}: rendezvous failed: {e}"));
     let (mesh, problem, quad) = build_world();
-    let solution =
-        solve_parallel_spmd(mesh, problem, &quad, spmd_materials(), &spmd_config(), comm);
+    let config = spmd_config(coarsen);
+    let solution = solve_parallel_spmd(mesh, problem, &quad, spmd_materials(), &config, comm);
 
     let mut bytes = Vec::with_capacity(solution.phi.len() * 8);
     for v in &solution.phi {
@@ -90,15 +92,26 @@ fn spmd_worker_entry() {
 
 /// Four ranks as four OS processes over UNIX sockets must produce a
 /// scalar flux bit-identical to the single-process thread-backend
-/// solve.
+/// solve, with coarse replay off and on.
 #[test]
 fn four_process_socket_solve_matches_thread_backend() {
+    for coarsen in [false, true] {
+        four_process_solve(coarsen);
+    }
+}
+
+fn four_process_solve(coarsen: bool) {
     // In-process golden over the default thread fabric.
     let (mesh, problem, quad) = build_world();
-    let golden = solve_parallel(mesh, problem, &quad, spmd_materials(), &spmd_config());
+    let config = spmd_config(coarsen);
+    let golden = solve_parallel(mesh, problem, &quad, spmd_materials(), &config);
     assert_eq!(golden.iterations, 3);
 
-    let dir = std::env::temp_dir().join(format!("jsweep-spmd-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "jsweep-spmd-{}-{}",
+        std::process::id(),
+        u8::from(coarsen)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
@@ -111,13 +124,17 @@ fn four_process_socket_solve_matches_thread_backend() {
                 .env(ENV_RANK, rank.to_string())
                 .env(ENV_DIR, &dir)
                 .env(ENV_N, RANKS.to_string())
+                .env(ENV_COARSEN, if coarsen { "1" } else { "0" })
                 .spawn()
                 .expect("spawn rank process")
         })
         .collect();
     for (rank, mut child) in children.into_iter().enumerate() {
         let status = child.wait().expect("join rank process");
-        assert!(status.success(), "rank {rank} process failed: {status}");
+        assert!(
+            status.success(),
+            "rank {rank} process failed (coarsen {coarsen}): {status}"
+        );
     }
 
     // Every rank converged on the same global flux, and it matches the
@@ -130,7 +147,7 @@ fn four_process_socket_solve_matches_thread_backend() {
         let got = std::fs::read(phi_path(&dir, rank)).expect("rank flux written");
         assert_eq!(
             got, golden_bytes,
-            "rank {rank}: socket-process flux diverges from thread-backend golden"
+            "rank {rank}: socket-process flux diverges from thread-backend golden (coarsen {coarsen})"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -199,7 +199,7 @@ fn armed_two_rank_solve_exports_valid_chrome_trace() {
     assert!(compute_events > 0, "no compute spans recorded");
 
     // The default config coarsens: the driver lane records the plan
-    // compilation of iteration 1.
+    // compilation before iteration 1.
     let global = lanes
         .iter()
         .find(|l| l.rank == GLOBAL_RANK)
@@ -284,13 +284,19 @@ fn assert_spans_are_the_breakdown(who: &str, lanes: &[&LaneSnapshot], bd: &Break
 }
 
 /// The reconciliation property: an armed trace's per-lane span sums
-/// are the `RunStats` breakdown of the same solve — one recording
-/// (fine) epoch and two replay epochs, on both fabrics. Summed over
-/// the solve, not per epoch: a worker's trailing idle delta rides its
-/// next non-empty report.
+/// are the `RunStats` breakdown of the same solve — three fine epochs
+/// and three replayed epochs, each on both fabrics. Summed over the
+/// solve, not per epoch: a worker's trailing idle delta rides its next
+/// non-empty report.
 #[test]
 fn span_sums_are_the_breakdown_on_both_fabrics() {
-    for transport in [TransportKind::Thread, TransportKind::Socket] {
+    let runs = [
+        (TransportKind::Thread, false),
+        (TransportKind::Thread, true),
+        (TransportKind::Socket, false),
+        (TransportKind::Socket, true),
+    ];
+    for (transport, coarsen) in runs {
         let (mesh, problem, quad) = build_world();
         let t = Arc::new(Telemetry::new());
         t.arm();
@@ -301,11 +307,16 @@ fn span_sums_are_the_breakdown_on_both_fabrics() {
             materials(),
             &SnConfig {
                 transport,
+                coarsen,
                 ..config(TelemetryHandle::attach(t.clone()))
             },
         );
         assert_eq!(sol.iterations, ITERATIONS);
-        assert!(sol.coarse_build_seconds > 0.0, "iterations 2.. replayed");
+        assert_eq!(
+            sol.coarse_build_seconds > 0.0,
+            coarsen,
+            "replay plan compiled"
+        );
 
         let lanes = t.snapshot();
         for lane in &lanes {
