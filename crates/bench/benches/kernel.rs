@@ -1,6 +1,8 @@
 //! Multigroup kernel benchmark: scalar `solve_cell` (geometry
-//! re-derived per group) vs the group-blocked path (`CellGeom` hoisted
-//! once per cell, `solve_cell_block_geom` running contiguous
+//! re-derived per group) vs the group-blocked path in its production
+//! form (`CellGeom` read from the per-class table
+//! `CellGeom::per_class` compiles before the pass, as the sweep
+//! factory does at set-up; `solve_cell_block_geom` running contiguous
 //! `GROUP_BLOCK`-wide group blocks through an autovectorizable inner
 //! loop).
 //!
@@ -14,11 +16,12 @@
 //! divergent physics.
 //!
 //! Full mode asserts the ≥1.5× blocked-vs-scalar target at G=16 on
-//! the structured mesh and writes a machine-readable baseline to
+//! the structured mesh, lists every case where the blocked path still
+//! loses to the scalar one, and writes a machine-readable baseline to
 //! `BENCH_kernel.json` at the workspace root; the
-//! `cargo bench -- --test` smoke pass does neither.
+//! `cargo bench -- --test` smoke pass does none of these.
 
-use jsweep_mesh::{tetgen, StructuredMesh, SweepTopology};
+use jsweep_mesh::{tetgen, GeomClasses, StructuredMesh, SweepTopology};
 use jsweep_transport::kernel::{
     solve_cell, solve_cell_block_geom, ulp_distance, CellGeom, KernelKind, GROUP_BLOCK,
     KERNEL_MAX_FACES, KERNEL_MAX_ULPS,
@@ -103,13 +106,13 @@ fn pass_scalar<T: SweepTopology + ?Sized>(
 /// the whole mesh.
 const CHUNK: usize = 32;
 
-/// One blocked pass, chunked like the production cluster path: per
-/// chunk, hoist `CellGeom` once per cell (phase 0), then stream the
-/// chunk's cell list once per group block (phase 1).
+/// One blocked pass, chunked like the production cluster path: stream
+/// each chunk's cell list once per group block, every cell reading its
+/// geometry from the direction's class table (`geoms[class_of[c]]`).
 #[allow(clippy::too_many_arguments)]
-fn pass_blocked<T: SweepTopology + ?Sized>(
-    mesh: &T,
-    dir: [f64; 3],
+fn pass_blocked(
+    geoms: &[CellGeom],
+    class_of: &[u32],
     kind: KernelKind,
     sigma_t: &[f64],
     q: &[f64],
@@ -119,23 +122,19 @@ fn pass_blocked<T: SweepTopology + ?Sized>(
     phi: &mut [f64],
 ) {
     let groups = sigma_t.len();
-    let n = mesh.num_cells();
-    let mut geoms: Vec<CellGeom> = Vec::with_capacity(CHUNK);
+    let n = class_of.len();
     let mut out = [0.0f64; KERNEL_MAX_FACES * GROUP_BLOCK];
     let mut psi = [0.0f64; GROUP_BLOCK];
     let mut start = 0;
     while start < n {
         let end = (start + CHUNK).min(n);
-        geoms.clear();
-        geoms.extend((start..end).map(|c| CellGeom::new(mesh, c, dir)));
         let mut g0 = 0;
         while g0 < groups {
             let b = GROUP_BLOCK.min(groups - g0);
-            for (i, geom) in geoms.iter().enumerate() {
-                let c = start + i;
+            for c in start..end {
                 let base = c * mf * groups + g0;
                 solve_cell_block_geom(
-                    geom,
+                    &geoms[class_of[c] as usize],
                     kind,
                     &sigma_t[g0..g0 + b],
                     &q[g0..g0 + b],
@@ -192,14 +191,17 @@ fn measure<T: SweepTopology + ?Sized>(
         scalar_s = scalar_s.min(t0.elapsed().as_secs_f64());
     }
 
+    // Set-up, untimed: the class pass and the direction's table.
+    let classes = GeomClasses::new(mesh);
+    let geoms = CellGeom::per_class(mesh, &classes, dir);
     let mut phi_blocked = vec![0.0; n * groups];
     let mut blocked_s = f64::INFINITY;
     for _ in 0..reps {
         phi_blocked.iter_mut().for_each(|x| *x = 0.0);
         let t0 = Instant::now();
         pass_blocked(
-            mesh,
-            dir,
+            &geoms,
+            &classes.class_of,
             kind,
             &sigma_t,
             &q,
@@ -296,6 +298,17 @@ fn main() {
     // sample on a noisy CI core would flake, and is no baseline).
     if test_mode {
         return;
+    }
+    // The cases where production's path still loses: the input of a
+    // per-(kernel, G) dispatch.
+    for c in cases.iter().filter(|c| c.speedup() < 1.0) {
+        println!(
+            "kernel below scalar: {}/{}/G={} at {:.2}x",
+            c.mesh,
+            c.kernel,
+            c.groups,
+            c.speedup()
+        );
     }
     // Only the step kernel is held to the bar: scalar DD already hoists
     // its face pairing per cell (see `solve_cell`), so blocking

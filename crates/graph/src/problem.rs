@@ -1,10 +1,11 @@
 //! Problem setup for the simulator: mesh + decomposition + quadrature
-//! compiled into per-(patch, angle) subgraphs and priorities.
+//! compiled into per-(patch, angle) subgraphs and priorities, plus the
+//! mesh's geometry classes.
 
 use crate::priority::{patch_priorities, vertex_priorities, TwoLevelPriority};
 use crate::subgraph::PatchLinks;
 use crate::{cycles, PriorityStrategy, Subgraph};
-use jsweep_mesh::{PatchSet, SweepTopology};
+use jsweep_mesh::{GeomClasses, PatchSet, SweepTopology};
 use jsweep_quadrature::{AngleId, QuadratureSet};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -78,6 +79,9 @@ pub struct SweepProblem {
     /// Priorities and physics are deliberately excluded — they do not
     /// affect replay validity.
     pub dag_fingerprint: u64,
+    /// The mesh's geometry classes: a transport kernel compiles its
+    /// per-(cell, angle) geometry once per class and angle from these.
+    pub geom_classes: GeomClasses,
 }
 
 impl SweepProblem {
@@ -105,6 +109,7 @@ impl SweepProblem {
             .patches()
             .map(|p| PatchLinks::new(mesh, &patches, p))
             .collect();
+        let geom_classes = GeomClasses::new(mesh);
 
         // Octant sharing: remember the first angle of each octant.
         let mut octant_cache: [Option<usize>; 8] = [None; 8];
@@ -174,6 +179,7 @@ impl SweepProblem {
             canon,
             mesh_generation: mesh.generation(),
             dag_fingerprint,
+            geom_classes,
         }
     }
 

@@ -198,6 +198,61 @@ pub fn face_toward<T: SweepTopology + ?Sized>(
     (0..mesh.num_faces(cell)).find(|&f| mesh.face(cell, f).neighbor == Neighbor::Interior(neighbor))
 }
 
+/// Cells partitioned into **geometry classes**: cells whose face count,
+/// volume and every face's area and normal are bit-identical. Anything
+/// computed from those alone for a direction (a transport kernel's
+/// face flows, its upwind pairing) is then bit-identical across a
+/// class, so it can be computed once per class and direction from the
+/// class's representative instead of once per cell.
+///
+/// A uniform [`StructuredMesh`] is one class; a Kuhn-subdivided tet cube
+/// has a few hundred (rounding in the generated coordinates splits the
+/// six tet shapes); a jittered mesh has one class per cell, the worst
+/// case.
+#[derive(Debug, Clone)]
+pub struct GeomClasses {
+    /// Class index of every cell.
+    pub class_of: Vec<u32>,
+    /// Representative cell of every class: its lowest-numbered member.
+    /// Classes are numbered in the order their representatives appear.
+    pub reps: Vec<u32>,
+}
+
+impl GeomClasses {
+    /// One hashing pass over the mesh. A cell shaped like the one before
+    /// it (every cell of a uniform structured mesh) skips the hash.
+    pub fn new<T: SweepTopology + ?Sized>(mesh: &T) -> GeomClasses {
+        let n = mesh.num_cells();
+        let mut index: std::collections::HashMap<Vec<u64>, u32> = Default::default();
+        let mut class_of = Vec::with_capacity(n);
+        let mut reps = Vec::new();
+        let (mut key, mut prev) = (Vec::new(), Vec::new());
+        for c in 0..n {
+            key.clear();
+            let nf = mesh.num_faces(c);
+            key.extend([nf as u64, mesh.cell_volume(c).to_bits()]);
+            for f in 0..nf {
+                let face = mesh.face(c, f);
+                key.extend(face.normal.map(f64::to_bits));
+                key.push(face.area.to_bits());
+            }
+            let class = if c > 0 && key == prev {
+                class_of[c - 1]
+            } else if let Some(&class) = index.get(key.as_slice()) {
+                class
+            } else {
+                let class = reps.len() as u32;
+                index.insert(key.clone(), class);
+                reps.push(c as u32);
+                class
+            };
+            class_of.push(class);
+            std::mem::swap(&mut key, &mut prev);
+        }
+        GeomClasses { class_of, reps }
+    }
+}
+
 /// Check the symmetry contract of [`SweepTopology`] on a whole mesh;
 /// used by tests and available to downstream validation.
 ///

@@ -17,7 +17,9 @@
 //!   geometry fetched per group. Retained as the fallback and as the
 //!   oracle every blocked result is differentially tested against.
 //! * [`solve_cell_block`] / [`solve_cell_block_geom`] — the hot path:
-//!   per-(cell, angle) geometry is hoisted once into a [`CellGeom`]
+//!   per-(cell, angle) geometry is hoisted into a [`CellGeom`] — in
+//!   the sweep, compiled once per geometry class and angle at set-up
+//!   ([`CellGeom::per_class`]), so no iteration asks the mesh for it —
 //!   and the innermost loops run over [`GROUP_BLOCK`]-wide contiguous
 //!   group blocks of plain-indexed `f64` slices, which autovectorize.
 //!   Group counts that are not a multiple of the block width fall back
@@ -26,7 +28,7 @@
 //!   in the same order, so they agree to [`KERNEL_MAX_ULPS`] — which
 //!   is zero: bit-identical.
 
-use jsweep_mesh::SweepTopology;
+use jsweep_mesh::{GeomClasses, SweepTopology};
 
 /// Width of the contiguous group blocks the blocked kernel iterates
 /// over. Eight `f64`s span one 64-byte cache line and map onto one
@@ -66,7 +68,13 @@ pub fn ulp_distance(a: f64, b: f64) -> u64 {
 /// flows `A Ω·n`, the cell volume, and (for hexahedra) the
 /// diamond-difference upwind pairing — everything [`solve_cell`]
 /// re-derives from [`SweepTopology::face`] per *group*, computed once
-/// per *cell*.
+/// per *geometry class and angle* ([`CellGeom::per_class`]): every
+/// cell of a [`GeomClasses`] class has the same one, bit for bit.
+///
+/// The sweep keeps one table of these per angle, so it stores
+/// `classes × angles × size_of::<CellGeom>()` (112 B) — one entry for
+/// a uniform structured mesh, and at worst, on a mesh with no repeated
+/// cell shape (a jittered one), `cells × angles` entries.
 #[derive(Debug, Clone, Copy)]
 pub struct CellGeom {
     /// Cell volume.
@@ -116,6 +124,21 @@ impl CellGeom {
             dd_up,
             dd_coef,
         }
+    }
+
+    /// The geometry table of direction `dir`: entry `k` is
+    /// [`CellGeom::new`] of class `k`'s representative, so cell `c`'s
+    /// geometry is entry `classes.class_of[c]`.
+    pub fn per_class<T: SweepTopology + ?Sized>(
+        mesh: &T,
+        classes: &GeomClasses,
+        dir: [f64; 3],
+    ) -> Vec<CellGeom> {
+        classes
+            .reps
+            .iter()
+            .map(|&rep| CellGeom::new(mesh, rep as usize, dir))
+            .collect()
     }
 }
 
@@ -436,9 +459,18 @@ pub fn solve_cell_block<T: SweepTopology + ?Sized>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use jsweep_mesh::StructuredMesh;
+
+    /// Every field's bits, for bit-identity checks.
+    pub(crate) fn geom_bits(geom: &CellGeom) -> Vec<u64> {
+        let mut bits = vec![geom.volume.to_bits(), geom.nf as u64];
+        bits.extend(geom.flow.map(f64::to_bits));
+        bits.extend(geom.dd_up.map(|u| u as u64));
+        bits.extend(geom.dd_coef.map(f64::to_bits));
+        bits
+    }
 
     fn one_cell() -> StructuredMesh {
         StructuredMesh::unit(1, 1, 1)

@@ -27,6 +27,13 @@
 //! (the mesh-walking derivation survives only in `solve_serial` and in
 //! this module's test oracle).
 //!
+//! Cell geometry is compiled too. [`SweepFactory::new`] builds one
+//! [`CellGeom`] per geometry class ([`jsweep_mesh::GeomClasses`], found
+//! by [`SweepProblem::build`]) and angle, one table per angle shared by
+//! that angle's programs. `kernel_cluster` reads a cell's entry
+//! through `class_of`, so no iteration asks the mesh anything: a
+//! program holds no mesh at all.
+//!
 //! **One stream payload** serves both modes (`jsweep_comm::pack`
 //! little-endian words): `u32 head`, `u32 n`, `n × u32 slot`
 //! ([`Subgraph::rem_dslot`] of the sender's edges, i.e. slots of the
@@ -79,7 +86,7 @@ use jsweep_core::{
 use jsweep_graph::coarse::CoarseSweepState;
 use jsweep_graph::{Subgraph, SweepProblem, SweepState};
 use jsweep_mesh::{PatchId, SweepTopology};
-use jsweep_quadrature::QuadratureSet;
+use jsweep_quadrature::{AngleId, QuadratureSet};
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::Arc;
 
@@ -200,20 +207,32 @@ pub struct SweepSetup<T: SweepTopology + Send + Sync + 'static> {
 /// `(patch, angle)`.
 pub struct SweepFactory<T: SweepTopology + Send + Sync + 'static> {
     setup: SweepSetup<T>,
+    /// `geoms[angle][class]`: the [`CellGeom`] of every cell of that
+    /// geometry class for that angle; each program shares its angle's.
+    geoms: Vec<Arc<Vec<CellGeom>>>,
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> SweepFactory<T> {
-    /// Wrap a setup. (A mixed-element mesh never gets this far:
-    /// `SweepProblem::build` rejects it.)
+    /// Wrap a setup and compile its geometry table. (A mixed-element
+    /// mesh never gets this far: `SweepProblem::build` rejects it.)
+    /// Panics here, not mid-epoch, on cells with more faces than
+    /// [`KERNEL_MAX_FACES`] and on diamond difference over non-hex cells.
     pub fn new(setup: SweepSetup<T>) -> SweepFactory<T> {
         assert!(setup.grain > 0 && setup.groups > 0);
-        assert!(
-            setup.problem.subs[0]
-                .iter()
-                .all(|sub| sub.faces_per_cell() <= KERNEL_MAX_FACES),
-            "cells have more faces than KERNEL_MAX_FACES"
-        );
-        SweepFactory { setup }
+        let (mesh, classes) = (setup.mesh.as_ref(), &setup.problem.geom_classes);
+        let geoms: Vec<Arc<Vec<CellGeom>>> = (0..setup.problem.num_angles)
+            .map(|a| {
+                let dir = setup.quadrature.direction(AngleId(a as u32));
+                Arc::new(CellGeom::per_class(mesh, classes, dir))
+            })
+            .collect();
+        if setup.kernel == KernelKind::DiamondDifference {
+            assert!(
+                geoms[0].iter().all(|g| g.nf == 6),
+                "diamond difference needs hexahedral cells"
+            );
+        }
+        SweepFactory { setup, geoms }
     }
 }
 
@@ -258,20 +277,23 @@ enum Sched {
 
 /// The physics half of a program: everything the numerical kernel
 /// reads and writes. Kept apart from the scheduling half so `compute`
-/// borrows the two side by side — the subgraph, the mesh and the
-/// compiled task are borrowed, never `Arc`-cloned, per call.
-struct Physics<T> {
-    mesh: Arc<T>,
+/// borrows the two side by side — the subgraph, the geometry table and
+/// the compiled task are borrowed, never `Arc`-cloned, per call.
+struct Physics {
+    /// The compiled problem: vertex priorities for fine arming and the
+    /// geometry class of every cell.
+    problem: Arc<SweepProblem>,
     materials: Arc<MaterialSet>,
     emission: Arc<Vec<f64>>,
     /// The angle's subgraphs (Arc-shared per octant); this program's
     /// own — its routing table — is `subs[patch]`.
     subs: Arc<Vec<Subgraph>>,
+    /// The angle's geometry table, indexed by geometry class.
+    geoms: Arc<Vec<CellGeom>>,
     patch: usize,
     kernel: KernelKind,
     groups: usize,
     weight: f64,
-    dir: [f64; 3],
     /// Incoming face flux, `groups` values per slot of the subgraph —
     /// one slot per edge into a local cell (allocated by the first
     /// reset; later resets leave it alone — module docs).
@@ -286,12 +308,9 @@ struct Physics<T> {
     /// write block sub-slices here and [`Physics::emit`] packs streams
     /// from it.
     remote_vals: Vec<f64>,
-    /// Per-cluster hoisted cell geometry (phase 0 of
-    /// [`Physics::kernel_cluster`]; reused across calls).
-    geom_scratch: Vec<CellGeom>,
 }
 
-impl<T: SweepTopology> Physics<T> {
+impl Physics {
     /// Pack one outgoing stream for the same-angle task on `dst`:
     /// `prefix` (a [`put_prefix`] over `rem`) followed by the staged
     /// flux of every remote-CSR edge in `rem`. The only encoder, for
@@ -321,28 +340,22 @@ impl<T: SweepTopology> Physics<T> {
     /// scheduling modes — which is what makes the coarse replay
     /// bit-identical to the fine path.
     ///
-    /// Topology-free: phase 0 hoists only the per-cell geometry
-    /// ([`CellGeom`]); phase 1 streams the cell list once per
-    /// [`GROUP_BLOCK`]-wide group block, gathers each cell's slots
-    /// ([`Subgraph::in_slots`]) into the kernel's face-major incoming
-    /// block and routes each solved cell by walking its two CSR ranges
-    /// of the subgraph — internal edge `k` copies `out[int_sface[k]]`
-    /// to `face_flux` slot `int_dslot[k]`, remote edge `k` copies
-    /// `out[rem_sface[k]]` to `remote_vals[k]`. Upwind, flow-0,
-    /// boundary and cycle-broken faces have no edge and so write
-    /// nothing. Each pass walks the cluster in its (topological) order,
-    /// which preserves in-cluster upwind/downwind dependencies per
-    /// block exactly as the scalar path did per group.
+    /// Mesh-free: the cell list is streamed once per
+    /// [`GROUP_BLOCK`]-wide group block; each cell reads its
+    /// [`CellGeom`] from the angle's table by geometry class, gathers
+    /// its slots ([`Subgraph::in_slots`]) into the kernel's face-major
+    /// incoming block and, once solved, routes by walking its two CSR
+    /// ranges of the subgraph — internal edge `k` copies
+    /// `out[int_sface[k]]` to `face_flux` slot `int_dslot[k]`, remote
+    /// edge `k` copies `out[rem_sface[k]]` to `remote_vals[k]`. Upwind,
+    /// flow-0, boundary and cycle-broken faces have no edge and so
+    /// write nothing. Each pass walks the cluster in its (topological)
+    /// order, which preserves in-cluster upwind/downwind dependencies
+    /// per block exactly as the scalar path did per group.
     fn kernel_cluster(&mut self, cluster: &[u32]) {
         let sub = &self.subs[self.patch];
+        let class_of = &self.problem.geom_classes.class_of;
         let groups = self.groups;
-
-        self.geom_scratch.clear();
-        self.geom_scratch.extend(
-            cluster.iter().map(|&v| {
-                CellGeom::new(self.mesh.as_ref(), sub.cells[v as usize] as usize, self.dir)
-            }),
-        );
 
         // Both block scratches live on the stack, face-major and
         // GROUP_BLOCK-strided even for the tail block. The incoming one
@@ -353,8 +366,9 @@ impl<T: SweepTopology> Physics<T> {
         let mut g0 = 0;
         while g0 < groups {
             let b = GROUP_BLOCK.min(groups - g0);
-            for (geom, &v) in self.geom_scratch.iter().zip(cluster) {
+            for &v in cluster {
                 let cell = sub.cells[v as usize] as usize;
+                let geom = &self.geoms[class_of[cell] as usize];
                 let mat = self.materials.material(cell);
                 // Gather the cell's slots — earlier cells of this pass
                 // have already written them for the block's groups —
@@ -430,9 +444,8 @@ fn copy_block(dst: &mut [f64], src: &[f64], b: usize) {
 }
 
 /// The patch-program of one `(patch, angle)` sweep task.
-pub struct SweepProgram<T: SweepTopology + Send + Sync + 'static> {
+pub struct SweepProgram {
     id: ProgramId,
-    problem: Arc<SweepProblem>,
     sink: Arc<EpochSink>,
     /// This task's slot in `sink`.
     tid: usize,
@@ -440,7 +453,7 @@ pub struct SweepProgram<T: SweepTopology + Send + Sync + 'static> {
     /// Scheduling state (fine counters + ready queue, or coarse replay).
     sched: Sched,
     /// Kernel inputs and the numeric buffers.
-    phys: Physics<T>,
+    phys: Physics,
     /// Fine-path stream assembly: per destination (indexed like
     /// [`Subgraph::nbrs`]) the remote-CSR edges of the cluster in
     /// flight; every list is emitted and emptied within the compute
@@ -450,7 +463,7 @@ pub struct SweepProgram<T: SweepTopology + Send + Sync + 'static> {
     prefix: Vec<u8>,
 }
 
-impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
+impl SweepProgram {
     /// Fine-mode `compute()`: pop a cluster of ready vertices, run the
     /// kernel, emit one stream per target patch (clustering aggregates
     /// messages, §V-C benefit 2).
@@ -549,7 +562,7 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
     }
 }
 
-impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> {
+impl PatchProgram for SweepProgram {
     fn init(&mut self) {
         // Shape comes from `create`, state from `reset`; nothing
         // further.
@@ -631,16 +644,16 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
             .downcast_ref::<SweepEpoch>()
             .expect("SweepProgram reset with a non-SweepEpoch input");
         let phys = &mut self.phys;
-        let groups = phys.groups;
+        let (groups, num_cells) = (phys.groups, phys.problem.patches.num_cells());
         assert_eq!(
             e.emission.len(),
-            phys.mesh.num_cells() * groups,
+            num_cells * groups,
             "epoch emission density has the wrong shape"
         );
         phys.emission = e.emission.clone();
         assert_eq!(
             e.materials.num_cells(),
-            phys.mesh.num_cells(),
+            num_cells,
             "epoch materials must cover the mesh"
         );
         assert_eq!(
@@ -649,7 +662,7 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
             "epoch materials cannot change the group count of a program"
         );
         phys.materials = e.materials.clone();
-        let problem = &self.problem;
+        let problem = &phys.problem;
         let (p, a) = (self.id.patch.index(), self.id.task.0 as usize);
         let sub = &phys.subs[p];
         match (&mut self.sched, &e.mode) {
@@ -703,38 +716,35 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T> {
-    type Program = SweepProgram<T>;
+    type Program = SweepProgram;
 
-    fn create(&self, id: ProgramId) -> SweepProgram<T> {
+    fn create(&self, id: ProgramId) -> SweepProgram {
         // Shape only: the epoch's data, the scheduling state and the
         // epoch-sized buffers are installed by the `reset` the runtime
         // follows every `create` with.
         let s = &self.setup;
         let (p, a) = (id.patch.index(), id.task.0 as usize);
-        let angle = jsweep_quadrature::AngleId(id.task.0);
         let subs = s.problem.subs[a].clone();
         let nbrs = subs[p].nbrs.len();
         SweepProgram {
             id,
-            problem: s.problem.clone(),
             sink: s.sink.clone(),
             tid: s.problem.tid(p, a),
             grain: s.grain,
             sched: Sched::Unarmed,
             phys: Physics {
-                mesh: s.mesh.clone(),
+                problem: s.problem.clone(),
                 materials: Arc::default(),
                 emission: Arc::default(),
                 subs,
+                geoms: self.geoms[a].clone(),
                 patch: p,
                 kernel: s.kernel,
                 groups: s.groups,
-                weight: s.quadrature.ordinate(angle).weight,
-                dir: s.quadrature.direction(angle),
+                weight: s.quadrature.ordinate(AngleId(id.task.0)).weight,
                 face_flux: Vec::new(),
                 phi_part: Vec::new(),
                 remote_vals: Vec::new(),
-                geom_scratch: Vec::new(),
             },
             fine_out: vec![Vec::new(); nbrs],
             prefix: Vec::new(),
@@ -769,13 +779,14 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::tests::geom_bits;
     use crate::replay::build_plan;
     use crate::xs::{Material, MaterialSet};
     use jsweep_core::engine::CLAIM_BATCH;
     use jsweep_graph::coarse::{simulate_clusters, ClusterTrace};
     use jsweep_graph::problem::ProblemOptions;
     use jsweep_mesh::deformed::DeformedMesh;
-    use jsweep_mesh::{face_toward, partition, PatchSet, StructuredMesh, TetMesh};
+    use jsweep_mesh::{face_toward, partition, GeomClasses, PatchSet, StructuredMesh, TetMesh};
     use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -924,6 +935,18 @@ mod tests {
                 traces,
             }
         }
+
+        fn factory(&self, kernel: KernelKind, groups: usize) -> SweepFactory<T> {
+            SweepFactory::new(SweepSetup {
+                mesh: self.mesh.clone(),
+                problem: self.problem.clone(),
+                quadrature: self.quad.clone(),
+                groups,
+                kernel,
+                grain: 8,
+                sink: Arc::new(EpochSink::new(self.problem.num_tasks())),
+            })
+        }
     }
 
     /// The three mesh families: structured hexes, tets, and deformed
@@ -1002,22 +1025,26 @@ mod tests {
     /// f) * groups + g]`), read in place by the kernel with stride
     /// `groups` and written at `(dst, face_toward(dst, src))` — the
     /// program storage before slots were numbered per in-edge, where a
-    /// face no edge enters held the 0.0 it was allocated with.
+    /// face no edge enters held the 0.0 it was allocated with — with
+    /// each cell's geometry derived off the mesh, not read from the
+    /// class table.
     fn dense_kernel_cluster<T: SweepTopology>(
-        phys: &Physics<T>,
+        phys: &Physics,
+        mesh: &T,
+        dir: [f64; 3],
         dense: &mut [f64],
         phi: &mut [f64],
         remote: &mut [f64],
         cluster: &[u32],
     ) {
-        let (sub, groups, mesh) = (&phys.subs[phys.patch], phys.groups, phys.mesh.as_ref());
+        let (sub, groups) = (&phys.subs[phys.patch], phys.groups);
         let mf = sub.faces_per_cell();
         let mut g0 = 0;
         while g0 < groups {
             let b = GROUP_BLOCK.min(groups - g0);
             for &v in cluster {
                 let cell = sub.cells[v as usize] as usize;
-                let geom = CellGeom::new(mesh, cell, phys.dir);
+                let geom = CellGeom::new(mesh, cell, dir);
                 let mat = phys.materials.material(cell);
                 let mut out = [0.0f64; KERNEL_MAX_FACES * GROUP_BLOCK];
                 let mut psi = [0.0f64; GROUP_BLOCK];
@@ -1082,17 +1109,11 @@ mod tests {
             mode: SweepMode::Fine,
             materials: Arc::new(MaterialSet::homogeneous(n, material)),
         };
-        let factory = SweepFactory::new(SweepSetup {
-            mesh: rec.mesh.clone(),
-            problem: rec.problem.clone(),
-            quadrature: rec.quad.clone(),
-            groups,
-            kernel,
-            grain: 8,
-            sink: Arc::new(EpochSink::new(rec.problem.num_tasks())),
-        });
+        let factory = rec.factory(kernel, groups);
+        let mesh = rec.mesh.as_ref();
         let mut rng = Rng(0x2545_F491_4F6C_DD1D);
         for a in 0..rec.problem.num_angles {
+            let dir = rec.quad.direction(AngleId(a as u32));
             for p in rec.problem.patches.patches() {
                 let mut prog = factory.create(ProgramId::new(p, TaskTag(a as u32)));
                 prog.reset(&epoch);
@@ -1118,7 +1139,15 @@ mod tests {
                 let mut remote = vec![0.0; sub.rem_dst.len() * groups];
                 for cluster in &rec.traces[a][p.index()].clusters {
                     phys.kernel_cluster(cluster);
-                    dense_kernel_cluster(phys, &mut dense, &mut phi, &mut remote, cluster);
+                    dense_kernel_cluster(
+                        phys,
+                        mesh,
+                        dir,
+                        &mut dense,
+                        &mut phi,
+                        &mut remote,
+                        cluster,
+                    );
                 }
                 let what = format!("{kernel:?} G={groups} angle {a} patch {}", p.index());
                 assert_eq!(bits(&phys.phi_part), bits(&phi), "{what}: phi_part");
@@ -1157,6 +1186,57 @@ mod tests {
         }
     }
 
+    /// Every (cell, angle) entry the factory's table hands
+    /// `kernel_cluster` is bit-identical to `CellGeom::new` of that very
+    /// cell, and every class's representative is its lowest-numbered
+    /// member. Returns the class count.
+    fn assert_geom_table_exact<T: SweepTopology + Send + Sync + 'static>(rec: &Traced<T>) -> usize {
+        let (mesh, classes) = (rec.mesh.as_ref(), &rec.problem.geom_classes);
+        assert!(classes.reps.windows(2).all(|w| w[0] < w[1]));
+        for (k, &rep) in classes.reps.iter().enumerate() {
+            assert_eq!(classes.class_of[rep as usize], k as u32);
+        }
+        for (c, &k) in classes.class_of.iter().enumerate() {
+            assert!(classes.reps[k as usize] as usize <= c);
+        }
+        let factory = rec.factory(KernelKind::Step, 1);
+        assert_eq!(factory.geoms.len(), rec.problem.num_angles);
+        for (a, table) in factory.geoms.iter().enumerate() {
+            assert_eq!(table.len(), classes.reps.len());
+            let dir = rec.quad.direction(AngleId(a as u32));
+            for c in 0..mesh.num_cells() {
+                assert_eq!(
+                    geom_bits(&table[classes.class_of[c] as usize]),
+                    geom_bits(&CellGeom::new(mesh, c, dir)),
+                    "angle {a} cell {c}"
+                );
+            }
+        }
+        classes.reps.len()
+    }
+
+    #[test]
+    fn geom_table_matches_cell_geom_new_on_every_family() {
+        let (hex, tet, def) = families();
+        assert_eq!(assert_geom_table_exact(&hex), 1);
+        assert!(assert_geom_table_exact(&tet) > 1);
+        assert_eq!(assert_geom_table_exact(&def), def.mesh.num_cells());
+        // The class counts the table's memory is sized by.
+        let classes = |mesh: &dyn SweepTopology| GeomClasses::new(mesh).reps.len();
+        assert_eq!(classes(&StructuredMesh::unit(24, 24, 24)), 1);
+        assert_eq!(classes(&jsweep_mesh::tetgen::cube(10, 1.0)), 384);
+        let def = DeformedMesh::jittered(5, 4, 3, 0.3, 11);
+        assert_eq!(classes(&def), def.num_cells());
+    }
+
+    #[test]
+    #[should_panic(expected = "diamond difference needs hexahedral cells")]
+    fn diamond_difference_over_tets_fails_at_factory_construction() {
+        let tet = jsweep_mesh::tetgen::cube(1, 1.0);
+        let ps = partition::decompose_unstructured(&tet, 3, 2);
+        Traced::new(tet, ps, ProblemOptions::default()).factory(KernelKind::DiamondDifference, 1);
+    }
+
     const G: usize = 2;
 
     /// Two patches along x under one all-positive direction: every
@@ -1170,7 +1250,7 @@ mod tests {
         epochs: [(&'static str, SweepEpoch); 2],
     }
 
-    type Program = SweepProgram<StructuredMesh>;
+    type Program = SweepProgram;
 
     impl Pair {
         fn new() -> Pair {
