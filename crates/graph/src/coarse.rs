@@ -24,6 +24,19 @@
 //! its source cluster finishes). [`build_coarse`] checks this by
 //! topological sort and panics on violation — which would indicate a
 //! scheduler bug.
+//!
+//! **Replay slot layout.** A coarse vertex's cell list is fixed, and
+//! replay solves it in one call, so an internal edge whose two ends sit
+//! in the same coarse vertex is written and read inside that call — the
+//! cluster is in pop (topological) order, so its source runs first.
+//! [`ReplayLayout`] says where each fine slot ([`Subgraph::num_slots`])
+//! of a task lives when replay keeps such edges out of persistent
+//! storage: an in-cluster edge's slot is an entry of a per-call scratch,
+//! numbered per cluster in cluster order; every other slot — remote
+//! in-edges and internal edges between coarse vertices — keeps a
+//! persistent slot, numbered in ascending fine order. A task compiles
+//! its layout once, on first request ([`CoarsenedTask::replay_layout`]),
+//! so a plan that never replays that way carries none.
 
 use crate::dag::{is_acyclic, Csr};
 use crate::subgraph::Subgraph;
@@ -31,6 +44,7 @@ use crate::{SweepProblem, SweepState};
 use jsweep_mesh::PatchId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::OnceLock;
 
 /// Clustering trace of one `(patch, angle)` task: the clusters formed
 /// by successive `compute()` calls, in formation order.
@@ -90,9 +104,25 @@ pub struct CoarsenedTask {
     pub int_dst: Vec<u32>,
     /// Outgoing remote coarse edges per coarse vertex.
     pub remote: Vec<Vec<CoarseRemoteEdge>>,
+    /// The replay slot layout, compiled on first request (boxed: most
+    /// plans never compile one).
+    layout: OnceLock<Box<ReplayLayout>>,
 }
 
 impl CoarsenedTask {
+    /// The task's replay slot layout (module docs) over `sub`, its
+    /// subgraph: compiled by the first call, shared by every later one.
+    pub fn replay_layout(&self, sub: &Subgraph) -> &ReplayLayout {
+        self.layout.get_or_init(|| {
+            assert_eq!(
+                sub.num_vertices(),
+                self.num_vertices(),
+                "replay layout against another task's subgraph"
+            );
+            Box::new(ReplayLayout::new(sub, &self.clusters))
+        })
+    }
+
     /// Number of coarse vertices.
     pub fn num_clusters(&self) -> usize {
         self.clusters.len()
@@ -125,6 +155,132 @@ impl CoarsenedTask {
                 .flat_map(|edges| edges.iter())
                 .map(|e| size_of::<CoarseRemoteEdge>() + e.items.len() * size_of::<u32>())
                 .sum::<usize>()
+            + self
+                .layout
+                .get()
+                .map_or(0, |l| size_of::<ReplayLayout>() + l.memory_bytes())
+    }
+}
+
+/// Tag of a scratch entry in [`ReplayLayout`]'s address words.
+const SCRATCH: u32 = 1 << 31;
+
+/// Where a fine face-flux slot lives while a coarsened task replays
+/// with its [`ReplayLayout`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotAddr {
+    /// Slot of the task's persistent storage, which outlives a compute
+    /// call: written by a remote stream or by another coarse vertex.
+    Persistent(usize),
+    /// Entry of the running coarse vertex's scratch, written and read
+    /// within the one compute call that solves it.
+    Scratch(usize),
+}
+
+impl SlotAddr {
+    #[inline(always)]
+    fn decode(word: u32) -> SlotAddr {
+        if word & SCRATCH == 0 {
+            SlotAddr::Persistent(word as usize)
+        } else {
+            SlotAddr::Scratch((word & !SCRATCH) as usize)
+        }
+    }
+}
+
+/// The replay slot layout of one coarsened task (module docs).
+#[derive(Debug, Clone)]
+pub struct ReplayLayout {
+    /// Per fine slot: its persistent slot, or [`SCRATCH`] plus its
+    /// scratch entry.
+    slot_addr: Vec<u32>,
+    /// Per internal edge `k` of the subgraph, `slot_addr[int_dslot[k]]`:
+    /// the kernel's scatter reads one word, not two.
+    int_addr: Vec<u32>,
+    /// Persistent slots: one per remote in-edge and per internal edge
+    /// between coarse vertices.
+    persistent_slots: usize,
+    /// The most scratch entries one coarse vertex needs.
+    scratch_slots: usize,
+}
+
+impl ReplayLayout {
+    fn new(sub: &Subgraph, clusters: &[Vec<u32>]) -> ReplayLayout {
+        let mut cluster_of = vec![0u32; sub.num_vertices()];
+        for (c, cluster) in clusters.iter().enumerate() {
+            for &v in cluster {
+                cluster_of[v as usize] = c as u32;
+            }
+        }
+        // Mark the slots in-cluster edges land in, then number the rest
+        // in ascending fine order.
+        let mut slot_addr = vec![0u32; sub.num_slots()];
+        for v in 0..sub.num_vertices() as u32 {
+            for k in sub.int_range(v) {
+                if cluster_of[v as usize] == cluster_of[sub.int_dst[k] as usize] {
+                    slot_addr[sub.int_dslot[k] as usize] = SCRATCH;
+                }
+            }
+        }
+        let mut persistent_slots = 0u32;
+        for a in slot_addr.iter_mut().filter(|a| **a != SCRATCH) {
+            *a = persistent_slots;
+            persistent_slots += 1;
+        }
+        assert!(persistent_slots < SCRATCH, "persistent slot exceeds 2^31");
+        // Scratch entries per cluster, in the order the kernel gathers.
+        let mut scratch_slots = 0;
+        for cluster in clusters {
+            let mut next = 0u32;
+            for s in cluster.iter().flat_map(|&v| sub.in_slots(v)) {
+                if slot_addr[s] == SCRATCH {
+                    slot_addr[s] |= next;
+                    next += 1;
+                }
+            }
+            scratch_slots = scratch_slots.max(next as usize);
+        }
+        let int_addr = sub
+            .int_dslot
+            .iter()
+            .map(|&s| slot_addr[s as usize])
+            .collect();
+        ReplayLayout {
+            slot_addr,
+            int_addr,
+            persistent_slots: persistent_slots as usize,
+            scratch_slots,
+        }
+    }
+
+    /// Where fine slot `slot` ([`Subgraph::in_slots`]) lives.
+    #[inline(always)]
+    pub fn slot(&self, slot: usize) -> SlotAddr {
+        SlotAddr::decode(self.slot_addr[slot])
+    }
+
+    /// Where internal edge `k` of the subgraph ([`Subgraph::int_dslot`])
+    /// writes: [`ReplayLayout::slot`] of its destination slot.
+    #[inline(always)]
+    pub fn int_edge(&self, k: usize) -> SlotAddr {
+        SlotAddr::decode(self.int_addr[k])
+    }
+
+    /// Persistent slots: one per remote in-edge and per internal edge
+    /// between coarse vertices.
+    pub fn persistent_slots(&self) -> usize {
+        self.persistent_slots
+    }
+
+    /// Scratch entries the largest coarse vertex needs: one per internal
+    /// edge with both ends in it.
+    pub fn scratch_slots(&self) -> usize {
+        self.scratch_slots
+    }
+
+    /// Heap footprint of the layout.
+    pub fn memory_bytes(&self) -> usize {
+        (self.slot_addr.len() + self.int_addr.len()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -328,6 +484,7 @@ pub fn build_coarse(subs: &[Subgraph], traces: &[ClusterTrace]) -> Vec<Coarsened
             int_off: Vec::new(),
             int_dst: Vec::new(),
             remote: vec![Vec::new(); t.clusters.len()],
+            layout: OnceLock::new(),
         })
         .collect();
 
@@ -721,6 +878,141 @@ mod tests {
         }
         for a in prob.canonical_angles() {
             build_coarse(&prob.subs[a], &traces[a]);
+        }
+    }
+
+    /// The replay layout of every task of one direction, against the
+    /// subgraphs it was compiled from: persistent + in-cluster slots
+    /// cover every in-edge once; an in-cluster edge's source runs before
+    /// its destination in their cluster; remote in-edges and edges
+    /// between clusters are persistent, numbered densely in ascending
+    /// fine order; scratch entries are dense per cluster, at most
+    /// `len × faces` of them; an edge's precomposed address is its
+    /// slot's. Returns (in-cluster, internal) in-edges.
+    fn check_replay_layout(subs: &[Subgraph], tasks: &[CoarsenedTask]) -> (usize, usize) {
+        let (mut in_cluster, mut internal) = (0, 0);
+        let mut remote_in: Vec<Vec<u32>> = vec![Vec::new(); subs.len()];
+        for sub in subs {
+            for (re, &s) in sub.rem_dst.iter().zip(&sub.rem_dslot) {
+                remote_in[re.patch.index()].push(s);
+            }
+        }
+        for ((sub, task), remote_in) in subs.iter().zip(tasks).zip(&remote_in) {
+            let layout = task.replay_layout(sub);
+            // (cluster, position in it) per local vertex.
+            let mut at = vec![(0, 0); sub.num_vertices()];
+            for (c, cluster) in task.clusters.iter().enumerate() {
+                for (i, &v) in cluster.iter().enumerate() {
+                    at[v as usize] = (c, i);
+                }
+            }
+            let mut scratch_of = vec![0; task.num_clusters()];
+            for v in 0..sub.num_vertices() as u32 {
+                for k in sub.int_range(v) {
+                    internal += 1;
+                    let (from, to) = (at[v as usize], at[sub.int_dst[k] as usize]);
+                    let addr = layout.slot(sub.int_dslot[k] as usize);
+                    assert_eq!(layout.int_edge(k), addr);
+                    if from.0 == to.0 {
+                        in_cluster += 1;
+                        assert!(from.1 < to.1, "in-cluster edge against cluster order");
+                        assert!(matches!(addr, SlotAddr::Scratch(_)));
+                        scratch_of[to.0] += 1;
+                    } else {
+                        assert!(matches!(addr, SlotAddr::Persistent(_)));
+                    }
+                }
+            }
+            for &s in remote_in {
+                assert!(matches!(layout.slot(s as usize), SlotAddr::Persistent(_)));
+            }
+            let in_edges: u32 = sub.in_degree.iter().sum();
+            let scratch: usize = scratch_of.iter().sum();
+            assert_eq!(layout.persistent_slots() + scratch, in_edges as usize);
+            let persistent = (0..sub.num_slots()).filter_map(|s| match layout.slot(s) {
+                SlotAddr::Persistent(p) => Some(p),
+                SlotAddr::Scratch(_) => None,
+            });
+            assert!(persistent.eq(0..layout.persistent_slots()));
+            for (c, cluster) in task.clusters.iter().enumerate() {
+                let mut entries: Vec<usize> = cluster
+                    .iter()
+                    .flat_map(|&v| sub.in_slots(v))
+                    .filter_map(|s| match layout.slot(s) {
+                        SlotAddr::Scratch(i) => Some(i),
+                        SlotAddr::Persistent(_) => None,
+                    })
+                    .collect();
+                entries.sort_unstable();
+                assert!(
+                    entries.iter().copied().eq(0..scratch_of[c]),
+                    "scratch not dense"
+                );
+                assert!(scratch_of[c] <= cluster.len() * sub.faces_per_cell());
+            }
+            assert_eq!(
+                layout.scratch_slots(),
+                scratch_of.iter().copied().max().unwrap_or(0)
+            );
+            assert!(
+                std::ptr::eq(layout, task.replay_layout(sub)),
+                "compiled once"
+            );
+        }
+        (in_cluster, internal)
+    }
+
+    #[test]
+    fn replay_layout_invariants_hold_on_every_family() {
+        use jsweep_mesh::deformed::DeformedMesh;
+        let hex = StructuredMesh::unit(6, 6, 6);
+        let tet = jsweep_mesh::tetgen::ball(3, 1.0);
+        let def = DeformedMesh::jittered(4, 4, 4, 0.3, 5);
+        let cycles = crate::ProblemOptions {
+            check_cycles: true,
+            ..Default::default()
+        };
+        let q = QuadratureSet::sn(4);
+        let problems = [
+            SweepProblem::build(
+                &hex,
+                partition::decompose_structured(&hex, (3, 3, 3), 2),
+                &q,
+                &Default::default(),
+            ),
+            SweepProblem::build(
+                &tet,
+                partition::decompose_unstructured(&tet, 40, 2),
+                &q,
+                &Default::default(),
+            ),
+            SweepProblem::build(&def, partition::rcb(&def, 4), &q, &cycles),
+        ];
+        for prob in &problems {
+            for grain in [1, 8, 64] {
+                let traces = simulate_clusters(prob, grain, 8);
+                let (mut in_cluster, mut internal) = (0, 0);
+                for a in prob.canonical_angles() {
+                    let tasks = build_coarse(&prob.subs[a], &traces[a]);
+                    let before: usize = tasks.iter().map(CoarsenedTask::memory_bytes).sum();
+                    let (i, n) = check_replay_layout(&prob.subs[a], &tasks);
+                    let after: usize = tasks.iter().map(CoarsenedTask::memory_bytes).sum();
+                    let slots: usize = prob.subs[a]
+                        .iter()
+                        .map(|s| s.num_slots() + s.int_dst.len())
+                        .sum();
+                    let boxes = tasks.len() * std::mem::size_of::<ReplayLayout>();
+                    assert_eq!(
+                        after - before,
+                        4 * slots + boxes,
+                        "the layout's bytes are counted"
+                    );
+                    in_cluster += i;
+                    internal += n;
+                }
+                assert!(internal > 0);
+                assert_eq!(in_cluster == 0, grain == 1, "grain {grain}");
+            }
         }
     }
 

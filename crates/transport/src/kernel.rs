@@ -356,7 +356,7 @@ fn dd_block<const B: usize>(
 /// Full blocks run the [`GROUP_BLOCK`]-wide vector body; partial
 /// blocks degrade to the width-1 scalar tail per group, which is the
 /// scalar path's exact operation sequence.
-#[inline]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub fn solve_cell_block_geom(
     geom: &CellGeom,

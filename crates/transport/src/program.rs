@@ -2,9 +2,10 @@
 //!
 //! A program is one `(patch, angle)` sweep task. Its local context is
 //! the scheduling state plus the physics state: incoming face-flux
-//! storage for every edge into a local cell and the per-angle
-//! scalar-flux contribution. The scheduling state comes in two
-//! flavours, selected per source iteration by [`SweepMode`]:
+//! storage for the edges into local cells whose flux outlives a compute
+//! call and the per-angle scalar-flux contribution. The scheduling
+//! state comes in two flavours, selected per source iteration by
+//! [`SweepMode`]:
 //!
 //! * **Fine** ([`jsweep_graph::SweepState`]: per-vertex counters +
 //!   ready priority queue) — the DAG-driven sweep, every iteration of a
@@ -20,12 +21,32 @@
 //! face-flux *slot*, and numbers the patches the task sends to. How a
 //! slot maps to storage is the subgraph's business alone: one slot per
 //! edge into a cell, a cell's slots contiguous in ascending face order.
-//! This module sizes `face_flux` by [`Subgraph::num_slots`]
-//! (`Σ in_degree × groups` values), gathers a cell's upwind block from
+//! This module gathers a cell's upwind block from
 //! [`Subgraph::in_slots`] / [`Subgraph::slot_face`] into the kernel's
 //! dense face-major view and writes wherever an edge's `*_dslot` says
 //! (the mesh-walking derivation survives only in `solve_serial` and in
 //! this module's test oracle).
+//!
+//! Where a slot's flux *lives* is the one thing `kernel_cluster`'s
+//! single body is parameterised by (`SlotLayout`):
+//!
+//! * **every slot stored** (`StoredSlots`): `face_flux` holds
+//!   [`Subgraph::num_slots`] (`Σ in_degree`) × `groups` values. Fine
+//!   mode always runs this way, and so does replay below
+//!   [`GROUP_BLOCK`] groups;
+//! * **in-cluster edges in scratch** ([`ReplayLayout`], replay at
+//!   `groups ≥ GROUP_BLOCK`): a coarse vertex is solved in one call, so
+//!   an edge with both ends in it is written and read within that call
+//!   (the cluster is in topological order). Such a slot lives in the
+//!   worker thread's cluster scratch — one `GROUP_BLOCK` per in-cluster
+//!   slot of the running cluster, overwritten by the next block pass
+//!   and the next call, shared by every program the thread runs — and
+//!   only the other slots (remote in-edges, edges between coarse
+//!   vertices) are stored: `face_flux` holds the layout's
+//!   [`ReplayLayout::persistent_slots`] × `groups` values. Below a full
+//!   group block the layout's per-slot address word costs more time
+//!   than its bytes save, so `replay_uses_cluster_scratch` keeps it
+//!   to `groups ≥ GROUP_BLOCK` (measurements in `docs/replay.md`).
 //!
 //! Cell geometry is compiled too. [`SweepFactory::new`] builds one
 //! [`CellGeom`] per geometry class ([`jsweep_mesh::GeomClasses`], found
@@ -37,16 +58,18 @@
 //! **One stream payload** serves both modes (`jsweep_comm::pack`
 //! little-endian words): `u32 head`, `u32 n`, `n × u32 slot`
 //! ([`Subgraph::rem_dslot`] of the sender's edges, i.e. slots of the
-//! *receiving* task), `n × groups × f64` flux. `head` is the
+//! *receiving* task's subgraph), `n × groups × f64` flux. `head` is the
 //! destination cluster in replay — one `receive(head)` covers the
 //! whole stream — and the `PER_SLOT` sentinel in fine mode, where
 //! every slot feeds the vertex that owns it
 //! ([`Subgraph::slot_vertex`]). `put_prefix` writes the constant part
 //! (`head`, `n`, slots), `Physics::emit` appends the flux, and
 //! [`SweepProgram`]'s `input` is the one decoder: it checks the whole
-//! payload — length, every slot, the counters — before it writes
-//! anything. Replay pre-packs each coarse edge's prefix at plan-compile
-//! time ([`crate::replay::ReplayTask::skeletons`]), so packing a replay
+//! payload — length, every slot (in range, and stored by the armed
+//! layout), the counters — before it writes anything, then stores each
+//! slot's flux where the armed layout keeps it. Replay pre-packs each
+//! coarse edge's prefix at plan-compile time
+//! ([`crate::replay::ReplayTask::skeletons`]), so packing a replay
 //! stream is one memcpy plus the flux writes; fine mode sorts a
 //! cluster's remote edges into one index list per destination
 //! ([`Subgraph::rem_nbr`]) and packs each list the same way.
@@ -61,12 +84,15 @@
 //! re-arming the scheduling state ([`SweepState`]/[`CoarseSweepState`]
 //! reset in place) and taking the accumulator back: no per-iteration
 //! reallocation of the big buffers. `face_flux` is allocated by the
-//! first reset and never written by a later one, because no slot needs
-//! zeroing: every slot is the target of exactly one edge (an
+//! reset that arms a layout of another size (the first, a switch
+//! between the layouts) and never written by a later one, because no
+//! slot needs zeroing: every slot is the target of exactly one edge (an
 //! [`Subgraph::int_dslot`] of this task or a [`Subgraph::rem_dslot`]
 //! of a neighbour's), so it has exactly one writer per epoch, which the
 //! sweep DAG orders before the slot's one reader — last epoch's value
-//! is overwritten before it can be read. A face with no edge into its
+//! is overwritten before it can be read. The same holds for a scratch
+//! entry within its call, so no value crosses an epoch and the two
+//! layouts never need converting. A face with no edge into its
 //! cell (boundary inflow, a cycle-broken or downwind face) has no slot
 //! at all; `kernel_cluster` reads it as the vacuum `0.0` of its zeroed
 //! stack gather. What an epoch leaves behind has a fixed home too: the
@@ -83,11 +109,12 @@ use jsweep_comm::pack::Writer;
 use jsweep_core::{
     ComputeCtx, EpochInput, PatchProgram, ProgramFactory, ProgramId, Stream, TaskTag,
 };
-use jsweep_graph::coarse::CoarseSweepState;
+use jsweep_graph::coarse::{CoarseSweepState, ReplayLayout, SlotAddr};
 use jsweep_graph::{Subgraph, SweepProblem, SweepState};
 use jsweep_mesh::{PatchId, SweepTopology};
 use jsweep_quadrature::{AngleId, QuadratureSet};
 use parking_lot::{Mutex, MutexGuard};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// What one `(patch, angle)` task leaves behind for the driver when its
@@ -251,6 +278,89 @@ pub(crate) fn put_prefix(buf: &mut Vec<u8>, head: u32, sub: &Subgraph, rem: &[u3
     }
 }
 
+/// Where a compute call finds its task's face-flux slots (module docs):
+/// `face_flux`, or the worker's cluster scratch.
+trait SlotLayout {
+    /// Where fine slot `slot` lives.
+    fn slot(&self, slot: usize) -> SlotAddr;
+    /// Where internal edge `k` of `sub` writes.
+    fn int_edge(&self, sub: &Subgraph, k: usize) -> SlotAddr;
+}
+
+/// Every slot in `face_flux`, at its fine slot.
+struct StoredSlots;
+
+impl SlotLayout for StoredSlots {
+    #[inline(always)]
+    fn slot(&self, slot: usize) -> SlotAddr {
+        SlotAddr::Persistent(slot)
+    }
+
+    #[inline(always)]
+    fn int_edge(&self, sub: &Subgraph, k: usize) -> SlotAddr {
+        SlotAddr::Persistent(sub.int_dslot[k] as usize)
+    }
+}
+
+impl SlotLayout for ReplayLayout {
+    #[inline(always)]
+    fn slot(&self, slot: usize) -> SlotAddr {
+        ReplayLayout::slot(self, slot)
+    }
+
+    #[inline(always)]
+    fn int_edge(&self, _: &Subgraph, k: usize) -> SlotAddr {
+        ReplayLayout::int_edge(self, k)
+    }
+}
+
+/// Whether replay at `groups` energy groups keeps in-cluster edges in
+/// the worker's cluster scratch ([`ReplayLayout`]): only when a slot
+/// holds at least one full group block. Below that, the layout's
+/// address word per slot access costs more time than its bytes save.
+pub(crate) fn replay_uses_cluster_scratch(groups: usize) -> bool {
+    groups >= GROUP_BLOCK
+}
+
+/// The layout a coarse program replaying `task` at `groups` groups
+/// arms: its compiled [`ReplayLayout`], or `None` for [`StoredSlots`].
+fn armed_layout<'t>(
+    task: &'t ReplayTask,
+    sub: &Subgraph,
+    groups: usize,
+) -> Option<&'t ReplayLayout> {
+    replay_uses_cluster_scratch(groups).then(|| task.coarse.replay_layout(sub))
+}
+
+/// Where `layout` (`None`: [`StoredSlots`]) stores fine slot `slot` in
+/// `face_flux`; `None` for a slot it keeps in the cluster scratch.
+fn stored_slot(layout: Option<&ReplayLayout>, slot: usize) -> Option<usize> {
+    match layout.map_or(SlotAddr::Persistent(slot), |l| l.slot(slot)) {
+        SlotAddr::Persistent(p) => Some(p),
+        SlotAddr::Scratch(_) => None,
+    }
+}
+
+thread_local! {
+    /// The calling worker's scratch for the running coarse vertex's
+    /// in-cluster slots, one group block each. Written before it is
+    /// read within one compute call, so one buffer per worker thread
+    /// serves every program the thread runs (module docs).
+    static CLUSTER_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` over the calling thread's cluster scratch, `entries` group
+/// blocks long.
+fn with_cluster_scratch<R>(entries: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    CLUSTER_SCRATCH.with_borrow_mut(|scratch| {
+        let len = entries * GROUP_BLOCK;
+        if scratch.len() < len {
+            scratch.resize(len, 0.0);
+        }
+        f(&mut scratch[..len])
+    })
+}
+
 /// The little-endian `u32` words of `bytes`.
 fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     bytes
@@ -294,9 +404,10 @@ struct Physics {
     kernel: KernelKind,
     groups: usize,
     weight: f64,
-    /// Incoming face flux, `groups` values per slot of the subgraph —
-    /// one slot per edge into a local cell (allocated by the first
-    /// reset; later resets leave it alone — module docs).
+    /// Incoming face flux, `groups` values per slot the armed layout
+    /// stores: every in-edge of the subgraph ([`StoredSlots`]), or the
+    /// [`ReplayLayout`]'s persistent slots (allocated by the reset that
+    /// arms a layout; later resets leave it alone — module docs).
     face_flux: Vec<f64>,
     /// Scalar-flux accumulation per `local_cell * groups` (w_a · ψ̄).
     /// Lent to the task's [`TaskSlot`] from completion to the next
@@ -346,13 +457,25 @@ impl Physics {
     /// its slots ([`Subgraph::in_slots`]) into the kernel's face-major
     /// incoming block and, once solved, routes by walking its two CSR
     /// ranges of the subgraph — internal edge `k` copies
-    /// `out[int_sface[k]]` to `face_flux` slot `int_dslot[k]`, remote
-    /// edge `k` copies `out[rem_sface[k]]` to `remote_vals[k]`. Upwind,
-    /// flow-0, boundary and cycle-broken faces have no edge and so
-    /// write nothing. Each pass walks the cluster in its (topological)
-    /// order, which preserves in-cluster upwind/downwind dependencies
-    /// per block exactly as the scalar path did per group.
-    fn kernel_cluster(&mut self, cluster: &[u32]) {
+    /// `out[int_sface[k]]` to slot `int_dslot[k]`, remote edge `k`
+    /// copies `out[rem_sface[k]]` to `remote_vals[k]`. Upwind, flow-0,
+    /// boundary and cycle-broken faces have no edge and so write
+    /// nothing. Each pass walks the cluster in its (topological) order,
+    /// which preserves in-cluster upwind/downwind dependencies per block
+    /// exactly as the scalar path did per group.
+    ///
+    /// `layout` says where each slot lives: a persistent slot is
+    /// `groups` values of `face_flux`, a scratch entry one block of
+    /// `scratch` (at least `GROUP_BLOCK` × [`ReplayLayout::scratch_slots`]
+    /// values; empty for [`StoredSlots`]), which the pass writes before
+    /// it reads it.
+    ///
+    /// Each layout's kernel is a function of its own with the cell solve
+    /// inlined: left to the inliner, the stored-slots one lost the solve
+    /// to an out-of-line clone once the scratch one existed, and G = 1
+    /// replay ran 10 % slower.
+    #[inline(never)]
+    fn kernel_cluster<L: SlotLayout>(&mut self, cluster: &[u32], layout: &L, scratch: &mut [f64]) {
         let sub = &self.subs[self.patch];
         let class_of = &self.problem.geom_classes.class_of;
         let groups = self.groups;
@@ -378,11 +501,11 @@ impl Physics {
                 let previous = std::mem::take(&mut filled);
                 for s in sub.in_slots(v) {
                     let f = sub.slot_face(s);
-                    copy_block(
-                        &mut inc[f * GROUP_BLOCK..],
-                        &self.face_flux[s * groups + g0..],
-                        b,
-                    );
+                    let (buf, at) = match layout.slot(s) {
+                        SlotAddr::Persistent(p) => (&self.face_flux[..], p * groups + g0),
+                        SlotAddr::Scratch(i) => (&scratch[..], i * GROUP_BLOCK),
+                    };
+                    copy_block(&mut inc[f * GROUP_BLOCK..], &buf[at..], b);
                     filled |= 1 << f;
                 }
                 let mut stale = previous & !filled;
@@ -414,8 +537,11 @@ impl Physics {
                 // Route the outgoing face-flux blocks along the CSR.
                 for k in sub.int_range(v) {
                     let blk = &out[sub.int_sface[k] as usize * GROUP_BLOCK..];
-                    let slot = sub.int_dslot[k] as usize;
-                    copy_block(&mut self.face_flux[slot * groups + g0..], blk, b);
+                    let (buf, at) = match layout.int_edge(sub, k) {
+                        SlotAddr::Persistent(p) => (&mut self.face_flux[..], p * groups + g0),
+                        SlotAddr::Scratch(i) => (&mut scratch[..], i * GROUP_BLOCK),
+                    };
+                    copy_block(&mut buf[at..], blk, b);
                 }
                 for k in sub.rem_range(v) {
                     let blk = &out[sub.rem_sface[k] as usize * GROUP_BLOCK..];
@@ -481,7 +607,7 @@ impl SweepProgram {
 
         let (per_nbr, prefix) = (&mut self.fine_out, &mut self.prefix);
         ctx.kernel(|out| {
-            phys.kernel_cluster(&cluster);
+            phys.kernel_cluster(&cluster, &StoredSlots, &mut []);
             // Sort the cluster's remote edges by destination, in
             // (vertex, remote-CSR) order within each, then pack one
             // stream per destination that got any, in `nbrs` order
@@ -538,7 +664,12 @@ impl SweepProgram {
         // Packing happens inside the kernel closure in both modes,
         // which keeps their Kernel/GraphOp split comparable.
         ctx.kernel(|out| {
-            phys.kernel_cluster(cluster);
+            match armed_layout(task, &phys.subs[phys.patch], phys.groups) {
+                Some(layout) => with_cluster_scratch(layout.scratch_slots(), |scratch| {
+                    phys.kernel_cluster(cluster, layout, scratch)
+                }),
+                None => phys.kernel_cluster(cluster, &StoredSlots, &mut []),
+            }
             // One stream per outgoing coarse edge: its pre-packed
             // prefix, then the flux its items staged.
             for (edge, skeleton) in task.coarse.remote[cv as usize]
@@ -586,22 +717,40 @@ impl PatchProgram for SweepProgram {
             "stream payload length does not match its {n} items"
         );
         let (slots, flux) = body.split_at(4 * n as usize);
-        let num_slots = sub.num_slots();
-        if let Some(s) = words(slots).find(|&s| s as usize >= num_slots) {
-            panic!("stream slot {s} out of range of {num_slots}");
-        }
-        match &mut self.sched {
+        // Every slot must be one of the subgraph's that the armed layout
+        // stores: a slot replay keeps in the cluster scratch has no
+        // storage to land in.
+        let check = |layout: Option<&ReplayLayout>| {
+            let num_slots = sub.num_slots();
+            if let Some(s) = words(slots).find(|&s| s as usize >= num_slots) {
+                panic!("stream slot {s} out of range of {num_slots}");
+            }
+            let in_cluster =
+                |s: u32| matches!(layout?.slot(s as usize), SlotAddr::Scratch(_)).then_some(s);
+            if let Some(s) = words(slots).find_map(in_cluster) {
+                panic!("stream slot {s} is an in-cluster slot, kept in the cluster scratch");
+            }
+        };
+        let layout = match &mut self.sched {
             // One coarse edge per stream: a single in-degree decrement
             // on the target coarse vertex.
-            Sched::Coarse { state, .. } => state.receive(head),
+            Sched::Coarse { state, task, .. } => {
+                let layout = armed_layout(task, sub, groups);
+                check(layout);
+                state.receive(head);
+                layout
+            }
             Sched::Fine(state) => {
+                check(None);
                 assert_eq!(head, PER_SLOT, "replay stream for a fine-mode program");
                 words(slots).for_each(|s| state.receive(sub.slot_vertex(s)));
+                None
             }
             Sched::Unarmed => unreachable!("input before reset"),
-        }
+        };
         for (slot, vals) in words(slots).zip(flux.chunks_exact(8 * groups)) {
-            let dst = &mut phys.face_flux[slot as usize * groups..][..groups];
+            let p = stored_slot(layout, slot as usize).expect("checked above");
+            let dst = &mut phys.face_flux[p * groups..][..groups];
             for (x, v) in dst.iter_mut().zip(vals.chunks_exact(8)) {
                 *x = f64::from_le_bytes(v.try_into().expect("8-byte chunk"));
             }
@@ -696,17 +845,24 @@ impl PatchProgram for SweepProgram {
                 *sched = Sched::Fine(SweepState::new(sub, problem.vprio[a][p].clone()));
             }
         }
-        // Buffer hygiene: incoming face flux allocated by the first
-        // reset and left as the last epoch wrote it by later ones —
-        // every slot is written before it is read (module docs); the flux
-        // accumulator taken back from the task's slot (where the last
-        // epoch's completion left it) and re-zeroed, so only a
-        // program's first reset allocates one; remote staging sized to
-        // the subgraph's remote CSR (values are written before read
-        // within each compute, so no zeroing needed beyond sizing).
+        // Buffer hygiene: incoming face flux allocated for the armed
+        // layout's slots when its size changes (the first reset, a
+        // switch of layout) and otherwise left as the last epoch
+        // wrote it — every slot is written before it is read, and no
+        // value crosses an epoch (module docs); the flux accumulator
+        // taken back from the task's slot (where the last epoch's
+        // completion left it) and re-zeroed, so only a program's first
+        // reset allocates one; remote staging sized to the subgraph's
+        // remote CSR (values are written before read within each
+        // compute, so no zeroing needed beyond sizing).
         let n = sub.num_vertices();
-        if phys.face_flux.is_empty() {
-            phys.face_flux = vec![0.0; sub.num_slots() * groups];
+        let slots = match &self.sched {
+            Sched::Coarse { task, .. } => armed_layout(task, sub, groups)
+                .map_or(sub.num_slots(), ReplayLayout::persistent_slots),
+            _ => sub.num_slots(),
+        };
+        if phys.face_flux.len() != slots * groups {
+            phys.face_flux = vec![0.0; slots * groups];
         }
         phys.phi_part = std::mem::take(&mut self.sink.slot(self.tid).phi_part);
         phys.phi_part.clear();
@@ -783,7 +939,7 @@ mod tests {
     use crate::replay::build_plan;
     use crate::xs::{Material, MaterialSet};
     use jsweep_core::engine::CLAIM_BATCH;
-    use jsweep_graph::coarse::{simulate_clusters, ClusterTrace};
+    use jsweep_graph::coarse::{simulate_clusters, ClusterTrace, SlotAddr};
     use jsweep_graph::problem::ProblemOptions;
     use jsweep_mesh::deformed::DeformedMesh;
     use jsweep_mesh::{face_toward, partition, GeomClasses, PatchSet, StructuredMesh, TetMesh};
@@ -1081,17 +1237,71 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Run `kernel_cluster` over every simulated cluster of every task of
-    /// `rec` in slot storage and [`dense_kernel_cluster`] beside it on
-    /// the same seeded inputs (remote-written slots hold their seed in
-    /// both), and demand `phi_part`, every slot and `remote_vals`
-    /// bit-identical — and no dense write landing on a face without a
-    /// slot.
+    /// The replay layout `prog` has armed, if it keeps in-cluster edges
+    /// in the cluster scratch.
+    fn armed(prog: &SweepProgram) -> Option<&ReplayLayout> {
+        match &prog.sched {
+            Sched::Coarse { task, .. } => {
+                armed_layout(task, &prog.phys.subs[prog.phys.patch], prog.phys.groups)
+            }
+            _ => None,
+        }
+    }
+
+    /// `kernel_cluster` over `cluster` as `compute` runs it in the
+    /// program's armed layout, with NaN in the thread's cluster scratch
+    /// before the call: a scratch read before its write would reach the
+    /// flux.
+    fn run_cluster(prog: &mut SweepProgram, cluster: &[u32]) {
+        let SweepProgram { sched, phys, .. } = prog;
+        let layout = match sched {
+            Sched::Coarse { task, .. } => armed_layout(task, &phys.subs[phys.patch], phys.groups),
+            _ => None,
+        };
+        match layout {
+            Some(layout) => {
+                poison_cluster_scratch(layout.scratch_slots());
+                with_cluster_scratch(layout.scratch_slots(), |scratch| {
+                    phys.kernel_cluster(cluster, layout, scratch)
+                });
+            }
+            None => phys.kernel_cluster(cluster, &StoredSlots, &mut []),
+        }
+    }
+
+    /// Fill the calling thread's cluster scratch, at least `entries`
+    /// group blocks of it, with NaN.
+    fn poison_cluster_scratch(entries: usize) {
+        CLUSTER_SCRATCH.with_borrow_mut(|s| {
+            let len = s.len().max(entries * GROUP_BLOCK);
+            s.resize(len, f64::NAN);
+            s.fill(f64::NAN);
+        });
+    }
+
+    /// Where each fine slot of `prog`'s task lives in its armed layout.
+    fn slot_addrs(prog: &SweepProgram) -> Vec<SlotAddr> {
+        let sub = &prog.phys.subs[prog.phys.patch];
+        let layout = armed(prog);
+        (0..sub.num_slots())
+            .map(|s| layout.map_or(SlotAddr::Persistent(s), |l| l.slot(s)))
+            .collect()
+    }
+
+    /// Run `kernel_cluster` over every cluster of every task of `rec` in
+    /// the armed slot layout — fine over the simulated clusters, or
+    /// replay over the compiled plan's — and [`dense_kernel_cluster`]
+    /// beside it on the same seeded inputs (remote-written slots hold
+    /// their seed in both), and demand `phi_part`, every stored slot and
+    /// `remote_vals` bit-identical — and no dense write landing on a
+    /// face without a slot. Returns the in-cluster slots replay kept out
+    /// of `face_flux`.
     fn assert_layouts_agree<T: SweepTopology + Send + Sync + 'static>(
         rec: &Traced<T>,
         kernel: KernelKind,
         groups: usize,
-    ) {
+        replay: bool,
+    ) -> usize {
         let n = rec.mesh.num_cells();
         // Thin to thick groups, so diamond difference's fixup fires for
         // some lanes of a block and not others.
@@ -1100,47 +1310,66 @@ mod tests {
             sigma_s: vec![0.0; groups],
             source: vec![1.0; groups],
         };
+        let mode = if replay {
+            let plan = build_plan(&rec.problem, &rec.traces);
+            SweepMode::Coarse {
+                plan: Arc::new(plan),
+            }
+        } else {
+            SweepMode::Fine
+        };
         let epoch = SweepEpoch {
             emission: Arc::new(
                 (0..n * groups)
                     .map(|i| 0.05 + 0.1 * (i % 17) as f64)
                     .collect(),
             ),
-            mode: SweepMode::Fine,
+            mode,
             materials: Arc::new(MaterialSet::homogeneous(n, material)),
         };
         let factory = rec.factory(kernel, groups);
         let mesh = rec.mesh.as_ref();
         let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        let mut in_cluster = 0;
         for a in 0..rec.problem.num_angles {
             let dir = rec.quad.direction(AngleId(a as u32));
             for p in rec.problem.patches.patches() {
                 let mut prog = factory.create(ProgramId::new(p, TaskTag(a as u32)));
                 prog.reset(&epoch);
-                let phys = &mut prog.phys;
-                let sub = phys.subs[phys.patch].clone();
-                let in_edges: u32 = sub.in_degree.iter().sum();
-                assert_eq!(phys.face_flux.len(), in_edges as usize * groups);
+                let sub = prog.phys.subs[p.index()].clone();
+                let clusters = match &prog.sched {
+                    Sched::Coarse { task, .. } => task.coarse.clusters.clone(),
+                    _ => rec.traces[a][p.index()].clusters.clone(),
+                };
+                let addr = slot_addrs(&prog);
+                let stored = addr
+                    .iter()
+                    .filter(|a| matches!(a, SlotAddr::Persistent(_)))
+                    .count();
+                in_cluster += sub.num_slots() - stored;
+                assert_eq!(prog.phys.face_flux.len(), stored * groups);
                 let mf = sub.faces_per_cell();
                 let at = |s: usize| {
                     (sub.slot_vertex(s as u32) as usize * mf + sub.slot_face(s)) * groups
                 };
                 let mut dense = vec![0.0; sub.num_vertices() * mf * groups];
                 let mut slotted = vec![false; dense.len()];
-                for s in 0..sub.num_slots() {
+                for (s, &addr) in addr.iter().enumerate() {
                     for g in 0..groups {
                         let x = rng.below(1000) as f64 * 1e-3;
-                        phys.face_flux[s * groups + g] = x;
+                        if let SlotAddr::Persistent(q) = addr {
+                            prog.phys.face_flux[q * groups + g] = x;
+                        }
                         dense[at(s) + g] = x;
                         slotted[at(s) + g] = true;
                     }
                 }
                 let mut phi = vec![0.0; sub.num_vertices() * groups];
                 let mut remote = vec![0.0; sub.rem_dst.len() * groups];
-                for cluster in &rec.traces[a][p.index()].clusters {
-                    phys.kernel_cluster(cluster);
+                for cluster in &clusters {
+                    run_cluster(&mut prog, cluster);
                     dense_kernel_cluster(
-                        phys,
+                        &prog.phys,
                         mesh,
                         dir,
                         &mut dense,
@@ -1149,19 +1378,25 @@ mod tests {
                         cluster,
                     );
                 }
-                let what = format!("{kernel:?} G={groups} angle {a} patch {}", p.index());
+                let phys = &prog.phys;
+                let what = format!(
+                    "{kernel:?} G={groups} replay={replay} angle {a} patch {}",
+                    p.index()
+                );
                 assert_eq!(bits(&phys.phi_part), bits(&phi), "{what}: phi_part");
                 assert_eq!(
                     bits(&phys.remote_vals),
                     bits(&remote),
                     "{what}: remote_vals"
                 );
-                for s in 0..sub.num_slots() {
-                    assert_eq!(
-                        bits(&phys.face_flux[s * groups..][..groups]),
-                        bits(&dense[at(s)..][..groups]),
-                        "{what}: slot {s}"
-                    );
+                for (s, &addr) in addr.iter().enumerate() {
+                    if let SlotAddr::Persistent(q) = addr {
+                        assert_eq!(
+                            bits(&phys.face_flux[q * groups..][..groups]),
+                            bits(&dense[at(s)..][..groups]),
+                            "{what}: slot {s}"
+                        );
+                    }
                 }
                 assert!(
                     dense
@@ -1172,6 +1407,7 @@ mod tests {
                 );
             }
         }
+        in_cluster
     }
 
     #[test]
@@ -1179,10 +1415,36 @@ mod tests {
         let (hex, tet, def) = families();
         for groups in [1, 3, 8, 11] {
             for kernel in [KernelKind::Step, KernelKind::DiamondDifference] {
-                assert_layouts_agree(&hex, kernel, groups);
-                assert_layouts_agree(&def, kernel, groups);
+                assert_eq!(assert_layouts_agree(&hex, kernel, groups, false), 0);
+                assert_eq!(assert_layouts_agree(&def, kernel, groups, false), 0);
             }
-            assert_layouts_agree(&tet, KernelKind::Step, groups);
+            assert_eq!(
+                assert_layouts_agree(&tet, KernelKind::Step, groups, false),
+                0
+            );
+        }
+    }
+
+    /// Replay over the compiled plan's clusters: below a full group
+    /// block every slot stays in `face_flux`, from one on the in-cluster
+    /// ones go through the (NaN-filled) cluster scratch.
+    #[test]
+    fn kernel_cluster_over_replay_slots_matches_the_dense_face_layout() {
+        let (hex, tet, def) = families();
+        for groups in [1, 3, 8, 11] {
+            let scratch = replay_uses_cluster_scratch(groups);
+            for kernel in [KernelKind::Step, KernelKind::DiamondDifference] {
+                assert_eq!(
+                    assert_layouts_agree(&hex, kernel, groups, true) > 0,
+                    scratch
+                );
+                assert_eq!(
+                    assert_layouts_agree(&def, kernel, groups, true) > 0,
+                    scratch
+                );
+            }
+            let tet_in_cluster = assert_layouts_agree(&tet, KernelKind::Step, groups, true);
+            assert_eq!(tet_in_cluster > 0, scratch);
         }
     }
 
@@ -1237,13 +1499,16 @@ mod tests {
         Traced::new(tet, ps, ProblemOptions::default()).factory(KernelKind::DiamondDifference, 1);
     }
 
-    const G: usize = 2;
+    /// Group counts the pair tests run at: below a full group block
+    /// (every slot stored) and above it (in-cluster slots in scratch).
+    const PAIR_GROUPS: [usize; 2] = [2, GROUP_BLOCK + 1];
 
     /// Two patches along x under one all-positive direction: every
     /// stream of the `up` program goes to `down`, whose remote inputs
     /// all come from `up`.
     struct Pair {
         factory: SweepFactory<StructuredMesh>,
+        groups: usize,
         up: ProgramId,
         down: ProgramId,
         /// A fine-mode and a replay epoch of the same problem.
@@ -1253,7 +1518,7 @@ mod tests {
     type Program = SweepProgram;
 
     impl Pair {
-        fn new() -> Pair {
+        fn new(groups: usize) -> Pair {
             let mesh = Arc::new(StructuredMesh::unit(4, 3, 2));
             let n = mesh.num_cells();
             let ps = partition::decompose_structured(&mesh, (2, 3, 2), 2);
@@ -1267,7 +1532,7 @@ mod tests {
             ));
             let materials = Arc::new(MaterialSet::homogeneous(
                 n,
-                Material::uniform(G, 1.0, 0.5, 1.0),
+                Material::uniform(groups, 1.0, 0.5, 1.0),
             ));
             let grain = 4;
             let plan = Arc::new(build_plan(
@@ -1275,7 +1540,7 @@ mod tests {
                 &simulate_clusters(&problem, grain, CLAIM_BATCH),
             ));
             let epoch = |mode| SweepEpoch {
-                emission: Arc::new((0..n * G).map(|i| 1.0 + 0.01 * i as f64).collect()),
+                emission: Arc::new((0..n * groups).map(|i| 1.0 + 0.01 * i as f64).collect()),
                 mode,
                 materials: materials.clone(),
             };
@@ -1287,6 +1552,7 @@ mod tests {
             let up = problem.patches.patch_of(mesh.cell_id(0, 0, 0));
             let down = problem.patches.patch_of(mesh.cell_id(3, 0, 0));
             Pair {
+                groups,
                 up: ProgramId::new(up, task),
                 down: ProgramId::new(down, task),
                 epochs: [
@@ -1298,7 +1564,7 @@ mod tests {
                     sink: Arc::new(EpochSink::new(problem.num_tasks())),
                     problem,
                     quadrature: quad,
-                    groups: G,
+                    groups,
                     kernel: KernelKind::Step,
                     grain,
                 }),
@@ -1312,12 +1578,21 @@ mod tests {
             p.reset(epoch);
             p
         }
+
+        /// Whether `mode`'s epochs keep in-cluster slots in scratch.
+        fn scratch(&self, mode: &str) -> bool {
+            mode == "replay" && replay_uses_cluster_scratch(self.groups)
+        }
     }
 
-    /// Compute until nothing is ready; the streams that produced.
+    /// Compute until nothing is ready, with NaN in the thread's cluster
+    /// scratch before every compute; the streams that produced.
     fn drain(p: &mut Program) -> Vec<Stream> {
         let mut out = Vec::new();
         while !p.vote_to_halt() {
+            if let Some(layout) = armed(p) {
+                poison_cluster_scratch(layout.scratch_slots());
+            }
             let mut ctx = ComputeCtx::default();
             p.compute(&mut ctx);
             out.append(&mut ctx.out);
@@ -1331,88 +1606,125 @@ mod tests {
 
     #[test]
     fn emit_ingest_round_trip_in_both_modes() {
-        let pair = Pair::new();
-        for (mode, epoch) in &pair.epochs {
-            let (mut up, mut down) = (pair.armed(pair.up, epoch), pair.armed(pair.down, epoch));
-            let streams = drain(&mut up);
-            assert_eq!(up.remaining_work(), 0, "{mode}: `up` waits for nobody");
-            assert!(streams.len() > 1, "{mode}: grain 4 splits the patch face");
-            let mut items = 0;
-            for s in &streams {
-                assert_eq!((s.src, s.dst), (pair.up, pair.down));
-                let (head, n) = (word(&s.payload, 0), word(&s.payload, 1) as usize);
-                assert_eq!(head == PER_SLOT, *mode == "fine", "{mode}: head {head}");
-                assert_eq!(s.payload.len(), 8 + n * (4 + 8 * G));
-                down.input(s.src, s.payload.clone());
-                items += n;
+        for groups in PAIR_GROUPS {
+            let pair = Pair::new(groups);
+            let g = groups;
+            for (mode, epoch) in &pair.epochs {
+                let (mut up, mut down) = (pair.armed(pair.up, epoch), pair.armed(pair.down, epoch));
+                let streams = drain(&mut up);
+                assert_eq!(up.remaining_work(), 0, "{mode}: `up` waits for nobody");
+                assert!(streams.len() > 1, "{mode}: grain 4 splits the patch face");
+                let mut items = 0;
+                for s in &streams {
+                    assert_eq!((s.src, s.dst), (pair.up, pair.down));
+                    let (head, n) = (word(&s.payload, 0), word(&s.payload, 1) as usize);
+                    assert_eq!(head == PER_SLOT, *mode == "fine", "{mode}: head {head}");
+                    assert_eq!(s.payload.len(), 8 + n * (4 + 8 * g));
+                    down.input(s.src, s.payload.clone());
+                    items += n;
+                }
+                // Every remote edge travelled once and landed in its
+                // stored slot.
+                let sub = &up.phys.subs[up.phys.patch];
+                assert_eq!(items, sub.rem_dst.len());
+                let addrs = slot_addrs(&down);
+                for (k, &slot) in sub.rem_dslot.iter().enumerate() {
+                    let sent = &up.phys.remote_vals[k * g..][..g];
+                    assert!(sent.iter().all(|&x| x > 0.0));
+                    let SlotAddr::Persistent(q) = addrs[slot as usize] else {
+                        panic!("{mode}: remote in-edge {k} in scratch");
+                    };
+                    assert_eq!(&down.phys.face_flux[q * g..][..g], sent);
+                }
+                // ... and released what it feeds: `down` finishes alone.
+                assert!(drain(&mut down).is_empty());
+                assert_eq!(down.remaining_work(), 0, "{mode}");
             }
-            // Every remote edge travelled once and landed in its slot.
-            let sub = &up.phys.subs[up.phys.patch];
-            assert_eq!(items, sub.rem_dst.len());
-            for (k, &slot) in sub.rem_dslot.iter().enumerate() {
-                let sent = &up.phys.remote_vals[k * G..][..G];
-                assert!(sent.iter().all(|&x| x > 0.0));
-                assert_eq!(&down.phys.face_flux[slot as usize * G..][..G], sent);
-            }
-            // ... and released what it feeds: `down` finishes alone.
-            assert!(drain(&mut down).is_empty());
-            assert_eq!(down.remaining_work(), 0, "{mode}");
         }
     }
 
-    /// `reset` leaves `face_flux` as the last epoch wrote it. Every slot
-    /// has a writer, so poison (NaN) in every slot must be overwritten
-    /// before anything reads it — the next epoch's flux is
-    /// bit-identical, in either mode.
+    /// `reset` leaves `face_flux` as the last epoch wrote it. Every
+    /// stored slot has a writer, so poison (NaN) in every one of them —
+    /// and in the worker's cluster scratch before every compute, which
+    /// `drain` fills — must be overwritten before anything reads it: the
+    /// next epoch's flux is bit-identical, in every layout.
     #[test]
     fn nan_poisoned_face_flux_never_reaches_the_next_epoch() {
-        let pair = Pair::new();
-        let fine = &pair.epochs[0].1;
-        let (mut up, mut down) = (pair.armed(pair.up, fine), pair.armed(pair.down, fine));
-        let sink = pair.factory.setup.sink.clone();
-        let run = |up: &mut Program, down: &mut Program| {
-            for s in drain(up) {
-                down.input(s.src, s.payload);
-            }
-            assert!(drain(down).is_empty());
-            [up.tid, down.tid].map(|tid| {
-                let phi = sink.slot(tid).phi_part.clone();
-                assert!(!phi.is_empty(), "the task completed");
-                phi.into_iter().map(f64::to_bits).collect::<Vec<_>>()
-            })
-        };
-        let first = run(&mut up, &mut down);
-        // `up` is written by its own internal edges only; `down` also
-        // by every remote edge of `up`.
-        let subs = up.phys.subs.clone();
-        let (up_sub, down_sub) = (&subs[up.phys.patch], &subs[down.phys.patch]);
-        let up_writers: HashSet<u32> = up_sub.int_dslot.iter().copied().collect();
-        let mut down_writers: HashSet<u32> = up_sub.rem_dslot.iter().copied().collect();
-        down_writers.extend(&down_sub.int_dslot);
-        assert!(!up_writers.is_empty() && down_writers.len() > up_sub.rem_dslot.len());
-        for (p, writers) in [(&up, &up_writers), (&down, &down_writers)] {
-            assert_eq!(
-                writers.len() * G,
-                p.phys.face_flux.len(),
-                "a slot without a writer"
-            );
-        }
-        for (mode, epoch) in &pair.epochs {
-            for (p, writers) in [(&mut up, &up_writers), (&mut down, &down_writers)] {
-                for &slot in writers {
-                    p.phys.face_flux[slot as usize * G..][..G].fill(f64::NAN);
+        for groups in PAIR_GROUPS {
+            let pair = Pair::new(groups);
+            let g = groups;
+            let fine = &pair.epochs[0].1;
+            let (mut up, mut down) = (pair.armed(pair.up, fine), pair.armed(pair.down, fine));
+            let sink = pair.factory.setup.sink.clone();
+            let run = |up: &mut Program, down: &mut Program| {
+                for s in drain(up) {
+                    down.input(s.src, s.payload);
                 }
-                p.reset(epoch);
-                assert!(
-                    p.phys.face_flux.iter().filter(|x| x.is_nan()).count() == writers.len() * G,
-                    "{mode}: reset wrote face_flux"
+                assert!(drain(down).is_empty());
+                [up.tid, down.tid].map(|tid| {
+                    let phi = sink.slot(tid).phi_part.clone();
+                    assert!(!phi.is_empty(), "the task completed");
+                    phi.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+                })
+            };
+            let first = run(&mut up, &mut down);
+            let subs = up.phys.subs.clone();
+            let (up_sub, down_sub) = (&subs[up.phys.patch], &subs[down.phys.patch]);
+            // The stored slots of `p`'s armed layout that `slots` land in.
+            let stored = |p: &Program, slots: &[u32]| -> HashSet<usize> {
+                let addrs = slot_addrs(p);
+                slots
+                    .iter()
+                    .filter_map(|&s| match addrs[s as usize] {
+                        SlotAddr::Persistent(q) => Some(q),
+                        SlotAddr::Scratch(_) => None,
+                    })
+                    .collect()
+            };
+            for (mode, epoch) in &pair.epochs {
+                // Arm the mode's layout and sweep in it once.
+                up.reset(epoch);
+                down.reset(epoch);
+                assert_eq!(run(&mut up, &mut down), first, "{mode}");
+                // `up` is written by its own internal edges only; `down`
+                // also by every remote edge of `up`, which it stores.
+                let up_writers = stored(&up, &up_sub.int_dslot);
+                let mut down_writers = stored(&down, &up_sub.rem_dslot);
+                assert_eq!(down_writers.len(), up_sub.rem_dslot.len(), "{mode}");
+                down_writers.extend(stored(&down, &down_sub.int_dslot));
+                assert!(!up_writers.is_empty() && down_writers.len() > up_sub.rem_dslot.len());
+                for (p, writers, sub) in
+                    [(&up, &up_writers, up_sub), (&down, &down_writers, down_sub)]
+                {
+                    // The slot count the layout stores, with a writer
+                    // each.
+                    assert_eq!(
+                        writers.len() * g,
+                        p.phys.face_flux.len(),
+                        "{mode} G={g}: a slot without a writer"
+                    );
+                    assert_eq!(
+                        p.phys.face_flux.len() < sub.num_slots() * g,
+                        pair.scratch(mode),
+                        "{mode} G={g}: in-cluster slots kept out of face_flux"
+                    );
+                }
+                for (p, writers) in [(&mut up, &up_writers), (&mut down, &down_writers)] {
+                    for &slot in writers {
+                        p.phys.face_flux[slot * g..][..g].fill(f64::NAN);
+                    }
+                    p.reset(epoch);
+                    assert!(
+                        p.phys.face_flux.iter().filter(|x| x.is_nan()).count() == writers.len() * g,
+                        "{mode} G={g}: reset wrote face_flux"
+                    );
+                }
+                assert_eq!(
+                    run(&mut up, &mut down),
+                    first,
+                    "{mode} G={g}: stale flux was read"
                 );
             }
-            assert_eq!(
-                run(&mut up, &mut down),
-                first,
-                "{mode}: stale flux was read"
-            );
         }
     }
 
@@ -1437,11 +1749,24 @@ mod tests {
     /// `debug_assert!`.
     #[test]
     fn mutated_payloads_panic_before_any_flux_is_written() {
-        let pair = Pair::new();
+        for groups in PAIR_GROUPS {
+            let pair = Pair::new(groups);
+            mutate_payloads(&pair);
+        }
+    }
+
+    fn mutate_payloads(pair: &Pair) {
         let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
         for (mode, epoch) in &pair.epochs {
             let streams = drain(&mut pair.armed(pair.up, epoch));
-            let num_slots = pair.armed(pair.down, epoch).phys.face_flux.len() / G;
+            let down = pair.armed(pair.down, epoch);
+            let num_slots = down.phys.subs[down.phys.patch].num_slots();
+            // The slots of the subgraph the armed layout keeps in the
+            // cluster scratch: in range, yet with no storage to land in.
+            let in_cluster: Vec<usize> = (slot_addrs(&down).into_iter().enumerate())
+                .filter_map(|(s, a)| matches!(a, SlotAddr::Scratch(_)).then_some(s))
+                .collect();
+            assert_eq!(!in_cluster.is_empty(), pair.scratch(mode), "{mode}");
             for round in 0..250 {
                 let s = &streams[rng.below(streams.len())];
                 let good = s.payload.to_vec();
@@ -1458,9 +1783,15 @@ mod tests {
                         b.extend((0..extra).map(|_| rng.below(256) as u8));
                         b
                     }
-                    // One slot past the receiver's storage.
+                    // One slot the receiver does not store: past its
+                    // subgraph's, or — when the layout keeps in-cluster
+                    // slots in scratch — one of those.
                     2 => {
-                        let (i, past) = (rng.below(n), num_slots + rng.below(1000));
+                        let past = match in_cluster.len() {
+                            0 => num_slots + rng.below(1000),
+                            m => in_cluster[rng.below(m)],
+                        };
+                        let i = rng.below(n);
                         let mut b = good.clone();
                         b[8 + 4 * i..][..4].copy_from_slice(&(past as u32).to_le_bytes());
                         b
@@ -1487,13 +1818,14 @@ mod tests {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     down.input(s.src, Bytes::from(bad));
                 }));
+                let g = pair.groups;
                 assert!(
                     outcome.is_err(),
-                    "{mode}: mutation {kind} (round {round}) was accepted"
+                    "{mode} G={g}: mutation {kind} (round {round}) was accepted"
                 );
                 assert!(
                     down.phys.face_flux == before,
-                    "{mode}: mutation {kind} (round {round}) wrote flux before failing"
+                    "{mode} G={g}: mutation {kind} (round {round}) wrote flux before failing"
                 );
             }
             // The same stream again while counters still have room may

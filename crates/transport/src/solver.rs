@@ -27,7 +27,9 @@
 #![allow(clippy::type_complexity)]
 
 use crate::kernel::{solve_cell, KernelKind};
-use crate::program::{EpochSink, SweepEpoch, SweepFactory, SweepMode, SweepSetup};
+use crate::program::{
+    replay_uses_cluster_scratch, EpochSink, SweepEpoch, SweepFactory, SweepMode, SweepSetup,
+};
 use crate::replay::{build_plan, plan_key, CoarsePlan, PlanCache, PlanKey};
 use crate::xs::MaterialSet;
 use jsweep_core::engine::CLAIM_BATCH;
@@ -513,6 +515,10 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
                 "stale replay plan (mesh was refined); plans must be rebuilt, not replayed"
             );
             progress.plan_from_cache = true;
+            // Cached by a solve whose replay stored every slot.
+            if replay_uses_cluster_scratch(groups) {
+                plan.compile_replay_layouts(&self.problem);
+            }
             progress.plan = Some(plan);
             return progress;
         }
@@ -522,6 +528,9 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
         let t0 = Instant::now();
         let traces = simulate_clusters(&self.problem, self.config.grain, CLAIM_BATCH);
         let plan = Arc::new(build_plan(&self.problem, &traces));
+        if replay_uses_cluster_scratch(groups) {
+            plan.compile_replay_layouts(&self.problem);
+        }
         let t1 = Instant::now();
         telemetry.global_span(EventKind::PlanCompile, t0, t1, generation, 0);
         cache.insert(key, plan.clone());
