@@ -4,14 +4,17 @@
 //! [`crate::Comm`] owns everything transport-independent — the stash,
 //! `recv_match`, `drain_user`, barriers and reductions — and delegates
 //! raw tagged delivery to a boxed [`CommBackend`]. A backend provides
-//! exactly four operations (send, non-blocking recv, blocking recv,
-//! close) plus its identity; everything a backend promises is pinned by
+//! exactly five operations (send, non-blocking recv, blocking recv,
+//! wait, close) plus its identity and its rank's [`Doorbell`];
+//! everything a backend promises is pinned by
 //! `tests/comm_conformance.rs`, the executable contract any future
 //! transport (TCP, shared-memory rings) must pass.
 
-use crate::Message;
+use crate::{Doorbell, Message};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A transport-level failure surfaced by a [`CommBackend`].
 ///
@@ -66,6 +69,13 @@ impl std::error::Error for CommError {}
 /// * `send` takes `&self` so the master can send while logically
 ///   holding the endpoint; `try_recv` must be cheap enough to poll in
 ///   the master drain loop.
+/// * **One wake source** — every message that arrives for a rank wakes
+///   a [`wait`] parked on that rank, and so does a ring of its
+///   [`doorbell`]; a ring that comes before the wait makes it return at
+///   once. A wait never needs a timer to notice traffic.
+///
+/// [`wait`]: CommBackend::wait
+/// [`doorbell`]: CommBackend::doorbell
 ///
 /// [`close`]: CommBackend::close
 pub trait CommBackend: Send {
@@ -85,6 +95,14 @@ pub trait CommBackend: Send {
 
     /// Blocking receive of the next message of any tag.
     fn recv(&mut self) -> Result<Message, CommError>;
+
+    /// Park until a message may have arrived or the rank's doorbell
+    /// rang, for at most `timeout` (`None`: no bound). Returns at once
+    /// if a message is already buffered. May return spuriously.
+    fn wait(&mut self, timeout: Option<Duration>);
+
+    /// This rank's wake source (shared: the runtime's workers ring it).
+    fn doorbell(&self) -> Arc<Doorbell>;
 
     /// Gracefully tear down this endpoint, telling peers the silence
     /// that follows is intentional (not a death). Idempotent. Dropping
@@ -108,7 +126,8 @@ pub trait CommBackend: Send {
 }
 
 /// The default fabric: ranks as threads in one address space, crossbeam
-/// channels as the wire. Zero-copy, unbounded, never drops.
+/// channels as the wire. Zero-copy, unbounded, never drops. Every send
+/// rings the destination rank's [`Doorbell`] after queueing.
 ///
 /// One asymmetry with process-grade backends is inherent: because every
 /// endpoint holds a sender to itself, the receive side can never
@@ -120,6 +139,8 @@ pub trait CommBackend: Send {
 pub struct ThreadBackend {
     rank: usize,
     senders: Vec<Sender<Message>>,
+    /// One bell per rank, shared by every endpoint of the world.
+    bells: Vec<Arc<Doorbell>>,
     receiver: Receiver<Message>,
     bytes_sent: std::sync::atomic::AtomicU64,
     frames_sent: std::sync::atomic::AtomicU64,
@@ -139,12 +160,14 @@ impl ThreadBackend {
             senders.push(tx);
             receivers.push(rx);
         }
+        let bells: Vec<Arc<Doorbell>> = (0..n).map(|_| Arc::new(Doorbell::new())).collect();
         receivers
             .into_iter()
             .enumerate()
             .map(|(rank, receiver)| ThreadBackend {
                 rank,
                 senders: senders.clone(),
+                bells: bells.clone(),
                 receiver,
                 bytes_sent: std::sync::atomic::AtomicU64::new(0),
                 frames_sent: std::sync::atomic::AtomicU64::new(0),
@@ -181,6 +204,7 @@ impl CommBackend for ThreadBackend {
                 payload,
             })
             .map_err(|_| CommError::PeerClosed { peer: to })?;
+        self.bells[to].ring();
         self.bytes_sent
             .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
         self.frames_sent
@@ -208,6 +232,16 @@ impl CommBackend for ThreadBackend {
             .map_err(|_| CommError::PeerClosed { peer: self.rank })?;
         self.note_received(&m);
         Ok(m)
+    }
+
+    fn wait(&mut self, timeout: Option<Duration>) {
+        if self.receiver.is_empty() {
+            self.bells[self.rank].wait(timeout);
+        }
+    }
+
+    fn doorbell(&self) -> Arc<Doorbell> {
+        self.bells[self.rank].clone()
     }
 
     fn close(&mut self) {

@@ -21,7 +21,10 @@
 //!   supports (§IV-C): the general Dijkstra–Safra token protocol and
 //!   the workload-counting shortcut for algorithms with known totals;
 //! * [`pack`] is the byte-level stream codec (the pack/unpack cost that
-//!   Fig. 16 profiles).
+//!   Fig. 16 profiles);
+//! * [`doorbell`] is each rank's one wake source: the fabric rings it
+//!   when a message arrives, the runtime's workers when they hand the
+//!   master something, and [`Comm::wait`] parks on it.
 //!
 //! Transport failure is a first-class outcome, not a panic: every
 //! operation that touches the fabric returns `Result<_, `[`CommError`]`>`,
@@ -31,14 +34,18 @@
 #![deny(missing_docs)]
 
 pub mod backend;
+pub mod doorbell;
 pub mod pack;
 pub mod socket;
 pub mod termination;
 
 pub use backend::{CommBackend, CommError, ThreadBackend};
+pub use doorbell::Doorbell;
 
 use bytes::Bytes;
 use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Tags at or above this value are reserved for the substrate
 /// (collectives, termination). User code must stay below.
@@ -164,6 +171,22 @@ impl Comm {
             return Ok(Some(m));
         }
         self.backend.try_recv()
+    }
+
+    /// Park until a message may be waiting or this rank's
+    /// [`Doorbell`] rings, for at most `timeout` (`None`: no bound).
+    /// Returns at once if a message is already stashed or buffered; may
+    /// return spuriously, so callers re-check with [`Comm::try_recv`].
+    pub fn wait(&mut self, timeout: Option<Duration>) {
+        if self.stash.is_empty() {
+            self.backend.wait(timeout);
+        }
+    }
+
+    /// This rank's wake source, for whoever must wake a rank parked in
+    /// [`Comm::wait`].
+    pub fn doorbell(&self) -> Arc<Doorbell> {
+        self.backend.doorbell()
     }
 
     /// Blocking receive of any message.

@@ -4,8 +4,17 @@
 //! space: each ordered rank pair gets its own unidirectional stream
 //! connection (blocking on the write side so `send(&self)` needs no
 //! reactor, non-blocking on the read side so the master drain loop can
-//! poll), and ranks may be threads, or — the point — separate OS
+//! sweep it), and ranks may be threads, or — the point — separate OS
 //! processes rendezvousing on a filesystem directory.
+//!
+//! ## Waiting
+//!
+//! A rank with nothing to read sleeps in one `poll(2)` over every live
+//! read side plus its [`Doorbell`]'s wake end
+//! ([`Doorbell::wait_on`]): a frame, a peer's EOF or a ring — a worker
+//! report, a self-send — wakes it, and nothing else does.
+//! [`CommBackend::wait`] is that sleep, and the blocking `recv` the
+//! collectives and the epoch fence use loops `try_recv` around it.
 //!
 //! ## Wire format
 //!
@@ -38,14 +47,15 @@
 //! appears ([`SocketUniverse::connect`]).
 
 use crate::backend::{CommBackend, CommError};
-use crate::{Comm, Message};
+use crate::{Comm, Doorbell, Message};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Handshake magic: `b"JSWP"` as a little-endian u32.
@@ -187,6 +197,8 @@ pub struct SocketBackend {
     readers: Vec<Option<RecvPeer>>,
     /// Self-sends loop through here, never touching the wire.
     loopback: Mutex<VecDeque<Message>>,
+    /// This rank's wake source: rung by self-sends and by the runtime.
+    bell: Arc<Doorbell>,
     /// Decoded frames awaiting delivery.
     ready: VecDeque<Message>,
     /// Round-robin poll cursor for fairness across peers.
@@ -245,6 +257,7 @@ impl CommBackend for SocketBackend {
                 tag,
                 payload,
             });
+            self.bell.ring();
             return Ok(());
         }
         let frame = encode_frame(tag, &payload);
@@ -312,7 +325,6 @@ impl CommBackend for SocketBackend {
     }
 
     fn recv(&mut self) -> Result<Message, CommError> {
-        let mut spins = 0u32;
         loop {
             if let Some(m) = self.try_recv()? {
                 return Ok(m);
@@ -327,15 +339,29 @@ impl CommBackend for SocketBackend {
             {
                 return Err(CommError::AllPeersClosed);
             }
-            // Brief spin for latency, then back off to a short sleep so
-            // a blocked collective does not burn a core.
-            spins = spins.saturating_add(1);
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
+            self.wait(None);
         }
+    }
+
+    fn wait(&mut self, timeout: Option<Duration>) {
+        let looped = !self.loopback.lock().expect("loopback lock").is_empty();
+        if looped || !self.ready.is_empty() {
+            return;
+        }
+        // A read side at EOF is always readable: it has been diagnosed
+        // already and would only turn the sleep into a spin.
+        let live: Vec<RawFd> = self
+            .readers
+            .iter()
+            .flatten()
+            .filter(|p| !p.eof)
+            .map(|p| p.stream.as_raw_fd())
+            .collect();
+        self.bell.wait_on(&live, timeout);
+    }
+
+    fn doorbell(&self) -> Arc<Doorbell> {
+        self.bell.clone()
     }
 
     fn close(&mut self) {
@@ -429,6 +455,7 @@ fn assemble(
         writers,
         readers,
         loopback: Mutex::new(VecDeque::new()),
+        bell: Arc::new(Doorbell::new()),
         ready: VecDeque::new(),
         next_poll: (rank + 1) % size,
         bytes_sent: AtomicU64::new(0),

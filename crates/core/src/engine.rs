@@ -38,6 +38,15 @@
 //! so a quiet pool has complete books, and [`Rank::run_epoch`] closes
 //! with one read: wait for quiet, sweep the report channel once for
 //! residue, take every worker's books into [`RunStats`].
+//!
+//! The master has **one wake source**, its rank's [`Doorbell`]. The
+//! fabric rings it when a message arrives (on sockets a readable
+//! connection wakes the same `poll`), the pool when a worker hands a
+//! report over and when it goes quiet. With nothing to do the master
+//! parks in one [`Comm::wait`]: unbounded while the pool is quiet, and
+//! only until the watchdog deadline while it is busy. A parked master
+//! takes no timed wake-ups, and a cross-rank hop costs the fabric's
+//! latency, not a timer's.
 
 use crate::fault::{panic_message, EpochFault, FaultKind, FaultPlan};
 use crate::pool::Pool;
@@ -46,10 +55,10 @@ use crate::stats::{Category, RunStats, Stopwatch};
 use crate::telemetry::{EventKind, TelemetryHandle};
 use crate::universe::{EpochTuning, Universe};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use jsweep_comm::pack::Writer;
 use jsweep_comm::termination::{Counting, Safra, Verdict};
-use jsweep_comm::{Comm, CommError};
+use jsweep_comm::{Comm, CommError, Doorbell};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -182,6 +191,7 @@ fn flush_report(pool: &Pool, to_master: &Sender<Report>, batch: &mut Report, sw:
     sw.timed(Category::Output, || {
         let _ = to_master.send(report);
     });
+    // Rings the master's bell: it has the report to read.
     pool.release_report();
 }
 
@@ -574,6 +584,8 @@ pub struct Rank<F: ProgramFactory> {
     pool: Arc<Pool>,
     config: RuntimeConfig,
     from_workers: Receiver<Report>,
+    /// The rank's wake source, shared with `comm` and `pool`.
+    bell: Arc<Doorbell>,
     workers: Vec<JoinHandle<()>>,
     m: Master<F>,
     epochs_run: u64,
@@ -586,7 +598,8 @@ impl<F: ProgramFactory> Rank<F> {
         assert!(config.num_workers > 0, "need at least one worker");
         let rank = comm.rank();
         let size = comm.size();
-        let pool = Arc::new(Pool::new(config.num_workers));
+        let bell = comm.doorbell();
+        let pool = Arc::new(Pool::with_bell(config.num_workers, bell.clone()));
         let m = Master::new(rank, size, factory.clone(), config);
         let (to_master, from_workers): (Sender<Report>, Receiver<Report>) = unbounded();
         let mut workers = Vec::with_capacity(config.num_workers);
@@ -610,6 +623,7 @@ impl<F: ProgramFactory> Rank<F> {
             pool,
             config: config.clone(),
             from_workers,
+            bell,
             workers,
             m,
             epochs_run: 0,
@@ -724,8 +738,13 @@ impl<F: ProgramFactory> Rank<F> {
         }
 
         let driven = self.drive(total_work);
-        let (m, pool, comm, from_workers) =
-            (&mut self.m, &self.pool, &mut self.comm, &self.from_workers);
+        let (m, pool, comm, from_workers, bell) = (
+            &mut self.m,
+            &self.pool,
+            &mut self.comm,
+            &self.from_workers,
+            &self.bell,
+        );
 
         // A poisoned epoch ends here: tell every peer (local origin
         // only) and skip the quiesce drain, which a stuck worker could
@@ -757,19 +776,33 @@ impl<F: ProgramFactory> Rank<F> {
         // A held report is released only after its channel send and
         // books are posted before their batch is finished, so once the
         // pool is quiet every report is in the channel and every
-        // worker's books are complete: one sweep, one read.
+        // worker's books are complete: one sweep, one read. The pool
+        // rings the bell as it goes quiet.
         m.sw.start();
         while !pool.is_quiet() {
-            std::thread::yield_now();
+            bell.wait(None);
         }
-        while let Ok(report) = from_workers.try_recv() {
+        let mut late_fault = None;
+        while let Ok(mut report) = from_workers.try_recv() {
             debug_assert!(
                 report.outputs.is_empty(),
                 "stream-bearing worker report after termination"
             );
             m.stats.work_done += report.work_done;
+            if let Some(f) = report.faults.pop() {
+                late_fault.get_or_insert(f);
+            }
         }
         let close = m.sw.lap(Category::Idle);
+        // A program that panicked after termination poisoned this
+        // rank's pool all the same. The peers have left the epoch, so
+        // there is nobody to tell: the fault is this rank's alone.
+        if let Some(fault) = late_fault {
+            m.sw.rec
+                .instant(EventKind::Fault, fault.rank as u64, fault.worker as u64);
+            close_epoch(m);
+            return Err(fault);
+        }
         for w in 0..self.config.num_workers {
             let mut books = pool.books(w);
             m.stats.workers.push(std::mem::take(&mut books.bd));
@@ -813,10 +846,6 @@ impl<F: ProgramFactory> Rank<F> {
         let rank = m.rank;
         let lost = |e: CommError| Abort::Local(comm_fault(rank, e));
         let mut counting = Counting::new(rank, m.size);
-        // A report the idle park received. It leads the next round's
-        // drain, so a single arm handles every report — and a master
-        // that is fed only through the park still registers progress.
-        let mut parked: Option<Report> = None;
         let mut last_progress = Instant::now();
 
         loop {
@@ -824,8 +853,24 @@ impl<F: ProgramFactory> Rank<F> {
 
             // Drain worker reports: route streams, track progress.
             let mut worker_fault = None;
-            let queued = std::iter::from_fn(|| from_workers.try_recv().ok());
-            for mut report in parked.take().into_iter().chain(queued) {
+            loop {
+                let mut report = match from_workers.try_recv() {
+                    Ok(report) => report,
+                    Err(TryRecvError::Empty) => break,
+                    // Workers only exit on `Pool::stop`; death here is
+                    // an engine bug, but it is still contained as a
+                    // fault rather than a process abort.
+                    Err(TryRecvError::Disconnected) => {
+                        worker_fault.get_or_insert(EpochFault {
+                            rank,
+                            worker: 0,
+                            program: None,
+                            payload: "all worker threads died mid-epoch".to_string(),
+                            kind: FaultKind::RankDeath,
+                        });
+                        break;
+                    }
+                };
                 progress = true;
                 if let Some(f) = report.faults.pop() {
                     worker_fault.get_or_insert(f);
@@ -900,9 +945,12 @@ impl<F: ProgramFactory> Rank<F> {
             // stuck — convert the hang into a fault. A *quiet* pool is
             // exempt: a rank legitimately waits arbitrarily long for
             // remote traffic, and the genuinely stalled rank is the
-            // one whose own pool stays busy.
-            if let Some(deadline) = config.watchdog {
-                if !pool.is_quiet() && last_progress.elapsed() >= deadline {
+            // one whose own pool stays busy. Only the master turns a
+            // quiet pool busy, so a park that starts quiet needs no
+            // deadline.
+            let mut timeout = None;
+            if let (Some(deadline), false) = (config.watchdog, pool.is_quiet()) {
+                if last_progress.elapsed() >= deadline {
                     // A worker fed by its own deliveries may report
                     // nothing for that long: its per-batch stamp (older
                     // than `last_progress` if from an earlier epoch) is
@@ -925,28 +973,11 @@ impl<F: ProgramFactory> Rank<F> {
                         }));
                     }
                 }
+                timeout = Some(deadline.saturating_sub(last_progress.elapsed()));
             }
-            // Nothing to do right now: park briefly on the worker
-            // channel (the latency-critical path).
-            let woken = m.sw.timed(Category::Idle, || {
-                from_workers.recv_timeout(Duration::from_micros(200))
-            });
-            match woken {
-                Ok(report) => parked = Some(report),
-                Err(RecvTimeoutError::Timeout) => {}
-                // Workers only exit on `Pool::stop`; death here is an
-                // engine bug, but it is still contained as a fault
-                // rather than a process abort.
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(Abort::Local(EpochFault {
-                        rank,
-                        worker: 0,
-                        program: None,
-                        payload: "all worker threads died mid-epoch".to_string(),
-                        kind: FaultKind::RankDeath,
-                    }))
-                }
-            }
+            // Nothing to do right now: park on the rank's one wake
+            // source (module docs).
+            m.sw.timed(Category::Idle, || comm.wait(timeout));
         }
     }
 
@@ -1434,6 +1465,97 @@ mod tests {
         assert!(!nothing_in_flight(&pool, &from_workers));
         assert!(from_workers.try_recv().is_ok());
         assert!(nothing_in_flight(&pool, &from_workers));
+    }
+
+    /// Rank 0's program commits the epoch's only work and streams to
+    /// rank 1's, whose workload is zero: Counting terminates as soon as
+    /// rank 0's report lands, and the frame reaches rank 1 just ahead
+    /// of the termination broadcast. Rank 1's program then panics in a
+    /// work-less compute, after a pause that puts its report well past
+    /// termination.
+    struct LateFault {
+        id: ProgramId,
+        fired: bool,
+        pending: bool,
+    }
+
+    impl PatchProgram for LateFault {
+        fn init(&mut self) {}
+        fn input(&mut self, _src: ProgramId, _payload: Bytes) {
+            self.pending = true;
+        }
+        fn compute(&mut self, ctx: &mut ComputeCtx) {
+            if self.id.patch.0 == 0 && !self.fired {
+                self.fired = true;
+                ctx.work_done = 1;
+                ctx.send(Stream {
+                    src: self.id,
+                    dst: ProgramId::new(PatchId(1), TaskTag(0)),
+                    payload: Bytes::new(),
+                });
+            } else if self.pending {
+                std::thread::sleep(Duration::from_millis(50));
+                panic!("late fault after termination");
+            }
+        }
+        fn vote_to_halt(&self) -> bool {
+            !self.pending
+        }
+        fn remaining_work(&self) -> u64 {
+            u64::from(self.id.patch.0 == 0 && !self.fired)
+        }
+    }
+
+    struct LateFaultFactory;
+
+    impl ProgramFactory for LateFaultFactory {
+        type Program = LateFault;
+        fn create(&self, id: ProgramId) -> LateFault {
+            LateFault {
+                id,
+                fired: false,
+                pending: false,
+            }
+        }
+        fn programs_on_rank(&self, rank: usize) -> Vec<ProgramId> {
+            vec![ProgramId::new(PatchId(rank as u32), TaskTag(0))]
+        }
+        fn rank_of(&self, id: ProgramId) -> usize {
+            id.patch.0 as usize
+        }
+        fn priority(&self, _id: ProgramId) -> i64 {
+            0
+        }
+        fn initial_workload(&self, id: ProgramId) -> u64 {
+            u64::from(id.patch.0 == 0)
+        }
+    }
+
+    /// Regression: the close's residue sweep used to add a late
+    /// report's work and drop its fault, so an epoch whose program
+    /// panicked after Counting terminated came back `Ok`.
+    #[test]
+    fn a_fault_reported_after_termination_fails_the_epoch() {
+        let mut u = Universe::launch(
+            2,
+            Arc::new(LateFaultFactory),
+            RuntimeConfig {
+                num_workers: 1,
+                ..Default::default()
+            },
+        );
+        let fault = u
+            .run_epoch(Arc::new(()))
+            .expect_err("the late panic must fail the epoch");
+        assert_eq!(fault.kind, FaultKind::Panic);
+        assert_eq!(fault.rank, 1);
+        assert_eq!(fault.program, Some(ProgramId::new(PatchId(1), TaskTag(0))));
+        assert!(
+            fault.payload.contains("late fault"),
+            "payload: {}",
+            fault.payload
+        );
+        u.shutdown();
     }
 
     /// Bytes off the wire that do not decode poison the epoch with a

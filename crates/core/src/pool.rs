@@ -28,10 +28,17 @@
 //! finished, so [`Pool::is_quiet`] implies every worker's books are
 //! complete: the rank closes an epoch by waiting for quiet and reading
 //! the slots.
+//!
+//! A pool built `Pool::with_bell` rings its rank's
+//! [`Doorbell`] whenever the master has something new to look at: a
+//! worker handed it a report ([`Pool::release_report`]), or the pool
+//! went quiet. The master parks on that bell alone, so Safra's idle
+//! check still runs on the wake that found nothing.
 
 use crate::program::{EpochInput, IdMap, PatchProgram, ProgramId, Stream};
 use crate::stats::Breakdown;
 use bytes::Bytes;
+use jsweep_comm::Doorbell;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -174,12 +181,23 @@ pub struct Pool {
     /// so no wakeup can be lost.
     sleep: Mutex<()>,
     cv: Condvar,
+    /// The rank's wake source (module docs); none in a bare pool.
+    bell: Option<Arc<Doorbell>>,
 }
 
 impl Pool {
     /// Empty pool with `num_shards` ready-queue shards (the engine
     /// passes one per worker; `0` is clamped to `1`).
     pub fn new(num_shards: usize) -> Pool {
+        Pool::build(num_shards, None)
+    }
+
+    /// [`Pool::new`] that rings `bell` for the master (module docs).
+    pub(crate) fn with_bell(num_shards: usize, bell: Arc<Doorbell>) -> Pool {
+        Pool::build(num_shards, Some(bell))
+    }
+
+    fn build(num_shards: usize, bell: Option<Arc<Doorbell>>) -> Pool {
         let n = num_shards.max(1);
         Pool {
             shards: (0..n)
@@ -200,6 +218,24 @@ impl Pool {
             stop: AtomicBool::new(false),
             sleep: Mutex::new(()),
             cv: Condvar::new(),
+            bell,
+        }
+    }
+
+    fn ring(&self) {
+        if let Some(bell) = &self.bell {
+            bell.ring();
+        }
+    }
+
+    /// Ring the master if the pool is quiet; call after `active`
+    /// dropped to zero. [`Pool::release_report`] rings unconditionally,
+    /// so the busy → quiet transition rings whichever of `active` and
+    /// `held_reports` reaches zero last (SeqCst: the later one sees
+    /// the earlier).
+    fn ring_if_quiet(&self) {
+        if self.is_quiet() {
+            self.ring();
         }
     }
 
@@ -348,7 +384,9 @@ impl Pool {
             slot.program = None;
             slot.pending.clear();
         }
-        self.active.fetch_sub(1, Ordering::SeqCst);
+        if self.active.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.ring_if_quiet();
+        }
     }
 
     fn deliver_into(g: &mut Shard, stream: Stream, priority: i64) -> usize {
@@ -578,8 +616,8 @@ impl Pool {
             // bumped per entry under the shard locks.
             self.wake(requeued);
         }
-        if idled > 0 {
-            self.active.fetch_sub(idled, Ordering::SeqCst);
+        if idled > 0 && self.active.fetch_sub(idled, Ordering::SeqCst) == idled {
+            self.ring_if_quiet();
         }
     }
 
@@ -591,9 +629,11 @@ impl Pool {
         self.held_reports.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// The buffered report left the worker (sent to the master).
+    /// The buffered report left the worker (sent to the master): ring
+    /// the master, which has it to read.
     pub fn release_report(&self) {
         self.held_reports.fetch_sub(1, Ordering::SeqCst);
+        self.ring();
     }
 
     /// True when no program is ready or running and no worker holds a

@@ -6,19 +6,26 @@
 //! per-pair FIFO delivery, `recv_match` stash ordering, `drain_user`
 //! preserving reserved-tag protocol traffic, collectives under
 //! concurrent user traffic, exact integer sums, self-sends, both
-//! termination detectors, and malformed protocol payloads blamed on
-//! their sender. Socket-only behaviours (multi-process rendezvous) get
-//! their own tests outside the macro.
+//! termination detectors, malformed protocol payloads blamed on their
+//! sender, and the wake source (`Comm::wait` ends on a peer's send or a
+//! doorbell ring, never loses a ring, and otherwise runs to its
+//! timeout). Socket-only behaviours (multi-process rendezvous, a dying
+//! peer waking a parked rank) get their own tests outside the macro.
 
 use bytes::Bytes;
 use jsweep::comm::socket::SocketUniverse;
 use jsweep::comm::termination::{Counting, Safra, Verdict};
 use jsweep::comm::{Comm, CommError, Universe, RESERVED_TAG_BASE, TAG_COLLECTIVE, TAG_TOKEN};
+use std::time::{Duration, Instant};
 
 /// A reserved tag no protocol component uses (collective/token/
 /// terminate/done occupy base..base+3), so tests can emit reserved
 /// traffic without colliding with real collectives.
 const TAG_TEST_RESERVED: u32 = RESERVED_TAG_BASE + 9;
+
+/// The timeout of a wait that something should end early: a wake that
+/// is lost shows as a wait that ran this long.
+const PATIENCE: Duration = Duration::from_secs(10);
 
 /// Instantiate the conformance battery for one backend. `$world` is a
 /// `fn(n, Fn(Comm) -> R) -> Vec<R>` world runner (spawn + join).
@@ -306,6 +313,68 @@ macro_rules! conformance_suite {
                 });
                 assert_eq!(out[0], Some(Err(CommError::PeerClosed { peer: 1 })));
             }
+
+            /// A peer's send wakes a rank parked in `wait` long before
+            /// the wait's timeout: no timer stands between a message
+            /// and the rank it is for.
+            #[test]
+            fn a_peer_send_wakes_a_parked_wait() {
+                world(2, |mut comm| {
+                    if comm.rank() == 1 {
+                        std::thread::sleep(Duration::from_millis(50));
+                        comm.send(0, 3, Bytes::copy_from_slice(b"wake")).unwrap();
+                        // Stay alive until rank 0 has looked: on sockets
+                        // a closing peer would wake it too.
+                        let _ = comm.recv_match(4).unwrap();
+                        return;
+                    }
+                    let t0 = Instant::now();
+                    let m = loop {
+                        if let Some(m) = comm.try_recv().unwrap() {
+                            break m;
+                        }
+                        comm.wait(Some(PATIENCE));
+                    };
+                    let waited = t0.elapsed();
+                    assert!(waited < PATIENCE / 2, "the send woke nobody: {waited:?}");
+                    assert_eq!((m.src, m.tag, &m.payload[..]), (1, 3, &b"wake"[..]));
+                    comm.send(1, 4, Bytes::new()).unwrap();
+                });
+            }
+
+            /// A ring that comes before the wait is not lost: the wait
+            /// returns at once. One rank, so no peer traffic can stand
+            /// in for the ring.
+            #[test]
+            fn a_ring_before_the_wait_returns_at_once() {
+                world(1, |mut comm| {
+                    comm.doorbell().ring();
+                    let t0 = Instant::now();
+                    comm.wait(Some(PATIENCE));
+                    let waited = t0.elapsed();
+                    assert!(waited < PATIENCE / 2, "the ring was lost: {waited:?}");
+                });
+            }
+
+            /// With no traffic and no ring, a wait runs to its timeout.
+            #[test]
+            fn an_idle_wait_returns_at_its_timeout() {
+                const TIMEOUT: Duration = Duration::from_millis(50);
+                world(2, |mut comm| {
+                    if comm.rank() == 1 {
+                        let _ = comm.recv_match(5).unwrap();
+                        return;
+                    }
+                    let t0 = Instant::now();
+                    comm.wait(Some(TIMEOUT));
+                    let waited = t0.elapsed();
+                    assert!(
+                        waited >= TIMEOUT && waited < PATIENCE,
+                        "an idle wait of {TIMEOUT:?} took {waited:?}"
+                    );
+                    comm.send(1, 5, Bytes::new()).unwrap();
+                });
+            }
         }
     };
 }
@@ -337,6 +406,31 @@ fn socket_connect_rendezvous_staggered() {
         assert_eq!(h.join().unwrap(), 6);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Socket-only: a peer that dies wakes a rank parked in `wait` — its
+/// raw EOF makes the connection readable — and the next `try_recv`
+/// names it. The thread fabric cannot see a death on the receive side
+/// (see `socket_blocking_recv_after_every_peer_closed_is_an_error`).
+#[test]
+fn socket_peer_death_wakes_a_parked_wait() {
+    let mut world = SocketUniverse::endpoints(2);
+    let c1 = world.pop().unwrap();
+    let mut c0 = world.pop().unwrap();
+    let dying = std::thread::spawn(move || {
+        let _hold = c1;
+        std::thread::sleep(Duration::from_millis(50));
+        panic!("simulated rank death");
+    });
+    let t0 = Instant::now();
+    c0.wait(Some(PATIENCE));
+    let waited = t0.elapsed();
+    assert!(waited < PATIENCE / 2, "the death woke nobody: {waited:?}");
+    assert!(dying.join().is_err());
+    assert_eq!(
+        c0.try_recv().unwrap_err(),
+        CommError::PeerClosed { peer: 1 }
+    );
 }
 
 /// Socket-only: byte accounting covers wire framing, so a sent payload
