@@ -100,15 +100,11 @@ fn pass_scalar<T: SweepTopology + ?Sized>(
     }
 }
 
-/// Cells per blocked chunk — a typical cluster size, so the bench's
-/// cache-blocking matches `kernel_cluster`'s: group blocks re-stream a
-/// cluster-sized cell list whose face data stays cache-resident, not
-/// the whole mesh.
-const CHUNK: usize = 32;
-
-/// One blocked pass, chunked like the production cluster path: stream
-/// each chunk's cell list once per group block, every cell reading its
-/// geometry from the direction's class table (`geoms[class_of[c]]`).
+/// One blocked pass, cell-major like the production cluster path
+/// (`kernel_cluster`): each cell reads its geometry from the
+/// direction's class table (`geoms[class_of[c]]`) once and runs its
+/// group blocks back to back, so its face and phi rows are read once,
+/// in one contiguous run.
 #[allow(clippy::too_many_arguments)]
 fn pass_blocked(
     geoms: &[CellGeom],
@@ -122,36 +118,31 @@ fn pass_blocked(
     phi: &mut [f64],
 ) {
     let groups = sigma_t.len();
-    let n = class_of.len();
     let mut out = [0.0f64; KERNEL_MAX_FACES * GROUP_BLOCK];
     let mut psi = [0.0f64; GROUP_BLOCK];
-    let mut start = 0;
-    while start < n {
-        let end = (start + CHUNK).min(n);
+    for (c, &class) in class_of.iter().enumerate() {
+        let geom = &geoms[class as usize];
         let mut g0 = 0;
         while g0 < groups {
             let b = GROUP_BLOCK.min(groups - g0);
-            for c in start..end {
-                let base = c * mf * groups + g0;
-                solve_cell_block_geom(
-                    &geoms[class_of[c] as usize],
-                    kind,
-                    &sigma_t[g0..g0 + b],
-                    &q[g0..g0 + b],
-                    &flux[base..],
-                    groups,
-                    &mut out,
-                    GROUP_BLOCK,
-                    &mut psi[..b],
-                );
-                let pbase = c * groups + g0;
-                for (p, &x) in phi[pbase..pbase + b].iter_mut().zip(&psi[..b]) {
-                    *p += weight * x;
-                }
+            let base = c * mf * groups + g0;
+            solve_cell_block_geom(
+                geom,
+                kind,
+                &sigma_t[g0..g0 + b],
+                &q[g0..g0 + b],
+                &flux[base..],
+                groups,
+                &mut out,
+                GROUP_BLOCK,
+                &mut psi[..b],
+            );
+            let pbase = c * groups + g0;
+            for (p, &x) in phi[pbase..pbase + b].iter_mut().zip(&psi[..b]) {
+                *p += weight * x;
             }
             g0 += b;
         }
-        start = end;
     }
 }
 

@@ -38,11 +38,11 @@
 //!   `groups ≥ GROUP_BLOCK`): a coarse vertex is solved in one call, so
 //!   an edge with both ends in it is written and read within that call
 //!   (the cluster is in topological order). Such a slot lives in the
-//!   worker thread's cluster scratch — one `GROUP_BLOCK` per in-cluster
-//!   slot of the running cluster, overwritten by the next block pass
-//!   and the next call, shared by every program the thread runs — and
-//!   only the other slots (remote in-edges, edges between coarse
-//!   vertices) are stored: `face_flux` holds the layout's
+//!   worker thread's cluster scratch — `groups` values per in-cluster
+//!   slot of the running cluster, addressed like a `face_flux` slot,
+//!   overwritten by the next call, shared by every program the thread
+//!   runs — and only the other slots (remote in-edges, edges between
+//!   coarse vertices) are stored: `face_flux` holds the layout's
 //!   [`ReplayLayout::persistent_slots`] × `groups` values. Below a full
 //!   group block the layout's per-slot address word costs more time
 //!   than its bytes save, so `replay_uses_cluster_scratch` keeps it
@@ -343,17 +343,18 @@ fn stored_slot(layout: Option<&ReplayLayout>, slot: usize) -> Option<usize> {
 
 thread_local! {
     /// The calling worker's scratch for the running coarse vertex's
-    /// in-cluster slots, one group block each. Written before it is
-    /// read within one compute call, so one buffer per worker thread
-    /// serves every program the thread runs (module docs).
+    /// in-cluster slots, `groups` values each, addressed like a
+    /// `face_flux` slot. Written before it is read within one compute
+    /// call, so one buffer per worker thread serves every program the
+    /// thread runs (module docs).
     static CLUSTER_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Run `f` over the calling thread's cluster scratch, `entries` group
-/// blocks long.
-fn with_cluster_scratch<R>(entries: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+/// Run `f` over the calling thread's cluster scratch, `entries` slots
+/// of `groups` values long.
+fn with_cluster_scratch<R>(entries: usize, groups: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     CLUSTER_SCRATCH.with_borrow_mut(|scratch| {
-        let len = entries * GROUP_BLOCK;
+        let len = entries * groups;
         if scratch.len() < len {
             scratch.resize(len, 0.0);
         }
@@ -415,9 +416,8 @@ struct Physics {
     phi_part: Vec<f64>,
     /// Outgoing remote face-flux staging per
     /// `fine_remote_edge * groups`, addressed by the subgraph's remote
-    /// CSR in both scheduling modes: the group-block kernel passes
-    /// write block sub-slices here and [`Physics::emit`] packs streams
-    /// from it.
+    /// CSR in both scheduling modes: the kernel writes it one group
+    /// block at a time and [`Physics::emit`] packs streams from it.
     remote_vals: Vec<f64>,
 }
 
@@ -451,24 +451,27 @@ impl Physics {
     /// scheduling modes — which is what makes the coarse replay
     /// bit-identical to the fine path.
     ///
-    /// Mesh-free: the cell list is streamed once per
-    /// [`GROUP_BLOCK`]-wide group block; each cell reads its
-    /// [`CellGeom`] from the angle's table by geometry class, gathers
-    /// its slots ([`Subgraph::in_slots`]) into the kernel's face-major
-    /// incoming block and, once solved, routes by walking its two CSR
-    /// ranges of the subgraph — internal edge `k` copies
-    /// `out[int_sface[k]]` to slot `int_dslot[k]`, remote edge `k`
-    /// copies `out[rem_sface[k]]` to `remote_vals[k]`. Upwind, flow-0,
-    /// boundary and cycle-broken faces have no edge and so write
-    /// nothing. Each pass walks the cluster in its (topological) order,
-    /// which preserves in-cluster upwind/downwind dependencies per block
-    /// exactly as the scalar path did per group.
+    /// Mesh-free and cell-major: the cluster is walked once, in its
+    /// (topological) order, and each cell runs its
+    /// [`GROUP_BLOCK`]-wide group blocks back to back, so every row it
+    /// reads (emission, `phi_part`, slots, `remote_vals`) is read once,
+    /// in one contiguous run. A cell reads its [`CellGeom`] from the
+    /// angle's table by geometry class, gathers each block of its slots
+    /// ([`Subgraph::in_slots`]) into the kernel's face-major incoming
+    /// block and, once solved, routes by walking its two CSR ranges of
+    /// the subgraph — internal edge `k` copies `out[int_sface[k]]` to
+    /// slot `int_dslot[k]`, remote edge `k` copies `out[rem_sface[k]]`
+    /// to `remote_vals[k]`. Upwind, flow-0, boundary and cycle-broken
+    /// faces have no edge and so write nothing. An upwind cell of the
+    /// cluster has written every group of a slot before its downwind
+    /// cell reads it, and each (cell, group) pair runs the same
+    /// arithmetic in any loop order, so the flux does not depend on it.
     ///
     /// `layout` says where each slot lives: a persistent slot is
-    /// `groups` values of `face_flux`, a scratch entry one block of
-    /// `scratch` (at least `GROUP_BLOCK` × [`ReplayLayout::scratch_slots`]
-    /// values; empty for [`StoredSlots`]), which the pass writes before
-    /// it reads it.
+    /// `groups` values of `face_flux`, a scratch entry `groups` values
+    /// of `scratch` at the same `slot * groups` address (at least
+    /// `groups` × [`ReplayLayout::scratch_slots`] values; empty for
+    /// [`StoredSlots`]), which the call writes before it reads it.
     ///
     /// Each layout's kernel is a function of its own with the cell solve
     /// inlined: left to the inliner, the stored-slots one lost the solve
@@ -480,32 +483,38 @@ impl Physics {
         let class_of = &self.problem.geom_classes.class_of;
         let groups = self.groups;
 
-        // Both block scratches live on the stack, face-major and
-        // GROUP_BLOCK-strided even for the tail block. The incoming one
-        // holds the vacuum 0.0 on every face but those in `filled` (bit
-        // `f` = face `f`), which hold the last gathered cell's flux.
+        // The block buffers live on the stack, face-major and
+        // GROUP_BLOCK-strided even for the tail block, and serve every
+        // block of the call. The incoming one holds the vacuum 0.0 on
+        // every face but those in `filled` (bit `f` = face `f`), which
+        // hold the last gathered block's flux. The kernel writes the
+        // lanes of `psi` and of every outflow face of `out` the block
+        // reads back — a route leaves through an outflow face — so
+        // neither needs zeroing between blocks.
         let mut inc = [0.0f64; KERNEL_MAX_FACES * GROUP_BLOCK];
         let mut filled = 0u64;
-        let mut g0 = 0;
-        while g0 < groups {
-            let b = GROUP_BLOCK.min(groups - g0);
-            for &v in cluster {
-                let cell = sub.cells[v as usize] as usize;
-                let geom = &self.geoms[class_of[cell] as usize];
-                let mat = self.materials.material(cell);
-                // Gather the cell's slots — earlier cells of this pass
-                // have already written them for the block's groups —
-                // and return the faces only the previous cell filled to
-                // 0.0: a face without a slot (boundary inflow,
+        let mut out = [0.0f64; KERNEL_MAX_FACES * GROUP_BLOCK];
+        let mut psi = [0.0f64; GROUP_BLOCK];
+        for &v in cluster {
+            let cell = sub.cells[v as usize] as usize;
+            let geom = &self.geoms[class_of[cell] as usize];
+            let mat = self.materials.material(cell);
+            let mut g0 = 0;
+            while g0 < groups {
+                let b = GROUP_BLOCK.min(groups - g0);
+                // Gather the block of the cell's slots — earlier cells
+                // of the cluster have already written all their groups
+                // — and return the faces only the previous cell filled
+                // to 0.0: a face without a slot (boundary inflow,
                 // cycle-broken, flow-0, downwind) reads the vacuum.
                 let previous = std::mem::take(&mut filled);
                 for s in sub.in_slots(v) {
                     let f = sub.slot_face(s);
-                    let (buf, at) = match layout.slot(s) {
-                        SlotAddr::Persistent(p) => (&self.face_flux[..], p * groups + g0),
-                        SlotAddr::Scratch(i) => (&scratch[..], i * GROUP_BLOCK),
+                    let (buf, i) = match layout.slot(s) {
+                        SlotAddr::Persistent(p) => (&self.face_flux[..], p),
+                        SlotAddr::Scratch(i) => (&scratch[..], i),
                     };
-                    copy_block(&mut inc[f * GROUP_BLOCK..], &buf[at..], b);
+                    copy_block(&mut inc[f * GROUP_BLOCK..], &buf[i * groups + g0..], b);
                     filled |= 1 << f;
                 }
                 let mut stale = previous & !filled;
@@ -514,8 +523,6 @@ impl Physics {
                     inc[f * GROUP_BLOCK..][..GROUP_BLOCK].fill(0.0);
                     stale &= stale - 1;
                 }
-                let mut out = [0.0f64; KERNEL_MAX_FACES * GROUP_BLOCK];
-                let mut psi = [0.0f64; GROUP_BLOCK];
                 let q_base = cell * groups + g0;
                 solve_cell_block_geom(
                     geom,
@@ -537,18 +544,18 @@ impl Physics {
                 // Route the outgoing face-flux blocks along the CSR.
                 for k in sub.int_range(v) {
                     let blk = &out[sub.int_sface[k] as usize * GROUP_BLOCK..];
-                    let (buf, at) = match layout.int_edge(sub, k) {
-                        SlotAddr::Persistent(p) => (&mut self.face_flux[..], p * groups + g0),
-                        SlotAddr::Scratch(i) => (&mut scratch[..], i * GROUP_BLOCK),
+                    let (buf, i) = match layout.int_edge(sub, k) {
+                        SlotAddr::Persistent(p) => (&mut self.face_flux[..], p),
+                        SlotAddr::Scratch(i) => (&mut scratch[..], i),
                     };
-                    copy_block(&mut buf[at..], blk, b);
+                    copy_block(&mut buf[i * groups + g0..], blk, b);
                 }
                 for k in sub.rem_range(v) {
                     let blk = &out[sub.rem_sface[k] as usize * GROUP_BLOCK..];
                     copy_block(&mut self.remote_vals[k * groups + g0..], blk, b);
                 }
+                g0 += b;
             }
-            g0 += b;
         }
     }
 }
@@ -665,9 +672,11 @@ impl SweepProgram {
         // which keeps their Kernel/GraphOp split comparable.
         ctx.kernel(|out| {
             match armed_layout(task, &phys.subs[phys.patch], phys.groups) {
-                Some(layout) => with_cluster_scratch(layout.scratch_slots(), |scratch| {
-                    phys.kernel_cluster(cluster, layout, scratch)
-                }),
+                Some(layout) => {
+                    with_cluster_scratch(layout.scratch_slots(), phys.groups, |scratch| {
+                        phys.kernel_cluster(cluster, layout, scratch)
+                    })
+                }
                 None => phys.kernel_cluster(cluster, &StoredSlots, &mut []),
             }
             // One stream per outgoing coarse edge: its pre-packed
@@ -1176,14 +1185,15 @@ mod tests {
         assert_routes_agree(&def);
     }
 
-    /// The reference for [`Physics::kernel_cluster`]: the same cluster
-    /// pass over a dense `cell × face` incoming buffer (`dense[(v * F +
-    /// f) * groups + g]`), read in place by the kernel with stride
-    /// `groups` and written at `(dst, face_toward(dst, src))` — the
-    /// program storage before slots were numbered per in-edge, where a
-    /// face no edge enters held the 0.0 it was allocated with — with
-    /// each cell's geometry derived off the mesh, not read from the
-    /// class table.
+    /// The reference for [`Physics::kernel_cluster`]: the cluster,
+    /// walked block-major (once per group block, where the kernel walks
+    /// it once, cell by cell), over a dense `cell × face` incoming
+    /// buffer (`dense[(v * F + f) * groups + g]`), read in place by the
+    /// kernel with stride `groups` and written at `(dst,
+    /// face_toward(dst, src))` — the program storage before slots were
+    /// numbered per in-edge, where a face no edge enters held the 0.0
+    /// it was allocated with — with each cell's geometry derived off
+    /// the mesh, not read from the class table.
     fn dense_kernel_cluster<T: SweepTopology>(
         phys: &Physics,
         mesh: &T,
@@ -1260,8 +1270,8 @@ mod tests {
         };
         match layout {
             Some(layout) => {
-                poison_cluster_scratch(layout.scratch_slots());
-                with_cluster_scratch(layout.scratch_slots(), |scratch| {
+                poison_cluster_scratch(layout.scratch_slots(), phys.groups);
+                with_cluster_scratch(layout.scratch_slots(), phys.groups, |scratch| {
                     phys.kernel_cluster(cluster, layout, scratch)
                 });
             }
@@ -1270,10 +1280,10 @@ mod tests {
     }
 
     /// Fill the calling thread's cluster scratch, at least `entries`
-    /// group blocks of it, with NaN.
-    fn poison_cluster_scratch(entries: usize) {
+    /// slots of `groups` values of it, with NaN.
+    fn poison_cluster_scratch(entries: usize, groups: usize) {
         CLUSTER_SCRATCH.with_borrow_mut(|s| {
-            let len = s.len().max(entries * GROUP_BLOCK);
+            let len = s.len().max(entries * groups);
             s.resize(len, f64::NAN);
             s.fill(f64::NAN);
         });
@@ -1413,7 +1423,7 @@ mod tests {
     #[test]
     fn kernel_cluster_over_slots_matches_the_dense_face_layout() {
         let (hex, tet, def) = families();
-        for groups in [1, 3, 8, 11] {
+        for groups in [1, 3, 8, 11, 19, 32] {
             for kernel in [KernelKind::Step, KernelKind::DiamondDifference] {
                 assert_eq!(assert_layouts_agree(&hex, kernel, groups, false), 0);
                 assert_eq!(assert_layouts_agree(&def, kernel, groups, false), 0);
@@ -1431,7 +1441,7 @@ mod tests {
     #[test]
     fn kernel_cluster_over_replay_slots_matches_the_dense_face_layout() {
         let (hex, tet, def) = families();
-        for groups in [1, 3, 8, 11] {
+        for groups in [1, 3, 8, 11, 19, 32] {
             let scratch = replay_uses_cluster_scratch(groups);
             for kernel in [KernelKind::Step, KernelKind::DiamondDifference] {
                 assert_eq!(
@@ -1591,7 +1601,7 @@ mod tests {
         let mut out = Vec::new();
         while !p.vote_to_halt() {
             if let Some(layout) = armed(p) {
-                poison_cluster_scratch(layout.scratch_slots());
+                poison_cluster_scratch(layout.scratch_slots(), p.phys.groups);
             }
             let mut ctx = ComputeCtx::default();
             p.compute(&mut ctx);

@@ -871,11 +871,10 @@ fn resident_universe_bit_identical_to_respawned_unstructured() {
     }
 }
 
-/// Per-group-varied 16-group material: every group gets distinct
-/// cross sections and source so a group-blocking bug that mixes
-/// lanes cannot cancel out.
-fn multigroup16_material() -> Material {
-    let groups = 16;
+/// Per-group-varied `groups`-group material: every group gets
+/// distinct cross sections and source so a group-blocking bug that
+/// mixes lanes cannot cancel out.
+fn multigroup_material(groups: usize) -> Material {
     Material {
         sigma_t: (0..groups).map(|g| 0.5 + 0.23 * g as f64).collect(),
         sigma_s: (0..groups).map(|g| 0.2 + 0.04 * g as f64).collect(),
@@ -892,7 +891,7 @@ fn multigroup16_goldens_bit_identical_across_execution_modes() {
     use jsweep::transport::PlanCache;
     let mesh = Arc::new(StructuredMesh::unit(6, 6, 6));
     let quad = QuadratureSet::sn(2);
-    let mats = Arc::new(MaterialSet::homogeneous(216, multigroup16_material()));
+    let mats = Arc::new(MaterialSet::homogeneous(216, multigroup_material(16)));
     let prob = Arc::new(SweepProblem::build(
         mesh.as_ref(),
         decompose_structured(&mesh, (3, 3, 3), 2),
@@ -947,6 +946,59 @@ fn multigroup16_goldens_bit_identical_across_execution_modes() {
 }
 
 #[test]
+fn multigroup32_dd_golden_bit_identical_across_execution_modes() {
+    // G=32 diamond-difference golden in the ledger's hex16 smoke shape
+    // (8³ hexes in 4³-cell patches, S4, grain 256, one rank × one
+    // worker): four full GROUP_BLOCK=8 blocks per cell, in-cluster
+    // edges through the cluster scratch under replay. Fine,
+    // fresh-plan replay and cached replay must produce the
+    // *bit-identical* flux and match the scalar serial solver to 1e-11.
+    use jsweep::transport::PlanCache;
+    let mesh = Arc::new(StructuredMesh::unit(8, 8, 8));
+    let quad = QuadratureSet::sn(4);
+    let mats = Arc::new(MaterialSet::homogeneous(512, multigroup_material(32)));
+    let prob = Arc::new(SweepProblem::build(
+        mesh.as_ref(),
+        decompose_structured(&mesh, (4, 4, 4), 1),
+        &quad,
+        &ProblemOptions {
+            share_octant_dags: true,
+            ..Default::default()
+        },
+    ));
+    let mut cfg = config();
+    cfg.kernel = KernelKind::DiamondDifference;
+    cfg.grain = 256;
+    cfg.workers_per_rank = 1;
+    let serial = solve_serial(mesh.as_ref(), &quad, &mats, &cfg);
+    let mut fine_cfg = cfg.clone();
+    fine_cfg.coarsen = false;
+    let fine = solve_parallel(mesh.clone(), prob.clone(), &quad, mats.clone(), &fine_cfg);
+    assert_flux_close(&fine.phi, &serial.phi, 1e-11);
+
+    let cache = PlanCache::new();
+    let fresh = solve_parallel_cached(
+        mesh.clone(),
+        prob.clone(),
+        &quad,
+        mats.clone(),
+        &cfg,
+        &cache,
+    );
+    let cached = solve_parallel_cached(mesh, prob, &quad, mats, &cfg, &cache);
+    assert!(
+        !fresh.plan_from_cache,
+        "first cached solve must compile its plan"
+    );
+    assert!(
+        cached.plan_from_cache,
+        "second cached solve must hit the cache"
+    );
+    assert_eq!(fine.phi, fresh.phi, "G=32 fresh-plan replay flux");
+    assert_eq!(fine.phi, cached.phi, "G=32 cached-replay flux");
+}
+
+#[test]
 fn multigroup16_tet_fine_vs_replay_bit_identical() {
     // The same G=16 golden on tetrahedra (step kernel — DD is
     // hex-only): the blocked kernel's 4-face path and the scalar
@@ -954,7 +1006,7 @@ fn multigroup16_tet_fine_vs_replay_bit_identical() {
     let mesh = Arc::new(jsweep::mesh::tetgen::ball(2, 1.0));
     let n = mesh.num_cells();
     let quad = QuadratureSet::sn(2);
-    let mats = Arc::new(MaterialSet::homogeneous(n, multigroup16_material()));
+    let mats = Arc::new(MaterialSet::homogeneous(n, multigroup_material(16)));
     let prob = Arc::new(SweepProblem::build(
         mesh.as_ref(),
         decompose_unstructured(mesh.as_ref(), 32, 2),
