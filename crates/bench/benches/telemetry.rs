@@ -10,7 +10,7 @@
 //!   hook pays one relaxed atomic load and nothing else.
 //! - **armed** — recording live: every region a master or worker
 //!   stopwatch books lands in a lock-free lane ring as a span, and
-//!   epoch boundaries feed the metrics registry.
+//!   every frame a master sends or receives as an instant.
 //!
 //! The acceptance bars (full mode only): armed overhead under 5% of
 //! the detached baseline, and bit-identical flux across all three

@@ -108,21 +108,6 @@ pub trait CommBackend: Send {
     /// that follows is intentional (not a death). Idempotent. Dropping
     /// an endpoint *without* closing it is how peers detect a death.
     fn close(&mut self);
-
-    /// Payload bytes pushed into the fabric by this endpoint
-    /// (wire-level framing included where the transport has any).
-    fn bytes_sent(&self) -> u64;
-
-    /// Payload bytes received from the fabric by this endpoint
-    /// (wire-level framing included where the transport has any) —
-    /// the receive-side mirror of [`CommBackend::bytes_sent`].
-    fn bytes_received(&self) -> u64;
-
-    /// Messages pushed into the fabric by this endpoint.
-    fn frames_sent(&self) -> u64;
-
-    /// Messages received from the fabric by this endpoint.
-    fn frames_received(&self) -> u64;
 }
 
 /// The default fabric: ranks as threads in one address space, crossbeam
@@ -142,10 +127,6 @@ pub struct ThreadBackend {
     /// One bell per rank, shared by every endpoint of the world.
     bells: Vec<Arc<Doorbell>>,
     receiver: Receiver<Message>,
-    bytes_sent: std::sync::atomic::AtomicU64,
-    frames_sent: std::sync::atomic::AtomicU64,
-    bytes_received: std::sync::atomic::AtomicU64,
-    frames_received: std::sync::atomic::AtomicU64,
 }
 
 impl ThreadBackend {
@@ -169,20 +150,8 @@ impl ThreadBackend {
                 senders: senders.clone(),
                 bells: bells.clone(),
                 receiver,
-                bytes_sent: std::sync::atomic::AtomicU64::new(0),
-                frames_sent: std::sync::atomic::AtomicU64::new(0),
-                bytes_received: std::sync::atomic::AtomicU64::new(0),
-                frames_received: std::sync::atomic::AtomicU64::new(0),
             })
             .collect()
-    }
-
-    /// Book one received message into the receive-side counters.
-    fn note_received(&self, m: &Message) {
-        self.bytes_received
-            .fetch_add(m.payload.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        self.frames_received
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -196,7 +165,6 @@ impl CommBackend for ThreadBackend {
     }
 
     fn send(&self, to: usize, tag: u32, payload: Bytes) -> Result<(), CommError> {
-        let n = payload.len() as u64;
         self.senders[to]
             .send(Message {
                 src: self.rank,
@@ -205,19 +173,12 @@ impl CommBackend for ThreadBackend {
             })
             .map_err(|_| CommError::PeerClosed { peer: to })?;
         self.bells[to].ring();
-        self.bytes_sent
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        self.frames_sent
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
     }
 
     fn try_recv(&mut self) -> Result<Option<Message>, CommError> {
         match self.receiver.try_recv() {
-            Ok(m) => {
-                self.note_received(&m);
-                Ok(Some(m))
-            }
+            Ok(m) => Ok(Some(m)),
             Err(TryRecvError::Empty) => Ok(None),
             // Unreachable while this endpoint is alive (it holds a
             // sender to itself), but diagnose rather than panic.
@@ -226,12 +187,9 @@ impl CommBackend for ThreadBackend {
     }
 
     fn recv(&mut self) -> Result<Message, CommError> {
-        let m = self
-            .receiver
+        self.receiver
             .recv()
-            .map_err(|_| CommError::PeerClosed { peer: self.rank })?;
-        self.note_received(&m);
-        Ok(m)
+            .map_err(|_| CommError::PeerClosed { peer: self.rank })
     }
 
     fn wait(&mut self, timeout: Option<Duration>) {
@@ -247,24 +205,6 @@ impl CommBackend for ThreadBackend {
     fn close(&mut self) {
         // Channels tear down when dropped; nothing to announce — the
         // thread world has no death-vs-close ambiguity to resolve.
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    fn bytes_received(&self) -> u64 {
-        self.bytes_received
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    fn frames_sent(&self) -> u64 {
-        self.frames_sent.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    fn frames_received(&self) -> u64 {
-        self.frames_received
-            .load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -282,33 +222,5 @@ mod tests {
         assert_eq!(err, CommError::PeerClosed { peer: 1 });
         // Self-send still works after a peer death.
         b0.send(0, 7, Bytes::new()).unwrap();
-    }
-
-    #[test]
-    fn thread_bytes_sent_counts_payload() {
-        let mut world = ThreadBackend::endpoints(1);
-        let mut b = world.pop().unwrap();
-        b.send(0, 1, Bytes::copy_from_slice(&[0u8; 10])).unwrap();
-        b.send(0, 2, Bytes::copy_from_slice(&[0u8; 5])).unwrap();
-        assert_eq!(b.bytes_sent(), 15);
-        assert_eq!(b.try_recv().unwrap().unwrap().tag, 1);
-    }
-
-    /// Receive-side accounting mirrors the send side (this PR): both
-    /// backends count bytes and frames in both directions, so
-    /// transport metrics are symmetric.
-    #[test]
-    fn thread_receive_counters_mirror_send() {
-        let mut world = ThreadBackend::endpoints(1);
-        let mut b = world.pop().unwrap();
-        b.send(0, 1, Bytes::copy_from_slice(&[0u8; 10])).unwrap();
-        b.send(0, 2, Bytes::copy_from_slice(&[0u8; 5])).unwrap();
-        assert_eq!(b.frames_sent(), 2);
-        assert_eq!((b.bytes_received(), b.frames_received()), (0, 0));
-        let _ = b.try_recv().unwrap().unwrap();
-        assert_eq!((b.bytes_received(), b.frames_received()), (10, 1));
-        let _ = b.recv().unwrap();
-        assert_eq!((b.bytes_received(), b.frames_received()), (15, 2));
-        assert_eq!(b.bytes_received(), b.bytes_sent());
     }
 }

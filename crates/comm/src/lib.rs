@@ -134,27 +134,6 @@ impl Comm {
         self.backend.size()
     }
 
-    /// Payload bytes this endpoint has pushed into the fabric.
-    pub fn bytes_sent(&self) -> u64 {
-        self.backend.bytes_sent()
-    }
-
-    /// Payload bytes this endpoint has received from the fabric — the
-    /// receive-side mirror of [`Comm::bytes_sent`].
-    pub fn bytes_received(&self) -> u64 {
-        self.backend.bytes_received()
-    }
-
-    /// Messages this endpoint has pushed into the fabric.
-    pub fn frames_sent(&self) -> u64 {
-        self.backend.frames_sent()
-    }
-
-    /// Messages this endpoint has received from the fabric.
-    pub fn frames_received(&self) -> u64 {
-        self.backend.frames_received()
-    }
-
     /// Asynchronous tagged send. Sending to self is allowed (the message
     /// is delivered through the same receive path as remote ones).
     /// Fails if the destination is dead instead of unwinding the caller.

@@ -203,21 +203,10 @@ pub struct SocketBackend {
     ready: VecDeque<Message>,
     /// Round-robin poll cursor for fairness across peers.
     next_poll: usize,
-    bytes_sent: AtomicU64,
-    frames_sent: AtomicU64,
-    bytes_received: u64,
-    frames_received: u64,
     closed: bool,
 }
 
 impl SocketBackend {
-    /// Wire + framing bytes received and decoded so far. Counters are
-    /// wire-level on this backend: loopback self-sends never touch the
-    /// wire and are not counted, on either side.
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received
-    }
-
     /// Pull everything currently readable from `p` into its decoder.
     /// Returns decoded messages' byte total; flags EOF/hard errors.
     fn fill(peer: &mut RecvPeer) {
@@ -270,11 +259,7 @@ impl CommBackend for SocketBackend {
         // docs/transport.md on head-of-line limits).
         stream
             .write_all(&frame)
-            .map_err(|_| CommError::PeerClosed { peer: to })?;
-        self.bytes_sent
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        self.frames_sent.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+            .map_err(|_| CommError::PeerClosed { peer: to })
     }
 
     fn try_recv(&mut self) -> Result<Option<Message>, CommError> {
@@ -296,16 +281,13 @@ impl CommBackend for SocketBackend {
             if !peer.eof {
                 SocketBackend::fill(peer);
             }
-            let before = peer.decoder.bytes_consumed();
             while let Some((tag, payload)) = peer.decoder.next_frame() {
-                self.frames_received += 1;
                 self.ready.push_back(Message {
                     src: p,
                     tag,
                     payload,
                 });
             }
-            self.bytes_received += peer.decoder.bytes_consumed() - before;
             // An unframeable stream is read no further.
             peer.eof |= peer.decoder.corrupt();
             if peer.eof && !peer.decoder.closed() && dead.is_none() {
@@ -376,22 +358,6 @@ impl CommBackend for SocketBackend {
             let _ = stream.shutdown(std::net::Shutdown::Write);
         }
     }
-
-    fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    fn bytes_received(&self) -> u64 {
-        self.bytes_received
-    }
-
-    fn frames_sent(&self) -> u64 {
-        self.frames_sent.load(Ordering::Relaxed)
-    }
-
-    fn frames_received(&self) -> u64 {
-        self.frames_received
-    }
 }
 
 impl Drop for SocketBackend {
@@ -458,10 +424,6 @@ fn assemble(
         bell: Arc::new(Doorbell::new()),
         ready: VecDeque::new(),
         next_poll: (rank + 1) % size,
-        bytes_sent: AtomicU64::new(0),
-        frames_sent: AtomicU64::new(0),
-        bytes_received: 0,
-        frames_received: 0,
         closed: false,
     }
 }
@@ -782,28 +744,5 @@ mod tests {
             assert_eq!(h.join().unwrap(), 6);
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn socket_bytes_accounting_matches_wire() {
-        let results = SocketUniverse::run(2, |mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, Bytes::copy_from_slice(&[0u8; 100]))
-                    .unwrap();
-                comm.send(1, 2, Bytes::new()).unwrap();
-                comm.barrier().unwrap();
-                comm.bytes_sent()
-            } else {
-                let a = comm.recv_match(1).unwrap();
-                assert_eq!(a.payload.len(), 100);
-                let b = comm.recv_match(2).unwrap();
-                assert_eq!(b.payload.len(), 0);
-                comm.barrier().unwrap();
-                0
-            }
-        });
-        // 2 user frames (8+100, 8+0) + 1 collective frame (8+0) from
-        // rank 0's barrier release.
-        assert_eq!(results[0], 108 + 8 + 8);
     }
 }

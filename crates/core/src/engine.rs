@@ -53,7 +53,7 @@ use crate::pool::Pool;
 use crate::program::{frame_push, unpack_frame, ComputeCtx, EpochInput, ProgramFactory, Stream};
 use crate::stats::{Category, RunStats, Stopwatch};
 use crate::telemetry::{EventKind, TelemetryHandle};
-use crate::universe::{EpochTuning, Universe};
+use crate::universe::Universe;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use jsweep_comm::pack::Writer;
@@ -420,8 +420,6 @@ struct Master<F: ProgramFactory> {
     /// through every layer would be noise; the main loop checks this
     /// once per drain round instead).
     dead: Option<CommError>,
-    /// Handle back to the registry for the frame-size histogram.
-    telemetry: TelemetryHandle,
 }
 
 impl<F: ProgramFactory> Master<F> {
@@ -442,7 +440,6 @@ impl<F: ProgramFactory> Master<F> {
             safra: Safra::new(rank, size),
             work_done: 0,
             dead: None,
-            telemetry: config.telemetry.clone(),
         }
     }
 
@@ -509,7 +506,6 @@ impl<F: ProgramFactory> Master<F> {
         self.sw
             .rec
             .instant(EventKind::Send, dst as u64, frame_bytes as u64);
-        self.telemetry.observe_frame_bytes(self.rank, frame_bytes);
         match sent {
             Ok(()) => self.safra.on_send(),
             // The destination rank is gone. Record the diagnosis for
@@ -657,7 +653,8 @@ impl<F: ProgramFactory> Rank<F> {
     /// stats. `input` is handed to the
     /// [`crate::PatchProgram::reset`] of every program that runs in
     /// the epoch: resident ones at the fence, new ones right after
-    /// their `create`.
+    /// their `create`. `span` is stamped on the epoch's `Epoch` trace
+    /// event (see [`Universe::run_epoch_tuned`]; `0` = none).
     ///
     /// `Err` means the epoch was poisoned — a contained program
     /// panic, a watchdog-detected stall, a lost or garbled peer, or an
@@ -668,7 +665,7 @@ impl<F: ProgramFactory> Rank<F> {
     pub fn run_epoch(
         &mut self,
         input: &Arc<EpochInput>,
-        tuning: EpochTuning,
+        span: u64,
     ) -> Result<RunStats, EpochFault> {
         let t_start = self.m.sw.start();
         let epoch_index = self.epochs_run;
@@ -682,7 +679,7 @@ impl<F: ProgramFactory> Rank<F> {
         let close_epoch = |m: &mut Master<F>| {
             let t_end = m.sw.start();
             m.sw.rec
-                .span(EventKind::Epoch, t_start, t_end, epoch_index, tuning.span);
+                .span(EventKind::Epoch, t_start, t_end, epoch_index, span);
             (t_end - t_start).as_secs_f64()
         };
 
@@ -818,15 +815,6 @@ impl<F: ProgramFactory> Rank<F> {
         let mut stats = std::mem::take(&mut m.stats);
         stats.master = m.sw.take();
         stats.wall_seconds = close_epoch(m);
-        m.telemetry.epoch_metrics(
-            rank,
-            &stats,
-            [
-                comm.bytes_sent(),
-                comm.bytes_received(),
-                comm.frames_received(),
-            ],
-        );
         Ok(stats)
     }
 
@@ -1576,7 +1564,7 @@ mod tests {
             let factory = Arc::new(PingPongFactory { rounds: 1 });
             let mut rank = Rank::launch(comm, factory, &RuntimeConfig::default());
             let fault = rank
-                .run_epoch(&(Arc::new(()) as Arc<EpochInput>), EpochTuning::default())
+                .run_epoch(&(Arc::new(()) as Arc<EpochInput>), 0)
                 .expect_err("garbled bytes must poison the epoch");
             assert_eq!(fault.kind, FaultKind::RankDeath);
             assert_eq!(fault.rank, 1, "the sender is blamed, not the observer");

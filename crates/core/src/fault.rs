@@ -160,7 +160,7 @@ impl EpochFault {
 /// Panic payloads are `Box<dyn Any>`; in practice they are `&str`
 /// (literal messages) or `String` (formatted messages). Anything else
 /// renders as an opaque placeholder rather than being lost.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -277,7 +277,7 @@ impl FaultPlan {
     /// How long (if at all) this claim batch should stall. Counts the
     /// batch against every trigger on this worker.
     #[inline]
-    pub fn stall_for(&self, rank: usize, worker: usize) -> Option<Duration> {
+    pub(crate) fn stall_for(&self, rank: usize, worker: usize) -> Option<Duration> {
         let mut stall = None;
         #[cfg(feature = "fault-inject")]
         for (t, duration) in &self.stalls {
@@ -303,7 +303,7 @@ impl FaultPlan {
     /// Should this rank die on entering the current epoch? Counts the
     /// epoch entry against every trigger on the rank.
     #[inline]
-    pub fn should_kill_rank(&self, rank: usize) -> bool {
+    pub(crate) fn should_kill_rank(&self, rank: usize) -> bool {
         let mut fire = false;
         #[cfg(feature = "fault-inject")]
         for t in &self.kills {

@@ -55,7 +55,7 @@ pub mod telemetry;
 pub mod universe;
 
 pub use engine::{run_universe, Rank, RuntimeConfig, TerminationKind};
-pub use fault::{panic_message, EpochFault, FaultKind, FaultPlan, FaultPlanBuilder};
+pub use fault::{EpochFault, FaultKind, FaultPlan, FaultPlanBuilder};
 pub use jsweep_comm::TransportKind;
 pub use program::{
     pack_frame, unpack_frame, ComputeCtx, EpochInput, PatchProgram, ProgramFactory, ProgramId,
@@ -63,4 +63,4 @@ pub use program::{
 };
 pub use stats::{Breakdown, RunStats};
 pub use telemetry::TelemetryHandle;
-pub use universe::{fabric_for, CommFabric, EpochTuning, Universe};
+pub use universe::{fabric_for, CommFabric, Universe};

@@ -31,7 +31,7 @@
 //!
 //! A pool built `Pool::with_bell` rings its rank's
 //! [`Doorbell`] whenever the master has something new to look at: a
-//! worker handed it a report ([`Pool::release_report`]), or the pool
+//! worker handed it a report (`release_report`), or the pool
 //! went quiet. The master parks on that bell alone, so Safra's idle
 //! check still runs on the wake that found nothing.
 
@@ -241,12 +241,12 @@ impl Pool {
 
     /// Publish the epoch input lazily-created programs are reset
     /// with. Called by the rank before each epoch's activation.
-    pub fn set_epoch_input(&self, input: Arc<EpochInput>) {
+    pub(crate) fn set_epoch_input(&self, input: Arc<EpochInput>) {
         *self.epoch_input.lock() = input;
     }
 
     /// The current epoch's input (see [`Pool::set_epoch_input`]).
-    pub fn epoch_input(&self) -> Arc<EpochInput> {
+    pub(crate) fn epoch_input(&self) -> Arc<EpochInput> {
         self.epoch_input.lock().clone()
     }
 
@@ -255,7 +255,7 @@ impl Pool {
     /// `f` (for its [`PatchProgram::reset`]). Panics if any slot is
     /// still `Ready`/`Running` or holds undelivered streams — calling
     /// this mid-epoch is a runtime bug.
-    pub fn reset_epoch(&self, mut f: impl FnMut(ProgramId, &mut dyn PatchProgram)) {
+    pub(crate) fn reset_epoch(&self, mut f: impl FnMut(ProgramId, &mut dyn PatchProgram)) {
         assert!(self.is_quiet(), "epoch reset on a non-quiescent pool");
         for cell in &self.shards {
             let mut g = cell.shard.lock();
@@ -374,7 +374,7 @@ impl Pool {
     /// are dropped with it. The caller (the worker that caught the
     /// unwind) owns no program instance any more; the poisoned slot
     /// survives only until the faulted universe is relaunched.
-    pub fn discard(&self, id: ProgramId) {
+    pub(crate) fn discard(&self, id: ProgramId) {
         let s = self.shard_of(id);
         {
             let mut g = self.shards[s].shard.lock();
@@ -625,13 +625,13 @@ impl Pool {
     /// sent to the master). Must be called *before* the producing
     /// program's [`Pool::finish_batch`], so quiescence is never visible
     /// while streams sit in a worker-local batch.
-    pub fn hold_report(&self) {
+    pub(crate) fn hold_report(&self) {
         self.held_reports.fetch_add(1, Ordering::SeqCst);
     }
 
     /// The buffered report left the worker (sent to the master): ring
     /// the master, which has it to read.
-    pub fn release_report(&self) {
+    pub(crate) fn release_report(&self) {
         self.held_reports.fetch_sub(1, Ordering::SeqCst);
         self.ring();
     }

@@ -4,7 +4,7 @@
 //! categories. Master threads use `Comm`/`Pack`/`Unpack`/`Route`/`Idle`;
 //! worker threads use `Kernel`/`GraphOp`/`Input`/`Output`/`Idle`/`Other`.
 //!
-//! Each thread times itself with one [`Stopwatch`]: a region boundary
+//! Each thread times itself with one stopwatch: a region boundary
 //! is one clock reading, the elapsed time is booked to the region's
 //! [`Category`], and the same `(t0, t1)` pair is what the thread's
 //! trace lane records — so an armed trace's per-lane span sums *are*
@@ -109,7 +109,7 @@ impl Breakdown {
 /// and the last region boundary. Regions chain — [`Stopwatch::lap`]
 /// closes one and opens the next on a single clock reading — and time
 /// between a `lap` and the next [`Stopwatch::start`] stays unbooked.
-pub struct Stopwatch {
+pub(crate) struct Stopwatch {
     bd: Breakdown,
     /// This thread's trace lane (the engine records its structural
     /// spans and instants on it directly).
@@ -119,7 +119,7 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// A stopwatch recording onto `rec`'s lane.
-    pub fn new(rec: Recorder) -> Stopwatch {
+    pub(crate) fn new(rec: Recorder) -> Stopwatch {
         Stopwatch {
             bd: Breakdown::default(),
             rec,
@@ -128,14 +128,14 @@ impl Stopwatch {
     }
 
     /// Open a region now; returns the reading.
-    pub fn start(&mut self) -> Instant {
+    pub(crate) fn start(&mut self) -> Instant {
         self.mark = Instant::now();
         self.mark
     }
 
     /// Close the open region into `cat` (and as a span of that kind)
     /// and open the next; returns the shared boundary.
-    pub fn lap(&mut self, cat: Category) -> Instant {
+    pub(crate) fn lap(&mut self, cat: Category) -> Instant {
         let t0 = std::mem::replace(&mut self.mark, Instant::now());
         self.bd.add(cat, (self.mark - t0).as_secs_f64());
         self.rec.region(cat, t0, self.mark);
@@ -146,7 +146,7 @@ impl Stopwatch {
     /// `(patch, task)`: `kernel_seconds` of it (what the program
     /// reported through [`crate::ComputeCtx::kernel`]) is `Kernel`,
     /// the rest `GraphOp`, the whole one `Compute` span.
-    pub fn lap_compute(&mut self, kernel_seconds: f64, patch: u32, task: u32) {
+    pub(crate) fn lap_compute(&mut self, kernel_seconds: f64, patch: u32, task: u32) {
         let t0 = std::mem::replace(&mut self.mark, Instant::now());
         let dt = (self.mark - t0).as_secs_f64();
         self.bd.add(Category::Kernel, kernel_seconds);
@@ -157,7 +157,7 @@ impl Stopwatch {
     }
 
     /// Time a closure as one region of `cat`.
-    pub fn timed<R>(&mut self, cat: Category, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn timed<R>(&mut self, cat: Category, f: impl FnOnce() -> R) -> R {
         self.start();
         let r = f();
         self.lap(cat);
@@ -165,7 +165,7 @@ impl Stopwatch {
     }
 
     /// Take everything booked since the last take.
-    pub fn take(&mut self) -> Breakdown {
+    pub(crate) fn take(&mut self) -> Breakdown {
         std::mem::take(&mut self.bd)
     }
 }

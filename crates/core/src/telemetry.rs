@@ -13,21 +13,20 @@
 //!
 //! The engine threads one [`TelemetryHandle`] through
 //! `RuntimeConfig`; every rank's master and workers obtain per-thread
-//! [`Recorder`] lanes from it at launch (each owned by that thread's
-//! [`crate::stats::Stopwatch`], which feeds it the clock readings it
-//! books), and epoch boundaries feed the metrics registry. See
-//! `docs/observability.md` for the event taxonomy and exporter
-//! formats.
+//! [`Recorder`] lanes from it at launch, each owned by that thread's
+//! stopwatch, which feeds it the clock readings it books into the
+//! [`crate::Breakdown`]. See `docs/observability.md` for the event
+//! taxonomy and the exporter format.
 
-use crate::stats::{Category, RunStats};
+use crate::stats::Category;
 use std::time::Instant;
 
 #[cfg(feature = "telemetry")]
 use std::sync::Arc;
 
 /// Re-export of the observability crate (feature `telemetry` only),
-/// so consumers reach `Telemetry`, exporters and metric types without
-/// depending on `jsweep-obs` directly.
+/// so consumers reach `Telemetry` and its exporter without depending
+/// on `jsweep-obs` directly.
 #[cfg(feature = "telemetry")]
 pub use jsweep_obs as obs;
 
@@ -52,45 +51,6 @@ pub enum EventKind {
     CacheMiss,
 }
 
-/// `RunStats`' per-epoch counters as `(metric name, help, value)`
-/// rows — field `f` is exported as `jsweep_<f>_total` — which
-/// [`TelemetryHandle::epoch_metrics`] adds every epoch.
-#[cfg(feature = "telemetry")]
-fn epoch_counters(s: &RunStats) -> [(&'static str, &'static str, u64); 7] {
-    macro_rules! rows {
-        ($($field:ident: $help:literal,)*) => {
-            [$((concat!("jsweep_", stringify!($field), "_total"), $help, s.$field)),*]
-        };
-    }
-    rows! {
-        compute_calls: "Patch-program compute invocations.",
-        work_done: "Workload units completed (vertices for sweeps).",
-        streams_sent: "Streams sent to other ranks.",
-        streams_received: "Streams received from other ranks.",
-        frames_sent: "Coalesced multi-stream frames sent to other ranks.",
-        frames_received: "Frames received from other ranks.",
-        bytes_sent: "Stream payload bytes sent to other ranks.",
-    }
-}
-
-/// The transport's own per-rank gauges, in the order of
-/// [`TelemetryHandle::epoch_metrics`]' `wire` triple.
-#[cfg(feature = "telemetry")]
-const WIRE_GAUGES: [(&str, &str); 3] = [
-    (
-        "jsweep_wire_bytes_sent",
-        "Transport-level bytes pushed into the fabric (framing included).",
-    ),
-    (
-        "jsweep_wire_bytes_received",
-        "Transport-level bytes received from the fabric.",
-    ),
-    (
-        "jsweep_wire_frames_received",
-        "Transport-level frames received from the fabric.",
-    ),
-];
-
 /// A shareable reference to the process-wide telemetry (or to nothing:
 /// the default handle is detached and records nowhere). Cloning is
 /// cheap; every clone reaches the same `Telemetry`.
@@ -113,36 +73,12 @@ impl std::fmt::Debug for TelemetryHandle {
 #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
 impl TelemetryHandle {
     /// Wrap a telemetry instance into a handle the runtime config can
-    /// carry, registering the help text of every metric the runtime
-    /// feeds (so the per-epoch path only touches values).
+    /// carry.
     #[cfg(feature = "telemetry")]
     pub fn attach(telemetry: Arc<jsweep_obs::Telemetry>) -> TelemetryHandle {
-        let m = telemetry.metrics();
-        m.describe("jsweep_epochs_total", "Epochs run, per rank.");
-        m.describe(
-            "jsweep_epoch_wall_seconds",
-            "Wall time of one epoch on one rank.",
-        );
-        m.describe(
-            "jsweep_frame_bytes",
-            "Payload size of one coalesced outgoing frame.",
-        );
-        for (name, help, _) in epoch_counters(&RunStats::default()) {
-            m.describe(name, help);
-        }
-        for (name, help) in WIRE_GAUGES {
-            m.describe(name, help);
-        }
         TelemetryHandle {
             inner: Some(telemetry),
         }
-    }
-
-    /// The attached telemetry, if any (metric hooks, here and in the
-    /// session tier, feed it only while it `is_armed`).
-    #[cfg(feature = "telemetry")]
-    pub fn telemetry(&self) -> Option<&Arc<jsweep_obs::Telemetry>> {
-        self.inner.as_ref()
     }
 
     /// Register a recording lane for one thread (`lane` 0 = master,
@@ -170,45 +106,6 @@ impl TelemetryHandle {
         #[cfg(feature = "telemetry")]
         if let Some(t) = self.inner.as_ref() {
             t.global_instant(kind, a, b);
-        }
-    }
-
-    /// Feed one epoch's per-rank stats into the metrics registry
-    /// (epoch-boundary cold path; no-op while detached or disarmed).
-    /// `wire` is the transport's own `(bytes sent, bytes received,
-    /// frames received)` accounting, which includes wire framing where
-    /// the backend has any.
-    pub fn epoch_metrics(&self, rank: usize, stats: &RunStats, wire: [u64; 3]) {
-        #[cfg(feature = "telemetry")]
-        if let Some(t) = self.telemetry().filter(|t| t.is_armed()) {
-            let m = t.metrics();
-            let lab = format!("{{rank=\"{rank}\"}}");
-            m.counter(&format!("jsweep_epochs_total{lab}")).inc();
-            m.histogram(
-                &format!("jsweep_epoch_wall_seconds{lab}"),
-                jsweep_obs::SECONDS_BUCKETS,
-            )
-            .observe(stats.wall_seconds);
-            for (name, _, value) in epoch_counters(stats) {
-                m.counter(&format!("{name}{lab}")).add(value);
-            }
-            for ((name, _), value) in WIRE_GAUGES.iter().zip(wire) {
-                m.gauge(&format!("{name}{lab}")).set(value as f64);
-            }
-        }
-    }
-
-    /// Observe one outgoing frame's payload size into the frame-bytes
-    /// histogram (no-op while detached or disarmed).
-    pub fn observe_frame_bytes(&self, rank: usize, bytes: usize) {
-        #[cfg(feature = "telemetry")]
-        if let Some(t) = self.telemetry().filter(|t| t.is_armed()) {
-            t.metrics()
-                .histogram(
-                    &format!("jsweep_frame_bytes{{rank=\"{rank}\"}}"),
-                    jsweep_obs::BYTES_BUCKETS,
-                )
-                .observe(bytes as f64);
         }
     }
 }
@@ -279,8 +176,6 @@ mod tests {
         rec.instant(EventKind::Send, 0, 0);
         h.global_instant(EventKind::Fault, 0, 0);
         h.global_span(EventKind::PlanCompile, t0, t1, 0, 0);
-        h.observe_frame_bytes(0, 100);
-        h.epoch_metrics(0, &RunStats::default(), [0, 0, 0]);
     }
 
     #[cfg(feature = "telemetry")]
@@ -304,40 +199,5 @@ mod tests {
         assert!(lanes
             .iter()
             .any(|l| l.rank == jsweep_obs::GLOBAL_RANK && !l.events.is_empty()));
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn epoch_metrics_feed_the_registry() {
-        let t = Arc::new(jsweep_obs::Telemetry::new());
-        let h = TelemetryHandle::attach(t.clone());
-        t.arm();
-        let stats = RunStats {
-            wall_seconds: 0.25,
-            compute_calls: 7,
-            frames_sent: 3,
-            bytes_sent: 1000,
-            ..Default::default()
-        };
-        h.epoch_metrics(2, &stats, [1100, 900, 4]);
-        h.observe_frame_bytes(2, 512);
-        let text = t.metrics().render_prometheus();
-        assert!(text.contains("jsweep_epochs_total{rank=\"2\"} 1"), "{text}");
-        assert!(
-            text.contains("jsweep_compute_calls_total{rank=\"2\"} 7"),
-            "{text}"
-        );
-        assert!(
-            text.contains("jsweep_wire_bytes_sent{rank=\"2\"} 1100"),
-            "{text}"
-        );
-        assert!(
-            text.contains("jsweep_frame_bytes_count{rank=\"2\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("# HELP jsweep_frames_sent_total Coalesced"),
-            "help text registered at attach: {text}"
-        );
     }
 }

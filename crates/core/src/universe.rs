@@ -58,19 +58,10 @@ pub fn fabric_for(kind: TransportKind) -> CommFabric {
     }
 }
 
-/// What one epoch sets on the resident runtime.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpochTuning {
-    /// Span id stamped on this epoch's trace events (`0` = none). A
-    /// session driver assigns each request a span id and passes it
-    /// down here, so a ticket's epochs can be located in an exported
-    /// Chrome trace. Inert unless the `telemetry` feature is on and
-    /// recording is armed.
-    pub span: u64,
-}
-
 enum Cmd {
-    Epoch(Arc<EpochInput>, EpochTuning),
+    /// Run one epoch; the `u64` is its span id (see
+    /// [`Universe::run_epoch_tuned`]).
+    Epoch(Arc<EpochInput>, u64),
     Shutdown,
 }
 
@@ -128,12 +119,12 @@ impl Universe {
                         let mut rank = Rank::launch(comm, factory, &config);
                         while let Ok(cmd) = cmd_rx.recv() {
                             match cmd {
-                                Cmd::Epoch(input, tuning) => {
+                                Cmd::Epoch(input, span) => {
                                     // A faulted epoch sends `Err` and
                                     // keeps the thread alive: the rank
                                     // still answers `Shutdown`; it just
                                     // never runs another epoch.
-                                    let result = rank.run_epoch(&input, tuning);
+                                    let result = rank.run_epoch(&input, span);
                                     if stats_tx.send(result).is_err() {
                                         break;
                                     }
@@ -188,14 +179,19 @@ impl Universe {
     /// without running. Recover by shutting it down and launching a
     /// fresh one.
     pub fn run_epoch(&mut self, input: Arc<EpochInput>) -> Result<Vec<RunStats>, EpochFault> {
-        self.run_epoch_tuned(input, EpochTuning::default())
+        self.run_epoch_tuned(input, 0)
     }
 
-    /// [`Universe::run_epoch`] with an explicit per-epoch tuning.
+    /// [`Universe::run_epoch`] with the span id stamped on this
+    /// epoch's `Epoch` trace events (`0` = none). A session driver
+    /// assigns each request a span id and passes it down here, so a
+    /// ticket's epochs can be located in an exported Chrome trace.
+    /// Inert unless the `telemetry` feature is on and recording is
+    /// armed.
     pub fn run_epoch_tuned(
         &mut self,
         input: Arc<EpochInput>,
-        tuning: EpochTuning,
+        span: u64,
     ) -> Result<Vec<RunStats>, EpochFault> {
         if let Some(f) = &self.faulted {
             return Err(f.clone());
@@ -203,7 +199,7 @@ impl Universe {
         for i in 0..self.ranks.len() {
             if self.ranks[i]
                 .cmd
-                .send(Cmd::Epoch(input.clone(), tuning))
+                .send(Cmd::Epoch(input.clone(), span))
                 .is_err()
             {
                 // The rank thread is gone before shutdown — an engine

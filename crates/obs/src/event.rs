@@ -19,7 +19,7 @@
 #[repr(u64)]
 pub enum EventKind {
     /// One `run_epoch` on one rank. `a` = epoch index on that rank,
-    /// `b` = the request span id threaded through the epoch tuning
+    /// `b` = the request span id passed to `run_epoch_tuned`
     /// (0 when the epoch belongs to no tracked request).
     Epoch = 1,
     /// The epoch-boundary fence: the barriers (an `Idle` region) and

@@ -1,5 +1,6 @@
-//! Observability for the JSweep runtime: lock-free span tracing, a
-//! metrics registry, and Chrome-trace / Prometheus exporters.
+//! Observability for the JSweep runtime: lock-free span tracing and a
+//! Chrome-trace exporter. Numbers live elsewhere (`RunStats`,
+//! `SessionStats`); this crate records *when* things happened.
 //!
 //! The design goal is the same zero-cost-when-off discipline as the
 //! `fault-inject` hooks: consumers compile this crate in only behind
@@ -8,25 +9,20 @@
 //! built-but-unarmed [`Telemetry`] costs one relaxed load per hook.
 //!
 //! * [`Telemetry`] — the process-wide handle: arming switch, shared
-//!   monotonic clock, the set of recorded lanes, and the
-//!   [`MetricsRegistry`];
+//!   monotonic clock and the set of recorded lanes;
 //! * [`Recorder`] — one thread's writer onto its own [`SpanRing`]
 //!   lane (single-writer, wait-free push);
 //! * [`EventKind`] / [`Event`] — the typed event taxonomy;
-//! * [`chrome`] — Chrome trace-event JSON export (Perfetto-loadable);
-//! * [`metrics`] — counters / gauges / fixed-bucket histograms with
-//!   Prometheus text exposition.
+//! * [`chrome`] — Chrome trace-event JSON export (Perfetto-loadable).
 
 #![deny(missing_docs)]
 
 pub mod chrome;
 pub mod event;
-pub mod metrics;
 pub mod ring;
 
 pub use chrome::TraceEvent;
 pub use event::{Event, EventKind, EVENT_KINDS};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, BYTES_BUCKETS, SECONDS_BUCKETS};
 pub use ring::SpanRing;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,7 +69,6 @@ pub struct Telemetry {
     /// The shared driver lane for sporadic events from threads that
     /// own no lane; writes serialise on this lock (cold paths only).
     global: Mutex<Arc<Lane>>,
-    metrics: MetricsRegistry,
 }
 
 impl Default for Telemetry {
@@ -101,7 +96,6 @@ impl Telemetry {
                 lane: 0,
                 ring: SpanRing::new(capacity),
             })),
-            metrics: MetricsRegistry::new(),
         }
     }
 
@@ -130,11 +124,6 @@ impl Telemetry {
     /// origin (0 for a reading that predates it).
     fn nanos_at(&self, t: Instant) -> u64 {
         t.saturating_duration_since(self.origin).as_nanos() as u64
-    }
-
-    /// The metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Register a new lane and hand out its single-writer recorder.

@@ -61,9 +61,6 @@ use crate::replay::PlanCache;
 use crate::solver::{advance_one_epoch, EpochWorld, SnConfig, SnSolution, SolveProgress};
 use crate::xs::MaterialSet;
 use jsweep_core::fault::{EpochFault, FaultKind};
-#[cfg(feature = "telemetry")]
-use jsweep_core::telemetry::obs;
-use jsweep_core::telemetry::TelemetryHandle;
 use jsweep_graph::SweepProblem;
 use jsweep_mesh::SweepTopology;
 use jsweep_quadrature::QuadratureSet;
@@ -544,11 +541,6 @@ pub struct SolverSession<T: SweepTopology + Send + Sync + 'static> {
     stats: Arc<Mutex<SessionStats>>,
     cache: Arc<PlanCache>,
     next_campaign: AtomicU64,
-    /// Clone of the solver config's handle, kept so the pull-style
-    /// exporter ([`SolverSession::metrics_text`]) reaches the registry
-    /// without going through the driver.
-    #[cfg(feature = "telemetry")]
-    telemetry: TelemetryHandle,
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
@@ -573,8 +565,6 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
             }),
             cv: Condvar::new(),
         });
-        #[cfg(feature = "telemetry")]
-        let telemetry = options.solver.telemetry.clone();
         let world = EpochWorld::new(mesh, problem, quadrature, options.solver);
         let driver = Driver {
             shared: shared.clone(),
@@ -598,8 +588,6 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
             stats,
             cache,
             next_campaign: AtomicU64::new(0),
-            #[cfg(feature = "telemetry")]
-            telemetry,
         }
     }
 
@@ -655,60 +643,6 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
     /// which drops a superseded generation's at the refine barrier).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.cache
-    }
-
-    /// Render the session's metrics registry in Prometheus text
-    /// exposition format (a pull endpoint would serve this verbatim).
-    /// Pull-style gauges — the plan cache's hit/miss counts and the
-    /// session's solve / fault / retry / relaunch totals, read off
-    /// [`SessionStats`] — are refreshed at call time; everything else
-    /// is whatever the armed runtime has pushed so far. Returns an
-    /// empty string while the session runs with a detached
-    /// [`TelemetryHandle`] (always, with the `telemetry` feature
-    /// compiled out).
-    pub fn metrics_text(&self) -> String {
-        #[cfg(feature = "telemetry")]
-        if let Some(t) = self.telemetry.telemetry() {
-            let m = t.metrics();
-            let stats = self.stats.lock();
-            for (name, help, value) in [
-                (
-                    "jsweep_session_solves_total",
-                    "Requests the session resolved with a solution.",
-                    stats.campaigns.values().map(|c| c.completed).sum(),
-                ),
-                (
-                    "jsweep_session_faults_total",
-                    "Faulted epochs observed by the session driver.",
-                    stats.faults,
-                ),
-                (
-                    "jsweep_session_retries_total",
-                    "Epoch retries spent recovering faulted requests.",
-                    stats.retries,
-                ),
-                (
-                    "jsweep_session_relaunches_total",
-                    "Universe relaunches forced by faulted epochs.",
-                    stats.relaunches,
-                ),
-                (
-                    "jsweep_plan_cache_hits",
-                    "Replay-plan cache lookups that hit.",
-                    self.cache.hits(),
-                ),
-                (
-                    "jsweep_plan_cache_misses",
-                    "Replay-plan cache lookups that missed.",
-                    self.cache.misses(),
-                ),
-            ] {
-                m.describe(name, help);
-                m.gauge(name).set(value as f64);
-            }
-            return m.render_prometheus();
-        }
-        String::new()
     }
 
     /// Drain admitted work, resolve everything still queued with
@@ -1022,9 +956,7 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             .expect("picked campaign exists");
         let solve = record.queue.front_mut().expect("candidates have a head");
         if solve.queue_wait.is_none() {
-            let wait = solve.submitted.elapsed().as_secs_f64();
-            solve.queue_wait = Some(wait);
-            observe_queue_wait(&self.world.config.telemetry, wait);
+            solve.queue_wait = Some(solve.submitted.elapsed().as_secs_f64());
         }
         let plan_generation = solve.progress.plan.as_ref().map(|p| p.mesh_generation);
         // Count the attempt before running it: "fail epoch E of
@@ -1248,22 +1180,6 @@ fn book(
     s.campaigns = campaigns;
 }
 
-/// Observe one request's queue wait — the session tier's one pushed
-/// series; its counters are rendered from [`SessionStats`] by
-/// [`SolverSession::metrics_text`]. No-op while the handle is
-/// detached, disarmed or compiled out; on a driver cold path, never
-/// inside an epoch.
-#[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
-fn observe_queue_wait(h: &TelemetryHandle, wait: f64) {
-    #[cfg(feature = "telemetry")]
-    if let Some(t) = h.telemetry().filter(|t| t.is_armed()) {
-        let m = t.metrics();
-        let name = "jsweep_session_queue_wait_seconds";
-        m.describe(name, "Time a request spent queued before its first epoch.");
-        m.histogram(name, obs::SECONDS_BUCKETS).observe(wait);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1365,7 +1281,8 @@ mod tests {
 
     #[cfg(feature = "telemetry")]
     #[test]
-    fn session_assigns_span_ids_and_exports_metrics() {
+    fn session_assigns_span_ids() {
+        use jsweep_core::telemetry::{obs, TelemetryHandle};
         let (m, prob, quad, mats) = session_world();
         let t = Arc::new(obs::Telemetry::new());
         t.arm();
@@ -1393,16 +1310,10 @@ mod tests {
             .collect();
         assert!(epoch_spans.contains(&first.span_id), "{epoch_spans:?}");
         assert!(epoch_spans.contains(&second.span_id), "{epoch_spans:?}");
-        let text = session.metrics_text();
-        assert!(text.contains("jsweep_session_solves_total 2"), "{text}");
         // The first solve compiles the plan (miss), the second replays
-        // it (hit) — the pull gauges reflect the shared cache's truth.
-        assert!(text.contains("jsweep_plan_cache_hits 1"), "{text}");
-        assert!(text.contains("jsweep_plan_cache_misses 1"), "{text}");
-        assert!(
-            text.contains("jsweep_session_queue_wait_seconds_count 2"),
-            "{text}"
-        );
+        // it (hit).
+        let cache = session.plan_cache();
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
         session.shutdown();
     }
 

@@ -36,8 +36,8 @@ use jsweep_core::engine::CLAIM_BATCH;
 use jsweep_core::fault::{EpochFault, FaultPlan};
 use jsweep_core::telemetry::EventKind;
 use jsweep_core::{
-    fabric_for, EpochTuning, Rank, RunStats, RuntimeConfig, TelemetryHandle, TerminationKind,
-    TransportKind, Universe,
+    fabric_for, Rank, RunStats, RuntimeConfig, TelemetryHandle, TerminationKind, TransportKind,
+    Universe,
 };
 use jsweep_graph::coarse::{simulate_clusters, ClusterTrace};
 use jsweep_graph::SweepProblem;
@@ -61,9 +61,6 @@ pub struct SnConfig {
     pub workers_per_rank: usize,
     /// Termination detector (parallel solver).
     pub termination: TerminationKind,
-    /// Detect and break cyclic sweep dependencies (needed for deformed
-    /// meshes; adds a per-direction analysis pass).
-    pub break_cycles: bool,
     /// Coarse-graph replay (§V-E, parallel solver): compile the vertex
     /// clusters of a simulated execution into a coarsened task graph
     /// before the first iteration and run every iteration on it —
@@ -102,7 +99,6 @@ impl Default for SnConfig {
             kernel: KernelKind::Step,
             workers_per_rank: 2,
             termination: TerminationKind::Counting,
-            break_cycles: false,
             coarsen: true,
             watchdog: Some(std::time::Duration::from_secs(60)),
             fault_plan: None,
@@ -166,11 +162,12 @@ fn relative_change(new: &[f64], old: &[f64]) -> f64 {
 
 /// Serial reference solver: topological sweeps, no decomposition.
 ///
-/// When `config.break_cycles` is set, directions whose dependency
-/// graphs are cyclic (deformed meshes) are fixed by the cycle breaker:
-/// broken upwind faces are treated as vacuum. The same breaks are
-/// applied by the parallel solver when the problem was built with
-/// `ProblemOptions::check_cycles`, so the two stay comparable.
+/// A direction whose dependency graph is cyclic (deformed meshes) is
+/// fixed by the cycle breaker: broken upwind faces are treated as
+/// vacuum. The same breaks are applied by the parallel solver when the
+/// problem was built with `ProblemOptions::check_cycles`, so the two
+/// stay comparable. An acyclic direction pays for no analysis: the
+/// breaker runs only when a plain topological sort comes up short.
 pub fn solve_serial<T: SweepTopology + ?Sized>(
     mesh: &T,
     quadrature: &QuadratureSet,
@@ -186,21 +183,19 @@ pub fn solve_serial<T: SweepTopology + ?Sized>(
 
     // Precompute per-angle cycle breaks and topological orders
     // (constant across iterations, like the cached DAG of §V-E).
-    let broken: Vec<std::collections::HashSet<(u32, u32)>> = quadrature
+    let (broken, orders): (Vec<std::collections::HashSet<(u32, u32)>>, Vec<Vec<u32>>) = quadrature
         .iter()
         .map(|(_, o)| {
-            if config.break_cycles {
-                jsweep_graph::cycles::broken_edges_for_direction(mesh, o.dir)
-            } else {
-                Default::default()
+            let none = Default::default();
+            let order = topological_order(mesh, o.dir, &none);
+            if order.len() == n {
+                return (none, order);
             }
+            let br = jsweep_graph::cycles::broken_edges_for_direction(mesh, o.dir);
+            let order = topological_order(mesh, o.dir, &br);
+            (br, order)
         })
-        .collect();
-    let orders: Vec<Vec<u32>> = quadrature
-        .iter()
-        .zip(&broken)
-        .map(|((_, o), br)| topological_order(mesh, o.dir, br))
-        .collect();
+        .unzip();
 
     let mf = mesh.num_faces(0);
     for _ in 0..config.max_iterations {
@@ -270,7 +265,9 @@ pub fn solve_serial<T: SweepTopology + ?Sized>(
 }
 
 /// Global topological order of cells for one direction (Kahn),
-/// honouring cycle-broken edges.
+/// honouring cycle-broken edges. Short of `num_cells` when the
+/// remaining graph has a cycle: cells on or behind one are never
+/// emitted.
 fn topological_order<T: SweepTopology + ?Sized>(
     mesh: &T,
     dir: [f64; 3],
@@ -299,11 +296,6 @@ fn topological_order<T: SweepTopology + ?Sized>(
             }
         }
     }
-    assert_eq!(
-        order.len(),
-        n,
-        "cyclic sweep dependencies; enable SnConfig::break_cycles"
-    );
     order
 }
 
@@ -647,7 +639,7 @@ fn run_sweep_epoch<T: SweepTopology + Send + Sync + 'static>(
         world.resident_groups = Some(groups);
     }
     let universe = world.universe.as_mut().expect("launched above");
-    let rank_stats = universe.run_epoch_tuned(input, EpochTuning { span })?;
+    let rank_stats = universe.run_epoch_tuned(input, span)?;
     let phi_new = world.sink.fold(&world.problem, groups);
     Ok((RunStats::aggregate(&rank_stats), phi_new))
 }
@@ -727,7 +719,7 @@ pub fn solve_parallel_spmd<T: SweepTopology + Send + Sync + 'static>(
     while progress.iterations < progress.max_iterations {
         let input: Arc<jsweep_core::EpochInput> = progress.epoch();
         let rank_stats = rank
-            .run_epoch(&input, EpochTuning::default())
+            .run_epoch(&input, 0)
             .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
         // Local tasks filled their slots; other ranks' slots are
         // empty, so the fold yields this rank's disjoint share and the

@@ -433,24 +433,47 @@ fn socket_peer_death_wakes_a_parked_wait() {
     );
 }
 
-/// Socket-only: byte accounting covers wire framing, so a sent payload
-/// accounts for more than its raw length.
+/// Socket-only: byte accounting covers wire framing. With no wire
+/// counter, a frame's cost on the wire is its payload plus the fixed
+/// `WIRE_HEADER_BYTES`: the 32 payload bytes a rank sends arrive as 32
+/// bytes, and the same frame written to a real socket costs the reader
+/// 40 bytes of stream.
 #[test]
 fn socket_bytes_accounting_includes_framing() {
+    use jsweep::comm::socket::{encode_frame, WireDecoder, WIRE_HEADER_BYTES};
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
     let out = SocketUniverse::run(2, |mut comm| {
         if comm.rank() == 0 {
             comm.send(1, 3, Bytes::copy_from_slice(&[0u8; 32])).unwrap();
             comm.barrier().unwrap();
-            comm.bytes_sent()
+            0
         } else {
             let m = comm.recv_match(3).unwrap();
-            assert_eq!(m.payload.len(), 32);
             comm.barrier().unwrap();
-            0
+            m.payload.len()
         }
     });
-    // 32 payload bytes + 8-byte header, plus whatever the barrier cost.
-    assert!(out[0] >= 40, "framing bytes unaccounted: {}", out[0]);
+    assert_eq!(out[1], 32, "framing leaked into the payload");
+
+    let frame = encode_frame(3, &[0u8; 32]);
+    assert_eq!(frame.len(), 32 + WIRE_HEADER_BYTES);
+    let (mut tx, mut rx) = UnixStream::pair().unwrap();
+    tx.write_all(&frame).unwrap();
+    drop(tx);
+    let mut wire = Vec::new();
+    rx.read_to_end(&mut wire).unwrap();
+    let mut dec = WireDecoder::new();
+    dec.push(&wire);
+    let (tag, payload) = dec.next_frame().unwrap();
+    assert_eq!((tag, payload.len()), (3, 32));
+    assert!(
+        dec.bytes_consumed() >= 40,
+        "framing bytes unaccounted: {}",
+        dec.bytes_consumed()
+    );
+    assert_eq!(dec.bytes_consumed(), wire.len() as u64);
 }
 
 /// Socket-only: a blocking `recv` with nothing buffered after every

@@ -322,7 +322,6 @@ fn coarse_replay_bit_identical_deformed_with_cycle_breaking() {
         },
     ));
     let mut fine_cfg = config();
-    fine_cfg.break_cycles = true;
     fine_cfg.coarsen = false;
     let mut coarse_cfg = fine_cfg.clone();
     coarse_cfg.coarsen = true;
@@ -688,8 +687,7 @@ fn deformed_mesh_parallel_matches_serial_with_cycle_breaking() {
         216,
         Material::uniform(1, 1.0, 0.4, 1.0),
     ));
-    let mut cfg = config();
-    cfg.break_cycles = true;
+    let cfg = config();
     let serial = solve_serial(mesh.as_ref(), &quad, &mats, &cfg);
     let patches = jsweep::mesh::partition::rcb(mesh.as_ref(), 8);
     let mut patches = patches;

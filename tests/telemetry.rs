@@ -11,6 +11,9 @@
 //! * the trace *is* the Fig.-16 breakdown: on every lane the spans of
 //!   a time category sum to that thread's `RunStats` entry, on both
 //!   fabrics;
+//! * the trace carries every frame: the masters' `send` / `recv`
+//!   instants count `RunStats::frames_sent` / `frames_received`, and
+//!   the `send` sizes sum to `bytes_sent`;
 //! * the Chrome trace-event JSON is loadable (sorted timestamps,
 //!   metadata rows, balanced braces) and renders both rank timelines;
 //! * a session ticket's `span_id` locates exactly its epochs in the
@@ -25,7 +28,7 @@
 
 use jsweep::core::stats::{Category, CATEGORIES};
 use jsweep::core::telemetry::obs::{EventKind, LaneSnapshot, Telemetry, GLOBAL_RANK};
-use jsweep::core::Breakdown;
+use jsweep::core::{Breakdown, RunStats};
 use jsweep::prelude::*;
 use std::sync::Arc;
 
@@ -287,7 +290,8 @@ fn assert_spans_are_the_breakdown(who: &str, lanes: &[&LaneSnapshot], bd: &Break
 /// are the `RunStats` breakdown of the same solve — three fine epochs
 /// and three replayed epochs, each on both fabrics. Summed over the
 /// solve, not per epoch: a worker's trailing idle delta rides its next
-/// non-empty report.
+/// non-empty report. The masters' frame instants reconcile with the
+/// same solve's frame and byte counters.
 #[test]
 fn span_sums_are_the_breakdown_on_both_fabrics() {
     let runs = [
@@ -340,6 +344,33 @@ fn span_sums_are_the_breakdown_on_both_fabrics() {
             .collect();
         assert_eq!(masters.len(), RANKS);
         assert_spans_are_the_breakdown(&format!("{transport:?} masters"), &masters, &master);
+        let instants = |kind: EventKind| {
+            masters
+                .iter()
+                .flat_map(|l| l.events.iter())
+                .filter(move |e| e.kind == kind)
+        };
+        let total = |f: fn(&RunStats) -> u64| sol.stats.iter().map(f).sum::<u64>();
+        let sends: Vec<u64> = instants(EventKind::Send).map(|e| e.b).collect();
+        assert_eq!(
+            sends.len() as u64,
+            total(|s| s.frames_sent),
+            "{transport:?}: send instants"
+        );
+        assert!(
+            !sends.is_empty(),
+            "{transport:?}: two ranks exchanged no frame"
+        );
+        assert_eq!(
+            sends.iter().sum::<u64>(),
+            total(|s| s.bytes_sent),
+            "{transport:?}: frame bytes"
+        );
+        assert_eq!(
+            instants(EventKind::Recv).count() as u64,
+            total(|s| s.frames_received),
+            "{transport:?}: recv instants"
+        );
         for (i, bd) in workers.iter().enumerate() {
             let (rank, lane) = ((i / WORKERS) as u32, (i % WORKERS) as u32 + 1);
             let lane = lanes
