@@ -10,7 +10,8 @@
 //! the structural inefficiency JSweep's asynchronous streams remove.
 
 use jsweep_des::{DesResult, MachineModel, SweepProblem};
-use jsweep_graph::SweepState;
+use jsweep_graph::sim::SimTasks;
+use jsweep_mesh::PatchId;
 
 /// Simulate one BSP sweep iteration of `problem` on `machine`.
 ///
@@ -21,26 +22,17 @@ use jsweep_graph::SweepState;
 pub fn simulate_bsp(problem: &SweepProblem, machine: &MachineModel) -> DesResult {
     assert_eq!(machine.ranks, problem.patches.num_ranks());
     let ranks = machine.ranks;
-    let num_patches = problem.num_patches();
-
     // Per-task scheduling state (same Listing-1 core as JSweep).
-    let mut states: Vec<SweepState> = Vec::with_capacity(problem.num_tasks());
-    for a in 0..problem.num_angles {
-        for p in 0..num_patches {
-            states.push(SweepState::new(
-                &problem.subs[a][p],
-                problem.vprio[a][p].clone(),
-            ));
-        }
-    }
+    let mut tasks = SimTasks::fine(problem, |_| true);
     let rank_of_task = |tid: usize| {
-        let p = tid % num_patches;
-        problem.patches.rank_of(jsweep_mesh::PatchId(p as u32))
+        let (p, _) = problem.patch_angle(tid);
+        problem.patches.rank_of(PatchId(p as u32))
     };
 
     let mut result = DesResult::default();
     let mut time = 0.0f64;
-    let mut supersteps = 0u64;
+    // Remote edges of one compute call, as (dst_tid, key, items).
+    let mut edges: Vec<(usize, u32, usize)> = Vec::new();
 
     loop {
         // Compute phase: every task drains its currently-ready set.
@@ -49,42 +41,32 @@ pub fn simulate_bsp(problem: &SweepProblem, machine: &MachineModel) -> DesResult
         let mut rank_bytes = vec![0.0f64; ranks];
         // Deliveries deferred to the exchange phase: (tid, local vertex).
         let mut deliveries: Vec<(usize, u32)> = Vec::new();
-        let mut popped_any = false;
 
-        #[allow(clippy::needless_range_loop)] // tid indexes three arrays
-        for tid in 0..states.len() {
-            if !states[tid].has_ready() {
+        let calls = result.compute_calls;
+
+        for tid in 0..problem.num_tasks() {
+            if !tasks.has_ready(tid) {
                 continue;
             }
-            let (p, a) = (tid % num_patches, tid / num_patches);
-            let sub = &problem.subs[a][p];
             let rank = rank_of_task(tid);
             // One compute call per task per superstep (the BSP patch
             // visit), draining all ready vertices. Messages aggregate
-            // per (target patch) as in the halo exchange.
-            let mut groups: std::collections::HashMap<usize, Vec<u32>> = Default::default();
-            let cluster = states[tid].pop_cluster(sub, usize::MAX >> 1, |_, re| {
-                groups
-                    .entry(re.patch.index())
-                    .or_default()
-                    .push(problem.patches.local_index(re.cell as usize) as u32);
+            // per target patch as in the halo exchange.
+            edges.clear();
+            let cluster = tasks.pop(tid, usize::MAX >> 1, |dst, key, items| {
+                edges.push((dst, key, items));
             });
-            if cluster.is_empty() {
-                continue;
-            }
-            popped_any = true;
             let k = cluster.len() as f64;
             rank_compute[rank] += machine.t_sched + k * (machine.t_vertex + machine.t_graph);
             result.vertices += cluster.len() as u64;
             result.compute_calls += 1;
             result.breakdown.kernel += k * machine.t_vertex;
             result.breakdown.graph_op += k * machine.t_graph + machine.t_sched;
-            let mut targets: Vec<(usize, Vec<u32>)> = groups.into_iter().collect();
-            targets.sort_by_key(|&(q, _)| q);
-            for (q, keys) in targets {
-                let dst_rank = problem.patches.rank_of(jsweep_mesh::PatchId(q as u32));
-                let bytes = machine.message_bytes(keys.len());
-                if dst_rank != rank {
+            edges.sort_by_key(|e| e.0);
+            for stream in edges.chunk_by(|x, y| x.0 == y.0) {
+                let dst_tid = stream[0].0;
+                let bytes = machine.message_bytes(stream.len());
+                if rank_of_task(dst_tid) != rank {
                     rank_msgs[rank] += 1;
                     rank_bytes[rank] += bytes;
                     result.messages += 1;
@@ -93,17 +75,13 @@ pub fn simulate_bsp(problem: &SweepProblem, machine: &MachineModel) -> DesResult
                     result.breakdown.pack_unpack += pack;
                 }
                 result.breakdown.comm += 2.0 * machine.t_route;
-                let dst_tid = (tid / num_patches) * num_patches + q;
-                for key in keys {
-                    deliveries.push((dst_tid, key));
-                }
+                deliveries.extend(stream.iter().map(|&(_, key, _)| (dst_tid, key)));
             }
         }
 
-        if !popped_any {
+        if result.compute_calls == calls {
             break;
         }
-        supersteps += 1;
 
         // Superstep wall time: slowest rank's threaded compute + its
         // halo exchange, then a barrier (log(ranks) latency).
@@ -119,17 +97,11 @@ pub fn simulate_bsp(problem: &SweepProblem, machine: &MachineModel) -> DesResult
 
         // Exchange phase: all deliveries land.
         for (tid, key) in deliveries {
-            states[tid].receive(key);
+            tasks.receive(tid, key);
         }
     }
 
-    for (tid, st) in states.iter().enumerate() {
-        assert!(
-            st.is_complete(),
-            "BSP sweep deadlocked at task {tid} with {} vertices left",
-            st.remaining()
-        );
-    }
+    tasks.assert_complete();
     result.time = time;
     // Idle accounting: all cores for the whole run minus busy time.
     let cores = machine.cores() as f64;
@@ -139,7 +111,6 @@ pub fn simulate_bsp(problem: &SweepProblem, machine: &MachineModel) -> DesResult
         - result.breakdown.pack_unpack
         - result.breakdown.comm)
         .max(0.0);
-    let _ = supersteps;
     result
 }
 

@@ -432,7 +432,7 @@ pub fn fig16(scale: Scale) -> Table {
         let prob = structured_problem(n, 8, ranks, &quad, Strategies::SLBD2);
         let machine = tianhe(ranks);
         let tasks = coarse_tasks(&prob, 1000);
-        let r = simulate_coarse(&prob, &tasks, &machine, 1000);
+        let r = simulate_coarse(&prob, &tasks, &machine);
         let c = machine.cores() as f64;
         let b = &r.breakdown;
         t.push(vec![
@@ -639,7 +639,7 @@ pub fn cg_ablation(scale: Scale) -> Table {
     let build_start = std::time::Instant::now();
     let tasks = coarse_tasks(&prob, grain);
     let build_host_seconds = build_start.elapsed().as_secs_f64();
-    let cg = simulate_coarse(&prob, &tasks, &machine, grain);
+    let cg = simulate_coarse(&prob, &tasks, &machine);
 
     let mut t = Table::new(
         "cg_ablation",
@@ -682,7 +682,7 @@ pub fn cg_ablation(scale: Scale) -> Table {
     heavy.t_graph = machine.t_graph * 20.0;
     heavy.t_vertex = machine.t_vertex / 10.0;
     let fine_h = sim_default(&prob, &heavy, grain);
-    let cg_h = simulate_coarse(&prob, &tasks, &heavy, grain);
+    let cg_h = simulate_coarse(&prob, &tasks, &heavy);
     t.push(vec![
         "DAG (overhead-heavy)".into(),
         secs(fine_h.time),

@@ -6,9 +6,11 @@
 //! discrete-event simulation that drives the **same scheduling code**
 //! as the real runtime — the same subgraphs ([`jsweep_graph::Subgraph`]),
 //! the same Listing-1 core ([`jsweep_graph::SweepState`]), the same
-//! priorities and clustering — and charges virtual time according to a
-//! calibrated [`MachineModel`] (per-vertex kernel cost, per-message
-//! latency, bandwidth, master routing overhead). Its `route()` keeps
+//! priorities and clustering, through the task set and ready pool of
+//! [`jsweep_graph::sim`] that the plan compiler and the BSP baseline
+//! share — and charges virtual time according to a calibrated
+//! [`MachineModel`] (per-vertex kernel cost, per-message latency,
+//! bandwidth, master routing overhead). Its `route()` keeps
 //! modelling the paper's master-routed local hop; the real engine
 //! delivers same-rank streams worker-side (`jsweep_core::engine`).
 //!
@@ -18,8 +20,9 @@
 //! what factor, and where efficiency falls off.
 //!
 //! Entry point: build a [`SweepProblem`] from a mesh + decomposition +
-//! quadrature, pick a [`MachineModel`], and call [`simulate`] (or
-//! [`simulate_coarse`] for the coarsened-graph replay of §V-E).
+//! quadrature, pick a [`MachineModel`] with the decomposition's rank
+//! count, and call [`simulate`] (or [`simulate_coarse`] for the
+//! coarsened-graph replay of §V-E).
 
 #![deny(missing_docs)]
 

@@ -78,13 +78,6 @@ impl MachineModel {
     pub fn message_bytes(&self, items: usize) -> f64 {
         self.header_bytes + items as f64 * self.bytes_per_item
     }
-
-    /// Scale the kernel cost (e.g. to emulate more expensive multigroup
-    /// kernels or a proportionally larger mesh).
-    pub fn with_vertex_cost(mut self, t_vertex: f64) -> MachineModel {
-        self.t_vertex = t_vertex;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -5,14 +5,16 @@
 //! master thread (a serial resource whose queueing delay is modelled by
 //! a "free from" clock). Scheduling decisions — which task a freed
 //! worker picks, which vertices a compute call pops — are made by the
-//! *real* scheduler code ([`jsweep_graph::SweepState`] + the two-level
-//! priorities), so contention, pipeline fill and idle time emerge
-//! rather than being assumed.
+//! *real* scheduler code: the task set and ready pool of
+//! [`jsweep_graph::sim`] (Listing-1 states, two-level priorities), the
+//! same ones the plan compiler runs. This module adds only the clock,
+//! so contention, pipeline fill and idle time emerge rather than being
+//! assumed.
 
 use crate::machine::MachineModel;
-use jsweep_graph::coarse::{CoarseSweepState, CoarsenedTask};
+use jsweep_graph::coarse::CoarsenedTask;
 use jsweep_graph::problem::SweepProblem;
-use jsweep_graph::SweepState;
+use jsweep_graph::sim::{SimPool, SimTasks};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -76,226 +78,18 @@ impl DesResult {
     }
 }
 
-/// One outgoing stream group of a compute call.
-struct OutGroup {
-    dst_tid: usize,
-    /// Receive keys at the target (fine: local vertex ids; coarse: the
-    /// target cluster, once).
-    keys: Vec<u32>,
-    /// Face-data items carried (for message sizing).
-    items: usize,
-}
-
-/// What the simulator needs from a task collection. Implemented by the
-/// fine (per-vertex) and coarse (per-cluster) models.
-trait TaskModel {
-    fn num_tasks(&self) -> usize;
-    fn rank_of(&self, tid: usize) -> usize;
-    fn priority(&self, tid: usize) -> i64;
-    /// Execute one compute call; returns (work units popped, outputs).
-    fn pop(&mut self, tid: usize, grain: usize) -> (u64, Vec<OutGroup>);
-    fn receive(&mut self, tid: usize, keys: &[u32]);
-    fn has_ready(&self, tid: usize) -> bool;
-    fn verify_complete(&self) -> Result<(), String>;
-    /// DAG-bookkeeping units charged for a compute call that popped
-    /// `work` vertices: the fine model updates one counter set per
-    /// vertex; the coarse model touches only cluster-level counters
-    /// (the §V-E saving), so it charges a single unit per call.
-    fn graph_units(&self, work: u64) -> f64 {
-        work as f64
-    }
-}
-
-/// Fine (DAG) model: one `SweepState` per (patch, angle).
-struct FineModel<'a> {
-    prob: &'a SweepProblem,
-    states: Vec<SweepState>,
-    /// Scratch: group buffer reused across pops.
-    groups: std::collections::HashMap<usize, Vec<u32>>,
-}
-
-impl<'a> FineModel<'a> {
-    fn new(prob: &'a SweepProblem) -> FineModel<'a> {
-        let mut states = Vec::with_capacity(prob.num_tasks());
-        for a in 0..prob.num_angles {
-            let subs = &prob.subs[a];
-            let prios = &prob.vprio[a];
-            for p in 0..prob.num_patches() {
-                states.push(SweepState::new(&subs[p], prios[p].clone()));
-            }
-        }
-        FineModel {
-            prob,
-            states,
-            groups: Default::default(),
-        }
-    }
-}
-
-impl TaskModel for FineModel<'_> {
-    fn num_tasks(&self) -> usize {
-        self.prob.num_tasks()
-    }
-
-    fn rank_of(&self, tid: usize) -> usize {
-        let (p, _) = self.prob.patch_angle(tid);
-        self.prob.patches.rank_of(jsweep_mesh::PatchId(p as u32))
-    }
-
-    fn priority(&self, tid: usize) -> i64 {
-        let (p, a) = self.prob.patch_angle(tid);
-        self.prob.pprio[a][p]
-    }
-
-    fn pop(&mut self, tid: usize, grain: usize) -> (u64, Vec<OutGroup>) {
-        let (p, a) = self.prob.patch_angle(tid);
-        let sub = &self.prob.subs[a][p];
-        let patches = &self.prob.patches;
-        self.groups.clear();
-        let groups = &mut self.groups;
-        let cluster = self.states[tid].pop_cluster(sub, grain, |_v, re| {
-            let dst_local = patches.local_index(re.cell as usize) as u32;
-            groups.entry(re.patch.index()).or_default().push(dst_local);
-        });
-        let mut out: Vec<OutGroup> = groups
-            .drain()
-            .map(|(dst_patch, keys)| OutGroup {
-                dst_tid: self.prob.tid(dst_patch, a),
-                items: keys.len(),
-                keys,
-            })
-            .collect();
-        out.sort_by_key(|g| g.dst_tid);
-        (cluster.len() as u64, out)
-    }
-
-    fn receive(&mut self, tid: usize, keys: &[u32]) {
-        for &k in keys {
-            self.states[tid].receive(k);
-        }
-    }
-
-    fn has_ready(&self, tid: usize) -> bool {
-        self.states[tid].has_ready()
-    }
-
-    fn verify_complete(&self) -> Result<(), String> {
-        for (tid, st) in self.states.iter().enumerate() {
-            if !st.is_complete() {
-                let (p, a) = self.prob.patch_angle(tid);
-                return Err(format!(
-                    "deadlock: task (patch {p}, angle {a}) has {} vertices left",
-                    st.remaining()
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Coarse (CG) model: one `CoarseSweepState` per (patch, angle).
-struct CoarseModel<'a> {
-    prob: &'a SweepProblem,
-    /// `tasks[angle][patch]`.
-    tasks: &'a [Vec<CoarsenedTask>],
-    states: Vec<CoarseSweepState>,
-}
-
-impl<'a> CoarseModel<'a> {
-    fn new(prob: &'a SweepProblem, tasks: &'a [Vec<CoarsenedTask>]) -> CoarseModel<'a> {
-        assert_eq!(tasks.len(), prob.num_angles);
-        let mut states = Vec::with_capacity(prob.num_tasks());
-        for at in tasks {
-            assert_eq!(at.len(), prob.num_patches());
-            for t in at {
-                states.push(CoarseSweepState::new(t));
-            }
-        }
-        CoarseModel {
-            prob,
-            tasks,
-            states,
-        }
-    }
-}
-
-impl TaskModel for CoarseModel<'_> {
-    fn num_tasks(&self) -> usize {
-        self.prob.num_tasks()
-    }
-
-    fn rank_of(&self, tid: usize) -> usize {
-        let (p, _) = self.prob.patch_angle(tid);
-        self.prob.patches.rank_of(jsweep_mesh::PatchId(p as u32))
-    }
-
-    fn priority(&self, tid: usize) -> i64 {
-        let (p, a) = self.prob.patch_angle(tid);
-        self.prob.pprio[a][p]
-    }
-
-    fn pop(&mut self, tid: usize, _grain: usize) -> (u64, Vec<OutGroup>) {
-        let (p, a) = self.prob.patch_angle(tid);
-        let task = &self.tasks[a][p];
-        let Some(cv) = self.states[tid].pop(task) else {
-            return (0, Vec::new());
-        };
-        let work = task.clusters[cv as usize].len() as u64;
-        // One stream per target patch-program: coarse edges to several
-        // clusters of the same program travel together.
-        let mut grouped: std::collections::HashMap<usize, (Vec<u32>, usize)> = Default::default();
-        for re in &task.remote[cv as usize] {
-            let e = grouped.entry(re.patch.index()).or_default();
-            e.0.push(re.cluster);
-            e.1 += re.items.len();
-        }
-        let mut out: Vec<OutGroup> = grouped
-            .into_iter()
-            .map(|(dst_patch, (keys, items))| OutGroup {
-                dst_tid: self.prob.tid(dst_patch, a),
-                keys,
-                items,
-            })
-            .collect();
-        out.sort_by_key(|g| g.dst_tid);
-        (work, out)
-    }
-
-    fn receive(&mut self, tid: usize, keys: &[u32]) {
-        for &k in keys {
-            self.states[tid].receive(k);
-        }
-    }
-
-    fn has_ready(&self, tid: usize) -> bool {
-        self.states[tid].has_ready()
-    }
-
-    fn verify_complete(&self) -> Result<(), String> {
-        for (tid, st) in self.states.iter().enumerate() {
-            if !st.is_complete() {
-                let (p, a) = self.prob.patch_angle(tid);
-                return Err(format!(
-                    "deadlock: coarse task (patch {p}, angle {a}) has {} clusters left",
-                    st.remaining()
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    fn graph_units(&self, _work: u64) -> f64 {
-        1.0
-    }
-}
+/// A remote edge a compute call emitted: `(dst_tid, key, items)` (see
+/// [`SimTasks::pop`]).
+type Edge = (usize, u32, usize);
 
 /// Event payloads.
 enum EventKind {
-    /// A worker finished a compute call.
+    /// A worker finished a compute call; `out` holds its remote edges,
+    /// sorted by destination task.
     Complete {
         rank: usize,
         tid: usize,
-        out: Vec<OutGroup>,
+        out: Vec<Edge>,
     },
     /// A remote message reached the destination rank's NIC.
     Arrive {
@@ -335,19 +129,17 @@ impl Ord for Event {
     }
 }
 
-/// The generic simulator core.
-struct Sim<'m, M: TaskModel> {
-    model: M,
-    machine: &'m MachineModel,
+/// The DES clock over the shared task set and pool: an event queue in
+/// virtual time, per-rank idle workers and master clocks.
+struct Sim<'a> {
+    tasks: SimTasks<'a>,
+    pool: SimPool<'a>,
+    machine: &'a MachineModel,
     grain: usize,
     events: BinaryHeap<Reverse<Event>>,
     seq: u64,
-    /// Ready-task queues per rank (max-heap on priority, tie → lowest tid).
-    queues: Vec<BinaryHeap<(i64, Reverse<usize>)>>,
     /// Idle workers per rank (count; all free ≤ current time).
     idle_workers: Vec<usize>,
-    /// Task active flags (queued or running).
-    active: Vec<bool>,
     /// Master "free from" clocks.
     master_free: Vec<f64>,
     /// Stats.
@@ -355,18 +147,22 @@ struct Sim<'m, M: TaskModel> {
     busy_worker_seconds: f64,
 }
 
-impl<'m, M: TaskModel> Sim<'m, M> {
-    fn new(model: M, machine: &'m MachineModel, grain: usize) -> Sim<'m, M> {
+impl<'a> Sim<'a> {
+    fn new(tasks: SimTasks<'a>, machine: &'a MachineModel, grain: usize) -> Sim<'a> {
+        assert_eq!(
+            machine.ranks,
+            tasks.problem().patches.num_ranks(),
+            "machine rank count must match the patch distribution"
+        );
         let ranks = machine.ranks;
         Sim {
-            model,
+            pool: SimPool::new(&tasks),
+            tasks,
             machine,
             grain,
             events: BinaryHeap::new(),
             seq: 0,
-            queues: (0..ranks).map(|_| BinaryHeap::new()).collect(),
             idle_workers: vec![machine.workers_per_rank; ranks],
-            active: Vec::new(),
             master_free: vec![0.0; ranks],
             result: DesResult::default(),
             busy_worker_seconds: 0.0,
@@ -384,13 +180,26 @@ impl<'m, M: TaskModel> Sim<'m, M> {
 
     fn dispatch(&mut self, rank: usize, now: f64) {
         while self.idle_workers[rank] > 0 {
-            let Some((_, Reverse(tid))) = self.queues[rank].pop() else {
+            let Some(tid) = self.pool.claim(rank) else {
                 break;
             };
             self.idle_workers[rank] -= 1;
-            let (work, out) = self.model.pop(tid, self.grain);
+            let mut out: Vec<Edge> = Vec::new();
+            let cluster = self.tasks.pop(tid, self.grain, |dst, key, items| {
+                out.push((dst, key, items));
+            });
+            let work = cluster.len() as u64;
+            // One stream per destination task, in task order.
+            out.sort_by_key(|e| e.0);
             let m = self.machine;
-            let graph_units = self.model.graph_units(work);
+            // DAG-bookkeeping units: a fine pop updates one counter set
+            // per vertex; a coarse replay touches only cluster-level
+            // counters (the §V-E saving), one unit per call.
+            let graph_units = if self.tasks.is_coarse() {
+                1.0
+            } else {
+                work as f64
+            };
             let dur = m.t_sched + work as f64 * m.t_vertex + graph_units * m.t_graph;
             self.result.vertices += work;
             self.result.compute_calls += 1;
@@ -401,24 +210,21 @@ impl<'m, M: TaskModel> Sim<'m, M> {
         }
     }
 
-    /// Route one stream group from `src_rank` at time `t`.
-    fn route(&mut self, t: f64, src_rank: usize, group: OutGroup) {
-        let dst_rank = self.model.rank_of(group.dst_tid);
+    /// Route one stream — the `edges` of a compute call bound for one
+    /// task — from `src_rank` at time `t`.
+    fn route(&mut self, t: f64, src_rank: usize, edges: &[Edge]) {
+        let tid = edges[0].0;
+        let keys = edges.iter().map(|e| e.1).collect();
+        let dst_rank = self.pool.rank_of(tid);
         let m = self.machine;
-        let bytes = m.message_bytes(group.items);
+        let bytes = m.message_bytes(edges.iter().map(|e| e.2).sum());
         if dst_rank == src_rank {
             // Local stream: master routes without pack/unpack.
             let handle = m.t_route;
             let done = self.master_free[src_rank].max(t) + handle;
             self.master_free[src_rank] = done;
             self.result.breakdown.comm += handle;
-            self.push_event(
-                done,
-                EventKind::Deliver {
-                    tid: group.dst_tid,
-                    keys: group.keys,
-                },
-            );
+            self.push_event(done, EventKind::Deliver { tid, keys });
         } else {
             let pack = bytes * m.t_pack_per_byte;
             let handle = m.t_route + pack;
@@ -429,27 +235,17 @@ impl<'m, M: TaskModel> Sim<'m, M> {
             self.result.messages += 1;
             self.result.bytes += bytes;
             let arrive = sent + m.latency + bytes / m.bandwidth;
-            self.push_event(
-                arrive,
-                EventKind::Arrive {
-                    rank: dst_rank,
-                    tid: group.dst_tid,
-                    keys: group.keys,
-                    bytes,
-                },
-            );
+            let event = EventKind::Arrive {
+                rank: dst_rank,
+                tid,
+                keys,
+                bytes,
+            };
+            self.push_event(arrive, event);
         }
     }
 
-    fn run(mut self) -> Result<DesResult, String> {
-        // All tasks start active (§III-A) and are queued on their rank.
-        let n = self.model.num_tasks();
-        self.active = vec![true; n];
-        for tid in 0..n {
-            let rank = self.model.rank_of(tid);
-            let prio = self.model.priority(tid);
-            self.queues[rank].push((prio, Reverse(tid)));
-        }
+    fn run(mut self) -> DesResult {
         let mut end_time = 0.0f64;
         for rank in 0..self.machine.ranks {
             self.dispatch(rank, 0.0);
@@ -459,15 +255,10 @@ impl<'m, M: TaskModel> Sim<'m, M> {
             end_time = end_time.max(ev.time);
             match ev.kind {
                 EventKind::Complete { rank, tid, out } => {
-                    for group in out {
-                        self.route(ev.time, rank, group);
+                    for stream in out.chunk_by(|x, y| x.0 == y.0) {
+                        self.route(ev.time, rank, stream);
                     }
-                    if self.model.has_ready(tid) {
-                        let prio = self.model.priority(tid);
-                        self.queues[rank].push((prio, Reverse(tid)));
-                    } else {
-                        self.active[tid] = false;
-                    }
+                    self.pool.finish(tid, self.tasks.has_ready(tid));
                     self.idle_workers[rank] += 1;
                     self.dispatch(rank, ev.time);
                 }
@@ -487,19 +278,17 @@ impl<'m, M: TaskModel> Sim<'m, M> {
                     self.push_event(done, EventKind::Deliver { tid, keys });
                 }
                 EventKind::Deliver { tid, keys } => {
-                    self.model.receive(tid, &keys);
-                    if !self.active[tid] && self.model.has_ready(tid) {
-                        self.active[tid] = true;
-                        let rank = self.model.rank_of(tid);
-                        let prio = self.model.priority(tid);
-                        self.queues[rank].push((prio, Reverse(tid)));
-                        self.dispatch(rank, ev.time);
+                    for key in keys {
+                        self.tasks.receive(tid, key);
+                    }
+                    if self.pool.wake(tid, self.tasks.has_ready(tid)) {
+                        self.dispatch(self.pool.rank_of(tid), ev.time);
                     }
                 }
             }
         }
 
-        self.model.verify_complete()?;
+        self.tasks.assert_complete();
         self.result.time = end_time;
         // Idle = total core-seconds − busy (workers) − master handling.
         let worker_cores = (self.machine.ranks * self.machine.workers_per_rank) as f64;
@@ -507,34 +296,27 @@ impl<'m, M: TaskModel> Sim<'m, M> {
         let master_busy = self.result.breakdown.comm + self.result.breakdown.pack_unpack;
         self.result.breakdown.idle = (worker_cores * end_time - self.busy_worker_seconds)
             + (master_cores * end_time - master_busy).max(0.0);
-        Ok(self.result)
+        self.result
     }
 }
 
 /// Simulate one DAG-driven sweep iteration of `problem` on `machine`.
+/// Panics unless `machine` has the problem's rank count.
 pub fn simulate(problem: &SweepProblem, machine: &MachineModel, opts: &SimOptions) -> DesResult {
-    assert_eq!(
-        machine.ranks,
-        problem.patches.num_ranks(),
-        "machine rank count must match the patch distribution"
-    );
-    let model = FineModel::new(problem);
-    let sim = Sim::new(model, machine, opts.grain);
-    sim.run().expect("sweep simulation deadlocked")
+    Sim::new(SimTasks::fine(problem, |_| true), machine, opts.grain).run()
 }
 
 /// Simulate one coarsened-graph sweep iteration (§V-E): the clusters of
 /// `tasks` (built from [`jsweep_graph::coarse::simulate_clusters`]
-/// traces) execute as units.
+/// traces) execute as units, one coarse vertex per compute call.
+/// Panics unless `machine` has the problem's rank count.
 pub fn simulate_coarse(
     problem: &SweepProblem,
     tasks: &[Vec<CoarsenedTask>],
     machine: &MachineModel,
-    grain: usize,
 ) -> DesResult {
-    let model = CoarseModel::new(problem, tasks);
-    let sim = Sim::new(model, machine, grain);
-    sim.run().expect("coarse sweep simulation deadlocked")
+    // A replay pops whole coarse vertices: the grain is never read.
+    Sim::new(SimTasks::coarse(problem, tasks), machine, 1).run()
 }
 
 #[cfg(test)]
@@ -656,19 +438,47 @@ mod tests {
         assert_eq!(r.vertices, prob.total_vertices);
     }
 
+    /// The §V-E plan of every angle, from clusters simulated at `grain`.
+    fn coarse_tasks(prob: &SweepProblem, grain: usize) -> Vec<Vec<CoarsenedTask>> {
+        let traces = jsweep_graph::coarse::simulate_clusters(prob, grain, 8);
+        (0..prob.num_angles)
+            .map(|a| {
+                let c = prob.canonical_angle(a);
+                jsweep_graph::coarse::build_coarse(&prob.subs[c], &traces[c])
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "machine rank count")]
+    fn simulate_rejects_a_machine_of_another_rank_count() {
+        simulate(
+            &small_problem(2),
+            &MachineModel::cluster(1, 3),
+            &SimOptions::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "machine rank count")]
+    fn simulate_coarse_rejects_a_machine_of_another_rank_count() {
+        // Four ranks for a two-rank problem once ran, counting the idle
+        // cores of two ranks that own no patch.
+        let prob = small_problem(2);
+        simulate_coarse(
+            &prob,
+            &coarse_tasks(&prob, 32),
+            &MachineModel::cluster(4, 3),
+        );
+    }
+
     #[test]
     fn coarse_replay_matches_vertex_count_and_is_cheaper() {
         let prob = small_problem(2);
         let machine = MachineModel::cluster(2, 3);
         let fine = simulate(&prob, &machine, &SimOptions { grain: 32 });
-        let traces = jsweep_graph::coarse::simulate_clusters(&prob, 32, 8);
-        let tasks: Vec<Vec<CoarsenedTask>> = (0..prob.num_angles)
-            .map(|a| {
-                let c = prob.canonical_angle(a);
-                jsweep_graph::coarse::build_coarse(&prob.subs[c], &traces[c])
-            })
-            .collect();
-        let coarse = simulate_coarse(&prob, &tasks, &machine, 32);
+        let tasks = coarse_tasks(&prob, 32);
+        let coarse = simulate_coarse(&prob, &tasks, &machine);
         assert_eq!(coarse.vertices, fine.vertices);
         // The §V-E claim: cluster-level scheduling removes the
         // per-vertex DAG bookkeeping.

@@ -10,10 +10,10 @@
 //!
 //! The paper takes the clusters from the first iteration's live run.
 //! [`simulate_clusters`] takes them from a deterministic, single-threaded
-//! execution of the same scheduler ([`SweepState::pop_cluster`] at the
-//! solver's grain, the runtime's claim batch and priorities) before any
-//! iteration runs, so the plan is a pure function of the problem and the
-//! grain.
+//! execution of the same scheduler ([`crate::SweepState::pop_cluster`]
+//! at the solver's grain, the runtime's claim batch and priorities,
+//! through [`crate::sim`]) before any iteration runs, so the plan is a
+//! pure function of the problem and the grain.
 //!
 //! **Theorem 1** (paper): if `G` is acyclic, the derived `CG` is
 //! acyclic. The proof carries over to the clusters of any valid
@@ -39,11 +39,11 @@
 //! so a plan that never replays that way carries none.
 
 use crate::dag::{is_acyclic, Csr};
+use crate::sim::{SimPool, SimTasks};
 use crate::subgraph::Subgraph;
-use crate::{SweepProblem, SweepState};
+use crate::SweepProblem;
 use jsweep_mesh::PatchId;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Clustering trace of one `(patch, angle)` task: the clusters formed
@@ -291,8 +291,8 @@ impl ReplayLayout {
 /// an octant member's entries stay empty, because it replays its
 /// canonical angle's clusters over the shared DAG.
 ///
-/// The execution is the pool's, with ranks taking turns instead of
-/// running concurrently:
+/// The execution is the pool's ([`SimPool`] over fine [`SimTasks`]),
+/// with ranks taking turns instead of running concurrently:
 ///
 /// * every task starts active, in its rank's ready heap, ordered by its
 ///   two-level priority (ties to the lowest task id);
@@ -316,7 +316,8 @@ pub fn simulate_clusters(
 ) -> Vec<Vec<ClusterTrace>> {
     assert!(claim_batch > 0, "claim batch must be positive");
     let ranks = problem.patches.num_ranks();
-    let mut pool = SimPool::new(problem);
+    let mut tasks = SimTasks::fine(problem, |a| problem.canonical_angle(a) == a);
+    let mut pool = SimPool::new(&tasks);
     // Receives in flight, as (task, local vertex): `inbox[rank]` holds
     // those bound for `rank` from other ranks, `local` the claim batch's
     // same-rank ones.
@@ -328,37 +329,29 @@ pub fn simulate_clusters(
         let mut progressed = false;
         for rank in 0..ranks {
             for (tid, v) in inbox[rank].drain(..) {
-                pool.receive(tid, v);
+                tasks.receive(tid, v);
+                pool.wake(tid, tasks.has_ready(tid));
             }
-            while !pool.ready[rank].is_empty() {
-                progressed = true;
-                while claimed.len() < claim_batch {
-                    let Some((_, Reverse(tid))) = pool.ready[rank].pop() else {
-                        break;
-                    };
-                    pool.queued[tid] = false;
-                    claimed.push(tid);
+            loop {
+                claimed.extend(std::iter::from_fn(|| pool.claim(rank)).take(claim_batch));
+                if claimed.is_empty() {
+                    break;
                 }
+                progressed = true;
                 for &tid in &claimed {
-                    let (p, a) = problem.patch_angle(tid);
-                    let st = pool.states[tid].as_mut().expect("claimed a simulated task");
-                    let cluster = st.pop_cluster(&problem.subs[a][p], grain, |_, re| {
-                        let to = (
-                            problem.tid(re.patch.index(), a),
-                            problem.patches.local_index(re.cell as usize) as u32,
-                        );
-                        match problem.patches.rank_of(re.patch) {
-                            r if r == rank => local.push(to),
-                            r => inbox[r].push(to),
-                        }
+                    let cluster = tasks.pop(tid, grain, |dst, v, _| match pool.rank_of(dst) {
+                        r if r == rank => local.push((dst, v)),
+                        r => inbox[r].push((dst, v)),
                     });
+                    let (p, a) = problem.patch_angle(tid);
                     traces[a][p].record(cluster);
                 }
                 for tid in claimed.drain(..) {
-                    pool.activate(tid);
+                    pool.finish(tid, tasks.has_ready(tid));
                 }
                 for (tid, v) in local.drain(..) {
-                    pool.receive(tid, v);
+                    tasks.receive(tid, v);
+                    pool.wake(tid, tasks.has_ready(tid));
                 }
             }
         }
@@ -366,78 +359,8 @@ pub fn simulate_clusters(
             break;
         }
     }
-    for (tid, st) in pool.states.iter().enumerate() {
-        if let Some(st) = st {
-            let (p, a) = problem.patch_angle(tid);
-            assert!(
-                st.is_complete(),
-                "simulated sweep deadlocked: task (patch {p}, angle {a}) has {} vertices left",
-                st.remaining()
-            );
-        }
-    }
+    tasks.assert_complete();
     traces
-}
-
-/// The task pool [`simulate_clusters`] executes: one [`SweepState`] per
-/// canonical task (`None` for octant members) and one ready heap per
-/// rank, which holds each task at most once.
-struct SimPool<'a> {
-    problem: &'a SweepProblem,
-    states: Vec<Option<SweepState>>,
-    ready: Vec<BinaryHeap<(i64, Reverse<usize>)>>,
-    queued: Vec<bool>,
-}
-
-impl<'a> SimPool<'a> {
-    /// Every canonical task active, as the runtime's pool starts an
-    /// epoch.
-    fn new(problem: &'a SweepProblem) -> SimPool<'a> {
-        let states: Vec<Option<SweepState>> = (0..problem.num_tasks())
-            .map(|tid| {
-                let (p, a) = problem.patch_angle(tid);
-                (problem.canonical_angle(a) == a)
-                    .then(|| SweepState::new(&problem.subs[a][p], problem.vprio[a][p].clone()))
-            })
-            .collect();
-        let mut pool = SimPool {
-            problem,
-            ready: vec![BinaryHeap::new(); problem.patches.num_ranks()],
-            queued: vec![false; states.len()],
-            states,
-        };
-        for tid in 0..pool.states.len() {
-            if pool.states[tid].is_some() {
-                pool.push(tid);
-            }
-        }
-        pool
-    }
-
-    fn push(&mut self, tid: usize) {
-        let (p, a) = self.problem.patch_angle(tid);
-        let rank = self.problem.patches.rank_of(PatchId(p as u32));
-        self.ready[rank].push((self.problem.pprio[a][p], Reverse(tid)));
-        self.queued[tid] = true;
-    }
-
-    /// Put `tid` back in its rank's heap if it has a ready vertex and is
-    /// not there already.
-    fn activate(&mut self, tid: usize) {
-        let st = self.states[tid].as_ref().expect("a simulated task");
-        if !self.queued[tid] && st.has_ready() {
-            self.push(tid);
-        }
-    }
-
-    /// One upwind datum for local vertex `v` of task `tid`.
-    fn receive(&mut self, tid: usize, v: u32) {
-        self.states[tid]
-            .as_mut()
-            .expect("receive for a simulated task")
-            .receive(v);
-        self.activate(tid);
-    }
 }
 
 /// Build the coarsened tasks of every patch for one angle from the

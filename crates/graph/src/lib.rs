@@ -16,8 +16,13 @@
 //!   threaded runtime, the discrete-event simulator and the baselines;
 //! * [`priority`] — BFS / LDCP / SLBD vertex and patch priorities and
 //!   the two-level `prior(p,a) = prior(a)·C + prior(p)` composition;
-//! * [`coarse`] — the cached coarsened graph (§V-E) built from first-
-//!   iteration clustering traces, with the Theorem-1 acyclicity check;
+//! * [`coarse`] — the cached coarsened graph (§V-E) built from the
+//!   clusters of a simulated execution, with the Theorem-1 acyclicity
+//!   check;
+//! * [`sim`] — the simulated scheduler: one task set (fine or coarse
+//!   states) and one ready pool, shared by the plan compiler
+//!   ([`coarse::simulate_clusters`]), the discrete-event simulator and
+//!   the BSP baseline;
 //! * [`dag`] / [`cycles`] — generic DAG utilities and cycle breaking
 //!   for meshes whose geometry induces cyclic dependencies.
 
@@ -26,6 +31,7 @@ pub mod cycles;
 pub mod dag;
 pub mod priority;
 pub mod problem;
+pub mod sim;
 pub mod subgraph;
 pub mod sweep_state;
 

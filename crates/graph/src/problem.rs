@@ -6,7 +6,7 @@ use crate::priority::{patch_priorities, vertex_priorities, TwoLevelPriority};
 use crate::subgraph::PatchLinks;
 use crate::{cycles, PriorityStrategy, Subgraph};
 use jsweep_mesh::{GeomClasses, PatchSet, SweepTopology};
-use jsweep_quadrature::{AngleId, QuadratureSet};
+use jsweep_quadrature::QuadratureSet;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -216,11 +216,6 @@ impl SweepProblem {
     /// Total `(patch, angle)` tasks.
     pub fn num_tasks(&self) -> usize {
         self.num_patches() * self.num_angles
-    }
-
-    /// The angle id of a task (for diagnostics).
-    pub fn angle_of(&self, tid: usize) -> AngleId {
-        AngleId((tid / self.num_patches()) as u32)
     }
 }
 

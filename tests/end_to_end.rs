@@ -608,7 +608,7 @@ fn des_and_threaded_replay_consume_identical_coarse_graphs() {
         .count();
 
     let machine = MachineModel::cluster(2, 2);
-    let des = simulate_coarse(&prob, &tasks, &machine, 32);
+    let des = simulate_coarse(&prob, &tasks, &machine);
     assert_eq!(des.vertices, prob.total_vertices);
     // Every coarse vertex executes in exactly one productive compute
     // call; the only extra calls are spurious initial activations of
