@@ -20,9 +20,9 @@
 //!   on the threaded runtime and a serial reference solver used as the
 //!   golden result in tests;
 //! * [`session`] — sweep as a service: a resident [`SolverSession`]
-//!   (one universe, one shared plan cache, one driver thread) serving
-//!   queued solves from concurrent campaigns under a pluggable
-//!   admission policy (see `docs/session.md`);
+//!   (one universe, one shared plan cache, one session thread) serving
+//!   queued solves from concurrent campaigns, epochs round-robin
+//!   across campaigns (see `docs/session.md`);
 //! * [`kobayashi`] — the Kobayashi benchmark problem generator used by
 //!   the JSNT-S experiments (Figs. 12, 16, 17a).
 
@@ -42,9 +42,8 @@ pub use kernel::KernelKind;
 pub use program::{SweepEpoch, SweepMode};
 pub use replay::{plan_key, CoarsePlan, PlanCache, PlanKey};
 pub use session::{
-    AdmissionPolicy, CampaignHandle, CampaignStats, EpochCandidate, EpochRecord, FaultReport, Fifo,
-    RetryPolicy, RoundRobin, SessionError, SessionOptions, SessionStats, SolveOutcome,
-    SolveRequest, SolveTicket, SolverSession,
+    CampaignHandle, CampaignStats, EpochRecord, FaultReport, RoundRobin, SessionError,
+    SessionOptions, SessionStats, SolveOutcome, SolveRequest, SolveTicket, SolverSession,
 };
 pub use solver::{
     record_cluster_traces, solve_parallel, solve_parallel_cached, solve_parallel_spmd,

@@ -38,8 +38,8 @@
 //!   bumped by refinement (any topology-producing operation draws a
 //!   fresh stamp). The stamp is part of the cache key *and* stored in
 //!   the plan, so a stale plan is rebuilt, never replayed — and
-//!   [`PlanCache::retain_generations`], which a session calls at its
-//!   refine barrier, drops it the moment it becomes unreachable.
+//!   [`PlanCache::retain_generations`], which a refinement loop calls
+//!   after each refinement, drops it once it is unreachable.
 
 use crate::program::put_prefix;
 use bytes::Bytes;
@@ -267,10 +267,9 @@ struct CacheInner {
 ///
 /// **Growth contract:** unreachable is not freed. The cache holds one
 /// plan per shape ever solved until told which mesh generations are
-/// still live: a `SolverSession` calls
-/// [`PlanCache::retain_generations`] at its refine barrier, the moment
-/// the old generation's plans become unreachable; solo refinement
-/// loops call it (or [`PlanCache::clear`]) after each refinement.
+/// still live: refinement loops call [`PlanCache::retain_generations`]
+/// (or [`PlanCache::clear`]) after each refinement. A `SolverSession`
+/// serves one shape, so its cache holds one plan.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     inner: Mutex<CacheInner>,

@@ -1,61 +1,41 @@
 //! Sweep-as-a-service: a resident [`SolverSession`] serving queued
 //! solves from many concurrent campaigns.
 //!
-//! [`solve_parallel_cached`](crate::solver::solve_parallel_cached) is
-//! one-shot: it launches a resident universe, runs one solve's source
-//! iterations as epochs, and tears the universe down. Multi-solve
-//! workloads — time stepping, eigenvalue iteration, material sweeps,
-//! uncertainty campaigns — pay that launch/teardown once per solve and
-//! re-enter the runtime from scratch each time, even though every
-//! solve of a given problem shape could run on the *same* resident
-//! programs with the *same* compiled replay plan.
-//!
-//! A [`SolverSession`] keeps exactly one
-//! [`EpochWorld`](crate::solver) alive on a dedicated driver thread:
-//! one resident [`jsweep_core::Universe`], one shared [`PlanCache`].
-//! Campaigns (independent clients, typically one per thread) obtain a
-//! [`CampaignHandle`] and submit [`SolveRequest`]s asynchronously; each
-//! request is reduced to a sequence of sweep epochs and interleaved
-//! with other campaigns' epochs by a pluggable [`AdmissionPolicy`].
-//! Every completed request resolves its [`SolveTicket`] with a
+//! [`solve_parallel_cached`](crate::solver::solve_parallel_cached)
+//! launches a universe per solve. A [`SolverSession`] keeps exactly one
+//! [`EpochWorld`](crate::solver) alive on a session thread — one
+//! resident [`jsweep_core::Universe`], one shared [`PlanCache`] — for
+//! workloads that solve one problem shape many times (time steps,
+//! eigenvalue iterations, material sweeps). Campaigns (independent
+//! clients, typically one per thread) obtain a [`CampaignHandle`] and
+//! submit [`SolveRequest`]s asynchronously; each request is a sequence
+//! of sweep epochs, and campaigns take epochs round-robin: one epoch to
+//! the smallest campaign id after the last one served, wrapping. Every
+//! completed request resolves its [`SolveTicket`] with a
 //! [`SolveOutcome`] whose flux is **bit-identical** to a solo
 //! `solve_parallel_cached` call of the same request: an epoch of a
-//! session *is* the loop body of the solo solver (see
-//! `advance_one_epoch`), and the replay plan a request runs is compiled
-//! once per problem shape, at the first admission of that shape, and
-//! served from the session's [`PlanCache`] to every later one — fine
-//! and replay iterations produce the same flux bit-for-bit (§V-E), so
-//! interleaving changes wall clock, never physics.
+//! session *is* the loop body of the solo solver (`advance_one_epoch`),
+//! and a shape's replay plan is compiled at its first admission and
+//! served from the cache to every later one, so interleaving changes
+//! wall clock, never physics.
 //!
 //! # Lifecycle
 //!
 //! ```text
-//!      launch()                 submit()          epochs (policy-picked)
-//!   ┌────────────┐  campaign() ┌─────────┐ admit ┌─────────┐ done ┌──────────┐
-//!   │ SolverSession│──────────▶│ queued  │──────▶│ running │─────▶│ resolved │
-//!   └────────────┘             └─────────┘       └─────────┘      └──────────┘
-//!        │  refine(mesh', problem'): drain admitted work, retire the
-//!        │  universe, swap the world, drop the old generation's plans
-//!        │  — the next admission compiles a fresh one under the new stamp
-//!        │  (stale plans are structurally unreachable: the generation
-//!        │  is in the PlanKey; the barrier is where they are freed).
-//!        ▼
-//!     shutdown(): drain admitted work, resolve everything still queued
-//!     with SessionError::Closed, retire the universe, join the driver.
+//!   launch() ─▶ campaign() ─▶ submit() ─▶ admitted ─▶ epochs (round-robin) ─▶ resolved
+//!   shutdown(): close the ingress (later submits resolve Closed), serve
+//!               everything submitted before it, retire the universe, join
 //! ```
 //!
-//! Pause/resume gate *epoch execution* only: a paused session still
-//! admits submissions (the deterministic-interleaving tests rely on
-//! this to stage a known backlog before any epoch runs).
-//!
-//! The driver keeps one record per campaign — its queue of admitted
-//! solves, its consecutive-fault streak, its quarantine flag and its
-//! epoch-attempt count — and a faulted epoch needs no clean-up beyond
-//! retiring the universe: the world's output sink is replaced with it
-//! (see `EpochWorld::retire`).
-//!
-//! See `docs/session.md` for the full state diagram, the admission
-//! policies, and the stats glossary.
+//! The session thread only waits for submissions and hands them to a
+//! `Driver`, which owns the world and one record per campaign (its
+//! queue of admitted solves and its consecutive-fault streak). The
+//! driver's `admit`, `run_one_epoch` and `finish` run on whichever
+//! thread calls them, so tests drive it directly, with no thread and no
+//! sleep. A faulted epoch needs no clean-up beyond retiring the
+//! universe: the world's output sink is replaced with it (see
+//! `EpochWorld::retire`). `docs/session.md` has the fault path and the
+//! stats glossary.
 
 use crate::replay::PlanCache;
 use crate::solver::{advance_one_epoch, EpochWorld, SnConfig, SnSolution, SolveProgress};
@@ -66,15 +46,16 @@ use jsweep_mesh::SweepTopology;
 use jsweep_quadrature::QuadratureSet;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One queued solve: the physics that varies per request. The problem
 /// shape (mesh, decomposition, quadrature, solver knobs) is session
 /// state — requests that need a different shape need a different
-/// session (or a [`SolverSession::refine`]).
+/// session.
 #[derive(Clone)]
 pub struct SolveRequest {
     /// Cross sections and sources for this solve. Must cover the
@@ -87,43 +68,21 @@ pub struct SolveRequest {
     pub max_iterations: Option<usize>,
     /// Override of [`SnConfig::tolerance`] for this request.
     pub tolerance: Option<f64>,
-    /// Override of the session-wide [`SessionOptions::retry`] policy
-    /// for this request.
-    pub retry: Option<RetryPolicy>,
+    /// Override of [`SessionOptions::max_retries`] for this request.
+    pub max_retries: Option<u32>,
 }
 
 impl SolveRequest {
     /// A request with the session's default iteration budget,
-    /// tolerance and retry policy.
+    /// tolerance and retry budget.
     pub fn new(materials: Arc<MaterialSet>) -> Self {
         SolveRequest {
             materials,
             max_iterations: None,
             tolerance: None,
-            retry: None,
+            max_retries: None,
         }
     }
-}
-
-/// How a request responds to a faulted epoch (a contained program
-/// panic, a watchdog-detected stall, or an injected failure — see
-/// [`EpochFault`]).
-///
-/// A retried epoch reruns the *same* source iteration on a relaunched
-/// universe: a faulted epoch never touches the solve's flux iterate,
-/// so a retry that succeeds continues the bit-identical iteration
-/// sequence as if the fault never happened. The default policy is no
-/// retries: every fault resolves the ticket
-/// [`SessionError::Failed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RetryPolicy {
-    /// Faulted epochs to retry before the request fails. Each retry
-    /// costs a universe relaunch.
-    pub max_retries: u32,
-    /// Driver-side delay before each retry (a persistent hardware or
-    /// state problem often needs time to clear; zero retries
-    /// immediately).
-    pub backoff: Duration,
 }
 
 /// Why (and where) a request failed: the terminal fault of a solve
@@ -148,11 +107,11 @@ pub struct FaultReport {
 /// Why a [`SolveTicket`] resolved without a solution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
-    /// The session shut down before the request was served.
+    /// The request was submitted after the session shut down.
     Closed,
     /// The request was incompatible with the session's world (wrong
     /// mesh coverage, or a group count the resident programs cannot
-    /// adopt).
+    /// adopt), or its campaign is quarantined.
     Rejected(String),
     /// The request's epochs faulted past its retry budget. Only the
     /// offending request fails: the universe is relaunched and the
@@ -188,108 +147,35 @@ pub struct SolveOutcome {
     /// including per-epoch [`jsweep_core::RunStats`] in
     /// [`SnSolution::stats`].
     pub solution: SnSolution,
-    /// Mesh generation the solve ran against.
-    pub mesh_generation: u64,
     /// Seconds between submission and the request's first epoch (its
     /// time at the back of the queue).
     pub queue_wait_seconds: f64,
     /// Telemetry span id stamped on every epoch this request ran (the
     /// `b` payload of its `Epoch` events in an exported Chrome trace —
-    /// see `docs/observability.md`). Assigned at admission as
-    /// `admission_index + 1`, so it is nonzero and deterministic; `0`
-    /// for a degenerate request that ran no epochs.
+    /// see `docs/observability.md`): the request's 1-based admission
+    /// number, so it is nonzero and deterministic; `0` for a degenerate
+    /// request that ran no epochs.
     pub span_id: u64,
 }
 
-/// A solve the admission policy can schedule an epoch for: the head
-/// request of one campaign's queue. Requests within a campaign are
-/// strictly ordered; campaigns are independent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochCandidate {
-    /// Campaign id.
-    pub campaign: u64,
-    /// Request sequence number within the campaign.
-    pub seq: u64,
-    /// Global admission order of the request (monotone across the
-    /// session) — the FIFO sort key.
-    pub admission_index: u64,
-    /// Epochs already run for this request.
-    pub epochs_run: usize,
-}
-
-/// Decides which admitted solve runs the next epoch.
-///
-/// Called by the driver with one candidate per campaign that has work
-/// (never empty); must return an index into `candidates`. Policies are
-/// deterministic functions of the candidate list and their own state —
-/// the deterministic-interleaving tests replay a seeded submission
-/// order against a policy and assert the exact epoch schedule.
-pub trait AdmissionPolicy: Send {
-    /// Pick the candidate whose solve runs the next epoch.
-    fn next_epoch(&mut self, candidates: &[EpochCandidate]) -> usize;
-}
-
-/// Strict first-come-first-served: the earliest-admitted request runs
-/// to completion before any later one gets an epoch.
+/// The session's one admission rule, named. Campaigns always take
+/// epochs round-robin — one epoch to the smallest campaign id after
+/// the last one served, wrapping — which bounds every campaign's
+/// latency whatever the others have queued; with one campaign it is
+/// first-come-first-served. The type carries no choice: it only keeps
+/// [`SessionOptions::admission`] spelt the way existing callers write
+/// it.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Fifo;
-
-impl AdmissionPolicy for Fifo {
-    fn next_epoch(&mut self, candidates: &[EpochCandidate]) -> usize {
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.admission_index)
-            .map(|(i, _)| i)
-            .expect("candidates is never empty")
-    }
-}
-
-/// Per-campaign round-robin: one epoch to the smallest campaign id
-/// strictly greater than the last-served id, wrapping. Keeps every
-/// campaign's latency bounded regardless of how many requests the
-/// others have queued.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin {
-    last: Option<u64>,
-}
-
-impl AdmissionPolicy for RoundRobin {
-    fn next_epoch(&mut self, candidates: &[EpochCandidate]) -> usize {
-        let after = |floor: u64| {
-            candidates
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.campaign > floor)
-                .min_by_key(|(_, c)| c.campaign)
-        };
-        let first = || {
-            candidates
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| c.campaign)
-        };
-        let (i, c) = match self.last {
-            Some(l) => after(l).or_else(first),
-            None => first(),
-        }
-        .expect("candidates is never empty");
-        self.last = Some(c.campaign);
-        i
-    }
-}
+pub struct RoundRobin;
 
 /// Per-campaign accounting, aggregated over the campaign's lifetime.
-/// Per-epoch [`jsweep_core::RunStats`] deltas ride in each
-/// [`SolveOutcome::solution`]; these are the running totals a monitor
-/// would poll.
+/// Per-epoch [`jsweep_core::RunStats`] ride in each
+/// [`SolveOutcome::solution`].
 #[derive(Debug, Clone, Default)]
 pub struct CampaignStats {
-    /// Requests submitted.
-    pub submitted: u64,
     /// Requests completed with a solution.
     pub completed: u64,
-    /// Requests rejected at admission.
+    /// Requests rejected at admission or flushed by quarantine.
     pub rejected: u64,
     /// Requests that resolved [`SessionError::Failed`] (fault past the
     /// retry budget).
@@ -310,25 +196,11 @@ pub struct CampaignStats {
     /// Admissions that missed the cache (each compiled the plan and
     /// stored it for every later admission of its shape).
     pub plan_cache_misses: u64,
-    /// Total seconds the campaign's requests spent queued before their
-    /// first epoch.
-    pub queue_wait_seconds: f64,
-    /// Total aggregated epoch wall seconds.
-    pub epoch_wall_seconds: f64,
-    /// Total units of sweep work executed.
-    pub work_done: u64,
-    /// Total patch-program compute calls.
-    pub compute_calls: u64,
-    /// Total end-of-epoch worker drain seconds (see
-    /// [`jsweep_core::RunStats::worker_drain_seconds`]).
-    pub worker_drain_seconds: f64,
 }
 
-/// One line of the session's epoch log: which solve ran, in which
-/// scheduling mode, against which plan and mesh generation. The
-/// deterministic-interleaving tests compare this log against a
-/// reference schedule; the soak test asserts no replayed epoch ever
-/// used a plan from a superseded generation.
+/// One line of the session's epoch log: which solve ran, and whether
+/// it replayed a plan. The exact-schedule test compares this log
+/// against a reference schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochRecord {
     /// Campaign served.
@@ -342,24 +214,19 @@ pub struct EpochRecord {
     /// The epoch faulted: it contributed no flux and no stats, and
     /// the universe was relaunched afterwards.
     pub faulted: bool,
-    /// Generation stamp of the replayed plan (`None` on fine and
-    /// faulted epochs).
-    pub plan_generation: Option<u64>,
-    /// Mesh generation of the world the epoch ran against.
-    pub mesh_generation: u64,
+    /// The epoch replayed a compiled plan (`false` on fine and faulted
+    /// epochs).
+    pub replayed: bool,
 }
 
 /// Snapshot of a session's accounting.
 #[derive(Debug, Clone, Default)]
 pub struct SessionStats {
-    /// Mesh generation currently served.
-    pub mesh_generation: u64,
-    /// Resident universes launched over the session's lifetime (one
-    /// per world that ran at least one epoch).
+    /// Resident universes launched over the session's lifetime.
     pub universes_launched: u64,
-    /// Resident universes retired (shutdown or refinement). Equal to
+    /// Resident universes retired (shutdown or fault). Equal to
     /// `universes_launched` after shutdown — the no-leak invariant the
-    /// soak test pins.
+    /// soak tests pin.
     pub universes_retired: u64,
     /// Total epochs run.
     pub epochs_run: u64,
@@ -380,32 +247,25 @@ pub struct SessionStats {
 }
 
 /// Configuration of a [`SolverSession`].
+#[derive(Default)]
 pub struct SessionOptions {
     /// Solver knobs shared by every request ([`SolveRequest`] may
     /// override `max_iterations` / `tolerance` per solve).
     pub solver: SnConfig,
-    /// Epoch scheduling policy across campaigns.
-    pub admission: Box<dyn AdmissionPolicy>,
-    /// Session-wide default [`RetryPolicy`]; a [`SolveRequest::retry`]
-    /// overrides it per request. Default: no retries.
-    pub retry: RetryPolicy,
+    /// The admission rule; [`RoundRobin`] is the only one.
+    pub admission: Box<RoundRobin>,
+    /// Faulted epochs a request reruns before it fails (a faulted
+    /// epoch never touches the solve's flux iterate, so a rerun that
+    /// succeeds continues the bit-identical iteration sequence; each
+    /// costs a universe relaunch). [`SolveRequest::max_retries`]
+    /// overrides it per request. Default: 0.
+    pub max_retries: u32,
     /// Quarantine a campaign after this many *consecutive* terminal
     /// faults (a completed request resets the count): its queued
     /// requests and all later submissions resolve
     /// [`SessionError::Rejected`]. `0` (the default) disables
     /// quarantine.
     pub quarantine_after: u32,
-}
-
-impl Default for SessionOptions {
-    fn default() -> Self {
-        SessionOptions {
-            solver: SnConfig::default(),
-            admission: Box::new(Fifo),
-            retry: RetryPolicy::default(),
-            quarantine_after: 0,
-        }
-    }
 }
 
 /// One-shot result slot a submitter blocks on.
@@ -418,214 +278,117 @@ struct TicketCell {
 impl TicketCell {
     fn fulfill(&self, result: Result<SolveOutcome, SessionError>) {
         let mut slot = self.slot.lock();
-        debug_assert!(slot.is_none(), "ticket fulfilled twice");
+        // Checked in release builds too: the soaks run there, and this
+        // is where a ticket resolved twice shows.
+        assert!(slot.is_none(), "ticket fulfilled twice");
         *slot = Some(result);
         self.cv.notify_all();
     }
 }
 
 /// Future of one submitted request.
-pub struct SolveTicket {
-    cell: Arc<TicketCell>,
-}
+pub struct SolveTicket(Arc<TicketCell>);
 
 impl SolveTicket {
     /// Block until the request resolves.
     pub fn wait(self) -> Result<SolveOutcome, SessionError> {
-        let mut slot = self.cell.slot.lock();
+        let mut slot = self.0.slot.lock();
         while slot.is_none() {
-            self.cell.cv.wait(&mut slot);
+            self.0.cv.wait(&mut slot);
         }
         slot.take().expect("slot checked non-empty")
     }
-
-    /// Non-blocking check; `None` while the request is still queued or
-    /// running.
-    pub fn poll(&self) -> Option<Result<SolveOutcome, SessionError>> {
-        self.cell.slot.lock().clone()
-    }
-
-    /// Block at most `timeout` for the request to resolve; `None` on
-    /// timeout. The ticket stays usable afterwards — a later
-    /// [`SolveTicket::wait`], `wait_timeout` or
-    /// [`SolveTicket::poll`] still observes the result.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<SolveOutcome, SessionError>> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.cell.slot.lock();
-        loop {
-            if slot.is_some() {
-                return slot.clone();
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.cell.cv.wait_for(&mut slot, deadline - now);
-        }
-    }
 }
 
-enum Cmd<T: SweepTopology + Send + Sync + 'static> {
-    Submit {
-        campaign: u64,
-        seq: u64,
-        request: SolveRequest,
-        reply: Arc<TicketCell>,
-        submitted: Instant,
-    },
-    Refine {
-        mesh: Arc<T>,
-        problem: Arc<SweepProblem>,
-    },
-    Shutdown,
+/// A request on its way from a [`CampaignHandle`] to the driver.
+struct Submission {
+    campaign: u64,
+    seq: u64,
+    request: SolveRequest,
+    reply: Arc<TicketCell>,
+    submitted: Instant,
 }
 
-/// Ingress queue shared by every handle and the driver. Closing and
-/// draining happen under the same lock as submission, so a submit
-/// either lands before the drain (and is resolved `Closed` by the
-/// driver) or observes `closed` and resolves immediately — a ticket
-/// can never be abandoned unresolved.
-struct Ingress<T: SweepTopology + Send + Sync + 'static> {
-    queue: VecDeque<Cmd<T>>,
+/// Submissions not yet admitted. Closing happens under the same lock
+/// as submission, so a submit either lands before the close (and is
+/// served) or observes `closed` and resolves at once — a ticket can
+/// never be abandoned unresolved.
+#[derive(Default)]
+struct Ingress {
+    queue: Vec<Submission>,
     closed: bool,
-    /// Epoch execution is gated. A flag beside the queue, not a
-    /// command in it: it applies the moment the driver next looks —
-    /// even while a refinement or shutdown is stalled waiting for the
-    /// backlog.
-    paused: bool,
 }
 
-struct Shared<T: SweepTopology + Send + Sync + 'static> {
-    ingress: Mutex<Ingress<T>>,
+/// The ingress and the condvar the session thread sleeps on.
+#[derive(Default)]
+struct Shared {
+    ingress: Mutex<Ingress>,
     cv: Condvar,
-}
-
-impl<T: SweepTopology + Send + Sync + 'static> Shared<T> {
-    fn push(&self, cmd: Cmd<T>) -> bool {
-        let mut g = self.ingress.lock();
-        if g.closed {
-            return false;
-        }
-        g.queue.push_back(cmd);
-        self.cv.notify_one();
-        true
-    }
-
-    fn set_paused(&self, paused: bool) {
-        self.ingress.lock().paused = paused;
-        self.cv.notify_one();
-    }
 }
 
 /// An admitted request being served.
 struct ActiveSolve {
     seq: u64,
-    admission_index: u64,
     submitted: Instant,
     queue_wait: Option<f64>,
     progress: SolveProgress,
     reply: Arc<TicketCell>,
     /// Resolved at admission: the request's override or the session
     /// default.
-    retry: RetryPolicy,
+    max_retries: u32,
     /// Faulted epochs already retried for this request.
     retries: u32,
 }
 
-/// A resident sweep service: one world, one plan cache, one driver
+/// A resident sweep service: one world, one plan cache, one session
 /// thread serving queued solves from any number of concurrent
 /// campaigns. See the [module docs](self) for the lifecycle.
 pub struct SolverSession<T: SweepTopology + Send + Sync + 'static> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Shared>,
     driver: Option<JoinHandle<()>>,
     stats: Arc<Mutex<SessionStats>>,
     cache: Arc<PlanCache>,
     next_campaign: AtomicU64,
+    /// The mesh type the session thread's world is built on.
+    mesh: PhantomData<fn() -> T>,
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
-    /// Launch the session's driver thread over one problem shape. The
-    /// resident universe itself launches lazily on the first epoch.
+    /// Launch the session thread over one problem shape. The resident
+    /// universe itself launches lazily on the first epoch.
     pub fn launch(
         mesh: Arc<T>,
         problem: Arc<SweepProblem>,
         quadrature: QuadratureSet,
         options: SessionOptions,
     ) -> Self {
-        let stats = Arc::new(Mutex::new(SessionStats {
-            mesh_generation: problem.mesh_generation,
-            ..Default::default()
-        }));
-        let cache = Arc::new(PlanCache::new());
-        let shared = Arc::new(Shared {
-            ingress: Mutex::new(Ingress {
-                queue: VecDeque::new(),
-                closed: false,
-                paused: false,
-            }),
-            cv: Condvar::new(),
-        });
-        let world = EpochWorld::new(mesh, problem, quadrature, options.solver);
-        let driver = Driver {
-            shared: shared.clone(),
-            world,
-            cache: cache.clone(),
-            policy: options.admission,
-            stats: stats.clone(),
-            campaigns: BTreeMap::new(),
-            pending: VecDeque::new(),
-            admission_counter: 0,
-            default_retry: options.retry,
-            quarantine_after: options.quarantine_after,
-        };
+        let driver = Driver::new(mesh, problem, quadrature, options);
+        let (stats, cache) = (driver.stats.clone(), driver.cache.clone());
+        let shared = Arc::new(Shared::default());
+        let serving = shared.clone();
         let handle = thread::Builder::new()
             .name("jsweep-session".into())
-            .spawn(move || driver.run())
-            .expect("spawn session driver");
+            .spawn(move || serve(&serving, driver))
+            .expect("spawn session thread");
         SolverSession {
             shared,
             driver: Some(handle),
             stats,
             cache,
             next_campaign: AtomicU64::new(0),
+            mesh: PhantomData,
         }
     }
 
     /// Open a new campaign. Handles are cheap, clonable, and safe to
     /// move to other threads; clones share the campaign's sequence
     /// numbering.
-    pub fn campaign(&self) -> CampaignHandle<T> {
+    pub fn campaign(&self) -> CampaignHandle {
         CampaignHandle {
             campaign: self.next_campaign.fetch_add(1, Ordering::Relaxed),
             shared: self.shared.clone(),
             seq: Arc::new(AtomicU64::new(0)),
-            stats: self.stats.clone(),
         }
-    }
-
-    /// Swap the session's world for a refined (or otherwise rebuilt)
-    /// mesh. In-flight admitted work drains on the old world first;
-    /// the first request admitted after the swap compiles a fresh plan
-    /// under the new generation stamp. A stale plan is structurally unreachable
-    /// (the generation is part of the [`crate::replay::PlanKey`]).
-    pub fn refine(&self, mesh: Arc<T>, problem: Arc<SweepProblem>) {
-        assert_eq!(
-            mesh.generation(),
-            problem.mesh_generation,
-            "mesh topology changed since SweepProblem::build; rebuild the problem"
-        );
-        self.shared.push(Cmd::Refine { mesh, problem });
-    }
-
-    /// Stop running epochs (submission stays open). Queued work keeps
-    /// accumulating until [`SolverSession::resume`].
-    pub fn pause(&self) {
-        self.shared.set_paused(true);
-    }
-
-    /// Resume epoch execution after a [`SolverSession::pause`].
-    pub fn resume(&self) {
-        self.shared.set_paused(false);
     }
 
     /// Snapshot the session's accounting.
@@ -633,34 +396,27 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
         self.stats.lock().clone()
     }
 
-    /// Snapshot one campaign's accounting, if it ever submitted.
-    pub fn campaign_stats(&self, campaign: u64) -> Option<CampaignStats> {
-        self.stats.lock().campaigns.get(&campaign).cloned()
-    }
-
     /// The session's shared plan cache (for hit/miss and footprint
-    /// introspection; plans are inserted and served by the driver,
-    /// which drops a superseded generation's at the refine barrier).
+    /// introspection; plans are inserted and served by the driver).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.cache
     }
 
-    /// Drain admitted work, resolve everything still queued with
-    /// [`SessionError::Closed`], retire the resident universe and join
-    /// the driver. Idempotent; also runs on drop. A paused session is
-    /// resumed first — shutdown waits for admitted work.
+    /// Close the ingress, serve everything submitted before the close,
+    /// retire the resident universe and join the session thread.
+    /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         if let Some(joined) = self.stop_driver() {
             joined.expect("session driver panicked");
         }
     }
 
-    /// Resume, queue the shutdown and join the driver; `None` when it
+    /// Close the ingress and join the session thread; `None` when it
     /// was stopped before.
     fn stop_driver(&mut self) -> Option<thread::Result<()>> {
         let handle = self.driver.take()?;
-        self.resume();
-        self.shared.push(Cmd::Shutdown);
+        self.shared.ingress.lock().closed = true;
+        self.shared.cv.notify_one();
         Some(handle.join())
     }
 }
@@ -673,61 +429,63 @@ impl<T: SweepTopology + Send + Sync + 'static> Drop for SolverSession<T> {
     }
 }
 
-/// A campaign's submission endpoint. Obtained from
-/// [`SolverSession::campaign`]; clonable across threads.
-pub struct CampaignHandle<T: SweepTopology + Send + Sync + 'static> {
-    campaign: u64,
-    shared: Arc<Shared<T>>,
-    seq: Arc<AtomicU64>,
-    stats: Arc<Mutex<SessionStats>>,
-}
-
-impl<T: SweepTopology + Send + Sync + 'static> Clone for CampaignHandle<T> {
-    fn clone(&self) -> Self {
-        CampaignHandle {
-            campaign: self.campaign,
-            shared: self.shared.clone(),
-            seq: self.seq.clone(),
-            stats: self.stats.clone(),
+/// The session thread: wait for submissions or a close, admit what
+/// arrived, run one epoch while there is work, and finish once the
+/// ingress is closed and everything admitted has been served.
+fn serve<T: SweepTopology + Send + Sync + 'static>(shared: &Shared, mut driver: Driver<T>) {
+    loop {
+        let (arrived, closed) = {
+            let mut g = shared.ingress.lock();
+            while g.queue.is_empty() && !g.closed && !driver.has_work() {
+                shared.cv.wait(&mut g);
+            }
+            (std::mem::take(&mut g.queue), g.closed)
+        };
+        arrived.into_iter().for_each(|s| driver.admit(s));
+        if driver.has_work() {
+            driver.run_one_epoch();
+        } else if closed {
+            return driver.finish();
         }
     }
 }
 
-impl<T: SweepTopology + Send + Sync + 'static> CampaignHandle<T> {
+/// A campaign's submission endpoint. Obtained from
+/// [`SolverSession::campaign`]; clonable across threads.
+#[derive(Clone)]
+pub struct CampaignHandle {
+    campaign: u64,
+    shared: Arc<Shared>,
+    seq: Arc<AtomicU64>,
+}
+
+impl CampaignHandle {
     /// This campaign's id (the key into
     /// [`SessionStats::campaigns`]).
     pub fn id(&self) -> u64 {
         self.campaign
     }
 
-    /// Queue a solve. Returns immediately with the ticket to wait or
-    /// poll on; requests of one campaign are served strictly in
-    /// submission order.
+    /// Queue a solve. Returns immediately with the ticket to wait on;
+    /// requests of one campaign are served strictly in submission
+    /// order.
     pub fn submit(&self, request: SolveRequest) -> SolveTicket {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let cell = Arc::new(TicketCell::default());
-        book(&self.stats, self.campaign, |_, cs| cs.submitted += 1);
-        let sent = self.shared.push(Cmd::Submit {
-            campaign: self.campaign,
-            seq,
-            request,
-            reply: cell.clone(),
-            submitted: Instant::now(),
-        });
-        if !sent {
-            cell.fulfill(Err(SessionError::Closed));
+        let reply = Arc::new(TicketCell::default());
+        let mut g = self.shared.ingress.lock();
+        if g.closed {
+            reply.fulfill(Err(SessionError::Closed));
+        } else {
+            g.queue.push(Submission {
+                campaign: self.campaign,
+                seq,
+                request,
+                reply: reply.clone(),
+                submitted: Instant::now(),
+            });
+            self.shared.cv.notify_one();
         }
-        SolveTicket { cell }
-    }
-
-    /// Snapshot this campaign's accounting.
-    pub fn stats(&self) -> CampaignStats {
-        self.stats
-            .lock()
-            .campaigns
-            .get(&self.campaign)
-            .cloned()
-            .unwrap_or_default()
+        SolveTicket(reply)
     }
 }
 
@@ -738,54 +496,41 @@ struct Campaign {
     queue: VecDeque<ActiveSolve>,
     /// Terminal faults since the campaign's last completed epoch.
     fault_streak: u32,
-    /// Locked out by quarantine.
-    quarantined: bool,
-    /// Epoch *attempts* — faulted ones included, which is what makes
-    /// "fail epoch E of campaign C" fault injection deterministic
-    /// under retries.
-    attempts: u64,
 }
 
+/// The session's state machine: the world, the plan cache, the books
+/// and one record per campaign. Every step runs on the calling thread.
 struct Driver<T: SweepTopology + Send + Sync + 'static> {
-    shared: Arc<Shared<T>>,
     world: EpochWorld<T>,
     cache: Arc<PlanCache>,
-    policy: Box<dyn AdmissionPolicy>,
     stats: Arc<Mutex<SessionStats>>,
     /// One record per campaign that ever had a request admitted.
     campaigns: BTreeMap<u64, Campaign>,
-    /// Ingested commands not yet processed — `Refine`/`Shutdown` stall
-    /// here until the admitted work drains.
-    pending: VecDeque<Cmd<T>>,
-    admission_counter: u64,
-    /// Session-wide default retry policy (see [`SessionOptions`]).
-    default_retry: RetryPolicy,
+    /// Campaign that ran the last epoch; round-robin resumes after it.
+    last_served: Option<u64>,
+    admissions: u64,
+    /// Session default of [`SessionOptions::max_retries`].
+    max_retries: u32,
     /// Consecutive-fault quarantine threshold; 0 disables.
     quarantine_after: u32,
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
-    fn run(mut self) {
-        loop {
-            // Ingest everything available without blocking.
-            let paused = {
-                let mut g = self.shared.ingress.lock();
-                self.pending.extend(g.queue.drain(..));
-                g.paused
-            };
-            if self.process_pending() {
-                self.finish();
-                return;
-            }
-            if !paused && self.has_work() {
-                self.run_one_epoch();
-                continue;
-            }
-            // Idle (or paused): sleep until a handle has news.
-            let mut g = self.shared.ingress.lock();
-            while g.queue.is_empty() && g.paused == paused {
-                self.shared.cv.wait(&mut g);
-            }
+    fn new(
+        mesh: Arc<T>,
+        problem: Arc<SweepProblem>,
+        quadrature: QuadratureSet,
+        options: SessionOptions,
+    ) -> Self {
+        Driver {
+            world: EpochWorld::new(mesh, problem, quadrature, options.solver),
+            cache: Arc::new(PlanCache::new()),
+            stats: Arc::default(),
+            campaigns: BTreeMap::new(),
+            last_served: None,
+            admissions: 0,
+            max_retries: options.max_retries,
+            quarantine_after: options.quarantine_after,
         }
     }
 
@@ -793,87 +538,16 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         self.campaigns.values().any(|c| !c.queue.is_empty())
     }
 
-    /// Work through pending commands in arrival order. Returns `true`
-    /// when a shutdown is due now.
-    fn process_pending(&mut self) -> bool {
-        while let Some(cmd) = self.pending.pop_front() {
-            // Refinement and shutdown are barriers: the admitted
-            // backlog finishes on the old world first.
-            if !matches!(cmd, Cmd::Submit { .. }) && self.has_work() {
-                self.pending.push_front(cmd);
-                return false;
-            }
-            match cmd {
-                Cmd::Submit {
-                    campaign,
-                    seq,
-                    request,
-                    reply,
-                    submitted,
-                } => self.admit(campaign, seq, request, reply, submitted),
-                Cmd::Refine { mesh, problem } => self.apply_refine(mesh, problem),
-                Cmd::Shutdown => return true,
-            }
-        }
-        false
-    }
-
-    fn admit(
-        &mut self,
-        campaign: u64,
-        seq: u64,
-        request: SolveRequest,
-        reply: Arc<TicketCell>,
-        submitted: Instant,
-    ) {
-        if self.campaigns.get(&campaign).is_some_and(|c| c.quarantined) {
-            return self.reject(
-                campaign,
-                reply,
-                format!(
-                    "campaign quarantined after {} consecutive faults",
-                    self.quarantine_after
-                ),
-            );
-        }
-        if request.materials.num_cells() != self.world.mesh.num_cells() {
-            return self.reject(
-                campaign,
-                reply,
-                format!(
-                    "materials cover {} cells, mesh has {}",
-                    request.materials.num_cells(),
-                    self.world.mesh.num_cells()
-                ),
-            );
-        }
-        // Resident programs cannot change their group count; the
-        // constraint extends to the not-yet-launched backlog (its
-        // first epoch will fix the universe's shape).
-        let current = self.world.resident_groups().or_else(|| {
-            self.campaigns
-                .values()
-                .flat_map(|c| c.queue.iter())
-                .next()
-                .map(|s| s.progress.materials.num_groups())
-        });
-        if let Some(groups) = current {
-            if groups != request.materials.num_groups() {
-                return self.reject(
-                    campaign,
-                    reply,
-                    format!(
-                        "request has {} energy groups, resident programs have {groups}",
-                        request.materials.num_groups()
-                    ),
-                );
-            }
+    fn admit(&mut self, s: Submission) {
+        let (campaign, request) = (s.campaign, s.request);
+        if let Err(why) = self.admissible(campaign, &request.materials) {
+            book(&self.stats, campaign, |_, cs| cs.rejected += 1);
+            return s.reply.fulfill(Err(SessionError::Rejected(why)));
         }
         let max_iterations = request
             .max_iterations
             .unwrap_or(self.world.config.max_iterations);
         let tolerance = request.tolerance.unwrap_or(self.world.config.tolerance);
-        let retry = request.retry.unwrap_or(self.default_retry);
         let mut progress =
             self.world
                 .begin_solve(request.materials, max_iterations, tolerance, &self.cache);
@@ -889,82 +563,121 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         if max_iterations == 0 {
             // Degenerate request: nothing to run — mirror the solo
             // solver, which returns the zero-flux starting state.
-            let wait = submitted.elapsed().as_secs_f64();
             book(&self.stats, campaign, |_, cs| cs.completed += 1);
-            reply.fulfill(Ok(SolveOutcome {
+            s.reply.fulfill(Ok(SolveOutcome {
                 campaign,
-                seq,
+                seq: s.seq,
                 solution: progress.into_solution(),
-                mesh_generation: self.world.problem.mesh_generation,
-                queue_wait_seconds: wait,
+                queue_wait_seconds: s.submitted.elapsed().as_secs_f64(),
                 span_id: 0,
             }));
             return;
         }
-        let admission_index = self.admission_counter;
-        self.admission_counter += 1;
         // The request's trace span id: nonzero (0 means "untracked")
-        // and deterministic under any admission policy, so a ticket's
-        // epochs can be located in an exported trace by id alone.
-        progress.span = admission_index + 1;
+        // and deterministic, so a ticket's epochs can be located in an
+        // exported trace by id alone.
+        self.admissions += 1;
+        progress.span = self.admissions;
         self.campaigns
             .entry(campaign)
             .or_default()
             .queue
             .push_back(ActiveSolve {
-                seq,
-                admission_index,
-                submitted,
+                seq: s.seq,
+                submitted: s.submitted,
                 queue_wait: None,
                 progress,
-                reply,
-                retry,
+                reply: s.reply,
+                max_retries: request.max_retries.unwrap_or(self.max_retries),
                 retries: 0,
             });
     }
 
-    fn reject(&mut self, campaign: u64, reply: Arc<TicketCell>, why: String) {
-        book(&self.stats, campaign, |_, cs| cs.rejected += 1);
-        reply.fulfill(Err(SessionError::Rejected(why)));
+    /// Why `campaign` may not run `materials` on this world, if it may
+    /// not.
+    fn admissible(&self, campaign: u64, materials: &MaterialSet) -> Result<(), String> {
+        if self
+            .stats
+            .lock()
+            .campaigns
+            .get(&campaign)
+            .is_some_and(|c| c.quarantined)
+        {
+            return Err(self.quarantined_why());
+        }
+        let cells = self.world.mesh.num_cells();
+        if materials.num_cells() != cells {
+            return Err(format!(
+                "materials cover {} cells, mesh has {cells}",
+                materials.num_cells()
+            ));
+        }
+        // Resident programs cannot change their group count; the
+        // constraint extends to the not-yet-launched backlog (its
+        // first epoch will fix the universe's shape).
+        let resident = self.world.resident_groups().or_else(|| {
+            self.campaigns
+                .values()
+                .flat_map(|c| c.queue.iter())
+                .next()
+                .map(|s| s.progress.materials.num_groups())
+        });
+        match resident {
+            Some(groups) if groups != materials.num_groups() => Err(format!(
+                "request has {} energy groups, resident programs have {groups}",
+                materials.num_groups()
+            )),
+            _ => Ok(()),
+        }
     }
 
+    fn quarantined_why(&self) -> String {
+        format!(
+            "campaign quarantined after {} consecutive faults",
+            self.quarantine_after
+        )
+    }
+
+    /// The campaign whose head request runs the next epoch: the
+    /// smallest id with admitted work after the last one served,
+    /// wrapping to the smallest overall.
+    fn next_campaign(&self) -> Option<u64> {
+        let busy = || {
+            self.campaigns
+                .iter()
+                .filter(|(_, c)| !c.queue.is_empty())
+                .map(|(&id, _)| id)
+        };
+        busy()
+            .find(|&id| Some(id) > self.last_served)
+            .or_else(|| busy().next())
+    }
+
+    /// Run one epoch of the next campaign's head request (see
+    /// [`Driver::next_campaign`]).
     fn run_one_epoch(&mut self) {
-        let candidates: Vec<EpochCandidate> = self
-            .campaigns
-            .iter()
-            .filter_map(|(&campaign, c)| {
-                let s = c.queue.front()?;
-                Some(EpochCandidate {
-                    campaign,
-                    seq: s.seq,
-                    admission_index: s.admission_index,
-                    epochs_run: s.progress.iterations,
-                })
-            })
-            .collect();
-        let pick = self.policy.next_epoch(&candidates);
-        assert!(
-            pick < candidates.len(),
-            "admission policy returned candidate {pick} of {}",
-            candidates.len()
-        );
-        let campaign = candidates[pick].campaign;
+        let campaign = self.next_campaign().expect("an epoch needs admitted work");
+        self.last_served = Some(campaign);
         let launches_before = self.world.launches;
         let record = self
             .campaigns
             .get_mut(&campaign)
             .expect("picked campaign exists");
-        let solve = record.queue.front_mut().expect("candidates have a head");
+        let solve = record.queue.front_mut().expect("picked campaign has work");
         if solve.queue_wait.is_none() {
             solve.queue_wait = Some(solve.submitted.elapsed().as_secs_f64());
         }
-        let plan_generation = solve.progress.plan.as_ref().map(|p| p.mesh_generation);
-        // Count the attempt before running it: "fail epoch E of
-        // campaign C" injection keys on attempt numbers, faulted
-        // attempts included, which keeps the injection deterministic
-        // under retries.
-        let attempt = record.attempts;
-        record.attempts += 1;
+        let replayed = solve.progress.plan.is_some();
+        // "Fail epoch E of campaign C" injection keys on attempt
+        // numbers, faulted attempts included (every attempt books an
+        // epoch or a fault), which keeps it deterministic under
+        // retries.
+        let attempt = self
+            .stats
+            .lock()
+            .campaigns
+            .get(&campaign)
+            .map_or(0, |cs| cs.epochs_run + cs.faults);
         let injected = self
             .world
             .config
@@ -994,38 +707,27 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         // A completed epoch clears the campaign's consecutive-fault
         // streak: quarantine is for campaigns that *keep* failing.
         record.fault_streak = 0;
-        let epoch_stats = solve.progress.stats.last().expect("epoch recorded stats");
         let logged = EpochRecord {
             campaign,
             seq: solve.seq,
             iteration: solve.progress.iterations,
-            plan_generation,
-            mesh_generation: self.world.problem.mesh_generation,
             faulted: false,
+            replayed,
         };
-        let done_wait = done.then(|| solve.queue_wait.unwrap_or(0.0));
         book(&self.stats, campaign, |s, cs| {
             s.epochs_run += 1;
             s.epoch_log.push(logged);
             cs.epochs_run += 1;
-            cs.epoch_wall_seconds += epoch_stats.wall_seconds;
-            cs.work_done += epoch_stats.work_done;
-            cs.compute_calls += epoch_stats.compute_calls;
-            cs.worker_drain_seconds += epoch_stats.worker_drain_seconds.iter().sum::<f64>();
-            if let Some(wait) = done_wait {
-                cs.completed += 1;
-                cs.queue_wait_seconds += wait;
-            }
+            cs.completed += u64::from(done);
         });
-        if let Some(wait) = done_wait {
+        if done {
             let solve = record.queue.pop_front().expect("head just served");
             let span_id = solve.progress.span;
             solve.reply.fulfill(Ok(SolveOutcome {
                 campaign,
                 seq: solve.seq,
                 solution: solve.progress.into_solution(),
-                mesh_generation: self.world.problem.mesh_generation,
-                queue_wait_seconds: wait,
+                queue_wait_seconds: solve.queue_wait.unwrap_or(0.0),
                 span_id,
             }));
         }
@@ -1052,15 +754,13 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         // The attempted iteration: the faulted epoch would have been
         // iteration `iterations + 1`, and `progress` was untouched.
         let iteration = solve.progress.iterations + 1;
-        let retrying = solve.retries < solve.retry.max_retries;
-        let backoff = solve.retry.backoff;
+        let retrying = solve.retries < solve.max_retries;
         let logged = EpochRecord {
             campaign,
             seq: solve.seq,
             iteration,
-            plan_generation: None,
-            mesh_generation: self.world.problem.mesh_generation,
             faulted: true,
+            replayed: false,
         };
         book(&self.stats, campaign, |s, cs| {
             s.faults += 1;
@@ -1091,17 +791,11 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
                 self.quarantine(campaign);
             }
         }
-        // Relaunch last: the offending ticket already resolved (or is
-        // queued for retry), so blocking on the faulted universe's
-        // threads here delays no requester. The next epoch launches a
-        // fresh universe lazily on the same mesh generation — every
-        // plan in the shared cache keys on the generation, not the
-        // universe, so replay-mode requests keep hitting.
+        // Relaunch last, so joining the faulted universe's threads
+        // delays no requester. The next epoch launches a fresh one on
+        // the same mesh generation, which every cached plan keys on.
         if self.retire_world() {
             self.stats.lock().relaunches += 1;
-        }
-        if retrying && !backoff.is_zero() {
-            thread::sleep(backoff);
         }
     }
 
@@ -1112,12 +806,8 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             .campaigns
             .get_mut(&campaign)
             .expect("quarantined campaign exists");
-        record.quarantined = true;
         let flushed = std::mem::take(&mut record.queue);
-        let why = format!(
-            "campaign quarantined after {} consecutive faults",
-            self.quarantine_after
-        );
+        let why = self.quarantined_why();
         book(&self.stats, campaign, |_, cs| {
             cs.quarantined = true;
             cs.rejected += flushed.len() as u64;
@@ -1129,18 +819,6 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         }
     }
 
-    fn apply_refine(&mut self, mesh: Arc<T>, problem: Arc<SweepProblem>) {
-        self.retire_world();
-        let config = self.world.config.clone();
-        let quadrature = self.world.quadrature.clone();
-        self.world = EpochWorld::new(mesh, problem, quadrature, config);
-        let generation = self.world.problem.mesh_generation;
-        // The barrier has drained every solve of the old generation, so
-        // its plans are unreachable from here on.
-        self.cache.retain_generations(&[generation]);
-        self.stats.lock().mesh_generation = generation;
-    }
-
     /// Retire the world's universe, if it has one (returned).
     fn retire_world(&mut self) -> bool {
         let retired = self.world.retire();
@@ -1148,21 +826,10 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         retired
     }
 
-    /// Close the ingress and resolve everything unserved. Closing and
-    /// draining under the ingress lock means no submit can slip
-    /// between the drain and the close with a forever-pending ticket.
+    /// Retire the universe once everything admitted has been served.
     fn finish(&mut self) {
+        assert!(!self.has_work(), "finish with admitted work unserved");
         self.retire_world();
-        let leftovers: Vec<Cmd<T>> = {
-            let mut g = self.shared.ingress.lock();
-            g.closed = true;
-            g.queue.drain(..).collect()
-        };
-        for cmd in self.pending.drain(..).chain(leftovers) {
-            if let Cmd::Submit { reply, .. } = cmd {
-                reply.fulfill(Err(SessionError::Closed));
-            }
-        }
     }
 }
 
@@ -1186,34 +853,6 @@ mod tests {
     use crate::xs::Material;
     use jsweep_graph::problem::ProblemOptions;
     use jsweep_mesh::{partition, StructuredMesh};
-
-    fn candidate(campaign: u64, admission_index: u64) -> EpochCandidate {
-        EpochCandidate {
-            campaign,
-            seq: 0,
-            admission_index,
-            epochs_run: 0,
-        }
-    }
-
-    #[test]
-    fn fifo_serves_earliest_admission() {
-        let mut p = Fifo;
-        let c = [candidate(3, 7), candidate(1, 2), candidate(2, 5)];
-        assert_eq!(p.next_epoch(&c), 1);
-        assert_eq!(p.next_epoch(&c), 1, "stateless: same pick again");
-    }
-
-    #[test]
-    fn round_robin_cycles_campaigns() {
-        let mut p = RoundRobin::default();
-        let c = [candidate(1, 0), candidate(4, 1), candidate(9, 2)];
-        let picks: Vec<u64> = (0..6).map(|_| c[p.next_epoch(&c)].campaign).collect();
-        assert_eq!(picks, vec![1, 4, 9, 1, 4, 9]);
-        // A vanished campaign (completed) is skipped naturally.
-        let c2 = [candidate(1, 0), candidate(9, 2)];
-        assert_eq!(c2[p.next_epoch(&c2)].campaign, 1, "wraps past missing 4");
-    }
 
     fn session_world() -> (
         Arc<StructuredMesh>,
@@ -1248,6 +887,85 @@ mod tests {
         }
     }
 
+    /// Admit a request straight into `driver`, as the session thread
+    /// would; the ticket resolves once the driver serves it.
+    fn admit(
+        driver: &mut Driver<StructuredMesh>,
+        campaign: u64,
+        seq: u64,
+        mats: &Arc<MaterialSet>,
+    ) -> SolveTicket {
+        let cell = Arc::new(TicketCell::default());
+        driver.admit(Submission {
+            campaign,
+            seq,
+            request: SolveRequest::new(mats.clone()),
+            reply: cell.clone(),
+            submitted: Instant::now(),
+        });
+        SolveTicket(cell)
+    }
+
+    /// Five requests over three campaigns, all admitted before any
+    /// epoch runs, in the seeded order A0, B0, A1, C0, C1. Zero
+    /// scattering makes every solve finish in exactly two epochs
+    /// (iteration 2 reproduces iteration 1's flux bit-for-bit, the
+    /// residual is 0), so the schedule is a pure function of the
+    /// admission rule.
+    #[test]
+    fn round_robin_schedule_is_deterministic() {
+        let (m, prob, quad, _) = session_world();
+        let mats = Arc::new(MaterialSet::homogeneous(
+            64,
+            Material::uniform(1, 1.0, 0.0, 1.0),
+        ));
+        let options = SessionOptions {
+            solver: SnConfig {
+                grain: 16,
+                max_iterations: 8,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut driver = Driver::new(m, prob, quad, options);
+        let tickets: Vec<SolveTicket> = [(0, 0), (1, 0), (0, 1), (2, 0), (2, 1)]
+            .into_iter()
+            .map(|(campaign, seq)| admit(&mut driver, campaign, seq, &mats))
+            .collect();
+        while driver.has_work() {
+            driver.run_one_epoch();
+        }
+        driver.finish();
+        for t in tickets {
+            let out = t.wait().expect("seeded solve served");
+            assert_eq!(out.solution.iterations, 2, "zero scattering: two epochs");
+        }
+        let stats = driver.stats.lock().clone();
+        let schedule: Vec<_> = stats
+            .epoch_log
+            .iter()
+            .map(|e| (e.campaign, e.seq, e.iteration, e.replayed))
+            .collect();
+        // One epoch to the next campaign id each turn, wrapping; a
+        // drained campaign drops out of the rotation. The first
+        // admission compiled the plan, so every epoch replays.
+        let expected = vec![
+            (0, 0, 1, true),
+            (1, 0, 1, true),
+            (2, 0, 1, true),
+            (0, 0, 2, true),
+            (1, 0, 2, true),
+            (2, 0, 2, true),
+            (0, 1, 1, true),
+            (2, 1, 1, true),
+            (0, 1, 2, true),
+            (2, 1, 2, true),
+        ];
+        assert_eq!(schedule, expected);
+        assert_eq!((driver.cache.misses(), driver.cache.hits()), (1, 4));
+        assert_eq!((stats.universes_launched, stats.universes_retired), (1, 1));
+    }
+
     #[test]
     fn session_round_trips_a_solve() {
         let (m, prob, quad, mats) = session_world();
@@ -1262,12 +980,7 @@ mod tests {
         let mut session = SolverSession::launch(m, prob, quad, cfg);
         let campaign = session.campaign();
         let out = campaign
-            .submit(SolveRequest {
-                materials: mats,
-                max_iterations: None,
-                tolerance: None,
-                retry: None,
-            })
+            .submit(SolveRequest::new(mats))
             .wait()
             .expect("solve served");
         assert_eq!(out.solution.phi, solo.phi, "session flux == solo flux");
@@ -1328,36 +1041,21 @@ mod tests {
             Material::uniform(1, 1.0, 0.3, 1.0),
         ));
         let err = campaign
-            .submit(SolveRequest {
-                materials: bad,
-                max_iterations: None,
-                tolerance: None,
-                retry: None,
-            })
+            .submit(SolveRequest::new(bad))
             .wait()
             .expect_err("rejected");
         assert!(matches!(err, SessionError::Rejected(_)));
         // Wrong group count once the resident shape is fixed.
-        let ok = campaign.submit(SolveRequest {
-            materials: mats,
-            max_iterations: None,
-            tolerance: None,
-            retry: None,
-        });
+        let ok = campaign.submit(SolveRequest::new(mats));
         let two_group = Arc::new(MaterialSet::homogeneous(
             64,
             Material::uniform(2, 1.0, 0.3, 1.0),
         ));
-        let bad_groups = campaign.submit(SolveRequest {
-            materials: two_group,
-            max_iterations: None,
-            tolerance: None,
-            retry: None,
-        });
+        let bad_groups = campaign.submit(SolveRequest::new(two_group));
         assert!(ok.wait().is_ok());
         assert!(matches!(bad_groups.wait(), Err(SessionError::Rejected(_))));
         session.shutdown();
-        assert_eq!(session.campaign_stats(campaign.id()).unwrap().rejected, 2);
+        assert_eq!(session.stats().campaigns[&campaign.id()].rejected, 2);
     }
 
     #[test]
@@ -1367,12 +1065,7 @@ mod tests {
         let campaign = session.campaign();
         session.shutdown();
         let err = campaign
-            .submit(SolveRequest {
-                materials: mats,
-                max_iterations: None,
-                tolerance: None,
-                retry: None,
-            })
+            .submit(SolveRequest::new(mats))
             .wait()
             .expect_err("session is gone");
         assert_eq!(err, SessionError::Closed);

@@ -394,12 +394,12 @@ pub fn solve_parallel_cached<T: SweepTopology + Send + Sync + 'static>(
 /// knobs), one [`EpochSink`] its tasks leave their output in, and at
 /// most one resident [`Universe`]. [`solve_parallel_cached`] builds one
 /// per solve; a [`crate::session::SolverSession`] keeps one alive
-/// across many queued solves and retires it only on shutdown or
-/// refinement.
+/// across many queued solves, retiring its universe only after a fault
+/// and on shutdown.
 pub(crate) struct EpochWorld<T: SweepTopology + Send + Sync + 'static> {
     pub(crate) mesh: Arc<T>,
-    pub(crate) problem: Arc<SweepProblem>,
-    pub(crate) quadrature: QuadratureSet,
+    problem: Arc<SweepProblem>,
+    quadrature: QuadratureSet,
     pub(crate) config: SnConfig,
     /// Output slots of the resident universe's tasks; replaced whenever
     /// that universe is retired.

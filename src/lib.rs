@@ -71,7 +71,7 @@ pub mod prelude {
     pub use jsweep_quadrature::{AngleId, QuadratureSet};
     pub use jsweep_transport::{
         solve_parallel, solve_parallel_cached, solve_parallel_spmd, solve_serial, FaultReport,
-        Fifo, KernelKind, Material, MaterialSet, PlanCache, RetryPolicy, RoundRobin, SessionError,
-        SessionOptions, SnConfig, SolveRequest, SolverSession, TransportKind,
+        KernelKind, Material, MaterialSet, PlanCache, RoundRobin, SessionError, SessionOptions,
+        SnConfig, SolveRequest, SolverSession, TransportKind,
     };
 }

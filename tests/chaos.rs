@@ -8,7 +8,7 @@
 //!   concurrent campaigns complete bit-identical to their solo runs,
 //!   and the relaunched universe still serves plan-cache hits.
 //! * `retry_policy_recovers_transient_panic` — a one-shot injected
-//!   panic is absorbed by `RetryPolicy`, the rerun iteration is
+//!   panic is absorbed by a retry budget, the rerun iteration is
 //!   bit-identical, and the books record the fault, the retry and the
 //!   relaunch — on the fine path and on replay.
 //! * `watchdog_converts_injected_stall_into_failed_ticket` — an
@@ -97,9 +97,10 @@ fn injected_panic_fails_one_ticket_others_bit_identical() {
     let golden_b = solo(0.4);
 
     let (mesh, problem, quad) = build_world();
-    // First compute of patch 0 anywhere panics. Under FIFO the first
-    // admitted request (campaign F's) runs first, so the panic lands
-    // in F's first epoch.
+    // First compute of patch 0 anywhere panics. Campaign F submits
+    // first and has the lowest id, so round-robin runs its epoch first
+    // whatever has been admitted by then: the panic lands in F's
+    // first epoch.
     let plan = FaultPlan::builder().panic_on_compute(0, 1).build();
     let mut session = SolverSession::launch(
         mesh,
@@ -107,7 +108,6 @@ fn injected_panic_fails_one_ticket_others_bit_identical() {
         quad,
         SessionOptions {
             solver: chaos_config(plan),
-            admission: Box::new(Fifo),
             ..Default::default()
         },
     );
@@ -115,11 +115,9 @@ fn injected_panic_fails_one_ticket_others_bit_identical() {
     let a = session.campaign();
     let b = session.campaign();
 
-    session.pause();
     let t_f = f.submit(SolveRequest::new(materials(0.3)));
     let t_a = a.submit(SolveRequest::new(materials(0.2)));
     let t_b = b.submit(SolveRequest::new(materials(0.4)));
-    session.resume();
 
     // Exactly the offending ticket fails, with a full blame chain.
     let err = t_f.wait().expect_err("injected panic must fail the ticket");
@@ -159,13 +157,13 @@ fn injected_panic_fails_one_ticket_others_bit_identical() {
         .expect("post-relaunch solve served");
     assert_eq!(out_a2.solution.phi, golden_a.phi);
     assert_eq!(out_b2.solution.phi, golden_b.phi);
-    assert!(
-        a.stats().plan_cache_hits > 0,
-        "plan cache must survive the relaunch"
-    );
 
     session.shutdown();
     let stats = session.stats();
+    assert!(
+        stats.campaigns[&a.id()].plan_cache_hits > 0,
+        "plan cache must survive the relaunch"
+    );
     assert_eq!(stats.faults, 1);
     assert_eq!(stats.retries, 0);
     assert_eq!(stats.relaunches, 1);
@@ -211,10 +209,7 @@ fn retry_recovers(coarsen: bool, golden: &jsweep::transport::SnSolution) {
     let c = session.campaign();
     let out = c
         .submit(SolveRequest {
-            retry: Some(RetryPolicy {
-                max_retries: 1,
-                backoff: Duration::ZERO,
-            }),
+            max_retries: Some(1),
             ..SolveRequest::new(materials(0.3))
         })
         .wait()
@@ -241,7 +236,7 @@ fn retry_recovers(coarsen: bool, golden: &jsweep::transport::SnSolution) {
     let marks: Vec<_> = stats
         .epoch_log
         .iter()
-        .map(|e| (e.iteration, e.faulted, e.plan_generation.is_some()))
+        .map(|e| (e.iteration, e.faulted, e.replayed))
         .collect();
     assert_eq!(
         marks,
@@ -280,9 +275,8 @@ fn watchdog_converts_injected_stall_into_failed_ticket() {
     let c = session.campaign();
     let t = c.submit(SolveRequest::new(materials(0.3)));
     let t0 = Instant::now();
-    let resolved = t
-        .wait_timeout(Duration::from_secs(5))
-        .expect("watchdog must resolve the ticket, not wait out the stall");
+    // The watchdog must resolve the ticket, not wait out the stall.
+    let resolved = t.wait();
     let elapsed = t0.elapsed();
     match resolved {
         Err(SessionError::Failed(report)) => {
@@ -321,7 +315,6 @@ fn quarantine_after_consecutive_injected_faults() {
         quad,
         SessionOptions {
             solver: chaos_config(plan),
-            admission: Box::new(Fifo),
             quarantine_after: 2,
             ..Default::default()
         },
@@ -330,14 +323,11 @@ fn quarantine_after_consecutive_injected_faults() {
     let healthy = session.campaign();
     assert_eq!(c.id(), 0, "the plan targets campaign id 0");
 
-    session.pause();
     let mats = materials(0.3);
     let r0 = c.submit(SolveRequest::new(mats.clone()));
     let r1 = c.submit(SolveRequest::new(mats.clone()));
     let r2 = c.submit(SolveRequest::new(mats.clone()));
     let r3 = c.submit(SolveRequest::new(mats.clone()));
-    let h0 = healthy.submit(SolveRequest::new(mats.clone()));
-    session.resume();
 
     // First two requests burn the injected failures (no retry budget).
     for t in [r0, r1] {
@@ -366,8 +356,13 @@ fn quarantine_after_consecutive_injected_faults() {
         other => panic!("expected admission-time rejection, got {other:?}"),
     }
 
-    // The healthy campaign is untouched.
-    h0.wait().expect("healthy campaign keeps being served");
+    // The healthy campaign is untouched. It submits only now, so no
+    // universe is launched before campaign 0's faults (injected ones
+    // fire before the world runs an epoch).
+    healthy
+        .submit(SolveRequest::new(mats.clone()))
+        .wait()
+        .expect("healthy campaign keeps being served");
 
     session.shutdown();
     let stats = session.stats();
@@ -393,14 +388,14 @@ fn shutdown_during_fault_leaks_no_tickets() {
         quad,
         SessionOptions {
             solver: chaos_config(plan),
-            admission: Box::new(Fifo),
             ..Default::default()
         },
     );
     let a = session.campaign();
     let b = session.campaign();
 
-    session.pause();
+    // Campaign a submits first and has the lower id: its first epoch
+    // runs first and takes the panic.
     let mats = materials(0.3);
     let kept: Vec<_> = (0..2)
         .flat_map(|_| {
@@ -413,15 +408,15 @@ fn shutdown_during_fault_leaks_no_tickets() {
     // Dropped-without-wait tickets must not block shutdown.
     drop(a.submit(SolveRequest::new(mats.clone())));
     drop(b.submit(SolveRequest::new(mats.clone())));
-    session.resume();
 
-    // Shutdown drains the admitted queue — including the faulting
-    // request and the relaunch it forces — then joins everything.
+    // Shutdown serves everything submitted before it — including the
+    // faulting request and the relaunch it forces — then joins
+    // everything.
     session.shutdown();
 
     let mut failed = 0;
-    for t in &kept {
-        match t.poll().expect("every kept ticket resolved by shutdown") {
+    for t in kept {
+        match t.wait() {
             Ok(_) => {}
             Err(SessionError::Failed(_)) => failed += 1,
             Err(other) => panic!("unexpected error: {other:?}"),
@@ -537,26 +532,15 @@ fn soak_seeded_fault_plans() {
             .map(|i| {
                 let h = if i % 2 == 0 { &a } else { &b };
                 h.submit(SolveRequest {
-                    retry: (i % 3 == 0).then_some(RetryPolicy {
-                        max_retries: 1,
-                        backoff: Duration::ZERO,
-                    }),
+                    max_retries: (i % 3 == 0).then_some(1),
                     ..SolveRequest::new(mats.clone())
                 })
             })
             .collect();
-        let mut outcomes: Vec<Result<SolveOutcome, SessionError>> = Vec::new();
-        for t in tickets {
-            let first = t
-                .wait_timeout(Duration::from_secs(60))
-                .expect("seed {seed}: ticket resolves");
-            // Resolution is sticky: a second look observes the same
-            // verdict, never a different or missing one.
-            let again = t.poll().expect("seed {seed}: sticky result");
-            assert_eq!(first.is_ok(), again.is_ok(), "seed {seed}: sticky result");
-            outcomes.push(first);
-        }
-        assert_eq!(outcomes.len(), REQUESTS);
+        // A lost ticket hangs here (CI bounds the job's time); a
+        // doubly resolved one panics the driver at its second fulfil.
+        let outcomes: Vec<Result<SolveOutcome, SessionError>> =
+            tickets.into_iter().map(|t| t.wait()).collect();
         for out in &outcomes {
             if let Err(e) = out {
                 assert!(
