@@ -7,7 +7,7 @@
 //! pluggable [`CommBackend`] transport seam:
 //!
 //! * [`Comm`] provides tagged `send` / `try_recv` / `recv_match`,
-//!   collectives (`barrier`, `allreduce_*`) and epoch-boundary
+//!   collectives (`barrier`, `allreduce_sum_f64_slice`) and epoch-boundary
 //!   [`Comm::drain_user`] over any backend;
 //! * [`backend`] defines the [`CommBackend`] trait and the default
 //!   [`ThreadBackend`] (ranks as OS threads, crossbeam channels as the
@@ -95,11 +95,6 @@ impl Message {
         } else {
             Err(CommError::PeerClosed { peer: self.src })
         }
-    }
-
-    /// The payload as one little-endian 8-byte word.
-    fn word(&self) -> Result<[u8; 8], CommError> {
-        Ok(self.exactly(8)?.try_into().expect("length checked"))
     }
 }
 
@@ -244,49 +239,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Sum an `f64` across all ranks (collective).
-    pub fn allreduce_sum_f64(&mut self, x: f64) -> Result<f64, CommError> {
-        self.allreduce_word(x, f64::to_le_bytes, f64::from_le_bytes, |a, b| a + b)
-    }
-
-    /// Maximum of an `f64` across all ranks (collective).
-    pub fn allreduce_max_f64(&mut self, x: f64) -> Result<f64, CommError> {
-        self.allreduce_word(x, f64::to_le_bytes, f64::from_le_bytes, f64::max)
-    }
-
-    /// Sum a `u64` across all ranks (collective), exactly: the words
-    /// are reduced as integers (wrapping past `u64::MAX`).
-    pub fn allreduce_sum_u64(&mut self, x: u64) -> Result<u64, CommError> {
-        self.allreduce_word(x, u64::to_le_bytes, u64::from_le_bytes, u64::wrapping_add)
-    }
-
-    /// Reduce one 8-byte word per rank: rank 0 gathers, folds with
-    /// `op` and broadcasts the result.
-    fn allreduce_word<T: Copy>(
-        &mut self,
-        x: T,
-        enc: fn(T) -> [u8; 8],
-        dec: fn([u8; 8]) -> T,
-        op: impl Fn(T, T) -> T,
-    ) -> Result<T, CommError> {
-        if self.rank() == 0 {
-            let mut acc = x;
-            for _ in 1..self.size() {
-                let m = self.recv_match(TAG_COLLECTIVE)?;
-                acc = op(acc, dec(m.word()?));
-            }
-            let out = Bytes::copy_from_slice(&enc(acc));
-            for r in 1..self.size() {
-                self.send(r, TAG_COLLECTIVE, out.clone())?;
-            }
-            Ok(acc)
-        } else {
-            self.send(0, TAG_COLLECTIVE, Bytes::copy_from_slice(&enc(x)))?;
-            let m = self.recv_match(TAG_COLLECTIVE)?;
-            Ok(dec(m.word()?))
-        }
-    }
-
     /// Elementwise sum of an `f64` slice across all ranks (collective),
     /// in place. Rank 0 accumulates contributions **in rank order**
     /// (deterministic, bit-exact regardless of arrival order) and
@@ -332,34 +284,6 @@ impl Comm {
             }
         }
         Ok(())
-    }
-
-    /// Gather each rank's `u64` on every rank (collective).
-    pub fn allgather_u64(&mut self, x: u64) -> Result<Vec<u64>, CommError> {
-        if self.rank() == 0 {
-            let mut all = vec![0u64; self.size()];
-            all[0] = x;
-            for _ in 1..self.size() {
-                let m = self.recv_match(TAG_COLLECTIVE)?;
-                all[m.src] = u64::from_le_bytes(m.word()?);
-            }
-            let mut buf = Vec::with_capacity(8 * self.size());
-            for v in &all {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            let payload = Bytes::from(buf);
-            for r in 1..self.size() {
-                self.send(r, TAG_COLLECTIVE, payload.clone())?;
-            }
-            Ok(all)
-        } else {
-            self.send(0, TAG_COLLECTIVE, Bytes::copy_from_slice(&x.to_le_bytes()))?;
-            let m = self.recv_match(TAG_COLLECTIVE)?;
-            Ok(m.exactly(8 * self.size())?
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect())
-        }
     }
 
     /// Gracefully tear down the endpoint: peers will see the following
@@ -436,7 +360,9 @@ mod tests {
     fn single_rank_universe() {
         let r = Universe::run(1, |mut comm| {
             comm.barrier().unwrap();
-            comm.allreduce_sum_f64(2.5).unwrap()
+            let mut xs = [2.5];
+            comm.allreduce_sum_f64_slice(&mut xs).unwrap();
+            xs[0]
         });
         assert_eq!(r, vec![2.5]);
     }
@@ -450,29 +376,6 @@ mod tests {
             comm.barrier().unwrap();
             assert_eq!(BEFORE.load(Ordering::SeqCst), 4);
         });
-    }
-
-    #[test]
-    fn allreduce_sum_and_max() {
-        let results = Universe::run(3, |mut comm| {
-            let s = comm.allreduce_sum_f64(comm.rank() as f64 + 1.0).unwrap();
-            let m = comm.allreduce_max_f64(comm.rank() as f64).unwrap();
-            (s, m)
-        });
-        for (s, m) in results {
-            assert_eq!(s, 6.0);
-            assert_eq!(m, 2.0);
-        }
-    }
-
-    #[test]
-    fn allgather_orders_by_rank() {
-        let results = Universe::run(3, |mut comm| {
-            comm.allgather_u64(comm.rank() as u64 * 10).unwrap()
-        });
-        for r in results {
-            assert_eq!(r, vec![0, 10, 20]);
-        }
     }
 
     #[test]
@@ -531,22 +434,6 @@ mod tests {
             m.tag
         });
         assert_eq!(r, vec![3]);
-    }
-
-    #[test]
-    fn allreduce_max_with_negatives() {
-        let results = Universe::run(3, |mut comm| {
-            comm.allreduce_max_f64(-(comm.rank() as f64) - 1.0).unwrap()
-        });
-        for m in results {
-            assert_eq!(m, -1.0);
-        }
-    }
-
-    #[test]
-    fn allgather_single_rank() {
-        let r = Universe::run(1, |mut comm| comm.allgather_u64(17).unwrap());
-        assert_eq!(r, vec![vec![17]]);
     }
 
     #[test]

@@ -735,13 +735,14 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut comm =
                     SocketUniverse::connect(&dir, rank, 3, Duration::from_secs(10)).unwrap();
-                let total = comm.allreduce_sum_u64(rank as u64 + 1).unwrap();
+                let mut total = [rank as f64 + 1.0];
+                comm.allreduce_sum_f64_slice(&mut total).unwrap();
                 comm.close();
-                total
+                total[0]
             }));
         }
         for h in handles {
-            assert_eq!(h.join().unwrap(), 6);
+            assert_eq!(h.join().unwrap(), 6.0);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

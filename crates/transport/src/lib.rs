@@ -39,7 +39,7 @@ pub mod xs;
 
 pub use jsweep_core::TransportKind;
 pub use kernel::KernelKind;
-pub use program::{SweepEpoch, SweepMode};
+pub use program::SweepEpoch;
 pub use replay::{plan_key, CoarsePlan, PlanCache, PlanKey};
 pub use session::{
     CampaignHandle, CampaignStats, EpochRecord, FaultReport, RoundRobin, SessionError,

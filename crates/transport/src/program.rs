@@ -4,8 +4,8 @@
 //! the scheduling state plus the physics state: incoming face-flux
 //! storage for the edges into local cells whose flux outlives a compute
 //! call and the per-angle scalar-flux contribution. The scheduling
-//! state comes in two flavours, selected per source iteration by
-//! [`SweepMode`]:
+//! state comes in two flavours, fixed for the life of the program by
+//! whether [`SweepSetup::plan`] holds a compiled replay plan:
 //!
 //! * **Fine** ([`jsweep_graph::SweepState`]: per-vertex counters +
 //!   ready priority queue) — the DAG-driven sweep, every iteration of a
@@ -75,31 +75,24 @@
 //! ([`Subgraph::rem_nbr`]) and packs each list the same way.
 //!
 //! Under a persistent universe (`jsweep_core::Universe`) the programs
-//! stay resident for the whole solve: each source iteration is one
-//! epoch, and its [`SweepEpoch`] input is the only carrier of what
-//! changes between iterations. The factory builds a program's *shape*
-//! (ids, geometry, routing); [`SweepProgram`]'s `reset` arms it for an
-//! epoch — the first like every later one — by installing the epoch's
-//! emission density, materials and [`SweepMode`], building or
-//! re-arming the scheduling state ([`SweepState`]/[`CoarseSweepState`]
-//! reset in place) and taking the accumulator back: no per-iteration
-//! reallocation of the big buffers. `face_flux` is allocated by the
-//! reset that arms a layout of another size (the first, a switch
-//! between the layouts) and never written by a later one, because no
-//! slot needs zeroing: every slot is the target of exactly one edge (an
-//! [`Subgraph::int_dslot`] of this task or a [`Subgraph::rem_dslot`]
-//! of a neighbour's), so it has exactly one writer per epoch, which the
-//! sweep DAG orders before the slot's one reader — last epoch's value
-//! is overwritten before it can be read. The same holds for a scratch
-//! entry within its call, so no value crosses an epoch and the two
-//! layouts never need converting. A face with no edge into its
-//! cell (boundary inflow, a cycle-broken or downwind face) has no slot
-//! at all; `kernel_cluster` reads it as the vacuum `0.0` of its zeroed
-//! stack gather. What an epoch leaves behind has a fixed home too: the
-//! world's [`EpochSink`] holds one
-//! [`TaskSlot`] per task, a completing program lends it the flux
-//! accumulator in its one `finish_task`, the driver folds the slots,
-//! and the next `reset` takes the accumulator back.
+//! stay resident for the whole solve, each source iteration one epoch
+//! whose [`SweepEpoch`] (emission density, materials) is all that
+//! changes. The replay plan is a pure function of the problem and the
+//! grain, so it is *shape*: the factory builds a program's ids,
+//! geometry, routing, the scheduling state of its setup's one schedule
+//! and the buffers that state sizes. `reset` installs the epoch's data,
+//! re-arms the state in place, takes the accumulator back and zeroes
+//! nothing. No `face_flux` slot needs it: each is the target of exactly
+//! one edge (an [`Subgraph::int_dslot`] of this task or a
+//! [`Subgraph::rem_dslot`] of a neighbour's), whose one write per epoch
+//! the sweep DAG orders before the slot's one read, and a scratch entry
+//! is written before it is read within its call. A face with no edge
+//! into its cell (boundary inflow, cycle-broken, downwind) has no slot:
+//! `kernel_cluster` reads the vacuum `0.0` of its zeroed stack gather.
+//! Nor does `phi_part`: each vertex is computed once per epoch and
+//! `kernel_cluster` stores all its groups. A completing program lends
+//! the accumulator to its [`TaskSlot`] in the world's [`EpochSink`], the
+//! driver folds the slots from `+0.0`, and the next `reset` takes it back.
 
 use crate::kernel::{solve_cell_block_geom, CellGeom, KernelKind, GROUP_BLOCK, KERNEL_MAX_FACES};
 use crate::replay::{CoarsePlan, ReplayTask};
@@ -182,18 +175,6 @@ impl EpochSink {
     }
 }
 
-/// Which scheduling mode the sweep programs of one iteration run in.
-#[derive(Clone)]
-pub enum SweepMode {
-    /// Per-vertex DAG-driven sweep.
-    Fine,
-    /// Coarse-graph replay of a compiled [`CoarsePlan`].
-    Coarse {
-        /// The plan compiled before the solve's first epoch.
-        plan: Arc<CoarsePlan>,
-    },
-}
-
 /// Per-epoch input of a sweep universe: everything that changes
 /// between source iterations. Handed to
 /// `jsweep_core::Universe::run_epoch`; every [`SweepProgram`]
@@ -202,8 +183,6 @@ pub struct SweepEpoch {
     /// This iteration's emission density `(σ_s φ + Q)/4π` per
     /// `cell * groups + g`.
     pub emission: Arc<Vec<f64>>,
-    /// This iteration's scheduling mode (fine vs replay).
-    pub mode: SweepMode,
     /// This iteration's cross sections (same mesh, same group count —
     /// the buffer shapes are fixed by [`SweepSetup::groups`]). Riding
     /// in the epoch is what lets one resident session universe serve
@@ -226,6 +205,9 @@ pub struct SweepSetup<T: SweepTopology + Send + Sync + 'static> {
     pub kernel: KernelKind,
     /// Vertex clustering grain `N`.
     pub grain: usize,
+    /// The §V-E replay plan every program replays, compiled before the
+    /// first epoch; `None` runs the fine DAG-driven sweep.
+    pub plan: Option<Arc<CoarsePlan>>,
     /// Where every task leaves its epoch output.
     pub sink: Arc<EpochSink>,
 }
@@ -369,11 +351,9 @@ fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
         .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
 }
 
-/// Per-program scheduling state: the fine/coarse counterpart of the
-/// shared [`SweepMode`].
+/// Per-program scheduling state, built by the factory for the
+/// schedule its setup names and re-armed in place by every `reset`.
 enum Sched {
-    /// Created, not yet armed: `reset` builds the epoch's state.
-    Unarmed,
     /// DAG-driven execution.
     Fine(SweepState),
     /// Coarse replay over the compiled task. `vertices_left` tracks the
@@ -407,12 +387,10 @@ struct Physics {
     weight: f64,
     /// Incoming face flux, `groups` values per slot the armed layout
     /// stores: every in-edge of the subgraph ([`StoredSlots`]), or the
-    /// [`ReplayLayout`]'s persistent slots (allocated by the reset that
-    /// arms a layout; later resets leave it alone — module docs).
+    /// [`ReplayLayout`]'s persistent slots. No reset writes it.
     face_flux: Vec<f64>,
-    /// Scalar-flux accumulation per `local_cell * groups` (w_a · ψ̄).
-    /// Lent to the task's [`TaskSlot`] from completion to the next
-    /// reset.
+    /// Scalar flux per `local_cell * groups` (w_a · ψ̄), stored once an
+    /// epoch; lent to the task's [`TaskSlot`] until the next reset.
     phi_part: Vec<f64>,
     /// Outgoing remote face-flux staging per
     /// `fine_remote_edge * groups`, addressed by the subgraph's remote
@@ -444,7 +422,7 @@ impl Physics {
     }
 
     /// Run the numerical kernel over `cluster` (in order): solve every
-    /// cell, accumulate the angular-weighted scalar flux, write local
+    /// cell, store the angular-weighted scalar flux, write local
     /// downwind face fluxes in place and stage remote ones in
     /// `remote_vals` (CSR-addressed, consumed by the fine stream
     /// assembly or the coarse emissions). Identical physics in both
@@ -454,8 +432,8 @@ impl Physics {
     /// Mesh-free and cell-major: the cluster is walked once, in its
     /// (topological) order, and each cell runs its
     /// [`GROUP_BLOCK`]-wide group blocks back to back, so every row it
-    /// reads (emission, `phi_part`, slots, `remote_vals`) is read once,
-    /// in one contiguous run. A cell reads its [`CellGeom`] from the
+    /// touches (emission, `phi_part`, slots, `remote_vals`) is touched
+    /// once, in one contiguous run. A cell reads its [`CellGeom`] from the
     /// angle's table by geometry class, gathers each block of its slots
     /// ([`Subgraph::in_slots`]) into the kernel's face-major incoming
     /// block and, once solved, routes by walking its two CSR ranges of
@@ -535,11 +513,12 @@ impl Physics {
                     GROUP_BLOCK,
                     &mut psi,
                 );
-                // Accumulate the angular-weighted cell flux.
+                // Store the angular-weighted cell flux (once per
+                // epoch: nothing of the last one survives).
                 let phi_base = v as usize * groups + g0;
                 let phi = &mut self.phi_part[phi_base..phi_base + b];
                 for (p, &x) in phi.iter_mut().zip(psi.iter()) {
-                    *p += self.weight * x;
+                    *p = self.weight * x;
                 }
                 // Route the outgoing face-flux blocks along the CSR.
                 for k in sub.int_range(v) {
@@ -704,8 +683,7 @@ impl SweepProgram {
 
 impl PatchProgram for SweepProgram {
     fn init(&mut self) {
-        // Shape comes from `create`, state from `reset`; nothing
-        // further.
+        // Shape comes from `create`, state from `reset`.
     }
 
     /// The one decoder of the stream payload (module docs). Total:
@@ -755,7 +733,6 @@ impl PatchProgram for SweepProgram {
                 words(slots).for_each(|s| state.receive(sub.slot_vertex(s)));
                 None
             }
-            Sched::Unarmed => unreachable!("input before reset"),
         };
         for (slot, vals) in words(slots).zip(flux.chunks_exact(8 * groups)) {
             let p = stored_slot(layout, slot as usize).expect("checked above");
@@ -770,7 +747,6 @@ impl PatchProgram for SweepProgram {
         match self.sched {
             Sched::Coarse { .. } => self.compute_coarse(ctx),
             Sched::Fine(_) => self.compute_fine(ctx),
-            Sched::Unarmed => unreachable!("compute before reset"),
         }
     }
 
@@ -778,7 +754,6 @@ impl PatchProgram for SweepProgram {
         match &self.sched {
             Sched::Fine(state) => !state.has_ready(),
             Sched::Coarse { state, .. } => !state.has_ready(),
-            Sched::Unarmed => unreachable!("vote before reset"),
         }
     }
 
@@ -786,17 +761,14 @@ impl PatchProgram for SweepProgram {
         match &self.sched {
             Sched::Fine(state) => state.remaining(),
             Sched::Coarse { vertices_left, .. } => *vertices_left,
-            Sched::Unarmed => unreachable!("workload query before reset"),
         }
     }
 
     /// Arm this program for a source iteration (one epoch): install
-    /// the epoch's emission density, materials and scheduling mode,
-    /// reset the scheduling state in place (same-mode epochs reuse the
-    /// existing [`SweepState`]/[`CoarseSweepState`] allocations; the
-    /// first epoch or a mode switch builds the state once) and
-    /// restore the flux accumulator. The big buffers are shaped by the
-    /// first reset and never reallocated across same-mode epochs.
+    /// the epoch's emission density and materials, re-arm the
+    /// scheduling state in place and take the flux accumulator back
+    /// from the task's slot. Only a program's first reset allocates
+    /// (the accumulator); nothing is zeroed (module docs).
     fn reset(&mut self, epoch: &EpochInput) {
         let e = epoch
             .downcast_ref::<SweepEpoch>()
@@ -820,63 +792,20 @@ impl PatchProgram for SweepProgram {
             "epoch materials cannot change the group count of a program"
         );
         phys.materials = e.materials.clone();
-        let problem = &phys.problem;
-        let (p, a) = (self.id.patch.index(), self.id.task.0 as usize);
-        let sub = &phys.subs[p];
-        match (&mut self.sched, &e.mode) {
-            (Sched::Fine(state), SweepMode::Fine) => state.reset(sub),
-            (
-                Sched::Coarse {
-                    state,
-                    task,
-                    vertices_left,
-                },
-                SweepMode::Coarse { plan },
-            ) if Arc::ptr_eq(task, &plan.tasks[a][p]) => {
-                // Same compiled task: pure in-place re-arm.
+        let sub = &phys.subs[phys.patch];
+        match &mut self.sched {
+            Sched::Fine(state) => state.reset(sub),
+            Sched::Coarse {
+                state,
+                task,
+                vertices_left,
+            } => {
                 state.reset(&task.coarse);
                 *vertices_left = task.coarse.num_vertices() as u64;
             }
-            (sched, SweepMode::Coarse { plan }) => {
-                // First arming, fine → coarse transition or a
-                // recompiled plan: adopt the task; later epochs reset
-                // it in place.
-                let task = plan.tasks[a][p].clone();
-                *sched = Sched::Coarse {
-                    state: CoarseSweepState::new(&task.coarse),
-                    vertices_left: task.coarse.num_vertices() as u64,
-                    task,
-                };
-            }
-            (sched, SweepMode::Fine) => {
-                // First arming, or a coarse → fine transition: build the
-                // fine state.
-                *sched = Sched::Fine(SweepState::new(sub, problem.vprio[a][p].clone()));
-            }
-        }
-        // Buffer hygiene: incoming face flux allocated for the armed
-        // layout's slots when its size changes (the first reset, a
-        // switch of layout) and otherwise left as the last epoch
-        // wrote it — every slot is written before it is read, and no
-        // value crosses an epoch (module docs); the flux accumulator
-        // taken back from the task's slot (where the last epoch's
-        // completion left it) and re-zeroed, so only a program's first
-        // reset allocates one; remote staging sized to the subgraph's
-        // remote CSR (values are written before read within each
-        // compute, so no zeroing needed beyond sizing).
-        let n = sub.num_vertices();
-        let slots = match &self.sched {
-            Sched::Coarse { task, .. } => armed_layout(task, sub, groups)
-                .map_or(sub.num_slots(), ReplayLayout::persistent_slots),
-            _ => sub.num_slots(),
-        };
-        if phys.face_flux.len() != slots * groups {
-            phys.face_flux = vec![0.0; slots * groups];
         }
         phys.phi_part = std::mem::take(&mut self.sink.slot(self.tid).phi_part);
-        phys.phi_part.clear();
-        phys.phi_part.resize(n * groups, 0.0);
-        phys.remote_vals.resize(sub.rem_dst.len() * groups, 0.0);
+        phys.phi_part.resize(sub.num_vertices() * groups, 0.0);
     }
 }
 
@@ -884,19 +813,36 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
     type Program = SweepProgram;
 
     fn create(&self, id: ProgramId) -> SweepProgram {
-        // Shape only: the epoch's data, the scheduling state and the
-        // epoch-sized buffers are installed by the `reset` the runtime
-        // follows every `create` with.
+        // Shape, the scheduling state included; the epoch's data comes
+        // with the `reset` the runtime follows every `create` with.
         let s = &self.setup;
         let (p, a) = (id.patch.index(), id.task.0 as usize);
         let subs = s.problem.subs[a].clone();
-        let nbrs = subs[p].nbrs.len();
+        let sub = &subs[p];
+        let (sched, slots) = match &s.plan {
+            Some(plan) => {
+                let task = plan.tasks[a][p].clone();
+                let slots = armed_layout(&task, sub, s.groups)
+                    .map_or(sub.num_slots(), ReplayLayout::persistent_slots);
+                let sched = Sched::Coarse {
+                    state: CoarseSweepState::new(&task.coarse),
+                    vertices_left: task.coarse.num_vertices() as u64,
+                    task,
+                };
+                (sched, slots)
+            }
+            None => (
+                Sched::Fine(SweepState::new(sub, s.problem.vprio[a][p].clone())),
+                sub.num_slots(),
+            ),
+        };
+        let (nbrs, remote) = (sub.nbrs.len(), sub.rem_dst.len());
         SweepProgram {
             id,
             sink: s.sink.clone(),
             tid: s.problem.tid(p, a),
             grain: s.grain,
-            sched: Sched::Unarmed,
+            sched,
             phys: Physics {
                 problem: s.problem.clone(),
                 materials: Arc::default(),
@@ -907,9 +853,9 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
                 kernel: s.kernel,
                 groups: s.groups,
                 weight: s.quadrature.ordinate(AngleId(id.task.0)).weight,
-                face_flux: Vec::new(),
+                face_flux: vec![0.0; slots * s.groups],
                 phi_part: Vec::new(),
-                remote_vals: Vec::new(),
+                remote_vals: vec![0.0; remote * s.groups],
             },
             fine_out: vec![Vec::new(); nbrs],
             prefix: Vec::new(),
@@ -1101,7 +1047,9 @@ mod tests {
             }
         }
 
-        fn factory(&self, kernel: KernelKind, groups: usize) -> SweepFactory<T> {
+        /// Programs of `kernel` at `groups` groups: replaying the plan
+        /// compiled from `traces`, or on the fine path.
+        fn factory(&self, kernel: KernelKind, groups: usize, replay: bool) -> SweepFactory<T> {
             SweepFactory::new(SweepSetup {
                 mesh: self.mesh.clone(),
                 problem: self.problem.clone(),
@@ -1109,6 +1057,7 @@ mod tests {
                 groups,
                 kernel,
                 grain: 8,
+                plan: replay.then(|| Arc::new(build_plan(&self.problem, &self.traces))),
                 sink: Arc::new(EpochSink::new(self.problem.num_tasks())),
             })
         }
@@ -1320,24 +1269,15 @@ mod tests {
             sigma_s: vec![0.0; groups],
             source: vec![1.0; groups],
         };
-        let mode = if replay {
-            let plan = build_plan(&rec.problem, &rec.traces);
-            SweepMode::Coarse {
-                plan: Arc::new(plan),
-            }
-        } else {
-            SweepMode::Fine
-        };
         let epoch = SweepEpoch {
             emission: Arc::new(
                 (0..n * groups)
                     .map(|i| 0.05 + 0.1 * (i % 17) as f64)
                     .collect(),
             ),
-            mode,
             materials: Arc::new(MaterialSet::homogeneous(n, material)),
         };
-        let factory = rec.factory(kernel, groups);
+        let factory = rec.factory(kernel, groups, replay);
         let mesh = rec.mesh.as_ref();
         let mut rng = Rng(0x2545_F491_4F6C_DD1D);
         let mut in_cluster = 0;
@@ -1471,7 +1411,7 @@ mod tests {
         for (c, &k) in classes.class_of.iter().enumerate() {
             assert!(classes.reps[k as usize] as usize <= c);
         }
-        let factory = rec.factory(KernelKind::Step, 1);
+        let factory = rec.factory(KernelKind::Step, 1, false);
         assert_eq!(factory.geoms.len(), rec.problem.num_angles);
         for (a, table) in factory.geoms.iter().enumerate() {
             assert_eq!(table.len(), classes.reps.len());
@@ -1506,7 +1446,11 @@ mod tests {
     fn diamond_difference_over_tets_fails_at_factory_construction() {
         let tet = jsweep_mesh::tetgen::cube(1, 1.0);
         let ps = partition::decompose_unstructured(&tet, 3, 2);
-        Traced::new(tet, ps, ProblemOptions::default()).factory(KernelKind::DiamondDifference, 1);
+        Traced::new(tet, ps, ProblemOptions::default()).factory(
+            KernelKind::DiamondDifference,
+            1,
+            false,
+        );
     }
 
     /// Group counts the pair tests run at: below a full group block
@@ -1517,12 +1461,14 @@ mod tests {
     /// stream of the `up` program goes to `down`, whose remote inputs
     /// all come from `up`.
     struct Pair {
-        factory: SweepFactory<StructuredMesh>,
         groups: usize,
         up: ProgramId,
         down: ProgramId,
-        /// A fine-mode and a replay epoch of the same problem.
-        epochs: [(&'static str, SweepEpoch); 2],
+        /// The problem's one epoch.
+        epoch: SweepEpoch,
+        /// A fine-path and a replay factory of the same problem, with a
+        /// sink each.
+        modes: [(&'static str, SweepFactory<StructuredMesh>); 2],
     }
 
     type Program = SweepProgram;
@@ -1549,10 +1495,9 @@ mod tests {
                 &problem,
                 &simulate_clusters(&problem, grain, CLAIM_BATCH),
             ));
-            let epoch = |mode| SweepEpoch {
+            let epoch = SweepEpoch {
                 emission: Arc::new((0..n * groups).map(|i| 1.0 + 0.01 * i as f64).collect()),
-                mode,
-                materials: materials.clone(),
+                materials,
             };
             let (angle, _) = quad
                 .iter()
@@ -1561,31 +1506,32 @@ mod tests {
             let task = TaskTag(angle.index() as u32);
             let up = problem.patches.patch_of(mesh.cell_id(0, 0, 0));
             let down = problem.patches.patch_of(mesh.cell_id(3, 0, 0));
+            let factory = |plan| {
+                SweepFactory::new(SweepSetup {
+                    mesh: mesh.clone(),
+                    problem: problem.clone(),
+                    quadrature: quad.clone(),
+                    groups,
+                    kernel: KernelKind::Step,
+                    grain,
+                    plan,
+                    sink: Arc::new(EpochSink::new(problem.num_tasks())),
+                })
+            };
             Pair {
                 groups,
                 up: ProgramId::new(up, task),
                 down: ProgramId::new(down, task),
-                epochs: [
-                    ("fine", epoch(SweepMode::Fine)),
-                    ("replay", epoch(SweepMode::Coarse { plan })),
-                ],
-                factory: SweepFactory::new(SweepSetup {
-                    mesh,
-                    sink: Arc::new(EpochSink::new(problem.num_tasks())),
-                    problem,
-                    quadrature: quad,
-                    groups,
-                    kernel: KernelKind::Step,
-                    grain,
-                }),
+                epoch,
+                modes: [("fine", factory(None)), ("replay", factory(Some(plan)))],
             }
         }
 
-        /// A program as the runtime hands it its first stream: created,
-        /// then armed by `reset`.
-        fn armed(&self, id: ProgramId, epoch: &SweepEpoch) -> Program {
-            let mut p = self.factory.create(id);
-            p.reset(epoch);
+        /// A program of `factory` as the runtime hands it its first
+        /// stream: created, then armed by `reset`.
+        fn armed(&self, factory: &SweepFactory<StructuredMesh>, id: ProgramId) -> Program {
+            let mut p = factory.create(id);
+            p.reset(&self.epoch);
             p
         }
 
@@ -1619,8 +1565,9 @@ mod tests {
         for groups in PAIR_GROUPS {
             let pair = Pair::new(groups);
             let g = groups;
-            for (mode, epoch) in &pair.epochs {
-                let (mut up, mut down) = (pair.armed(pair.up, epoch), pair.armed(pair.down, epoch));
+            for (mode, factory) in &pair.modes {
+                let mut up = pair.armed(factory, pair.up);
+                let mut down = pair.armed(factory, pair.down);
                 let streams = drain(&mut up);
                 assert_eq!(up.remaining_work(), 0, "{mode}: `up` waits for nobody");
                 assert!(streams.len() > 1, "{mode}: grain 4 splits the patch face");
@@ -1657,45 +1604,46 @@ mod tests {
     /// stored slot has a writer, so poison (NaN) in every one of them —
     /// and in the worker's cluster scratch before every compute, which
     /// `drain` fills — must be overwritten before anything reads it: the
-    /// next epoch's flux is bit-identical, in every layout.
+    /// next epoch's flux is bit-identical, in every layout. One pair of
+    /// programs per factory, fine path first: replay must reproduce its
+    /// flux bit for bit too.
     #[test]
     fn nan_poisoned_face_flux_never_reaches_the_next_epoch() {
         for groups in PAIR_GROUPS {
             let pair = Pair::new(groups);
             let g = groups;
-            let fine = &pair.epochs[0].1;
-            let (mut up, mut down) = (pair.armed(pair.up, fine), pair.armed(pair.down, fine));
-            let sink = pair.factory.setup.sink.clone();
-            let run = |up: &mut Program, down: &mut Program| {
-                for s in drain(up) {
-                    down.input(s.src, s.payload);
-                }
-                assert!(drain(down).is_empty());
-                [up.tid, down.tid].map(|tid| {
-                    let phi = sink.slot(tid).phi_part.clone();
-                    assert!(!phi.is_empty(), "the task completed");
-                    phi.into_iter().map(f64::to_bits).collect::<Vec<_>>()
-                })
-            };
-            let first = run(&mut up, &mut down);
-            let subs = up.phys.subs.clone();
-            let (up_sub, down_sub) = (&subs[up.phys.patch], &subs[down.phys.patch]);
-            // The stored slots of `p`'s armed layout that `slots` land in.
-            let stored = |p: &Program, slots: &[u32]| -> HashSet<usize> {
-                let addrs = slot_addrs(p);
-                slots
-                    .iter()
-                    .filter_map(|&s| match addrs[s as usize] {
-                        SlotAddr::Persistent(q) => Some(q),
-                        SlotAddr::Scratch(_) => None,
+            let mut fine_flux = None;
+            for (mode, factory) in &pair.modes {
+                let mut up = pair.armed(factory, pair.up);
+                let mut down = pair.armed(factory, pair.down);
+                let sink = factory.setup.sink.clone();
+                let run = |up: &mut Program, down: &mut Program| {
+                    for s in drain(up) {
+                        down.input(s.src, s.payload);
+                    }
+                    assert!(drain(down).is_empty());
+                    [up.tid, down.tid].map(|tid| {
+                        let phi = sink.slot(tid).phi_part.clone();
+                        assert!(!phi.is_empty(), "the task completed");
+                        phi.into_iter().map(f64::to_bits).collect::<Vec<_>>()
                     })
-                    .collect()
-            };
-            for (mode, epoch) in &pair.epochs {
-                // Arm the mode's layout and sweep in it once.
-                up.reset(epoch);
-                down.reset(epoch);
-                assert_eq!(run(&mut up, &mut down), first, "{mode}");
+                };
+                // Sweep in the mode's layout once.
+                let first = run(&mut up, &mut down);
+                assert_eq!(&first, fine_flux.get_or_insert(first.clone()), "{mode}");
+                let subs = up.phys.subs.clone();
+                let (up_sub, down_sub) = (&subs[up.phys.patch], &subs[down.phys.patch]);
+                // The stored slots of `p`'s armed layout that `slots` land in.
+                let stored = |p: &Program, slots: &[u32]| -> HashSet<usize> {
+                    let addrs = slot_addrs(p);
+                    slots
+                        .iter()
+                        .filter_map(|&s| match addrs[s as usize] {
+                            SlotAddr::Persistent(q) => Some(q),
+                            SlotAddr::Scratch(_) => None,
+                        })
+                        .collect()
+                };
                 // `up` is written by its own internal edges only; `down`
                 // also by every remote edge of `up`, which it stores.
                 let up_writers = stored(&up, &up_sub.int_dslot);
@@ -1723,7 +1671,7 @@ mod tests {
                     for &slot in writers {
                         p.phys.face_flux[slot * g..][..g].fill(f64::NAN);
                     }
-                    p.reset(epoch);
+                    p.reset(&pair.epoch);
                     assert!(
                         p.phys.face_flux.iter().filter(|x| x.is_nan()).count() == writers.len() * g,
                         "{mode} G={g}: reset wrote face_flux"
@@ -1767,9 +1715,9 @@ mod tests {
 
     fn mutate_payloads(pair: &Pair) {
         let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
-        for (mode, epoch) in &pair.epochs {
-            let streams = drain(&mut pair.armed(pair.up, epoch));
-            let down = pair.armed(pair.down, epoch);
+        for (mode, factory) in &pair.modes {
+            let streams = drain(&mut pair.armed(factory, pair.up));
+            let down = pair.armed(factory, pair.down);
             let num_slots = down.phys.subs[down.phys.patch].num_slots();
             // The slots of the subgraph the armed layout keeps in the
             // cluster scratch: in range, yet with no storage to land in.
@@ -1781,7 +1729,7 @@ mod tests {
                 let s = &streams[rng.below(streams.len())];
                 let good = s.payload.to_vec();
                 let n = word(&good, 1) as usize;
-                let mut down = pair.armed(pair.down, epoch);
+                let mut down = pair.armed(factory, pair.down);
                 let kind = round % 5;
                 let bad = match kind {
                     // Truncated anywhere, the header included.
@@ -1844,7 +1792,7 @@ mod tests {
             // pre-empted fires.
             for dup in &streams {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut down = pair.armed(pair.down, epoch);
+                    let mut down = pair.armed(factory, pair.down);
                     down.input(dup.src, dup.payload.clone());
                     for s in &streams {
                         down.input(s.src, s.payload.clone());

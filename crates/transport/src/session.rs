@@ -275,14 +275,27 @@ struct TicketCell {
     cv: Condvar,
 }
 
-impl TicketCell {
-    fn fulfill(&self, result: Result<SolveOutcome, SessionError>) {
-        let mut slot = self.slot.lock();
-        // Checked in release builds too: the soaks run there, and this
-        // is where a ticket resolved twice shows.
-        assert!(slot.is_none(), "ticket fulfilled twice");
-        *slot = Some(result);
-        self.cv.notify_all();
+/// The one writer of a ticket's slot, consumed by `fulfill`. Dropped
+/// unfulfilled (a closed ingress, an unwinding session thread), it
+/// resolves [`SessionError::Closed`]: no waiter outlives the driver.
+struct Reply(Option<Arc<TicketCell>>);
+
+impl Reply {
+    fn fulfill(mut self, result: Result<SolveOutcome, SessionError>) {
+        self.put(result);
+    }
+
+    fn put(&mut self, result: Result<SolveOutcome, SessionError>) {
+        if let Some(cell) = self.0.take() {
+            *cell.slot.lock() = Some(result);
+            cell.cv.notify_all();
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        self.put(Err(SessionError::Closed));
     }
 }
 
@@ -305,7 +318,7 @@ struct Submission {
     campaign: u64,
     seq: u64,
     request: SolveRequest,
-    reply: Arc<TicketCell>,
+    reply: Reply,
     submitted: Instant,
 }
 
@@ -332,7 +345,7 @@ struct ActiveSolve {
     submitted: Instant,
     queue_wait: Option<f64>,
     progress: SolveProgress,
-    reply: Arc<TicketCell>,
+    reply: Reply,
     /// Resolved at admission: the request's override or the session
     /// default.
     max_retries: u32,
@@ -429,10 +442,23 @@ impl<T: SweepTopology + Send + Sync + 'static> Drop for SolverSession<T> {
     }
 }
 
+/// Closes the ingress as the session thread leaves [`serve`], unwinding
+/// included: queued replies resolve `Closed`, and so do later submits.
+struct CloseOnExit<'a>(&'a Shared);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        let mut g = self.0.ingress.lock();
+        g.closed = true;
+        g.queue.clear();
+    }
+}
+
 /// The session thread: wait for submissions or a close, admit what
 /// arrived, run one epoch while there is work, and finish once the
 /// ingress is closed and everything admitted has been served.
 fn serve<T: SweepTopology + Send + Sync + 'static>(shared: &Shared, mut driver: Driver<T>) {
+    let _close = CloseOnExit(shared);
     loop {
         let (arrived, closed) = {
             let mut g = shared.ingress.lock();
@@ -471,21 +497,21 @@ impl CampaignHandle {
     /// order.
     pub fn submit(&self, request: SolveRequest) -> SolveTicket {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let reply = Arc::new(TicketCell::default());
+        let cell = Arc::new(TicketCell::default());
+        let reply = Reply(Some(cell.clone()));
         let mut g = self.shared.ingress.lock();
-        if g.closed {
-            reply.fulfill(Err(SessionError::Closed));
-        } else {
+        // A closed ingress drops the reply, which resolves `Closed`.
+        if !g.closed {
             g.queue.push(Submission {
                 campaign: self.campaign,
                 seq,
                 request,
-                reply: reply.clone(),
+                reply,
                 submitted: Instant::now(),
             });
             self.shared.cv.notify_one();
         }
-        SolveTicket(reply)
+        SolveTicket(cell)
     }
 }
 
@@ -900,10 +926,44 @@ mod tests {
             campaign,
             seq,
             request: SolveRequest::new(mats.clone()),
-            reply: cell.clone(),
+            reply: Reply(Some(cell.clone())),
             submitted: Instant::now(),
         });
         SolveTicket(cell)
+    }
+
+    /// What a panic on the session thread leaves behind: two requests
+    /// admitted into the driver, a third still in the ingress. The
+    /// unwinding drops the driver and runs `serve`'s guard; every
+    /// ticket must then hold `Closed`, and a later submit must resolve
+    /// at once. The slots are read directly, so a reply left empty
+    /// fails here instead of hanging a `wait()`.
+    #[test]
+    fn an_unwinding_driver_resolves_every_ticket_closed() {
+        let (m, prob, quad, mats) = session_world();
+        let mut driver = Driver::new(m, prob, quad, quick_options());
+        let shared = Arc::new(Shared::default());
+        let campaign = CampaignHandle {
+            campaign: 7,
+            shared: shared.clone(),
+            seq: Arc::default(),
+        };
+        let mut tickets = vec![
+            admit(&mut driver, 0, 0, &mats),
+            admit(&mut driver, 1, 0, &mats),
+        ];
+        tickets.push(campaign.submit(SolveRequest::new(mats.clone())));
+        assert!(driver.has_work());
+        assert_eq!(shared.ingress.lock().queue.len(), 1);
+        drop(CloseOnExit(&shared));
+        drop(driver);
+        tickets.push(campaign.submit(SolveRequest::new(mats)));
+        for (i, t) in tickets.iter().enumerate() {
+            assert!(
+                matches!(*t.0.slot.lock(), Some(Err(SessionError::Closed))),
+                "ticket {i} was left unresolved"
+            );
+        }
     }
 
     /// Five requests over three campaigns, all admitted before any

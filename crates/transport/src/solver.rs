@@ -28,7 +28,7 @@
 
 use crate::kernel::{solve_cell, KernelKind};
 use crate::program::{
-    replay_uses_cluster_scratch, EpochSink, SweepEpoch, SweepFactory, SweepMode, SweepSetup,
+    replay_uses_cluster_scratch, EpochSink, SweepEpoch, SweepFactory, SweepSetup,
 };
 use crate::replay::{build_plan, plan_key, CoarsePlan, PlanCache, PlanKey};
 use crate::xs::MaterialSet;
@@ -447,9 +447,9 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
     }
 
     /// The factory of this world's sweep programs: their shape for
-    /// `groups` energy groups. Everything an epoch changes reaches
-    /// them through its [`SweepEpoch`].
-    fn factory(&self, groups: usize) -> Arc<SweepFactory<T>> {
+    /// `groups` energy groups, replaying `plan` (the fine path without
+    /// one); each epoch's data reaches them in its [`SweepEpoch`].
+    fn factory(&self, groups: usize, plan: Option<Arc<CoarsePlan>>) -> Arc<SweepFactory<T>> {
         Arc::new(SweepFactory::new(SweepSetup {
             mesh: self.mesh.clone(),
             problem: self.problem.clone(),
@@ -457,6 +457,7 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
             groups,
             kernel: self.config.kernel,
             grain: self.config.grain,
+            plan,
             sink: self.sink.clone(),
         }))
     }
@@ -574,16 +575,10 @@ pub(crate) struct SolveProgress {
 
 impl SolveProgress {
     /// The input of this solve's next epoch: the emission density of
-    /// the current iterate, the solve's materials, and replay of its
-    /// plan (the fine path without one).
+    /// the current iterate and the solve's materials.
     fn epoch(&self) -> Arc<SweepEpoch> {
-        let mode = match &self.plan {
-            Some(plan) => SweepMode::Coarse { plan: plan.clone() },
-            None => SweepMode::Fine,
-        };
         Arc::new(SweepEpoch {
             emission: Arc::new(emission_density(&self.materials, &self.phi)),
-            mode,
             materials: self.materials.clone(),
         })
     }
@@ -612,43 +607,12 @@ impl SolveProgress {
     }
 }
 
-/// Run one sweep as an epoch of `world`'s resident universe (launched
-/// lazily, so a world's first epoch pays the launch): run `input` to
-/// global termination, fold the per-(patch, angle) flux contributions
-/// in angle order (schedule-independent floating-point result).
-/// Returns the aggregated stats and `φ_new`.
-///
-/// A faulted epoch abandons in-flight programs, so the sink may hold a
-/// *subset* of its contributions. Nothing reads them: the faulted
-/// universe stays in place but runs no further epoch, and
-/// [`EpochWorld::retire`] replaces the sink along with it.
-fn run_sweep_epoch<T: SweepTopology + Send + Sync + 'static>(
-    world: &mut EpochWorld<T>,
-    input: Arc<SweepEpoch>,
-    span: u64,
-) -> Result<(RunStats, Vec<f64>), EpochFault> {
-    let groups = input.materials.num_groups();
-    if world.universe.is_none() {
-        world.universe = Some(Universe::launch_with_fabric(
-            world.problem.patches.num_ranks(),
-            world.factory(groups),
-            runtime_config(&world.config),
-            fabric_for(world.config.transport),
-        ));
-        world.launches += 1;
-        world.resident_groups = Some(groups);
-    }
-    let universe = world.universe.as_mut().expect("launched above");
-    let rank_stats = universe.run_epoch_tuned(input, span)?;
-    let phi_new = world.sink.fold(&world.problem, groups);
-    Ok((RunStats::aggregate(&rank_stats), phi_new))
-}
-
 /// Run exactly one source iteration of `progress` against `world`:
-/// run the sweep as an epoch of the resident universe
-/// ([`run_sweep_epoch`]) and update the convergence trackers. Returns
-/// whether the solve is finished — converged below its tolerance, or
-/// out of iterations. This is the loop body of
+/// its next epoch on the resident universe, to global termination,
+/// then the fold of the per-(patch, angle) flux contributions in angle
+/// order (schedule-independent floating-point result) and the
+/// convergence step. Returns whether the solve is finished — converged
+/// below its tolerance, or out of iterations. This is the loop body of
 /// [`solve_parallel_cached`], exposed step-wise so a
 /// [`crate::session::SolverSession`] can interleave epochs of many
 /// concurrent solves on one world — running a request's epochs through
@@ -656,19 +620,38 @@ fn run_sweep_epoch<T: SweepTopology + Send + Sync + 'static>(
 /// call, which is what makes session results bit-identical to solo
 /// solves.
 ///
+/// The universe launches lazily, built for `progress.plan`, and keeps
+/// that plan: every plan of the world's key is the same compile.
+///
 /// `Err` means the epoch was poisoned (see
 /// [`jsweep_core::universe::Universe::run_epoch`]): `progress` is left
 /// exactly as it was before the epoch — no stats entry, no iteration
 /// count, no flux update — so the caller may retry the same iteration
 /// on a relaunched universe and still get the bit-identical flux
 /// sequence. The faulted universe itself is *not* retired here; the
-/// caller decides between retry, relaunch and teardown.
+/// caller decides between retry, relaunch and teardown. Its programs
+/// were abandoned mid-sweep, so the sink may hold a *subset* of the
+/// epoch's contributions; nothing reads them, and
+/// [`EpochWorld::retire`] replaces the sink along with the universe.
 pub(crate) fn advance_one_epoch<T: SweepTopology + Send + Sync + 'static>(
     world: &mut EpochWorld<T>,
     progress: &mut SolveProgress,
 ) -> Result<bool, EpochFault> {
-    let (stats, phi_new) = run_sweep_epoch(world, progress.epoch(), progress.span)?;
-    Ok(progress.advance(stats, phi_new))
+    let groups = progress.materials.num_groups();
+    if world.universe.is_none() {
+        world.universe = Some(Universe::launch_with_fabric(
+            world.problem.patches.num_ranks(),
+            world.factory(groups, progress.plan.clone()),
+            runtime_config(&world.config),
+            fabric_for(world.config.transport),
+        ));
+        world.launches += 1;
+        world.resident_groups = Some(groups);
+    }
+    let universe = world.universe.as_mut().expect("launched above");
+    let rank_stats = universe.run_epoch_tuned(progress.epoch(), progress.span)?;
+    let phi_new = world.sink.fold(&world.problem, groups);
+    Ok(progress.advance(RunStats::aggregate(&rank_stats), phi_new))
 }
 
 /// One rank's share of a parallel solve, for worlds where ranks are
@@ -715,7 +698,8 @@ pub fn solve_parallel_spmd<T: SweepTopology + Send + Sync + 'static>(
     let mut progress =
         world.begin_solve(materials, config.max_iterations, config.tolerance, &cache);
     let groups = progress.materials.num_groups();
-    let mut rank = Rank::launch(comm, world.factory(groups), &runtime_config(config));
+    let factory = world.factory(groups, progress.plan.clone());
+    let mut rank = Rank::launch(comm, factory, &runtime_config(config));
     while progress.iterations < progress.max_iterations {
         let input: Arc<jsweep_core::EpochInput> = progress.epoch();
         let rank_stats = rank
@@ -926,15 +910,17 @@ mod tests {
             coarsen,
             ..Default::default()
         };
+        let cache = PlanCache::new();
         let mut clean = EpochWorld::new(m.clone(), prob.clone(), quad.clone(), cfg.clone());
-        let input = clean.begin_solve(mats, 1, 0.0, &PlanCache::new()).epoch();
+        let mut progress = clean.begin_solve(mats.clone(), 1, 0.0, &cache);
         assert_eq!(
-            matches!(input.mode, SweepMode::Coarse { .. }),
+            progress.plan.is_some(),
             coarsen,
             "the epoch runs the path under test"
         );
-        let (_, want) = run_sweep_epoch(&mut clean, input.clone(), 0).expect("clean epoch");
+        advance_one_epoch(&mut clean, &mut progress).expect("clean epoch");
         clean.retire();
+        let want = progress.phi;
 
         // The third compute call on patch 0 panics: by then at least
         // one task (there, or upstream of it) has completed.
@@ -945,8 +931,13 @@ mod tests {
         };
         let mut world = EpochWorld::new(m, prob.clone(), quad, armed);
         let faulted_sink = world.sink.clone();
-        let fault = run_sweep_epoch(&mut world, input.clone(), 0).expect_err("injected panic");
+        let mut progress = world.begin_solve(mats, 1, 0.0, &cache);
+        let fault = advance_one_epoch(&mut world, &mut progress).expect_err("injected panic");
         assert_eq!(fault.kind, jsweep_core::fault::FaultKind::Panic);
+        assert_eq!(
+            progress.iterations, 0,
+            "a faulted epoch leaves progress alone"
+        );
         assert!(world.retire(), "the faulted universe was still resident");
         assert!(
             (0..prob.num_tasks()).any(|tid| !faulted_sink.slot(tid).phi_part.is_empty()),
@@ -954,10 +945,10 @@ mod tests {
         );
         assert!(!Arc::ptr_eq(&faulted_sink, &world.sink));
         // The trigger is one-shot: the relaunched universe runs clean.
-        let (_, got) = run_sweep_epoch(&mut world, input, 0).expect("clean retry");
+        advance_one_epoch(&mut world, &mut progress).expect("clean retry");
         world.retire();
         assert_eq!(
-            got, want,
+            progress.phi, want,
             "fold after a fault differs from a never-faulted world"
         );
     }

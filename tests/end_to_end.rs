@@ -722,7 +722,7 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
     mats: &Arc<MaterialSet>,
     cfg: &SnConfig,
 ) -> (Vec<f64>, Vec<jsweep::core::RunStats>) {
-    use jsweep::transport::program::{EpochSink, SweepEpoch, SweepFactory, SweepMode, SweepSetup};
+    use jsweep::transport::program::{EpochSink, SweepEpoch, SweepFactory, SweepSetup};
     use jsweep::transport::replay::build_plan;
     let (n, groups) = (mesh.num_cells(), mats.num_groups());
     let inv_4pi = 1.0 / (4.0 * std::f64::consts::PI);
@@ -741,12 +741,6 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
                 (m.sigma_s[g] * phi[i] + m.source[g]) * inv_4pi
             })
             .collect();
-        let mode = match &plan {
-            Some(plan) => SweepMode::Coarse {
-                plan: Arc::clone(plan),
-            },
-            None => SweepMode::Fine,
-        };
         let sink = Arc::new(EpochSink::new(prob.num_tasks()));
         let factory = Arc::new(SweepFactory::new(SweepSetup {
             mesh: mesh.clone(),
@@ -755,6 +749,7 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
             groups,
             kernel: cfg.kernel,
             grain: cfg.grain,
+            plan: plan.clone(),
             sink: sink.clone(),
         }));
         let mut universe = Universe::launch_with_fabric(
@@ -770,7 +765,6 @@ fn respawned_reference<T: SweepTopology + Send + Sync + 'static>(
         let rank_stats = universe
             .run_epoch(Arc::new(SweepEpoch {
                 emission: Arc::new(emission),
-                mode,
                 materials: mats.clone(),
             }))
             .unwrap_or_else(|f| panic!("reference epoch faulted: {f}"));
@@ -1025,15 +1019,25 @@ fn multigroup16_tet_fine_vs_replay_bit_identical() {
 
 #[test]
 fn sink_slots_keep_their_accumulators_across_epochs() {
-    // Regression guard for the phi_part round-trip: the first epoch
-    // allocates one accumulator per task; every later epoch's reset
-    // must take that same buffer back from the task's slot — replay
-    // epochs allocate no accumulators — and keep producing the
-    // identical fold.
-    use jsweep::transport::program::{EpochSink, SweepEpoch, SweepFactory, SweepMode, SweepSetup};
+    // Regression guard for the phi_part round-trip, on the fine path
+    // and on replay: the first epoch allocates one accumulator per
+    // task; every later epoch's reset must take that same buffer back
+    // from the task's slot — replay epochs allocate no accumulators —
+    // and keep producing the identical fold. Between epochs every lent
+    // accumulator is filled with NaN: `reset` does not zero it, so the
+    // fold stays bit-identical only if the sweep stores every
+    // (cell, group) entry. 11 groups: a full group block and a tail.
+    for replay in [false, true] {
+        sink_slots_keep_their_accumulators(replay);
+    }
+}
+
+fn sink_slots_keep_their_accumulators(replay: bool) {
+    use jsweep::transport::program::{EpochSink, SweepEpoch, SweepFactory, SweepSetup};
+    use jsweep::transport::replay::build_plan;
     let mesh = Arc::new(StructuredMesh::unit(4, 4, 4));
     let n = mesh.num_cells();
-    let groups = 3;
+    let groups = 11;
     let quad = QuadratureSet::sn(2);
     let mats = Arc::new(MaterialSet::homogeneous(
         n,
@@ -1045,6 +1049,13 @@ fn sink_slots_keep_their_accumulators_across_epochs() {
         &quad,
         &ProblemOptions::default(),
     ));
+    let grain = 16;
+    let plan = replay.then(|| {
+        Arc::new(build_plan(
+            &prob,
+            &simulate_clusters(&prob, grain, CLAIM_BATCH),
+        ))
+    });
     let sink = Arc::new(EpochSink::new(prob.num_tasks()));
     let emission = Arc::new(vec![0.1; n * groups]);
     let factory = Arc::new(SweepFactory::new(SweepSetup {
@@ -1053,7 +1064,8 @@ fn sink_slots_keep_their_accumulators_across_epochs() {
         quadrature: quad.clone(),
         groups,
         kernel: KernelKind::Step,
-        grain: 16,
+        grain,
+        plan,
         sink: sink.clone(),
     }));
     let mut u = Universe::launch(
@@ -1064,29 +1076,36 @@ fn sink_slots_keep_their_accumulators_across_epochs() {
             ..Default::default()
         },
     );
-    let mut folds: Vec<Vec<f64>> = Vec::new();
+    let mut folds: Vec<Vec<u64>> = Vec::new();
     let mut buffers: Vec<Vec<*const f64>> = Vec::new();
     for _ in 0..4 {
         u.run_epoch(Arc::new(SweepEpoch {
             emission: emission.clone(),
-            mode: SweepMode::Fine,
             materials: mats.clone(),
         }))
         .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
-        folds.push(sink.fold(&prob, groups));
+        let fold = sink.fold(&prob, groups);
+        folds.push(fold.into_iter().map(f64::to_bits).collect());
         buffers.push(
             (0..prob.num_tasks())
                 .map(|tid| sink.slot(tid).phi_part.as_ptr())
                 .collect(),
         );
+        for tid in 0..prob.num_tasks() {
+            sink.slot(tid).phi_part.fill(f64::NAN);
+        }
     }
     u.shutdown();
     for (k, (f, b)) in folds.windows(2).zip(buffers.windows(2)).enumerate() {
-        assert_eq!(f[0], f[1], "fold changed between epochs {k} and {}", k + 1);
+        assert!(
+            f[0] == f[1],
+            "replay={replay}: fold changed between epochs {k} and {}",
+            k + 1
+        );
         assert_eq!(
             b[0],
             b[1],
-            "a task's accumulator was reallocated between epochs {k} and {}",
+            "replay={replay}: a task's accumulator was reallocated between epochs {k} and {}",
             k + 1
         );
     }
@@ -1143,6 +1162,7 @@ fn sweep_factory_rejects_mixed_element_meshes() {
         groups: 1,
         kernel: KernelKind::Step,
         grain: 16,
+        plan: None,
         sink: Arc::new(EpochSink::new(0)),
     });
 }

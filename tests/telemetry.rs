@@ -379,7 +379,14 @@ fn span_sums_are_the_breakdown_on_both_fabrics() {
                 .expect("worker lane exists");
             let who = format!("{transport:?} rank {rank} worker {}", i % WORKERS);
             assert_spans_are_the_breakdown(&who, &[lane], bd);
-            assert!(bd.get(Category::Kernel) > 0.0, "{who} never computed");
+        }
+        // Some worker of every rank computed. Not every worker: on a
+        // world this small one worker may drain all of its rank's work.
+        for (rank, ws) in workers.chunks(WORKERS).enumerate() {
+            assert!(
+                ws.iter().any(|bd| bd.get(Category::Kernel) > 0.0),
+                "{transport:?}: no worker of rank {rank} computed"
+            );
         }
         // The master categories a trace is most easily mislabelled
         // in (pack vs comm vs route) are all populated.
