@@ -7,8 +7,8 @@
 //! epochs, and each [`Rank::run_epoch`] runs activation → data-driven
 //! execution → distributed termination → quiescence.
 //! [`crate::Universe`] hosts a whole simulated MPI world of them (one
-//! launch per *solve*, one epoch per iteration); [`run_universe`] is
-//! its launch / one epoch / shutdown wrapper.
+//! launch per *solve*, one epoch per iteration; a one-shot run is a
+//! universe of one epoch).
 //!
 //! The data plane is **batched end-to-end** (the paper's §II
 //! "communication aggregation", profiled in Fig. 16) and the
@@ -53,7 +53,6 @@ use crate::pool::Pool;
 use crate::program::{frame_push, unpack_frame, ComputeCtx, EpochInput, ProgramFactory, Stream};
 use crate::stats::{Category, RunStats, Stopwatch};
 use crate::telemetry::{EventKind, TelemetryHandle};
-use crate::universe::Universe;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use jsweep_comm::pack::Writer;
@@ -274,16 +273,14 @@ fn worker_loop<F: ProgramFactory>(
                         // The factory describes shape only: arm the
                         // new program with the current epoch's input,
                         // exactly as the resident programs were at the
-                        // epoch boundary.
+                        // epoch boundary, then init it (once: it stays
+                        // resident from here on).
                         p.reset(&*pool.epoch_input());
+                        p.init();
                         sw.lap(Category::Other);
                         p
                     }
                 };
-                if !claim.initialized {
-                    program.init();
-                    sw.lap(Category::Other);
-                }
                 let mut pending = claim.pending;
                 for (src, payload) in pending.drain(..) {
                     program.input(src, payload);
@@ -654,7 +651,7 @@ impl<F: ProgramFactory> Rank<F> {
     /// [`crate::PatchProgram::reset`] of every program that runs in
     /// the epoch: resident ones at the fence, new ones right after
     /// their `create`. `span` is stamped on the epoch's `Epoch` trace
-    /// event (see [`Universe::run_epoch_tuned`]; `0` = none).
+    /// event (see [`crate::Universe::run_epoch_tuned`]; `0` = none).
     ///
     /// `Err` means the epoch was poisoned — a contained program
     /// panic, a watchdog-detected stall, a lost or garbled peer, or an
@@ -1007,35 +1004,25 @@ impl<F: ProgramFactory> Drop for Rank<F> {
     }
 }
 
-/// Run a full simulated-MPI computation for a single epoch:
-/// `num_ranks` ranks, each with `config.num_workers` workers, sharing
-/// one program factory — [`crate::Universe`] launch, one epoch,
-/// shutdown. Multi-epoch workloads hold a [`crate::Universe`] instead
-/// and pay the launch cost once.
-///
-/// # Panics
-///
-/// Fail-fast: there is no universe left to relaunch, so a contained
-/// fault becomes a contextful panic on the caller's thread.
-pub fn run_universe<F: ProgramFactory>(
-    num_ranks: usize,
-    factory: Arc<F>,
-    config: RuntimeConfig,
-) -> Vec<RunStats> {
-    let mut universe = Universe::launch(num_ranks, factory, config);
-    let stats = universe
-        .run_epoch(Arc::new(()))
-        .unwrap_or_else(|f| panic!("one-shot epoch faulted: {f}"));
-    universe.shutdown();
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::{PatchProgram, ProgramId, TaskTag, STREAM_WIRE_OVERHEAD};
+    use crate::Universe;
     use jsweep_mesh::PatchId;
     use parking_lot::Mutex;
+
+    /// Launch a universe, run one epoch with no input, shut it down.
+    fn one_epoch<F: ProgramFactory>(
+        ranks: usize,
+        factory: Arc<F>,
+        config: RuntimeConfig,
+    ) -> Vec<RunStats> {
+        let mut universe = Universe::launch(ranks, factory, config);
+        let stats = universe.run_epoch(Arc::new(())).expect("epoch faulted");
+        universe.shutdown();
+        stats
+    }
 
     /// A chain of programs 0..n: program k waits for a token from k-1,
     /// increments it, forwards to k+1. Program 0 starts with the token.
@@ -1129,7 +1116,7 @@ mod tests {
             ranks,
             log: log.clone(),
         });
-        let stats = run_universe(
+        let stats = one_epoch(
             ranks,
             factory,
             RuntimeConfig {
@@ -1177,7 +1164,7 @@ mod tests {
             ranks: 2,
             log,
         });
-        let stats = run_universe(2, factory, RuntimeConfig::default());
+        let stats = one_epoch(2, factory, RuntimeConfig::default());
         // Round-robin placement of a chain: every hop crosses ranks.
         let sent: u64 = stats.iter().map(|s| s.streams_sent).sum();
         let received: u64 = stats.iter().map(|s| s.streams_received).sum();
@@ -1286,7 +1273,7 @@ mod tests {
             fan,
             received: received.clone(),
         });
-        let stats = run_universe(2, factory, RuntimeConfig::default());
+        let stats = one_epoch(2, factory, RuntimeConfig::default());
         assert_eq!(*received.lock(), fan);
         let r0 = &stats[0];
         assert_eq!(r0.streams_sent, u64::from(fan));
@@ -1388,7 +1375,7 @@ mod tests {
     fn ping_pong_reentrancy() {
         for term in [TerminationKind::Counting, TerminationKind::Safra] {
             let factory = Arc::new(PingPongFactory { rounds: 25 });
-            let stats = run_universe(
+            let stats = one_epoch(
                 2,
                 factory,
                 RuntimeConfig {
@@ -1405,7 +1392,7 @@ mod tests {
     #[test]
     fn ping_pong_accounting_is_exact_across_ranks() {
         let factory = Arc::new(PingPongFactory { rounds: 25 });
-        let stats = run_universe(2, factory, RuntimeConfig::default());
+        let stats = one_epoch(2, factory, RuntimeConfig::default());
         for s in &stats {
             // Every stream crosses ranks with an empty payload.
             assert_eq!(s.streams_sent, 25);
@@ -1423,7 +1410,7 @@ mod tests {
     #[test]
     fn wall_time_recorded() {
         let factory = Arc::new(PingPongFactory { rounds: 2 });
-        let stats = run_universe(2, factory, RuntimeConfig::default());
+        let stats = one_epoch(2, factory, RuntimeConfig::default());
         for s in &stats {
             assert!(s.wall_seconds > 0.0);
             assert_eq!(s.workers.len(), 2);

@@ -42,9 +42,9 @@
 //! **epochs**: [`Universe::launch`] once, [`Universe::run_epoch`] per
 //! iteration (programs are re-armed in place via
 //! [`PatchProgram::reset`] with an opaque [`EpochInput`]), then
-//! [`Universe::shutdown`]. Every epoch runs this way: [`run_universe`]
-//! is launch, one epoch, shutdown, and a [`Rank`] is the same engine
-//! for one rank of a world of separate processes.
+//! [`Universe::shutdown`]. Every epoch runs this way — a one-shot run
+//! is a universe of one epoch — and a [`Rank`] is the same engine for
+//! one rank of a world of separate processes.
 
 pub mod engine;
 pub mod fault;
@@ -54,7 +54,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod universe;
 
-pub use engine::{run_universe, Rank, RuntimeConfig, TerminationKind};
+pub use engine::{Rank, RuntimeConfig, TerminationKind};
 pub use fault::{EpochFault, FaultKind, FaultPlan, FaultPlanBuilder};
 pub use jsweep_comm::TransportKind;
 pub use program::{

@@ -5,6 +5,12 @@
 //! `Running` (claimed by a worker). Stream delivery reactivates idle
 //! programs.
 //!
+//! A slot's priority is fixed when the slot is created (from
+//! [`crate::ProgramFactory::priority`], constant per program), so each
+//! shard's heap holds **exactly one entry per `Ready` slot**: a slot is
+//! pushed on Idle/Running → Ready and popped on Ready → Running, and
+//! nothing else touches the heap.
+//!
 //! The ready queue is **sharded**: programs hash to one of `S` shards
 //! (one per worker by construction in the engine), each with its own
 //! lock and priority heap. A worker drains its own shard first and
@@ -63,7 +69,7 @@ struct Slot {
     state: SlotState,
     pending: Vec<(ProgramId, Bytes)>,
     program: Option<Box<dyn PatchProgram>>,
-    initialized: bool,
+    /// Fixed at creation: the heap entry of a `Ready` slot carries it.
     priority: i64,
 }
 
@@ -73,7 +79,6 @@ impl Slot {
             state: SlotState::Idle,
             pending: Vec::new(),
             program: None,
-            initialized: false,
             priority,
         }
     }
@@ -124,20 +129,16 @@ pub struct Claim {
     /// Program identity.
     pub id: ProgramId,
     /// The program instance (`None` on first activation — the worker
-    /// creates it via the factory).
+    /// creates it via the factory, resets and inits it).
     pub program: Option<Box<dyn PatchProgram>>,
     /// Streams delivered since the last run.
     pub pending: Vec<(ProgramId, Bytes)>,
-    /// Whether `init` has already run.
-    pub initialized: bool,
 }
 
 struct Shard {
     slots: IdMap<Slot>,
-    /// Max-heap on (priority, lowest program id). Entries are **lazily
-    /// deleted**: a priority change while a program is `Ready` pushes a
-    /// fresh entry and leaves the old one behind; [`Pool::take_batch`] skips
-    /// any entry whose slot is no longer `Ready` at that priority.
+    /// Max-heap on (priority, lowest program id): exactly one entry
+    /// per `Ready` slot of the shard (module docs).
     heap: BinaryHeap<(i64, Reverse<ProgramId>)>,
 }
 
@@ -152,8 +153,7 @@ struct ShardCell {
 /// Shared per-rank program pool (sharded; see module docs).
 pub struct Pool {
     shards: Vec<ShardCell>,
-    /// Slots currently `Ready` across all shards (heap entries may
-    /// exceed this due to lazy deletion).
+    /// Slots currently `Ready` across all shards (= heap entries).
     ready: AtomicUsize,
     /// `Ready` + `Running` slots.
     active: AtomicUsize,
@@ -250,18 +250,15 @@ impl Pool {
         self.epoch_input.lock().clone()
     }
 
-    /// Epoch-boundary reset of a quiescent pool: drop stale
-    /// lazily-deleted heap entries and hand every resident program to
-    /// `f` (for its [`PatchProgram::reset`]). Panics if any slot is
+    /// Epoch-boundary reset of a quiescent pool: hand every resident
+    /// program to `f` (for its [`PatchProgram::reset`]). Panics if any slot is
     /// still `Ready`/`Running` or holds undelivered streams — calling
     /// this mid-epoch is a runtime bug.
     pub(crate) fn reset_epoch(&self, mut f: impl FnMut(ProgramId, &mut dyn PatchProgram)) {
         assert!(self.is_quiet(), "epoch reset on a non-quiescent pool");
         for cell in &self.shards {
             let mut g = cell.shard.lock();
-            // Stale entries (superseded priorities) would otherwise
-            // accumulate across epochs.
-            g.heap.clear();
+            assert!(g.heap.is_empty(), "heap entries on a quiescent pool");
             // Poisoned slots (only reachable here if a caller ignored
             // a fault and reset anyway) are dead weight: drop them.
             g.slots.retain(|_, slot| slot.state != SlotState::Poisoned);
@@ -333,35 +330,24 @@ impl Pool {
         }
     }
 
-    /// Register and activate a program with the given priority (initial
-    /// activation: per §III-A all patch-programs start active).
-    ///
-    /// Re-activating a `Ready` program with a different priority
-    /// re-queues it at the new priority; the superseded heap entry is
-    /// skipped lazily by [`Pool::take_batch`].
+    /// Register and activate a program at its factory priority
+    /// (initial activation: per §III-A all patch-programs start
+    /// active). An idle program is queued; a `Ready` one is queued
+    /// already, a `Running` one re-queues on finish and a `Poisoned`
+    /// one never runs again, so for those this changes nothing.
     pub fn activate(&self, id: ProgramId, priority: i64) {
         let s = self.shard_of(id);
         let newly = {
             let mut g = self.shards[s].shard.lock();
             let slot = g.slots.entry(id).or_insert_with(|| Slot::new(priority));
-            slot.priority = priority;
-            match slot.state {
-                SlotState::Idle => {
-                    slot.state = SlotState::Ready;
-                    g.heap.push((priority, Reverse(id)));
-                    self.add_ready(s, 1);
-                    1
-                }
-                SlotState::Ready => {
-                    // Keep the heap consistent with the new priority;
-                    // the old entry becomes stale.
-                    g.heap.push((priority, Reverse(id)));
-                    0
-                }
-                // Running: the new priority takes effect on re-queue.
-                SlotState::Running => 0,
-                // Discarded after a contained panic: never runs again.
-                SlotState::Poisoned => 0,
+            debug_assert_eq!(slot.priority, priority, "priority of {id:?} changed");
+            if slot.state == SlotState::Idle {
+                slot.state = SlotState::Ready;
+                g.heap.push((priority, Reverse(id)));
+                self.add_ready(s, 1);
+                1
+            } else {
+                0
             }
         };
         self.publish_ready(newly);
@@ -451,24 +437,17 @@ impl Pool {
         self.publish_ready(newly);
     }
 
-    /// Pop the shard's best live heap entry into a claim (lazy
-    /// deletion: entries superseded by a priority change or already
-    /// claimed through a newer entry are skipped and dropped).
+    /// Pop the shard's best heap entry — a `Ready` slot — into a claim.
     fn pop_claim(g: &mut Shard) -> Option<Claim> {
-        while let Some((prio, Reverse(id))) = g.heap.pop() {
-            let slot = g.slots.get_mut(&id).expect("heap entry has a slot");
-            if slot.state != SlotState::Ready || slot.priority != prio {
-                continue;
-            }
-            slot.state = SlotState::Running;
-            return Some(Claim {
-                id,
-                program: slot.program.take(),
-                pending: std::mem::take(&mut slot.pending),
-                initialized: slot.initialized,
-            });
-        }
-        None
+        let (_, Reverse(id)) = g.heap.pop()?;
+        let slot = g.slots.get_mut(&id).expect("heap entry has a slot");
+        debug_assert_eq!(slot.state, SlotState::Ready, "heap entry for {id:?}");
+        slot.state = SlotState::Running;
+        Some(Claim {
+            id,
+            program: slot.program.take(),
+            pending: std::mem::take(&mut slot.pending),
+        })
     }
 
     /// Claim up to `max` programs from shard `s` under one lock
@@ -569,7 +548,6 @@ impl Pool {
         let slot = g.slots.get_mut(&e.id).expect("finishing unknown program");
         debug_assert_eq!(slot.state, SlotState::Running);
         slot.program = Some(e.program);
-        slot.initialized = true;
         if slot.pending.is_empty() && e.scratch.capacity() > slot.pending.capacity() {
             slot.pending = e.scratch;
         }
@@ -739,7 +717,6 @@ mod tests {
         let again = take_one(&pool, 0).unwrap();
         assert_eq!(again.id, pid(0, 0));
         assert_eq!(again.pending.len(), 1);
-        assert!(again.initialized);
         assert!(again.program.is_some());
     }
 
@@ -786,39 +763,57 @@ mod tests {
         assert!(pool.is_quiet(), "double activation corrupted the queue");
     }
 
-    /// Regression (this PR): re-activating a `Ready` program at a new
-    /// priority used to leave the heap entry at the old priority, so
-    /// scheduling order ignored the update. The fix re-queues at the
-    /// new priority and lazily skips the stale entry.
-    #[test]
-    fn priority_change_while_ready_requeues_and_skips_stale_entry() {
-        let pool = Pool::new(1);
-        pool.activate(pid(0, 0), 1);
-        pool.activate(pid(1, 0), 3);
-        // Bump program 0 above program 1 while it is already Ready.
-        pool.activate(pid(0, 0), 5);
-        let first = take_one(&pool, 0).unwrap();
-        assert_eq!(first.id, pid(0, 0), "new priority must win");
-        finish_one(&pool, first.id, true);
-        // The stale (1, pid 0) entry is still in the heap; popping it
-        // must skip, not double-claim or panic.
-        let second = take_one(&pool, 0).unwrap();
-        assert_eq!(second.id, pid(1, 0));
-        finish_one(&pool, second.id, true);
-        assert!(try_one(&pool, 0).is_none());
-        assert!(pool.is_quiet());
+    /// Heap entries, `Ready` slots and the `ready` counter, each
+    /// summed over the shards.
+    fn queue_counts(pool: &Pool) -> (usize, usize, usize) {
+        let (mut heap, mut ready) = (0, 0);
+        for cell in &pool.shards {
+            let g = cell.shard.lock();
+            heap += g.heap.len();
+            ready += g
+                .slots
+                .values()
+                .filter(|s| s.state == SlotState::Ready)
+                .count();
+        }
+        (heap, ready, pool.ready.load(Ordering::SeqCst))
     }
 
-    /// Lowering a priority must also take effect (the stale entry here
-    /// sorts *above* the live one and must be skipped on pop).
+    /// The queue is exact: one heap entry per `Ready` slot after every
+    /// step — a delivery ahead of `activate`, `activate` on a `Ready`
+    /// and on a `Running` slot, a re-queue through `finish_batch` — and
+    /// claims leave in priority order.
     #[test]
-    fn priority_drop_while_ready_is_honoured() {
+    fn heap_holds_exactly_one_entry_per_ready_slot() {
         let pool = Pool::new(1);
-        pool.activate(pid(0, 0), 10);
-        pool.activate(pid(1, 0), 5);
-        pool.activate(pid(0, 0), 1); // demote below program 1
-        assert_eq!(take_one(&pool, 0).unwrap().id, pid(1, 0));
-        assert_eq!(take_one(&pool, 0).unwrap().id, pid(0, 0));
+        let exact = |step: &str| {
+            let (heap, ready, counter) = queue_counts(&pool);
+            assert_eq!((heap, counter), (ready, ready), "{step}");
+        };
+        let (a, b, c) = (pid(0, 0), pid(1, 0), pid(2, 0));
+        pool.deliver_batch([(stream_to(a), 5)]);
+        exact("delivery registers a at its priority");
+        pool.activate(a, 5);
+        exact("activate on a Ready slot");
+        pool.activate(b, 7);
+        pool.activate(c, 1);
+        exact("activate on idle slots");
+        let first = try_one(&pool, 0).unwrap();
+        assert_eq!(first.id, b);
+        pool.activate(b, 7);
+        exact("activate on a Running slot");
+        pool.deliver_batch([(stream_to(b), 7)]);
+        finish_one(&pool, b, true);
+        exact("finish re-queues b for its pending stream");
+        let mut order = Vec::new();
+        while let Some(claim) = try_one(&pool, 0) {
+            order.push(claim.id);
+            exact("claim");
+            finish_one(&pool, claim.id, true);
+            exact("finish to idle");
+        }
+        assert_eq!(order, vec![b, a, c]);
+        assert!(pool.is_quiet());
     }
 
     #[test]
@@ -904,7 +899,7 @@ mod tests {
         // Deliveries and re-activations to a poisoned slot are
         // swallowed: the program can never run again.
         pool.deliver_batch([(stream_to(pid(0, 0)), 0)]);
-        pool.activate(pid(0, 0), 5);
+        pool.activate(pid(0, 0), 0);
         assert!(pool.is_quiet());
         assert!(try_one(&pool, 0).is_none());
         // An epoch reset drops the poisoned slot entirely.
@@ -922,11 +917,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_epoch_clears_stale_heap_entries_and_visits_residents() {
+    fn reset_epoch_visits_residents() {
         let pool = Pool::new(2);
         pool.activate(pid(0, 0), 1);
-        // Priority bump leaves a stale heap entry behind.
-        pool.activate(pid(0, 0), 5);
         pool.activate(pid(1, 0), 2);
         while let Some(c) = try_one(&pool, 0) {
             finish_one(&pool, c.id, true);
@@ -937,11 +930,13 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![pid(0, 0), pid(1, 0)]);
         // The pool still schedules correctly after the reset.
-        pool.activate(pid(0, 0), 3);
+        pool.activate(pid(0, 0), 1);
         let again = take_one(&pool, 0).unwrap();
         assert_eq!(again.id, pid(0, 0));
-        assert!(again.initialized, "resident program lost its instance");
-        assert!(again.program.is_some());
+        assert!(
+            again.program.is_some(),
+            "resident program lost its instance"
+        );
     }
 
     #[test]

@@ -116,20 +116,21 @@ pub type EpochInput = dyn std::any::Any + Send + Sync;
 
 /// A data-driven patch-program (paper Fig. 6).
 ///
-/// Lifecycle (Alg. 1): `init` once before the first compute; then any
-/// number of rounds of `input*` → `compute` → (outputs collected from
-/// the [`ComputeCtx`]) → `vote_to_halt`. The runtime guarantees
+/// Lifecycle (Alg. 1): `init` once, right after `create` and its first
+/// `reset`; then any number of rounds of `input*` → `compute` →
+/// (outputs collected from the [`ComputeCtx`]) → `vote_to_halt`. The runtime guarantees
 /// `compute` is never invoked concurrently for the same program.
 ///
 /// Under a [`crate::Universe`] the rounds repeat per **epoch**, and
 /// every epoch — the first included — arms the program through
 /// [`PatchProgram::reset`] with the epoch's input: right after
-/// `create` (before `init`) for a program that materialises in the
+/// `create` (so before `init`) for a program that materialises in the
 /// epoch, at the epoch boundary for a resident one (instead of
 /// recreating it). The `input*`/`compute` rounds then run to
 /// quiescence.
 pub trait PatchProgram: Send {
-    /// Initialise local context. Called exactly once, before the first
+    /// Initialise local context. Called exactly once, right after
+    /// `create` and the first `reset`, before the first
     /// `input`/`compute`.
     fn init(&mut self);
 
@@ -185,9 +186,10 @@ pub trait ProgramFactory: Send + Sync + 'static {
     /// called per stream, by workers and masters alike.
     fn rank_of(&self, id: ProgramId) -> usize;
 
-    /// Scheduling priority `prior(p, a)`; larger runs earlier. O(1):
-    /// called per stream delivered and per activation (the pool reads
-    /// it only when it first registers `id` or activates it).
+    /// Scheduling priority `prior(p, a)`; larger runs earlier. O(1)
+    /// and constant per `id`: the pool fixes it when it first registers
+    /// `id` (at activation, or a delivery that races ahead of it) and
+    /// never re-prioritises a program.
     fn priority(&self, id: ProgramId) -> i64;
 
     /// Committed workload of `id` (e.g. number of local vertices), used

@@ -6,8 +6,7 @@
 //! with only the input data changing, so building rank threads, worker
 //! threads, pools and every patch-program per iteration is pure
 //! overhead. A [`Universe`] is the one way an epoch runs — a
-//! single sweep is a universe of one epoch
-//! ([`run_universe`](crate::run_universe)) — and it keeps the whole
+//! single sweep is a universe of one epoch — and it keeps the whole
 //! world resident:
 //!
 //! * **launch** — rank threads, workers, pools and master routing

@@ -115,11 +115,6 @@ impl SweepState {
         self.computed as usize == self.counts.len()
     }
 
-    /// Number of vertices computed so far.
-    pub fn computed(&self) -> u32 {
-        self.computed
-    }
-
     /// `compute()`: pop up to `grain` ready vertices (grain = the vertex
     /// clustering grain `N`), propagate internal readiness inline, and
     /// report each remote downwind edge via `on_remote(src_vertex, edge)`.

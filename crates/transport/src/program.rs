@@ -353,17 +353,33 @@ fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
 
 /// Per-program scheduling state, built by the factory for the
 /// schedule its setup names and re-armed in place by every `reset`.
+/// Each schedule owns what only it uses, so its compute and its stream
+/// decode see exactly their own state and the shared [`Physics`].
 enum Sched {
-    /// DAG-driven execution.
-    Fine(SweepState),
-    /// Coarse replay over the compiled task. `vertices_left` tracks the
-    /// remaining workload in vertex units (the unit counting
-    /// termination accounts in), not clusters.
-    Coarse {
-        state: CoarseSweepState,
-        task: Arc<ReplayTask>,
-        vertices_left: u64,
-    },
+    Fine(Fine),
+    Coarse(Coarse),
+}
+
+/// DAG-driven execution and its stream assembly.
+struct Fine {
+    state: SweepState,
+    /// Vertex clustering grain `N`.
+    grain: usize,
+    /// Per destination (indexed like [`Subgraph::nbrs`]) the remote-CSR
+    /// edges of the cluster in flight; every list is emitted and
+    /// emptied within the compute call that filled it.
+    per_nbr: Vec<Vec<u32>>,
+    /// The prefix of the stream being packed.
+    prefix: Vec<u8>,
+}
+
+/// Coarse replay over the compiled task. `vertices_left` tracks the
+/// remaining workload in vertex units (the unit counting termination
+/// accounts in), not clusters.
+struct Coarse {
+    state: CoarseSweepState,
+    task: Arc<ReplayTask>,
+    vertices_left: u64,
 }
 
 /// The physics half of a program: everything the numerical kernel
@@ -555,43 +571,20 @@ fn copy_block(dst: &mut [f64], src: &[f64], b: usize) {
     }
 }
 
-/// The patch-program of one `(patch, angle)` sweep task.
-pub struct SweepProgram {
-    id: ProgramId,
-    sink: Arc<EpochSink>,
-    /// This task's slot in `sink`.
-    tid: usize,
-    grain: usize,
-    /// Scheduling state (fine counters + ready queue, or coarse replay).
-    sched: Sched,
-    /// Kernel inputs and the numeric buffers.
-    phys: Physics,
-    /// Fine-path stream assembly: per destination (indexed like
-    /// [`Subgraph::nbrs`]) the remote-CSR edges of the cluster in
-    /// flight; every list is emitted and emptied within the compute
-    /// call that filled it.
-    fine_out: Vec<Vec<u32>>,
-    /// Fine-path scratch for the prefix of the stream being packed.
-    prefix: Vec<u8>,
-}
-
-impl SweepProgram {
+impl Fine {
     /// Fine-mode `compute()`: pop a cluster of ready vertices, run the
     /// kernel, emit one stream per target patch (clustering aggregates
-    /// messages, §V-C benefit 2).
-    fn compute_fine(&mut self, ctx: &mut ComputeCtx) {
-        let Sched::Fine(state) = &mut self.sched else {
-            unreachable!("compute_fine on a coarse program");
-        };
-        let (id, phys) = (self.id, &mut self.phys);
+    /// messages, §V-C benefit 2). True once the last vertex ran.
+    fn compute(&mut self, id: ProgramId, phys: &mut Physics, ctx: &mut ComputeCtx) -> bool {
         // DAG bookkeeping: pop a cluster of ready vertices.
-        let cluster = state.pop_cluster(&phys.subs[phys.patch], self.grain, |_, _| {});
+        let sub = &phys.subs[phys.patch];
+        let cluster = self.state.pop_cluster(sub, self.grain, |_, _| {});
         if cluster.is_empty() {
-            return;
+            return false;
         }
         ctx.work_done = cluster.len() as u64;
 
-        let (per_nbr, prefix) = (&mut self.fine_out, &mut self.prefix);
+        let (per_nbr, prefix) = (&mut self.per_nbr, &mut self.prefix);
         ctx.kernel(|out| {
             phys.kernel_cluster(&cluster, &StoredSlots, &mut []);
             // Sort the cluster's remote edges by destination, in
@@ -613,30 +606,23 @@ impl SweepProgram {
                 }
             }
         });
-
-        if state.is_complete() {
-            self.finish_task();
-        }
+        self.state.is_complete()
     }
+}
 
+impl Coarse {
     /// Coarse-mode `compute()` (§V-E replay): pop one whole coarse
     /// vertex, execute its compiled vertex list in order, and emit
     /// exactly one stream per outgoing coarse edge — no per-vertex
-    /// in-degree bookkeeping, no priority recomputation.
-    fn compute_coarse(&mut self, ctx: &mut ComputeCtx) {
-        let Sched::Coarse {
-            state,
-            task,
-            vertices_left,
-        } = &mut self.sched
-        else {
-            unreachable!("compute_coarse on a fine program");
-        };
-        let Some(cv) = state.pop(&task.coarse) else {
-            return;
+    /// in-degree bookkeeping, no priority recomputation. True once the
+    /// last coarse vertex ran.
+    fn compute(&mut self, id: ProgramId, phys: &mut Physics, ctx: &mut ComputeCtx) -> bool {
+        let task = &self.task;
+        let Some(cv) = self.state.pop(&task.coarse) else {
+            return false;
         };
         let cluster = &task.coarse.clusters[cv as usize];
-        *vertices_left -= cluster.len() as u64;
+        self.vertices_left -= cluster.len() as u64;
         // ClusterTrace::record drops empty clusters, so a compiled
         // coarse vertex is never empty; executing one would emit its
         // coarse edges without computing anything.
@@ -646,7 +632,6 @@ impl SweepProgram {
         );
         ctx.work_done = cluster.len() as u64;
 
-        let (id, phys) = (self.id, &mut self.phys);
         // Packing happens inside the kernel closure in both modes,
         // which keeps their Kernel/GraphOp split comparable.
         ctx.kernel(|out| {
@@ -667,12 +652,23 @@ impl SweepProgram {
                 out.push(phys.emit(id, edge.patch, skeleton, &edge.items));
             }
         });
-
-        if state.is_complete() {
-            self.finish_task();
-        }
+        self.state.is_complete()
     }
+}
 
+/// The patch-program of one `(patch, angle)` sweep task.
+pub struct SweepProgram {
+    id: ProgramId,
+    sink: Arc<EpochSink>,
+    /// This task's slot in `sink`.
+    tid: usize,
+    /// Scheduling state (fine counters + ready queue, or coarse replay).
+    sched: Sched,
+    /// Kernel inputs and the numeric buffers.
+    phys: Physics,
+}
+
+impl SweepProgram {
     /// The sweep state completed: hand the task's scalar-flux
     /// contribution to its slot — the one place it leaves the program.
     /// The accumulator comes back at the next epoch's reset.
@@ -721,16 +717,16 @@ impl PatchProgram for SweepProgram {
         let layout = match &mut self.sched {
             // One coarse edge per stream: a single in-degree decrement
             // on the target coarse vertex.
-            Sched::Coarse { state, task, .. } => {
-                let layout = armed_layout(task, sub, groups);
+            Sched::Coarse(coarse) => {
+                let layout = armed_layout(&coarse.task, sub, groups);
                 check(layout);
-                state.receive(head);
+                coarse.state.receive(head);
                 layout
             }
-            Sched::Fine(state) => {
+            Sched::Fine(fine) => {
                 check(None);
                 assert_eq!(head, PER_SLOT, "replay stream for a fine-mode program");
-                words(slots).for_each(|s| state.receive(sub.slot_vertex(s)));
+                words(slots).for_each(|s| fine.state.receive(sub.slot_vertex(s)));
                 None
             }
         };
@@ -744,23 +740,26 @@ impl PatchProgram for SweepProgram {
     }
 
     fn compute(&mut self, ctx: &mut ComputeCtx) {
-        match self.sched {
-            Sched::Coarse { .. } => self.compute_coarse(ctx),
-            Sched::Fine(_) => self.compute_fine(ctx),
+        let complete = match &mut self.sched {
+            Sched::Fine(fine) => fine.compute(self.id, &mut self.phys, ctx),
+            Sched::Coarse(coarse) => coarse.compute(self.id, &mut self.phys, ctx),
+        };
+        if complete {
+            self.finish_task();
         }
     }
 
     fn vote_to_halt(&self) -> bool {
         match &self.sched {
-            Sched::Fine(state) => !state.has_ready(),
-            Sched::Coarse { state, .. } => !state.has_ready(),
+            Sched::Fine(fine) => !fine.state.has_ready(),
+            Sched::Coarse(coarse) => !coarse.state.has_ready(),
         }
     }
 
     fn remaining_work(&self) -> u64 {
         match &self.sched {
-            Sched::Fine(state) => state.remaining(),
-            Sched::Coarse { vertices_left, .. } => *vertices_left,
+            Sched::Fine(fine) => fine.state.remaining(),
+            Sched::Coarse(coarse) => coarse.vertices_left,
         }
     }
 
@@ -794,14 +793,10 @@ impl PatchProgram for SweepProgram {
         phys.materials = e.materials.clone();
         let sub = &phys.subs[phys.patch];
         match &mut self.sched {
-            Sched::Fine(state) => state.reset(sub),
-            Sched::Coarse {
-                state,
-                task,
-                vertices_left,
-            } => {
-                state.reset(&task.coarse);
-                *vertices_left = task.coarse.num_vertices() as u64;
+            Sched::Fine(fine) => fine.state.reset(sub),
+            Sched::Coarse(coarse) => {
+                coarse.state.reset(&coarse.task.coarse);
+                coarse.vertices_left = coarse.task.coarse.num_vertices() as u64;
             }
         }
         phys.phi_part = std::mem::take(&mut self.sink.slot(self.tid).phi_part);
@@ -824,24 +819,28 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
                 let task = plan.tasks[a][p].clone();
                 let slots = armed_layout(&task, sub, s.groups)
                     .map_or(sub.num_slots(), ReplayLayout::persistent_slots);
-                let sched = Sched::Coarse {
+                let sched = Sched::Coarse(Coarse {
                     state: CoarseSweepState::new(&task.coarse),
                     vertices_left: task.coarse.num_vertices() as u64,
                     task,
-                };
+                });
                 (sched, slots)
             }
-            None => (
-                Sched::Fine(SweepState::new(sub, s.problem.vprio[a][p].clone())),
-                sub.num_slots(),
-            ),
+            None => {
+                let fine = Fine {
+                    state: SweepState::new(sub, s.problem.vprio[a][p].clone()),
+                    grain: s.grain,
+                    per_nbr: vec![Vec::new(); sub.nbrs.len()],
+                    prefix: Vec::new(),
+                };
+                (Sched::Fine(fine), sub.num_slots())
+            }
         };
-        let (nbrs, remote) = (sub.nbrs.len(), sub.rem_dst.len());
+        let remote = sub.rem_dst.len();
         SweepProgram {
             id,
             sink: s.sink.clone(),
             tid: s.problem.tid(p, a),
-            grain: s.grain,
             sched,
             phys: Physics {
                 problem: s.problem.clone(),
@@ -857,8 +856,6 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
                 phi_part: Vec::new(),
                 remote_vals: vec![0.0; remote * s.groups],
             },
-            fine_out: vec![Vec::new(); nbrs],
-            prefix: Vec::new(),
         }
     }
 
@@ -1200,7 +1197,7 @@ mod tests {
     /// in the cluster scratch.
     fn armed(prog: &SweepProgram) -> Option<&ReplayLayout> {
         match &prog.sched {
-            Sched::Coarse { task, .. } => {
+            Sched::Coarse(Coarse { task, .. }) => {
                 armed_layout(task, &prog.phys.subs[prog.phys.patch], prog.phys.groups)
             }
             _ => None,
@@ -1214,7 +1211,9 @@ mod tests {
     fn run_cluster(prog: &mut SweepProgram, cluster: &[u32]) {
         let SweepProgram { sched, phys, .. } = prog;
         let layout = match sched {
-            Sched::Coarse { task, .. } => armed_layout(task, &phys.subs[phys.patch], phys.groups),
+            Sched::Coarse(Coarse { task, .. }) => {
+                armed_layout(task, &phys.subs[phys.patch], phys.groups)
+            }
             _ => None,
         };
         match layout {
@@ -1288,7 +1287,7 @@ mod tests {
                 prog.reset(&epoch);
                 let sub = prog.phys.subs[p.index()].clone();
                 let clusters = match &prog.sched {
-                    Sched::Coarse { task, .. } => task.coarse.clusters.clone(),
+                    Sched::Coarse(Coarse { task, .. }) => task.coarse.clusters.clone(),
                     _ => rec.traces[a][p.index()].clusters.clone(),
                 };
                 let addr = slot_addrs(&prog);

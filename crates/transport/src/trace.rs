@@ -17,8 +17,8 @@
 use bytes::Bytes;
 use jsweep_comm::pack::{Reader, Writer};
 use jsweep_core::{
-    run_universe, ComputeCtx, PatchProgram, ProgramFactory, ProgramId, RunStats, RuntimeConfig,
-    Stream, TaskTag, TerminationKind,
+    ComputeCtx, PatchProgram, ProgramFactory, ProgramId, RunStats, RuntimeConfig, Stream, TaskTag,
+    TerminationKind, Universe,
 };
 use jsweep_mesh::{Neighbor, PatchSet, StructuredMesh, SweepTopology};
 use parking_lot::Mutex;
@@ -288,7 +288,8 @@ impl ProgramFactory for TraceFactory {
 }
 
 /// Parallel tracer on the JSweep runtime. Returns the per-cell track
-/// lengths plus the per-rank runtime statistics.
+/// lengths plus the per-rank runtime statistics; panics if the epoch
+/// faults.
 pub fn trace_parallel(
     mesh: Arc<StructuredMesh>,
     patches: Arc<PatchSet>,
@@ -315,15 +316,17 @@ pub fn trace_parallel(
         bins: bins.clone(),
         seed,
     });
-    let stats = run_universe(
-        num_ranks,
-        factory,
-        RuntimeConfig {
-            num_workers: workers_per_rank,
-            termination: TerminationKind::Safra,
-            ..Default::default()
-        },
-    );
+    let config = RuntimeConfig {
+        num_workers: workers_per_rank,
+        termination: TerminationKind::Safra,
+        ..Default::default()
+    };
+    // One epoch: each program's `init` takes its patch's seeds.
+    let mut universe = Universe::launch(num_ranks, factory, config);
+    let stats = universe
+        .run_epoch(Arc::new(()))
+        .unwrap_or_else(|f| panic!("particle trace faulted: {f}"));
+    universe.shutdown();
     let mut tally = vec![0.0; mesh.num_cells()];
     for p in patches.patches() {
         let bin = bins[p.index()].lock();

@@ -61,8 +61,8 @@ pub use jsweep_transport as transport;
 /// The most common imports in one place.
 pub mod prelude {
     pub use jsweep_core::{
-        run_universe, EpochFault, FaultKind, FaultPlan, PatchProgram, ProgramFactory, ProgramId,
-        RuntimeConfig, Stream, TaskTag, TelemetryHandle, TerminationKind, Universe,
+        EpochFault, FaultKind, FaultPlan, PatchProgram, ProgramFactory, ProgramId, RuntimeConfig,
+        Stream, TaskTag, TelemetryHandle, TerminationKind, Universe,
     };
     pub use jsweep_des::{simulate, MachineModel, ProblemOptions, SimOptions, SweepProblem};
     pub use jsweep_graph::PriorityStrategy;

@@ -9,6 +9,18 @@ use jsweep::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Launch a universe, run one epoch with no input, shut it down.
+fn one_epoch<F: ProgramFactory>(
+    ranks: usize,
+    factory: Arc<F>,
+    config: RuntimeConfig,
+) -> Vec<jsweep::core::RunStats> {
+    let mut universe = jsweep::core::Universe::launch(ranks, factory, config);
+    let stats = universe.run_epoch(Arc::new(())).expect("epoch faulted");
+    universe.shutdown();
+    stats
+}
+
 /// Many ranks exchange a storm of randomly-addressed messages, each
 /// forwarded a fixed number of hops; Safra must detect quiescence only
 /// after every hop completes.
@@ -150,7 +162,7 @@ fn runtime_fan_in_under_contention() {
             ranks,
             total: total.clone(),
         });
-        let stats = jsweep::core::run_universe(
+        let stats = one_epoch(
             ranks,
             factory,
             RuntimeConfig {
@@ -349,7 +361,7 @@ fn runtime_frame_accounting_exact_across_ranks() {
         }
     }
 
-    let stats = jsweep::core::run_universe(
+    let stats = one_epoch(
         RANKS,
         Arc::new(FanFactory),
         RuntimeConfig {
@@ -490,7 +502,7 @@ fn runtime_many_tiny_programs() {
         }
     }
 
-    let stats = jsweep::core::run_universe(
+    let stats = one_epoch(
         4,
         Arc::new(HopFactory { ranks: 4 }),
         RuntimeConfig {
