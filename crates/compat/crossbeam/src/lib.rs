@@ -2,7 +2,8 @@
 //! [`crossbeam`] crate that jsweep uses: multi-producer,
 //! multi-consumer unbounded [`channel`]s with blocking, non-blocking
 //! and timed receives, and crossbeam's disconnect semantics (a channel
-//! is dead once every `Sender` — or every `Receiver` — is dropped).
+//! is dead once every `Sender` — or every `Receiver` — is dropped; the
+//! last `Receiver` drops whatever is still queued).
 //!
 //! [`crossbeam`]: https://docs.rs/crossbeam
 
@@ -199,7 +200,16 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            self.shared.inner.lock().unwrap().receivers -= 1;
+            let mut g = self.shared.inner.lock().unwrap();
+            g.receivers -= 1;
+            if g.receivers == 0 {
+                // Nothing can receive what is queued: drop it, as
+                // crossbeam does, but after the unlock, because a
+                // message's own drop may touch this channel.
+                let queue = std::mem::take(&mut g.queue);
+                drop(g);
+                drop(queue);
+            }
         }
     }
 
@@ -235,6 +245,39 @@ pub mod channel {
             let (tx, rx) = unbounded::<u8>();
             drop(rx);
             assert_eq!(tx.send(9), Err(SendError(9)));
+        }
+
+        #[test]
+        fn last_receiver_drops_the_queue() {
+            // The message also carries a sender of its own channel,
+            // whose drop locks the channel: dropping the queue under the
+            // lock would deadlock here.
+            struct Flag {
+                dropped: Arc<Mutex<bool>>,
+                _tx: Option<Sender<Flag>>,
+            }
+            impl Drop for Flag {
+                fn drop(&mut self) {
+                    *self.dropped.lock().unwrap() = true;
+                }
+            }
+            let dropped = Arc::new(Mutex::new(false));
+            let (tx, rx) = unbounded();
+            let rx2 = rx.clone();
+            let queued = Flag {
+                dropped: dropped.clone(),
+                _tx: Some(tx.clone()),
+            };
+            assert!(tx.send(queued).is_ok());
+            drop(rx);
+            assert!(!*dropped.lock().unwrap(), "a receiver is left");
+            drop(rx2);
+            assert!(
+                *dropped.lock().unwrap(),
+                "queued message outlived every receiver"
+            );
+            let late = Flag { dropped, _tx: None };
+            assert!(tx.send(late).is_err());
         }
 
         #[test]

@@ -259,25 +259,29 @@ impl Universe {
     /// count and the thread's panic payload — after joining the
     /// remaining ranks, so no thread is leaked behind the abort.
     pub fn shutdown(&mut self) {
-        for r in &self.ranks {
-            // Ignore a closed channel: the rank already exited.
-            let _ = r.cmd.send(Cmd::Shutdown);
-        }
         let epoch = self.epochs_run;
-        let mut failures: Vec<String> = Vec::new();
-        for (i, r) in self.ranks.iter_mut().enumerate() {
-            if let Some(join) = r.join.take() {
-                if let Err(e) = join.join() {
-                    failures.push(format!(
-                        "rank {i} panicked (universe at epoch {epoch}): {}",
-                        panic_message(e.as_ref())
-                    ));
-                }
-            }
-        }
+        let failures: Vec<String> = self
+            .stop_ranks()
+            .iter()
+            .map(|(i, why)| format!("rank {i} panicked (universe at epoch {epoch}): {why}"))
+            .collect();
         if !failures.is_empty() {
             panic!("universe shutdown: {}", failures.join("; "));
         }
+    }
+
+    /// Send every rank `Shutdown` (a closed channel means the rank
+    /// already exited) and join its thread; returns the rendered panic
+    /// payloads of the rank threads that panicked, by rank.
+    fn stop_ranks(&mut self) -> Vec<(usize, String)> {
+        for r in &self.ranks {
+            let _ = r.cmd.send(Cmd::Shutdown);
+        }
+        self.ranks
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, r)| Some((i, panic_message(&*r.join.take()?.join().err()?))))
+            .collect()
     }
 }
 
@@ -289,17 +293,10 @@ impl Drop for Universe {
             // their panic payloads (if any) are swallowed here, since
             // the unwind in progress is the error being reported — so
             // dropping mid-unwind leaks no threads.
-            for r in &self.ranks {
-                let _ = r.cmd.send(Cmd::Shutdown);
-            }
-            for r in &mut self.ranks {
-                if let Some(join) = r.join.take() {
-                    let _ = join.join();
-                }
-            }
-            return;
+            self.stop_ranks();
+        } else {
+            self.shutdown();
         }
-        self.shutdown();
     }
 }
 

@@ -139,8 +139,8 @@ impl CoarsePlan {
     }
 
     /// Estimated heap footprint of the plan, compiled slot layouts
-    /// included. Shared (octant-canonical) tasks are counted once, so
-    /// this is what caching the plan actually costs.
+    /// included. A task shared between octants (octant-canonical)
+    /// counts once, so this is what caching the plan actually costs.
     pub fn memory_bytes(&self) -> usize {
         let mut seen = std::collections::HashSet::new();
         let mut total = std::mem::size_of::<CoarsePlan>();

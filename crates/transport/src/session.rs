@@ -23,13 +23,20 @@
 //!
 //! ```text
 //!   launch() ─▶ campaign() ─▶ submit() ─▶ admitted ─▶ epochs (round-robin) ─▶ resolved
-//!   shutdown(): close the ingress (later submits resolve Closed), serve
-//!               everything submitted before it, retire the universe, join
+//!   shutdown(): send Close down the ingress (what queues behind it, and
+//!               every later submit, resolves Closed), serve everything
+//!               admitted before it, retire the universe, join
 //! ```
 //!
-//! The session thread only waits for submissions and hands them to a
-//! `Driver`, which owns the world and one record per campaign (its
-//! queue of admitted solves and its consecutive-fault streak). The
+//! Both hand-offs are channels. The ingress carries submissions and the
+//! close; a ticket is the receiving end of its request's reply. A reply
+//! dropped unsent reads as [`SessionError::Closed`], so every ticket
+//! resolves exactly once whatever happens to the session thread, an
+//! unwinding one included: the channels' drop rule carries it.
+//!
+//! The session thread only takes submissions off the ingress and hands
+//! them to a `Driver`, which owns the world and one record per campaign
+//! (its queue of admitted solves and its consecutive-fault streak). The
 //! driver's `admit`, `run_one_epoch` and `finish` run on whichever
 //! thread calls them, so tests drive it directly, with no thread and no
 //! sleep. A faulted epoch needs no clean-up beyond retiring the
@@ -40,11 +47,12 @@
 use crate::replay::PlanCache;
 use crate::solver::{advance_one_epoch, EpochWorld, SnConfig, SnSolution, SolveProgress};
 use crate::xs::MaterialSet;
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use jsweep_core::fault::{EpochFault, FaultKind};
 use jsweep_graph::SweepProblem;
 use jsweep_mesh::SweepTopology;
 use jsweep_quadrature::QuadratureSet;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,6 +177,8 @@ pub struct SolveOutcome {
 pub struct RoundRobin;
 
 /// Per-campaign accounting, aggregated over the campaign's lifetime.
+/// The campaign's epochs and faults are its records in
+/// [`SessionStats::epoch_log`]; its retries are `faults − failed`.
 /// Per-epoch [`jsweep_core::RunStats`] ride in each
 /// [`SolveOutcome::solution`].
 #[derive(Debug, Clone, Default)]
@@ -180,17 +190,10 @@ pub struct CampaignStats {
     /// Requests that resolved [`SessionError::Failed`] (fault past the
     /// retry budget).
     pub failed: u64,
-    /// Faulted epochs attributed to this campaign's requests
-    /// (including ones a retry later recovered).
-    pub faults: u64,
-    /// Epoch retries spent by this campaign's requests.
-    pub retries: u64,
     /// The campaign hit [`SessionOptions::quarantine_after`]
     /// consecutive faults: its queue was flushed and every later
     /// submission resolves [`SessionError::Rejected`].
     pub quarantined: bool,
-    /// Epochs run on behalf of this campaign.
-    pub epochs_run: u64,
     /// Admissions that found their replay plan in the session cache.
     pub plan_cache_hits: u64,
     /// Admissions that missed the cache (each compiled the plan and
@@ -228,13 +231,12 @@ pub struct SessionStats {
     /// `universes_launched` after shutdown — the no-leak invariant the
     /// soak tests pin.
     pub universes_retired: u64,
-    /// Total epochs run.
+    /// Total epochs run (faulted ones not included).
     pub epochs_run: u64,
-    /// Faulted epochs across the session (each also appears in its
-    /// campaign's [`CampaignStats::faults`]).
+    /// Faulted epochs across the session. Each one is either a retry
+    /// or a terminal failure, so the session's retries are `faults`
+    /// less the campaigns' [`CampaignStats::failed`].
     pub faults: u64,
-    /// Epoch retries spent across the session.
-    pub retries: u64,
     /// Universe relaunches forced by faults. Every relaunch also
     /// counts one `universes_retired` and (lazily, on the next epoch)
     /// one `universes_launched`, so the no-leak invariant
@@ -268,48 +270,18 @@ pub struct SessionOptions {
     pub quarantine_after: u32,
 }
 
-/// One-shot result slot a submitter blocks on.
-#[derive(Default)]
-struct TicketCell {
-    slot: Mutex<Option<Result<SolveOutcome, SessionError>>>,
-    cv: Condvar,
-}
+/// How a ticket resolves.
+type Resolution = Result<SolveOutcome, SessionError>;
 
-/// The one writer of a ticket's slot, consumed by `fulfill`. Dropped
-/// unfulfilled (a closed ingress, an unwinding session thread), it
-/// resolves [`SessionError::Closed`]: no waiter outlives the driver.
-struct Reply(Option<Arc<TicketCell>>);
-
-impl Reply {
-    fn fulfill(mut self, result: Result<SolveOutcome, SessionError>) {
-        self.put(result);
-    }
-
-    fn put(&mut self, result: Result<SolveOutcome, SessionError>) {
-        if let Some(cell) = self.0.take() {
-            *cell.slot.lock() = Some(result);
-            cell.cv.notify_all();
-        }
-    }
-}
-
-impl Drop for Reply {
-    fn drop(&mut self) {
-        self.put(Err(SessionError::Closed));
-    }
-}
-
-/// Future of one submitted request.
-pub struct SolveTicket(Arc<TicketCell>);
+/// Future of one submitted request: the receiving end of its reply.
+pub struct SolveTicket(Receiver<Resolution>);
 
 impl SolveTicket {
-    /// Block until the request resolves.
+    /// Block until the request resolves. A reply dropped unsent (the
+    /// session closed first, or its thread unwound) reads as
+    /// [`SessionError::Closed`].
     pub fn wait(self) -> Result<SolveOutcome, SessionError> {
-        let mut slot = self.0.slot.lock();
-        while slot.is_none() {
-            self.0.cv.wait(&mut slot);
-        }
-        slot.take().expect("slot checked non-empty")
+        self.0.recv().unwrap_or(Err(SessionError::Closed))
     }
 }
 
@@ -318,25 +290,15 @@ struct Submission {
     campaign: u64,
     seq: u64,
     request: SolveRequest,
-    reply: Reply,
+    reply: Sender<Resolution>,
     submitted: Instant,
 }
 
-/// Submissions not yet admitted. Closing happens under the same lock
-/// as submission, so a submit either lands before the close (and is
-/// served) or observes `closed` and resolves at once — a ticket can
-/// never be abandoned unresolved.
-#[derive(Default)]
-struct Ingress {
-    queue: Vec<Submission>,
-    closed: bool,
-}
-
-/// The ingress and the condvar the session thread sleeps on.
-#[derive(Default)]
-struct Shared {
-    ingress: Mutex<Ingress>,
-    cv: Condvar,
+/// What the session thread receives: a submission, or the close that
+/// ends admission.
+enum Ingress {
+    Submit(Submission),
+    Close,
 }
 
 /// An admitted request being served.
@@ -345,7 +307,7 @@ struct ActiveSolve {
     submitted: Instant,
     queue_wait: Option<f64>,
     progress: SolveProgress,
-    reply: Reply,
+    reply: Sender<Resolution>,
     /// Resolved at admission: the request's override or the session
     /// default.
     max_retries: u32,
@@ -357,7 +319,7 @@ struct ActiveSolve {
 /// thread serving queued solves from any number of concurrent
 /// campaigns. See the [module docs](self) for the lifecycle.
 pub struct SolverSession<T: SweepTopology + Send + Sync + 'static> {
-    shared: Arc<Shared>,
+    ingress: Sender<Ingress>,
     driver: Option<JoinHandle<()>>,
     stats: Arc<Mutex<SessionStats>>,
     cache: Arc<PlanCache>,
@@ -377,14 +339,13 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
     ) -> Self {
         let driver = Driver::new(mesh, problem, quadrature, options);
         let (stats, cache) = (driver.stats.clone(), driver.cache.clone());
-        let shared = Arc::new(Shared::default());
-        let serving = shared.clone();
+        let (ingress, arrivals) = unbounded();
         let handle = thread::Builder::new()
             .name("jsweep-session".into())
-            .spawn(move || serve(&serving, driver))
+            .spawn(move || serve(arrivals, driver))
             .expect("spawn session thread");
         SolverSession {
-            shared,
+            ingress,
             driver: Some(handle),
             stats,
             cache,
@@ -399,7 +360,7 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
     pub fn campaign(&self) -> CampaignHandle {
         CampaignHandle {
             campaign: self.next_campaign.fetch_add(1, Ordering::Relaxed),
-            shared: self.shared.clone(),
+            ingress: self.ingress.clone(),
             seq: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -424,12 +385,13 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
         }
     }
 
-    /// Close the ingress and join the session thread; `None` when it
-    /// was stopped before.
+    /// Send the close and join the session thread; `None` when it was
+    /// stopped before.
     fn stop_driver(&mut self) -> Option<thread::Result<()>> {
         let handle = self.driver.take()?;
-        self.shared.ingress.lock().closed = true;
-        self.shared.cv.notify_one();
+        // A session thread that already left has dropped its receiver:
+        // nothing is left to close.
+        let _ = self.ingress.send(Ingress::Close);
         Some(handle.join())
     }
 }
@@ -442,38 +404,35 @@ impl<T: SweepTopology + Send + Sync + 'static> Drop for SolverSession<T> {
     }
 }
 
-/// Closes the ingress as the session thread leaves [`serve`], unwinding
-/// included: queued replies resolve `Closed`, and so do later submits.
-struct CloseOnExit<'a>(&'a Shared);
-
-impl Drop for CloseOnExit<'_> {
-    fn drop(&mut self) {
-        let mut g = self.0.ingress.lock();
-        g.closed = true;
-        g.queue.clear();
-    }
-}
-
-/// The session thread: wait for submissions or a close, admit what
-/// arrived, run one epoch while there is work, and finish once the
-/// ingress is closed and everything admitted has been served.
-fn serve<T: SweepTopology + Send + Sync + 'static>(shared: &Shared, mut driver: Driver<T>) {
-    let _close = CloseOnExit(shared);
+/// The session thread: admit what has arrived, run one epoch while
+/// there is work, and block only when idle. `Close` ends admission:
+/// dropping the receiver resolves whatever queues behind it, and every
+/// later submit, `Closed`; what was admitted before it is served to the
+/// end. An unwinding thread drops the receiver and the driver, and with
+/// them every reply it holds, so no ticket outlives it unresolved.
+fn serve<T: SweepTopology + Send + Sync + 'static>(
+    ingress: Receiver<Ingress>,
+    mut driver: Driver<T>,
+) {
     loop {
-        let (arrived, closed) = {
-            let mut g = shared.ingress.lock();
-            while g.queue.is_empty() && !g.closed && !driver.has_work() {
-                shared.cv.wait(&mut g);
+        let arrived = match ingress.try_recv() {
+            Err(TryRecvError::Empty) if driver.has_work() => {
+                driver.run_one_epoch();
+                continue;
             }
-            (std::mem::take(&mut g.queue), g.closed)
+            Err(TryRecvError::Empty) => ingress.recv().ok(),
+            arrived => arrived.ok(),
         };
-        arrived.into_iter().for_each(|s| driver.admit(s));
-        if driver.has_work() {
-            driver.run_one_epoch();
-        } else if closed {
-            return driver.finish();
+        match arrived {
+            Some(Ingress::Submit(s)) => driver.admit(s),
+            Some(Ingress::Close) | None => break,
         }
     }
+    drop(ingress);
+    while driver.has_work() {
+        driver.run_one_epoch();
+    }
+    driver.finish();
 }
 
 /// A campaign's submission endpoint. Obtained from
@@ -481,7 +440,7 @@ fn serve<T: SweepTopology + Send + Sync + 'static>(shared: &Shared, mut driver: 
 #[derive(Clone)]
 pub struct CampaignHandle {
     campaign: u64,
-    shared: Arc<Shared>,
+    ingress: Sender<Ingress>,
     seq: Arc<AtomicU64>,
 }
 
@@ -497,21 +456,17 @@ impl CampaignHandle {
     /// order.
     pub fn submit(&self, request: SolveRequest) -> SolveTicket {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let cell = Arc::new(TicketCell::default());
-        let reply = Reply(Some(cell.clone()));
-        let mut g = self.shared.ingress.lock();
-        // A closed ingress drops the reply, which resolves `Closed`.
-        if !g.closed {
-            g.queue.push(Submission {
-                campaign: self.campaign,
-                seq,
-                request,
-                reply,
-                submitted: Instant::now(),
-            });
-            self.shared.cv.notify_one();
-        }
-        SolveTicket(cell)
+        let (reply, ticket) = unbounded();
+        // A closed ingress hands the submission back; dropping it drops
+        // the reply, which resolves the ticket `Closed`.
+        let _ = self.ingress.send(Ingress::Submit(Submission {
+            campaign: self.campaign,
+            seq,
+            request,
+            reply,
+            submitted: Instant::now(),
+        }));
+        SolveTicket(ticket)
     }
 }
 
@@ -567,8 +522,10 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
     fn admit(&mut self, s: Submission) {
         let (campaign, request) = (s.campaign, s.request);
         if let Err(why) = self.admissible(campaign, &request.materials) {
-            book(&self.stats, campaign, |_, cs| cs.rejected += 1);
-            return s.reply.fulfill(Err(SessionError::Rejected(why)));
+            let mut stats = self.stats.lock();
+            stats.campaigns.entry(campaign).or_default().rejected += 1;
+            let _ = s.reply.send(Err(SessionError::Rejected(why)));
+            return;
         }
         let max_iterations = request
             .max_iterations
@@ -578,19 +535,20 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             self.world
                 .begin_solve(request.materials, max_iterations, tolerance, &self.cache);
         if self.world.config.coarsen {
-            book(&self.stats, campaign, |_, cs| {
-                if progress.plan_from_cache {
-                    cs.plan_cache_hits += 1;
-                } else {
-                    cs.plan_cache_misses += 1;
-                }
-            });
+            let mut stats = self.stats.lock();
+            let cs = stats.campaigns.entry(campaign).or_default();
+            if progress.plan_from_cache {
+                cs.plan_cache_hits += 1;
+            } else {
+                cs.plan_cache_misses += 1;
+            }
         }
         if max_iterations == 0 {
             // Degenerate request: nothing to run — mirror the solo
             // solver, which returns the zero-flux starting state.
-            book(&self.stats, campaign, |_, cs| cs.completed += 1);
-            s.reply.fulfill(Ok(SolveOutcome {
+            let mut stats = self.stats.lock();
+            stats.campaigns.entry(campaign).or_default().completed += 1;
+            let _ = s.reply.send(Ok(SolveOutcome {
                 campaign,
                 seq: s.seq,
                 solution: progress.into_solution(),
@@ -695,31 +653,23 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         }
         let replayed = solve.progress.plan.is_some();
         // "Fail epoch E of campaign C" injection keys on attempt
-        // numbers, faulted attempts included (every attempt books an
-        // epoch or a fault), which keeps it deterministic under
-        // retries.
-        let attempt = self
-            .stats
-            .lock()
-            .campaigns
-            .get(&campaign)
-            .map_or(0, |cs| cs.epochs_run + cs.faults);
-        let injected = self
-            .world
-            .config
-            .fault_plan
-            .as_ref()
-            .is_some_and(|p| p.take_epoch_fail(campaign, attempt));
-        let done = if injected {
-            Err(EpochFault {
+        // numbers, faulted attempts included: the campaign's records in
+        // the epoch log, which keeps it deterministic under retries.
+        let injected = self.world.config.fault_plan.as_ref().and_then(|plan| {
+            let stats = self.stats.lock();
+            let log = stats.epoch_log.iter();
+            let attempt = log.filter(|e| e.campaign == campaign).count() as u64;
+            plan.take_epoch_fail(campaign, attempt).then_some(attempt)
+        });
+        let done = match injected {
+            Some(attempt) => Err(EpochFault {
                 rank: 0,
                 worker: 0,
                 program: None,
                 payload: format!("injected failure of campaign {campaign} epoch attempt {attempt}"),
                 kind: FaultKind::Injected,
-            })
-        } else {
-            advance_one_epoch(&mut self.world, &mut solve.progress)
+            }),
+            None => advance_one_epoch(&mut self.world, &mut solve.progress),
         };
         // The world launches lazily inside the epoch, and a faulted
         // epoch may still have launched the universe it faulted in:
@@ -740,16 +690,16 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             faulted: false,
             replayed,
         };
-        book(&self.stats, campaign, |s, cs| {
-            s.epochs_run += 1;
-            s.epoch_log.push(logged);
-            cs.epochs_run += 1;
-            cs.completed += u64::from(done);
-        });
+        {
+            let mut stats = self.stats.lock();
+            stats.epochs_run += 1;
+            stats.epoch_log.push(logged);
+            stats.campaigns.entry(campaign).or_default().completed += u64::from(done);
+        }
         if done {
             let solve = record.queue.pop_front().expect("head just served");
             let span_id = solve.progress.span;
-            solve.reply.fulfill(Ok(SolveOutcome {
+            let _ = solve.reply.send(Ok(SolveOutcome {
                 campaign,
                 seq: solve.seq,
                 solution: solve.progress.into_solution(),
@@ -788,14 +738,12 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             faulted: true,
             replayed: false,
         };
-        book(&self.stats, campaign, |s, cs| {
-            s.faults += 1;
-            s.epoch_log.push(logged);
-            cs.faults += 1;
-            s.retries += u64::from(retrying);
-            cs.retries += u64::from(retrying);
-            cs.failed += u64::from(!retrying);
-        });
+        {
+            let mut stats = self.stats.lock();
+            stats.faults += 1;
+            stats.epoch_log.push(logged);
+            stats.campaigns.entry(campaign).or_default().failed += u64::from(!retrying);
+        }
         if retrying {
             // The solve stays at the head of its queue with its
             // progress untouched: the retried epoch reruns the same
@@ -804,12 +752,11 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             solve.retries += 1;
         } else {
             let solve = record.queue.pop_front().expect("head just faulted");
-            let retries = solve.retries;
-            solve.reply.fulfill(Err(SessionError::Failed(FaultReport {
+            let _ = solve.reply.send(Err(SessionError::Failed(FaultReport {
                 campaign,
                 seq: solve.seq,
                 iteration,
-                retries,
+                retries: solve.retries,
                 fault,
             })));
             record.fault_streak += 1;
@@ -834,14 +781,14 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
             .expect("quarantined campaign exists");
         let flushed = std::mem::take(&mut record.queue);
         let why = self.quarantined_why();
-        book(&self.stats, campaign, |_, cs| {
+        {
+            let mut stats = self.stats.lock();
+            let cs = stats.campaigns.entry(campaign).or_default();
             cs.quarantined = true;
             cs.rejected += flushed.len() as u64;
-        });
+        }
         for solve in flushed {
-            solve
-                .reply
-                .fulfill(Err(SessionError::Rejected(why.clone())));
+            let _ = solve.reply.send(Err(SessionError::Rejected(why.clone())));
         }
     }
 
@@ -857,20 +804,6 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         assert!(!self.has_work(), "finish with admitted work unserved");
         self.retire_world();
     }
-}
-
-/// Book one event in the session ledger: one lock, one campaign entry.
-/// `event` gets the session totals and `campaign`'s line (the map
-/// itself is set aside while it runs).
-fn book(
-    stats: &Mutex<SessionStats>,
-    campaign: u64,
-    event: impl FnOnce(&mut SessionStats, &mut CampaignStats),
-) {
-    let mut s = stats.lock();
-    let mut campaigns = std::mem::take(&mut s.campaigns);
-    event(&mut s, campaigns.entry(campaign).or_default());
-    s.campaigns = campaigns;
 }
 
 #[cfg(test)]
@@ -921,31 +854,39 @@ mod tests {
         seq: u64,
         mats: &Arc<MaterialSet>,
     ) -> SolveTicket {
-        let cell = Arc::new(TicketCell::default());
+        let (reply, ticket) = unbounded();
         driver.admit(Submission {
             campaign,
             seq,
             request: SolveRequest::new(mats.clone()),
-            reply: Reply(Some(cell.clone())),
+            reply,
             submitted: Instant::now(),
         });
-        SolveTicket(cell)
+        SolveTicket(ticket)
+    }
+
+    /// A ticket's resolution without blocking: `None` while its reply
+    /// is pending, so a lost reply fails a test instead of hanging it.
+    fn resolved(ticket: &SolveTicket) -> Option<Resolution> {
+        match ticket.0.try_recv() {
+            Ok(resolution) => Some(resolution),
+            Err(TryRecvError::Disconnected) => Some(Err(SessionError::Closed)),
+            Err(TryRecvError::Empty) => None,
+        }
     }
 
     /// What a panic on the session thread leaves behind: two requests
     /// admitted into the driver, a third still in the ingress. The
-    /// unwinding drops the driver and runs `serve`'s guard; every
-    /// ticket must then hold `Closed`, and a later submit must resolve
-    /// at once. The slots are read directly, so a reply left empty
-    /// fails here instead of hanging a `wait()`.
+    /// unwinding drops the driver and `serve`'s receiver; every ticket
+    /// must then resolve `Closed`, and a later submit at once.
     #[test]
     fn an_unwinding_driver_resolves_every_ticket_closed() {
         let (m, prob, quad, mats) = session_world();
         let mut driver = Driver::new(m, prob, quad, quick_options());
-        let shared = Arc::new(Shared::default());
+        let (ingress, arrivals) = unbounded();
         let campaign = CampaignHandle {
             campaign: 7,
-            shared: shared.clone(),
+            ingress,
             seq: Arc::default(),
         };
         let mut tickets = vec![
@@ -954,16 +895,43 @@ mod tests {
         ];
         tickets.push(campaign.submit(SolveRequest::new(mats.clone())));
         assert!(driver.has_work());
-        assert_eq!(shared.ingress.lock().queue.len(), 1);
-        drop(CloseOnExit(&shared));
+        assert_eq!(arrivals.len(), 1);
         drop(driver);
+        drop(arrivals);
         tickets.push(campaign.submit(SolveRequest::new(mats)));
         for (i, t) in tickets.iter().enumerate() {
             assert!(
-                matches!(*t.0.slot.lock(), Some(Err(SessionError::Closed))),
+                matches!(resolved(t), Some(Err(SessionError::Closed))),
                 "ticket {i} was left unresolved"
             );
         }
+    }
+
+    /// `serve` on the test thread over an ingress that already holds
+    /// `[Submit A, Close, Submit B]`: A was admitted before the close
+    /// and is served; B queued behind it and resolves `Closed`, as does
+    /// a submit made after `serve` returns. No universe is left behind.
+    #[test]
+    fn serve_closes_at_the_close_message() {
+        let (m, prob, quad, mats) = session_world();
+        let driver = Driver::new(m, prob, quad, quick_options());
+        let stats = driver.stats.clone();
+        let (ingress, arrivals) = unbounded();
+        let campaign = CampaignHandle {
+            campaign: 0,
+            ingress: ingress.clone(),
+            seq: Arc::default(),
+        };
+        let a = campaign.submit(SolveRequest::new(mats.clone()));
+        assert!(ingress.send(Ingress::Close).is_ok());
+        let b = campaign.submit(SolveRequest::new(mats.clone()));
+        serve(arrivals, driver);
+        let late = campaign.submit(SolveRequest::new(mats));
+        assert!(matches!(resolved(&a), Some(Ok(_))), "A was admitted");
+        assert!(matches!(resolved(&b), Some(Err(SessionError::Closed))));
+        assert!(matches!(resolved(&late), Some(Err(SessionError::Closed))));
+        let stats = stats.lock();
+        assert_eq!((stats.universes_launched, stats.universes_retired), (1, 1));
     }
 
     /// Five requests over three campaigns, all admitted before any

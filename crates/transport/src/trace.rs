@@ -143,8 +143,8 @@ pub fn trace_serial(mesh: &StructuredMesh, particles: &[Particle]) -> Vec<f64> {
     tally
 }
 
-/// Shared tally bins, one per patch (same pattern as the sweep's flux
-/// bins).
+/// One tally bin per patch, shared by the workers (same pattern as the
+/// sweep's flux bins).
 type TallyBins = Vec<Mutex<Vec<f64>>>;
 
 /// Initial particles per patch, consumed once at program init.

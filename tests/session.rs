@@ -166,7 +166,7 @@ fn stress_concurrent_campaigns_bit_identical() {
             "flood admissions must hit the shared plan cache"
         );
         assert_eq!(
-            cs.epochs_run,
+            epochs_of(&stats, h.id()),
             3 * cs.completed,
             "fixed-iteration solves run exactly 3 epochs each"
         );
@@ -175,8 +175,18 @@ fn stress_concurrent_campaigns_bit_identical() {
     assert_eq!(stats.universes_retired, 1);
     assert_eq!(
         stats.epochs_run,
-        stats.campaigns.values().map(|c| c.epochs_run).sum::<u64>()
+        stats
+            .campaigns
+            .keys()
+            .map(|&id| epochs_of(&stats, id))
+            .sum::<u64>()
     );
+}
+
+/// The epochs `campaign` ran: its unfaulted records in the epoch log.
+fn epochs_of(stats: &SessionStats, campaign: u64) -> u64 {
+    let log = stats.epoch_log.iter();
+    log.filter(|e| e.campaign == campaign && !e.faulted).count() as u64
 }
 
 /// The epoch log as `(campaign, seq, iteration, replayed)`.
